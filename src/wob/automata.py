@@ -13,6 +13,7 @@ character a word prints as a plain string.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,8 +37,6 @@ WordTuple = tuple  # tuple of Words, length = arity
 
 def as_word(w) -> Word:
     """Normalize a word given as a string (one char per symbol) or sequence."""
-    if isinstance(w, str):
-        return tuple(w)
     return tuple(w)
 
 
@@ -635,7 +634,7 @@ def minimize(a: Automaton, max_states=None) -> Automaton:
 
 
 def same_language(a: Automaton, b: Automaton) -> bool:
-    return is_empty(difference(a, b)) and is_empty(difference(b, a))
+    return is_subset(a, b) and is_subset(b, a)
 
 
 def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
@@ -648,8 +647,6 @@ def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
         raise ArityMismatch("domain must have arity 1")
     if rel.alphabet != domain.alphabet:
         raise ArityMismatch("alphabet mismatch")
-    import itertools as _it
-
     k = rel.arity
     DRAIN = -1
     dom_acc = domain.accepting
@@ -677,7 +674,7 @@ def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
             for tup in S:
                 choices = [tape_step(tq, s) for tq, s in zip(tup, letter)]
                 if all(choices):
-                    nxt.update(_it.product(*choices))
+                    nxt.update(itertools.product(*choices))
             S2 = frozenset(nxt)
             for r in targets:
                 key = (r, S2)
@@ -953,8 +950,7 @@ def fixed_word(alphabet, word) -> Automaton:
 def section(rel: Automaton, tape: int, word) -> Automaton:
     """Fix one tape of a relation to a constant word and project it away."""
     fixed = fixed_word(rel.alphabet, word)
-    cyl = rel
-    constrained = intersect(cyl, _cyl_single(fixed, tape, rel.arity))
+    constrained = intersect(rel, _cyl_single(fixed, tape, rel.arity))
     return project(constrained, tape)
 
 

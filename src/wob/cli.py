@@ -1,7 +1,8 @@
 """The `wob` command line tool.
 
 Exit codes: 0 ok, 1 negative verdict, 2 usage error, 3 budget exceeded,
-4 malformed input.  All output is deterministic for fixed inputs and seed.
+4 malformed input, 5 internal error.  All output is deterministic for
+fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import automata as au
 from . import fgh
@@ -18,18 +20,10 @@ from . import ordinals as o
 from . import pathology as pa
 from . import recognition as rec
 from . import tm as tmmod
-from .errors import (
-    IllFormedSystem,
-    InvalidTm,
-    LoadError,
-    NotALimit,
-    NotLinear,
-    StateBudgetExceeded,
-    WobError,
-)
+from .errors import LoadError, StateBudgetExceeded, WobError
 from .logic import compile_formula, eval_sentence, load_structure, parse_formula
 
-OK, NEGATIVE, USAGE, BUDGET, MALFORMED = 0, 1, 2, 3, 4
+OK, NEGATIVE, USAGE, BUDGET, MALFORMED, INTERNAL = 0, 1, 2, 3, 4, 5
 
 
 def main(argv=None) -> int:
@@ -40,18 +34,16 @@ def main(argv=None) -> int:
         return USAGE
     try:
         return args.handler(args)
-    except (LoadError, InvalidTm, NotALimit, IllFormedSystem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
     except StateBudgetExceeded as exc:
         print(f"budget-exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except NotLinear as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
     except WobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
+    except Exception as exc:
+        traceback.print_exc(limit=-5)
+        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:

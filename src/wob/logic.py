@@ -344,8 +344,7 @@ class Compiler:
         return aut
 
     def compile(self, f: Formula) -> _Result:
-        res = self._compile(rename_apart(f))
-        return res
+        return self._compile(rename_apart(f))
 
     def _compile(self, f: Formula) -> _Result:
         if isinstance(f, Rel):

@@ -36,6 +36,7 @@ from .logic import (
     compile_formula,
     implies,
 )
+from .recognition import minimal_elements
 
 BINARY = ("0", "1")
 
@@ -208,18 +209,15 @@ def kreisel_as_automatic(pi0: PiPredicate, state_budget: int = 10 ** 6) -> Struc
     return Structure(name="kreisel", domain=domain, relations={"<": (2, rel)})
 
 
-def tail_set(s: Structure, word, state_budget: int = 10 ** 6) -> Automaton:
+def tail_set(s: Structure, word) -> Automaton:
     """The definable subset { y : y llex-above `word` } of a structure."""
     above = au.section(au.llex_automaton(s.domain.alphabet), 0, word)
     return au.minimize(au.intersect(above, s.domain))
 
 
-def minimal_members(s: Structure, subset: Automaton, state_budget: int = 10 ** 6) -> Automaton:
+def minimal_members(s: Structure, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (exact)."""
-    rel = s.relations["<"][1]
-    on_tape0 = au.insert_tape(subset, 1)
-    dominated = au.project(au.intersect(rel, on_tape0), 0)
-    return au.minimize(au.difference(subset, dominated))
+    return au.minimize(minimal_elements(s.relations["<"][1], subset))
 
 
 # -- the omega+1 system with an inflated F_omega (Prop 2) ----------------------

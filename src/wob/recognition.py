@@ -21,6 +21,7 @@ allows).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from . import automata as au
@@ -35,6 +36,7 @@ from .logic import (
     Forall,
     Llex,
     Not,
+    Or,
     Rel,
     Structure,
     compile_formula,
@@ -68,6 +70,19 @@ class OrderPresentation:
     @property
     def order(self) -> Automaton:
         return self.structure.relations[LESS][1]
+
+    @cached_property
+    def _sim_structures(self) -> dict:
+        return {}
+
+    def with_sim(self, budget: int) -> Structure:
+        """The structure plus the condensation equivalence ~, compiled once
+        per budget and shared by every step of a condensation level."""
+        if budget not in self._sim_structures:
+            s = self.structure
+            rels = {**s.relations, SIM: (2, sim_automaton(self, budget))}
+            self._sim_structures[budget] = Structure(name=s.name, domain=s.domain, relations=rels)
+        return self._sim_structures[budget]
 
 
 @dataclass(frozen=True)
@@ -109,16 +124,6 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 # -- linearity guard --------------------------------------------------------
 
 
-def _or2(a, b):
-    from .logic import Or
-
-    return Or(a, b)
-
-
-def _or3(a, b, c):
-    return _or2(a, _or2(b, c))
-
-
 _IRREFLEXIVE = Forall("x", Not(Rel(LESS, ("x", "x"))))
 _TRANSITIVE = Forall(
     "x",
@@ -132,7 +137,7 @@ _TRANSITIVE = Forall(
 )
 _TOTAL = Forall(
     "x",
-    Forall("y", _or3(Rel(LESS, ("x", "y")), Rel(LESS, ("y", "x")), Eq("x", "y"))),
+    Forall("y", Or(Rel(LESS, ("x", "y")), Or(Rel(LESS, ("y", "x")), Eq("x", "y")))),
 )
 
 
@@ -154,7 +159,7 @@ def check_linear(p: OrderPresentation) -> Optional[str]:
 
 def _between():
     # z strictly between x and y, in either orientation
-    return _or2(
+    return Or(
         And(Rel(LESS, ("x", "z")), Rel(LESS, ("z", "y"))),
         And(Rel(LESS, ("y", "z")), Rel(LESS, ("z", "x"))),
     )
@@ -166,22 +171,15 @@ def sim_automaton(p: OrderPresentation, budget: int) -> Automaton:
     return au.minimize(compile_formula(p.structure, f, state_budget=budget))
 
 
-def _with_sim(p: OrderPresentation, budget: int) -> Structure:
-    s = p.structure
-    rels = dict(s.relations)
-    rels[SIM] = (2, sim_automaton(p, budget))
-    return Structure(name=s.name, domain=s.domain, relations=rels)
-
-
 def finite_condensation(p: OrderPresentation, budget: int = 10 ** 6) -> OrderPresentation:
-    """Quotient by ~, represented by the llex-least element of each class."""
-    s2 = _with_sim(p, budget)
+    """Quotient by ~, represented by the llex-least element of each class.
+    Distinct representatives are never ~-equivalent, so the quotient order
+    is the original order restricted to representatives."""
+    s2 = p.with_sim(budget)
     rep = Not(Exists("y", And(Llex("y", "x"), Rel(SIM, ("y", "x")))))
     new_dom = define_set(s2, rep, "x", state_budget=budget)
-    rep_x = Not(Exists("u", And(Llex("u", "x"), Rel(SIM, ("u", "x")))))
-    rep_y = Not(Exists("v", And(Llex("v", "y"), Rel(SIM, ("v", "y")))))
-    order_f = And(And(rep_x, rep_y), And(Rel(LESS, ("x", "y")), Not(Rel(SIM, ("x", "y")))))
-    new_rel = au.minimize(compile_formula(s2, order_f, state_budget=budget))
+    cube = au.insert_tape(new_dom, 1, track=new_dom)
+    new_rel = au.minimize(au.intersect(p.order, cube, max_states=budget))
     q = Structure(
         name=s2.name + "'",
         domain=new_dom,
@@ -199,7 +197,7 @@ def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
     """Certify that every condensation class has a least element and every
     element finitely many predecessors within its class; otherwise return a
     witness element from a failing class."""
-    s2 = _with_sim(p, budget)
+    s2 = p.with_sim(budget)
     no_least = Not(
         Exists(
             "m",
@@ -223,7 +221,7 @@ def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
 
 def _top_class_size(p: OrderPresentation, budget: int):
     """Size of the topmost condensation class when finite, else 0."""
-    s2 = _with_sim(p, budget)
+    s2 = p.with_sim(budget)
     in_top = Not(Exists("y", And(Rel(LESS, ("x", "y")), Not(Rel(SIM, ("x", "y"))))))
     top = define_set(s2, in_top, "x", state_budget=budget)
     if au.is_empty(top) or au.is_infinite(top):
@@ -267,7 +265,8 @@ def recognize(
         except StateBudgetExceeded:
             return BudgetExceeded(level)
         quotient = finite_condensation(current, budget)
-        if au.same_language(quotient.domain, current.domain):
+        # the quotient domain is a subset, so one inclusion decides equality
+        if au.is_subset(current.domain, quotient.domain):
             return NotWellOrder(DenseFixpoint(level))
         tops.append(t)
         current = quotient
@@ -309,12 +308,15 @@ def successors_set(p: OrderPresentation, word) -> Automaton:
     return au.section(p.order, 0, word)
 
 
+def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
+    """Members of a regular subset with no order-smaller member (unminimized)."""
+    dominated = au.project(au.intersect(order, au.insert_tape(subset, 1)), 0)
+    return au.difference(subset, dominated)
+
+
 def least_of(p: OrderPresentation, subset: Automaton) -> list:
     """Minimal elements of a regular subset (at most 2 returned)."""
-    on_tape0 = au.insert_tape(subset, 1)
-    dominated = au.project(au.intersect(p.order, on_tape0), 0)
-    least = au.difference(subset, dominated)
-    return [w[0] for w in au.count_or_enumerate(least, 2)]
+    return [w[0] for w in au.count_or_enumerate(minimal_elements(p.order, subset), 2)]
 
 
 def initial_chain(p: OrderPresentation, count: int) -> list:

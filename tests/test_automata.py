@@ -181,18 +181,33 @@ def test_product_matches_boolean_combination(data):
 
     seed = data.draw(st.integers(0, 10 ** 6))
     mode = data.draw(st.sampled_from(["and", "or", "minus"]))
+    arity = data.draw(st.sampled_from([1, 2]))
     rng = random.Random(seed)
-    a = _random_nfa(rng, n_states=5)
-    b = _random_nfa(rng, n_states=5)
+    if arity == 1:
+        a = _random_nfa(rng, n_states=5)
+        b = _random_nfa(rng, n_states=5)
+        max_len = 4
+    else:
+        a = _random_nfa2(rng)
+        b = _random_nfa2(rng)
+        max_len = 3
     got = au.product(a, b, mode)
-    la, lb = language(a, 4), language(b, 4)
+    la, lb = language(a, max_len), language(b, max_len)
     if mode == "and":
         expect = la & lb
     elif mode == "or":
         expect = la | lb
     else:
         expect = la - lb
-    assert language(got, 4) == expect
+    assert language(got, max_len) == expect
+    # containment and equivalence agree with the complement-based construction;
+    # the derived pairs make both answers occur
+    for x, y in ((a, b), (b, a), (got, a), (a, got), (a, a)):
+        no_diff = au.is_empty(au.difference(x, y))
+        assert au.is_subset(x, y) == no_diff
+        assert au.same_language(x, y) == (no_diff and au.is_empty(au.difference(y, x)))
+        if no_diff:
+            assert language(x, max_len) <= language(y, max_len)
 
 
 def test_product_exhaustive_length_6():

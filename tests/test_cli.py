@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -200,3 +201,43 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert got.returncode == 0
     assert got.stdout == "greater\n"
+
+
+# SHA-256 of `wob recognize MANIFEST --trace` stdout (verdict plus every
+# condensation level's saved domain and order automata) for each corpus
+# manifest; any change to the recognizer's output shows here.
+RECOGNIZE_TRACE_SHA256 = {
+    "binlex": "6cf8cd6487d0c69f23f931303d1b8cede76ebfa866ca304465bd74506b86fcae",
+    "dense": "6342de212c2855f30e105a41e27e0692c5756c3c01818d72dd9b9a42d187f522",
+    "mixed": "74cb74c160570572a7cad59b37e053768d85d3950bec354d13943bd97b6b79fe",
+    "omega": "23d874c326244d951dd6d77b351995fb33ab5a250178dfc958c40f463a431c1b",
+    "omega2p3": "dc933e757fb05032c5c1a87f8bc77ca72367c395e9702b7dd8bfcad01caa4153",
+    "omega_bin": "7cb7e6828b022183d46c36f77849e9254e616b7eb33cfae55692903d08145a65",
+    "omega_cube": "3f12a5aa811e752f153a6419918a99014792ea6d1322dc56941fffcd9872086f",
+    "omega_plus_one": "fbbf85a5964e3f518d1248d60c2df752fa08bdfea26925f071b7f96f10d06616",
+    "omega_plus_rev": "8f48085fe67009f183a3fbcaeeb9113b0ab63362951d0b7f5084fbfc609e21db",
+    "omega_sq": "367fecc87ea250a5bcabf338c3121c67f1ee5deeb0bda67632f67eb420ebfc94",
+    "omega_times_2": "63a6cbd48b39ab9f938b3ad39c68e1bcbeb72f14dcd29331339158d03087e206",
+    "twelve": "80c5d9a677f3462770352489be47bdbba2e5cc315bb7d7a00c0ba68ebfbeb22f",
+    "w4p2": "49f7ae92e2093b796d0a034efd81d4daf343246016bfc8fcbfcf3020d73ebe59",
+    "wsq_p1": "b967e9982df3eaec1f12c928904c85e9c3da80fa11d2f701f3cd66a2745de201",
+    "zline": "3c2c7ffcb9ac46fa1ee329aa7ed68c35e73bdc4f08253682c2b2d04a437d9c2e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECOGNIZE_TRACE_SHA256))
+def test_recognize_trace_output_pinned(name, capsys):
+    manifest = Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest"
+    main(["recognize", str(manifest), "--trace"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECOGNIZE_TRACE_SHA256[name]
+
+
+def test_internal_error_is_not_a_verdict(tmp_path, capsys):
+    # 1,200 nested negations exhaust the recursive parser; the exception
+    # must map to the internal-error code, not to 1 ("false")
+    manifest = save_structure(corpus.omega_unary().structure, tmp_path)
+    formula = "(not " * 1200 + "(rel < x x)" + ")" * 1200
+    code, out = run_cli(["query", manifest, formula], capsys)
+    assert code == 5
+    assert out == ""

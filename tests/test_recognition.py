@@ -284,3 +284,26 @@ def test_recognize_requires_linear():
     s = Structure(name="prefix", domain=dom, relations={"<": (2, strict_prefix)})
     with pytest.raises(NotLinear):
         recognize(OrderPresentation(s))
+
+
+@pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
+def test_sim_compiled_once_per_level(monkeypatch, name, levels):
+    from pathlib import Path
+
+    from wob.logic import load_structure
+
+    calls = []
+    original = rec.sim_automaton
+
+    def counted(p, budget):
+        calls.append(p)
+        return original(p, budget)
+
+    monkeypatch.setattr(rec, "sim_automaton", counted)
+    manifest = Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest"
+    trace = []
+    got = recognize(OrderPresentation(load_structure(manifest)), trace=trace)
+    assert isinstance(got, WellOrder)
+    assert len(trace) == levels
+    assert len(calls) == levels
+    assert all(c is pres for c, (_level, pres) in zip(calls, trace))
