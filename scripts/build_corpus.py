@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Write the bundled presentations and machines as text files under corpus/,
-ready for `wob query`, `wob recognize`, `wob tm ...` and `wob hopda ...`."""
+"""Write the bundled presentations and machines as text files under corpus/
+(or the directory given to `main`), ready for `wob query`, `wob recognize`,
+`wob tm ...` and `wob hopda ...`."""
 
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ from wob import corpus, hopda, tm
 from wob.logic import save_structure
 
 
-def main():
-    root = Path(__file__).resolve().parent.parent / "corpus"
+def main(root=None):
+    root = Path(root) if root is not None else Path(__file__).resolve().parent.parent / "corpus"
     root.mkdir(exist_ok=True)
     for p in corpus.well_order_corpus() + corpus.non_well_order_corpus():
         directory = root / p.name

@@ -3,9 +3,11 @@
 Tuples of words are encoded as a single word over letter tuples: tape i
 carries word i, right-padded with the reserved pad symbol ``#`` up to the
 length of the longest word.  An automaton of arity k reads such letter
-tuples.  Every constructed automaton is checked for the padding invariant
-(once a tape reads pad it reads pad forever, and no letter is all-pad), so
-each accepting path spells a valid convolution.
+tuples.  Every automaton from outside the kernel (`automaton()`, the loader,
+`build`) is checked for the padding invariant (once a tape reads pad it
+reads pad forever, and no letter is all-pad), so each accepting path spells
+a valid convolution.  Kernel operations only recombine letters of checked
+operands, so their results are not checked again.
 
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -77,9 +79,10 @@ class Automaton:
     """A (possibly nondeterministic) synchronous k-tape automaton.
 
     States are integers 0..n_states-1; transitions is a frozenset of
-    (state, letter, state) triples.  Instances are immutable and validated
-    at construction, including the suffix-padding invariant along every
-    path reachable from the initial state.
+    (state, letter, state) triples.  Instances are immutable.  Constructing
+    one directly validates it, including the suffix-padding invariant along
+    every path reachable from the initial state; kernel operations build
+    their results without this check (see `_canonical`).
     """
 
     arity: int
@@ -228,11 +231,16 @@ def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Aut
 
 
 def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=None) -> Automaton:
-    """Build an Automaton from an implicit graph over hashable state keys.
+    """Build the trimmed Automaton of an implicit graph over hashable state keys.
 
     moves(key) yields (letter, target_key).  States are numbered in BFS
     order with letters visited in sorted order, which makes every kernel
-    operation deterministic down to the byte level.
+    operation deterministic down to the byte level.  States that cannot
+    reach acceptance are then dropped, the rest keeping their order: a
+    useless state has only useless successors, so each useful state is
+    first reached from a useful one, and the numbering is what a BFS over
+    the useful states alone gives.  The result is not validated, so moves
+    written outside the kernel go through `build`.
     """
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
@@ -258,30 +266,43 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
                     if max_states is not None and len(order) > max_states:
                         raise StateBudgetExceeded(len(order), max_states)
                 transitions.append((numbering[key], letter, numbering[target]))
-    accepting = frozenset(numbering[k] for k in order if accepting_pred(k))
-    return Automaton(
-        arity=arity,
-        alphabet=alphabet,
-        n_states=len(order),
-        initial=0,
-        accepting=accepting,
-        transitions=frozenset(transitions),
-    )
+    accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
+    a = _unchecked(arity, alphabet, len(order), 0, accepting, frozenset(transitions))
+    useful = a._coreachable
+    if len(useful) == len(order):
+        return a
+    if 0 not in useful:
+        return _unchecked(arity, alphabet, 1, 0, frozenset(), frozenset())
+    new = {q: i for i, q in enumerate(sorted(useful))}
+    accepting = frozenset(new[q] for q in accepting)
+    transitions = frozenset((new[q], l, new[r]) for (q, l, r) in transitions if r in new)
+    return _unchecked(arity, alphabet, len(new), 0, accepting, transitions)
+
+
+def _unchecked(*values) -> Automaton:
+    """An Automaton from field values known to be valid, skipping __post_init__."""
+    a = object.__new__(Automaton)
+    for f, value in zip(fields(Automaton), values):
+        object.__setattr__(a, f.name, value)
+    return a
+
+
+def build(arity, alphabet, initial_key, accepting_pred, moves, max_states=None) -> Automaton:
+    """`_canonical` for moves written outside the kernel: the result is validated."""
+    a = _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states)
+    a.__post_init__()
+    return a
 
 
 def trim(a: Automaton) -> Automaton:
     """Restrict to useful states (reachable and co-reachable)."""
-    useful = a.useful_states
-    if a.initial not in useful:
-        return empty(a.alphabet, a.arity)
 
     def moves(q):
         for letter, targets in a._delta.get(q, {}).items():
             for r in targets:
-                if r in useful:
-                    yield letter, r
+                yield letter, r
 
-    return _canonical(a.arity, a.alphabet, a.initial, lambda q: q in a.accepting, moves)
+    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
 
 
 def empty(alphabet, arity) -> Automaton:
@@ -299,7 +320,7 @@ def universe(alphabet, arity) -> Automaton:
                 continue
             yield letter, tuple(s == PAD for s in letter)
 
-    return _canonical(arity, alphabet, (False,) * arity, lambda mask: True, moves)
+    return build(arity, alphabet, (False,) * arity, lambda mask: True, moves)
 
 
 def _valid_letters(alphabet, arity):
@@ -317,22 +338,6 @@ def _valid_letters(alphabet, arity):
     for letter in rec(0):
         if any(s != PAD for s in letter):
             yield letter
-
-
-def letter_filter(alphabet, arity, pred) -> Automaton:
-    """Valid convolutions all of whose letters satisfy pred (letter -> bool)."""
-    base = universe(alphabet, arity)
-    keep = frozenset(t for t in base.transitions if pred(t[1]))
-    return trim(
-        Automaton(
-            arity=arity,
-            alphabet=base.alphabet,
-            n_states=base.n_states,
-            initial=base.initial,
-            accepting=base.accepting,
-            transitions=keep,
-        )
-    )
 
 
 # -- boolean operations -------------------------------------------------
@@ -361,7 +366,7 @@ def intersect(a: Automaton, b: Automaton, max_states=None) -> Automaton:
                 for r2 in targets2:
                     yield letter, ((r2, r1) if flip else (r1, r2))
 
-    out = _canonical(
+    return _canonical(
         a.arity,
         a.alphabet,
         (a.initial, b.initial),
@@ -369,7 +374,6 @@ def intersect(a: Automaton, b: Automaton, max_states=None) -> Automaton:
         moves,
         max_states=max_states,
     )
-    return trim(out)
 
 
 def union(a: Automaton, b: Automaton, max_states=None) -> Automaton:
@@ -395,7 +399,7 @@ def union(a: Automaton, b: Automaton, max_states=None) -> Automaton:
             return a.initial in a.accepting or b.initial in b.accepting
         return q in (a.accepting if tag == 0 else b.accepting)
 
-    return trim(_canonical(a.arity, a.alphabet, (2, None), acc, moves, max_states=max_states))
+    return _canonical(a.arity, a.alphabet, (2, None), acc, moves, max_states=max_states)
 
 
 def determinize(a: Automaton, max_states=None) -> Automaton:
@@ -409,15 +413,13 @@ def determinize(a: Automaton, max_states=None) -> Automaton:
         for letter, targets in out.items():
             yield letter, frozenset(targets)
 
-    return trim(
-        _canonical(
-            a.arity,
-            a.alphabet,
-            frozenset({a.initial}),
-            lambda s: bool(s & a.accepting),
-            moves,
-            max_states=max_states,
-        )
+    return _canonical(
+        a.arity,
+        a.alphabet,
+        frozenset({a.initial}),
+        lambda s: bool(s & a.accepting),
+        moves,
+        max_states=max_states,
     )
 
 
@@ -440,15 +442,13 @@ def complement(a: Automaton, max_states=None) -> Automaton:
             yield letter, (frozenset(out.get(letter, ())), new_mask)
 
     start = (frozenset({a.initial}), (False,) * a.arity)
-    return trim(
-        _canonical(
-            a.arity,
-            a.alphabet,
-            start,
-            lambda key: not (key[0] & a.accepting),
-            moves,
-            max_states=max_states,
-        )
+    return _canonical(
+        a.arity,
+        a.alphabet,
+        start,
+        lambda key: not (key[0] & a.accepting),
+        moves,
+        max_states=max_states,
     )
 
 
@@ -587,9 +587,6 @@ def _enumerate_length(a, fwd, layers, length, lkey, want):
 def minimize(a: Automaton, max_states=None) -> Automaton:
     """Language-equivalent minimal (partial, trimmed) DFA."""
     d = determinize(a, max_states=max_states)
-    if is_empty(d):
-        return empty(a.alphabet, a.arity)
-    d = trim(d)
     letters = sorted({t[1] for t in d.transitions}, key=d._letter_key)
     delta = {}
     for (q, letter, r) in d.transitions:
@@ -623,14 +620,13 @@ def minimize(a: Automaton, max_states=None) -> Automaton:
             if r is not None:
                 yield letter, block[r]
 
-    out = _canonical(
+    return _canonical(
         d.arity,
         d.alphabet,
         block[d.initial],
         lambda b: reps[b] in d.accepting,
         moves,
     )
-    return trim(out)
 
 
 def same_language(a: Automaton, b: Automaton) -> bool:
@@ -755,27 +751,21 @@ def project(a: Automaton, tape: int) -> Automaton:
     def acc(q):
         return bool(clo[q] & a.accepting)
 
-    return trim(_canonical(a.arity - 1, a.alphabet, a.initial, acc, moves))
+    return _canonical(a.arity - 1, a.alphabet, a.initial, acc, moves)
 
 
 def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
     """Reorder tapes: new tape i carries old tape perm[i]."""
     if sorted(perm) != list(range(a.arity)):
         raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
-    transitions = frozenset(
-        (q, tuple(letter[perm[i]] for i in range(a.arity)), r)
-        for (q, letter, r) in a.transitions
-    )
-    return trim(
-        Automaton(
-            arity=a.arity,
-            alphabet=a.alphabet,
-            n_states=a.n_states,
-            initial=a.initial,
-            accepting=a.accepting,
-            transitions=transitions,
-        )
-    )
+
+    def moves(q):
+        for letter, targets in a._delta.get(q, {}).items():
+            moved = tuple(letter[p] for p in perm)
+            for r in targets:
+                yield moved, r
+
+    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
 
 
 def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) -> Automaton:
@@ -825,7 +815,7 @@ def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) 
         ok_t = qt == DRAIN or qt in track.accepting
         return ok_a and ok_t
 
-    return trim(_canonical(a.arity + 1, a.alphabet, (a.initial, track.initial), acc, moves))
+    return _canonical(a.arity + 1, a.alphabet, (a.initial, track.initial), acc, moves)
 
 
 def rename_symbols(a: Automaton, mapping: dict) -> Automaton:
@@ -835,17 +825,8 @@ def rename_symbols(a: Automaton, mapping: dict) -> Automaton:
     def m(s):
         return PAD if s == PAD else mapping.get(s, s)
 
-    transitions = frozenset(
-        (q, tuple(m(s) for s in letter), r) for (q, letter, r) in a.transitions
-    )
-    return Automaton(
-        arity=a.arity,
-        alphabet=new_alphabet,
-        n_states=a.n_states,
-        initial=a.initial,
-        accepting=a.accepting,
-        transitions=transitions,
-    )
+    transitions = [(q, tuple(m(s) for s in letter), r) for (q, letter, r) in a.transitions]
+    return automaton(a.arity, new_alphabet, a.n_states, a.initial, a.accepting, transitions)
 
 
 # -- common relation automata -------------------------------------------
@@ -871,20 +852,13 @@ def letter_dfa(alphabet, arity, start, step, accepting_pred) -> Automaton:
                 continue
             yield letter, (tuple(s == PAD for s in letter), v2)
 
-    return trim(
-        _canonical(
-            arity,
-            alphabet,
-            ((False,) * arity, start),
-            lambda key: accepting_pred(key[1]),
-            moves,
-        )
-    )
+    start_key = ((False,) * arity, start)
+    return build(arity, alphabet, start_key, lambda key: accepting_pred(key[1]), moves)
 
 
 def eq_tapes(alphabet, arity, i, j) -> Automaton:
     """Valid convolutions whose tapes i and j carry equal words."""
-    return letter_filter(alphabet, arity, lambda l: l[i] == l[j])
+    return letter_dfa(alphabet, arity, 0, lambda v, l: v if l[i] == l[j] else None, lambda v: True)
 
 
 def diagonal(alphabet) -> Automaton:
@@ -917,7 +891,7 @@ def llex_automaton(alphabet) -> Automaton:
             for x in alphabet:
                 yield (x, PAD), YS
 
-    return trim(_canonical(2, alphabet, EQ, lambda s: s in (LT, XS), moves))
+    return build(2, alphabet, EQ, lambda s: s in (LT, XS), moves)
 
 
 def shorter_automaton(alphabet) -> Automaton:
@@ -932,7 +906,7 @@ def shorter_automaton(alphabet) -> Automaton:
         for y in alphabet:
             yield (PAD, y), 1
 
-    return trim(_canonical(2, alphabet, 0, lambda s: s == 1, moves))
+    return build(2, alphabet, 0, lambda s: s == 1, moves)
 
 
 def fixed_word(alphabet, word) -> Automaton:
@@ -944,7 +918,7 @@ def fixed_word(alphabet, word) -> Automaton:
         if i < n:
             yield (w[i],), i + 1
 
-    return _canonical(1, tuple(alphabet), 0, lambda i: i == n, moves)
+    return build(1, alphabet, 0, lambda i: i == n, moves)
 
 
 def section(rel: Automaton, tape: int, word) -> Automaton:

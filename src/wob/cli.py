@@ -1,8 +1,8 @@
 """The `wob` command line tool.
 
 Exit codes: 0 ok, 1 negative verdict, 2 usage error, 3 budget exceeded,
-4 malformed input, 5 internal error.  All output is deterministic for
-fixed inputs and seed.
+4 malformed or unreadable input, 5 internal error.  All output is
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ from .logic import compile_formula, eval_sentence, load_structure, parse_formula
 OK, NEGATIVE, USAGE, BUDGET, MALFORMED, INTERNAL = 0, 1, 2, 3, 4, 5
 
 
+class UsageError(Exception):
+    """A command-line argument that does not parse; exits with USAGE."""
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -37,7 +48,10 @@ def main(argv=None) -> int:
     except StateBudgetExceeded as exc:
         print(f"budget-exceeded: {exc}", file=sys.stderr)
         return BUDGET
-    except WobError as exc:
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE
+    except (WobError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
     except Exception as exc:
@@ -195,7 +209,7 @@ def cmd_ord(args) -> int:
         print("error: this operation needs a second argument", file=sys.stderr)
         return USAGE
     if args.op == "fs":
-        n = int(args.right)
+        n = _int(args.right, "the fs index")
         result = o.standard_fs(left, n)
         _emit(args, o.show(result), {"result": o.show(result)})
         return OK
@@ -232,7 +246,7 @@ def cmd_fgh_eval(args) -> int:
 def cmd_fgh_compare(args) -> int:
     ns1, ns2 = _system(args.system), _system(args.system2)
     alpha, beta = o.parse(args.alpha), o.parse(args.beta)
-    xs = [int(x) for x in args.xs.split(",") if x]
+    xs = [_int(x, "--xs") for x in args.xs.split(",") if x]
     budget = fgh.Budget(max_value=10 ** 9, max_steps=int(args.max_steps))
     report = fgh.dominates_at(ns1, alpha, ns2, beta, xs, budget)
     print(f"F[{args.system}]_{args.alpha} vs F[{args.system2}]_{args.beta}")
@@ -255,9 +269,9 @@ def _parse_monotone(expr: str):
         return lambda n: n
     if "*n+" in expr:
         k, b = expr.split("*n+")
-        return lambda n, k=int(k), b=int(b): k * n + b
+        return lambda n, k=_int(k, "k"), b=_int(b, "b"): k * n + b
     if expr.startswith("n+"):
-        b = int(expr[2:])
+        b = _int(expr[2:], "b")
         return lambda n, b=b: n + b
     raise LoadError(f"unsupported function expression {expr!r} (try 2^n, n^2, k*n+b)")
 
@@ -268,7 +282,7 @@ def _pi0_from_spec(spec: str) -> pa.PiPredicate:
     if spec == "builtin:empty":
         return pa.regular_empty()
     if spec.startswith("builtin:except="):
-        n = int(spec.split("=", 1)[1])
+        n = _int(spec.split("=", 1)[1], "builtin:except=N")
         return pa.regular_except_word(pa.word_of_rank(n))
     _, aut = au.load_automaton(spec)
     return pa.PiPredicate(kind="regular", aut=aut, description=spec)
@@ -284,14 +298,14 @@ def cmd_kreisel(args) -> int:
         if len(args.args) != 2:
             print("usage: wob pathology kreisel compare X Y", file=sys.stderr)
             return USAGE
-        x, y = int(args.args[0]), int(args.args[1])
+        x, y = _int(args.args[0], "X"), _int(args.args[1], "Y")
         print(pa.kreisel_compare(k, x, y))
         return OK
     if args.action == "descend":
         if len(args.args) != 2:
             print("usage: wob pathology kreisel descend START LEN", file=sys.stderr)
             return USAGE
-        start, length = int(args.args[0]), int(args.args[1])
+        start, length = _int(args.args[0], "START"), _int(args.args[1], "LEN")
         chain = pa.find_descent(k, start, length)
         if chain is None:
             print("none")

@@ -364,7 +364,8 @@ class Compiler:
             if r.aut is None:
                 return _Result((), None, not r.truth)
             cube = self.s.domain_cube(len(r.vars))
-            return _Result(r.vars, self._guard(au.minimize(au.difference(cube, r.aut))))
+            diff = au.difference(cube, r.aut, max_states=self.budget)
+            return _Result(r.vars, self._guard(au.minimize(diff, max_states=self.budget)))
         if isinstance(f, (And, Or)):
             a = self._compile(f.left)
             b = self._compile(f.right)

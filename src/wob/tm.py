@@ -284,7 +284,7 @@ def step_relation_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Aut
         # both sides must end in a contentful column (canonical configurations)
         return seen == ALL and not carry and not guessed and not first and all(content)
 
-    return au.trim(au._canonical(2, alphabet, ("start",), accepting, moves))
+    return au.build(2, alphabet, ("start",), accepting, moves)
 
 
 def _subsets(s: frozenset):
@@ -321,7 +321,7 @@ def config_domain_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Aut
     def accepting(key):
         return key != ("start",) and key[0] == ALL and not key[1] and key[2]
 
-    return au.trim(au._canonical(1, alphabet, ("start",), accepting, moves))
+    return au.build(1, alphabet, ("start",), accepting, moves)
 
 
 # -- bundled machines ----------------------------------------------------------
@@ -475,7 +475,7 @@ def _prefix_pair(a: Automaton, tags: tuple, alphabet: tuple) -> Automaton:
     def acc(key):
         return key != "fresh" and key[1] in a.accepting
 
-    return au.trim(au._canonical(2, alphabet, "fresh", acc, moves))
+    return au.build(2, alphabet, "fresh", acc, moves)
 
 
 def _prefix_one(a: Automaton, tag: str, alphabet: tuple) -> Automaton:
@@ -488,9 +488,7 @@ def _prefix_one(a: Automaton, tag: str, alphabet: tuple) -> Automaton:
             for r in targets:
                 yield letter, ("old", r)
 
-    return au.trim(
-        au._canonical(1, alphabet, "fresh", lambda k: k != "fresh" and k[1] in a.accepting, moves)
-    )
+    return au.build(1, alphabet, "fresh", lambda k: k != "fresh" and k[1] in a.accepting, moves)
 
 
 def word_domain_automaton(alphabet: tuple) -> Automaton:
@@ -501,7 +499,7 @@ def word_domain_automaton(alphabet: tuple) -> Automaton:
         for b in ("0", "1"):
             yield (b,), 1
 
-    return au._canonical(1, alphabet, 0, lambda k: k == 1, moves)
+    return au.build(1, alphabet, 0, lambda k: k == 1, moves)
 
 
 def _input_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
@@ -551,7 +549,7 @@ def _input_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
         # all x characters emitted, and the final column is contentful
         return key[0] == "cols" and key[1] == (PAD, PAD) and key[3]
 
-    return au.trim(au._canonical(2, alphabet, ("head",), acc, moves))
+    return au.build(2, alphabet, ("head",), acc, moves)
 
 
 def _accept_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
@@ -602,7 +600,7 @@ def _accept_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
         _, buf, seen, is_first, content = key
         return seen == ALL and not is_first and all(c == PAD for c in buf) and content
 
-    return au.trim(au._canonical(2, alphabet, ("head",), acc, moves))
+    return au.build(2, alphabet, ("head",), acc, moves)
 
 
 def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -164,8 +166,6 @@ def _random_nfa(rng, n_states=8, alphabet=("0", "1")):
 
 
 def test_minimize_random_nfas_preserve_language():
-    import random
-
     rng = random.Random(20240817)
     for _ in range(25):
         a = _random_nfa(rng)
@@ -177,8 +177,6 @@ def test_minimize_random_nfas_preserve_language():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_matches_boolean_combination(data):
-    import random
-
     seed = data.draw(st.integers(0, 10 ** 6))
     mode = data.draw(st.sampled_from(["and", "or", "minus"]))
     arity = data.draw(st.sampled_from([1, 2]))
@@ -257,8 +255,6 @@ def _random_nfa2(rng, n_states=5):
 
 
 def test_project_and_complement_random_cross_check():
-    import random
-
     rng = random.Random(99)
     for _ in range(12):
         a = _random_nfa2(rng)
@@ -335,7 +331,7 @@ def test_eq_tapes_and_diagonal():
 
 
 def test_padding_preserved_by_kernel_ops():
-    # construction re-validates the invariant; exercising ops on a sample
+    # kernel results skip the validator; dataclasses.replace re-runs it
     sh = au.shorter_automaton(AB)
     llex = au.llex_automaton(AB)
     for op_result in [
@@ -347,7 +343,7 @@ def test_padding_preserved_by_kernel_ops():
         au.minimize(llex),
         au.insert_tape(sh, 1),
     ]:
-        assert isinstance(op_result, au.Automaton)  # __post_init__ checked padding
+        dataclasses.replace(op_result)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -382,3 +378,87 @@ def test_loader_rejects_padding_violation_with_line():
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
         au.product(astar(), au.shorter_automaton(("a",)), "and")
+
+
+# -- the trust boundary --------------------------------------------------------
+
+
+def _projection_oracle(a, tape, max_len):
+    # a witness on the dropped tape never needs more than n_states letters
+    # past the other tapes, so this bound makes the oracle exact
+    out = set()
+    for rest in tuples_upto(a.alphabet, a.arity - 1, max_len):
+        for w in words_upto(a.alphabet, max_len + a.n_states):
+            tup = rest[:tape] + (w,) + rest[tape:]
+            if run_nfa(a, conv(*tup)) if any(tup) else a.initial in a.accepting:
+                out.add(rest)
+                break
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_ops_valid_trimmed_and_correct(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    arity = data.draw(st.sampled_from([1, 2]))
+    rng = random.Random(seed)
+    if arity == 1:
+        a, b = _random_nfa(rng, n_states=5), _random_nfa(rng, n_states=5)
+        alphabet, max_len = a.alphabet, 4
+    else:
+        a, b = _random_nfa2(rng), _random_nfa2(rng)
+        alphabet, max_len = AB, 2
+    la, lb = language(a, max_len), language(b, max_len)
+    everything = set(tuples_upto(alphabet, arity, max_len))
+    perm = rng.sample(range(arity), arity)
+    position = rng.randrange(arity + 1)
+    cases = [
+        (au.intersect(a, b), la & lb, max_len),
+        (au.union(a, b), la | lb, max_len),
+        (au.complement(a), everything - la, max_len),
+        (au.determinize(a), la, max_len),
+        (au.minimize(a), la, max_len),
+        (au.trim(a), la, max_len),
+        (au.permute_tapes(a, perm), {tuple(t[p] for p in perm) for t in la}, max_len),
+        (
+            au.insert_tape(a, position),
+            {t[:position] + (w,) + t[position:] for t in language(a, 2) for w in words_upto(alphabet, 2)},
+            2,
+        ),
+    ]
+    if arity == 2:
+        tape = rng.randrange(2)
+        cases.append((au.project(a, tape), _projection_oracle(a, tape, max_len), max_len))
+    for out, expect, n in cases:
+        dataclasses.replace(out)  # re-runs the validator the kernel skips
+        if not (out.n_states == 1 and not out.accepting and not out.transitions):
+            assert out.useful_states == frozenset(range(out.n_states))
+        assert language(out, n) == expect
+
+
+def test_kernel_op_on_loaded_automata_skips_the_validator(monkeypatch):
+    _, a = au.parse_automaton(au.save_automaton(au.llex_automaton(AB), "a"))
+    _, b = au.parse_automaton(au.save_automaton(au.shorter_automaton(AB), "b"))
+    calls = []
+    validate = au.Automaton.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(au.Automaton, "__post_init__", counting)
+    out = au.intersect(a, b)
+    assert calls == []
+    assert language(out, 3) == language(a, 3) & language(b, 3)
+
+
+def test_build_validates_the_padding_invariant():
+    # tape 0 pads, then reads a real symbol again on the way to acceptance
+    def moves(q):
+        if q == 0:
+            yield ("#", "a"), 1
+        elif q == 1:
+            yield ("a", "a"), 2
+
+    with pytest.raises(InvalidAutomaton):
+        au.build(2, AB, 0, lambda q: q == 2, moves)

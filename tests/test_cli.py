@@ -241,3 +241,30 @@ def test_internal_error_is_not_a_verdict(tmp_path, capsys):
     code, out = run_cli(["query", manifest, formula], capsys)
     assert code == 5
     assert out == ""
+
+
+def test_tm_missing_file_is_malformed_input(tmp_path, capsys):
+    code = main(["tm", "build-rpi", str(tmp_path / "missing.tm")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_query_missing_manifest_is_malformed_input(tmp_path, capsys):
+    code = main(["query", str(tmp_path / "missing.manifest"), "(exists x (rel < x x))"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_kreisel_compare_non_integer_is_usage_error(capsys):
+    assert main(["pathology", "kreisel", "compare", "x", "3"]) == 2
+    assert "'x'" in capsys.readouterr().err
+
+
+def test_kreisel_pi0_except_non_integer_is_usage_error(capsys):
+    assert main(["pathology", "kreisel", "--pi0", "builtin:except=z", "compare", "1", "2"]) == 2
+    assert "'z'" in capsys.readouterr().err
+
+
+def test_ord_fs_non_integer_is_usage_error(capsys):
+    assert main(["ord", "fs", "w", "x"]) == 2
+    assert "'x'" in capsys.readouterr().err

@@ -273,3 +273,20 @@ def test_compile_matches_fragment_oracle(pres):
         oracle = {row for row in oracle if all(w in points for w in row)}
         got = compiled_set(s, f, sorted(points))
         assert got == oracle, f"{pres.name}: {text}"
+
+
+def test_negation_stops_at_the_state_budget():
+    # P = words whose 4th letter from the end is a: a 5-state NFA whose
+    # complement needs 2^4 = 16 subset states, so `not` outgrows a budget
+    # of 10 that the atom itself fits.  The construction must stop at the
+    # cap, reporting budget + 1 states, not build all 16 and report them.
+    trans = [(0, (s,), 0) for s in ("a", "b")] + [(0, ("a",), 1)]
+    trans += [(i, (s,), i + 1) for i in (1, 2, 3) for s in ("a", "b")]
+    p = au.automaton(1, ("a", "b"), 5, 0, {4}, trans)
+    s = Structure("last4", au.universe(("a", "b"), 1), {"P": (1, p)})
+    budget = 10
+    assert compile_formula(s, parse_formula("(rel P x)"), state_budget=budget).n_states == 5
+    with pytest.raises(au.StateBudgetExceeded) as exc:
+        compile_formula(s, parse_formula("(not (rel P x))"), state_budget=budget)
+    assert exc.value.n_states == budget + 1
+    assert compile_formula(s, parse_formula("(not (rel P x))")).n_states == 16
