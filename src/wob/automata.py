@@ -311,16 +311,7 @@ def empty(alphabet, arity) -> Automaton:
 
 def universe(alphabet, arity) -> Automaton:
     """All valid padded convolutions of the given arity (the pad-mask automaton)."""
-    alphabet = tuple(alphabet)
-    letters = list(_valid_letters(alphabet, arity))
-
-    def moves(mask):
-        for letter in letters:
-            if any(m and s != PAD for m, s in zip(mask, letter)):
-                continue
-            yield letter, tuple(s == PAD for s in letter)
-
-    return build(arity, alphabet, (False,) * arity, lambda mask: True, moves)
+    return letter_dfa(alphabet, arity, 0, lambda v, l: 0, lambda v: True)
 
 
 def _valid_letters(alphabet, arity):
@@ -425,46 +416,32 @@ def determinize(a: Automaton, max_states=None) -> Automaton:
 
 def complement(a: Automaton, max_states=None) -> Automaton:
     """Valid padded convolutions of a.arity not accepted by a."""
-    letters = list(_valid_letters(a.alphabet, a.arity))
-
-    # Complete subset construction (the empty subset is the sink), then flip
-    # and restrict to the valid-convolution universe via the pad-mask product.
-    def moves(key):
-        subset, mask = key
-        out = {}
-        for q in subset:
-            for letter, targets in a._delta.get(q, {}).items():
-                out.setdefault(letter, set()).update(targets)
-        for letter in letters:
-            if any(m and s != PAD for m, s in zip(mask, letter)):
-                continue
-            new_mask = tuple(s == PAD for s in letter)
-            yield letter, (frozenset(out.get(letter, ())), new_mask)
-
-    start = (frozenset({a.initial}), (False,) * a.arity)
-    return _canonical(
-        a.arity,
-        a.alphabet,
-        start,
-        lambda key: not (key[0] & a.accepting),
-        moves,
-        max_states=max_states,
-    )
+    return difference(universe(a.alphabet, a.arity), a, max_states=max_states)
 
 
 def difference(a: Automaton, b: Automaton, max_states=None) -> Automaton:
-    return intersect(a, complement(b, max_states=max_states), max_states=max_states)
+    """L(a) minus L(b), with no complement of b built.
 
+    States pair a state of a with the set of states b can be in after the
+    same letters: b is determinized only along the letters a uses.
+    """
+    _require_compatible(a, b)
 
-def product(a: Automaton, b: Automaton, mode: str, max_states=None) -> Automaton:
-    """Pointwise boolean combination of two same-arity languages."""
-    if mode == "and":
-        return intersect(a, b, max_states=max_states)
-    if mode == "or":
-        return union(a, b, max_states=max_states)
-    if mode == "minus":
-        return difference(a, b, max_states=max_states)
-    raise ValueError(f"unknown product mode {mode!r}")
+    def moves(pair):
+        p, subset = pair
+        for letter, targets in a._delta.get(p, {}).items():
+            after = frozenset(r for q in subset for r in b._delta.get(q, {}).get(letter, ()))
+            for r in targets:
+                yield letter, (r, after)
+
+    return _canonical(
+        a.arity,
+        a.alphabet,
+        (a.initial, frozenset({b.initial})),
+        lambda pair: pair[0] in a.accepting and not (pair[1] & b.accepting),
+        moves,
+        max_states=max_states,
+    )
 
 
 def is_empty(a: Automaton) -> bool:
@@ -684,30 +661,8 @@ def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
 
 
 def is_subset(small: Automaton, big: Automaton) -> bool:
-    """L(small) subseteq L(big), without building a complement.
-
-    Explores pairs (state of small, determinized subset of big) over the
-    letters small actually uses; cheap when alphabets are large.
-    """
-    _require_compatible(small, big)
-    if small.initial in small.accepting and big.initial not in big.accepting:
-        return False
-    start = (small.initial, frozenset({big.initial}))
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, S = stack.pop()
-        for letter, targets in small._delta.get(q, {}).items():
-            S2 = frozenset(r for p in S for r in big._delta.get(p, {}).get(letter, ()))
-            for r in targets:
-                key = (r, S2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if r in small.accepting and not (S2 & big.accepting):
-                    return False
-                stack.append(key)
-    return True
+    """L(small) subseteq L(big)."""
+    return is_empty(difference(small, big))
 
 
 # -- tape surgery -------------------------------------------------------

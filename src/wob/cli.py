@@ -37,6 +37,14 @@ def _int(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _whole(value: float, what: str) -> int:
+    """A float option (so that 1e9 parses) as an int; inf and nan are usage errors."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise UsageError(f"{what} must be finite, got {value!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -230,7 +238,10 @@ def _system(name: str) -> fgh.NotationSystem:
 def cmd_fgh_eval(args) -> int:
     ns = _system(args.system)
     alpha = o.parse(args.alpha)
-    budget = fgh.Budget(max_value=int(args.max_value), max_steps=int(args.max_steps))
+    budget = fgh.Budget(
+        max_value=_whole(args.max_value, "--max-value"),
+        max_steps=_whole(args.max_steps, "--max-steps"),
+    )
     got = fgh.eval_F(ns, alpha, args.x, budget)
     if isinstance(got, int):
         _emit(args, str(got), {"value": got})
@@ -247,7 +258,7 @@ def cmd_fgh_compare(args) -> int:
     ns1, ns2 = _system(args.system), _system(args.system2)
     alpha, beta = o.parse(args.alpha), o.parse(args.beta)
     xs = [_int(x, "--xs") for x in args.xs.split(",") if x]
-    budget = fgh.Budget(max_value=10 ** 9, max_steps=int(args.max_steps))
+    budget = fgh.Budget(max_value=10 ** 9, max_steps=_whole(args.max_steps, "--max-steps"))
     report = fgh.dominates_at(ns1, alpha, ns2, beta, xs, budget)
     print(f"F[{args.system}]_{args.alpha} vs F[{args.system2}]_{args.beta}")
     for pt in report.points:

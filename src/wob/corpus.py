@@ -81,6 +81,24 @@ def ordered_sum(alphabet, blocks) -> tuple[Automaton, Automaton]:
     return dom, rel
 
 
+def first_divergence_order(alphabet, low) -> Automaton:
+    """Lexicographic order on words over a two-letter alphabet, `low` first:
+    x < y iff x is a proper prefix of y or reads `low` where they first differ."""
+    EQ, LT, GT = range(3)
+
+    def step(v, letter):
+        x, y = letter
+        if v == EQ:
+            if x == y:
+                return EQ
+            if x == PAD or (y != PAD and x == low):
+                return LT
+            return GT
+        return v
+
+    return au.letter_dfa(alphabet, 2, EQ, step, lambda v: v == LT)
+
+
 # -- digit presentations of ordinals below w^w ------------------------------
 # beta < w^k is written as unary digits a^{m_{k-1}} b a^{m_{k-2}} b ... b a^{m_0},
 # most significant digit first; the order is first-divergence comparison.
@@ -91,22 +109,6 @@ DIGITS = ("a", "b")
 def digit_words(k: int) -> Automaton:
     trans = [(i, ("a",), i) for i in range(k)] + [(i, ("b",), i + 1) for i in range(k - 1)]
     return au.automaton(1, DIGITS, k, 0, {k - 1}, trans)
-
-
-def digit_order() -> Automaton:
-    EQ, LT, GT = range(3)
-
-    def step(v, letter):
-        x, y = letter
-        if v == EQ:
-            if x == y:
-                return EQ
-            if x == PAD or (y != PAD and x == "b"):
-                return LT
-            return GT
-        return v
-
-    return au.letter_dfa(DIGITS, 2, EQ, step, lambda v: v == LT)
 
 
 def digit_word_of(alpha: CnfOrdinal, k: int) -> tuple:
@@ -134,7 +136,7 @@ def digit_presentation(alpha: CnfOrdinal, name: str) -> Presentation:
     if alpha.is_zero():
         raise ValueError("need a positive ordinal")
     k = (alpha.terms[0][0].as_int() + 1) if alpha.terms else 1
-    order = digit_order()
+    order = first_divergence_order(DIGITS, "b")
     below = au.section(order, 1, digit_word_flat(alpha, k))
     dom = au.minimize(au.intersect(digit_words(k), below))
     s = _structure(name, DIGITS, dom, order)
@@ -333,19 +335,7 @@ def dense_dyadic() -> Presentation:
         1, alphabet, 2, 0, {1},
         [(0, ("0",), 0), (0, ("1",), 1), (1, ("0",), 0), (1, ("1",), 1)],
     )
-    EQ, LT, GT = range(3)
-
-    def step(v, letter):
-        x, y = letter
-        if v == EQ:
-            if x == y:
-                return EQ
-            if x == PAD or (y != PAD and x == "0"):
-                return LT
-            return GT
-        return v
-
-    rel = au.letter_dfa(alphabet, 2, EQ, step, lambda v: v == LT)
+    rel = first_divergence_order(alphabet, "0")
     s = _structure("dense", alphabet, dom, rel)
 
     def val(w):
@@ -363,19 +353,7 @@ def binary_lex() -> Presentation:
     """Plain lexicographic order on {0,1}^*: not a well-order (1 > 01 > 001 > ...)."""
     alphabet = ("0", "1")
     dom = au.universe(alphabet, 1)
-    EQ, LT, GT = range(3)
-
-    def step(v, letter):
-        x, y = letter
-        if v == EQ:
-            if x == y:
-                return EQ
-            if x == PAD or (y != PAD and x == "0"):
-                return LT
-            return GT
-        return v
-
-    rel = au.letter_dfa(alphabet, 2, EQ, step, lambda v: v == LT)
+    rel = first_divergence_order(alphabet, "0")
     s = _structure("binlex", alphabet, dom, rel)
 
     def ref_less(x, y):

@@ -4,8 +4,8 @@ A Structure is a regular domain plus relations given by synchronous
 multi-tape automata.  Formulas (with the "there exist infinitely many"
 quantifier) compile to automata whose tapes carry the free variables in
 alphabetical order; sentences reduce to an emptiness test.  Quantifiers
-relativize to the domain automatically, and negation complements relative
-to the domain cube, so pad-words and out-of-domain words never leak into
+relativize to the domain automatically, and negation is the difference
+from the domain cube, so pad-words and out-of-domain words never leak into
 answers.
 """
 

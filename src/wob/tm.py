@@ -460,12 +460,12 @@ def _rpi_alphabet(tm: TmSpec) -> tuple:
     return tuple(sorted(toks, key=lambda t: (len(t), t)))
 
 
-def _prefix_pair(a: Automaton, tags: tuple, alphabet: tuple) -> Automaton:
-    """Prepend a fixed letter pair to an arity-2 automaton."""
+def _prefix(a: Automaton, first: tuple, alphabet: tuple) -> Automaton:
+    """Prepend the fixed letter `first` to an automaton."""
 
     def moves(key):
         if key == "fresh":
-            yield tags, ("old", a.initial)
+            yield first, ("old", a.initial)
             return
         _, q = key
         for letter, targets in a._delta.get(q, {}).items():
@@ -475,20 +475,7 @@ def _prefix_pair(a: Automaton, tags: tuple, alphabet: tuple) -> Automaton:
     def acc(key):
         return key != "fresh" and key[1] in a.accepting
 
-    return au.build(2, alphabet, "fresh", acc, moves)
-
-
-def _prefix_one(a: Automaton, tag: str, alphabet: tuple) -> Automaton:
-    def moves(key):
-        if key == "fresh":
-            yield (tag,), ("old", a.initial)
-            return
-        _, q = key
-        for letter, targets in a._delta.get(q, {}).items():
-            for r in targets:
-                yield letter, ("old", r)
-
-    return au.build(1, alphabet, "fresh", lambda k: k != "fresh" and k[1] in a.accepting, moves)
+    return au.build(a.arity, alphabet, "fresh", acc, moves)
 
 
 def word_domain_automaton(alphabet: tuple) -> Automaton:
@@ -613,12 +600,12 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
         raise NotReversible(collision)
     alphabet = _rpi_alphabet(tm)
     step_rel = step_relation_automaton(tm, alphabet)
-    e_edges = _prefix_pair(step_rel, (CONF_TAG, CONF_TAG), alphabet)
+    e_edges = _prefix(step_rel, (CONF_TAG, CONF_TAG), alphabet)
     input_edges = _input_edge_automaton(tm, alphabet)
     accept_edges = _accept_edge_automaton(tm, alphabet)
     rel = au.union(au.union(e_edges, input_edges), accept_edges)
 
-    conf_dom = _prefix_one(config_domain_automaton(tm, alphabet), CONF_TAG, alphabet)
+    conf_dom = _prefix(config_domain_automaton(tm, alphabet), (CONF_TAG,), alphabet)
     domain = au.union(word_domain_automaton(alphabet), conf_dom)
     s = Structure(name=f"rpi_{tm.name}", domain=domain, relations={"R": (2, rel)})
     return RpiStructure(structure=s, tm=tm, pi_tag=pi_tag)

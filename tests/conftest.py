@@ -4,6 +4,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from wob import automata as au  # noqa: E402
+
 
 def run_nfa(aut, letters):
     """Independent membership check: plain subset simulation, no package code."""
@@ -51,3 +53,26 @@ def language(aut, max_len):
         if run_nfa(aut, letters):
             out.add(tup)
     return out
+
+
+def reference_complement(aut):
+    """Complement within valid convolutions by the plain construction: a
+    complete subset construction over every letter except the all-pad one,
+    in product with the pad mask (which tapes have ended).  Built through
+    `au.build`, so states are numbered the way kernel results are."""
+    trans = {}
+    for (q, letter, r) in aut.transitions:
+        trans.setdefault((q, letter), set()).add(r)
+    pool = tuple(aut.alphabet) + ("#",)
+    letters = [l for l in itertools.product(pool, repeat=aut.arity) if any(s != "#" for s in l)]
+
+    def moves(key):
+        subset, mask = key
+        for letter in letters:
+            if any(m and s != "#" for m, s in zip(mask, letter)):
+                continue
+            after = frozenset(r for q in subset for r in trans.get((q, letter), ()))
+            yield letter, (after, tuple(s == "#" for s in letter))
+
+    start = (frozenset({aut.initial}), (False,) * aut.arity)
+    return au.build(aut.arity, aut.alphabet, start, lambda key: not (key[0] & aut.accepting), moves)

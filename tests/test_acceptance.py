@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines; every
 tolerance is pinned here and nothing is deferred to later calibration.
 """
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -142,10 +143,10 @@ def test_criterion_3_isomorphism():
     pairs = list(itertools.combinations(names[:10], 2))
     assert len(pairs) == 45
     for a, b in pairs:
-        # isomorphic() decides by CNF equality; its value must agree with
-        # the equality of the independently recognized normal forms
-        expected = got[a][1].cnf == got[b][1].cnf
-        assert expected == (o.show(got[a][1].cnf) == o.show(got[b][1].cnf))
+        # isomorphic() decides by CNF equality; the recognized normal forms
+        # must be equal exactly when the presentations' expected ones are
+        expected = got[a][0].expected_cnf == got[b][0].expected_cnf
+        assert (got[a][1].cnf == got[b][1].cnf) == expected, (a, b)
     # exercise the operation itself on a sample, including an equal pair
     sample = [("omega", "omega_bin"), ("omega", "omega_sq"), ("omega2p3", "mixed"),
               ("omega_sq", "wsq_p1"), ("twelve", "omega")]
@@ -367,6 +368,10 @@ def test_criterion_9_theorem5_shadow():
     announce(9, True, f"{len(pairs)} sampled pairs strictly dominated at x in 3..6, with disclaimer")
 
 
+# SHA-256 of `wob corpus --seed 7` stdout; kernel refactors must keep it
+CORPUS_SEED_7_SHA256 = "bbb5d8f5c918abd5819d93548f0f6f84f5dab0a2aa6cd65f3f10b2e1024da4e8"
+
+
 def test_criterion_10_corpus_determinism():
     env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "PATH": "/usr/bin:/bin"}
@@ -376,4 +381,5 @@ def test_criterion_10_corpus_determinism():
     assert first.returncode == 0, first.stdout.decode()
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"16/16 corpus cases passed\n")
+    assert hashlib.sha256(first.stdout).hexdigest() == CORPUS_SEED_7_SHA256
     announce(10, True, "two corpus runs byte-identical")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv, language, run_nfa, tuples_upto, words_upto
+from conftest import conv, language, reference_complement, run_nfa, tuples_upto, words_upto
 from wob import automata as au
 from wob.errors import ArityMismatch, CannotProject, InvalidAutomaton, InvalidSymbol, LoadError
 
@@ -60,20 +60,20 @@ def test_all_pad_letter_rejected():
 
 
 def test_product_and():
-    got = au.product(astar(), aastar(), "and")
+    got = au.intersect(astar(), aastar())
     assert au.same_language(got, aastar())
 
 
 def test_product_or_with_empty_is_identity():
     e = au.empty(("a",), 1)
-    got = au.product(astar(), e, "or")
+    got = au.union(astar(), e)
     assert au.same_language(got, astar())
 
 
 def test_product_minus_short_words():
     # Sigma^* minus {w : |w| <= 2} = all words of length >= 3 (derived oracle)
     sig = sigma_star()
-    got = au.product(sig, upto2(), "minus")
+    got = au.difference(sig, upto2())
     expect = {(w,) for w in words_upto(AB, 5) if len(w) >= 3}
     assert language(got, 5) == expect
 
@@ -189,7 +189,8 @@ def test_product_matches_boolean_combination(data):
         a = _random_nfa2(rng)
         b = _random_nfa2(rng)
         max_len = 3
-    got = au.product(a, b, mode)
+    op = {"and": au.intersect, "or": au.union, "minus": au.difference}[mode]
+    got = op(a, b)
     la, lb = language(a, max_len), language(b, max_len)
     if mode == "and":
         expect = la & lb
@@ -198,12 +199,13 @@ def test_product_matches_boolean_combination(data):
     else:
         expect = la - lb
     assert language(got, max_len) == expect
-    # containment and equivalence agree with the complement-based construction;
-    # the derived pairs make both answers occur
+    # containment and equivalence agree with the reference complement, which
+    # is built without `difference`; the derived pairs make both answers occur
     for x, y in ((a, b), (b, a), (got, a), (a, got), (a, a)):
-        no_diff = au.is_empty(au.difference(x, y))
+        no_diff = au.is_empty(au.intersect(x, reference_complement(y)))
         assert au.is_subset(x, y) == no_diff
-        assert au.same_language(x, y) == (no_diff and au.is_empty(au.difference(y, x)))
+        no_diff_back = au.is_empty(au.intersect(y, reference_complement(x)))
+        assert au.same_language(x, y) == (no_diff and no_diff_back)
         if no_diff:
             assert language(x, max_len) <= language(y, max_len)
 
@@ -213,9 +215,9 @@ def test_product_exhaustive_length_6():
     a = upto2()
     b = aa_or_b()
     la, lb = language(a, 6), language(b, 6)
-    assert language(au.product(a, b, "and"), 6) == la & lb
-    assert language(au.product(a, b, "or"), 6) == la | lb
-    assert language(au.product(a, b, "minus"), 6) == la - lb
+    assert language(au.intersect(a, b), 6) == la & lb
+    assert language(au.union(a, b), 6) == la | lb
+    assert language(au.difference(a, b), 6) == la - lb
 
 
 def aa_or_b():
@@ -335,9 +337,9 @@ def test_padding_preserved_by_kernel_ops():
     sh = au.shorter_automaton(AB)
     llex = au.llex_automaton(AB)
     for op_result in [
-        au.product(sh, llex, "and"),
-        au.product(sh, llex, "or"),
-        au.product(sh, llex, "minus"),
+        au.intersect(sh, llex),
+        au.union(sh, llex),
+        au.difference(sh, llex),
         au.complement(sh),
         au.project(sh, 0),
         au.minimize(llex),
@@ -377,7 +379,7 @@ def test_loader_rejects_padding_violation_with_line():
 
 def test_arity_mismatch():
     with pytest.raises(ArityMismatch):
-        au.product(astar(), au.shorter_automaton(("a",)), "and")
+        au.intersect(astar(), au.shorter_automaton(("a",)))
 
 
 # -- the trust boundary --------------------------------------------------------
@@ -415,6 +417,7 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
     cases = [
         (au.intersect(a, b), la & lb, max_len),
         (au.union(a, b), la | lb, max_len),
+        (au.difference(a, b), la - lb, max_len),
         (au.complement(a), everything - la, max_len),
         (au.determinize(a), la, max_len),
         (au.minimize(a), la, max_len),
@@ -434,6 +437,8 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         if not (out.n_states == 1 and not out.accepting and not out.transitions):
             assert out.useful_states == frozenset(range(out.n_states))
         assert language(out, n) == expect
+    # complement is byte-identical to the plain subset x pad-mask construction
+    assert au.save_automaton(au.complement(a), "c") == au.save_automaton(reference_complement(a), "c")
 
 
 def test_kernel_op_on_loaded_automata_skips_the_validator(monkeypatch):

@@ -268,3 +268,13 @@ def test_kreisel_pi0_except_non_integer_is_usage_error(capsys):
 def test_ord_fs_non_integer_is_usage_error(capsys):
     assert main(["ord", "fs", "w", "x"]) == 2
     assert "'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgh", "eval", "--alpha", "w", "--x", "2", "--max-value", "inf"],
+    ["fgh", "eval", "--alpha", "w", "--x", "2", "--max-steps", "nan"],
+    ["fgh", "compare", "--alpha", "1", "--beta", "2", "--max-steps", "inf"],
+])
+def test_fgh_non_finite_budget_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "must be finite" in capsys.readouterr().err

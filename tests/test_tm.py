@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -207,8 +208,14 @@ def rpi_for(false_pi):
     return build_rpi(kreisel_comparator(false_pi), pi_tag=tag)
 
 
+# SHA-256 of save_automaton(rpi_for(False).relation, "R"): 1,746 states, 106,037 transitions
+RPI_TRUE_RELATION_SHA256 = "db5f657111c4ade0e5088ab349277d33ef7b6974c9da9c1cee0c690417c3d4bd"
+
+
 def test_build_rpi_true_wf():
     rpi = rpi_for(False)
+    saved = au.save_automaton(rpi.relation, "R").encode("utf-8")
+    assert hashlib.sha256(saved).hexdigest() == RPI_TRUE_RELATION_SHA256
     frag = explore_fragment(rpi, word_len=4, run_input_len=2)
     assert bounded_wf_check(rpi, frag) is None
     # in/out degree at most 1 within the machine-step part of the fragment
