@@ -180,12 +180,11 @@ def _to_formula(sexp) -> Formula:
         if not all(isinstance(v, str) for v in [name, *vars_]):
             raise LoadError("rel arguments must be symbols")
         return Rel(name, tuple(vars_))
-    if head in ("eq", "="):
+    if head in ("eq", "=", "llex"):
         _expect_args(sexp, 2)
-        return Eq(sexp[1], sexp[2])
-    if head == "llex":
-        _expect_args(sexp, 2)
-        return Llex(sexp[1], sexp[2])
+        if not all(isinstance(v, str) for v in sexp[1:]):
+            raise LoadError(f"{head} arguments must be symbols")
+        return (Llex if head == "llex" else Eq)(sexp[1], sexp[2])
     if head == "not":
         _expect_args(sexp, 1)
         return Not(_to_formula(sexp[1]))

@@ -9,6 +9,12 @@ right-infinite with a left end-marker in column 0; transitions reading the
 marker must rewrite it and move right, so the serialization never grows on
 the left and a machine step only edits a bounded window, which is what
 makes the one-step relation synchronous-automaton recognizable.
+
+Every automaton here is a graph, a (start, accepting, moves) triple that
+`automata.build` numbers, trims and validates in one pass.  The relation
+and the domain of the RPI structure are each one build of a tagged sum of
+such graphs (`_tagged`): binary words carry the tag W and configurations
+the tag C, and the sum's start state reads the tag letters.
 """
 
 from __future__ import annotations
@@ -94,6 +100,21 @@ class TmSpec:
         if len(toks) != len(self.states) + len(self.column_tokens):
             raise InvalidTm("state names collide with column tokens")
         return tuple(sorted(toks, key=lambda t: (len(t), t)))
+
+    @cached_property
+    def columns(self) -> tuple:
+        """(token, cells, head tapes, marker, content) per column token:
+        marker is True for the all-marker column, False for a marker-free
+        one and None otherwise; content is whether the column carries a head
+        or a non-blank cell."""
+        table = []
+        for tok in self.column_tokens:
+            cells, flags = split_column(tok, self.tapes)
+            fx = frozenset(i for i in range(self.tapes) if flags[i])
+            marker = True if set(cells) == {MARKER} else (None if MARKER in cells else False)
+            content = bool(fx) or any(c != self.blank for c in cells)
+            table.append((tok, cells, fx, marker, content))
+        return tuple(table)
 
 
 def column_token(cells, flags) -> str:
@@ -221,20 +242,32 @@ def check_reversible(tm: TmSpec):
 # -- the one-step relation as a synchronous automaton -------------------------
 
 
-def step_relation_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Automaton:
-    """Accepts conv(c, c') iff c' is the one-step successor of c.
+def step_relation_automaton(tm: TmSpec) -> Automaton:
+    """Accepts conv(c, c') iff c' is the one-step successor of c."""
+    return au.build(2, tm.config_alphabet, *_step_graph(tm))
 
-    For each machine transition the automaton verifies the state tokens and
+
+def _next_columns(tm: TmSpec, seen: frozenset, first: bool):
+    """The columns that may come next in a configuration word whose earlier
+    columns carry the heads in `seen`: no head twice, the marker column
+    first and no marker after it.  Yields (token, cells, heads, content)."""
+    for tok, cells, fx, marker, content in tm.columns:
+        if marker == first and not fx & seen:
+            yield tok, cells, fx, content
+
+
+def _step_graph(tm: TmSpec) -> tuple:
+    """The one-step relation as (start, accepting, moves) for `au.build`.
+
+    For each machine transition the graph verifies the state tokens and
     then processes columns left to right, checking that each output column
     equals the input column with head cells rewritten and head flags moved
     one column left or right.  Flags arriving from the right (an L-move)
     are guessed one column ahead and checked on arrival; a flag moving
     right past the last column forces one appended blank column.
     """
-    alphabet = alphabet or tm.config_alphabet
     K = tm.tapes
     ALL = frozenset(range(K))
-    cols = [(tok,) + split_column(tok, K) for tok in tm.column_tokens]
 
     def moves(key):
         if key == ("start",):
@@ -248,22 +281,14 @@ def step_relation_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Aut
             return
         t, seen, carry, guessed, first, _content = key
         reads, actions, l_movers = t
-        for tok, cells, flags in cols:
-            fx = frozenset(i for i in range(K) if flags[i])
-            if fx & seen:
-                continue
+        for tok, cells, fx, in_content in _next_columns(tm, seen, first):
             if guessed != frozenset(i for i in fx if actions[i][1] == "L"):
                 continue
             if any(cells[i] != reads[i] for i in fx):
                 continue
-            if first and any(c != MARKER for c in cells):
-                continue
-            if not first and any(c == MARKER for c in cells):
-                continue
             out_cells = tuple(actions[i][0] if i in fx else cells[i] for i in range(K))
             new_seen = seen | fx
             new_carry = frozenset(i for i in fx if actions[i][1] == "R")
-            in_content = bool(fx) or any(c != tm.blank for c in cells)
             for g in _subsets(l_movers - new_seen):
                 out_flags = carry | g
                 out_content = bool(out_flags) or any(c != tm.blank for c in out_cells)
@@ -284,7 +309,7 @@ def step_relation_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Aut
         # both sides must end in a contentful column (canonical configurations)
         return seen == ALL and not carry and not guessed and not first and all(content)
 
-    return au.build(2, alphabet, ("start",), accepting, moves)
+    return ("start",), accepting, moves
 
 
 def _subsets(s: frozenset):
@@ -294,11 +319,9 @@ def _subsets(s: frozenset):
             yield frozenset(combo)
 
 
-def config_domain_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Automaton:
+def _config_graph(tm: TmSpec) -> tuple:
     """Syntactically valid configuration words."""
-    alphabet = alphabet or tm.config_alphabet
-    K = tm.tapes
-    ALL = frozenset(range(K))
+    ALL = frozenset(range(tm.tapes))
 
     def moves(key):
         if key == ("start",):
@@ -306,22 +329,13 @@ def config_domain_automaton(tm: TmSpec, alphabet: Optional[tuple] = None) -> Aut
                 yield (q,), (frozenset(), True, False)
             return
         seen, first, _content = key
-        for tok in tm.column_tokens:
-            cells, flags = split_column(tok, K)
-            fx = frozenset(i for i in range(K) if flags[i])
-            if fx & seen:
-                continue
-            if first and any(c != MARKER for c in cells):
-                continue
-            if not first and any(c == MARKER for c in cells):
-                continue
-            content = bool(fx) or any(c != tm.blank for c in cells)
+        for tok, _cells, fx, content in _next_columns(tm, seen, first):
             yield (tok,), (seen | fx, False, content)
 
     def accepting(key):
         return key != ("start",) and key[0] == ALL and not key[1] and key[2]
 
-    return au.build(1, alphabet, ("start",), accepting, moves)
+    return ("start",), accepting, moves
 
 
 # -- bundled machines ----------------------------------------------------------
@@ -460,36 +474,41 @@ def _rpi_alphabet(tm: TmSpec) -> tuple:
     return tuple(sorted(toks, key=lambda t: (len(t), t)))
 
 
-def _prefix(a: Automaton, first: tuple, alphabet: tuple) -> Automaton:
-    """Prepend the fixed letter `first` to an automaton."""
+def _bits_graph() -> tuple:
+    """Binary words."""
 
-    def moves(key):
-        if key == "fresh":
-            yield first, ("old", a.initial)
-            return
-        _, q = key
-        for letter, targets in a._delta.get(q, {}).items():
-            for r in targets:
-                yield letter, ("old", r)
-
-    def acc(key):
-        return key != "fresh" and key[1] in a.accepting
-
-    return au.build(a.arity, alphabet, "fresh", acc, moves)
-
-
-def word_domain_automaton(alphabet: tuple) -> Automaton:
-    def moves(key):
-        if key == 0:
-            yield (WORD_TAG,), 1
-            return
+    def moves(_key):
         for b in ("0", "1"):
-            yield (b,), 1
+            yield (b,), "bits"
 
-    return au.build(1, alphabet, 0, lambda k: k == 1, moves)
+    return "bits", lambda _key: True, moves
 
 
-def _input_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
+def _tagged(parts) -> tuple:
+    """The disjoint sum of (tag letter, graph) parts as one graph: its start
+    state reads each part's tag letter into that part's start state."""
+
+    def moves(key):
+        if key is None:
+            for i, (tag, (start, _accepting, _moves)) in enumerate(parts):
+                yield tag, (i, start)
+            return
+        i, sub = key
+        _start, _accepting, part_moves = parts[i][1]
+        for letter, target in part_moves(sub):
+            yield letter, (i, target)
+
+    def accepting(key):
+        if key is None:
+            return False
+        i, sub = key
+        _start, part_accepting, _moves = parts[i][1]
+        return part_accepting(sub)
+
+    return None, accepting, moves
+
+
+def _input_edge_graph(tm: TmSpec) -> tuple:
     """Pairs (W x, C z) with z the initial configuration on input (x, y) for
     some binary y: state q0, all heads on the marker column.
 
@@ -505,9 +524,6 @@ def _input_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
         return column_token(tuple(cells), (False,) * K)
 
     def moves(key):
-        if key == ("head",):
-            yield (WORD_TAG, CONF_TAG), ("q",)
-            return
         if key == ("q",):
             for xc in ("0", "1", PAD):
                 yield (xc, q0), ("col0", (xc,))
@@ -536,10 +552,10 @@ def _input_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
         # all x characters emitted, and the final column is contentful
         return key[0] == "cols" and key[1] == (PAD, PAD) and key[3]
 
-    return au.build(2, alphabet, ("head",), acc, moves)
+    return ("q",), acc, moves
 
 
-def _accept_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
+def _accept_edge_graph(tm: TmSpec) -> tuple:
     """Pairs (C z, W y): z is a syntactically valid configuration in an
     accepting state whose second tape reads `> y` (blanks beyond).
 
@@ -551,30 +567,15 @@ def _accept_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
     ycomp = 1 if K >= 2 else 0
 
     def moves(key):
-        if key == ("head",):
-            yield (CONF_TAG, WORD_TAG), ("q",)
-            return
         if key == ("q",):
             for q in sorted(tm.accepting):
                 for yc in ("0", "1", PAD):
                     yield (q, yc), ("cols", (yc,), frozenset(), True, False)
             return
         _, buf, seen, is_first, _content = key
-        for tok in tm.column_tokens:
-            cells, flags = split_column(tok, K)
-            fx = frozenset(i for i in range(K) if flags[i])
-            if fx & seen:
+        for tok, cells, fx, content in _next_columns(tm, seen, is_first):
+            if not is_first and cells[ycomp] != (tm.blank if buf[0] == PAD else buf[0]):
                 continue
-            if is_first:
-                if any(c != MARKER for c in cells):
-                    continue
-            else:
-                if any(c == MARKER for c in cells):
-                    continue
-                want = tm.blank if buf[0] == PAD else buf[0]
-                if cells[ycomp] != want:
-                    continue
-            content = bool(fx) or any(c != tm.blank for c in cells)
             for yc in ("0", "1", PAD):
                 if buf[-1] == PAD and yc != PAD:
                     continue
@@ -587,7 +588,7 @@ def _accept_edge_automaton(tm: TmSpec, alphabet: tuple) -> Automaton:
         _, buf, seen, is_first, content = key
         return seen == ALL and not is_first and all(c == PAD for c in buf) and content
 
-    return au.build(2, alphabet, ("head",), acc, moves)
+    return ("q",), acc, moves
 
 
 def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
@@ -599,14 +600,15 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
     if collision is not None:
         raise NotReversible(collision)
     alphabet = _rpi_alphabet(tm)
-    step_rel = step_relation_automaton(tm, alphabet)
-    e_edges = _prefix(step_rel, (CONF_TAG, CONF_TAG), alphabet)
-    input_edges = _input_edge_automaton(tm, alphabet)
-    accept_edges = _accept_edge_automaton(tm, alphabet)
-    rel = au.union(au.union(e_edges, input_edges), accept_edges)
-
-    conf_dom = _prefix(config_domain_automaton(tm, alphabet), (CONF_TAG,), alphabet)
-    domain = au.union(word_domain_automaton(alphabet), conf_dom)
+    rel = au.build(2, alphabet, *_tagged([
+        ((CONF_TAG, CONF_TAG), _step_graph(tm)),
+        ((WORD_TAG, CONF_TAG), _input_edge_graph(tm)),
+        ((CONF_TAG, WORD_TAG), _accept_edge_graph(tm)),
+    ]))
+    domain = au.build(1, alphabet, *_tagged([
+        ((WORD_TAG,), _bits_graph()),
+        ((CONF_TAG,), _config_graph(tm)),
+    ]))
     s = Structure(name=f"rpi_{tm.name}", domain=domain, relations={"R": (2, rel)})
     return RpiStructure(structure=s, tm=tm, pi_tag=pi_tag)
 
@@ -673,44 +675,21 @@ def explore_fragment(
     for n in range(word_len + 1):
         words.extend(tuple(bits) for bits in itertools.product("01", repeat=n))
     elements = [tag_word(w) for w in words]
-    configs = {}
-    for x in words:
-        if len(x) > run_input_len:
-            continue
-        for y in words:
-            if len(y) > run_input_len:
-                continue
-            inputs = [x, y] + [()] * (tm.tapes - 2)
-            trace, accepted = run(tm, inputs)
-            for c in trace:
-                configs.setdefault(tag_config(c), c)
-    elements.extend(sorted(configs))
-
-    edges = []
-    # structural edges: steps, input edges, accept edges
-    for cw, c in configs.items():
-        nxt = step(tm, c)
-        if nxt is not None:
-            nw = tag_config(nxt)
-            if nw in configs:
-                edges.append((cw, nw))
-    for x in words:
-        if len(x) > run_input_len:
-            continue
-        for y in words:
-            if len(y) > run_input_len:
-                continue
-            inputs = [x, y] + [()] * (tm.tapes - 2)
-            first = initial_configuration(tm, inputs)
-            fw = tag_config(first)
-            if fw in configs:
-                edges.append((tag_word(x), fw))
-            trace, accepted = run(tm, inputs)
+    configs = set()
+    # structural edges: the input edge, the run's steps, the accept edge
+    edges = set()
+    short = [w for w in words if len(w) <= run_input_len]
+    for x in short:
+        for y in short:
+            trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
+            path = [tag_config(c) for c in trace]
+            configs.update(path)
+            edges.add((tag_word(x), path[0]))
+            edges.update(zip(path, path[1:]))
             if accepted:
-                lw = tag_config(trace[-1])
-                if lw in configs:
-                    edges.append((lw, tag_word(y)))
-    edges = sorted(set(edges))
+                edges.add((path[-1], tag_word(y)))
+    elements.extend(sorted(configs))
+    edges = sorted(edges)
 
     for u, v in edges:
         if not rel.accepts(u, v):

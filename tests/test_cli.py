@@ -255,6 +255,13 @@ def test_query_missing_manifest_is_malformed_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("formula", ["(eq (x) y)", "(llex x (y))"])
+def test_query_non_symbol_argument_is_malformed_input(formula, capsys):
+    manifest = Path(__file__).resolve().parent.parent / "corpus" / "omega" / "omega.manifest"
+    assert main(["query", str(manifest), formula]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_kreisel_compare_non_integer_is_usage_error(capsys):
     assert main(["pathology", "kreisel", "compare", "x", "3"]) == 2
     assert "'x'" in capsys.readouterr().err

@@ -138,9 +138,15 @@ def test_copy_machine_runs_and_is_reversible():
     assert tape2[:5] == [">", "a", "b", "a", "_"]
 
 
+# SHA-256 of save_automaton(step_relation_automaton(copy_machine()), "S")
+COPY_STEP_SHA256 = "a6c34956d27816069575571b47a6c7c4f70b14f5246af8b323fbb9c11df51ed2"
+
+
 def test_copy_machine_step_automaton_on_runs():
     tm = copy_machine()
     aut = step_relation_automaton(tm)
+    saved = au.save_automaton(aut, "S").encode("utf-8")
+    assert hashlib.sha256(saved).hexdigest() == COPY_STEP_SHA256
     for word in [(), ("a",), ("b", "a")]:
         trace, _ = run(tm, [word, ()])
         for c, c2 in zip(trace, trace[1:]):
@@ -210,12 +216,18 @@ def rpi_for(false_pi):
 
 # SHA-256 of save_automaton(rpi_for(False).relation, "R"): 1,746 states, 106,037 transitions
 RPI_TRUE_RELATION_SHA256 = "db5f657111c4ade0e5088ab349277d33ef7b6974c9da9c1cee0c690417c3d4bd"
+# SHA-256 of save_automaton(rpi_for(False).domain, "D"); the domain does not depend on pi
+RPI_DOMAIN_SHA256 = "69d428f291e639044f816004c0be034e869467f0af95064b65a685c849e68f39"
+# SHA-256 of save_automaton(rpi_for(True).relation, "R")
+RPI_FALSE_RELATION_SHA256 = "42513292d4b1ed5134866d212cc8b4f5f81f590682ea5e2d76586ee38c219c2e"
 
 
 def test_build_rpi_true_wf():
     rpi = rpi_for(False)
     saved = au.save_automaton(rpi.relation, "R").encode("utf-8")
     assert hashlib.sha256(saved).hexdigest() == RPI_TRUE_RELATION_SHA256
+    saved = au.save_automaton(rpi.domain, "D").encode("utf-8")
+    assert hashlib.sha256(saved).hexdigest() == RPI_DOMAIN_SHA256
     frag = explore_fragment(rpi, word_len=4, run_input_len=2)
     assert bounded_wf_check(rpi, frag) is None
     # in/out degree at most 1 within the machine-step part of the fragment
@@ -245,6 +257,8 @@ def test_emb_path_for_all_small_pairs():
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
     rpi = rpi_for(True)
+    saved = au.save_automaton(rpi.relation, "R").encode("utf-8")
+    assert hashlib.sha256(saved).hexdigest() == RPI_FALSE_RELATION_SHA256
     frag = explore_fragment(rpi, word_len=4, run_input_len=2)
     assert bounded_wf_check(rpi, frag) is None  # bounded fragment stays acyclic
     # ...but an arbitrarily long descending chain exists, witnessed explicitly:
