@@ -532,32 +532,39 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
 
 def _enumerate_length(a, fwd, layers, length, lkey, want):
     # DFS over state subsets, so each letter sequence is visited exactly once
-    # even when the automaton is nondeterministic.
+    # even when the automaton is nondeterministic.  The stack holds one
+    # letter iterator per position of `path`, so long words need no recursion.
     results = []
     path = []
 
-    def rec(subset, remaining):
-        if len(results) >= want:
-            return
-        if remaining == 0:
-            if subset & a.accepting:
-                results.append(deconvolve(path))
-            return
+    def branches(subset, remaining):
         options = {}
         for q in subset:
             for letter, targets in fwd.get(q, {}).items():
                 options.setdefault(letter, set()).update(targets)
         for letter in sorted(options, key=lkey):
             targets = options[letter] & layers[remaining - 1]
-            if not targets:
-                continue
-            path.append(letter)
-            rec(frozenset(targets), remaining - 1)
-            path.pop()
-            if len(results) >= want:
-                return
+            if targets:
+                yield letter, frozenset(targets)
 
-    rec(frozenset({a.initial}), length)
+    stack = [branches(frozenset({a.initial}), length)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        letter, subset = step
+        path.append(letter)
+        if len(path) < length:
+            stack.append(branches(subset, length - len(path)))
+            continue
+        if subset & a.accepting:
+            results.append(deconvolve(path))
+            if len(results) >= want:
+                break
+        path.pop()
     return results
 
 
@@ -668,12 +675,16 @@ def is_subset(small: Automaton, big: Automaton) -> bool:
 # -- tape surgery -------------------------------------------------------
 
 
-def project(a: Automaton, tape: int) -> Automaton:
-    """Existential projection: drop the given tape and re-normalize padding."""
+def _require_tape(a: Automaton, tape: int):
     if a.arity < 2:
         raise CannotProject("cannot project an arity-1 automaton")
     if not (0 <= tape < a.arity):
         raise CannotProject(f"tape {tape} out of range for arity {a.arity}")
+
+
+def project(a: Automaton, tape: int) -> Automaton:
+    """Existential projection: drop the given tape and re-normalize padding."""
+    _require_tape(a, tape)
 
     real: dict = {}
     eps: dict = {}
@@ -877,19 +888,43 @@ def fixed_word(alphabet, word) -> Automaton:
 
 
 def section(rel: Automaton, tape: int, word) -> Automaton:
-    """Fix one tape of a relation to a constant word and project it away."""
-    fixed = fixed_word(rel.alphabet, word)
-    constrained = intersect(rel, _cyl_single(fixed, tape, rel.arity))
-    return project(constrained, tape)
+    """Fix one tape of a relation to a constant word and project it away.
 
+    One pass over (state, position in word) pairs.  A letter whose other
+    tapes all read pad can only be followed by such letters, so those
+    letters are not moves: whether the rest of the word can be read that
+    way is looked up in `tail[i]`, the states that accept `word[i:]` on
+    `tape` with every other tape padded.
+    """
+    _require_tape(rel, tape)
+    w = as_word(word)
+    symbols = set(rel.alphabet)
+    for s in w:
+        if s not in symbols:
+            raise InvalidSymbol(f"symbol {s!r} of the section word is not in the alphabet")
+    n = len(w)
 
-def _cyl_single(a1: Automaton, position: int, arity: int) -> Automaton:
-    """Lift an arity-1 automaton to `arity` tapes with anything on the others."""
-    out = a1
-    for i in range(arity - 1):
-        pos = 0 if i < position else out.arity
-        out = insert_tape(out, pos)
-    return out
+    real: dict = {}
+    tail_edges: dict = {}
+    for q, out in rel._delta.items():
+        for letter, targets in out.items():
+            rest = letter[:tape] + letter[tape + 1 :]
+            if all(s == PAD for s in rest):
+                tail_edges.setdefault(letter[tape], []).extend((q, r) for r in targets)
+            else:
+                real.setdefault((q, letter[tape]), []).append((rest, targets))
+    tail = [frozenset()] * n + [rel.accepting]
+    for i in range(n - 1, -1, -1):
+        tail[i] = frozenset(q for q, r in tail_edges.get(w[i], ()) if r in tail[i + 1])
+
+    def moves(key):
+        q, i = key
+        sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
+        for rest, targets in real.get((q, sym), ()):
+            for r in targets:
+                yield rest, (r, nxt)
+
+    return _canonical(rel.arity - 1, rel.alphabet, (rel.initial, 0), lambda key: key[0] in tail[key[1]], moves)
 
 
 # -- text format ---------------------------------------------------------

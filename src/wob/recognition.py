@@ -84,6 +84,11 @@ class OrderPresentation:
             self._sim_structures[budget] = Structure(name=s.name, domain=s.domain, relations=rels)
         return self._sim_structures[budget]
 
+    @cached_property
+    def successor(self) -> Automaton:
+        """succ(x, y): y is the cover of x, compiled once per presentation."""
+        return au.minimize(compile_formula(self.structure, _SUCCESSOR))
+
 
 @dataclass(frozen=True)
 class BadCondensationClass:
@@ -138,6 +143,12 @@ _TRANSITIVE = Forall(
 _TOTAL = Forall(
     "x",
     Forall("y", Or(Rel(LESS, ("x", "y")), Or(Rel(LESS, ("y", "x")), Eq("x", "y")))),
+)
+
+
+_SUCCESSOR = And(
+    Rel(LESS, ("x", "y")),
+    Not(Exists("z", And(Rel(LESS, ("x", "z")), Rel(LESS, ("z", "y"))))),
 )
 
 
@@ -304,10 +315,6 @@ def predecessors(p: OrderPresentation, word) -> Automaton:
     return au.section(p.order, 1, word)
 
 
-def successors_set(p: OrderPresentation, word) -> Automaton:
-    return au.section(p.order, 0, word)
-
-
 def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (unminimized)."""
     dominated = au.project(au.intersect(order, au.insert_tape(subset, 1)), 0)
@@ -320,17 +327,18 @@ def least_of(p: OrderPresentation, subset: Automaton) -> list:
 
 
 def initial_chain(p: OrderPresentation, count: int) -> list:
-    """The first `count` elements of the order, each certified least of the
-    remaining set by an automaton emptiness argument."""
-    out = []
-    remaining = p.domain
-    for _ in range(count):
-        found = least_of(p, remaining)
-        if not found:
-            break
+    """The first `count` elements of the order.  The first is certified least
+    of the domain and each later one the one cover of its predecessor, both
+    by automaton emptiness: the image of x under the successor relation is
+    the set of minimal elements of { y : x < y }.  Two covers mean the order
+    is not linear; none ends the chain."""
+    out: list = []
+    found = least_of(p, p.domain) if count > 0 else []
+    while found:
         if len(found) > 1:
             raise NotLinear("two minimal elements; order is not linear")
-        x = found[0]
-        out.append(x)
-        remaining = au.minimize(successors_set(p, x))
+        out.append(found[0])
+        if len(out) == count:
+            break
+        found = [w[0] for w in au.count_or_enumerate(au.section(p.successor, 0, found[0]), 2)]
     return out

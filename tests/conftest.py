@@ -5,6 +5,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wob import automata as au  # noqa: E402
+from wob import recognition as rec  # noqa: E402
+from wob.errors import NotLinear  # noqa: E402
 
 
 def run_nfa(aut, letters):
@@ -76,3 +78,29 @@ def reference_complement(aut):
 
     start = (frozenset({aut.initial}), (False,) * aut.arity)
     return au.build(aut.arity, aut.alphabet, start, lambda key: not (key[0] & aut.accepting), moves)
+
+
+def reference_section(rel, tape, word):
+    """`section` by the plain construction: intersect the relation with the
+    cylinder of `fixed_word` (a free tape inserted for every other tape of
+    the relation) and project the fixed tape away."""
+    cyl = au.fixed_word(rel.alphabet, word)
+    for i in range(rel.arity - 1):
+        cyl = au.insert_tape(cyl, 0 if i < tape else cyl.arity)
+    return au.project(au.intersect(rel, cyl), tape)
+
+
+def reference_initial_chain(p, count):
+    """`initial_chain` as the least-of-remaining loop: each element is the
+    one minimal element of everything above its predecessor."""
+    out = []
+    remaining = p.domain
+    for _ in range(count):
+        found = rec.least_of(p, remaining)
+        if not found:
+            break
+        if len(found) > 1:
+            raise NotLinear("two minimal elements; order is not linear")
+        out.append(found[0])
+        remaining = au.minimize(reference_section(p.order, 0, found[0]))
+    return out

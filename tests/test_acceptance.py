@@ -102,8 +102,8 @@ def test_criterion_2_theorem3_desk_scale():
         assert o.show(got[name][1].cnf) == cnf_text
 
     # the first 200 elements are order-isomorphic to the canonical initial
-    # segment: the chain is certified element by element (least of the
-    # remaining set, by automaton emptiness), cross-checked on sampled ranks
+    # segment: the chain is certified element by element (the one cover of
+    # its predecessor, by automaton emptiness), cross-checked on sampled ranks
     for name in ["omega", "omega_sq", "mixed", "twelve"]:
         p, res = got[name]
         op = OrderPresentation(p.structure)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv, language, reference_complement, run_nfa, tuples_upto, words_upto
+from conftest import conv, language, reference_complement, reference_section, run_nfa, tuples_upto, words_upto
 from wob import automata as au
 from wob.errors import ArityMismatch, CannotProject, InvalidAutomaton, InvalidSymbol, LoadError
 
@@ -324,6 +324,66 @@ def test_section():
     below = au.section(llex, 1, "ab")
     expect = {(w,) for w in words_upto(AB, 4) if (len(w), w) < (2, ("a", "b"))}
     assert language(below, 4) == expect
+
+
+def _random_nfa3(rng, n_states=3):
+    # arity-3 NFA over {a,b}: random letters, then the transitions that break
+    # the padding invariant are dropped one at a time
+    pool = ("a", "b", "#")
+    letters = [l for l in itertools.product(pool, repeat=3) if l != ("#",) * 3]
+    trans = {(rng.randrange(n_states), rng.choice(letters), rng.randrange(n_states)) for _ in range(rng.randint(14, 30))}
+    accepting = {q for q in range(n_states) if rng.random() < 0.5}
+    while True:
+        try:
+            return au.automaton(3, AB, n_states, 0, accepting, trans)
+        except InvalidAutomaton as exc:
+            bad = next(t for t in sorted(trans) if f"state {t[0]} on letter {t[1]!r}" in str(exc))
+            trans.discard(bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_section_matches_oracles(data):
+    seed = data.draw(st.integers(0, 10 ** 6))
+    arity = data.draw(st.sampled_from([2, 3]))
+    rng = random.Random(seed)
+    rel = _random_nfa2(rng) if arity == 2 else _random_nfa3(rng)
+    max_len = 3 if arity == 2 else 2
+    for tape in range(arity):
+        for word in words_upto(AB, 4):
+            got = au.section(rel, tape, word)
+            dataclasses.replace(got)  # re-runs the validator the kernel skips
+            expect = set()
+            for rest in tuples_upto(AB, arity - 1, max_len):
+                tup = rest[:tape] + (word,) + rest[tape:]
+                if run_nfa(rel, conv(*tup)) if any(tup) else rel.initial in rel.accepting:
+                    expect.add(rest)
+            assert language(got, max_len) == expect, (tape, word)
+            ref = reference_section(rel, tape, word)
+            assert au.save_automaton(au.minimize(got), "s") == au.save_automaton(au.minimize(ref), "s")
+
+
+def test_section_rejects_bad_words_and_tapes():
+    llex = au.llex_automaton(AB)
+    with pytest.raises(InvalidSymbol):
+        au.section(llex, 0, "ac")
+    with pytest.raises(InvalidSymbol):
+        au.section(llex, 1, ("a", au.PAD))
+    with pytest.raises(CannotProject):
+        au.section(llex, 2, "ab")
+    with pytest.raises(CannotProject):
+        au.section(sigma_star(), 0, "ab")
+
+
+def test_enumerate_and_section_of_long_words():
+    word = "a" * 1500
+    assert au.count_or_enumerate(au.fixed_word(AB, word), 2) == [(tuple(word),)]
+    # the two words llex-above a^1500, found by a 1,500-letter enumeration
+    above = au.section(au.llex_automaton(AB), 0, word)
+    assert au.count_or_enumerate(above, 2) == [
+        (tuple(word[:-1] + "b"),),
+        (tuple(word[:-2] + "ba"),),
+    ]
 
 
 def test_eq_tapes_and_diagonal():

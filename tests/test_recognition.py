@@ -1,11 +1,14 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
-from conftest import words_upto
+from conftest import reference_initial_chain, words_upto
 from wob import automata as au
 from wob import corpus
+from wob import logic
 from wob import ordinals as o
+from wob import pathology as pa
 from wob import recognition as rec
 from wob.errors import NotComparable, NotLinear
 from wob.logic import Structure
@@ -307,3 +310,58 @@ def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     assert len(trace) == levels
     assert len(calls) == levels
     assert all(c is pres for c, (_level, pres) in zip(calls, trace))
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+CHAIN_CASES = {m.stem: (logic.load_structure, m) for m in sorted(CORPUS_DIR.glob("*/*.manifest"))}
+CHAIN_CASES["kreisel_true"] = (pa.kreisel_as_automatic, pa.regular_true())
+CHAIN_CASES["kreisel_witness"] = (pa.kreisel_as_automatic, pa.regular_except_word(("1", "1")))
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_initial_chain_matches_least_of_remaining_loop(name):
+    # the cover of x is the one minimal element of { y : x < y }, so the
+    # chain and its early stops are those of the least-of-remaining loop
+    make, arg = CHAIN_CASES[name]
+    got = initial_chain(OrderPresentation(make(arg)), 30)
+    assert got == reference_initial_chain(OrderPresentation(make(arg)), 30)
+
+
+def test_initial_chain_compiles_successor_once(monkeypatch):
+    # the successor relation is compiled once; the kernel calls made outside
+    # that compile must not grow with the length of the chain
+    calls = dict.fromkeys(("compile_formula", "minimize", "fixed_word", "insert_tape"), 0)
+    compiling = [0]
+
+    def count(module, name):
+        fn = getattr(module, name)
+        is_compile = name == "compile_formula"
+
+        def counted(*args, **kwargs):
+            if not compiling[0]:
+                calls[name] += 1
+            compiling[0] += is_compile
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                compiling[0] -= is_compile
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(rec, "compile_formula")
+    for name in ("minimize", "fixed_word", "insert_tape"):
+        count(au, name)
+
+    def run(length):
+        p = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
+        for name in calls:
+            calls[name] = 0
+        assert len(initial_chain(p, length)) == length
+        return dict(calls)
+
+    short, long = run(10), run(40)
+    assert long["compile_formula"] == 1
+    assert long["minimize"] <= 2
+    assert long["fixed_word"] == 0
+    assert long["insert_tape"] == short["insert_tape"]
