@@ -16,7 +16,6 @@ character a word prints as a plain string.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -180,15 +179,7 @@ class Automaton:
         back: dict = {}
         for (q, _letter, r) in self.transitions:
             back.setdefault(r, set()).add(q)
-        seen = set(self.accepting)
-        stack = list(self.accepting)
-        while stack:
-            q = stack.pop()
-            for p in back.get(q, ()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return frozenset(seen)
+        return _search(self.accepting, back)
 
     @cached_property
     def useful_states(self) -> frozenset:
@@ -217,6 +208,19 @@ class Automaton:
         if all(len(w) == 0 for w in ws):
             return self.initial in self.accepting
         return self.accepts_letters(convolve(ws))
+
+
+def _search(seeds, succs: dict) -> frozenset:
+    """The states reachable from `seeds` along `succs`."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        q = stack.pop()
+        for r in succs.get(q, ()):
+            if r not in seen:
+                seen.add(r)
+                stack.append(r)
+    return frozenset(seen)
 
 
 def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Automaton:
@@ -317,18 +321,7 @@ def universe(alphabet, arity) -> Automaton:
 def _valid_letters(alphabet, arity):
     """All letter tuples over alphabet+PAD except the all-pad one."""
     pool = tuple(alphabet) + (PAD,)
-
-    def rec(i):
-        if i == arity:
-            yield ()
-            return
-        for s in pool:
-            for rest in rec(i + 1):
-                yield (s,) + rest
-
-    for letter in rec(0):
-        if any(s != PAD for s in letter):
-            yield letter
+    return (letter for letter in itertools.product(pool, repeat=arity) if any(s != PAD for s in letter))
 
 
 # -- boolean operations -------------------------------------------------
@@ -450,26 +443,30 @@ def is_empty(a: Automaton) -> bool:
 
 def is_infinite(a: Automaton) -> bool:
     """True iff the language is infinite (a useful cycle exists)."""
-    useful = a.useful_states
-    if not useful:
-        return False
-    # Kahn's algorithm on the useful subgraph; leftovers mean a cycle.
-    indeg = {q: 0 for q in useful}
-    succs = {q: [] for q in useful}
-    for (q, _letter, r) in a.transitions:
-        if q in useful and r in useful:
-            succs[q].append(r)
-            indeg[r] += 1
-    queue = deque(q for q in useful if indeg[q] == 0)
-    done = 0
-    while queue:
-        q = queue.popleft()
-        done += 1
-        for r in succs[q]:
-            indeg[r] -= 1
-            if indeg[r] == 0:
-                queue.append(r)
-    return done < len(useful)
+    return bool(_reaching_cycles(a.useful_states, ((q, r) for (q, _letter, r) in a.transitions)))
+
+
+def _reaching_cycles(live: frozenset, edges) -> frozenset:
+    """The states of `live` that can reach a cycle inside `live`, given the
+    edges as (state, successor) pairs.
+
+    Sinks are peeled off until none is left: a state whose successors in
+    `live` have all been peeled starts no infinite path there, and every
+    state left does.
+    """
+    outdeg = dict.fromkeys(live, 0)
+    preds: dict = {}
+    for q, r in edges:
+        if q in live and r in live:
+            outdeg[q] += 1
+            preds.setdefault(r, []).append(q)
+    sinks = [q for q, n in outdeg.items() if n == 0]
+    for q in sinks:  # grows while it is read
+        for p in preds.get(q, ()):
+            outdeg[p] -= 1
+            if outdeg[p] == 0:
+                sinks.append(p)
+    return live.difference(sinks)
 
 
 def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
@@ -682,42 +679,56 @@ def _require_tape(a: Automaton, tape: int):
         raise CannotProject(f"tape {tape} out of range for arity {a.arity}")
 
 
-def project(a: Automaton, tape: int) -> Automaton:
-    """Existential projection: drop the given tape and re-normalize padding."""
+def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
+    """Existential projection: drop the given tape and re-normalize padding.
+
+    With `infinite`, a tuple is kept only when infinitely many words on the
+    dropped tape complete it (the ∃^∞ quantifier).
+
+    A letter whose remaining tapes all read pad (an ε-letter) can only be
+    followed by such letters, by the padding invariant, so on every run
+    the ε-letters form the tail.  A state's moves are therefore just its
+    own non-ε letters, and the projection accepts at a state when its
+    ε-edges reach acceptance, found by one backward search from the
+    accepting states.  With `infinite` the state must also reach, along
+    ε-edges, a cycle that can still reach acceptance: pumping the cycle
+    gives witnesses of every greater length, and a witness more than
+    n_states letters past the other tapes repeats a state in its tail.
+
+    The result is byte-identical to the textbook construction in which
+    each state takes the moves and the acceptance of its ε-closure: the
+    closure of a reachable state adds only states that read ε-letters
+    alone, so the move graph, hence the BFS numbering, is unchanged, and
+    "the closure meets the accepting states" is the backward search.
+    Letters that become one letter once the tape is dropped keep their
+    targets in the sorted full-letter order of `_delta`, as there.  With
+    `infinite`, the language (not the bytes) is that of the pumping-bound
+    construction, which intersects the minimal DFA with a counter of the
+    final ε-run and so also splits states by pad mask.
+    """
     _require_tape(a, tape)
-
     real: dict = {}
-    eps: dict = {}
-    for (q, letter, r) in sorted(a.transitions):
-        rest = letter[:tape] + letter[tape + 1 :]
-        if all(s == PAD for s in rest):
-            eps.setdefault(q, set()).add(r)
-        else:
-            real.setdefault(q, {}).setdefault(rest, []).append(r)
-
-    def closure(qs):
-        seen = set(qs)
-        stack = list(qs)
-        while stack:
-            q = stack.pop()
-            for r in eps.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
-
-    clo = {q: closure({q}) for q in range(a.n_states)}
+    eps = []
+    for q, out in a._delta.items():
+        for letter, targets in out.items():
+            rest = letter[:tape] + letter[tape + 1 :]
+            if all(s == PAD for s in rest):
+                eps.extend((q, r) for r in targets)
+            else:
+                real.setdefault(q, {}).setdefault(rest, []).extend(targets)
+    back: dict = {}
+    for q, r in eps:
+        back.setdefault(r, []).append(q)
+    live = _search(a.accepting, back)
+    if infinite:
+        live = _reaching_cycles(live, eps)
 
     def moves(q):
-        for p in clo[q]:
-            for letter, targets in real.get(p, {}).items():
-                for r in targets:
-                    yield letter, r
+        for rest, targets in real.get(q, {}).items():
+            for r in targets:
+                yield rest, r
 
-    def acc(q):
-        return bool(clo[q] & a.accepting)
-
-    return _canonical(a.arity - 1, a.alphabet, a.initial, acc, moves)
+    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves)
 
 
 def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:

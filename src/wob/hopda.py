@@ -9,6 +9,7 @@ letter; pop^k removes the topmost (k-1)-pds and may never empty a store.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -186,14 +187,6 @@ class ColoredGraph:
         if self.root is not None and self.root not in vset:
             raise WobError("root is not a vertex")
 
-    def out_edges(self, u, color=None):
-        for c, pairs in self.edges.items():
-            if color is not None and c != color:
-                continue
-            for (a, b) in pairs:
-                if a == u:
-                    yield c, b
-
     def to_dot(self) -> str:
         index = {v: i for i, v in enumerate(self.vertices)}
         lines = ["digraph g {"]
@@ -319,10 +312,13 @@ def epsilon_contract(g: ColoredGraph, eps_color: str = EPSILON) -> ColoredGraph:
     whenever the graph has a path eps^* a eps^* from u to v with v normal."""
     if eps_color not in g.colors:
         raise WobError(f"graph has no {eps_color!r} edges")
-    eps_succ = {}
-    for (u, v) in g.edges.get(eps_color, ()):
-        eps_succ.setdefault(u, set()).add(v)
+    succ: dict = {}  # color -> vertex -> successors
+    for color, pairs in g.edges.items():
+        for (u, v) in pairs:
+            succ.setdefault(color, {}).setdefault(u, []).append(v)
+    eps_succ = succ.pop(eps_color, {})
 
+    @functools.cache
     def closure(u):
         seen = {u}
         todo = [u]
@@ -332,28 +328,22 @@ def epsilon_contract(g: ColoredGraph, eps_color: str = EPSILON) -> ColoredGraph:
                 if v not in seen:
                     seen.add(v)
                     todo.append(v)
-        return seen
+        return frozenset(seen)
 
-    normal = [v for v in g.vertices if v not in eps_succ or not eps_succ[v]]
+    normal = [v for v in g.vertices if not eps_succ.get(v)]
     normal_set = set(normal)
     kept = list(normal)
     if g.root is not None and g.root not in normal_set:
         kept = [g.root] + kept
     kept_set = set(kept)
 
-    edges = []
+    edges = set()
     for u in kept:
         for w in closure(u):
-            for color, pairs in g.edges.items():
-                if color == eps_color:
-                    continue
-                for (a, b) in pairs:
-                    if a != w:
-                        continue
-                    for v in closure(b):
-                        if v in normal_set:
-                            edges.append((u, color, v))
-    return graph_from_edges(kept, sorted(set(edges)), root=g.root if g.root in kept_set else None,
+            for color, out in succ.items():
+                for b in out.get(w, ()):
+                    edges.update((u, color, v) for v in closure(b) if v in normal_set)
+    return graph_from_edges(kept, sorted(edges), root=g.root if g.root in kept_set else None,
                             partial=g.partial)
 
 

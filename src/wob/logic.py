@@ -467,28 +467,8 @@ class Compiler:
         t = r.vars.index(var)
         if len(r.vars) == 1:
             return _Result((), None, au.is_infinite(r.aut))
-        # Pumping bound: if some witness for `var` is longer than every other
-        # tape by more than the state count, the section is infinite.
-        aut = au.minimize(r.aut, max_states=self.budget)
-        m = aut.n_states
-        longer = self._long_tail(len(r.vars), t, m)
-        pumped = au.intersect(aut, longer, max_states=self.budget)
         rest = r.vars[:t] + r.vars[t + 1 :]
-        return _Result(rest, self._guard(au.project(pumped, t)))
-
-    def _long_tail(self, arity: int, tape: int, m: int) -> Automaton:
-        """Convolutions whose final run of tape-only letters exceeds m."""
-        alphabet = self.s.domain.alphabet
-
-        def is_solo(letter):
-            return letter[tape] != au.PAD and all(
-                s == au.PAD for i, s in enumerate(letter) if i != tape
-            )
-
-        def step(count, letter):
-            return min(count + 1, m + 1) if is_solo(letter) else 0
-
-        return au.letter_dfa(alphabet, arity, 0, step, lambda c: c > m)
+        return _Result(rest, self._guard(au.project(r.aut, t, infinite=True)))
 
 
 def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:

@@ -90,6 +90,21 @@ def reference_section(rel, tape, word):
     return au.project(au.intersect(rel, cyl), tape)
 
 
+def reference_project_inf(a, tape):
+    """`project(a, tape, infinite=True)` by the pumping bound: intersect the
+    minimal DFA (m states) with a counter of the final run of letters that
+    read only `tape`, and keep the tuples whose run can exceed m."""
+    aut = au.minimize(a)
+    m = aut.n_states
+
+    def step(count, letter):
+        solo = letter[tape] != "#" and all(s == "#" for i, s in enumerate(letter) if i != tape)
+        return min(count + 1, m + 1) if solo else 0
+
+    longer = au.letter_dfa(a.alphabet, a.arity, 0, step, lambda c: c > m)
+    return au.project(au.intersect(aut, longer), tape)
+
+
 def reference_initial_chain(p, count):
     """`initial_chain` as the least-of-remaining loop: each element is the
     one minimal element of everything above its predecessor."""

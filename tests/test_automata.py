@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv, language, reference_complement, reference_section, run_nfa, tuples_upto, words_upto
+from conftest import (
+    conv,
+    language,
+    reference_complement,
+    reference_project_inf,
+    reference_section,
+    run_nfa,
+    tuples_upto,
+    words_upto,
+)
 from wob import automata as au
 from wob.errors import ArityMismatch, CannotProject, InvalidAutomaton, InvalidSymbol, LoadError
 
@@ -458,17 +467,50 @@ def _projection_oracle(a, tape, max_len):
     return out
 
 
+def _infinite_projection_oracle(a, tape, max_len):
+    # infinitely many witnesses iff one runs at least n_states letters past
+    # the other tapes (its tail repeats a state); cutting cycles out of the
+    # tail then gives one at most 2 * n_states past them
+    trans = {}
+    for (q, letter, r) in a.transitions:
+        trans.setdefault((q, letter), set()).add(r)
+    n = a.n_states
+    out = set()
+    for rest in tuples_upto(a.alphabet, a.arity - 1, max_len):
+        m = max(len(w) for w in rest)
+        start = (0, frozenset({a.initial}))
+        seen, stack = {start}, [start]
+        while stack:
+            i, subset = stack.pop()
+            if i >= m + n and subset & a.accepting:
+                out.add(rest)
+                break
+            if i == m + 2 * n:
+                continue
+            others = [w[i] if i < len(w) else "#" for w in rest]
+            for s in a.alphabet:
+                letter = tuple(others[:tape] + [s] + others[tape:])
+                nxt = (i + 1, frozenset(r for q in subset for r in trans.get((q, letter), ())))
+                if nxt[1] and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_kernel_ops_valid_trimmed_and_correct(data):
     seed = data.draw(st.integers(0, 10 ** 6))
-    arity = data.draw(st.sampled_from([1, 2]))
+    arity = data.draw(st.sampled_from([1, 2, 3]))
     rng = random.Random(seed)
     if arity == 1:
         a, b = _random_nfa(rng, n_states=5), _random_nfa(rng, n_states=5)
         alphabet, max_len = a.alphabet, 4
-    else:
+    elif arity == 2:
         a, b = _random_nfa2(rng), _random_nfa2(rng)
+        alphabet, max_len = AB, 2
+    else:
+        a, b = _random_nfa3(rng), _random_nfa3(rng)
         alphabet, max_len = AB, 2
     la, lb = language(a, max_len), language(b, max_len)
     everything = set(tuples_upto(alphabet, arity, max_len))
@@ -489,9 +531,14 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
             2,
         ),
     ]
-    if arity == 2:
-        tape = rng.randrange(2)
+    if arity > 1:
+        tape = rng.randrange(arity)
+        infinite = au.project(a, tape, infinite=True)
         cases.append((au.project(a, tape), _projection_oracle(a, tape, max_len), max_len))
+        cases.append((infinite, _infinite_projection_oracle(a, tape, max_len), max_len))
+        # the cycle test and the pumping-bound counter define the same language
+        reference = au.save_automaton(au.minimize(reference_project_inf(a, tape)), "p")
+        assert au.save_automaton(au.minimize(infinite), "p") == reference
     for out, expect, n in cases:
         dataclasses.replace(out)  # re-runs the validator the kernel skips
         if not (out.n_states == 1 and not out.accepting and not out.transitions):

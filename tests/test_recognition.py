@@ -182,6 +182,15 @@ def test_recognize_well_orders(p):
     assert got.cnf < o.omega_power(o.OMEGA)
 
 
+@pytest.mark.parametrize("k", [4, 5])
+def test_recognize_ladder_rungs(k):
+    # the corpus stops at w^3; these rungs are where the cost per power of w shows
+    p = corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}")
+    got = recognize(pres_to_op(p))
+    assert isinstance(got, WellOrder), got
+    assert got.cnf == p.expected_cnf
+
+
 @pytest.mark.parametrize("p", corpus.non_well_order_corpus(), ids=lambda p: p.name)
 def test_recognize_non_well_orders(p):
     trace = []
