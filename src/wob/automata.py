@@ -9,6 +9,11 @@ reads pad forever, and no letter is all-pad), so each accepting path spells
 a valid convolution.  Kernel operations only recombine letters of checked
 operands, so their results are not checked again.
 
+Every construction numbers its states by one BFS (`_canonical`).  Running
+two automata side by side on one convolution is one construction, `join`,
+which maps each side's tapes to result tapes; `intersect` and the
+cylindrification `insert_tape` are tape maps over it.
+
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
 """
@@ -16,6 +21,7 @@ character a word prints as a plain string.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -336,28 +342,83 @@ def _require_compatible(a: Automaton, b: Automaton):
 
 def intersect(a: Automaton, b: Automaton, max_states=None) -> Automaton:
     _require_compatible(a, b)
+    tapes = range(a.arity)
+    return join(a, tapes, b, tapes, max_states=max_states)
+
+
+def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[int], max_states=None) -> Automaton:
+    """The lockstep product: tape i of `a` becomes result tape `a_tapes[i]`,
+    likewise for `b`, and a tuple is accepted when each side accepts its own
+    tapes of it.  The maps are injective and together cover the result
+    tapes; a tape both sides map to carries one word for both.
+
+    A side's words may end before the convolution does, so each side runs
+    with a virtual drain state, entered from acceptance on all-pad input on
+    its own tapes.  A side whose tapes the other side covers never needs
+    it: the whole letter would be all-pad.  Targets follow `a`'s `_delta`
+    order, then `b`'s.
+    """
+    a_tapes, b_tapes = tuple(a_tapes), tuple(b_tapes)
+    tapes = set(a_tapes) | set(b_tapes)
+    arity = len(tapes)
+    if a.alphabet != b.alphabet:
+        raise ArityMismatch(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    if not (len(set(a_tapes)) == len(a_tapes) == a.arity and len(set(b_tapes)) == len(b_tapes) == b.arity):
+        raise ArityMismatch(f"tape maps {a_tapes} and {b_tapes} do not fit arities {a.arity} and {b.arity}")
+    if tapes != set(range(arity)):
+        raise ArityMismatch(f"tape maps {a_tapes} and {b_tapes} do not cover 0..{arity - 1}")
+    shared = sorted(set(a_tapes) & set(b_tapes))
+    a_key = _picker([a_tapes.index(t) for t in shared], a.arity)
+    b_key = _picker([b_tapes.index(t) for t in shared], b.arity)
+    pick = _picker([a_tapes.index(t) if t in a_tapes else a.arity + b_tapes.index(t) for t in range(arity)], a.arity)
+    DRAIN, DRAINED = -1, (-1,)
+
+    def side(aut, drains):
+        # a state's (letter, targets) moves, plus the all-pad move to the drain
+        drain = [((PAD,) * aut.arity, DRAINED)]
+
+        def moves(q):
+            if q == DRAIN:
+                return drain
+            out = aut._delta.get(q, {}).items()
+            return itertools.chain(out, drain) if drains and q in aut.accepting else out
+
+        return moves
+
+    a_side, b_side = side(a, arity > a.arity), side(b, arity > b.arity)
+    b_index: dict = {}  # b's state -> its moves by their symbols on the shared tapes
 
     def moves(pair):
-        p, q = pair
-        da = a._delta.get(p, {})
-        db = b._delta.get(q, {})
-        small, other, flip = (da, db, False) if len(da) <= len(db) else (db, da, True)
-        for letter, targets in small.items():
-            targets2 = other.get(letter)
-            if not targets2:
-                continue
-            for r1 in targets:
-                for r2 in targets2:
-                    yield letter, ((r2, r1) if flip else (r1, r2))
+        qa, qb = pair
+        index = b_index.get(qb)
+        if index is None:
+            index = b_index[qb] = {}
+            for lb, targets in b_side(qb):
+                index.setdefault(lb if b_key is None else b_key(lb), []).append((lb, targets))
+        for la, a_targets in a_side(qa):
+            for lb, b_targets in index.get(la if a_key is None else a_key(la), ()):
+                if a_targets is DRAINED and b_targets is DRAINED:
+                    continue
+                letter = la if pick is None else pick(la + lb)
+                for ra in a_targets:
+                    for rb in b_targets:
+                        yield letter, (ra, rb)
 
-    return _canonical(
-        a.arity,
-        a.alphabet,
-        (a.initial, b.initial),
-        lambda pr: pr[0] in a.accepting and pr[1] in b.accepting,
-        moves,
-        max_states=max_states,
-    )
+    a_acc, b_acc = a.accepting | {DRAIN}, b.accepting | {DRAIN}
+    return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves, max_states)
+
+
+def _picker(positions: list, arity: int) -> Optional[Callable]:
+    """The symbols of an `arity`-letter letter at `positions`, as a tuple;
+    None when that is the letter itself."""
+    if positions == list(range(arity)):
+        return None
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda letter: (letter[i],)
+    if not positions:
+        return lambda letter: ()
+    return operator.itemgetter(*positions)
 
 
 def union(a: Automaton, b: Automaton, max_states=None) -> Automaton:
@@ -483,61 +544,37 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     if a.initial not in useful:
         return out
     back: dict = {}
-    fwd: dict = {}
-    for (q, letter, r) in a.transitions:
+    for (q, _letter, r) in a.transitions:
         if q in useful and r in useful:
             back.setdefault(r, set()).add(q)
-            fwd.setdefault(q, {}).setdefault(letter, set()).add(r)
-    infinite = is_infinite(a)
-    max_len = None if infinite else len(useful)
-
     if a.initial in a.accepting:
         out.append(((),) * a.arity)
-        if len(out) >= limit:
-            return out
-
-    lkey = a._letter_key
-    # layers[m]: states that can reach acceptance in exactly m more steps,
-    # grown incrementally via the reverse edge map
-    layers = [set(a.accepting & useful)]
-
-    def extend_layers(upto):
-        while len(layers) <= upto:
-            prev = layers[-1]
-            layers.append({p for q in prev for p in back.get(q, ())})
-
-    length = 1
-    gap = 0
-    while True:
-        if max_len is not None and length > max_len:
+    # layers[m]: the useful states that reach acceptance in exactly m steps.
+    # A word longer than m passes through layer m, so once a layer is empty
+    # no longer word exists; in an infinite language no layer is empty.
+    layers = [a.accepting & useful]
+    while len(out) < limit:
+        layer = {p for q in layers[-1] for p in back.get(q, ())}
+        if not layer:
             break
-        extend_layers(length)
-        if a.initial not in layers[length]:
-            gap += 1
-            if infinite and gap > 2 * len(useful) + 2:
-                break
-            length += 1
-            continue
-        gap = 0
-        found = _enumerate_length(a, fwd, layers, length, lkey, limit - len(out))
-        out.extend(found)
-        if len(out) >= limit:
-            break
-        length += 1
-    return out[:limit]
+        layers.append(layer)
+        if a.initial in layer:
+            out.extend(_enumerate_length(a, layers, len(layers) - 1, limit - len(out)))
+    return out
 
 
-def _enumerate_length(a, fwd, layers, length, lkey, want):
+def _enumerate_length(a, layers, length, want):
     # DFS over state subsets, so each letter sequence is visited exactly once
     # even when the automaton is nondeterministic.  The stack holds one
     # letter iterator per position of `path`, so long words need no recursion.
     results = []
     path = []
+    lkey = a._letter_key
 
     def branches(subset, remaining):
         options = {}
         for q in subset:
-            for letter, targets in fwd.get(q, {}).items():
+            for letter, targets in a._delta.get(q, {}).items():
                 options.setdefault(letter, set()).update(targets)
         for letter in sorted(options, key=lkey):
             targets = options[letter] & layers[remaining - 1]
@@ -747,11 +784,7 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
 
 def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) -> Automaton:
     """Cylindrification: insert a fresh tape at `position` carrying any word
-    accepted by `track` (default: any word over the alphabet).
-
-    The convolution may outlive either side, so both component automata are
-    run with a virtual drain state entered from acceptance on all-pad input.
-    """
+    accepted by `track` (default: any word over the alphabet)."""
     if not (0 <= position <= a.arity):
         raise ArityMismatch(f"cannot insert at position {position} in arity {a.arity}")
     if track is None:
@@ -760,39 +793,8 @@ def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) 
         raise ArityMismatch("track automaton must have arity 1")
     if track.alphabet != a.alphabet:
         raise ArityMismatch("track alphabet mismatch")
-
-    DRAIN = -1
-    pad_a = (PAD,) * a.arity
-
-    def side_moves(aut, q):
-        # (letter-or-None, target); None letter means the all-pad move
-        if q == DRAIN:
-            yield None, DRAIN
-            return
-        for letter, targets in aut._delta.get(q, {}).items():
-            for r in targets:
-                yield letter, r
-        if q in aut.accepting:
-            yield None, DRAIN
-
-    def moves(key):
-        qa, qt = key
-        for la, ra in side_moves(a, qa):
-            for lt, rt in side_moves(track, qt):
-                if la is None and lt is None:
-                    continue
-                base = la if la is not None else pad_a
-                sym = lt[0] if lt is not None else PAD
-                letter = base[:position] + (sym,) + base[position:]
-                yield letter, (ra, rt)
-
-    def acc(key):
-        qa, qt = key
-        ok_a = qa == DRAIN or qa in a.accepting
-        ok_t = qt == DRAIN or qt in track.accepting
-        return ok_a and ok_t
-
-    return _canonical(a.arity + 1, a.alphabet, (a.initial, track.initial), acc, moves)
+    tapes = [t + (t >= position) for t in range(a.arity)]
+    return join(a, tapes, track, [position])
 
 
 def rename_symbols(a: Automaton, mapping: dict) -> Automaton:

@@ -257,20 +257,15 @@ def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
     return graph_from_edges(verts, sorted(set(vedges)), root=verts[0], partial=partial)
 
 
-def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
-    """Does some run consume the word and end in an accepting state?"""
-    word = tuple(word)
+def _runs(h: HopdaSpec, word: tuple):
+    """The configurations (state, pds, position in word) that runs on `word`
+    reach, depth first, in the order they are popped."""
     start = (h.initial_state, h.initial_pds(), 0)
     seen = {start}
     stack_ = [start]
-    explored = 0
     while stack_:
-        state, pds, pos = stack_.pop()
-        explored += 1
-        if explored > budget:
-            raise WobError(f"run budget exhausted on {h.name}")
-        if pos == len(word) and state in h.accepting:
-            return True
+        state, pds, pos = cfg = stack_.pop()
+        yield cfg
         for letter_, new_state, new_pds in h.moves_from(state, pds):
             if letter_ is None:
                 nxt = (new_state, new_pds, pos)
@@ -281,6 +276,16 @@ def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 stack_.append(nxt)
+
+
+def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
+    """Does some run consume the word and end in an accepting state?"""
+    word = tuple(word)
+    for explored, (state, _pds, pos) in enumerate(_runs(h, word), start=1):
+        if explored > budget:
+            raise WobError(f"run budget exhausted on {h.name}")
+        if pos == len(word) and state in h.accepting:
+            return True
     return False
 
 
@@ -288,22 +293,8 @@ def reachable_configs(h: HopdaSpec, words: Iterable) -> list:
     """All configurations reached while consuming each of the given words."""
     out = {}
     for word in words:
-        word = tuple(word)
-        frontier = [(h.initial_state, h.initial_pds(), 0)]
-        seen = set(frontier)
-        while frontier:
-            state, pds, pos = frontier.pop()
+        for state, pds, _pos in _runs(h, tuple(word)):
             out[(state, pds.serialize())] = (state, pds)
-            for letter_, new_state, new_pds in h.moves_from(state, pds):
-                if letter_ is None:
-                    nxt = (new_state, new_pds, pos)
-                elif pos < len(word) and word[pos] == letter_:
-                    nxt = (new_state, new_pds, pos + 1)
-                else:
-                    continue
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
     return [out[k] for k in sorted(out)]
 
 

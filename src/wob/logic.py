@@ -298,12 +298,9 @@ class Structure:
         cached = self._cubes.get(arity)
         if cached is not None:
             return cached
-        if arity == 1:
-            cube = self.domain
-        else:
-            cube = self.domain
-            for _ in range(arity - 1):
-                cube = au.insert_tape(cube, cube.arity, track=self.domain)
+        cube = self.domain
+        for _ in range(arity - 1):
+            cube = au.insert_tape(cube, cube.arity, track=self.domain)
         self._cubes[arity] = cube
         return cube
 
@@ -371,12 +368,9 @@ class Compiler:
             return self._boolean(a, b, isinstance(f, And))
         if isinstance(f, Forall):
             return self._compile(Not(Exists(f.var, Not(f.body))))
-        if isinstance(f, Exists):
+        if isinstance(f, (Exists, ExistsInf)):
             r = self._with_var(self._compile(f.body), f.var)
-            return self._project_var(r, f.var)
-        if isinstance(f, ExistsInf):
-            r = self._with_var(self._compile(f.body), f.var)
-            return self._project_inf(r, f.var)
+            return self._project(r, f.var, isinstance(f, ExistsInf))
         raise TypeError(f"not a formula: {f!r}")
 
     # -- helpers --
@@ -408,22 +402,14 @@ class Compiler:
         return _Result(tuple(sorted(var_list)), self._guard(aut))
 
     def _align(self, r: _Result, target_vars: tuple) -> Automaton:
-        aut = r.aut
-        vars_ = list(r.vars)
-        for v in target_vars:
-            if v in vars_:
-                continue
-            pos = 0
-            while pos < len(vars_) and vars_[pos] < v:
-                pos += 1
-            if aut is None:
-                raise AssertionError("cannot align a sentence")
-            if aut.arity == 0:
-                raise AssertionError("unexpected zero-arity automaton")
-            aut = au.insert_tape(aut, pos, track=self.s.domain)
-            vars_.insert(pos, v)
-        assert tuple(vars_) == target_vars, (vars_, target_vars)
-        return aut
+        """r's automaton over `target_vars`: one join with the domain cube of
+        the variables r lacks."""
+        kept = [i for i, v in enumerate(target_vars) if v in r.vars]
+        missing = [i for i, v in enumerate(target_vars) if v not in r.vars]
+        if not missing:
+            return r.aut
+        cube = self.s.domain_cube(len(missing))
+        return au.join(r.aut, kept, cube, missing, max_states=self.budget)
 
     def _boolean(self, a: _Result, b: _Result, is_and: bool) -> _Result:
         if a.aut is None and b.aut is None:
@@ -439,10 +425,15 @@ class Compiler:
                 return _Result(other.vars, self.s.domain_cube(len(other.vars)))
             return other
         target = tuple(sorted(set(a.vars) | set(b.vars)))
-        aa = self._align(a, target)
-        bb = self._align(b, target)
-        op = au.intersect if is_and else au.union
-        return _Result(target, self._guard(op(aa, bb, max_states=self.budget)))
+        if is_and:
+            # each side accepts only domain tuples over its own variables,
+            # and every variable is on a side, so nothing needs aligning
+            a_tapes = [target.index(v) for v in a.vars]
+            b_tapes = [target.index(v) for v in b.vars]
+            out = au.join(a.aut, a_tapes, b.aut, b_tapes, max_states=self.budget)
+        else:
+            out = au.union(self._align(a, target), self._align(b, target), max_states=self.budget)
+        return _Result(target, self._guard(out))
 
     def _with_var(self, r: _Result, var: str) -> _Result:
         """Ensure `var` appears among r's tapes (insert a domain tape if not)."""
@@ -456,19 +447,13 @@ class Compiler:
         target = tuple(sorted(set(r.vars) | {var}))
         return _Result(target, self._align(r, target))
 
-    def _project_var(self, r: _Result, var: str) -> _Result:
+    def _project(self, r: _Result, var: str, infinite: bool) -> _Result:
         t = r.vars.index(var)
         if len(r.vars) == 1:
-            return _Result((), None, not au.is_empty(r.aut))
+            truth = au.is_infinite(r.aut) if infinite else not au.is_empty(r.aut)
+            return _Result((), None, truth)
         rest = r.vars[:t] + r.vars[t + 1 :]
-        return _Result(rest, self._guard(au.project(r.aut, t)))
-
-    def _project_inf(self, r: _Result, var: str) -> _Result:
-        t = r.vars.index(var)
-        if len(r.vars) == 1:
-            return _Result((), None, au.is_infinite(r.aut))
-        rest = r.vars[:t] + r.vars[t + 1 :]
-        return _Result(rest, self._guard(au.project(r.aut, t, infinite=True)))
+        return _Result(rest, self._guard(au.project(r.aut, t, infinite=infinite)))
 
 
 def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:

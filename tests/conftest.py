@@ -119,3 +119,59 @@ def reference_initial_chain(p, count):
         out.append(found[0])
         remaining = au.minimize(reference_section(p.order, 0, found[0]))
     return out
+
+
+def reference_intersect(a, b):
+    """`intersect` by the plain pair product, iterating the state with fewer
+    letters first."""
+
+    def moves(pair):
+        p, q = pair
+        da = a._delta.get(p, {})
+        db = b._delta.get(q, {})
+        small, other, flip = (da, db, False) if len(da) <= len(db) else (db, da, True)
+        for letter, targets in small.items():
+            targets2 = other.get(letter)
+            if not targets2:
+                continue
+            for r1 in targets:
+                for r2 in targets2:
+                    yield letter, ((r2, r1) if flip else (r1, r2))
+
+    return au.build(a.arity, a.alphabet, (a.initial, b.initial), lambda pr: pr[0] in a.accepting and pr[1] in b.accepting, moves)
+
+
+def reference_insert_tape(a, position, track=None):
+    """`insert_tape` by its own cylinder construction: both sides run with a
+    virtual drain state entered from acceptance on all-pad input."""
+    if track is None:
+        track = au.universe(a.alphabet, 1)
+    DRAIN = -1
+    pad_a = ("#",) * a.arity
+
+    def side_moves(aut, q):
+        # (letter-or-None, target); None letter means the all-pad move
+        if q == DRAIN:
+            yield None, DRAIN
+            return
+        for letter, targets in aut._delta.get(q, {}).items():
+            for r in targets:
+                yield letter, r
+        if q in aut.accepting:
+            yield None, DRAIN
+
+    def moves(key):
+        qa, qt = key
+        for la, ra in side_moves(a, qa):
+            for lt, rt in side_moves(track, qt):
+                if la is None and lt is None:
+                    continue
+                base = la if la is not None else pad_a
+                sym = lt[0] if lt is not None else "#"
+                yield base[:position] + (sym,) + base[position:], (ra, rt)
+
+    def acc(key):
+        qa, qt = key
+        return (qa == DRAIN or qa in a.accepting) and (qt == DRAIN or qt in track.accepting)
+
+    return au.build(a.arity + 1, a.alphabet, (a.initial, track.initial), acc, moves)

@@ -10,6 +10,8 @@ from conftest import (
     conv,
     language,
     reference_complement,
+    reference_insert_tape,
+    reference_intersect,
     reference_project_inf,
     reference_section,
     run_nfa,
@@ -531,6 +533,23 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
             2,
         ),
     ]
+    # join with a partner of any arity on a random tape map: the result
+    # tapes the partner lacks come from `a`, and the rest are shared
+    c = _random_partner(rng, alphabet)
+    n = rng.randint(max(arity, c.arity), min(arity + c.arity, 3))
+    a_tapes = rng.sample(range(n), arity)
+    c_tapes = [t for t in range(n) if t not in a_tapes] + rng.sample(a_tapes, c.arity + arity - n)
+    rng.shuffle(c_tapes)
+    la2, lc2 = language(a, 2), language(c, 2)
+    joined = {
+        t for t in tuples_upto(alphabet, n, 2)
+        if tuple(t[i] for i in a_tapes) in la2 and tuple(t[i] for i in c_tapes) in lc2
+    }
+    cases.append((au.join(a, a_tapes, c, c_tapes), joined, 2))
+    with pytest.raises(ArityMismatch):
+        au.join(a, a_tapes + [n], c, c_tapes)
+    with pytest.raises(ArityMismatch):
+        au.join(a, [t + 1 for t in a_tapes], c, [t + 1 for t in c_tapes])
     if arity > 1:
         tape = rng.randrange(arity)
         infinite = au.project(a, tape, infinite=True)
@@ -546,6 +565,22 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         assert language(out, n) == expect
     # complement is byte-identical to the plain subset x pad-mask construction
     assert au.save_automaton(au.complement(a), "c") == au.save_automaton(reference_complement(a), "c")
+    # insert_tape is byte-identical to its own cylinder construction, and
+    # intersect to the plain pair product on deterministic operands
+    for x in (a, b, c):
+        for pos in range(x.arity + 1):
+            assert au.save_automaton(au.insert_tape(x, pos), "i") == au.save_automaton(reference_insert_tape(x, pos), "i")
+    ma, mb = au.minimize(a), au.minimize(b)
+    assert au.save_automaton(au.intersect(ma, mb), "p") == au.save_automaton(reference_intersect(ma, mb), "p")
+
+
+def _random_partner(rng, alphabet):
+    # a random NFA of arity 1, 2 or 3 over `alphabet`
+    arity = rng.choice([1, 2, 3])
+    if arity == 1:
+        return _random_nfa(rng, n_states=5, alphabet=alphabet)
+    c = _random_nfa2(rng) if arity == 2 else _random_nfa3(rng)
+    return c if alphabet == AB else au.rename_symbols(c, dict(zip(AB, alphabet)))
 
 
 def test_kernel_op_on_loaded_automata_skips_the_validator(monkeypatch):

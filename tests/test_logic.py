@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from wob.logic import (
     define_set,
     eval_sentence,
     implies,
+    load_structure,
     parse_formula,
     rename_apart,
 )
@@ -290,3 +292,23 @@ def test_negation_stops_at_the_state_budget():
         compile_formula(s, parse_formula("(not (rel P x))"), state_budget=budget)
     assert exc.value.n_states == budget + 1
     assert compile_formula(s, parse_formula("(not (rel P x))")).n_states == 16
+
+
+def test_conjunction_is_one_join_without_cylinders(monkeypatch):
+    # `and` runs its operands side by side at their variables' tapes: each
+    # already accepts only domain tuples, so no domain tape is inserted for
+    # the variable an operand lacks
+    s = load_structure(Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest")
+    calls = []
+    for name in ("join", "insert_tape"):
+        def counted(*args, _fn=getattr(au, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(au, name, counted)
+    got = compile_formula(s, parse_formula("(and (rel < x y) (rel < y z))"))
+    assert calls == ["join"]
+    lt = s.relation("<")[1]
+    words = [w for (w,) in au.count_or_enumerate(s.domain, 12)]
+    for x, y, z in itertools.product(words, repeat=3):
+        assert got.accepts(x, y, z) == (lt.accepts(x, y) and lt.accepts(y, z))

@@ -340,7 +340,7 @@ def test_initial_chain_matches_least_of_remaining_loop(name):
 def test_initial_chain_compiles_successor_once(monkeypatch):
     # the successor relation is compiled once; the kernel calls made outside
     # that compile must not grow with the length of the chain
-    calls = dict.fromkeys(("compile_formula", "minimize", "fixed_word", "insert_tape"), 0)
+    calls = dict.fromkeys(("compile_formula", "minimize", "fixed_word", "insert_tape", "join"), 0)
     compiling = [0]
 
     def count(module, name):
@@ -359,7 +359,7 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(rec, "compile_formula")
-    for name in ("minimize", "fixed_word", "insert_tape"):
+    for name in ("minimize", "fixed_word", "insert_tape", "join"):
         count(au, name)
 
     def run(length):
@@ -374,3 +374,4 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["minimize"] <= 2
     assert long["fixed_word"] == 0
     assert long["insert_tape"] == short["insert_tape"]
+    assert long["join"] == short["join"]
