@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Union
 from .errors import BadLevel, EmptyPds, LoadError, WobError
 
 EPSILON = "eps"
+MAX_LEVEL = 100
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,9 @@ class HopdaSpec:
     accepting: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.level < 1:
-            raise BadLevel("automaton level must be >= 1")
+        # the recursive pds operations take a few frames per level
+        if not 1 <= self.level <= MAX_LEVEL:
+            raise BadLevel(f"automaton level must be between 1 and {MAX_LEVEL}")
         if EPSILON in self.input_alphabet:
             raise WobError(f"input letter {EPSILON!r} is reserved")
         if self.bottom not in self.pds_alphabet:

@@ -284,10 +284,15 @@ def show(o: CnfOrdinal) -> str:
     return "+".join(parts)
 
 
+# the recursive arithmetic takes about 3 frames per exponent level
+MAX_EXPONENT_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text.replace(" ", "")
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -330,21 +335,26 @@ class _Parser:
         raise LoadError(f"cannot parse ordinal term at position {self.pos} in {self.text!r}")
 
     def exponent(self) -> CnfOrdinal:
+        self.depth += 1
+        if self.depth > MAX_EXPONENT_DEPTH:
+            raise LoadError(f"exponents nest deeper than {MAX_EXPONENT_DEPTH} at position {self.pos}")
         c = self.peek()
         if c == "{":
             self.take("{")
             e = self.sum()
             self.take("}")
-            return e
-        if c.isdigit():
-            return from_int(self.number())
-        if c == "w":
+        elif c.isdigit():
+            e = from_int(self.number())
+        elif c == "w":
             self.take("w")
+            e = OMEGA
             if self.peek() == "^":
                 self.take("^")
-                return omega_power(self.exponent())
-            return OMEGA
-        raise LoadError(f"cannot parse exponent at position {self.pos} in {self.text!r}")
+                e = omega_power(self.exponent())
+        else:
+            raise LoadError(f"cannot parse exponent at position {self.pos} in {self.text!r}")
+        self.depth -= 1
+        return e
 
     def number(self) -> int:
         start = self.pos

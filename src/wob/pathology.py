@@ -27,14 +27,12 @@ from .errors import IllFormedSystem, PredicateDiverged, WobError
 from .logic import (
     And,
     Exists,
-    Forall,
     Llex,
     Not,
     Or,
     Rel,
     Structure,
     compile_formula,
-    implies,
 )
 from .recognition import minimal_elements
 
@@ -189,7 +187,7 @@ def kreisel_formula():
     """x < y per the defining disjunction, over llex and the pi0 relation."""
     first = And(
         Llex("x", "y"),
-        Forall("z", implies(Llex("z", "x"), Rel(PI0_REL, ("z",)))),
+        Not(Exists("z", And(Llex("z", "x"), Not(Rel(PI0_REL, ("z",)))))),
     )
     second = And(
         Llex("y", "x"),

@@ -16,6 +16,11 @@ element (BadCondensationClass, with a witness element) or by the
 condensation reaching a fixpoint while the order is still infinite
 (DenseFixpoint: all classes are singletons, which no infinite well-order
 allows).
+
+Every certificate is compiled as a set of counterexamples, an existential
+formula with no universal quantifier: a linearity law holds when no
+elements break it, and a level passes when no element has infinitely many
+predecessors within its class.
 """
 
 from __future__ import annotations
@@ -33,16 +38,16 @@ from .logic import (
     Eq,
     ExistsInf,
     Exists,
-    Forall,
     Llex,
     Not,
     Or,
     Rel,
     Structure,
     compile_formula,
+    conj,
     define_set,
+    disj,
     eval_sentence,
-    implies,
 )
 from .ordinals import CnfOrdinal
 
@@ -92,12 +97,11 @@ class OrderPresentation:
 
 @dataclass(frozen=True)
 class BadCondensationClass:
-    witness: tuple
-    reason: str  # "no-least" | "infinite-within-class"
+    witness: tuple  # an element of a class with no least element
 
     def __str__(self):
         w = "".join(self.witness) if all(len(s) == 1 for s in self.witness) else " ".join(self.witness)
-        return f"bad-class witness={w!r} ({self.reason})"
+        return f"bad-class witness={w!r} (no-least)"
 
 
 @dataclass(frozen=True)
@@ -129,20 +133,13 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 # -- linearity guard --------------------------------------------------------
 
 
-_IRREFLEXIVE = Forall("x", Not(Rel(LESS, ("x", "x"))))
-_TRANSITIVE = Forall(
-    "x",
-    Forall(
-        "y",
-        Forall(
-            "z",
-            implies(And(Rel(LESS, ("x", "y")), Rel(LESS, ("y", "z"))), Rel(LESS, ("x", "z"))),
-        ),
-    ),
-)
-_TOTAL = Forall(
-    "x",
-    Forall("y", Or(Rel(LESS, ("x", "y")), Or(Rel(LESS, ("y", "x")), Eq("x", "y")))),
+# each law paired with the sentence "some elements break it"
+_COUNTEREXAMPLES = (
+    ("irreflexivity", Exists("x", Rel(LESS, ("x", "x")))),
+    ("transitivity", Exists("x", Exists("y", Exists("z", conj(
+        Rel(LESS, ("x", "y")), Rel(LESS, ("y", "z")), Not(Rel(LESS, ("x", "z")))))))),
+    ("totality", Exists("x", Exists("y", Not(disj(
+        Rel(LESS, ("x", "y")), Rel(LESS, ("y", "x")), Eq("x", "y")))))),
 )
 
 
@@ -154,14 +151,9 @@ _SUCCESSOR = And(
 
 def check_linear(p: OrderPresentation) -> Optional[str]:
     """None when the relation is a strict linear order, else the failing law."""
-    s = p.structure
-    for name, sentence in (
-        ("irreflexivity", _IRREFLEXIVE),
-        ("transitivity", _TRANSITIVE),
-        ("totality", _TOTAL),
-    ):
-        if not eval_sentence(s, sentence):
-            return name
+    for law, counterexample in _COUNTEREXAMPLES:
+        if eval_sentence(p.structure, counterexample):
+            return law
     return None
 
 
@@ -205,28 +197,19 @@ class AllFiniteOrOmega:
 
 
 def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
-    """Certify that every condensation class has a least element and every
-    element finitely many predecessors within its class; otherwise return a
-    witness element from a failing class."""
+    """Certify that every condensation class has a least element; otherwise
+    return a witness element from a failing class.
+
+    Any two elements of a class have finitely many elements between them,
+    so a class is ordered like a finite set, omega, omega* or Z.  It lacks a
+    least element exactly when it is omega* or Z, that is, exactly when each
+    of its elements has infinitely many predecessors within it; one set of
+    such elements decides the level."""
     s2 = p.with_sim(budget)
-    no_least = Not(
-        Exists(
-            "m",
-            And(
-                Rel(SIM, ("m", "x")),
-                Not(Exists("z", And(Rel(SIM, ("z", "x")), Rel(LESS, ("z", "m"))))),
-            ),
-        )
-    )
-    bad1 = define_set(s2, no_least, "x", state_budget=budget)
-    if not au.is_empty(bad1):
-        witness = au.count_or_enumerate(bad1, 1)[0][0]
-        return BadCondensationClass(witness, "no-least")
     inf_preds = ExistsInf("y", And(Rel(SIM, ("y", "x")), Rel(LESS, ("y", "x"))))
-    bad2 = define_set(s2, inf_preds, "x", state_budget=budget)
-    if not au.is_empty(bad2):
-        witness = au.count_or_enumerate(bad2, 1)[0][0]
-        return BadCondensationClass(witness, "infinite-within-class")
+    bad = define_set(s2, inf_preds, "x", state_budget=budget)
+    if not au.is_empty(bad):
+        return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
     return AllFiniteOrOmega()
 
 

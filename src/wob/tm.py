@@ -766,10 +766,6 @@ def descent_witness(rpi: RpiStructure, ranks: Sequence[int], max_steps: int = 10
         if chain:
             seg = seg[1:]
         chain.extend(seg)
-    rel = rpi.relation
-    for nxt, prev in zip(chain[1:], chain):
-        if not rel.accepts(nxt, prev):
-            raise WobError("descent chain edge not verified")
     return chain
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wob import automata as au  # noqa: E402
+from wob import logic  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob.errors import NotLinear  # noqa: E402
+from wob.logic import And, Eq, Exists, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
 def run_nfa(aut, letters):
@@ -175,3 +177,31 @@ def reference_insert_tape(a, position, track=None):
         return (qa == DRAIN or qa in a.accepting) and (qt == DRAIN or qt in track.accepting)
 
     return au.build(a.arity + 1, a.alphabet, (a.initial, track.initial), acc, moves)
+
+
+REFERENCE_LAWS = (
+    ("irreflexivity", Forall("x", Not(Rel("<", ("x", "x"))))),
+    (
+        "transitivity",
+        Forall("x", Forall("y", Forall("z", implies(
+            And(Rel("<", ("x", "y")), Rel("<", ("y", "z"))), Rel("<", ("x", "z")))))),
+    ),
+    ("totality", Forall("x", Forall("y", Or(Rel("<", ("x", "y")), Or(Rel("<", ("y", "x")), Eq("x", "y")))))),
+)
+
+
+def reference_check_linear(p):
+    """`check_linear` by the universal laws: the first law whose sentence is
+    false."""
+    for law, sentence in REFERENCE_LAWS:
+        if not logic.eval_sentence(p.structure, sentence):
+            return law
+    return None
+
+
+# x lies in a condensation class with no least element: no m ~ x has no
+# z ~ x below it
+REFERENCE_NO_LEAST = Not(Exists("m", And(
+    Rel("~", ("m", "x")),
+    Not(Exists("z", And(Rel("~", ("z", "x")), Rel("<", ("z", "m"))))),
+)))

@@ -285,3 +285,26 @@ def test_ord_fs_non_integer_is_usage_error(capsys):
 def test_fgh_non_finite_budget_is_usage_error(argv, capsys):
     assert main(argv) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "cmp", "w^" * 1000 + "2", "w"],
+    ["ord", "cmp", "w^{" * 330 + "2" + "}" * 330, "w"],
+    ["fgh", "eval", "--alpha", "w^" * 1000 + "2", "--x", "2"],
+])
+def test_deep_ordinal_is_malformed_input(argv, capsys):
+    assert main(argv) == 4
+    assert "nest deeper than 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tower", ["w^" * 100 + "2", "w^{" * 100 + "2" + "}" * 100])
+def test_hundred_level_tower_still_compares(tower, capsys):
+    assert run_cli(["ord", "cmp", tower, "w"], capsys) == (0, "greater\n")
+
+
+def test_deep_hopda_level_is_malformed_input(tmp_path, capsys):
+    anbn = Path(__file__).resolve().parent.parent / "corpus" / "machines" / "anbn.hopda"
+    deep = tmp_path / "deep.hopda"
+    deep.write_text(anbn.read_text().replace("level 1\n", "level 1500\n"))
+    assert main(["hopda", "run", str(deep), "aabb"]) == 4
+    assert "between 1 and 100" in capsys.readouterr().err

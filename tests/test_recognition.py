@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_initial_chain, words_upto
+from conftest import REFERENCE_NO_LEAST, reference_check_linear, reference_initial_chain, words_upto
 from wob import automata as au
 from wob import corpus
 from wob import logic
@@ -375,3 +375,87 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["fixed_word"] == 0
     assert long["insert_tape"] == short["insert_tape"]
     assert long["join"] == short["join"]
+
+
+def _llex_or_equal():
+    alphabet = ("0", "1")
+    rel = au.union(au.llex_automaton(alphabet), au.diagonal(alphabet))
+    return Structure(name="llex_or_equal", domain=au.universe(alphabet, 1), relations={"<": (2, rel)})
+
+
+def _two_cycle():
+    # eps < a < eps
+    alphabet = ("a",)
+    cyc = au.automaton(2, alphabet, 3, 0, {1, 2}, [(0, (au.PAD, "a"), 1), (0, ("a", au.PAD), 2)])
+    return Structure(name="cyc", domain=corpus.star_lang(alphabet, "a"), relations={"<": (2, cyc)})
+
+
+def _strict_prefix():
+    alphabet = ("0", "1")
+
+    def step(v, letter):
+        x, y = letter
+        if v == 0:
+            if x == au.PAD and y != au.PAD:
+                return 1
+            return 0 if x == y else None
+        return 1 if x == au.PAD else None
+
+    rel = au.letter_dfa(alphabet, 2, 0, step, lambda v: v == 1)
+    return Structure(name="prefix", domain=au.universe(alphabet, 1), relations={"<": (2, rel)})
+
+
+NON_LINEAR = {
+    "llex_or_equal": (_llex_or_equal, "irreflexivity"),
+    "two_cycle": (_two_cycle, "transitivity"),
+    "prefix": (_strict_prefix, "totality"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES) + sorted(NON_LINEAR))
+def test_check_linear_matches_universal_laws(name):
+    # a counterexample sentence is true exactly when its universal law is false
+    if name in NON_LINEAR:
+        make, want = NON_LINEAR[name]
+        p = OrderPresentation(make())
+    else:
+        make, arg = CHAIN_CASES[name]
+        p, want = OrderPresentation(make(arg)), None
+    assert check_linear(p) == reference_check_linear(p) == want
+
+
+def test_check_linear_negates_no_ternary_relation(monkeypatch):
+    firsts = []
+    original = au.difference
+
+    def recording(a, b, *args, **kwargs):
+        firsts.append(a.arity)
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(au, "difference", recording)
+    assert check_linear(OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))) is None
+    assert firsts and 3 not in firsts
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
+    # a class lacks a least element exactly when each of its elements has
+    # infinitely many predecessors in it, so the one set classify_classes
+    # compiles is, after minimization, the no-least set itself
+    make, arg = CHAIN_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    sets = []
+    original = rec.define_set
+
+    def recording(*args, **kwargs):
+        sets.append(original(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(rec, "define_set", recording)
+    for _level, pres in trace:
+        sets.clear()
+        classify_classes(pres)
+        assert len(sets) == 1
+        no_least = logic.define_set(pres.with_sim(10 ** 6), REFERENCE_NO_LEAST, "x")
+        assert au.save_automaton(sets[0], "bad") == au.save_automaton(no_least, "bad")

@@ -1,7 +1,18 @@
 import importlib.util
+import re
 from pathlib import Path
 
+from wob import corpus
+from wob import ordinals as o
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_build_corpus_reproduces_committed_corpus(tmp_path):
@@ -15,3 +26,34 @@ def test_build_corpus_reproduces_committed_corpus(tmp_path):
     assert got == want
     for rel in want:
         assert (tmp_path / rel).read_bytes() == (committed / rel).read_bytes(), rel
+
+
+def test_recognition_sweep_matches_corpus_expectations(capsys):
+    load_script("recognition_sweep").main()
+    lines = capsys.readouterr().out.splitlines()
+    presentations = corpus.well_order_corpus() + corpus.non_well_order_corpus()
+    assert len(lines) == len(presentations)
+    failure_shapes = {"bad-class": "bad-class witness=", "dense": "dense-fixpoint level="}
+    for line, p in zip(lines, presentations):
+        # the trailing timing column varies from run to run
+        m = re.fullmatch(r"(\S+) +(.*?) +levels=\d+ +\d+\.\d\ds", line)
+        assert m, line
+        name, verdict = m.groups()
+        assert name == p.name
+        if p.expected_cnf is not None:
+            assert verdict == f"well-order {o.show(p.expected_cnf)}"
+        else:
+            assert verdict.startswith(f"not-well-order {failure_shapes[p.expected_failure]}"), line
+
+
+def test_domination_report_lines(capsys):
+    load_script("domination_report").main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["bachmann[standard] on w^2: ok", "bachmann[shifted] on w^2: ok"]
+    rows = lines[2:-1]
+    assert len(rows) == 9  # alpha in {1, 2} against every larger listed beta
+    for row in rows:
+        head, points = row.split(": ", 1)
+        assert re.fullmatch(r"F\[std\]_\S+ vs F\[shifted\]_\S+", head), row
+        assert points == "x=3:lt x=4:lt x=5:lt x=6:lt", row
+    assert lines[-1].startswith("note: pointwise samples only")
