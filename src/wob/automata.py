@@ -129,22 +129,23 @@ class Automaton:
         self._check_padding()
 
     def _check_padding(self):
-        # Product with the pad-mask automaton: once tape i pads, it pads forever.
-        seen = {(self.initial, (False,) * self.arity)}
-        stack = [(self.initial, (False,) * self.arity)]
+        # Once tape i pads, it pads forever.  The tapes padded after a letter
+        # are that letter's own pad set, so each letter leaving a reachable
+        # state must pad every tape that some letter entering it pads.
         delta = self._delta
-        while stack:
-            q, mask = stack.pop()
+        entering: dict = {}
+        for q in self._reachable:
             for letter, targets in delta.get(q, {}).items():
-                if any(m and s != PAD for m, s in zip(mask, letter)):
+                if PAD in letter:
+                    mask = _pad_mask(letter)
+                    for r in targets:
+                        entering[r] = entering.get(r, 0) | mask
+        for q, padded in entering.items():
+            for letter in delta.get(q, ()):
+                if padded & ~_pad_mask(letter):
                     raise InvalidAutomaton(
                         f"padding invariant violated at state {q} on letter {letter!r}"
                     )
-                new_mask = tuple(s == PAD for s in letter)
-                for r in targets:
-                    if (r, new_mask) not in seen:
-                        seen.add((r, new_mask))
-                        stack.append((r, new_mask))
 
     # -- cached structure ------------------------------------------------
 
@@ -214,6 +215,11 @@ class Automaton:
         if all(len(w) == 0 for w in ws):
             return self.initial in self.accepting
         return self.accepts_letters(convolve(ws))
+
+
+def _pad_mask(letter) -> int:
+    """The tapes a letter pads, as a bit set."""
+    return sum(1 << i for i, s in enumerate(letter) if s == PAD)
 
 
 def _search(seeds, succs: dict) -> frozenset:
@@ -716,7 +722,7 @@ def _require_tape(a: Automaton, tape: int):
         raise CannotProject(f"tape {tape} out of range for arity {a.arity}")
 
 
-def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
+def project(a: Automaton, tape: int, infinite: bool = False, max_states=None) -> Automaton:
     """Existential projection: drop the given tape and re-normalize padding.
 
     With `infinite`, a tuple is kept only when infinitely many words on the
@@ -765,10 +771,10 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
             for r in targets:
                 yield rest, r
 
-    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves)
+    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves, max_states)
 
 
-def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
+def permute_tapes(a: Automaton, perm: Sequence[int], max_states=None) -> Automaton:
     """Reorder tapes: new tape i carries old tape perm[i]."""
     if sorted(perm) != list(range(a.arity)):
         raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
@@ -779,7 +785,7 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
             for r in targets:
                 yield moved, r
 
-    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
+    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves, max_states)
 
 
 def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) -> Automaton:
@@ -850,42 +856,26 @@ def llex_automaton(alphabet) -> Automaton:
     Shorter words come first; equal lengths compare by the declared symbol
     order.  This is the built-in `llex` relation.
     """
-    alphabet = tuple(alphabet)
     idx = {s: i for i, s in enumerate(alphabet)}
-    EQ, LT, GT, XS, YS = range(5)
+    EQ, LT, GT, XS, YS = range(5)  # XS, YS: tape 0 or tape 1 has ended
 
-    def moves(state):
-        for x in alphabet:
-            for y in alphabet:
-                if state in (EQ, LT, GT):
-                    if state == EQ:
-                        nxt = EQ if x == y else (LT if idx[x] < idx[y] else GT)
-                    else:
-                        nxt = state
-                    yield (x, y), nxt
-        if state in (EQ, LT, GT, XS):
-            for y in alphabet:
-                yield (PAD, y), XS
-        if state in (EQ, LT, GT, YS):
-            for x in alphabet:
-                yield (x, PAD), YS
+    def step(v, letter):
+        x, y = letter
+        if x == PAD:
+            return XS
+        if y == PAD:
+            return YS
+        if v == EQ and x != y:
+            return LT if idx[x] < idx[y] else GT
+        return v
 
-    return build(2, alphabet, EQ, lambda s: s in (LT, XS), moves)
+    return letter_dfa(alphabet, 2, EQ, step, lambda v: v in (LT, XS))
 
 
 def shorter_automaton(alphabet) -> Automaton:
     """|x| < |y| on tape 0 vs tape 1."""
-    alphabet = tuple(alphabet)
-
-    def moves(s):
-        if s == 0:
-            for x in alphabet:
-                for y in alphabet:
-                    yield (x, y), 0
-        for y in alphabet:
-            yield (PAD, y), 1
-
-    return build(2, alphabet, 0, lambda s: s == 1, moves)
+    # state 1 once tape 0 has ended; tape 1 may not end first
+    return letter_dfa(alphabet, 2, 0, lambda v, l: 1 if l[0] == PAD else (None if l[1] == PAD else 0), lambda v: v == 1)
 
 
 def fixed_word(alphabet, word) -> Automaton:

@@ -31,6 +31,9 @@ DEFAULT_STATE_BUDGET = 10 ** 6
 
 LLEX = "llex"
 
+# the parser and the compiler recurse once per level of nesting
+MAX_FORMULA_DEPTH = 100
+
 
 # -- formulas --------------------------------------------------------------
 
@@ -146,15 +149,17 @@ def _tokenize(text: str):
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def _read(tokens, pos):
+def _read(tokens, pos, depth=1):
     if pos >= len(tokens):
         raise LoadError("unexpected end of formula")
     tok = tokens[pos]
     if tok == "(":
+        if depth > MAX_FORMULA_DEPTH:
+            raise LoadError(f"formula parentheses nest deeper than {MAX_FORMULA_DEPTH}")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise LoadError("missing closing parenthesis")
@@ -219,44 +224,7 @@ def parse_formula(text: str) -> Formula:
     sexp, pos = _read(tokens, 0)
     if pos != len(tokens):
         raise LoadError("trailing input after formula")
-    return rename_apart(_to_formula(sexp))
-
-
-def rename_apart(f: Formula) -> Formula:
-    """Rename bound variables so no variable is quantified twice on a branch
-    and no bound variable shadows a free one."""
-    free = f.free_vars()
-    counter = [0]
-
-    def fresh(name):
-        counter[0] += 1
-        return f"{name}~{counter[0]}"
-
-    def walk(g, env, bound):
-        if isinstance(g, Rel):
-            return Rel(g.name, tuple(env.get(v, v) for v in g.vars))
-        if isinstance(g, Eq):
-            return Eq(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, Llex):
-            return Llex(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, Not):
-            return Not(walk(g.body, env, bound))
-        if isinstance(g, (And, Or)):
-            return type(g)(walk(g.left, env, bound), walk(g.right, env, bound))
-        if isinstance(g, (Exists, Forall, ExistsInf)):
-            v = g.var
-            if v in free or v in bound:
-                v2 = fresh(v)
-                while v2 in free or v2 in bound:
-                    v2 = fresh(v)
-            else:
-                v2 = v
-            env2 = dict(env)
-            env2[g.var] = v2
-            return type(g)(v2, walk(g.body, env2, bound | {v2}))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f, {}, set())
+    return _to_formula(sexp)
 
 
 # -- structures -------------------------------------------------------------
@@ -305,6 +273,10 @@ class Structure:
         return cube
 
     @cached_property
+    def eq(self) -> Automaton:
+        return au.intersect(au.diagonal(self.domain.alphabet), self.domain_cube(2))
+
+    @cached_property
     def llex(self) -> Automaton:
         base = au.llex_automaton(self.domain.alphabet)
         return au.minimize(au.intersect(base, self.domain_cube(2)))
@@ -334,15 +306,7 @@ class Compiler:
         self.s = structure
         self.budget = state_budget
 
-    def _guard(self, aut: Automaton) -> Automaton:
-        if aut.n_states > self.budget:
-            raise au.StateBudgetExceeded(aut.n_states, self.budget)
-        return aut
-
     def compile(self, f: Formula) -> _Result:
-        return self._compile(rename_apart(f))
-
-    def _compile(self, f: Formula) -> _Result:
         if isinstance(f, Rel):
             arity, aut = self.s.relation(f.name)
             if len(f.vars) != arity:
@@ -351,25 +315,24 @@ class Compiler:
                 )
             return self._atom(aut, list(f.vars))
         if isinstance(f, Eq):
-            eq = au.intersect(au.diagonal(self.s.domain.alphabet), self.s.domain_cube(2))
-            return self._atom(eq, [f.left, f.right])
+            return self._atom(self.s.eq, [f.left, f.right])
         if isinstance(f, Llex):
             return self._atom(self.s.llex, [f.left, f.right])
         if isinstance(f, Not):
-            r = self._compile(f.body)
+            r = self.compile(f.body)
             if r.aut is None:
                 return _Result((), None, not r.truth)
             cube = self.s.domain_cube(len(r.vars))
             diff = au.difference(cube, r.aut, max_states=self.budget)
-            return _Result(r.vars, self._guard(au.minimize(diff, max_states=self.budget)))
+            return _Result(r.vars, au.minimize(diff, max_states=self.budget))
         if isinstance(f, (And, Or)):
-            a = self._compile(f.left)
-            b = self._compile(f.right)
+            a = self.compile(f.left)
+            b = self.compile(f.right)
             return self._boolean(a, b, isinstance(f, And))
         if isinstance(f, Forall):
-            return self._compile(Not(Exists(f.var, Not(f.body))))
+            return self.compile(Not(Exists(f.var, Not(f.body))))
         if isinstance(f, (Exists, ExistsInf)):
-            r = self._with_var(self._compile(f.body), f.var)
+            r = self._with_var(self.compile(f.body), f.var)
             return self._project(r, f.var, isinstance(f, ExistsInf))
         raise TypeError(f"not a formula: {f!r}")
 
@@ -389,17 +352,17 @@ class Compiler:
                 break
             i, j = dup
             eq = au.eq_tapes(aut.alphabet, aut.arity, i, j)
-            aut = au.intersect(aut, eq)
-            aut = au.project(aut, j)
+            aut = au.intersect(aut, eq, max_states=self.budget)
+            aut = au.project(aut, j, max_states=self.budget)
             var_list = var_list[:j] + var_list[j + 1 :]
         if len(var_list) == 1:
             # arity-1 atom; still relativize to the domain
-            aut = au.intersect(aut, self.s.domain)
-            return _Result(tuple(var_list), self._guard(aut))
+            aut = au.intersect(aut, self.s.domain, max_states=self.budget)
+            return _Result(tuple(var_list), aut)
         # new tape t carries the old tape holding the t-th smallest variable
         order = sorted(range(len(var_list)), key=lambda i: var_list[i])
-        aut = au.permute_tapes(aut, order)
-        return _Result(tuple(sorted(var_list)), self._guard(aut))
+        aut = au.permute_tapes(aut, order, max_states=self.budget)
+        return _Result(tuple(sorted(var_list)), aut)
 
     def _align(self, r: _Result, target_vars: tuple) -> Automaton:
         """r's automaton over `target_vars`: one join with the domain cube of
@@ -433,7 +396,7 @@ class Compiler:
             out = au.join(a.aut, a_tapes, b.aut, b_tapes, max_states=self.budget)
         else:
             out = au.union(self._align(a, target), self._align(b, target), max_states=self.budget)
-        return _Result(target, self._guard(out))
+        return _Result(target, out)
 
     def _with_var(self, r: _Result, var: str) -> _Result:
         """Ensure `var` appears among r's tapes (insert a domain tape if not)."""
@@ -453,7 +416,7 @@ class Compiler:
             truth = au.is_infinite(r.aut) if infinite else not au.is_empty(r.aut)
             return _Result((), None, truth)
         rest = r.vars[:t] + r.vars[t + 1 :]
-        return _Result(rest, self._guard(au.project(r.aut, t, infinite=infinite)))
+        return _Result(rest, au.project(r.aut, t, infinite=infinite, max_states=self.budget))
 
 
 def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:

@@ -214,12 +214,14 @@ def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
 
 
 def _top_class_size(p: OrderPresentation, budget: int):
-    """Size of the topmost condensation class when finite, else 0."""
-    s2 = p.with_sim(budget)
-    in_top = Not(Exists("y", And(Rel(LESS, ("x", "y")), Not(Rel(SIM, ("x", "y"))))))
-    top = define_set(s2, in_top, "x", state_budget=budget)
-    if au.is_empty(top) or au.is_infinite(top):
-        return 0
+    """Size of the topmost condensation class when finite, else 0.
+
+    Called when every class is finite or omega.  An element of a lower
+    class has infinitely many elements above it (the rest of its omega
+    class, or those between it and a higher class), so the elements with
+    finitely many above are exactly a finite top class, and none otherwise."""
+    in_top = Not(ExistsInf("y", Rel(LESS, ("x", "y"))))
+    top = define_set(p.structure, in_top, "x", state_budget=budget)
     members = au.count_or_enumerate(top, TOP_CLASS_CAP + 1)
     if len(members) > TOP_CLASS_CAP:
         raise StateBudgetExceeded(len(members), TOP_CLASS_CAP)

@@ -82,6 +82,27 @@ def reference_complement(aut):
     return au.build(aut.arity, aut.alphabet, start, lambda key: not (key[0] & aut.accepting), moves)
 
 
+def reference_check_padding(arity, initial, transitions):
+    """The padding invariant by the product with the pad mask: walk the
+    (state, tapes padded so far) pairs reachable from the initial state;
+    False when a letter reads a symbol on a tape that has already padded."""
+    delta = {}
+    for (q, letter, r) in transitions:
+        delta.setdefault(q, []).append((tuple(letter), r))
+    start = (initial, (False,) * arity)
+    seen, stack = {start}, [start]
+    while stack:
+        q, mask = stack.pop()
+        for letter, r in delta.get(q, ()):
+            if any(m and s != "#" for m, s in zip(mask, letter)):
+                return False
+            key = (r, tuple(s == "#" for s in letter))
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return True
+
+
 def reference_section(rel, tape, word):
     """`section` by the plain construction: intersect the relation with the
     cylinder of `fixed_word` (a free tape inserted for every other tape of
@@ -205,3 +226,14 @@ REFERENCE_NO_LEAST = Not(Exists("m", And(
     Rel("~", ("m", "x")),
     Not(Exists("z", And(Rel("~", ("z", "x")), Rel("<", ("z", "m"))))),
 )))
+
+
+def reference_top_class_size(p):
+    """`_top_class_size` by the condensation: the class of the elements
+    with nothing above them outside their own class, counted when it is
+    nonempty and finite."""
+    in_top = Not(Exists("y", And(Rel("<", ("x", "y")), Not(Rel("~", ("x", "y"))))))
+    top = logic.define_set(p.with_sim(10 ** 6), in_top, "x")
+    if au.is_empty(top) or au.is_infinite(top):
+        return 0
+    return len(au.count_or_enumerate(top, 10 ** 5))

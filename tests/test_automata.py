@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     conv,
     language,
+    reference_check_padding,
     reference_complement,
     reference_insert_tape,
     reference_intersect,
@@ -63,6 +64,22 @@ def test_padding_invariant_rejected_at_construction():
             2, ("a",), 2, 0, {1},
             [(0, ("#", "a"), 1), (1, ("a", "a"), 1)],
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_padding_check_matches_pad_mask_product(data):
+    # letters may pad any tape, so many draws break the invariant
+    arity = data.draw(st.integers(1, 3))
+    n_states = data.draw(st.integers(1, 4))
+    letters = [l for l in itertools.product(AB + ("#",), repeat=arity) if any(s != "#" for s in l)]
+    edge = st.tuples(st.integers(0, n_states - 1), st.sampled_from(letters), st.integers(0, n_states - 1))
+    trans = data.draw(st.lists(edge, max_size=10))
+    if reference_check_padding(arity, 0, trans):
+        au.automaton(arity, AB, n_states, 0, {0}, trans)
+    else:
+        with pytest.raises(InvalidAutomaton, match="padding invariant violated at state"):
+            au.automaton(arity, AB, n_states, 0, {0}, trans)
 
 
 def test_all_pad_letter_rejected():

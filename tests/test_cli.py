@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from wob import corpus
+from wob import cli, corpus
 from wob.cli import main
 from wob.logic import save_structure
 
@@ -233,14 +233,34 @@ def test_recognize_trace_output_pinned(name, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECOGNIZE_TRACE_SHA256[name]
 
 
-def test_internal_error_is_not_a_verdict(tmp_path, capsys):
-    # 1,200 nested negations exhaust the recursive parser; the exception
-    # must map to the internal-error code, not to 1 ("false")
+def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
+    # an exception that is not a WobError must map to the internal-error
+    # code, not to 1 ("false")
+    def broken(text):
+        raise RuntimeError("parser bug")
+
+    monkeypatch.setattr(cli, "parse_formula", broken)
     manifest = save_structure(corpus.omega_unary().structure, tmp_path)
-    formula = "(not " * 1200 + "(rel < x x)" + ")" * 1200
-    code, out = run_cli(["query", manifest, formula], capsys)
+    code, out = run_cli(["query", manifest, "(exists x (rel < x x))"], capsys)
     assert code == 5
     assert out == ""
+
+
+def test_deep_formula_is_malformed_input(tmp_path, capsys):
+    manifest = save_structure(corpus.omega_unary().structure, tmp_path)
+    formula = "(not " * 1200 + "(rel < x x)" + ")" * 1200
+    assert main(["query", manifest, formula]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nest deeper than 100" in captured.err
+
+
+@pytest.mark.parametrize("head", ["not", "forall x"])
+def test_hundred_deep_formula_still_evaluates(head, tmp_path, capsys):
+    # 99 nested operators around an atom: 100 levels of parentheses
+    manifest = save_structure(corpus.omega_unary().structure, tmp_path)
+    formula = f"(exists x {f'({head} ' * 98}(rel < x x){')' * 98})"
+    assert run_cli(["query", manifest, formula], capsys) == (1, "false\n")
 
 
 def test_tm_missing_file_is_malformed_input(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from wob.logic import (
     implies,
     load_structure,
     parse_formula,
-    rename_apart,
 )
 
 
@@ -103,7 +103,7 @@ def eval_frag(f, frag, rels, alphabet):
 
     rels = dict(rels)
     rels["__eq"] = (2, lambda x, y: x == y)
-    return rec(rename_apart(f))
+    return rec(f)
 
 
 def compiled_set(s, f, frag):
@@ -251,7 +251,15 @@ def test_empty_domain_rejected():
 # -- oracle equivalence battery (acceptance criterion 1 runs the full set) --
 
 
-from formula_battery import battery_for
+from formula_battery import all_texts, battery_for
+
+# a quantifier reusing a variable that is free, or bound further out
+SHADOWED = [
+    "(and (rel < y x) (exists y (rel < y x)))",
+    "(or (llex x y) (exists x (rel < x y)))",
+    "(exists y (and (rel < y x) (exists y (llex y x))))",
+    "(forall x (exists x (= x x)))",
+]
 
 
 @pytest.mark.parametrize("pres", [corpus.omega_unary(), corpus.omega_times_2(),
@@ -268,13 +276,28 @@ def test_compile_matches_fragment_oracle(pres):
     points = set(fragment(pres, point_len))
     frag = fragment(pres, frag_len)
     rels = {"<": (2, pres.ref_less)}
-    for text in battery_for(pres.name):
+    for text in battery_for(pres.name) + SHADOWED:
         f = parse_formula(text)
         vs, oracle = eval_frag(f, frag, rels, s.domain.alphabet)
         assert vs == tuple(sorted(f.free_vars()))
         oracle = {row for row in oracle if all(w in points for w in row)}
         got = compiled_set(s, f, sorted(points))
         assert got == oracle, f"{pres.name}: {text}"
+
+
+# SHA-256 of the saved automata of `compile_formula` for every corpus
+# manifest (sorted) and every battery formula, concatenated; any change to
+# the compiler's output shows here.
+COMPILED_BATTERY_SHA256 = "c65f679c3a8a0c90055fd5bb2d2bbd0e0ee1ecf8aec743508d175e19174f2db1"
+
+
+def test_compiled_battery_output_pinned():
+    digest = hashlib.sha256()
+    for manifest in sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*/*.manifest")):
+        s = load_structure(manifest)
+        for text in all_texts():
+            digest.update(au.save_automaton(compile_formula(s, parse_formula(text)), "q").encode("utf-8"))
+    assert digest.hexdigest() == COMPILED_BATTERY_SHA256
 
 
 def test_negation_stops_at_the_state_budget():
@@ -292,6 +315,33 @@ def test_negation_stops_at_the_state_budget():
         compile_formula(s, parse_formula("(not (rel P x))"), state_budget=budget)
     assert exc.value.n_states == budget + 1
     assert compile_formula(s, parse_formula("(not (rel P x))")).n_states == 16
+
+
+def test_state_budget_holds_inside_each_construction():
+    # `<` on mixed has 45 states; its tape permutation passes a budget of
+    # 10 during its BFS and reports budget + 1, not the finished size
+    s = load_structure(Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest")
+    assert compile_formula(s, parse_formula("(rel < x y)")).n_states == 45
+    with pytest.raises(au.StateBudgetExceeded) as exc:
+        compile_formula(s, parse_formula("(rel < x y)"), state_budget=10)
+    assert exc.value.n_states == 11
+
+
+def test_equality_atom_built_once(monkeypatch):
+    calls = []
+    original = au.diagonal
+
+    def counted(alphabet):
+        calls.append(alphabet)
+        return original(alphabet)
+
+    monkeypatch.setattr(au, "diagonal", counted)
+    s = corpus.omega_times_2().structure
+    got = compile_formula(s, parse_formula("(or (= x y) (= y x))"))
+    assert len(calls) == 1
+    words = [w for (w,) in au.count_or_enumerate(s.domain, 8)]
+    for x, y in itertools.product(words, repeat=2):
+        assert got.accepts(x, y) == (x == y)
 
 
 def test_conjunction_is_one_join_without_cylinders(monkeypatch):

@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REFERENCE_NO_LEAST, reference_check_linear, reference_initial_chain, words_upto
+from conftest import (
+    REFERENCE_NO_LEAST,
+    reference_check_linear,
+    reference_initial_chain,
+    reference_top_class_size,
+    words_upto,
+)
 from wob import automata as au
 from wob import corpus
 from wob import logic
@@ -59,38 +65,17 @@ def test_check_linear_ok_on_omega():
 
 
 def test_check_linear_two_cycle():
-    alphabet = ("a",)
-    dom = corpus.star_lang(alphabet, "a")
-    # relation with a planted 2-cycle: eps < a < eps
-    cyc = au.automaton(
-        2, alphabet, 3, 0, {1, 2},
-        [(0, (au.PAD, "a"), 1), (0, ("a", au.PAD), 2)],
-    )
-    s = Structure(name="cyc", domain=dom, relations={"<": (2, cyc)})
     # {(eps,a),(a,eps)} violates transitivity (eps<a<eps but not eps<eps)
-    assert check_linear(OrderPresentation(s)) == "transitivity"
+    assert check_linear(OrderPresentation(_two_cycle())) == "transitivity"
 
 
 def test_check_linear_partial_order():
     # prefix order on {0,1}^*: not total (0 and 1 incomparable)
-    alphabet = ("0", "1")
-    dom = au.universe(alphabet, 1)
-
-    def step(v, letter):
-        x, y = letter
-        if v == 0:
-            if x == au.PAD and y != au.PAD:
-                return 1
-            return 0 if x == y else None
-        return 1 if x == au.PAD else None
-
-    strict_prefix = au.letter_dfa(alphabet, 2, 0, step, lambda v: v == 1)
-    s = Structure(name="prefix", domain=dom, relations={"<": (2, strict_prefix)})
-    assert check_linear(OrderPresentation(s)) == "totality"
+    assert check_linear(OrderPresentation(_strict_prefix())) == "totality"
     # brute-force witness: an incomparable pair exists
     pairs = [
         (x, y)
-        for x, y in itertools.product(list(words_upto(alphabet, 3)), repeat=2)
+        for x, y in itertools.product(list(words_upto(("0", "1"), 3)), repeat=2)
         if x != y and x != y[: len(x)] and y != x[: len(y)]
     ]
     assert pairs
@@ -281,21 +266,8 @@ def test_tiny_state_budget_raises():
 
 
 def test_recognize_requires_linear():
-    alphabet = ("0", "1")
-    dom = au.universe(alphabet, 1)
-
-    def step(v, letter):
-        x, y = letter
-        if v == 0:
-            if x == au.PAD and y != au.PAD:
-                return 1
-            return 0 if x == y else None
-        return 1 if x == au.PAD else None
-
-    strict_prefix = au.letter_dfa(alphabet, 2, 0, step, lambda v: v == 1)
-    s = Structure(name="prefix", domain=dom, relations={"<": (2, strict_prefix)})
     with pytest.raises(NotLinear):
-        recognize(OrderPresentation(s))
+        recognize(OrderPresentation(_strict_prefix()))
 
 
 @pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
@@ -459,3 +431,30 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
         assert len(sets) == 1
         no_least = logic.define_set(pres.with_sim(10 ** 6), REFERENCE_NO_LEAST, "x")
         assert au.save_automaton(sets[0], "bad") == au.save_automaton(no_least, "bad")
+
+
+def _ladder(k):
+    return corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}").structure
+
+
+TOP_CLASS_CASES = {**CHAIN_CASES, "ladder4": (_ladder, 4), "ladder5": (_ladder, 5)}
+
+
+@pytest.mark.parametrize("name", sorted(TOP_CLASS_CASES))
+def test_top_class_from_the_order_alone(monkeypatch, name):
+    # where recognize asks for it, every class is finite or omega, so the
+    # elements with finitely many elements above them are the top class when
+    # it is finite and none otherwise: the count needs no condensation
+    make, arg = TOP_CLASS_CASES[name]
+    original = rec._top_class_size
+    levels = []
+    monkeypatch.setattr(rec, "_top_class_size", lambda p, budget: levels.append(p) or original(p, budget))
+    recognize(OrderPresentation(make(arg)))
+    sims = []
+    original_sim = rec.sim_automaton
+    for pres in levels:
+        monkeypatch.setattr(rec, "sim_automaton", lambda *args: sims.append(args) or original_sim(*args))
+        got = original(OrderPresentation(pres.structure), 10 ** 6)
+        monkeypatch.setattr(rec, "sim_automaton", original_sim)
+        assert sims == []
+        assert got == reference_top_class_size(pres)
