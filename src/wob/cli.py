@@ -371,6 +371,9 @@ def _load_machine(spec: str) -> tmmod.TmSpec:
 
 
 def cmd_tm(args) -> int:
+    for flag, value in (("--word-len", args.word_len), ("--run-len", args.run_len)):
+        if value < 0:
+            raise UsageError(f"{flag} must not be negative, got {value}")
     tm = _load_machine(args.machine)
     if args.action == "check-reversible":
         got = tmmod.check_reversible(tm)

@@ -87,34 +87,34 @@ class TmSpec:
         return tuple(tuple(sorted(c)) for c in cells)
 
     @cached_property
-    def column_tokens(self) -> tuple:
-        toks = []
-        for cells in itertools.product(*self.tape_cells):
-            for flags in itertools.product((False, True), repeat=self.tapes):
-                toks.append(column_token(cells, flags))
-        return tuple(sorted(toks))
+    def _token_of(self) -> dict:
+        """(cells, head tapes) -> column token, over every column."""
+        return {
+            (cells, fx): column_token(cells, [i in fx for i in range(self.tapes)])
+            for cells in itertools.product(*self.tape_cells)
+            for fx in _subsets(frozenset(range(self.tapes)))
+        }
 
     @cached_property
     def config_alphabet(self) -> tuple:
-        toks = set(self.states) | set(self.column_tokens)
-        if len(toks) != len(self.states) + len(self.column_tokens):
+        toks = set(self.states) | set(self._token_of.values())
+        if len(toks) != len(self.states) + len(self._token_of):
             raise InvalidTm("state names collide with column tokens")
         return tuple(sorted(toks, key=lambda t: (len(t), t)))
 
     @cached_property
-    def columns(self) -> tuple:
-        """(token, cells, head tapes, marker, content) per column token:
-        marker is True for the all-marker column, False for a marker-free
-        one and None otherwise; content is whether the column carries a head
-        or a non-blank cell."""
-        table = []
-        for tok in self.column_tokens:
-            cells, flags = split_column(tok, self.tapes)
-            fx = frozenset(i for i in range(self.tapes) if flags[i])
-            marker = True if set(cells) == {MARKER} else (None if MARKER in cells else False)
-            content = bool(fx) or any(c != self.blank for c in cells)
-            table.append((tok, cells, fx, marker, content))
-        return tuple(table)
+    def _column_index(self) -> dict:
+        """(first, head tapes, cells under the heads in tape order) ->
+        [(token, cells, content), ...] over the columns a configuration word
+        can hold: the all-marker column first, marker-free ones after it.
+        Content is whether the column carries a head or a non-blank cell."""
+        index = {}
+        for (cells, fx), tok in self._token_of.items():
+            if MARKER not in cells or set(cells) == {MARKER}:
+                key = (MARKER in cells, fx, tuple(cells[i] for i in sorted(fx)))
+                content = bool(fx) or any(c != self.blank for c in cells)
+                index.setdefault(key, []).append((tok, cells, content))
+        return index
 
 
 def column_token(cells, flags) -> str:
@@ -247,15 +247,6 @@ def step_relation_automaton(tm: TmSpec) -> Automaton:
     return au.build(2, tm.config_alphabet, *_step_graph(tm))
 
 
-def _next_columns(tm: TmSpec, seen: frozenset, first: bool):
-    """The columns that may come next in a configuration word whose earlier
-    columns carry the heads in `seen`: no head twice, the marker column
-    first and no marker after it.  Yields (token, cells, heads, content)."""
-    for tok, cells, fx, marker, content in tm.columns:
-        if marker == first and not fx & seen:
-            yield tok, cells, fx, content
-
-
 def _step_graph(tm: TmSpec) -> tuple:
     """The one-step relation as (start, accepting, moves) for `au.build`.
 
@@ -264,41 +255,52 @@ def _step_graph(tm: TmSpec) -> tuple:
     equals the input column with head cells rewritten and head flags moved
     one column left or right.  Flags arriving from the right (an L-move)
     are guessed one column ahead and checked on arrival; a flag moving
-    right past the last column forces one appended blank column.
+    right past the last column forces one appended blank column.  A
+    state's column edges do not depend on its content bits, so they are
+    found once per (transition, seen, carry, guessed, first), by lookups.
     """
     K = tm.tapes
     ALL = frozenset(range(K))
+    index, token_of = tm._column_index, tm._token_of
+    blanks = (tm.blank,) * K
+    start = []
+    for (q, reads), (q2, actions) in tm.transitions.items():
+        l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
+        t = (reads, actions, l_movers)
+        for g0 in _subsets(l_movers):
+            start.append(((q, q2), (t, frozenset(), frozenset(), g0, True, (False, False))))
+    # edge lists by state less its content bits; targets interned to save memory
+    edges, targets = {}, {}
+
+    def column_edges(t, seen, carry, guessed, first):
+        reads, actions, l_movers = t
+        out = []
+        for r_heads in _subsets(ALL - l_movers - seen):
+            fx = guessed | r_heads
+            new_seen = seen | fx
+            guesses = _subsets(l_movers - new_seen)
+            for tok, cells, in_content in index.get((first, fx, tuple(reads[i] for i in sorted(fx))), ()):
+                out_cells = tuple(actions[i][0] if i in fx else cells[i] for i in range(K))
+                for g in guesses:
+                    out_flags = carry | g
+                    target = (t, new_seen, r_heads, g, False, (in_content, bool(out_flags) or out_cells != blanks))
+                    out.append(((tok, token_of[out_cells, out_flags]), targets.setdefault(target, target)))
+        return out
 
     def moves(key):
         if key == ("start",):
-            for (q, reads), (q2, actions) in tm.transitions.items():
-                l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
-                t = (reads, actions, l_movers)
-                for g0 in _subsets(l_movers):
-                    yield (q, q2), (t, frozenset(), frozenset(), g0, True, (False, False))
-            return
+            return start
         if key == ("done",):
-            return
-        t, seen, carry, guessed, first, _content = key
-        reads, actions, l_movers = t
-        for tok, cells, fx, in_content in _next_columns(tm, seen, first):
-            if guessed != frozenset(i for i in fx if actions[i][1] == "L"):
-                continue
-            if any(cells[i] != reads[i] for i in fx):
-                continue
-            out_cells = tuple(actions[i][0] if i in fx else cells[i] for i in range(K))
-            new_seen = seen | fx
-            new_carry = frozenset(i for i in fx if actions[i][1] == "R")
-            for g in _subsets(l_movers - new_seen):
-                out_flags = carry | g
-                out_content = bool(out_flags) or any(c != tm.blank for c in out_cells)
-                ytok = column_token(out_cells, [i in out_flags for i in range(K)])
-                yield (tok, ytok), (t, new_seen, new_carry, g, False, (in_content, out_content))
+            return ()
+        t, seen, carry, guessed, first, content = key
+        out = edges.get(key[:5])
+        if out is None:
+            out = edges[key[:5]] = column_edges(t, seen, carry, guessed, first)
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
-        if seen == ALL and not guessed and carry and not first and _content[0]:
-            extra = column_token((tm.blank,) * K, [i in carry for i in range(K)])
-            yield (PAD, extra), ("done",)
+        if seen == ALL and not guessed and carry and not first and content[0]:
+            return out + [((PAD, token_of[blanks, carry]), ("done",))]
+        return out
 
     def accepting(key):
         if key == ("done",):
@@ -312,11 +314,9 @@ def _step_graph(tm: TmSpec) -> tuple:
     return ("start",), accepting, moves
 
 
-def _subsets(s: frozenset):
+def _subsets(s: frozenset) -> list:
     items = sorted(s)
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield frozenset(combo)
+    return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
 
 
 def _config_graph(tm: TmSpec) -> tuple:
@@ -329,8 +329,10 @@ def _config_graph(tm: TmSpec) -> tuple:
                 yield (q,), (frozenset(), True, False)
             return
         seen, first, _content = key
-        for tok, _cells, fx, content in _next_columns(tm, seen, first):
-            yield (tok,), (seen | fx, False, content)
+        for (marker, fx, _heads), cols in tm._column_index.items():
+            if marker == first and not fx & seen:
+                for tok, _cells, content in cols:
+                    yield (tok,), (seen | fx, False, content)
 
     def accepting(key):
         return key != ("start",) and key[0] == ALL and not key[1] and key[2]
@@ -517,11 +519,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
     """
     K = tm.tapes
     q0 = tm.initial
-    col0 = column_token((MARKER,) * K, (True,) * K)
-
-    def make_col(x_cell, y_cell):
-        cells = [x_cell, y_cell, tm.blank][:K]
-        return column_token(tuple(cells), (False,) * K)
+    col0 = tm._token_of[(MARKER,) * K, frozenset(range(K))]
 
     def moves(key):
         if key == ("q",):
@@ -540,7 +538,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
         x_cell = tm.blank if buf[0] == PAD else buf[0]
         y_opts = (tm.blank,) if ydone else ("0", "1", tm.blank)
         for y_cell in y_opts:
-            tok = make_col(x_cell, y_cell)
+            tok = tm._token_of[(x_cell, y_cell, tm.blank)[:K], frozenset()]
             new_ydone = ydone or y_cell == tm.blank
             new_content = x_cell != tm.blank or y_cell != tm.blank
             for xc in ("0", "1", PAD):
@@ -562,9 +560,7 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
     The y characters inside z run two positions ahead of the word side, so
     the pattern buffers the word characters and compares on arrival.
     """
-    K = tm.tapes
-    ALL = frozenset(range(K))
-    ycomp = 1 if K >= 2 else 0
+    ALL = frozenset(range(tm.tapes))
 
     def moves(key):
         if key == ("q",):
@@ -573,14 +569,15 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
                     yield (q, yc), ("cols", (yc,), frozenset(), True, False)
             return
         _, buf, seen, is_first, _content = key
-        for tok, cells, fx, content in _next_columns(tm, seen, is_first):
-            if not is_first and cells[ycomp] != (tm.blank if buf[0] == PAD else buf[0]):
-                continue
-            for yc in ("0", "1", PAD):
-                if buf[-1] == PAD and yc != PAD:
-                    continue
-                new_buf = (buf + (yc,)) if is_first else (buf[1:] + (yc,))
-                yield (tok, yc), ("cols", new_buf, seen | fx, False, content)
+        want = tm.blank if buf[0] == PAD else buf[0]
+        ycs = (PAD,) if buf[-1] == PAD else ("0", "1", PAD)
+        for (marker, fx, _heads), cols in tm._column_index.items():
+            if marker == is_first and not fx & seen:
+                for tok, cells, content in cols:
+                    if is_first or cells[1] == want:
+                        for yc in ycs:
+                            new_buf = (buf + (yc,)) if is_first else (buf[1:] + (yc,))
+                            yield (tok, yc), ("cols", new_buf, seen | fx, False, content)
 
     def acc(key):
         if key[0] != "cols":
@@ -599,6 +596,8 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
     collision = check_reversible(tm)
     if collision is not None:
         raise NotReversible(collision)
+    if not all({"0", "1"} <= set(cells) for cells in tm.tape_cells[:2]):
+        raise InvalidTm("the input tapes for x and y must hold the binary symbols 0 and 1")
     alphabet = _rpi_alphabet(tm)
     rel = au.build(2, alphabet, *_tagged([
         ((CONF_TAG, CONF_TAG), _step_graph(tm)),

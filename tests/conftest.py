@@ -7,6 +7,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from wob import automata as au  # noqa: E402
 from wob import logic  # noqa: E402
 from wob import recognition as rec  # noqa: E402
+from wob import tm as T  # noqa: E402
 from wob.errors import NotLinear  # noqa: E402
 from wob.logic import And, Eq, Exists, Forall, Not, Or, Rel, implies  # noqa: E402
 
@@ -237,3 +238,73 @@ def reference_top_class_size(p):
     if au.is_empty(top) or au.is_infinite(top):
         return 0
     return len(au.count_or_enumerate(top, 10 ** 5))
+
+
+def reference_step_graph(tm):
+    """`tm._step_graph` before the column index: each state rescans every
+    column token, re-enumerates the guessed subsets and joins each output
+    token.  `_next_columns` reads a column table built here, as
+    `TmSpec.columns` built it."""
+    K = tm.tapes
+    ALL = frozenset(range(K))
+    PAD = au.PAD
+    columns = []
+    for tok in sorted(set(tm.config_alphabet) - set(tm.states)):
+        cells, flags = T.split_column(tok, K)
+        fx = frozenset(i for i in range(K) if flags[i])
+        marker = True if set(cells) == {T.MARKER} else (None if T.MARKER in cells else False)
+        content = bool(fx) or any(c != tm.blank for c in cells)
+        columns.append((tok, cells, fx, marker, content))
+
+    def _next_columns(tm, seen, first):
+        for tok, cells, fx, marker, content in columns:
+            if marker == first and not fx & seen:
+                yield tok, cells, fx, content
+
+    def _subsets(s):
+        items = sorted(s)
+        for r in range(len(items) + 1):
+            for combo in itertools.combinations(items, r):
+                yield frozenset(combo)
+
+    def moves(key):
+        if key == ("start",):
+            for (q, reads), (q2, actions) in tm.transitions.items():
+                l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
+                t = (reads, actions, l_movers)
+                for g0 in _subsets(l_movers):
+                    yield (q, q2), (t, frozenset(), frozenset(), g0, True, (False, False))
+            return
+        if key == ("done",):
+            return
+        t, seen, carry, guessed, first, _content = key
+        reads, actions, l_movers = t
+        for tok, cells, fx, in_content in _next_columns(tm, seen, first):
+            if guessed != frozenset(i for i in fx if actions[i][1] == "L"):
+                continue
+            if any(cells[i] != reads[i] for i in fx):
+                continue
+            out_cells = tuple(actions[i][0] if i in fx else cells[i] for i in range(K))
+            new_seen = seen | fx
+            new_carry = frozenset(i for i in fx if actions[i][1] == "R")
+            for g in _subsets(l_movers - new_seen):
+                out_flags = carry | g
+                out_content = bool(out_flags) or any(c != tm.blank for c in out_cells)
+                ytok = T.column_token(out_cells, [i in out_flags for i in range(K)])
+                yield (tok, ytok), (t, new_seen, new_carry, g, False, (in_content, out_content))
+        # input exhausted while a head still moves right past the end; the
+        # appended column carries a head, so the output stays canonical
+        if seen == ALL and not guessed and carry and not first and _content[0]:
+            extra = T.column_token((tm.blank,) * K, [i in carry for i in range(K)])
+            yield (PAD, extra), ("done",)
+
+    def accepting(key):
+        if key == ("done",):
+            return True
+        if key == ("start",):
+            return False
+        t, seen, carry, guessed, first, content = key
+        # both sides must end in a contentful column (canonical configurations)
+        return seen == ALL and not carry and not guessed and not first and all(content)
+
+    return ("start",), accepting, moves

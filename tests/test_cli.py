@@ -154,6 +154,17 @@ def test_tm_wf_check(capsys):
     assert out.startswith("wf-check ok")
 
 
+@pytest.mark.parametrize("flag", ["--word-len", "--run-len"])
+def test_tm_negative_length_is_usage_error(flag, capsys):
+    assert main(["tm", "wf-check", "builtin:comparator", flag, "-1"]) == 2
+    assert f"{flag} must not be negative" in capsys.readouterr().err
+
+
+def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):
+    assert main(["tm", "build-rpi", "builtin:copy"]) == 4
+    assert "binary symbols 0 and 1" in capsys.readouterr().err
+
+
 def test_hopda_run(capsys):
     assert run_cli(["hopda", "run", "builtin:anbn", "aabb"], capsys)[0] == 0
     assert run_cli(["hopda", "run", "builtin:anbn", "aab"], capsys)[0] == 1

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
+from conftest import reference_step_graph
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
@@ -71,21 +73,91 @@ def test_simulator_increment():
         assert cells.count("a") == n + 1
 
 
-def test_step_automaton_exhaustive_against_simulator():
-    # every canonical configuration pair from the bounded universe, exhaustively
-    tm = increment_machine()
+def assert_steps_match_simulator(tm, max_cols) -> int:
+    """Every canonical configuration pair with at most max_cols columns,
+    exhaustively: the step automaton accepts exactly the simulator's steps.
+    Returns how many of the configurations have a successor."""
     aut = step_relation_automaton(tm)
-    universe = all_valid_configs(tm, 4)
+    universe = all_valid_configs(tm, max_cols)
     words = {c: c.serialize() for c in universe}
     serialized = set(map(tuple, words.values()))
     by_word = {tuple(w): c for c, w in words.items()}
+    stepping = 0
     for c in universe:
         expected = step(tm, c)
+        stepping += expected is not None
         for w2 in serialized:
             c2 = by_word[w2]
             want = expected is not None and c2 == expected
             got = aut.accepts_letters(au.convolve([words[c], list(w2)]))
             assert got == want, (c, c2)
+    return stepping
+
+
+def test_step_automaton_exhaustive_against_simulator():
+    assert_steps_match_simulator(increment_machine(), 4)
+
+
+def bounce_machine():
+    """One tape: run right over a's, write b at the blank, walk left to the
+    marker."""
+    M = T.MARKER
+    trans = {
+        ("go", (M,)): ("go", ((M, "R"),)),
+        ("go", ("a",)): ("go", (("a", "R"),)),
+        ("go", ("_",)): ("back", (("b", "L"),)),
+        ("back", ("a",)): ("back", (("a", "L"),)),
+        ("back", (M,)): ("done", ((M, "R"),)),
+    }
+    return T.TmSpec(name="bounce", tapes=1, blank="_", states=("go", "back", "done"),
+                    accepting=frozenset({"done"}), transitions=trans)
+
+
+def split_machine():
+    """Two tapes: both heads run right over the a's of tape 1, then head 1
+    walks back to the marker while head 2 keeps going right, writing b's;
+    the turn and the walk move one head L and the other R in one step."""
+    M = T.MARKER
+    trans = {
+        ("go", (M, M)): ("go", ((M, "R"), (M, "R"))),
+        ("go", ("a", "_")): ("go", (("a", "R"), ("_", "R"))),
+        ("go", ("_", "_")): ("back", (("_", "L"), ("_", "R"))),
+        ("back", ("a", "_")): ("back", (("a", "L"), ("b", "R"))),
+        ("back", (M, "_")): ("done", ((M, "R"), ("_", "R"))),
+    }
+    return T.TmSpec(name="split", tapes=2, blank="_", states=("go", "back", "done"),
+                    accepting=frozenset({"done"}), transitions=trans)
+
+
+def test_step_automaton_exhaustive_on_a_left_mover():
+    tm = bounce_machine()
+    assert len(all_valid_configs(tm, 4)) == 324
+    assert assert_steps_match_simulator(tm, 4) == 135
+
+
+def test_step_automaton_exhaustive_on_opposite_moves():
+    tm = split_machine()
+    assert len(all_valid_configs(tm, 3)) == 432
+    assert assert_steps_match_simulator(tm, 3) == 80
+
+
+def _step_oracle_machines():
+    """The bundled machines, the two left movers and every corpus machine,
+    each distinct spec once (the corpus files are saved bundled machines)."""
+    machines_dir = Path(__file__).resolve().parent.parent / "corpus" / "machines"
+    corpus_tms = [parse_tm(p.read_text(encoding="utf-8")) for p in sorted(machines_dir.glob("*.tm"))]
+    machines = {}
+    for tm in [increment_machine(), copy_machine(), kreisel_comparator(False), kreisel_comparator(True),
+               bounce_machine(), split_machine(), *corpus_tms]:
+        machines.setdefault(save_tm(tm), tm)
+    return list(machines.values())
+
+
+@pytest.mark.parametrize("tm", _step_oracle_machines(), ids=lambda tm: tm.name)
+def test_step_automaton_matches_reference(tm):
+    got = au.save_automaton(step_relation_automaton(tm), "S")
+    want = au.save_automaton(au.build(2, tm.config_alphabet, *reference_step_graph(tm)), "S")
+    assert got == want
 
 
 def test_step_automaton_rejects_noncanonical_sources():
@@ -285,6 +357,13 @@ def test_planted_cycle_detected():
     frag.edges.extend([(u, v), (v, u)])
     got = bounded_wf_check(rpi, frag)
     assert got is not None and got.kind == "cycle"
+
+
+def test_build_rpi_rejects_non_binary_input_tapes():
+    # copy's tapes hold a and b, so the input edges would need tokens
+    # outside its alphabet
+    with pytest.raises(InvalidTm):
+        build_rpi(copy_machine(), pi_tag="x")
 
 
 def test_build_rpi_rejects_irreversible():
