@@ -4,12 +4,16 @@ Tuples of words are encoded as a single word over letter tuples: tape i
 carries word i, right-padded with the reserved pad symbol ``#`` up to the
 length of the longest word.  An automaton of arity k reads such letter
 tuples.  Every automaton from outside the kernel (`automaton()`, the loader,
-`build`) is checked for the padding invariant (once a tape reads pad it
-reads pad forever, and no letter is all-pad), so each accepting path spells
-a valid convolution.  Kernel operations only recombine letters of checked
+`build`) is validated by `Automaton.__post_init__` in one pass over its
+transitions: state numbers in range, each distinct letter checked once
+(arity, symbols of the alphabet or pad, not all-pad), and the padding
+invariant (once a tape reads pad it reads pad forever) on the states
+reachable from the initial one, so each accepting path spells a valid
+convolution.  Kernel operations only recombine letters of checked
 operands, so their results are not checked again.
 
-Every construction numbers its states by one BFS (`_canonical`).  Running
+Every construction numbers its states by one BFS (`_canonical`), whose
+per-state tables become the result's transition index `_delta`.  Running
 two automata side by side on one convolution is one construction, `join`,
 which maps each side's tapes to result tapes; `intersect` and the
 cylindrification `insert_tape` are tape maps over it.
@@ -116,44 +120,39 @@ class Automaton:
             raise InvalidAutomaton("accepting state out of range")
         if not isinstance(self.transitions, frozenset):
             object.__setattr__(self, "transitions", frozenset(self.transitions))
-        symbols = set(self.alphabet) | {PAD}
+        # One pass: states per transition, each distinct letter once, and the
+        # padding invariant: each letter leaving a state pads every tape that a
+        # letter entering it from a reachable state pads (`leaving`: their AND).
+        symbols, n, full = set(self.alphabet) | {PAD}, self.n_states, (1 << self.arity) - 1
+        reach, masks, entering, leaving = self._reachable, {}, {}, {}
         for (q, letter, r) in self.transitions:
-            if not (0 <= q < self.n_states and 0 <= r < self.n_states):
+            if not (0 <= q < n and 0 <= r < n):
                 raise InvalidAutomaton(f"transition state out of range: {(q, letter, r)}")
-            if len(letter) != self.arity:
-                raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
-            if any(s not in symbols for s in letter):
-                raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
-            if all(s == PAD for s in letter):
-                raise InvalidAutomaton("all-pad letter is forbidden")
-        self._check_padding()
-
-    def _check_padding(self):
-        # Once tape i pads, it pads forever.  The tapes padded after a letter
-        # are that letter's own pad set, so each letter leaving a reachable
-        # state must pad every tape that some letter entering it pads.
-        delta = self._delta
-        entering: dict = {}
-        for q in self._reachable:
-            for letter, targets in delta.get(q, {}).items():
-                if PAD in letter:
-                    mask = _pad_mask(letter)
-                    for r in targets:
-                        entering[r] = entering.get(r, 0) | mask
-        for q, padded in entering.items():
-            for letter in delta.get(q, ()):
-                if padded & ~_pad_mask(letter):
-                    raise InvalidAutomaton(
-                        f"padding invariant violated at state {q} on letter {letter!r}"
-                    )
+            mask = masks.get(letter)
+            if mask is None:
+                if len(letter) != self.arity:
+                    raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
+                if not symbols.issuperset(letter):
+                    raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
+                mask = masks[letter] = _pad_mask(letter)
+                if mask == full:
+                    raise InvalidAutomaton("all-pad letter is forbidden")
+            if mask and q in reach:
+                entering[r] = entering.get(r, 0) | mask
+            leaving[q] = leaving.get(q, full) & mask
+        bad = [q for q, padded in entering.items() if padded & ~leaving.get(q, full)]
+        if bad:
+            q = min(bad)
+            letter = min(l for (p, l, _r) in self.transitions if p == q and entering[q] & ~masks[l])
+            raise InvalidAutomaton(f"padding invariant violated at state {q} on letter {letter!r}")
 
     # -- cached structure ------------------------------------------------
 
     @cached_property
     def _delta(self) -> dict:
-        # built in sorted transition order, with tuple targets, so downstream
-        # constructions number their states identically in every process
-        # (string hashes vary per interpreter run)
+        # in sorted transition order (as `_canonical` fills it), with tuple
+        # targets, so downstream constructions number their states the same
+        # in every process (string hashes vary per interpreter run)
         d: dict = {}
         for (q, letter, r) in sorted(self.transitions):
             d.setdefault(q, {}).setdefault(letter, []).append(r)
@@ -170,16 +169,10 @@ class Automaton:
 
     @cached_property
     def _reachable(self) -> frozenset:
-        seen = {self.initial}
-        stack = [self.initial]
-        while stack:
-            q = stack.pop()
-            for targets in self._delta.get(q, {}).values():
-                for r in targets:
-                    if r not in seen:
-                        seen.add(r)
-                        stack.append(r)
-        return frozenset(seen)
+        succ: dict = {}
+        for (q, _letter, r) in self.transitions:
+            succ.setdefault(q, set()).add(r)
+        return _search({self.initial}, succ)
 
     @cached_property
     def _coreachable(self) -> frozenset:
@@ -195,26 +188,25 @@ class Automaton:
     # -- running ----------------------------------------------------------
 
     def accepts_letters(self, letters: Iterable[Letter]) -> bool:
-        current = {self.initial}
+        delta, current = self._delta, (self.initial,)
         for letter in letters:
-            nxt = set()
-            for q in current:
-                nxt.update(self._delta.get(q, {}).get(tuple(letter), ()))
-            if not nxt:
+            letter = tuple(letter)
+            if len(current) == 1:  # a deterministic step needs no set
+                current = delta.get(current[0], {}).get(letter, ())
+            else:
+                current = tuple({r for q in current for r in delta.get(q, {}).get(letter, ())})
+            if not current:
                 return False
-            current = nxt
-        return bool(current & self.accepting)
+        return not self.accepting.isdisjoint(current)
 
     def accepts(self, *words) -> bool:
         """Membership of a word tuple (one word per tape)."""
         if len(words) != self.arity:
             raise ArityMismatch(f"expected {self.arity} words, got {len(words)}")
         ws = [as_word(w) for w in words]
-        if any(s == PAD for w in ws for s in w):
+        if any(PAD in w for w in ws):
             return False
-        if all(len(w) == 0 for w in ws):
-            return self.initial in self.accepting
-        return self.accepts_letters(convolve(ws))
+        return self.accepts_letters(itertools.zip_longest(*ws, fillvalue=PAD))
 
 
 def _pad_mask(letter) -> int:
@@ -255,22 +247,22 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
     reach acceptance are then dropped, the rest keeping their order: a
     useless state has only useless successors, so each useful state is
     first reached from a useful one, and the numbering is what a BFS over
-    the useful states alone gives.  The result is not validated, so moves
-    written outside the kernel go through `build`.
+    the useful states alone gives.  The BFS's per-state tables become the
+    result's `_delta`, sorted as `Automaton._delta` sorts.  The result is
+    not validated, so moves written outside the kernel go through `build`.
     """
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
+    index[PAD] = -1
 
     def lkey(letter):
-        return tuple(-1 if s == PAD else index[s] for s in letter)
+        return tuple(map(index.__getitem__, letter))
 
     numbering = {initial_key: 0}
     order = [initial_key]
-    transitions = []
-    head = 0
-    while head < len(order):
-        key = order[head]
-        head += 1
+    rows = []  # rows[q]: letter -> its sorted distinct target numbers, letters sorted
+    back = [[]]  # back[r]: the states with a move into r
+    for q, key in enumerate(order):  # grows while it is read
         out = {}
         for letter, target in moves(key):
             out.setdefault(tuple(letter), []).append(target)
@@ -279,20 +271,37 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
                 if target not in numbering:
                     numbering[target] = len(order)
                     order.append(target)
+                    back.append([])
                     if max_states is not None and len(order) > max_states:
                         raise StateBudgetExceeded(len(order), max_states)
-                transitions.append((numbering[key], letter, numbering[target]))
+                back[numbering[target]].append(q)
+        row = {}
+        for letter in sorted(out):
+            rs = tuple(map(numbering.__getitem__, out[letter]))
+            row[letter] = rs if len(rs) == 1 else tuple(sorted(set(rs)))
+        rows.append(row)
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
-    a = _unchecked(arity, alphabet, len(order), 0, accepting, frozenset(transitions))
-    useful = a._coreachable
-    if len(useful) == len(order):
-        return a
+    useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:
         return _unchecked(arity, alphabet, 1, 0, frozenset(), frozenset())
-    new = {q: i for i, q in enumerate(sorted(useful))}
-    accepting = frozenset(new[q] for q in accepting)
-    transitions = frozenset((new[q], l, new[r]) for (q, l, r) in transitions if r in new)
-    return _unchecked(arity, alphabet, len(new), 0, accepting, transitions)
+    if len(useful) < len(rows):  # renumber the useful states, in order
+        new = {q: i for i, q in enumerate(sorted(useful))}
+        accepting = frozenset(new[q] for q in accepting)
+        kept: dict = {}  # targets -> the useful ones renumbered, shared by equal targets
+        for i, q in enumerate(sorted(useful)):
+            row, rows[i] = rows[q], {}  # i <= q: slot i is read or useless
+            for letter, rs in row.items():
+                if rs not in kept:
+                    kept[rs] = tuple(new[r] for r in rs if r in new)
+                if kept[rs]:
+                    rows[i][letter] = kept[rs]
+        del rows[len(new):]
+    delta = {q: row for q, row in enumerate(rows) if row}
+    transitions = frozenset((q, l, r) for q, row in delta.items() for l, rs in row.items() for r in rs)
+    a = _unchecked(arity, alphabet, len(rows), 0, accepting, transitions)
+    every = frozenset(range(len(rows)))  # each state kept is useful
+    a.__dict__.update(_delta=delta, _reachable=every, _coreachable=every)
+    return a
 
 
 def _unchecked(*values) -> Automaton:
@@ -611,10 +620,8 @@ def _enumerate_length(a, layers, length, want):
 def minimize(a: Automaton, max_states=None) -> Automaton:
     """Language-equivalent minimal (partial, trimmed) DFA."""
     d = determinize(a, max_states=max_states)
-    letters = sorted({t[1] for t in d.transitions}, key=d._letter_key)
-    delta = {}
-    for (q, letter, r) in d.transitions:
-        delta[(q, letter)] = r
+    delta = {(q, letter): r for q, out in d._delta.items() for letter, (r,) in out.items()}
+    letters = sorted({letter for _q, letter in delta}, key=d._letter_key)
     # Moore refinement with an implicit dead state (block -1).
     block = {q: (1 if q in d.accepting else 0) for q in range(d.n_states)}
     while True:
@@ -687,15 +694,18 @@ def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
     start = (rel.initial, frozenset({start_tuple}))
     seen = {start}
     stack = [start]
+    image: dict = {}  # (S, letter) -> the domain-state tuples after S reads letter
     while stack:
         q, S = stack.pop()
         for letter, targets in rel._delta.get(q, {}).items():
-            nxt = set()
-            for tup in S:
-                choices = [tape_step(tq, s) for tq, s in zip(tup, letter)]
-                if all(choices):
-                    nxt.update(itertools.product(*choices))
-            S2 = frozenset(nxt)
+            S2 = image.get((S, letter))
+            if S2 is None:
+                nxt = set()
+                for tup in S:
+                    choices = [tape_step(tq, s) for tq, s in zip(tup, letter)]
+                    if all(choices):
+                        nxt.update(itertools.product(*choices))
+                S2 = image[S, letter] = frozenset(nxt)
             for r in targets:
                 key = (r, S2)
                 if key in seen:

@@ -128,18 +128,21 @@ def implies(a: Formula, b: Formula) -> Formula:
     return Or(Not(a), b)
 
 
+def _balanced(op, fs) -> Formula:
+    """`op` over `fs` as a balanced tree, so a long flat connective is not a
+    chain as deep as its length; up to three operands it is that chain."""
+    if len(fs) == 1:
+        return fs[0]
+    mid = (len(fs) + 1) // 2
+    return op(_balanced(op, fs[:mid]), _balanced(op, fs[mid:]))
+
+
 def conj(*fs: Formula) -> Formula:
-    out = fs[0]
-    for f in fs[1:]:
-        out = And(out, f)
-    return out
+    return _balanced(And, fs)
 
 
 def disj(*fs: Formula) -> Formula:
-    out = fs[0]
-    for f in fs[1:]:
-        out = Or(out, f)
-    return out
+    return _balanced(Or, fs)
 
 
 # -- s-expression surface syntax -------------------------------------------
@@ -196,10 +199,7 @@ def _to_formula(sexp) -> Formula:
     if head in ("and", "or"):
         if len(sexp) < 3:
             raise LoadError(f"({head} ...) needs at least two arguments")
-        out = _to_formula(sexp[1])
-        for sub in sexp[2:]:
-            out = (And if head == "and" else Or)(out, _to_formula(sub))
-        return out
+        return _balanced(And if head == "and" else Or, [_to_formula(sub) for sub in sexp[1:]])
     if head in ("implies", "->"):
         _expect_args(sexp, 2)
         return implies(_to_formula(sexp[1]), _to_formula(sexp[2]))

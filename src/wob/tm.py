@@ -616,8 +616,14 @@ def tag_word(x) -> tuple:
     return (WORD_TAG,) + tuple(x)
 
 
-def tag_config(c: Configuration) -> tuple:
-    return (CONF_TAG,) + c.serialize()
+def tag_config(c: Configuration, tm: TmSpec) -> tuple:
+    """(CONF_TAG,) + c.serialize(), reading the headless columns from tm's
+    token table (cells outside tm's cell alphabets are joined as there)."""
+    token_of, none = tm._token_of, frozenset()
+    word = [CONF_TAG, c.state] + [token_of.get((cells, none)) or column_token(cells, [False] * tm.tapes) for cells in c.columns]
+    for j in set(c.heads):
+        word[j + 2] = column_token(c.columns[j], [h == j for h in c.heads])
+    return tuple(word)
 
 
 def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):
@@ -629,7 +635,7 @@ def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):
     if not accepted:
         return None
     rel = rpi.relation
-    path = [tag_word(x)] + [tag_config(c) for c in trace] + [tag_word(y)]
+    path = [tag_word(x)] + [tag_config(c, tm) for c in trace] + [tag_word(y)]
     for u, v in zip(path, path[1:]):
         if not rel.accepts(u, v):
             raise WobError(f"edge not in the relation: {u!r} -> {v!r}")
@@ -681,7 +687,7 @@ def explore_fragment(
     for x in short:
         for y in short:
             trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
-            path = [tag_config(c) for c in trace]
+            path = [tag_config(c, tm) for c in trace]
             configs.update(path)
             edges.add((tag_word(x), path[0]))
             edges.update(zip(path, path[1:]))

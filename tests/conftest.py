@@ -8,7 +8,7 @@ from wob import automata as au  # noqa: E402
 from wob import logic  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
-from wob.errors import NotLinear  # noqa: E402
+from wob.errors import InvalidAutomaton, NotLinear  # noqa: E402
 from wob.logic import And, Eq, Exists, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
@@ -102,6 +102,75 @@ def reference_check_padding(arity, initial, transitions):
                 seen.add(key)
                 stack.append(key)
     return True
+
+
+def reference_delta(transitions):
+    """`Automaton._delta` as it was built before `_canonical` filled it:
+    one sort of every transition, then grouping by state and letter."""
+    d = {}
+    for (q, letter, r) in sorted(transitions):
+        d.setdefault(q, {}).setdefault(letter, []).append(r)
+    return {q: {l: tuple(rs) for l, rs in m.items()} for q, m in d.items()}
+
+
+def assert_delta_is_reference(a):
+    """`a._delta` equals `reference_delta` and iterates in its order, over
+    states and over each state's letters."""
+    want = reference_delta(a.transitions)
+    assert a._delta == want
+    assert list(a._delta) == list(want)
+    assert all(list(a._delta[q]) == list(want[q]) for q in want)
+
+
+def reference_validate(a):
+    """The validator as it was before the one-pass check: the header
+    checks, then every transition's states, arity, symbols and all-pad
+    test, then the padding invariant over `reference_delta` from the
+    states reachable along it.  Raises what the validator raised."""
+    if a.arity < 1:
+        raise InvalidAutomaton("arity must be >= 1")
+    for s in a.alphabet:
+        au.check_symbol(s)
+    if len(set(a.alphabet)) != len(a.alphabet):
+        raise InvalidAutomaton("duplicate symbols in alphabet")
+    if a.n_states < 1:
+        raise InvalidAutomaton("need at least one state")
+    if not (0 <= a.initial < a.n_states):
+        raise InvalidAutomaton("initial state out of range")
+    if not all(0 <= q < a.n_states for q in a.accepting):
+        raise InvalidAutomaton("accepting state out of range")
+    symbols = set(a.alphabet) | {"#"}
+    for (q, letter, r) in a.transitions:
+        if not (0 <= q < a.n_states and 0 <= r < a.n_states):
+            raise InvalidAutomaton(f"transition state out of range: {(q, letter, r)}")
+        if len(letter) != a.arity:
+            raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
+        if any(s not in symbols for s in letter):
+            raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
+        if all(s == "#" for s in letter):
+            raise InvalidAutomaton("all-pad letter is forbidden")
+    delta = reference_delta(a.transitions)
+    reachable, stack = {a.initial}, [a.initial]
+    while stack:
+        for targets in delta.get(stack.pop(), {}).values():
+            for r in targets:
+                if r not in reachable:
+                    reachable.add(r)
+                    stack.append(r)
+
+    def pad_mask(letter):
+        return sum(1 << i for i, s in enumerate(letter) if s == "#")
+
+    entering = {}
+    for q in sorted(reachable):
+        for letter, targets in delta.get(q, {}).items():
+            if "#" in letter:
+                for r in targets:
+                    entering[r] = entering.get(r, 0) | pad_mask(letter)
+    for q, padded in entering.items():
+        for letter in delta.get(q, ()):
+            if padded & ~pad_mask(letter):
+                raise InvalidAutomaton(f"padding invariant violated at state {q} on letter {letter!r}")
 
 
 def reference_section(rel, tape, word):

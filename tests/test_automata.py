@@ -1,12 +1,14 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_delta_is_reference,
     conv,
     language,
     reference_check_padding,
@@ -15,6 +17,7 @@ from conftest import (
     reference_intersect,
     reference_project_inf,
     reference_section,
+    reference_validate,
     run_nfa,
     tuples_upto,
     words_upto,
@@ -626,3 +629,119 @@ def test_build_validates_the_padding_invariant():
 
     with pytest.raises(InvalidAutomaton):
         au.build(2, AB, 0, lambda q: q == 2, moves)
+
+
+def _outcome(make):
+    """None when `make()` returns, else the class of what it raised."""
+    try:
+        make()
+    except Exception as exc:  # the class is what the tests compare
+        return type(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validator_matches_reference_on_build_graphs(data):
+    # move graphs as `build` gets them; a letter may have the wrong arity,
+    # hold the foreign symbol z, be all-pad, or break the padding invariant
+    arity = data.draw(st.integers(1, 3))
+    n_states = data.draw(st.integers(1, 5))
+    size = st.sampled_from([arity] * 6 + [arity + 1] + ([arity - 1] if arity > 1 else []))
+    symbol = st.sampled_from(AB * 4 + ("#",) * 3 + ("z",))
+    letter = size.flatmap(lambda k: st.tuples(*[symbol] * k))
+    move = st.tuples(letter, st.integers(0, n_states - 1))
+    graph = data.draw(st.lists(st.lists(move, max_size=6), min_size=n_states, max_size=n_states))
+    accepting = data.draw(st.frozensets(st.integers(0, n_states - 1)))
+
+    def moves(q):
+        return graph[q]
+
+    got = _outcome(lambda: au.build(arity, AB, 0, accepting.__contains__, moves))
+    want = _outcome(lambda: reference_validate(au._canonical(arity, AB, 0, accepting.__contains__, moves)))
+    assert got == want
+    # the same graph as numbered transitions, unreachable states included
+    trans = [(q, l, r) for q, out in enumerate(graph) for l, r in out]
+    got = _outcome(lambda: au.automaton(arity, AB, n_states, 0, accepting, trans))
+    want = _outcome(lambda: reference_validate(au._unchecked(arity, AB, n_states, 0, accepting, frozenset(trans))))
+    assert got == want
+
+
+def test_validator_rejects_each_kind_of_bad_letter():
+    pad_break = [(0, ("#", "a"), 1), (1, ("a", "a"), 1)]
+    for trans, message in [
+        ([(0, ("a",), 0)], "wrong arity"),
+        ([(0, ("a", "z"), 0)], "outside the alphabet"),
+        ([(0, ("#", "#"), 0)], "all-pad"),
+        ([(0, ("a", "a"), 2)], "out of range"),
+        (pad_break, "padding invariant violated at state 1 on letter ('a', 'a')"),
+    ]:
+        with pytest.raises(InvalidAutomaton, match=re.escape(message)):
+            au.automaton(2, ("a",), 2, 0, {1}, trans)
+        with pytest.raises(InvalidAutomaton):
+            reference_validate(au._unchecked(2, ("a",), 2, 0, frozenset({1}), frozenset(trans)))
+    # a padding break at a state that is not reachable is not a violation
+    au.automaton(2, ("a",), 3, 0, {0}, [(1, ("#", "a"), 2), (2, ("a", "a"), 2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_delta_is_the_sorted_build(data):
+    # NFA move graphs with repeated moves and targets in any order; many
+    # states cannot reach acceptance, so the last step often trims
+    arity = data.draw(st.integers(1, 2))
+    n_states = data.draw(st.integers(1, 6))
+    letters = [l for l in itertools.product(AB + ("#",), repeat=arity) if "#" not in l]
+    move = st.tuples(st.sampled_from(letters), st.integers(0, n_states - 1))
+    graph = data.draw(st.lists(st.lists(move, max_size=8), min_size=n_states, max_size=n_states))
+    accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), max_size=2))
+    a = au._canonical(arity, AB, 0, accepting.__contains__, lambda q: graph[q])
+    assert_delta_is_reference(a)
+    raw = au._unchecked(arity, AB, n_states, 0, accepting, frozenset((q, l, r) for q, out in enumerate(graph) for l, r in out))
+    assert a.n_states == max(1, len(raw.useful_states))
+
+
+def test_canonical_delta_after_trimming_the_last_state():
+    # state 1 (reached first, on a) is dead; 2 and 3 are renumbered 1 and 2
+    graph = {0: [(("b",), 2), (("a",), 1), (("b",), 3)], 1: [(("a",), 1)], 2: [(("a",), 3), (("a",), 2)], 3: []}
+    a = au._canonical(1, AB, 0, {3}.__contains__, lambda q: graph[q])
+    assert (a.n_states, a.accepting) == (3, frozenset({2}))
+    assert a._delta == {0: {("b",): (1, 2)}, 1: {("a",): (1, 2)}}
+    assert_delta_is_reference(a)
+
+
+def test_kernel_results_have_the_sorted_delta():
+    rng = random.Random(20261018)
+    trimmed = 0
+    for _ in range(30):
+        a, b = _random_nfa(rng, n_states=5, alphabet=AB), _random_nfa(rng, n_states=5, alphabet=AB)
+        c, d = _random_nfa2(rng), _random_nfa2(rng)
+        trimmed += bool(a._reachable - a._coreachable)
+        for out in (
+            au.trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), au.determinize(a),
+            au.minimize(a), au.complement(a), au.intersect(c, d), au.difference(c, d), au.project(c, 0),
+            au.project(c, 1, infinite=True), au.permute_tapes(c, [1, 0]), au.insert_tape(a, 1, b),
+            au.join(c, [0, 1], d, [1, 2]), au.section(c, 0, "ab"),
+        ):
+            assert_delta_is_reference(out)
+    assert trimmed >= 5  # `trim(a)` dropped states in these draws
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_cube_check_matches_brute_force(seed, arity):
+    rng = random.Random(seed)
+    domain = _random_nfa(rng, n_states=3, alphabet=AB)
+    rel = {1: lambda: _random_nfa(rng, n_states=4, alphabet=AB), 2: lambda: _random_nfa2(rng), 3: lambda: _random_nfa3(rng)}[arity]()
+    cube = domain
+    for _ in range(arity - 1):
+        cube = au.insert_tape(cube, cube.arity, track=domain)
+    if rng.random() < 0.3:
+        rel = au.intersect(rel, cube)  # inside the cube by construction
+    got = au.is_subset_of_cube(rel, domain)
+    assert got == au.is_subset(rel, cube)
+    # brute force on short words: a tuple of rel with a word outside the domain
+    max_len = {1: 6, 2: 3, 3: 2}[arity]
+    inside = {w for (w,) in language(domain, max_len)}
+    if any(not set(tup) <= inside for tup in language(rel, max_len)):
+        assert got is False

@@ -266,6 +266,19 @@ def test_deep_formula_is_malformed_input(tmp_path, capsys):
     assert "nest deeper than 100" in captured.err
 
 
+@pytest.mark.parametrize("op, last, verdict", [
+    ("and", "(= x x)", (0, "true\n")),
+    ("and", "(not (= x x))", (1, "false\n")),
+    ("or", "(not (= x x))", (0, "true\n")),
+])
+def test_long_flat_connective_evaluates(op, last, verdict, capsys):
+    # 1,200 operands at one parenthesis level: the formula is a balanced
+    # tree, so neither free_vars nor the compiler recurse 1,200 deep
+    manifest = str(Path(__file__).resolve().parent.parent / "corpus" / "omega" / "omega.manifest")
+    formula = f"(exists x ({op} {'(= x x) ' * 1199}{last}))"
+    assert run_cli(["query", manifest, formula], capsys) == verdict
+
+
 @pytest.mark.parametrize("head", ["not", "forall x"])
 def test_hundred_deep_formula_still_evaluates(head, tmp_path, capsys):
     # 99 nested operators around an atom: 100 levels of parentheses

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import reference_step_graph
+from conftest import assert_delta_is_reference, reference_step_graph
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
 from wob.errors import InvalidTm, NotReversible, WobError
+from wob.logic import Structure
 from wob.tm import (
     Configuration,
     build_rpi,
@@ -325,6 +326,36 @@ def test_emb_path_for_all_small_pairs():
                 assert path[0] == tag_word(x) and path[-1] == tag_word(y)
                 found += 1
     assert found == 21  # pairs x <llex y among ranks 0..6
+
+
+def test_rpi_delta_is_the_sorted_build():
+    # `_canonical` fills `_delta` from its BFS; it must be the sorted build,
+    # in the same order at both levels, since downstream numbering reads it
+    rpi = rpi_for(False)
+    assert_delta_is_reference(rpi.relation)
+    assert_delta_is_reference(rpi.domain)
+
+
+def test_rpi_structure_rejects_an_edge_outside_the_domain():
+    # the cube check still runs on the built relation: one extra edge from a
+    # word that is neither a binary word nor a configuration is caught
+    rpi = rpi_for(False)
+    rel, alphabet = rpi.relation, rpi.relation.alphabet
+    outside = au.convolve([(T.WORD_TAG, T.CONF_TAG), (T.WORD_TAG, "0")])
+    edge = au.automaton(2, alphabet, 3, 0, {2}, [(i, letter, i + 1) for i, letter in enumerate(outside)])
+    assert not rpi.domain.accepts((T.WORD_TAG, T.CONF_TAG)) and rpi.domain.accepts((T.WORD_TAG, "0"))
+    with pytest.raises(WobError, match="outside the domain"):
+        Structure(name="rpi_plus_one", domain=rpi.domain, relations={"R": (2, au.union(rel, edge))})
+    Structure(name="rpi", domain=rpi.domain, relations={"R": (2, rel)})
+
+
+def test_tag_config_matches_serialize():
+    tm = kreisel_comparator(False)
+    trace, _ = run(tm, [("1", "0", "1"), ("0", "1"), ()])
+    # a cell outside the machine's cell alphabets is built as `serialize` builds it
+    foreign = Configuration(tm.initial, ((T.MARKER,) * 3, ("7", "0", tm.blank)), (1, 0, 1))
+    for c in trace + [foreign]:
+        assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize()
 
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
