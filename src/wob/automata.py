@@ -266,7 +266,12 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
         out = {}
         for letter, target in moves(key):
             out.setdefault(tuple(letter), []).append(target)
-        for letter in sorted(out, key=lkey):
+        try:
+            letters = sorted(out, key=lkey)
+        except KeyError:  # only a move graph given to `build` can hold a foreign symbol
+            bad = next(letter for letter in out if not index.keys() >= set(letter))
+            raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
+        for letter in letters:
             for target in out[letter]:
                 if target not in numbering:
                     numbering[target] = len(order)
@@ -618,46 +623,37 @@ def _enumerate_length(a, layers, length, want):
 
 
 def minimize(a: Automaton, max_states=None) -> Automaton:
-    """Language-equivalent minimal (partial, trimmed) DFA."""
+    """Language-equivalent minimal (partial, trimmed) DFA.
+
+    Moore refinement: a state's signature is its block, the letters it
+    reads and the blocks of their targets, so two states with different
+    letters differ, as if each missing letter led to a dead state.  Each
+    `_delta` row lists its letters in one sorted order, so equal letter
+    sets line their targets up.
+    """
     d = determinize(a, max_states=max_states)
-    delta = {(q, letter): r for q, out in d._delta.items() for letter, (r,) in out.items()}
-    letters = sorted({letter for _q, letter in delta}, key=d._letter_key)
-    # Moore refinement with an implicit dead state (block -1).
-    block = {q: (1 if q in d.accepting else 0) for q in range(d.n_states)}
+    rows = [d._delta.get(q, {}) for q in range(d.n_states)]
+    shapes: dict = {}
+    shape = [shapes.setdefault(tuple(row), len(shapes)) for row in rows]
+    targets = [[r for (r,) in row.values()] for row in rows]
+    block = [int(q in d.accepting) for q in range(d.n_states)]
+    count = len(set(block))
     while True:
-        signatures = {}
-        for q in range(d.n_states):
-            sig = (block[q],) + tuple(
-                block.get(delta.get((q, letter), -1), -1) for letter in letters
-            )
-            signatures.setdefault(sig, []).append(q)
-        new_block = {}
-        for i, (_sig, qs) in enumerate(sorted(signatures.items())):
-            for q in qs:
-                new_block[q] = i
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
+        ids: dict = {}
+        block = [ids.setdefault((b, s, *map(block.__getitem__, t)), len(ids)) for b, s, t in zip(block, shape, targets)]
+        if len(ids) == count:
             break
-        block = new_block
+        count = len(ids)
 
     reps = {}
-    for q in range(d.n_states):
-        reps.setdefault(block[q], q)
+    for q, b in enumerate(block):
+        reps.setdefault(b, q)
 
     def moves(b):
-        q = reps[b]
-        for letter in letters:
-            r = delta.get((q, letter))
-            if r is not None:
-                yield letter, block[r]
+        for letter, (r,) in rows[reps[b]].items():
+            yield letter, block[r]
 
-    return _canonical(
-        d.arity,
-        d.alphabet,
-        block[d.initial],
-        lambda b: reps[b] in d.accepting,
-        moves,
-    )
+    return _canonical(d.arity, d.alphabet, block[d.initial], lambda b: reps[b] in d.accepting, moves)
 
 
 def same_language(a: Automaton, b: Automaton) -> bool:

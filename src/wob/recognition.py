@@ -17,10 +17,14 @@ condensation reaching a fixpoint while the order is still infinite
 (DenseFixpoint: all classes are singletons, which no infinite well-order
 allows).
 
-Every certificate is compiled as a set of counterexamples, an existential
-formula with no universal quantifier: a linearity law holds when no
-elements break it, and a level passes when no element has infinitely many
-predecessors within its class.
+Each presentation joins its order with itself once, into the interval
+product between(x, z, y) = x<z<y, and reads ~, the successor relation, the
+transitivity check and the bad-class set from it with kernel operations:
+infinitely many z lie between x and y in either orientation exactly when
+they do in one of them, so x ~ y fails exactly on I(x, y) or I(y, x), where
+I = { (x, y) : infinitely many z with x<z<y }.  Irreflexivity and totality
+are counterexample sentences, and each level passes when no element has
+infinitely many predecessors within its class.
 """
 
 from __future__ import annotations
@@ -33,22 +37,7 @@ from . import automata as au
 from . import ordinals as o
 from .automata import Automaton
 from .errors import NotComparable, NotLinear, StateBudgetExceeded
-from .logic import (
-    And,
-    Eq,
-    ExistsInf,
-    Exists,
-    Llex,
-    Not,
-    Or,
-    Rel,
-    Structure,
-    compile_formula,
-    conj,
-    define_set,
-    disj,
-    eval_sentence,
-)
+from .logic import DEFAULT_STATE_BUDGET, And, Eq, ExistsInf, Exists, Llex, Not, Rel, Structure, define_set, disj, eval_sentence
 from .ordinals import CnfOrdinal
 
 LESS = "<"
@@ -77,22 +66,43 @@ class OrderPresentation:
         return self.structure.relations[LESS][1]
 
     @cached_property
-    def _sim_structures(self) -> dict:
+    def _memo(self) -> dict:
         return {}
 
+    def _once(self, name: str, budget: int, make):
+        """make(budget), built once per (name, budget) and shared."""
+        if (name, budget) not in self._memo:
+            self._memo[name, budget] = make(budget)
+        return self._memo[name, budget]
+
+    def between(self, budget: int) -> Automaton:
+        """between(x, z, y): x < z < y, the one product of the order with itself."""
+        return self._once("between", budget, lambda b: au.join(self.order, [0, 1], self.order, [1, 2], max_states=b))
+
+    def infinitely_between(self, budget: int) -> Automaton:
+        """I(x, y): infinitely many z with x < z < y."""
+
+        def make(b):
+            return au.minimize(au.project(self.between(b), 1, infinite=True, max_states=b), max_states=b)
+
+        return self._once("I", budget, make)
+
     def with_sim(self, budget: int) -> Structure:
-        """The structure plus the condensation equivalence ~, compiled once
-        per budget and shared by every step of a condensation level."""
-        if budget not in self._sim_structures:
+        """The structure plus the condensation equivalence ~, built once per
+        budget and shared by every step of a condensation level."""
+
+        def make(b):
             s = self.structure
-            rels = {**s.relations, SIM: (2, sim_automaton(self, budget))}
-            self._sim_structures[budget] = Structure(name=s.name, domain=s.domain, relations=rels)
-        return self._sim_structures[budget]
+            return Structure(name=s.name, domain=s.domain, relations={**s.relations, SIM: (2, sim_automaton(self, b))})
+
+        return self._once("sim", budget, make)
 
     @cached_property
     def successor(self) -> Automaton:
-        """succ(x, y): y is the cover of x, compiled once per presentation."""
-        return au.minimize(compile_formula(self.structure, _SUCCESSOR))
+        """succ(x, y): x < y with nothing between, built once per presentation."""
+        b = DEFAULT_STATE_BUDGET
+        spans = au.project(self.between(b), 1, max_states=b)
+        return au.minimize(au.difference(self.order, spans, max_states=b), max_states=b)
 
 
 @dataclass(frozen=True)
@@ -133,48 +143,37 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 # -- linearity guard --------------------------------------------------------
 
 
-# each law paired with the sentence "some elements break it"
-_COUNTEREXAMPLES = (
-    ("irreflexivity", Exists("x", Rel(LESS, ("x", "x")))),
-    ("transitivity", Exists("x", Exists("y", Exists("z", conj(
-        Rel(LESS, ("x", "y")), Rel(LESS, ("y", "z")), Not(Rel(LESS, ("x", "z")))))))),
-    ("totality", Exists("x", Exists("y", Not(disj(
-        Rel(LESS, ("x", "y")), Rel(LESS, ("y", "x")), Eq("x", "y")))))),
-)
+# the sentences "some elements break irreflexivity" and "... totality"
+_REFLEXIVE = Exists("x", Rel(LESS, ("x", "x")))
+_INCOMPARABLE = Exists("x", Exists("y", Not(disj(Rel(LESS, ("x", "y")), Rel(LESS, ("y", "x")), Eq("x", "y")))))
 
 
-_SUCCESSOR = And(
-    Rel(LESS, ("x", "y")),
-    Not(Exists("z", And(Rel(LESS, ("x", "z")), Rel(LESS, ("z", "y"))))),
-)
-
-
-def check_linear(p: OrderPresentation) -> Optional[str]:
-    """None when the relation is a strict linear order, else the failing law."""
-    for law, counterexample in _COUNTEREXAMPLES:
-        if eval_sentence(p.structure, counterexample):
-            return law
+def check_linear(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> Optional[str]:
+    """None when the relation is a strict linear order, else the failing law.
+    Transitivity fails exactly when some x < z < y has x < y false."""
+    if eval_sentence(p.structure, _REFLEXIVE, budget):
+        return "irreflexivity"
+    spans = au.project(p.between(budget), 1, max_states=budget)
+    if not au.is_empty(au.difference(spans, p.order, max_states=budget)):
+        return "transitivity"
+    if eval_sentence(p.structure, _INCOMPARABLE, budget):
+        return "totality"
     return None
 
 
 # -- condensation machinery --------------------------------------------------
 
 
-def _between():
-    # z strictly between x and y, in either orientation
-    return Or(
-        And(Rel(LESS, ("x", "z")), Rel(LESS, ("z", "y"))),
-        And(Rel(LESS, ("y", "z")), Rel(LESS, ("z", "x"))),
-    )
-
-
 def sim_automaton(p: OrderPresentation, budget: int) -> Automaton:
-    """x ~ y: only finitely many elements lie between x and y."""
-    f = Not(ExistsInf("z", _between()))
-    return au.minimize(compile_formula(p.structure, f, state_budget=budget))
+    """x ~ y: only finitely many elements lie between x and y.  Infinitely
+    many lie between them in either orientation exactly when infinitely many
+    do in one of them, so ~ is the domain cube minus I and its transpose."""
+    i = p.infinitely_between(budget)
+    apart = au.union(i, au.permute_tapes(i, [1, 0], max_states=budget), max_states=budget)
+    return au.minimize(au.difference(p.structure.domain_cube(2), apart, max_states=budget), max_states=budget)
 
 
-def finite_condensation(p: OrderPresentation, budget: int = 10 ** 6) -> OrderPresentation:
+def finite_condensation(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> OrderPresentation:
     """Quotient by ~, represented by the llex-least element of each class.
     Distinct representatives are never ~-equivalent, so the quotient order
     is the original order restricted to representatives."""
@@ -196,7 +195,7 @@ class AllFiniteOrOmega:
     pass
 
 
-def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
+def classify_classes(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET):
     """Certify that every condensation class has a least element; otherwise
     return a witness element from a failing class.
 
@@ -204,10 +203,10 @@ def classify_classes(p: OrderPresentation, budget: int = 10 ** 6):
     so a class is ordered like a finite set, omega, omega* or Z.  It lacks a
     least element exactly when it is omega* or Z, that is, exactly when each
     of its elements has infinitely many predecessors within it; one set of
-    such elements decides the level."""
-    s2 = p.with_sim(budget)
-    inf_preds = ExistsInf("y", And(Rel(SIM, ("y", "x")), Rel(LESS, ("y", "x"))))
-    bad = define_set(s2, inf_preds, "x", state_budget=budget)
+    such elements decides the level.  The order is linear, so y < x lies in
+    x's class exactly when I(y, x) fails."""
+    in_class = au.difference(p.order, p.infinitely_between(budget), max_states=budget)
+    bad = au.minimize(au.project(in_class, 0, infinite=True, max_states=budget), max_states=budget)
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
     return AllFiniteOrOmega()
@@ -231,11 +230,11 @@ def _top_class_size(p: OrderPresentation, budget: int):
 def recognize(
     p: OrderPresentation,
     max_levels: Optional[int] = None,
-    budget: int = 10 ** 6,
+    budget: int = DEFAULT_STATE_BUDGET,
     trace: Optional[list] = None,
 ) -> RecognitionResult:
     """Decide well-orderedness and compute the CNF of the order type."""
-    failure = check_linear(p)
+    failure = check_linear(p, budget)
     if failure is not None:
         raise NotLinear(f"{p.structure.name}: {failure} fails")
     if max_levels is None:

@@ -9,7 +9,7 @@ from wob import logic  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
 from wob.errors import InvalidAutomaton, NotLinear  # noqa: E402
-from wob.logic import And, Eq, Exists, Forall, Not, Or, Rel, implies  # noqa: E402
+from wob.logic import And, Eq, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
 def run_nfa(aut, letters):
@@ -214,6 +214,37 @@ def reference_initial_chain(p, count):
     return out
 
 
+def reference_minimize(a):
+    """`minimize` by the (state, letter) table: each round a state's
+    signature is its block and the block of its target under every letter
+    any state reads, -1 for none."""
+    d = au.determinize(a)
+    delta = {(q, letter): r for q, out in d._delta.items() for letter, (r,) in out.items()}
+    letters = sorted({letter for _q, letter in delta}, key=d._letter_key)
+    block = {q: int(q in d.accepting) for q in range(d.n_states)}
+    while True:
+        signatures = {}
+        for q in range(d.n_states):
+            sig = (block[q],) + tuple(block.get(delta.get((q, letter), -1), -1) for letter in letters)
+            signatures.setdefault(sig, []).append(q)
+        new_block = {q: i for i, qs in enumerate(signatures.values()) for q in qs}
+        done = len(signatures) == len(set(block.values()))
+        block = new_block
+        if done:
+            break
+    reps = {}
+    for q in range(d.n_states):
+        reps.setdefault(block[q], q)
+
+    def moves(b):
+        for letter in letters:
+            r = delta.get((reps[b], letter))
+            if r is not None:
+                yield letter, block[r]
+
+    return au.build(d.arity, d.alphabet, block[d.initial], lambda b: reps[b] in d.accepting, moves)
+
+
 def reference_intersect(a, b):
     """`intersect` by the plain pair product, iterating the state with fewer
     letters first."""
@@ -296,6 +327,23 @@ REFERENCE_NO_LEAST = Not(Exists("m", And(
     Rel("~", ("m", "x")),
     Not(Exists("z", And(Rel("~", ("z", "x")), Rel("<", ("z", "m"))))),
 )))
+
+
+def reference_sim(p):
+    """`sim_automaton` as the compiled formula "not infinitely many z
+    between x and y", the betweenness taken in both orientations at once."""
+    between = Or(
+        And(Rel("<", ("x", "z")), Rel("<", ("z", "y"))),
+        And(Rel("<", ("y", "z")), Rel("<", ("z", "x"))),
+    )
+    return au.minimize(logic.compile_formula(p.structure, Not(ExistsInf("z", between))))
+
+
+def reference_successor(p):
+    """`OrderPresentation.successor` as the compiled formula
+    "x < y and no z lies between"."""
+    succ = And(Rel("<", ("x", "y")), Not(Exists("z", And(Rel("<", ("x", "z")), Rel("<", ("z", "y"))))))
+    return au.minimize(logic.compile_formula(p.structure, succ))
 
 
 def reference_top_class_size(p):

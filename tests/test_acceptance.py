@@ -147,6 +147,14 @@ def test_criterion_3_isomorphism():
         # must be equal exactly when the presentations' expected ones are
         expected = got[a][0].expected_cnf == got[b][0].expected_cnf
         assert (got[a][1].cnf == got[b][1].cnf) == expected, (a, b)
+    # a pair with equal normal forms has two certified chains of the
+    # canonical initial segment's length
+    equal = [(a, b) for a, b in pairs if got[a][0].expected_cnf == got[b][0].expected_cnf]
+    assert equal
+    for a, b in equal:
+        want = len(o.canonical_prefix(got[a][0].expected_cnf, 60))
+        for name in (a, b):
+            assert len(rec.initial_chain(OrderPresentation(got[name][0].structure), 60)) == want, name
     # exercise the operation itself on a sample, including an equal pair
     sample = [("omega", "omega_bin"), ("omega", "omega_sq"), ("omega2p3", "mixed"),
               ("omega_sq", "wsq_p1"), ("twelve", "omega")]
@@ -155,7 +163,7 @@ def test_criterion_3_isomorphism():
             OrderPresentation(got[a][0].structure), OrderPresentation(got[b][0].structure)
         )
         assert val == (got[a][1].cnf == got[b][1].cnf), (a, b)
-    announce(3, True, "45 pairs agree with CNF equality")
+    announce(3, True, f"45 pairs agree with CNF equality, {len(equal)} equal pairs have canonical chains")
 
 
 def test_criterion_4_fgh_exactness():

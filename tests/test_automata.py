@@ -15,6 +15,7 @@ from conftest import (
     reference_complement,
     reference_insert_tape,
     reference_intersect,
+    reference_minimize,
     reference_project_inf,
     reference_section,
     reference_validate,
@@ -203,6 +204,16 @@ def test_minimize_random_nfas_preserve_language():
         m = au.minimize(a)
         assert language(m, 8) == language(a, 8)
         assert au.same_language(a, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2]))
+def test_minimize_matches_reference_moore(seed, arity):
+    # states that read different letters are never merged, even when the
+    # targets they reach lie in the same blocks
+    rng = random.Random(seed)
+    a = _random_nfa(rng, alphabet=("0", "1", "2")) if arity == 1 else _random_nfa2(rng)
+    assert au.save_automaton(au.minimize(a), "m") == au.save_automaton(reference_minimize(a), "m")
 
 
 @settings(max_examples=60, deadline=None)
@@ -665,6 +676,17 @@ def test_validator_matches_reference_on_build_graphs(data):
     got = _outcome(lambda: au.automaton(arity, AB, n_states, 0, accepting, trans))
     want = _outcome(lambda: reference_validate(au._unchecked(arity, AB, n_states, 0, accepting, frozenset(trans))))
     assert got == want
+
+
+def test_build_rejects_a_foreign_symbol_as_automaton_does():
+    # the BFS sorts letters by alphabet index before `build` validates them,
+    # so a foreign symbol must be reported there, with the validator's error
+    trans = [(0, ("a", "z"), 1)]
+    with pytest.raises(InvalidAutomaton) as built:
+        au.build(2, ("a",), 0, lambda q: q == 1, lambda q: [(l, r) for p, l, r in trans if p == q])
+    with pytest.raises(InvalidAutomaton) as checked:
+        au.automaton(2, ("a",), 2, 0, {1}, trans)
+    assert str(built.value) == str(checked.value) == "letter ('a', 'z') uses symbols outside the alphabet"
 
 
 def test_validator_rejects_each_kind_of_bad_letter():

@@ -1,4 +1,5 @@
 import itertools
+import traceback
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ from conftest import (
     REFERENCE_NO_LEAST,
     reference_check_linear,
     reference_initial_chain,
+    reference_sim,
+    reference_successor,
     reference_top_class_size,
     words_upto,
 )
@@ -16,7 +19,7 @@ from wob import logic
 from wob import ordinals as o
 from wob import pathology as pa
 from wob import recognition as rec
-from wob.errors import NotComparable, NotLinear
+from wob.errors import NotComparable, NotLinear, StateBudgetExceeded
 from wob.logic import Structure
 from wob.recognition import (
     AllFiniteOrOmega,
@@ -272,6 +275,8 @@ def test_recognize_requires_linear():
 
 @pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
 def test_sim_compiled_once_per_level(monkeypatch, name, levels):
+    # only the quotient reads ~, so each condensed level builds it once and
+    # the last level, which is not condensed, not at all
     from pathlib import Path
 
     from wob.logic import load_structure
@@ -289,7 +294,7 @@ def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     got = recognize(OrderPresentation(load_structure(manifest)), trace=trace)
     assert isinstance(got, WellOrder)
     assert len(trace) == levels
-    assert len(calls) == levels
+    assert len(calls) == levels - 1
     assert all(c is pres for c, (_level, pres) in zip(calls, trace))
 
 
@@ -310,27 +315,23 @@ def test_initial_chain_matches_least_of_remaining_loop(name):
 
 
 def test_initial_chain_compiles_successor_once(monkeypatch):
-    # the successor relation is compiled once; the kernel calls made outside
-    # that compile must not grow with the length of the chain
-    calls = dict.fromkeys(("compile_formula", "minimize", "fixed_word", "insert_tape", "join"), 0)
-    compiling = [0]
+    # the successor relation is built once, from one `between` join of the
+    # order with itself; the kernel calls must not grow with the length of
+    # the chain
+    calls = dict.fromkeys(("between", "compile", "minimize", "fixed_word", "insert_tape", "join"), 0)
 
     def count(module, name):
         fn = getattr(module, name)
-        is_compile = name == "compile_formula"
 
         def counted(*args, **kwargs):
-            if not compiling[0]:
-                calls[name] += 1
-            compiling[0] += is_compile
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                compiling[0] -= is_compile
+            calls[name] += 1
+            if name == "join" and [tuple(t) for t in args[1::2]] == [(0, 1), (1, 2)]:
+                calls["between"] += 1
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(rec, "compile_formula")
+    count(logic.Compiler, "compile")
     for name in ("minimize", "fixed_word", "insert_tape", "join"):
         count(au, name)
 
@@ -342,7 +343,8 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
         return dict(calls)
 
     short, long = run(10), run(40)
-    assert long["compile_formula"] == 1
+    assert short["between"] == long["between"] == 1
+    assert long["compile"] == 0
     assert long["minimize"] <= 2
     assert long["fixed_word"] == 0
     assert long["insert_tape"] == short["insert_tape"]
@@ -413,21 +415,30 @@ def test_check_linear_negates_no_ternary_relation(monkeypatch):
 def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
     # a class lacks a least element exactly when each of its elements has
     # infinitely many predecessors in it, so the one set classify_classes
-    # compiles is, after minimization, the no-least set itself
+    # tests for emptiness is, after minimization, the no-least set itself;
+    # it is read from the interval product, with no formula compiled
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
     sets = []
-    original = rec.define_set
+    compiled = []
+    original_compile, original_is_empty = logic.Compiler.compile, au.is_empty
 
-    def recording(*args, **kwargs):
-        sets.append(original(*args, **kwargs))
-        return sets[-1]
+    def compiling(self, f):
+        compiled.append(f)
+        return original_compile(self, f)
 
-    monkeypatch.setattr(rec, "define_set", recording)
+    def recording(a):
+        sets.append(a)
+        return original_is_empty(a)
+
     for _level, pres in trace:
         sets.clear()
+        monkeypatch.setattr(logic.Compiler, "compile", compiling)
+        monkeypatch.setattr(au, "is_empty", recording)
         classify_classes(pres)
+        monkeypatch.undo()
+        assert compiled == []
         assert len(sets) == 1
         no_least = logic.define_set(pres.with_sim(10 ** 6), REFERENCE_NO_LEAST, "x")
         assert au.save_automaton(sets[0], "bad") == au.save_automaton(no_least, "bad")
@@ -458,3 +469,29 @@ def test_top_class_from_the_order_alone(monkeypatch, name):
         monkeypatch.setattr(rec, "sim_automaton", original_sim)
         assert sims == []
         assert got == reference_top_class_size(pres)
+
+
+@pytest.mark.parametrize("name", sorted(TOP_CLASS_CASES))
+def test_sim_and_successor_match_the_compiled_formulas(name):
+    # ~ and succ are read from the interval product, not compiled; at every
+    # level their minimal automata are the ones the formulas compile to
+    make, arg = TOP_CLASS_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    for level, pres in trace:
+        got = au.save_automaton(rec.sim_automaton(pres, 10 ** 6), "sim")
+        assert got == au.save_automaton(reference_sim(pres), "sim"), level
+        got = au.save_automaton(pres.successor, "succ")
+        assert got == au.save_automaton(reference_successor(pres), "succ"), level
+
+
+@pytest.mark.parametrize("budget", [20, 80, 153])
+def test_recognize_budget_holds_on_the_interval_product(budget):
+    # on mixed the interval product is the largest construction; a budget
+    # too small for it raises inside the product's BFS at budget + 1 states
+    pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
+    with pytest.raises(StateBudgetExceeded) as info:
+        recognize(pres, budget=budget)
+    assert info.value.n_states == budget + 1
+    frames = [frame.name for frame in traceback.extract_tb(info.tb)]
+    assert "between" in frames and frames[-2:] == ["join", "_canonical"]
