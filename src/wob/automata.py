@@ -16,7 +16,10 @@ Every construction numbers its states by one BFS (`_canonical`), whose
 per-state tables become the result's transition index `_delta`.  Running
 two automata side by side on one convolution is one construction, `join`,
 which maps each side's tapes to result tapes; `intersect` and the
-cylindrification `insert_tape` are tape maps over it.
+cylindrification `insert_tape` are tape maps over it.  Inclusion is one
+subset product, `_difference_graph`: `difference` builds it, and
+`is_subset` and `is_subset_of_cube` search it up to the first
+counterexample.
 
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
@@ -67,11 +70,9 @@ def convolve(words: Sequence) -> list[Letter]:
     if not ws:
         raise ArityMismatch("convolution of zero words")
     for w in ws:
-        for s in w:
-            if s == PAD:
-                raise InvalidSymbol(f"word {w!r} contains the pad symbol")
-    n = max(len(w) for w in ws)
-    return [tuple(w[i] if i < len(w) else PAD for w in ws) for i in range(n)]
+        if PAD in w:
+            raise InvalidSymbol(f"word {w!r} contains the pad symbol")
+    return list(itertools.zip_longest(*ws, fillvalue=PAD))
 
 
 def deconvolve(letters: Iterable[Letter]) -> WordTuple:
@@ -203,10 +204,10 @@ class Automaton:
         """Membership of a word tuple (one word per tape)."""
         if len(words) != self.arity:
             raise ArityMismatch(f"expected {self.arity} words, got {len(words)}")
-        ws = [as_word(w) for w in words]
-        if any(PAD in w for w in ws):
+        try:
+            return self.accepts_letters(convolve(words))
+        except InvalidSymbol:  # a word holding the pad symbol is no member
             return False
-        return self.accepts_letters(itertools.zip_longest(*ws, fillvalue=PAD))
 
 
 def _pad_mask(letter) -> int:
@@ -322,17 +323,6 @@ def build(arity, alphabet, initial_key, accepting_pred, moves, max_states=None) 
     a = _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states)
     a.__post_init__()
     return a
-
-
-def trim(a: Automaton) -> Automaton:
-    """Restrict to useful states (reachable and co-reachable)."""
-
-    def moves(q):
-        for letter, targets in a._delta.get(q, {}).items():
-            for r in targets:
-                yield letter, r
-
-    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
 
 
 def empty(alphabet, arity) -> Automaton:
@@ -488,34 +478,78 @@ def determinize(a: Automaton, max_states=None) -> Automaton:
     )
 
 
-def complement(a: Automaton, max_states=None) -> Automaton:
-    """Valid padded convolutions of a.arity not accepted by a."""
-    return difference(universe(a.alphabet, a.arity), a, max_states=max_states)
+def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
+    """L(a) minus L(b) as an implicit graph, in the (start, accepting, moves)
+    form `_canonical` takes.
 
-
-def difference(a: Automaton, b: Automaton, max_states=None) -> Automaton:
-    """L(a) minus L(b), with no complement of b built.
-
-    States pair a state of a with the set of states b can be in after the
-    same letters: b is determinized only along the letters a uses.
+    A key pairs a state of `a` with the set of states `b` can be in after
+    the same letters, so `b` is determinized only along the letters `a`
+    uses and no complement of it is built.  With `tape`, `b` is unary and
+    reads that tape alone, entering a drain state from acceptance once the
+    tape pads: the accepting keys are then those of the tuples of L(a)
+    whose word on `tape` is not in L(b).
     """
-    _require_compatible(a, b)
+    DRAIN = -1
+    delta, done = b._delta, b.accepting if tape is None else b.accepting | {DRAIN}
+
+    def image(subset, letter):
+        if tape is not None:
+            if letter[tape] == PAD:
+                return frozenset({DRAIN} if subset & done else ())
+            letter = letter[tape : tape + 1]
+        return frozenset(r for q in subset for r in delta.get(q, {}).get(letter, ()))
 
     def moves(pair):
         p, subset = pair
         for letter, targets in a._delta.get(p, {}).items():
-            after = frozenset(r for q in subset for r in b._delta.get(q, {}).get(letter, ()))
+            after = image(subset, letter)
             for r in targets:
                 yield letter, (r, after)
 
-    return _canonical(
-        a.arity,
-        a.alphabet,
-        (a.initial, frozenset({b.initial})),
-        lambda pair: pair[0] in a.accepting and not (pair[1] & b.accepting),
-        moves,
-        max_states=max_states,
-    )
+    return (a.initial, frozenset({b.initial})), lambda pair: pair[0] in a.accepting and not (pair[1] & done), moves
+
+
+def _reaches_acceptance(start, accepting, moves, max_states=None) -> bool:
+    """Whether an implicit graph in `_canonical`'s form reaches an accepting
+    key.  The search stops at the first one and builds no automaton; like
+    every construction it raises at budget + 1 keys."""
+    if accepting(start):
+        return True
+    seen, stack = {start}, [start]
+    while stack:
+        for _letter, key in moves(stack.pop()):
+            if key not in seen:
+                seen.add(key)
+                if max_states is not None and len(seen) > max_states:
+                    raise StateBudgetExceeded(len(seen), max_states)
+                if accepting(key):
+                    return True
+                stack.append(key)
+    return False
+
+
+def difference(a: Automaton, b: Automaton, max_states=None) -> Automaton:
+    """L(a) minus L(b): the difference graph, built."""
+    _require_compatible(a, b)
+    return _canonical(a.arity, a.alphabet, *_difference_graph(a, b), max_states=max_states)
+
+
+def is_subset(small: Automaton, big: Automaton, max_states=None) -> bool:
+    """L(small) subseteq L(big): the difference graph, searched until its
+    first accepting key."""
+    _require_compatible(small, big)
+    return not _reaches_acceptance(*_difference_graph(small, big), max_states)
+
+
+def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
+    """L(rel) subseteq { conv(w_1..w_k) : each w_i in L(domain) }: one
+    inclusion search per tape, with the domain read on that tape.  No cube
+    is built, and only the letters rel uses are probed."""
+    if domain.arity != 1:
+        raise ArityMismatch("domain must have arity 1")
+    if rel.alphabet != domain.alphabet:
+        raise ArityMismatch("alphabet mismatch")
+    return not any(_reaches_acceptance(*_difference_graph(rel, domain, tape)) for tape in range(rel.arity))
 
 
 def is_empty(a: Automaton) -> bool:
@@ -656,68 +690,6 @@ def minimize(a: Automaton, max_states=None) -> Automaton:
     return _canonical(d.arity, d.alphabet, block[d.initial], lambda b: reps[b] in d.accepting, moves)
 
 
-def same_language(a: Automaton, b: Automaton) -> bool:
-    return is_subset(a, b) and is_subset(b, a)
-
-
-def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
-    """L(rel) subseteq { conv(w_1..w_k) : each w_i in L(domain) }.
-
-    Avoids materializing the cube automaton, whose transition table is
-    quadratic in the alphabet; only letters rel actually uses are probed.
-    """
-    if domain.arity != 1:
-        raise ArityMismatch("domain must have arity 1")
-    if rel.alphabet != domain.alphabet:
-        raise ArityMismatch("alphabet mismatch")
-    k = rel.arity
-    DRAIN = -1
-    dom_acc = domain.accepting
-
-    def tape_step(q, s):
-        if s == PAD:
-            return (DRAIN,) if (q == DRAIN or q in dom_acc) else ()
-        if q == DRAIN:
-            return ()
-        return tuple(domain._delta.get(q, {}).get((s,), ()))
-
-    def cube_accept(tup):
-        return all(q == DRAIN or q in dom_acc for q in tup)
-
-    start_tuple = (domain.initial,) * k
-    if rel.initial in rel.accepting and not cube_accept(start_tuple):
-        return False
-    start = (rel.initial, frozenset({start_tuple}))
-    seen = {start}
-    stack = [start]
-    image: dict = {}  # (S, letter) -> the domain-state tuples after S reads letter
-    while stack:
-        q, S = stack.pop()
-        for letter, targets in rel._delta.get(q, {}).items():
-            S2 = image.get((S, letter))
-            if S2 is None:
-                nxt = set()
-                for tup in S:
-                    choices = [tape_step(tq, s) for tq, s in zip(tup, letter)]
-                    if all(choices):
-                        nxt.update(itertools.product(*choices))
-                S2 = image[S, letter] = frozenset(nxt)
-            for r in targets:
-                key = (r, S2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if r in rel.accepting and not any(cube_accept(t) for t in S2):
-                    return False
-                stack.append(key)
-    return True
-
-
-def is_subset(small: Automaton, big: Automaton) -> bool:
-    """L(small) subseteq L(big)."""
-    return is_empty(difference(small, big))
-
-
 # -- tape surgery -------------------------------------------------------
 
 
@@ -807,17 +779,6 @@ def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) 
         raise ArityMismatch("track alphabet mismatch")
     tapes = [t + (t >= position) for t in range(a.arity)]
     return join(a, tapes, track, [position])
-
-
-def rename_symbols(a: Automaton, mapping: dict) -> Automaton:
-    """Apply a symbol bijection (unmapped symbols stay)."""
-    new_alphabet = tuple(mapping.get(s, s) for s in a.alphabet)
-
-    def m(s):
-        return PAD if s == PAD else mapping.get(s, s)
-
-    transitions = [(q, tuple(m(s) for s in letter), r) for (q, letter, r) in a.transitions]
-    return automaton(a.arity, new_alphabet, a.n_states, a.initial, a.accepting, transitions)
 
 
 # -- common relation automata -------------------------------------------

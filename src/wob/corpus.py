@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from . import automata as au
 from . import ordinals as o
 from .automata import PAD, Automaton
-from .logic import Structure
+from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
 
 LESS = "<"
@@ -37,7 +37,7 @@ def _structure(name, alphabet, dom, rel) -> Structure:
     dom = au.minimize(dom)
     pair = au.insert_tape(dom, 1, track=dom)
     rel = au.minimize(au.intersect(rel, pair))
-    return Structure(name=name, domain=dom, relations={LESS: (2, rel)})
+    return _unchecked(name, dom, {LESS: (2, rel)})
 
 
 def star_lang(alphabet, letter) -> Automaton:

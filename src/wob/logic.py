@@ -137,14 +137,6 @@ def _balanced(op, fs) -> Formula:
     return op(_balanced(op, fs[:mid]), _balanced(op, fs[mid:]))
 
 
-def conj(*fs: Formula) -> Formula:
-    return _balanced(And, fs)
-
-
-def disj(*fs: Formula) -> Formula:
-    return _balanced(Or, fs)
-
-
 # -- s-expression surface syntax -------------------------------------------
 
 
@@ -287,6 +279,16 @@ class Structure:
         if name not in self.relations:
             raise UnknownRelation(f"structure {self.name!r} has no relation {name!r}")
         return self.relations[name]
+
+
+def _unchecked(name: str, domain: Automaton, relations: dict, cubes: Optional[dict] = None) -> Structure:
+    """A Structure whose relations are kernel results inside the cube of an
+    already checked domain, skipping `__post_init__` as `automata._unchecked`
+    skips the automaton check.  `cubes` shares the domain cubes of a
+    structure with the same domain."""
+    s = object.__new__(Structure)
+    s.__dict__.update(name=name, domain=domain, relations=relations, _cubes={} if cubes is None else cubes)
+    return s
 
 
 # -- compilation -------------------------------------------------------------

@@ -32,6 +32,7 @@ from .logic import (
     Or,
     Rel,
     Structure,
+    _unchecked,
     compile_formula,
 )
 from .recognition import minimal_elements
@@ -204,7 +205,7 @@ def kreisel_as_automatic(pi0: PiPredicate, state_budget: int = 10 ** 6) -> Struc
     helper = Structure(name="kreisel0", domain=domain, relations={PI0_REL: (1, pi0.aut)})
     rel = compile_formula(helper, kreisel_formula(), state_budget=state_budget)
     rel = au.minimize(rel)
-    return Structure(name="kreisel", domain=domain, relations={"<": (2, rel)})
+    return _unchecked("kreisel", domain, {"<": (2, rel)})
 
 
 def tail_set(s: Structure, word) -> Automaton:

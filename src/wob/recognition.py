@@ -2,10 +2,10 @@
 Cantor normal form of the order type.
 
 The recognizer iterates the finite condensation (quotient by "finitely many
-elements in between", expressed in FO + the infinity quantifier and compiled
-by the fo-engine).  In a well-order every condensation class is finite or of
-type omega and only the topmost class can be finite, so the order type is
-reconstructed level by level:
+elements in between", definable in FO + the infinity quantifier and read
+from the interval product below).  In a well-order every condensation class
+is finite or of type omega and only the topmost class can be finite, so the
+order type is reconstructed level by level:
 
     type(L_i) = w * (type(L_{i+1}) - top) + t_i      when the top class is
                                                       finite with t_i elements
@@ -23,8 +23,9 @@ transitivity check and the bad-class set from it with kernel operations:
 infinitely many z lie between x and y in either orientation exactly when
 they do in one of them, so x ~ y fails exactly on I(x, y) or I(y, x), where
 I = { (x, y) : infinitely many z with x<z<y }.  Irreflexivity and totality
-are counterexample sentences, and each level passes when no element has
-infinitely many predecessors within its class.
+are kernel tests too, an empty product with the diagonal and an inclusion
+of the domain cube, and each level passes when no element has infinitely
+many predecessors within its class.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from . import automata as au
 from . import ordinals as o
 from .automata import Automaton
 from .errors import NotComparable, NotLinear, StateBudgetExceeded
-from .logic import DEFAULT_STATE_BUDGET, And, Eq, ExistsInf, Exists, Llex, Not, Rel, Structure, define_set, disj, eval_sentence
+from .logic import DEFAULT_STATE_BUDGET, And, ExistsInf, Exists, Llex, Not, Rel, Structure, _unchecked, define_set
 from .ordinals import CnfOrdinal
 
 LESS = "<"
@@ -89,11 +90,12 @@ class OrderPresentation:
 
     def with_sim(self, budget: int) -> Structure:
         """The structure plus the condensation equivalence ~, built once per
-        budget and shared by every step of a condensation level."""
+        budget and shared by every step of a condensation level.  It has the
+        same domain, so it shares the structure's domain cubes."""
 
         def make(b):
             s = self.structure
-            return Structure(name=s.name, domain=s.domain, relations={**s.relations, SIM: (2, sim_automaton(self, b))})
+            return _unchecked(s.name, s.domain, {**s.relations, SIM: (2, sim_automaton(self, b))}, cubes=s._cubes)
 
         return self._once("sim", budget, make)
 
@@ -143,20 +145,19 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 # -- linearity guard --------------------------------------------------------
 
 
-# the sentences "some elements break irreflexivity" and "... totality"
-_REFLEXIVE = Exists("x", Rel(LESS, ("x", "x")))
-_INCOMPARABLE = Exists("x", Exists("y", Not(disj(Rel(LESS, ("x", "y")), Rel(LESS, ("y", "x")), Eq("x", "y")))))
-
-
 def check_linear(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> Optional[str]:
-    """None when the relation is a strict linear order, else the failing law.
-    Transitivity fails exactly when some x < z < y has x < y false."""
-    if eval_sentence(p.structure, _REFLEXIVE, budget):
+    """None when the relation is a strict linear order, else the first
+    failing law, each one kernel test: < meets no pair of the diagonal,
+    every x < z < y has x < y, and every pair of the domain is ordered one
+    way or the other or equal."""
+    order, diagonal = p.order, au.diagonal(p.domain.alphabet)
+    if not au.is_empty(au.intersect(order, diagonal, max_states=budget)):
         return "irreflexivity"
     spans = au.project(p.between(budget), 1, max_states=budget)
-    if not au.is_empty(au.difference(spans, p.order, max_states=budget)):
+    if not au.is_subset(spans, order, max_states=budget):
         return "transitivity"
-    if eval_sentence(p.structure, _INCOMPARABLE, budget):
+    both = au.union(order, au.permute_tapes(order, [1, 0], max_states=budget), max_states=budget)
+    if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal, max_states=budget), max_states=budget):
         return "totality"
     return None
 
@@ -182,12 +183,7 @@ def finite_condensation(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET
     new_dom = define_set(s2, rep, "x", state_budget=budget)
     cube = au.insert_tape(new_dom, 1, track=new_dom)
     new_rel = au.minimize(au.intersect(p.order, cube, max_states=budget))
-    q = Structure(
-        name=s2.name + "'",
-        domain=new_dom,
-        relations={LESS: (2, new_rel)},
-    )
-    return OrderPresentation(q)
+    return OrderPresentation(_unchecked(s2.name + "'", new_dom, {LESS: (2, new_rel)}))
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ def recognize(
             return BudgetExceeded(level)
         quotient = finite_condensation(current, budget)
         # the quotient domain is a subset, so one inclusion decides equality
-        if au.is_subset(current.domain, quotient.domain):
+        if au.is_subset(current.domain, quotient.domain, max_states=budget):
             return NotWellOrder(DenseFixpoint(level))
         tops.append(t)
         current = quotient

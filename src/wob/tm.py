@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from . import automata as au
 from .automata import PAD, Automaton
 from .errors import InvalidTm, LoadError, NotReversible, WobError
-from .logic import Structure
+from .logic import Structure, _unchecked
 
 MARKER = ">"
 WORD_TAG = "W"
@@ -608,7 +608,8 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
         ((WORD_TAG,), _bits_graph()),
         ((CONF_TAG,), _config_graph(tm)),
     ]))
-    s = Structure(name=f"rpi_{tm.name}", domain=domain, relations={"R": (2, rel)})
+    # every edge joins two domain words by construction, so no cube check
+    s = _unchecked(f"rpi_{tm.name}", domain, {"R": (2, rel)})
     return RpiStructure(structure=s, tm=tm, pi_tag=pi_tag)
 
 

@@ -60,6 +60,39 @@ def language(aut, max_len):
     return out
 
 
+def complement(a, max_states=None):
+    """Valid padded convolutions of a.arity not accepted by a: the
+    difference from the pad-mask automaton."""
+    return au.difference(au.universe(a.alphabet, a.arity), a, max_states=max_states)
+
+
+def trim(a):
+    """Restrict to useful states (reachable and co-reachable), numbered as
+    a kernel construction numbers them."""
+
+    def moves(q):
+        for letter, targets in a._delta.get(q, {}).items():
+            for r in targets:
+                yield letter, r
+
+    return au.build(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
+
+
+def same_language(a, b):
+    return au.is_subset(a, b) and au.is_subset(b, a)
+
+
+def rename_symbols(a, mapping):
+    """Apply a symbol bijection (unmapped symbols stay)."""
+    new_alphabet = tuple(mapping.get(s, s) for s in a.alphabet)
+
+    def m(s):
+        return "#" if s == "#" else mapping.get(s, s)
+
+    transitions = [(q, tuple(m(s) for s in letter), r) for (q, letter, r) in a.transitions]
+    return au.automaton(a.arity, new_alphabet, a.n_states, a.initial, a.accepting, transitions)
+
+
 def reference_complement(aut):
     """Complement within valid convolutions by the plain construction: a
     complete subset construction over every letter except the all-pad one,

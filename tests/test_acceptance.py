@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import words_upto
+from conftest import same_language, words_upto
 from formula_battery import battery_for, all_texts
 from test_fgh import oracle_F
 from test_logic import compiled_set, eval_frag, fragment
@@ -131,7 +131,7 @@ def test_criterion_2_theorem3_desk_scale():
         elif ev.level == 0:
             # fixpoint evidence re-verified by automaton equivalence
             q = rec.finite_condensation(OrderPresentation(p.structure))
-            assert au.same_language(q.domain, p.structure.domain)
+            assert same_language(q.domain, p.structure.domain)
     elapsed = time.monotonic() - start
     announce(2, elapsed < 300, f"{len(got)} well-orders + {len(bad)} non-well-orders, {elapsed:.1f}s")
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import itertools
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_delta_is_reference,
+    complement,
     conv,
     language,
     reference_check_padding,
@@ -19,12 +22,15 @@ from conftest import (
     reference_project_inf,
     reference_section,
     reference_validate,
+    rename_symbols,
     run_nfa,
+    same_language,
+    trim,
     tuples_upto,
     words_upto,
 )
 from wob import automata as au
-from wob.errors import ArityMismatch, CannotProject, InvalidAutomaton, InvalidSymbol, LoadError
+from wob.errors import ArityMismatch, CannotProject, InvalidAutomaton, InvalidSymbol, LoadError, StateBudgetExceeded
 
 
 AB = ("a", "b")
@@ -93,13 +99,13 @@ def test_all_pad_letter_rejected():
 
 def test_product_and():
     got = au.intersect(astar(), aastar())
-    assert au.same_language(got, aastar())
+    assert same_language(got, aastar())
 
 
 def test_product_or_with_empty_is_identity():
     e = au.empty(("a",), 1)
     got = au.union(astar(), e)
-    assert au.same_language(got, astar())
+    assert same_language(got, astar())
 
 
 def test_product_minus_short_words():
@@ -111,25 +117,25 @@ def test_product_minus_short_words():
 
 
 def test_complement_of_empty_is_sigma_star():
-    got = au.complement(au.empty(AB, 1))
-    assert au.same_language(got, sigma_star())
+    got = complement(au.empty(AB, 1))
+    assert same_language(got, sigma_star())
 
 
 def test_complement_of_sigma_star_is_empty():
-    assert au.is_empty(au.complement(sigma_star()))
+    assert au.is_empty(complement(sigma_star()))
 
 
 def test_complement_involution():
     a = upto2()
-    twice = au.complement(au.complement(a))
-    assert au.same_language(a, twice)
+    twice = complement(complement(a))
+    assert same_language(a, twice)
     assert language(twice, 6) == language(a, 6)
 
 
 def test_project_diagonal():
     diag = au.diagonal(AB)
     got = au.project(diag, 1)
-    assert au.same_language(got, sigma_star())
+    assert same_language(got, sigma_star())
 
 
 def test_project_empty():
@@ -177,13 +183,13 @@ def test_minimize_removes_unreachable():
     )
     m = au.minimize(a)
     assert m.n_states == 1
-    assert au.same_language(m, astar())
+    assert same_language(m, astar())
 
 
 def test_minimize_already_minimal():
     m = au.minimize(aastar())
     assert m.n_states == 2
-    assert au.same_language(m, aastar())
+    assert same_language(m, aastar())
 
 
 def _random_nfa(rng, n_states=8, alphabet=("0", "1")):
@@ -203,7 +209,7 @@ def test_minimize_random_nfas_preserve_language():
         a = _random_nfa(rng)
         m = au.minimize(a)
         assert language(m, 8) == language(a, 8)
-        assert au.same_language(a, m)
+        assert same_language(a, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -247,7 +253,7 @@ def test_product_matches_boolean_combination(data):
         no_diff = au.is_empty(au.intersect(x, reference_complement(y)))
         assert au.is_subset(x, y) == no_diff
         no_diff_back = au.is_empty(au.intersect(y, reference_complement(x)))
-        assert au.same_language(x, y) == (no_diff and no_diff_back)
+        assert same_language(x, y) == (no_diff and no_diff_back)
         if no_diff:
             assert language(x, max_len) <= language(y, max_len)
 
@@ -308,7 +314,7 @@ def test_project_and_complement_random_cross_check():
         expect = {(x,) for (x, y) in lang}
         assert language(got, 4) == expect
         # complement within valid convolutions
-        comp = au.complement(a)
+        comp = complement(a)
         allpairs = set(tuples_upto(AB, 2, 4))
         assert language(comp, 4) == allpairs - lang
 
@@ -442,7 +448,7 @@ def test_padding_preserved_by_kernel_ops():
         au.intersect(sh, llex),
         au.union(sh, llex),
         au.difference(sh, llex),
-        au.complement(sh),
+        complement(sh),
         au.project(sh, 0),
         au.minimize(llex),
         au.insert_tape(sh, 1),
@@ -457,7 +463,7 @@ def test_save_load_roundtrip(tmp_path):
     path.write_text(text, encoding="utf-8")
     name, back = au.load_automaton(path)
     assert name == "llex"
-    assert au.same_language(llex, back)
+    assert same_language(llex, back)
     # byte-exact determinism
     assert au.save_automaton(back, "llex") == text
 
@@ -553,10 +559,10 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         (au.intersect(a, b), la & lb, max_len),
         (au.union(a, b), la | lb, max_len),
         (au.difference(a, b), la - lb, max_len),
-        (au.complement(a), everything - la, max_len),
+        (complement(a), everything - la, max_len),
         (au.determinize(a), la, max_len),
         (au.minimize(a), la, max_len),
-        (au.trim(a), la, max_len),
+        (trim(a), la, max_len),
         (au.permute_tapes(a, perm), {tuple(t[p] for p in perm) for t in la}, max_len),
         (
             au.insert_tape(a, position),
@@ -595,7 +601,7 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
             assert out.useful_states == frozenset(range(out.n_states))
         assert language(out, n) == expect
     # complement is byte-identical to the plain subset x pad-mask construction
-    assert au.save_automaton(au.complement(a), "c") == au.save_automaton(reference_complement(a), "c")
+    assert au.save_automaton(complement(a), "c") == au.save_automaton(reference_complement(a), "c")
     # insert_tape is byte-identical to its own cylinder construction, and
     # intersect to the plain pair product on deterministic operands
     for x in (a, b, c):
@@ -611,7 +617,7 @@ def _random_partner(rng, alphabet):
     if arity == 1:
         return _random_nfa(rng, n_states=5, alphabet=alphabet)
     c = _random_nfa2(rng) if arity == 2 else _random_nfa3(rng)
-    return c if alphabet == AB else au.rename_symbols(c, dict(zip(AB, alphabet)))
+    return c if alphabet == AB else rename_symbols(c, dict(zip(AB, alphabet)))
 
 
 def test_kernel_op_on_loaded_automata_skips_the_validator(monkeypatch):
@@ -740,8 +746,8 @@ def test_kernel_results_have_the_sorted_delta():
         c, d = _random_nfa2(rng), _random_nfa2(rng)
         trimmed += bool(a._reachable - a._coreachable)
         for out in (
-            au.trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), au.determinize(a),
-            au.minimize(a), au.complement(a), au.intersect(c, d), au.difference(c, d), au.project(c, 0),
+            trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), au.determinize(a),
+            au.minimize(a), complement(a), au.intersect(c, d), au.difference(c, d), au.project(c, 0),
             au.project(c, 1, infinite=True), au.permute_tapes(c, [1, 0]), au.insert_tape(a, 1, b),
             au.join(c, [0, 1], d, [1, 2]), au.section(c, 0, "ab"),
         ):
@@ -767,3 +773,74 @@ def test_cube_check_matches_brute_force(seed, arity):
     inside = {w for (w,) in language(domain, max_len)}
     if any(not set(tup) <= inside for tup in language(rel, max_len)):
         assert got is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+def test_is_subset_matches_brute_force(seed, arity):
+    # the inclusion search answers as the emptiness of the built difference;
+    # a yes holds on every short tuple, and a no comes with a tuple that the
+    # plain simulator sees in small and not in big.  The derived pairs make
+    # both answers occur.
+    rng = random.Random(seed)
+    draw = {1: lambda: _random_nfa(rng, n_states=4, alphabet=AB), 2: lambda: _random_nfa2(rng), 3: lambda: _random_nfa3(rng)}[arity]
+    a, b = draw(), draw()
+    max_len = {1: 6, 2: 3, 3: 2}[arity]
+    for small, big in ((a, b), (b, a), (au.intersect(a, b), a), (a, au.union(a, b)), (a, a)):
+        diff = au.difference(small, big)
+        got = au.is_subset(small, big)
+        assert got == au.is_empty(diff)
+        if got:
+            assert language(small, max_len) <= language(big, max_len)
+        else:
+            (witness,) = au.count_or_enumerate(diff, 1)
+            assert run_nfa(small, conv(*witness)) and not run_nfa(big, conv(*witness))
+
+
+@pytest.mark.parametrize("budget", [1, 3, 4])
+def test_is_subset_budget_raises_at_budget_plus_one(budget):
+    # (aaaaa)* inside a*: the search visits all five (state, {0}) pairs
+    # before it can say yes, and with too small a budget it raises on the
+    # first pair past the budget
+    fives = au.automaton(1, ("a",), 5, 0, {0}, [(i, ("a",), (i + 1) % 5) for i in range(5)])
+    stars = au.automaton(1, ("a",), 1, 0, {0}, [(0, ("a",), 0)])
+    with pytest.raises(StateBudgetExceeded) as info:
+        au.is_subset(fives, stars, max_states=budget)
+    assert info.value.n_states == budget + 1
+    assert au.is_subset(fives, stars, max_states=5)
+    # "a" is the counterexample, the second pair: the search stops there
+    assert not au.is_subset(stars, fives, max_states=2)
+
+
+def _identifiers(node):
+    """The names a piece of code reads: names, attributes and imported
+    names.  String literals, docstrings included, are not read."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_public_kernel_function_is_used():
+    # the kernel holds what the package, its scripts and its benchmark call:
+    # each public top-level function of `automata` is named in that code
+    # outside its own definition; test-only helpers live in conftest.py
+    root = Path(__file__).resolve().parent.parent
+    kernel = root / "src" / "wob" / "automata.py"
+    statements = [
+        (path, node)
+        for folder in ("src", "scripts", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    public = [n.name for path, n in statements if path == kernel and isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+    assert {"difference", "is_subset", "is_subset_of_cube", "join"} <= set(public)
+    unused = [
+        name
+        for name in public
+        if not any(name in _identifiers(n) for path, n in statements if not (path == kernel and getattr(n, "name", None) == name))
+    ]
+    assert unused == []

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from wob import automata as au
 from wob import cli, corpus
 from wob.cli import main
-from wob.logic import save_structure
+from wob.errors import WobError
+from wob.logic import load_structure, save_structure
 
 
 def run_cli(args, capsys):
@@ -352,3 +354,19 @@ def test_deep_hopda_level_is_malformed_input(tmp_path, capsys):
     deep.write_text(anbn.read_text().replace("level 1\n", "level 1500\n"))
     assert main(["hopda", "run", str(deep), "aabb"]) == 4
     assert "between 1 and 100" in capsys.readouterr().err
+
+
+def test_manifest_relation_outside_the_domain_is_malformed_input(tmp_path, capsys):
+    # a manifest is checked where it is parsed: llex on {a,b}* relates words
+    # outside the domain a*
+    alphabet = ("a", "b")
+    files = {"bad_domain": corpus.star_lang(alphabet, "a"), "bad_lt": au.llex_automaton(alphabet)}
+    for name, aut in files.items():
+        (tmp_path / f"{name}.aut").write_text(au.save_automaton(aut, name), encoding="utf-8")
+    manifest = tmp_path / "bad.manifest"
+    manifest.write_text("structure bad\ndomain bad_domain\nrelation < 2 bad_lt\n", encoding="utf-8")
+    with pytest.raises(WobError, match="outside the domain"):
+        load_structure(manifest)
+    assert main(["recognize", str(manifest)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside the domain" in captured.err

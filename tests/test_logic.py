@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import words_upto
+from conftest import same_language, words_upto
 from wob import automata as au
 from wob import corpus
 from wob.errors import ArityMismatch, NotASentence, NotUnary, UnknownRelation, WobError
@@ -171,7 +171,7 @@ def test_least_and_no_greatest_on_omega():
 def test_define_set_domain():
     s = OMEGA_P.structure
     aut = define_set(s, parse_formula("(= x x)"), "x")
-    assert au.same_language(aut, s.domain)
+    assert same_language(aut, s.domain)
 
 
 def test_define_set_least_is_epsilon():
@@ -200,14 +200,14 @@ def test_forall_exists_duality():
     body = "(or (rel < y x) (= x y))"
     a1 = compile_formula(s, parse_formula(f"(forall y {body})"))
     a2 = compile_formula(s, parse_formula(f"(not (exists y (not {body})))"))
-    assert au.same_language(a1, a2)
+    assert same_language(a1, a2)
 
 
 def test_bound_renaming_invariance():
     s = OMEGA2_P.structure
     f1 = parse_formula("(exists y (rel < y x))")
     f2 = parse_formula("(exists z (rel < z x))")
-    assert au.same_language(compile_formula(s, f1), compile_formula(s, f2))
+    assert same_language(compile_formula(s, f1), compile_formula(s, f2))
 
 
 def test_repeated_variable_in_atom():

@@ -11,6 +11,8 @@ from conftest import (
     reference_sim,
     reference_successor,
     reference_top_class_size,
+    rename_symbols,
+    same_language,
     words_upto,
 )
 from wob import automata as au
@@ -109,7 +111,7 @@ def test_condensation_of_omega2p3_is_three_points():
 def test_condensation_of_dense_is_identity():
     p = pres_to_op(corpus.dense_dyadic())
     q = finite_condensation(p)
-    assert au.same_language(q.domain, p.domain)
+    assert same_language(q.domain, p.domain)
     # and on words of length <= 5 the quotient keeps every element
     for w in words_upto(("0", "1"), 5):
         if corpus.dense_dyadic().ref_domain(w):
@@ -201,7 +203,7 @@ def test_recognize_non_well_orders(p):
         # automaton equivalence
         level_p = dict((lvl, pres) for lvl, pres in trace)[ev.level]
         q = finite_condensation(level_p)
-        assert au.same_language(q.domain, level_p.domain)
+        assert same_language(q.domain, level_p.domain)
 
 
 def test_initial_chain_matches_brute_force_order():
@@ -230,8 +232,8 @@ def test_recognize_is_presentation_invariant_under_relabeling():
     p = corpus.omega_times_2()
     s = p.structure
     mapping = {"a": "x", "b": "y"}
-    dom = au.rename_symbols(s.domain, mapping)
-    rel = au.rename_symbols(s.relations["<"][1], mapping)
+    dom = rename_symbols(s.domain, mapping)
+    rel = rename_symbols(s.relations["<"][1], mapping)
     s2 = Structure(name="relabel", domain=dom, relations={"<": (2, rel)})
     got = recognize(OrderPresentation(s2))
     assert got == WellOrder(p.expected_cnf)
@@ -388,7 +390,7 @@ NON_LINEAR = {
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES) + sorted(NON_LINEAR))
 def test_check_linear_matches_universal_laws(name):
-    # a counterexample sentence is true exactly when its universal law is false
+    # each kernel test fails exactly when its universal law is false
     if name in NON_LINEAR:
         make, want = NON_LINEAR[name]
         p = OrderPresentation(make())
@@ -399,14 +401,19 @@ def test_check_linear_matches_universal_laws(name):
 
 
 def test_check_linear_negates_no_ternary_relation(monkeypatch):
+    # the arity of each relation check_linear subtracts from or tests for
+    # inclusion; the kernel's own search does not go through `difference`
     firsts = []
-    original = au.difference
 
-    def recording(a, b, *args, **kwargs):
-        firsts.append(a.arity)
-        return original(a, b, *args, **kwargs)
+    def recording(original):
+        def record(a, b, *args, **kwargs):
+            firsts.append(a.arity)
+            return original(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(au, "difference", recording)
+        return record
+
+    for name in ("difference", "is_subset"):
+        monkeypatch.setattr(au, name, recording(getattr(au, name)))
     assert check_linear(OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))) is None
     assert firsts and 3 not in firsts
 
@@ -495,3 +502,34 @@ def test_recognize_budget_holds_on_the_interval_product(budget):
     assert info.value.n_states == budget + 1
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert "between" in frames and frames[-2:] == ["join", "_canonical"]
+
+
+def test_recognize_runs_no_cube_check(monkeypatch):
+    # the manifest's relations are checked when it loads; every structure
+    # recognize builds from them (with_sim, the quotients) is not checked again
+    pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
+    calls = []
+    original = au.is_subset_of_cube
+    monkeypatch.setattr(au, "is_subset_of_cube", lambda rel, domain: calls.append(rel) or original(rel, domain))
+    assert recognize(pres) == WellOrder(o.parse("w^2*2+w*3+4"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_package_built_structures_pass_the_full_check(name):
+    # the check skipped inside the package holds: at every level, and for the
+    # structure with ~ of every level, the public constructor accepts them
+    make, arg = CHAIN_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    assert trace
+    for _level, pres in trace:
+        for s in (pres.structure, pres.with_sim(10 ** 6)):
+            assert Structure(name=s.name, domain=s.domain, relations=s.relations) == s
+
+
+def test_with_sim_shares_the_domain_cubes():
+    p = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega2p3" / "omega2p3.manifest"))
+    b = 10 ** 6
+    assert p.with_sim(b).domain_cube(2) is p.structure.domain_cube(2)
+    assert p.with_sim(b).domain_cube(3) is p.structure.domain_cube(3)

@@ -376,9 +376,19 @@ def test_rpi_cycle_free_and_descent_for_false_pi():
 
 
 def test_rpi_structure_passes_containment():
-    # Structure construction ran the fo-engine load-time containment check
+    # build_rpi skips the cube check; run here, it holds
     rpi = rpi_for(False)
     assert rpi.structure.relations["R"][0] == 2
+    assert au.is_subset_of_cube(rpi.relation, rpi.domain)
+
+
+def test_build_rpi_runs_no_cube_check(monkeypatch):
+    calls = []
+    original = au.is_subset_of_cube
+    monkeypatch.setattr(au, "is_subset_of_cube", lambda rel, domain: calls.append(rel) or original(rel, domain))
+    rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
+    assert calls == []
+    assert rpi.relation.n_states == 1746
 
 
 def test_planted_cycle_detected():
