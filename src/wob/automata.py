@@ -244,7 +244,9 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
 
     moves(key) yields (letter, target_key).  States are numbered in BFS
     order with letters visited in sorted order, which makes every kernel
-    operation deterministic down to the byte level.  States that cannot
+    operation deterministic down to the byte level.  Each edge's target key
+    is hashed once, by the one `setdefault` that numbers it, and each
+    distinct letter's sort key is computed once per call.  States that cannot
     reach acceptance are then dropped, the rest keeping their order: a
     useless state has only useless successors, so each useful state is
     first reached from a useful one, and the numbering is what a BFS over
@@ -255,9 +257,13 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
     index[PAD] = -1
+    lkeys: dict = {}
 
     def lkey(letter):
-        return tuple(map(index.__getitem__, letter))
+        indices = lkeys.get(letter)
+        if indices is None:
+            indices = lkeys[letter] = tuple(map(index.__getitem__, letter))
+        return indices
 
     numbering = {initial_key: 0}
     order = [initial_key]
@@ -273,19 +279,19 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
             bad = next(letter for letter in out if not index.keys() >= set(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
         for letter in letters:
+            rs = []
             for target in out[letter]:
-                if target not in numbering:
-                    numbering[target] = len(order)
+                r = numbering.setdefault(target, len(order))
+                if r == len(order):
                     order.append(target)
-                    back.append([])
+                    back.append([q])
                     if max_states is not None and len(order) > max_states:
                         raise StateBudgetExceeded(len(order), max_states)
-                back[numbering[target]].append(q)
-        row = {}
-        for letter in sorted(out):
-            rs = tuple(map(numbering.__getitem__, out[letter]))
-            row[letter] = rs if len(rs) == 1 else tuple(sorted(set(rs)))
-        rows.append(row)
+                else:
+                    back[r].append(q)
+                rs.append(r)
+            out[letter] = (r,) if len(rs) == 1 else tuple(sorted(set(rs)))
+        rows.append({letter: out[letter] for letter in sorted(out)})
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:
@@ -487,17 +493,25 @@ def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
     uses and no complement of it is built.  With `tape`, `b` is unary and
     reads that tape alone, entering a drain state from acceptance once the
     tape pads: the accepting keys are then those of the tuples of L(a)
-    whose word on `tape` is not in L(b).
+    whose word on `tape` is not in L(b).  Many letters share their symbol
+    on `tape`, so there each (subset, symbol) image is computed once.
     """
     DRAIN = -1
     delta, done = b._delta, b.accepting if tape is None else b.accepting | {DRAIN}
+    images: dict = {}  # (subset, symbol on tape) -> image
 
     def image(subset, letter):
-        if tape is not None:
-            if letter[tape] == PAD:
-                return frozenset({DRAIN} if subset & done else ())
-            letter = letter[tape : tape + 1]
-        return frozenset(r for q in subset for r in delta.get(q, {}).get(letter, ()))
+        if tape is None:
+            return frozenset(r for q in subset for r in delta.get(q, {}).get(letter, ()))
+        key = (subset, letter[tape])
+        after = images.get(key)
+        if after is None:
+            if key[1] == PAD:
+                after = frozenset({DRAIN} if subset & done else ())
+            else:
+                after = frozenset(r for q in subset for r in delta.get(q, {}).get(key[1:], ()))
+            images[key] = after
+        return after
 
     def moves(pair):
         p, subset = pair

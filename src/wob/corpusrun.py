@@ -150,7 +150,7 @@ def run_corpus(seed: int = 20240817) -> int:
             expected = tmmod.step(tm, c)
             for c2 in universe:
                 want = expected is not None and c2 == expected
-                assert aut.accepts(c.serialize(), c2.serialize()) == want
+                assert aut.accepts(c.serialize(tm), c2.serialize(tm)) == want
         return f"exhaustive on {len(universe)} configurations"
 
     @case("rpi embedding and wf")

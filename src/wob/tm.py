@@ -136,10 +136,16 @@ class Configuration:
     columns: tuple  # tuple of per-tape cell tuples
     heads: tuple  # head column per tape
 
-    def serialize(self) -> tuple:
-        word = [self.state]
-        for j, cells in enumerate(self.columns):
-            word.append(column_token(cells, [h == j for h in self.heads]))
+    def serialize(self, tm: Optional[TmSpec] = None) -> tuple:
+        """The state token, then one column token per column.  Headless
+        columns are read from tm's token table; a cell outside tm's cell
+        alphabets, or any cell when tm is not given, is joined by
+        `column_token`."""
+        token_of = tm._token_of if tm is not None else {}
+        none, headless = frozenset(), [False] * len(self.heads)
+        word = [self.state] + [token_of.get((cells, none)) or column_token(cells, headless) for cells in self.columns]
+        for j in set(self.heads):
+            word[j + 1] = column_token(self.columns[j], [h == j for h in self.heads])
         return tuple(word)
 
 
@@ -255,22 +261,50 @@ def _step_graph(tm: TmSpec) -> tuple:
     equals the input column with head cells rewritten and head flags moved
     one column left or right.  Flags arriving from the right (an L-move)
     are guessed one column ahead and checked on arrival; a flag moving
-    right past the last column forces one appended blank column.  A
-    state's column edges do not depend on its content bits, so they are
-    found once per (transition, seen, carry, guessed, first), by lookups.
+    right past the last column forces one appended blank column.
+
+    A column's letter and content bits depend only on (first, head tapes,
+    cells read and written under the heads, outgoing flags), so each such
+    letter list is made once per build and shared by every transition that
+    fits.  A state's column edges do not depend on its content bits, so
+    they are found once per (transition, seen, carry, guessed, first).
+    States are numbered as they are made: the BFS hashes ints, and a
+    state's key is read back from `keys`.
     """
     K = tm.tapes
     ALL = frozenset(range(K))
     index, token_of = tm._column_index, tm._token_of
     blanks = (tm.blank,) * K
+    START, DONE = 0, 1
+    keys = [None, None]  # state number -> (t, seen, carry, guessed, first, content)
+    numbers = {}  # its inverse
+
+    def number(key):
+        n = numbers.get(key)
+        if n is None:
+            n = numbers[key] = len(keys)
+            keys.append(key)
+        return n
+
     start = []
     for (q, reads), (q2, actions) in tm.transitions.items():
         l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
         t = (reads, actions, l_movers)
         for g0 in _subsets(l_movers):
-            start.append(((q, q2), (t, frozenset(), frozenset(), g0, True, (False, False))))
-    # edge lists by state less its content bits; targets interned to save memory
-    edges, targets = {}, {}
+            start.append(((q, q2), number((t, frozenset(), frozenset(), g0, True, (False, False)))))
+    shared = {}  # (first, head tapes, reads, writes, out flags) -> [(content, letters), ...]
+
+    def column_letters(first, fx, reads, writes, out_flags):
+        by_content = {}
+        heads = sorted(fx)
+        for tok, cells, in_content in index.get((first, fx, reads), ()):
+            out_cells = list(cells)
+            for i, w in zip(heads, writes):
+                out_cells[i] = w
+            out_cells = tuple(out_cells)
+            content = (in_content, bool(out_flags) or out_cells != blanks)
+            by_content.setdefault(content, []).append((tok, token_of[out_cells, out_flags]))
+        return list(by_content.items())
 
     def column_edges(t, seen, carry, guessed, first):
         reads, actions, l_movers = t
@@ -278,20 +312,26 @@ def _step_graph(tm: TmSpec) -> tuple:
         for r_heads in _subsets(ALL - l_movers - seen):
             fx = guessed | r_heads
             new_seen = seen | fx
-            guesses = _subsets(l_movers - new_seen)
-            for tok, cells, in_content in index.get((first, fx, tuple(reads[i] for i in sorted(fx))), ()):
-                out_cells = tuple(actions[i][0] if i in fx else cells[i] for i in range(K))
-                for g in guesses:
-                    out_flags = carry | g
-                    target = (t, new_seen, r_heads, g, False, (in_content, bool(out_flags) or out_cells != blanks))
-                    out.append(((tok, token_of[out_cells, out_flags]), targets.setdefault(target, target)))
+            heads = sorted(fx)
+            at_heads = (first, fx, tuple(reads[i] for i in heads), tuple(actions[i][0] for i in heads))
+            for g in _subsets(l_movers - new_seen):
+                group = at_heads + (carry | g,)
+                letters = shared.get(group)
+                if letters is None:
+                    letters = shared[group] = column_letters(*group)
+                for content, column in letters:
+                    target = number((t, new_seen, r_heads, g, False, content))
+                    out.extend([(letter, target) for letter in column])
         return out
 
-    def moves(key):
-        if key == ("start",):
+    edges = {}  # edge lists by state less its content bits
+
+    def moves(n):
+        if n == START:
             return start
-        if key == ("done",):
+        if n == DONE:
             return ()
+        key = keys[n]
         t, seen, carry, guessed, first, content = key
         out = edges.get(key[:5])
         if out is None:
@@ -299,19 +339,19 @@ def _step_graph(tm: TmSpec) -> tuple:
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
         if seen == ALL and not guessed and carry and not first and content[0]:
-            return out + [((PAD, token_of[blanks, carry]), ("done",))]
+            return out + [((PAD, token_of[blanks, carry]), DONE)]
         return out
 
-    def accepting(key):
-        if key == ("done",):
+    def accepting(n):
+        if n == DONE:
             return True
-        if key == ("start",):
+        if n == START:
             return False
-        t, seen, carry, guessed, first, content = key
+        t, seen, carry, guessed, first, content = keys[n]
         # both sides must end in a contentful column (canonical configurations)
         return seen == ALL and not carry and not guessed and not first and all(content)
 
-    return ("start",), accepting, moves
+    return START, accepting, moves
 
 
 def _subsets(s: frozenset) -> list:
@@ -618,13 +658,7 @@ def tag_word(x) -> tuple:
 
 
 def tag_config(c: Configuration, tm: TmSpec) -> tuple:
-    """(CONF_TAG,) + c.serialize(), reading the headless columns from tm's
-    token table (cells outside tm's cell alphabets are joined as there)."""
-    token_of, none = tm._token_of, frozenset()
-    word = [CONF_TAG, c.state] + [token_of.get((cells, none)) or column_token(cells, [False] * tm.tapes) for cells in c.columns]
-    for j in set(c.heads):
-        word[j + 2] = column_token(c.columns[j], [h == j for h in c.heads])
-    return tuple(word)
+    return (CONF_TAG,) + c.serialize(tm)
 
 
 def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):

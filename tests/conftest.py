@@ -8,7 +8,7 @@ from wob import automata as au  # noqa: E402
 from wob import logic  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
-from wob.errors import InvalidAutomaton, NotLinear  # noqa: E402
+from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded  # noqa: E402
 from wob.logic import And, Eq, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
@@ -458,3 +458,66 @@ def reference_step_graph(tm):
         return seen == ALL and not carry and not guessed and not first and all(content)
 
     return ("start",), accepting, moves
+
+
+def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=None):
+    """`automata._canonical` before each target was hashed once: a target is
+    looked up by `in`, then `[]`, then again when its row is built, and each
+    letter's sort key is computed at every sort."""
+    alphabet = tuple(alphabet)
+    index = {s: i for i, s in enumerate(alphabet)}
+    index[au.PAD] = -1
+
+    def lkey(letter):
+        return tuple(map(index.__getitem__, letter))
+
+    numbering = {initial_key: 0}
+    order = [initial_key]
+    rows = []  # rows[q]: letter -> its sorted distinct target numbers, letters sorted
+    back = [[]]  # back[r]: the states with a move into r
+    for q, key in enumerate(order):  # grows while it is read
+        out = {}
+        for letter, target in moves(key):
+            out.setdefault(tuple(letter), []).append(target)
+        try:
+            letters = sorted(out, key=lkey)
+        except KeyError:  # only a move graph given to `build` can hold a foreign symbol
+            bad = next(letter for letter in out if not index.keys() >= set(letter))
+            raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
+        for letter in letters:
+            for target in out[letter]:
+                if target not in numbering:
+                    numbering[target] = len(order)
+                    order.append(target)
+                    back.append([])
+                    if max_states is not None and len(order) > max_states:
+                        raise StateBudgetExceeded(len(order), max_states)
+                back[numbering[target]].append(q)
+        row = {}
+        for letter in sorted(out):
+            rs = tuple(map(numbering.__getitem__, out[letter]))
+            row[letter] = rs if len(rs) == 1 else tuple(sorted(set(rs)))
+        rows.append(row)
+    accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
+    useful = au._search(accepting, dict(enumerate(back)))
+    if 0 not in useful:
+        return au._unchecked(arity, alphabet, 1, 0, frozenset(), frozenset())
+    if len(useful) < len(rows):  # renumber the useful states, in order
+        new = {q: i for i, q in enumerate(sorted(useful))}
+        accepting = frozenset(new[q] for q in accepting)
+        kept: dict = {}  # targets -> the useful ones renumbered, shared by equal targets
+        for i, q in enumerate(sorted(useful)):
+            row, rows[i] = rows[q], {}  # i <= q: slot i is read or useless
+            for letter, rs in row.items():
+                if rs not in kept:
+                    kept[rs] = tuple(new[r] for r in rs if r in new)
+                if kept[rs]:
+                    rows[i][letter] = kept[rs]
+        del rows[len(new):]
+    delta = {q: row for q, row in enumerate(rows) if row}
+    transitions = frozenset((q, l, r) for q, row in delta.items() for l, rs in row.items() for r in rs)
+    a = au._unchecked(arity, alphabet, len(rows), 0, accepting, transitions)
+    every = frozenset(range(len(rows)))  # each state kept is useful
+    a.__dict__.update(_delta=delta, _reachable=every, _coreachable=every)
+    return a
+

@@ -14,6 +14,7 @@ from conftest import (
     complement,
     conv,
     language,
+    reference_canonical,
     reference_check_padding,
     reference_complement,
     reference_insert_tape,
@@ -736,6 +737,56 @@ def test_canonical_delta_after_trimming_the_last_state():
     assert (a.n_states, a.accepting) == (3, frozenset({2}))
     assert a._delta == {0: {("b",): (1, 2)}, 1: {("a",): (1, 2)}}
     assert_delta_is_reference(a)
+
+
+def _built(make):
+    """What `make()` gives, as comparable data: the saved bytes and the
+    `_delta` items in order, or the class and message of what it raised."""
+    try:
+        a = make()
+    except Exception as exc:  # the class and message are what the test compares
+        return type(exc), str(exc)
+    return au.save_automaton(a, "A"), [(q, list(row.items())) for q, row in a._delta.items()]
+
+
+def _validated(a):
+    a.__post_init__()
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_matches_reference_canonical(data):
+    # move graphs with several targets per letter, repeated letters and
+    # moves, states that cannot reach acceptance and now and then the
+    # foreign symbol z; tuple keys, as the package's graphs use.  With the
+    # alphabet (b, a), sort by symbol index and plain tuple order differ
+    alphabet = data.draw(st.sampled_from([AB, AB[::-1]]))
+    arity = data.draw(st.integers(1, 2))
+    n_states = data.draw(st.integers(1, 7))
+    symbol = st.sampled_from(AB * 6 + ("#", "z"))
+    letter = st.tuples(*[symbol] * arity).filter(lambda l: set(l) != {"#"})
+    move = st.tuples(letter, st.integers(0, n_states - 1))
+    graph = data.draw(st.lists(st.lists(move, max_size=4), min_size=n_states, max_size=n_states))
+    accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), min_size=1, max_size=2))
+    budget = data.draw(st.none() | st.integers(1, n_states + 1))
+
+    def moves(key):
+        return [(l, ("q", r)) for l, r in graph[key[1]]]
+
+    def accept(key):
+        return key[1] in accepting
+
+    got = _built(lambda: au.build(arity, alphabet, ("q", 0), accept, moves, budget))
+    want = _built(lambda: _validated(reference_canonical(arity, alphabet, ("q", 0), accept, moves, budget)))
+    assert got == want
+    # the budget holds at budget + 1 keys, unless a foreign symbol is met first
+    reached = au._search({0}, {q: {r for _l, r in out} for q, out in enumerate(graph)})
+    foreign = any("z" in l for q in reached for l, _r in graph[q])
+    if budget is not None and len(reached) > budget and not foreign:
+        assert got == (StateBudgetExceeded, str(StateBudgetExceeded(budget + 1, budget)))
+    if budget is None or len(reached) <= budget:
+        assert got[0] is not StateBudgetExceeded
 
 
 def test_kernel_results_have_the_sorted_delta():

@@ -3,6 +3,8 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_delta_is_reference, reference_step_graph
 from wob import automata as au
@@ -60,7 +62,7 @@ def all_valid_configs(tm, max_cols, canonical_only=True):
 def test_serialize_roundtrip():
     tm = increment_machine()
     for c in all_valid_configs(tm, 3):
-        assert parse_configuration(tm, c.serialize()) == c
+        assert parse_configuration(tm, c.serialize(tm)) == c
 
 
 def test_simulator_increment():
@@ -156,6 +158,33 @@ def _step_oracle_machines():
 
 @pytest.mark.parametrize("tm", _step_oracle_machines(), ids=lambda tm: tm.name)
 def test_step_automaton_matches_reference(tm):
+    got = au.save_automaton(step_relation_automaton(tm), "S")
+    want = au.save_automaton(au.build(2, tm.config_alphabet, *reference_step_graph(tm)), "S")
+    assert got == want
+
+
+@st.composite
+def small_machines(draw):
+    """1-2 tapes over a, b and the blank, both moves; a transition reading
+    the marker rewrites it and moves right, and none writes it elsewhere."""
+    tapes = draw(st.integers(1, 2))
+    states = ("p", "q", "r")[: draw(st.integers(1, 3))]
+    cells = (T.MARKER, "_", "a", "b")
+    sources = st.tuples(st.sampled_from(states), st.tuples(*[st.sampled_from(cells)] * tapes))
+    transitions = {}
+    for q, reads in draw(st.lists(sources, unique=True, max_size=6)):
+        actions = tuple(
+            (T.MARKER, "R") if r == T.MARKER else (draw(st.sampled_from(cells[1:])), draw(st.sampled_from("LR")))
+            for r in reads
+        )
+        transitions[(q, reads)] = (draw(st.sampled_from(states)), actions)
+    accepting = draw(st.frozensets(st.sampled_from(states)))
+    return T.TmSpec(name="random", tapes=tapes, blank="_", states=states, accepting=accepting, transitions=transitions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_machines())
+def test_step_automaton_matches_reference_on_random_machines(tm):
     got = au.save_automaton(step_relation_automaton(tm), "S")
     want = au.save_automaton(au.build(2, tm.config_alphabet, *reference_step_graph(tm)), "S")
     assert got == want
