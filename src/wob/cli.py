@@ -45,6 +45,11 @@ def _whole(value: float, what: str) -> int:
         raise UsageError(f"{what} must be finite, got {value!r}") from None
 
 
+def _at_least(value: int, least: int, flag: str):
+    if value < least:
+        raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -166,6 +171,7 @@ def _emit(args, text, payload):
 
 
 def cmd_query(args) -> int:
+    _at_least(args.budget, 1, "--budget")
     s = load_structure(args.manifest)
     if os.path.exists(args.formula):
         with open(args.formula, "r", encoding="utf-8") as fh:
@@ -188,6 +194,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    _at_least(args.budget, 1, "--budget")
+    if args.max_levels is not None:
+        _at_least(args.max_levels, 0, "--max-levels")
     s = load_structure(args.manifest)
     p = rec.OrderPresentation(s)
     trace = [] if args.trace else None

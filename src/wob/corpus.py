@@ -364,14 +364,6 @@ def binary_lex() -> Presentation:
     )
 
 
-def successor_structure() -> Structure:
-    """Unary naturals with the append-one-a successor relation."""
-    alphabet = ("a",)
-    dom = star_lang(alphabet, "a")
-    succ = au.automaton(1 + 1, alphabet, 2, 0, {1}, [(0, ("a", "a"), 0), (0, (PAD, "a"), 1)])
-    return Structure(name="succ", domain=dom, relations={"S": (2, succ)})
-
-
 def well_order_corpus() -> list[Presentation]:
     return [
         omega_unary(),

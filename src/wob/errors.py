@@ -46,10 +46,6 @@ class NotASentence(WobError):
     pass
 
 
-class NotUnary(WobError):
-    pass
-
-
 class NotALimit(WobError):
     pass
 

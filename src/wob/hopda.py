@@ -383,18 +383,6 @@ def anbn_pda() -> HopdaSpec:
     )
 
 
-def epsilon_chain_machine() -> HopdaSpec:
-    """One state, one epsilon push loop; its configuration graph is a chain."""
-    rules = (
-        Rule("s", None, "Z", "s", ("push", 1, "A")),
-        Rule("s", None, "A", "s", ("push", 1, "A")),
-    )
-    return HopdaSpec(
-        name="eps_chain", level=1, input_alphabet=("a",), pds_alphabet=("Z", "A"),
-        states=("s",), rules=rules, bottom="Z",
-    )
-
-
 def omega_machine() -> HopdaSpec:
     """Level 1; reachable stacks Z A^j enumerate omega."""
     rules = (
@@ -405,10 +393,6 @@ def omega_machine() -> HopdaSpec:
         name="omega", level=1, input_alphabet=("a",), pds_alphabet=("Z", "A"),
         states=("s",), rules=rules, bottom="Z",
     )
-
-
-def omega_value(pds: Npds) -> int:
-    return pds.serialize().count("A")
 
 
 def omega_squared_machine() -> HopdaSpec:

@@ -22,7 +22,6 @@ from .errors import (
     ArityMismatch,
     LoadError,
     NotASentence,
-    NotUnary,
     UnknownRelation,
     WobError,
 )
@@ -281,13 +280,12 @@ class Structure:
         return self.relations[name]
 
 
-def _unchecked(name: str, domain: Automaton, relations: dict, cubes: Optional[dict] = None) -> Structure:
+def _unchecked(name: str, domain: Automaton, relations: dict) -> Structure:
     """A Structure whose relations are kernel results inside the cube of an
     already checked domain, skipping `__post_init__` as `automata._unchecked`
-    skips the automaton check.  `cubes` shares the domain cubes of a
-    structure with the same domain."""
+    skips the automaton check."""
     s = object.__new__(Structure)
-    s.__dict__.update(name=name, domain=domain, relations=relations, _cubes={} if cubes is None else cubes)
+    s.__dict__.update(name=name, domain=domain, relations=relations)
     return s
 
 
@@ -440,15 +438,6 @@ def eval_sentence(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BU
     if res.aut is None:
         return bool(res.truth)
     return not au.is_empty(res.aut)
-
-
-def define_set(s: Structure, f: Formula, var: str, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
-    fv = f.free_vars()
-    if fv != {var}:
-        raise NotUnary(f"expected exactly one free variable {var!r}, got {sorted(fv)}")
-    res = Compiler(s, state_budget).compile(f)
-    assert res.aut is not None and res.vars == (var,)
-    return au.minimize(res.aut)
 
 
 # -- manifest format ---------------------------------------------------------

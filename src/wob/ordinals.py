@@ -134,18 +134,6 @@ def add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
     return a + b
 
 
-def mul(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
-    return a * b
-
-
-def omega_tower(k: int) -> CnfOrdinal:
-    """w_0 = 1 and w_{k+1} = w^{w_k}."""
-    t = ONE
-    for _ in range(k):
-        t = omega_power(t)
-    return t
-
-
 # -- fundamental sequences ------------------------------------------------
 
 

@@ -17,15 +17,18 @@ condensation reaching a fixpoint while the order is still infinite
 (DenseFixpoint: all classes are singletons, which no infinite well-order
 allows).
 
-Each presentation joins its order with itself once, into the interval
-product between(x, z, y) = x<z<y, and reads ~, the successor relation, the
-transitivity check and the bad-class set from it with kernel operations:
-infinitely many z lie between x and y in either orientation exactly when
-they do in one of them, so x ~ y fails exactly on I(x, y) or I(y, x), where
+Recognition compiles no formula; every set is a kernel construction under
+the state budget.  Each presentation joins its order with itself once, into
+the interval product between(x, z, y) = x<z<y, and reads ~, the successor
+relation, the transitivity check and the bad-class set from it: infinitely
+many z lie between x and y in either orientation exactly when they do in
+one of them, so x ~ y fails exactly on I(x, y) or I(y, x), where
 I = { (x, y) : infinitely many z with x<z<y }.  Irreflexivity and totality
-are kernel tests too, an empty product with the diagonal and an inclusion
-of the domain cube, and each level passes when no element has infinitely
-many predecessors within its class.
+are an empty product with the diagonal and an inclusion of the domain cube,
+and each level passes when no element has infinitely many predecessors
+within its class.  The class representatives are the domain minus the
+llex-larger side of ~, and the top class is the domain minus the elements
+with infinitely many elements above them.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ from . import automata as au
 from . import ordinals as o
 from .automata import Automaton
 from .errors import NotComparable, NotLinear, StateBudgetExceeded
-from .logic import DEFAULT_STATE_BUDGET, And, ExistsInf, Exists, Llex, Not, Rel, Structure, _unchecked, define_set
+from .logic import DEFAULT_STATE_BUDGET, Structure, _unchecked
 from .ordinals import CnfOrdinal
 
 LESS = "<"
-SIM = "~"
 
 TOP_CLASS_CAP = 10 ** 5
 FINITE_LEVEL_CAP = 10 ** 5
@@ -87,17 +89,6 @@ class OrderPresentation:
             return au.minimize(au.project(self.between(b), 1, infinite=True, max_states=b), max_states=b)
 
         return self._once("I", budget, make)
-
-    def with_sim(self, budget: int) -> Structure:
-        """The structure plus the condensation equivalence ~, built once per
-        budget and shared by every step of a condensation level.  It has the
-        same domain, so it shares the structure's domain cubes."""
-
-        def make(b):
-            s = self.structure
-            return _unchecked(s.name, s.domain, {**s.relations, SIM: (2, sim_automaton(self, b))}, cubes=s._cubes)
-
-        return self._once("sim", budget, make)
 
     @cached_property
     def successor(self) -> Automaton:
@@ -175,15 +166,17 @@ def sim_automaton(p: OrderPresentation, budget: int) -> Automaton:
 
 
 def finite_condensation(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> OrderPresentation:
-    """Quotient by ~, represented by the llex-least element of each class.
+    """Quotient by ~, represented by the llex-least element of each class:
+    the domain minus every x with some y ~ x llex-below it.  ~ lies in the
+    domain cube, so the bare llex automaton restricts nothing further.
     Distinct representatives are never ~-equivalent, so the quotient order
     is the original order restricted to representatives."""
-    s2 = p.with_sim(budget)
-    rep = Not(Exists("y", And(Llex("y", "x"), Rel(SIM, ("y", "x")))))
-    new_dom = define_set(s2, rep, "x", state_budget=budget)
-    cube = au.insert_tape(new_dom, 1, track=new_dom)
-    new_rel = au.minimize(au.intersect(p.order, cube, max_states=budget))
-    return OrderPresentation(_unchecked(s2.name + "'", new_dom, {LESS: (2, new_rel)}))
+    llex = au.llex_automaton(p.domain.alphabet)
+    outranked = au.project(au.intersect(llex, sim_automaton(p, budget), max_states=budget), 0, max_states=budget)
+    new_dom = au.minimize(au.difference(p.domain, outranked, max_states=budget), max_states=budget)
+    below = au.join(p.order, [0, 1], new_dom, [0], max_states=budget)
+    new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1], max_states=budget), max_states=budget)
+    return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: (2, new_rel)}))
 
 
 @dataclass(frozen=True)
@@ -215,8 +208,8 @@ def _top_class_size(p: OrderPresentation, budget: int):
     class has infinitely many elements above it (the rest of its omega
     class, or those between it and a higher class), so the elements with
     finitely many above are exactly a finite top class, and none otherwise."""
-    in_top = Not(ExistsInf("y", Rel(LESS, ("x", "y"))))
-    top = define_set(p.structure, in_top, "x", state_budget=budget)
+    below_infinitely_many = au.project(p.order, 1, infinite=True, max_states=budget)
+    top = au.minimize(au.difference(p.domain, below_infinitely_many, max_states=budget), max_states=budget)
     members = au.count_or_enumerate(top, TOP_CLASS_CAP + 1)
     if len(members) > TOP_CLASS_CAP:
         raise StateBudgetExceeded(len(members), TOP_CLASS_CAP)

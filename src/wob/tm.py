@@ -121,12 +121,6 @@ def column_token(cells, flags) -> str:
     return "".join(cells) + "".join("1" if f else "0" for f in flags)
 
 
-def split_column(tok: str, tapes: int):
-    cells = tuple(tok[:tapes])
-    flags = tuple(c == "1" for c in tok[tapes:])
-    return cells, flags
-
-
 # -- configurations -----------------------------------------------------------
 
 
@@ -155,25 +149,6 @@ def is_canonical(tm: TmSpec, c: Configuration) -> bool:
     share a successor and the step graph would not be backward deterministic."""
     last = len(c.columns) - 1
     return any(h == last for h in c.heads) or any(cell != tm.blank for cell in c.columns[last])
-
-
-def parse_configuration(tm: TmSpec, word) -> Configuration:
-    word = tuple(word)
-    if len(word) < 2 or word[0] not in tm.states:
-        raise WobError(f"not a configuration word: {word!r}")
-    columns = []
-    heads = [None] * tm.tapes
-    for j, tok in enumerate(word[1:]):
-        cells, flags = split_column(tok, tm.tapes)
-        columns.append(cells)
-        for i, f in enumerate(flags):
-            if f:
-                if heads[i] is not None:
-                    raise WobError("two head flags on one tape")
-                heads[i] = j
-    if any(h is None for h in heads):
-        raise WobError("missing head flag")
-    return Configuration(word[0], tuple(columns), tuple(heads))
 
 
 def initial_configuration(tm: TmSpec, inputs: Sequence) -> Configuration:
@@ -419,13 +394,6 @@ def collision_machine() -> TmSpec:
     return TmSpec(
         name="collision", tapes=1, blank="_",
         states=("s", "t", "q"), accepting=frozenset(), transitions=trans,
-    )
-
-
-def empty_machine() -> TmSpec:
-    return TmSpec(
-        name="void", tapes=1, blank="_",
-        states=("s",), accepting=frozenset(), transitions={},
     )
 
 

@@ -5,11 +5,78 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wob import automata as au  # noqa: E402
+from wob import corpus  # noqa: E402
+from wob import hopda as H  # noqa: E402
 from wob import logic  # noqa: E402
+from wob import ordinals as o  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
-from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded  # noqa: E402
-from wob.logic import And, Eq, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
+from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobError  # noqa: E402
+from wob.logic import And, Eq, Exists, ExistsInf, Forall, Llex, Not, Or, Rel, implies  # noqa: E402
+
+
+# -- structures, machines and ordinals only the tests build ----------------
+
+
+def successor_structure():
+    """Unary naturals with the append-one-a successor relation."""
+    alphabet = ("a",)
+    dom = corpus.star_lang(alphabet, "a")
+    succ = au.automaton(2, alphabet, 2, 0, {1}, [(0, ("a", "a"), 0), (0, (au.PAD, "a"), 1)])
+    return logic.Structure(name="succ", domain=dom, relations={"S": (2, succ)})
+
+
+def epsilon_chain_machine():
+    """One state, one epsilon push loop; its configuration graph is a chain."""
+    rules = (
+        H.Rule("s", None, "Z", "s", ("push", 1, "A")),
+        H.Rule("s", None, "A", "s", ("push", 1, "A")),
+    )
+    return H.HopdaSpec(
+        name="eps_chain", level=1, input_alphabet=("a",), pds_alphabet=("Z", "A"),
+        states=("s",), rules=rules, bottom="Z",
+    )
+
+
+def empty_machine():
+    return T.TmSpec(name="void", tapes=1, blank="_", states=("s",), accepting=frozenset(), transitions={})
+
+
+def split_column(tok, tapes):
+    """The cells and head flags of a column token, the inverse of
+    `tm.column_token`."""
+    return tuple(tok[:tapes]), tuple(c == "1" for c in tok[tapes:])
+
+
+def parse_configuration(tm, word):
+    """The configuration a word of the step automaton spells."""
+    word = tuple(word)
+    if len(word) < 2 or word[0] not in tm.states:
+        raise WobError(f"not a configuration word: {word!r}")
+    columns = []
+    heads = [None] * tm.tapes
+    for j, tok in enumerate(word[1:]):
+        cells, flags = split_column(tok, tm.tapes)
+        columns.append(cells)
+        for i, f in enumerate(flags):
+            if f:
+                if heads[i] is not None:
+                    raise WobError("two head flags on one tape")
+                heads[i] = j
+    if any(h is None for h in heads):
+        raise WobError("missing head flag")
+    return T.Configuration(word[0], tuple(columns), tuple(heads))
+
+
+def omega_tower(k):
+    """w_0 = 1 and w_{k+1} = w^{w_k}."""
+    t = o.ONE
+    for _ in range(k):
+        t = o.omega_power(t)
+    return t
+
+
+# -- oracles ------------------------------------------------------------------
 
 
 def run_nfa(aut, letters):
@@ -362,6 +429,33 @@ REFERENCE_NO_LEAST = Not(Exists("m", And(
 )))
 
 
+def define_set(s, f, var):
+    """The elements satisfying a formula whose one free variable is `var`,
+    compiled and minimized."""
+    assert f.free_vars() == {var}
+    return au.minimize(logic.compile_formula(s, f))
+
+
+def with_sim(p):
+    """p's structure plus the condensation equivalence ~, built through the
+    public constructor, so the full structure check runs on it."""
+    s = p.structure
+    relations = {**s.relations, "~": (2, rec.sim_automaton(p, 10 ** 6))}
+    return logic.Structure(name=s.name, domain=s.domain, relations=relations)
+
+
+def reference_representatives(p):
+    """`finite_condensation`'s new domain as the compiled formula "no y ~ x
+    is llex-below x"."""
+    return define_set(with_sim(p), Not(Exists("y", And(Llex("y", "x"), Rel("~", ("y", "x"))))), "x")
+
+
+def reference_top_class(p):
+    """`_top_class_size`'s set as the compiled formula "not infinitely many
+    y above x"."""
+    return define_set(p.structure, Not(ExistsInf("y", Rel("<", ("x", "y")))), "x")
+
+
 def reference_sim(p):
     """`sim_automaton` as the compiled formula "not infinitely many z
     between x and y", the betweenness taken in both orientations at once."""
@@ -384,7 +478,7 @@ def reference_top_class_size(p):
     with nothing above them outside their own class, counted when it is
     nonempty and finite."""
     in_top = Not(Exists("y", And(Rel("<", ("x", "y")), Not(Rel("~", ("x", "y"))))))
-    top = logic.define_set(p.with_sim(10 ** 6), in_top, "x")
+    top = define_set(with_sim(p), in_top, "x")
     if au.is_empty(top) or au.is_infinite(top):
         return 0
     return len(au.count_or_enumerate(top, 10 ** 5))
@@ -400,7 +494,7 @@ def reference_step_graph(tm):
     PAD = au.PAD
     columns = []
     for tok in sorted(set(tm.config_alphabet) - set(tm.states)):
-        cells, flags = T.split_column(tok, K)
+        cells, flags = split_column(tok, K)
         fx = frozenset(i for i in range(K) if flags[i])
         marker = True if set(cells) == {T.MARKER} else (None if T.MARKER in cells else False)
         content = bool(fx) or any(c != tm.blank for c in cells)

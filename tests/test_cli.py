@@ -162,6 +162,25 @@ def test_tm_negative_length_is_usage_error(flag, capsys):
     assert f"{flag} must not be negative" in capsys.readouterr().err
 
 
+OMEGA_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega" / "omega.manifest")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recognize", OMEGA_MANIFEST, "--budget", "-5"], "--budget must be at least 1"),
+        (["recognize", OMEGA_MANIFEST, "--budget", "0"], "--budget must be at least 1"),
+        (["recognize", OMEGA_MANIFEST, "--max-levels", "-1"], "--max-levels must be at least 0"),
+        (["query", OMEGA_MANIFEST, "(exists x (= x x))", "--budget", "-5"], "--budget must be at least 1"),
+    ],
+    ids=["recognize-budget-negative", "recognize-budget-zero", "recognize-max-levels-negative", "query-budget-negative"],
+)
+def test_non_positive_budget_is_usage_error(argv, message, capsys):
+    # a budget that admits no state is a bad argument, not a verdict
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):
     assert main(["tm", "build-rpi", "builtin:copy"]) == 4
     assert "binary symbols 0 and 1" in capsys.readouterr().err

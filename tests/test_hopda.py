@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import epsilon_chain_machine
 from wob import hopda as H
 from wob import ordinals as o
 from wob.errors import BadLevel, EmptyPds
@@ -13,7 +14,6 @@ from wob.hopda import (
     anbn_pda,
     apply_op,
     config_graph,
-    epsilon_chain_machine,
     epsilon_contract,
     graph_from_edges,
     init_pds,
@@ -23,7 +23,6 @@ from wob.hopda import (
     omega_omega_value,
     omega_squared_machine,
     omega_squared_value,
-    omega_value,
     parse_hopda,
     pop_k,
     push_k,

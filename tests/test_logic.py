@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import same_language, words_upto
+from conftest import define_set, same_language, successor_structure, words_upto
 from wob import automata as au
 from wob import corpus
-from wob.errors import ArityMismatch, NotASentence, NotUnary, UnknownRelation, WobError
+from wob.errors import ArityMismatch, NotASentence, UnknownRelation, WobError
 from wob.logic import (
     And,
     Compiler,
@@ -21,7 +21,6 @@ from wob.logic import (
     Rel,
     Structure,
     compile_formula,
-    define_set,
     eval_sentence,
     implies,
     load_structure,
@@ -147,7 +146,7 @@ def test_exists_inf_domain():
 
 
 def test_compile_exists_successor():
-    s = corpus.successor_structure()
+    s = successor_structure()
     f = parse_formula("(exists y (rel S x y))")
     aut = compile_formula(s, f)
     for w in words_upto(("a",), 6):
@@ -227,11 +226,6 @@ def test_unknown_relation_and_arity_errors():
 def test_not_a_sentence():
     with pytest.raises(NotASentence):
         eval_sentence(OMEGA_P.structure, parse_formula("(rel < x y)"))
-
-
-def test_not_unary():
-    with pytest.raises(NotUnary):
-        define_set(OMEGA_P.structure, parse_formula("(rel < x y)"), "x")
 
 
 def test_quantifier_relativizes_to_domain():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import omega_tower
 from wob import ordinals as o
 from wob.errors import LoadError, NotALimit
 from wob.ordinals import OMEGA, ONE, ZERO, CnfOrdinal, from_int, omega_power, parse, show
@@ -71,10 +72,10 @@ def test_add_examples():
 
 
 def test_mul_and_power_examples():
-    assert o.mul(parse("w+1"), OMEGA) == parse("w^2")
+    assert parse("w+1") * OMEGA == parse("w^2")
     assert omega_power(OMEGA) == parse("w^w")
-    assert o.omega_tower(2) == parse("w^w")
-    assert o.omega_tower(1) == OMEGA
+    assert omega_tower(2) == parse("w^w")
+    assert omega_tower(1) == OMEGA
 
 
 def test_arithmetic_against_rewriting_oracle():

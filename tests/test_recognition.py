@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 import traceback
 from pathlib import Path
 
@@ -6,13 +8,17 @@ import pytest
 
 from conftest import (
     REFERENCE_NO_LEAST,
+    define_set,
     reference_check_linear,
     reference_initial_chain,
+    reference_representatives,
     reference_sim,
     reference_successor,
+    reference_top_class,
     reference_top_class_size,
     rename_symbols,
     same_language,
+    with_sim,
     words_upto,
 )
 from wob import automata as au
@@ -447,7 +453,7 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
         monkeypatch.undo()
         assert compiled == []
         assert len(sets) == 1
-        no_least = logic.define_set(pres.with_sim(10 ** 6), REFERENCE_NO_LEAST, "x")
+        no_least = define_set(with_sim(pres), REFERENCE_NO_LEAST, "x")
         assert au.save_automaton(sets[0], "bad") == au.save_automaton(no_least, "bad")
 
 
@@ -468,14 +474,35 @@ def test_top_class_from_the_order_alone(monkeypatch, name):
     levels = []
     monkeypatch.setattr(rec, "_top_class_size", lambda p, budget: levels.append(p) or original(p, budget))
     recognize(OrderPresentation(make(arg)))
-    sims = []
-    original_sim = rec.sim_automaton
+    sims, counted = [], []
+    original_sim, original_count = rec.sim_automaton, au.count_or_enumerate
     for pres in levels:
         monkeypatch.setattr(rec, "sim_automaton", lambda *args: sims.append(args) or original_sim(*args))
+        monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
         got = original(OrderPresentation(pres.structure), 10 ** 6)
-        monkeypatch.setattr(rec, "sim_automaton", original_sim)
+        monkeypatch.undo()
         assert sims == []
         assert got == reference_top_class_size(pres)
+        top = au.save_automaton(counted.pop(), "top")
+        assert top == au.save_automaton(reference_top_class(pres), "top")
+
+
+@pytest.mark.parametrize("name", sorted(TOP_CLASS_CASES))
+def test_quotient_matches_the_compiled_representatives(name):
+    # the representatives are the domain minus the llex-larger side of ~,
+    # and the quotient order is < restricted to them by two joins; at every
+    # level both save the bytes of the compiled formula and of the order
+    # intersected with the representative cube
+    make, arg = TOP_CLASS_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    for level, pres in trace[:-1]:
+        quotient = finite_condensation(pres)
+        reps = reference_representatives(pres)
+        assert au.save_automaton(quotient.domain, "dom") == au.save_automaton(reps, "dom"), level
+        cube = au.insert_tape(reps, 1, track=reps)
+        order = au.minimize(au.intersect(pres.order, cube))
+        assert au.save_automaton(quotient.order, "lt") == au.save_automaton(order, "lt"), level
 
 
 @pytest.mark.parametrize("name", sorted(TOP_CLASS_CASES))
@@ -506,7 +533,7 @@ def test_recognize_budget_holds_on_the_interval_product(budget):
 
 def test_recognize_runs_no_cube_check(monkeypatch):
     # the manifest's relations are checked when it loads; every structure
-    # recognize builds from them (with_sim, the quotients) is not checked again
+    # recognize builds from them (the quotients) is not checked again
     pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     calls = []
     original = au.is_subset_of_cube
@@ -524,12 +551,49 @@ def test_package_built_structures_pass_the_full_check(name):
     recognize(OrderPresentation(make(arg)), trace=trace)
     assert trace
     for _level, pres in trace:
-        for s in (pres.structure, pres.with_sim(10 ** 6)):
+        for s in (pres.structure, with_sim(pres)):
             assert Structure(name=s.name, domain=s.domain, relations=s.relations) == s
 
 
-def test_with_sim_shares_the_domain_cubes():
-    p = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega2p3" / "omega2p3.manifest"))
-    b = 10 ** 6
-    assert p.with_sim(b).domain_cube(2) is p.structure.domain_cube(2)
-    assert p.with_sim(b).domain_cube(3) is p.structure.domain_cube(3)
+def test_recognize_compiles_no_formula(monkeypatch):
+    # every set of the condensation loop is a kernel construction
+    structures = [make(arg) for make, arg in CHAIN_CASES.values()]
+    calls = []
+    original = logic.Compiler.compile
+    monkeypatch.setattr(logic.Compiler, "compile", lambda self, f: calls.append(f) or original(self, f))
+    for s in structures:
+        recognize(OrderPresentation(s))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["mixed", "omega_cube", "kreisel_true"])
+def test_condensation_steps_take_the_budget(monkeypatch, name):
+    # every kernel call the quotient and the top-class count make, ~ and I
+    # included, that takes a state budget is given the caller's; the fixed
+    # llex automaton and the cached domain cubes are built without one
+    make, arg = CHAIN_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    budget = 10 ** 6 + 7
+    budgets = []
+
+    def recording(fn):
+        signature = inspect.signature(fn)
+
+        def record(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == rec.__name__:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                budgets.append((fn.__name__, bound.arguments["max_states"]))
+            return fn(*args, **kwargs)
+
+        return record
+
+    for attr, fn in list(vars(au).items()):
+        if inspect.isfunction(fn) and not attr.startswith("_") and "max_states" in inspect.signature(fn).parameters:
+            monkeypatch.setattr(au, attr, recording(fn))
+    for _level, pres in trace:
+        rec._top_class_size(OrderPresentation(pres.structure), budget)
+        rec.finite_condensation(OrderPresentation(pres.structure), budget)
+    assert {"difference", "join", "minimize", "project"} <= {fn for fn, _ in budgets}
+    assert [(fn, b) for fn, b in budgets if b != budget] == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_delta_is_reference, reference_step_graph
+from conftest import assert_delta_is_reference, empty_machine, parse_configuration, reference_step_graph
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
@@ -21,12 +21,10 @@ from wob.tm import (
     copy_machine,
     descent_witness,
     emb_path,
-    empty_machine,
     explore_fragment,
     increment_machine,
     initial_configuration,
     kreisel_comparator,
-    parse_configuration,
     parse_tm,
     run,
     save_tm,
