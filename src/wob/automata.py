@@ -19,7 +19,9 @@ which maps each side's tapes to result tapes; `intersect` and the
 cylindrification `insert_tape` are tape maps over it.  Inclusion is one
 subset product, `_difference_graph`: `difference` builds it, and
 `is_subset` and `is_subset_of_cube` search it up to the first
-counterexample.
+counterexample.  That BFS and that search read the one state budget,
+`STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
+a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -43,6 +47,19 @@ from .errors import (
 )
 
 PAD = "#"
+
+DEFAULT_STATE_BUDGET = 10 ** 6
+STATE_BUDGET: ContextVar = ContextVar("state_budget", default=DEFAULT_STATE_BUDGET)
+
+
+@contextmanager
+def state_budget(n: int):
+    """Every construction inside the block raises at n + 1 states."""
+    token = STATE_BUDGET.set(n)
+    try:
+        yield
+    finally:
+        STATE_BUDGET.reset(token)
 
 Letter = tuple  # tuple of symbol tokens, length = arity
 Word = tuple  # tuple of symbol tokens
@@ -239,7 +256,7 @@ def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Aut
     )
 
 
-def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=None) -> Automaton:
+def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
     """Build the trimmed Automaton of an implicit graph over hashable state keys.
 
     moves(key) yields (letter, target_key).  States are numbered in BFS
@@ -251,9 +268,11 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
     useless state has only useless successors, so each useful state is
     first reached from a useful one, and the numbering is what a BFS over
     the useful states alone gives.  The BFS's per-state tables become the
-    result's `_delta`, sorted as `Automaton._delta` sorts.  The result is
-    not validated, so moves written outside the kernel go through `build`.
+    result's `_delta`, sorted as `Automaton._delta` sorts.  The BFS raises
+    at budget + 1 states.  The result is not validated, so moves written
+    outside the kernel go through `build`.
     """
+    budget = STATE_BUDGET.get()
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
     index[PAD] = -1
@@ -285,8 +304,8 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states=N
                 if r == len(order):
                     order.append(target)
                     back.append([q])
-                    if max_states is not None and len(order) > max_states:
-                        raise StateBudgetExceeded(len(order), max_states)
+                    if len(order) > budget:
+                        raise StateBudgetExceeded(len(order), budget)
                 else:
                     back[r].append(q)
                 rs.append(r)
@@ -324,9 +343,9 @@ def _unchecked(*values) -> Automaton:
     return a
 
 
-def build(arity, alphabet, initial_key, accepting_pred, moves, max_states=None) -> Automaton:
+def build(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
     """`_canonical` for moves written outside the kernel: the result is validated."""
-    a = _canonical(arity, alphabet, initial_key, accepting_pred, moves, max_states)
+    a = _canonical(arity, alphabet, initial_key, accepting_pred, moves)
     a.__post_init__()
     return a
 
@@ -356,13 +375,13 @@ def _require_compatible(a: Automaton, b: Automaton):
         raise ArityMismatch(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
 
 
-def intersect(a: Automaton, b: Automaton, max_states=None) -> Automaton:
+def intersect(a: Automaton, b: Automaton) -> Automaton:
     _require_compatible(a, b)
     tapes = range(a.arity)
-    return join(a, tapes, b, tapes, max_states=max_states)
+    return join(a, tapes, b, tapes)
 
 
-def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[int], max_states=None) -> Automaton:
+def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[int]) -> Automaton:
     """The lockstep product: tape i of `a` becomes result tape `a_tapes[i]`,
     likewise for `b`, and a tuple is accepted when each side accepts its own
     tapes of it.  The maps are injective and together cover the result
@@ -421,7 +440,7 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
                         yield letter, (ra, rb)
 
     a_acc, b_acc = a.accepting | {DRAIN}, b.accepting | {DRAIN}
-    return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves, max_states)
+    return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves)
 
 
 def _picker(positions: list, arity: int) -> Optional[Callable]:
@@ -437,7 +456,7 @@ def _picker(positions: list, arity: int) -> Optional[Callable]:
     return operator.itemgetter(*positions)
 
 
-def union(a: Automaton, b: Automaton, max_states=None) -> Automaton:
+def union(a: Automaton, b: Automaton) -> Automaton:
     _require_compatible(a, b)
 
     # Fresh initial state that mimics both initial states; no epsilon moves needed.
@@ -460,10 +479,10 @@ def union(a: Automaton, b: Automaton, max_states=None) -> Automaton:
             return a.initial in a.accepting or b.initial in b.accepting
         return q in (a.accepting if tag == 0 else b.accepting)
 
-    return _canonical(a.arity, a.alphabet, (2, None), acc, moves, max_states=max_states)
+    return _canonical(a.arity, a.alphabet, (2, None), acc, moves)
 
 
-def determinize(a: Automaton, max_states=None) -> Automaton:
+def determinize(a: Automaton) -> Automaton:
     """Subset construction; the result is a partial DFA over reachable subsets."""
 
     def moves(subset):
@@ -474,14 +493,7 @@ def determinize(a: Automaton, max_states=None) -> Automaton:
         for letter, targets in out.items():
             yield letter, frozenset(targets)
 
-    return _canonical(
-        a.arity,
-        a.alphabet,
-        frozenset({a.initial}),
-        lambda s: bool(s & a.accepting),
-        moves,
-        max_states=max_states,
-    )
+    return _canonical(a.arity, a.alphabet, frozenset({a.initial}), lambda s: bool(s & a.accepting), moves)
 
 
 def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
@@ -523,10 +535,11 @@ def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
     return (a.initial, frozenset({b.initial})), lambda pair: pair[0] in a.accepting and not (pair[1] & done), moves
 
 
-def _reaches_acceptance(start, accepting, moves, max_states=None) -> bool:
+def _reaches_acceptance(start, accepting, moves) -> bool:
     """Whether an implicit graph in `_canonical`'s form reaches an accepting
     key.  The search stops at the first one and builds no automaton; like
     every construction it raises at budget + 1 keys."""
+    budget = STATE_BUDGET.get()
     if accepting(start):
         return True
     seen, stack = {start}, [start]
@@ -534,25 +547,25 @@ def _reaches_acceptance(start, accepting, moves, max_states=None) -> bool:
         for _letter, key in moves(stack.pop()):
             if key not in seen:
                 seen.add(key)
-                if max_states is not None and len(seen) > max_states:
-                    raise StateBudgetExceeded(len(seen), max_states)
+                if len(seen) > budget:
+                    raise StateBudgetExceeded(len(seen), budget)
                 if accepting(key):
                     return True
                 stack.append(key)
     return False
 
 
-def difference(a: Automaton, b: Automaton, max_states=None) -> Automaton:
+def difference(a: Automaton, b: Automaton) -> Automaton:
     """L(a) minus L(b): the difference graph, built."""
     _require_compatible(a, b)
-    return _canonical(a.arity, a.alphabet, *_difference_graph(a, b), max_states=max_states)
+    return _canonical(a.arity, a.alphabet, *_difference_graph(a, b))
 
 
-def is_subset(small: Automaton, big: Automaton, max_states=None) -> bool:
+def is_subset(small: Automaton, big: Automaton) -> bool:
     """L(small) subseteq L(big): the difference graph, searched until its
     first accepting key."""
     _require_compatible(small, big)
-    return not _reaches_acceptance(*_difference_graph(small, big), max_states)
+    return not _reaches_acceptance(*_difference_graph(small, big))
 
 
 def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
@@ -670,7 +683,7 @@ def _enumerate_length(a, layers, length, want):
     return results
 
 
-def minimize(a: Automaton, max_states=None) -> Automaton:
+def minimize(a: Automaton) -> Automaton:
     """Language-equivalent minimal (partial, trimmed) DFA.
 
     Moore refinement: a state's signature is its block, the letters it
@@ -679,7 +692,7 @@ def minimize(a: Automaton, max_states=None) -> Automaton:
     `_delta` row lists its letters in one sorted order, so equal letter
     sets line their targets up.
     """
-    d = determinize(a, max_states=max_states)
+    d = determinize(a)
     rows = [d._delta.get(q, {}) for q in range(d.n_states)]
     shapes: dict = {}
     shape = [shapes.setdefault(tuple(row), len(shapes)) for row in rows]
@@ -714,7 +727,7 @@ def _require_tape(a: Automaton, tape: int):
         raise CannotProject(f"tape {tape} out of range for arity {a.arity}")
 
 
-def project(a: Automaton, tape: int, infinite: bool = False, max_states=None) -> Automaton:
+def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
     """Existential projection: drop the given tape and re-normalize padding.
 
     With `infinite`, a tuple is kept only when infinitely many words on the
@@ -763,10 +776,10 @@ def project(a: Automaton, tape: int, infinite: bool = False, max_states=None) ->
             for r in targets:
                 yield rest, r
 
-    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves, max_states)
+    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves)
 
 
-def permute_tapes(a: Automaton, perm: Sequence[int], max_states=None) -> Automaton:
+def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
     """Reorder tapes: new tape i carries old tape perm[i]."""
     if sorted(perm) != list(range(a.arity)):
         raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
@@ -777,7 +790,7 @@ def permute_tapes(a: Automaton, perm: Sequence[int], max_states=None) -> Automat
             for r in targets:
                 yield moved, r
 
-    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves, max_states)
+    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
 
 
 def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) -> Automaton:

@@ -30,11 +30,13 @@ class UsageError(Exception):
     """A command-line argument that does not parse; exits with USAGE."""
 
 
-def _int(text: str, what: str) -> int:
+def _natural(text: str, what: str) -> int:
     try:
-        return int(text)
+        n = int(text)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
+    _at_least(n, 0, what)
+    return n
 
 
 def _whole(value: float, what: str) -> int:
@@ -226,8 +228,7 @@ def cmd_ord(args) -> int:
         print("error: this operation needs a second argument", file=sys.stderr)
         return USAGE
     if args.op == "fs":
-        n = _int(args.right, "the fs index")
-        result = o.standard_fs(left, n)
+        result = o.standard_fs(left, _natural(args.right, "the fs index"))
         _emit(args, o.show(result), {"result": o.show(result)})
         return OK
     right = o.parse(args.right)
@@ -245,6 +246,7 @@ def _system(name: str) -> fgh.NotationSystem:
 
 
 def cmd_fgh_eval(args) -> int:
+    _at_least(args.x, 0, "--x")
     ns = _system(args.system)
     alpha = o.parse(args.alpha)
     budget = fgh.Budget(
@@ -266,7 +268,7 @@ def cmd_fgh_eval(args) -> int:
 def cmd_fgh_compare(args) -> int:
     ns1, ns2 = _system(args.system), _system(args.system2)
     alpha, beta = o.parse(args.alpha), o.parse(args.beta)
-    xs = [_int(x, "--xs") for x in args.xs.split(",") if x]
+    xs = [_natural(x, "--xs") for x in args.xs.split(",") if x]
     budget = fgh.Budget(max_value=10 ** 9, max_steps=_whole(args.max_steps, "--max-steps"))
     report = fgh.dominates_at(ns1, alpha, ns2, beta, xs, budget)
     print(f"F[{args.system}]_{args.alpha} vs F[{args.system2}]_{args.beta}")
@@ -289,9 +291,9 @@ def _parse_monotone(expr: str):
         return lambda n: n
     if "*n+" in expr:
         k, b = expr.split("*n+")
-        return lambda n, k=_int(k, "k"), b=_int(b, "b"): k * n + b
+        return lambda n, k=_natural(k, "k"), b=_natural(b, "b"): k * n + b
     if expr.startswith("n+"):
-        b = _int(expr[2:], "b")
+        b = _natural(expr[2:], "b")
         return lambda n, b=b: n + b
     raise LoadError(f"unsupported function expression {expr!r} (try 2^n, n^2, k*n+b)")
 
@@ -302,7 +304,7 @@ def _pi0_from_spec(spec: str) -> pa.PiPredicate:
     if spec == "builtin:empty":
         return pa.regular_empty()
     if spec.startswith("builtin:except="):
-        n = _int(spec.split("=", 1)[1], "builtin:except=N")
+        n = _natural(spec.split("=", 1)[1], "builtin:except=N")
         return pa.regular_except_word(pa.word_of_rank(n))
     _, aut = au.load_automaton(spec)
     return pa.PiPredicate(kind="regular", aut=aut, description=spec)
@@ -318,14 +320,14 @@ def cmd_kreisel(args) -> int:
         if len(args.args) != 2:
             print("usage: wob pathology kreisel compare X Y", file=sys.stderr)
             return USAGE
-        x, y = _int(args.args[0], "X"), _int(args.args[1], "Y")
+        x, y = _natural(args.args[0], "X"), _natural(args.args[1], "Y")
         print(pa.kreisel_compare(k, x, y))
         return OK
     if args.action == "descend":
         if len(args.args) != 2:
             print("usage: wob pathology kreisel descend START LEN", file=sys.stderr)
             return USAGE
-        start, length = _int(args.args[0], "START"), _int(args.args[1], "LEN")
+        start, length = _natural(args.args[0], "START"), _natural(args.args[1], "LEN")
         chain = pa.find_descent(k, start, length)
         if chain is None:
             print("none")
@@ -345,6 +347,7 @@ def cmd_kreisel(args) -> int:
 
 
 def cmd_omega1(args) -> int:
+    _at_least(args.x, 0, "--x")
     f = _parse_monotone(args.f)
     spec = pa.OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1, name=f"f={args.f}")
     ns = pa.omega_plus_one_system(spec)
@@ -437,6 +440,8 @@ def _load_hopda(spec: str) -> ho.HopdaSpec:
 
 
 def cmd_hopda(args) -> int:
+    _at_least(args.budget, 1, "--budget")
+    _at_least(args.depth, 0, "--depth")
     h = _load_hopda(args.machine)
     if args.action == "run":
         accepted = ho.run_word(h, args.word, budget=max(args.budget, 10 ** 4))

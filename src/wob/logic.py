@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import automata as au
-from .automata import Automaton
+from .automata import DEFAULT_STATE_BUDGET, Automaton
 from .errors import (
     ArityMismatch,
     LoadError,
@@ -25,8 +25,6 @@ from .errors import (
     UnknownRelation,
     WobError,
 )
-
-DEFAULT_STATE_BUDGET = 10 ** 6
 
 LLEX = "llex"
 
@@ -254,14 +252,12 @@ class Structure:
 
     def domain_cube(self, arity: int) -> Automaton:
         """Automaton for domain^arity."""
-        cached = self._cubes.get(arity)
-        if cached is not None:
-            return cached
-        cube = self.domain
-        for _ in range(arity - 1):
-            cube = au.insert_tape(cube, cube.arity, track=self.domain)
-        self._cubes[arity] = cube
-        return cube
+        if arity not in self._cubes:
+            cube = self.domain
+            for _ in range(arity - 1):
+                cube = au.insert_tape(cube, cube.arity, track=self.domain)
+            self._cubes[arity] = cube
+        return self._cubes[arity]
 
     @cached_property
     def eq(self) -> Automaton:
@@ -302,9 +298,8 @@ class _Result:
 
 
 class Compiler:
-    def __init__(self, structure: Structure, state_budget: int = DEFAULT_STATE_BUDGET):
+    def __init__(self, structure: Structure):
         self.s = structure
-        self.budget = state_budget
 
     def compile(self, f: Formula) -> _Result:
         if isinstance(f, Rel):
@@ -323,8 +318,7 @@ class Compiler:
             if r.aut is None:
                 return _Result((), None, not r.truth)
             cube = self.s.domain_cube(len(r.vars))
-            diff = au.difference(cube, r.aut, max_states=self.budget)
-            return _Result(r.vars, au.minimize(diff, max_states=self.budget))
+            return _Result(r.vars, au.minimize(au.difference(cube, r.aut)))
         if isinstance(f, (And, Or)):
             a = self.compile(f.left)
             b = self.compile(f.right)
@@ -340,28 +334,21 @@ class Compiler:
 
     def _atom(self, aut: Automaton, var_list: list) -> _Result:
         # collapse repeated variables by intersecting with tape equality
-        while True:
-            dup = None
-            seen = {}
-            for i, v in enumerate(var_list):
-                if v in seen:
-                    dup = (seen[v], i)
-                    break
-                seen[v] = i
-            if dup is None:
-                break
-            i, j = dup
-            eq = au.eq_tapes(aut.alphabet, aut.arity, i, j)
-            aut = au.intersect(aut, eq, max_states=self.budget)
-            aut = au.project(aut, j, max_states=self.budget)
-            var_list = var_list[:j] + var_list[j + 1 :]
+        j = 1
+        while j < len(var_list):
+            i = var_list.index(var_list[j])  # its first occurrence
+            if i < j:
+                aut = au.project(au.intersect(aut, au.eq_tapes(aut.alphabet, aut.arity, i, j)), j)
+                del var_list[j]
+            else:
+                j += 1
         if len(var_list) == 1:
             # arity-1 atom; still relativize to the domain
-            aut = au.intersect(aut, self.s.domain, max_states=self.budget)
+            aut = au.intersect(aut, self.s.domain)
             return _Result(tuple(var_list), aut)
         # new tape t carries the old tape holding the t-th smallest variable
         order = sorted(range(len(var_list)), key=lambda i: var_list[i])
-        aut = au.permute_tapes(aut, order, max_states=self.budget)
+        aut = au.permute_tapes(aut, order)
         return _Result(tuple(sorted(var_list)), aut)
 
     def _align(self, r: _Result, target_vars: tuple) -> Automaton:
@@ -372,7 +359,7 @@ class Compiler:
         if not missing:
             return r.aut
         cube = self.s.domain_cube(len(missing))
-        return au.join(r.aut, kept, cube, missing, max_states=self.budget)
+        return au.join(r.aut, kept, cube, missing)
 
     def _boolean(self, a: _Result, b: _Result, is_and: bool) -> _Result:
         if a.aut is None and b.aut is None:
@@ -393,9 +380,9 @@ class Compiler:
             # and every variable is on a side, so nothing needs aligning
             a_tapes = [target.index(v) for v in a.vars]
             b_tapes = [target.index(v) for v in b.vars]
-            out = au.join(a.aut, a_tapes, b.aut, b_tapes, max_states=self.budget)
+            out = au.join(a.aut, a_tapes, b.aut, b_tapes)
         else:
-            out = au.union(self._align(a, target), self._align(b, target), max_states=self.budget)
+            out = au.union(self._align(a, target), self._align(b, target))
         return _Result(target, out)
 
     def _with_var(self, r: _Result, var: str) -> _Result:
@@ -416,16 +403,17 @@ class Compiler:
             truth = au.is_infinite(r.aut) if infinite else not au.is_empty(r.aut)
             return _Result((), None, truth)
         rest = r.vars[:t] + r.vars[t + 1 :]
-        return _Result(rest, au.project(r.aut, t, infinite=infinite, max_states=self.budget))
+        return _Result(rest, au.project(r.aut, t, infinite=infinite))
 
 
 def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
     """Compile to an automaton over the free variables in alphabetical order.
 
     Sentences compile to an arity-1 automaton over a dummy tape whose
-    emptiness decides truth.
+    emptiness decides truth.  Every construction runs under `state_budget`.
     """
-    res = Compiler(s, state_budget).compile(f)
+    with au.state_budget(state_budget):
+        res = Compiler(s).compile(f)
     if res.aut is not None:
         return res.aut
     return s.domain if res.truth else au.empty(s.domain.alphabet, 1)
@@ -434,10 +422,7 @@ def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_
 def eval_sentence(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> bool:
     if f.free_vars():
         raise NotASentence(f"free variables: {sorted(f.free_vars())}")
-    res = Compiler(s, state_budget).compile(f)
-    if res.aut is None:
-        return bool(res.truth)
-    return not au.is_empty(res.aut)
+    return not au.is_empty(compile_formula(s, f, state_budget))
 
 
 # -- manifest format ---------------------------------------------------------

@@ -305,7 +305,7 @@ class _Parser:
 
     def term(self) -> CnfOrdinal:
         c = self.peek()
-        if c.isdigit():
+        if c.isdecimal():
             return from_int(self.number())
         if c == "w":
             self.take("w")
@@ -331,7 +331,7 @@ class _Parser:
             self.take("{")
             e = self.sum()
             self.take("}")
-        elif c.isdigit():
+        elif c.isdecimal():
             e = from_int(self.number())
         elif c == "w":
             self.take("w")
@@ -346,7 +346,7 @@ class _Parser:
 
     def number(self) -> int:
         start = self.pos
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             self.pos += 1
         if start == self.pos:
             raise LoadError(f"expected a number at position {self.pos} in {self.text!r}")

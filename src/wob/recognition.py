@@ -17,12 +17,14 @@ condensation reaching a fixpoint while the order is still infinite
 (DenseFixpoint: all classes are singletons, which no infinite well-order
 allows).
 
-Recognition compiles no formula; every set is a kernel construction under
-the state budget.  Each presentation joins its order with itself once, into
-the interval product between(x, z, y) = x<z<y, and reads ~, the successor
-relation, the transitivity check and the bad-class set from it: infinitely
-many z lie between x and y in either orientation exactly when they do in
-one of them, so x ~ y fails exactly on I(x, y) or I(y, x), where
+Recognition compiles no formula; every set is a kernel construction run
+under the state budget `recognize` sets once (`au.state_budget`), so no
+other function here takes one.  Each presentation joins its order with
+itself once, into the interval product between(x, z, y) = x<z<y, and
+reads ~, the successor relation, the transitivity check and the bad-class
+set from it: infinitely many z lie between x and y in either orientation
+exactly when they do in one of them, so x ~ y fails exactly on I(x, y) or
+I(y, x), where
 I = { (x, y) : infinitely many z with x<z<y }.  Irreflexivity and totality
 are an empty product with the diagonal and an inclusion of the domain cube,
 and each level passes when no element has infinitely many predecessors
@@ -39,9 +41,9 @@ from typing import Optional, Union
 
 from . import automata as au
 from . import ordinals as o
-from .automata import Automaton
+from .automata import DEFAULT_STATE_BUDGET, Automaton
 from .errors import NotComparable, NotLinear, StateBudgetExceeded
-from .logic import DEFAULT_STATE_BUDGET, Structure, _unchecked
+from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
 
 LESS = "<"
@@ -72,30 +74,25 @@ class OrderPresentation:
     def _memo(self) -> dict:
         return {}
 
-    def _once(self, name: str, budget: int, make):
-        """make(budget), built once per (name, budget) and shared."""
-        if (name, budget) not in self._memo:
-            self._memo[name, budget] = make(budget)
-        return self._memo[name, budget]
+    def _once(self, name: str, make):
+        """make(), built once per name and state budget in force, and shared."""
+        key = name, au.STATE_BUDGET.get()
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
 
-    def between(self, budget: int) -> Automaton:
+    def between(self) -> Automaton:
         """between(x, z, y): x < z < y, the one product of the order with itself."""
-        return self._once("between", budget, lambda b: au.join(self.order, [0, 1], self.order, [1, 2], max_states=b))
+        return self._once("between", lambda: au.join(self.order, [0, 1], self.order, [1, 2]))
 
-    def infinitely_between(self, budget: int) -> Automaton:
+    def infinitely_between(self) -> Automaton:
         """I(x, y): infinitely many z with x < z < y."""
+        return self._once("I", lambda: au.minimize(au.project(self.between(), 1, infinite=True)))
 
-        def make(b):
-            return au.minimize(au.project(self.between(b), 1, infinite=True, max_states=b), max_states=b)
-
-        return self._once("I", budget, make)
-
-    @cached_property
+    @property
     def successor(self) -> Automaton:
-        """succ(x, y): x < y with nothing between, built once per presentation."""
-        b = DEFAULT_STATE_BUDGET
-        spans = au.project(self.between(b), 1, max_states=b)
-        return au.minimize(au.difference(self.order, spans, max_states=b), max_states=b)
+        """succ(x, y): x < y with nothing between."""
+        return self._once("succ", lambda: au.minimize(au.difference(self.order, au.project(self.between(), 1))))
 
 
 @dataclass(frozen=True)
@@ -136,19 +133,18 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 # -- linearity guard --------------------------------------------------------
 
 
-def check_linear(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> Optional[str]:
+def check_linear(p: OrderPresentation) -> Optional[str]:
     """None when the relation is a strict linear order, else the first
     failing law, each one kernel test: < meets no pair of the diagonal,
     every x < z < y has x < y, and every pair of the domain is ordered one
     way or the other or equal."""
     order, diagonal = p.order, au.diagonal(p.domain.alphabet)
-    if not au.is_empty(au.intersect(order, diagonal, max_states=budget)):
+    if not au.is_empty(au.intersect(order, diagonal)):
         return "irreflexivity"
-    spans = au.project(p.between(budget), 1, max_states=budget)
-    if not au.is_subset(spans, order, max_states=budget):
+    if not au.is_subset(au.project(p.between(), 1), order):
         return "transitivity"
-    both = au.union(order, au.permute_tapes(order, [1, 0], max_states=budget), max_states=budget)
-    if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal, max_states=budget), max_states=budget):
+    both = au.union(order, au.permute_tapes(order, [1, 0]))
+    if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal)):
         return "totality"
     return None
 
@@ -156,26 +152,25 @@ def check_linear(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> Op
 # -- condensation machinery --------------------------------------------------
 
 
-def sim_automaton(p: OrderPresentation, budget: int) -> Automaton:
+def sim_automaton(p: OrderPresentation) -> Automaton:
     """x ~ y: only finitely many elements lie between x and y.  Infinitely
     many lie between them in either orientation exactly when infinitely many
     do in one of them, so ~ is the domain cube minus I and its transpose."""
-    i = p.infinitely_between(budget)
-    apart = au.union(i, au.permute_tapes(i, [1, 0], max_states=budget), max_states=budget)
-    return au.minimize(au.difference(p.structure.domain_cube(2), apart, max_states=budget), max_states=budget)
+    i = p.infinitely_between()
+    apart = au.union(i, au.permute_tapes(i, [1, 0]))
+    return au.minimize(au.difference(p.structure.domain_cube(2), apart))
 
 
-def finite_condensation(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET) -> OrderPresentation:
+def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     """Quotient by ~, represented by the llex-least element of each class:
     the domain minus every x with some y ~ x llex-below it.  ~ lies in the
     domain cube, so the bare llex automaton restricts nothing further.
     Distinct representatives are never ~-equivalent, so the quotient order
     is the original order restricted to representatives."""
-    llex = au.llex_automaton(p.domain.alphabet)
-    outranked = au.project(au.intersect(llex, sim_automaton(p, budget), max_states=budget), 0, max_states=budget)
-    new_dom = au.minimize(au.difference(p.domain, outranked, max_states=budget), max_states=budget)
-    below = au.join(p.order, [0, 1], new_dom, [0], max_states=budget)
-    new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1], max_states=budget), max_states=budget)
+    outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), sim_automaton(p)), 0)
+    new_dom = au.minimize(au.difference(p.domain, outranked))
+    below = au.join(p.order, [0, 1], new_dom, [0])
+    new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1]))
     return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: (2, new_rel)}))
 
 
@@ -184,7 +179,7 @@ class AllFiniteOrOmega:
     pass
 
 
-def classify_classes(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET):
+def classify_classes(p: OrderPresentation):
     """Certify that every condensation class has a least element; otherwise
     return a witness element from a failing class.
 
@@ -194,22 +189,22 @@ def classify_classes(p: OrderPresentation, budget: int = DEFAULT_STATE_BUDGET):
     of its elements has infinitely many predecessors within it; one set of
     such elements decides the level.  The order is linear, so y < x lies in
     x's class exactly when I(y, x) fails."""
-    in_class = au.difference(p.order, p.infinitely_between(budget), max_states=budget)
-    bad = au.minimize(au.project(in_class, 0, infinite=True, max_states=budget), max_states=budget)
+    in_class = au.difference(p.order, p.infinitely_between())
+    bad = au.minimize(au.project(in_class, 0, infinite=True))
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
     return AllFiniteOrOmega()
 
 
-def _top_class_size(p: OrderPresentation, budget: int):
+def _top_class_size(p: OrderPresentation):
     """Size of the topmost condensation class when finite, else 0.
 
     Called when every class is finite or omega.  An element of a lower
     class has infinitely many elements above it (the rest of its omega
     class, or those between it and a higher class), so the elements with
     finitely many above are exactly a finite top class, and none otherwise."""
-    below_infinitely_many = au.project(p.order, 1, infinite=True, max_states=budget)
-    top = au.minimize(au.difference(p.domain, below_infinitely_many, max_states=budget), max_states=budget)
+    below_infinitely_many = au.project(p.order, 1, infinite=True)
+    top = au.minimize(au.difference(p.domain, below_infinitely_many))
     members = au.count_or_enumerate(top, TOP_CLASS_CAP + 1)
     if len(members) > TOP_CLASS_CAP:
         raise StateBudgetExceeded(len(members), TOP_CLASS_CAP)
@@ -222,41 +217,42 @@ def recognize(
     budget: int = DEFAULT_STATE_BUDGET,
     trace: Optional[list] = None,
 ) -> RecognitionResult:
-    """Decide well-orderedness and compute the CNF of the order type."""
-    failure = check_linear(p, budget)
-    if failure is not None:
-        raise NotLinear(f"{p.structure.name}: {failure} fails")
-    if max_levels is None:
-        max_levels = max(2, p.order.n_states)
+    """Decide well-orderedness and the CNF of the order type within `budget` states."""
+    with au.state_budget(budget):
+        failure = check_linear(p)
+        if failure is not None:
+            raise NotLinear(f"{p.structure.name}: {failure} fails")
+        if max_levels is None:
+            max_levels = max(2, p.order.n_states)
 
-    tops: list[int] = []
-    current = p
-    level = 0
-    while True:
-        if trace is not None:
-            trace.append((level, current))
-        verdict = classify_classes(current, budget)
-        if isinstance(verdict, BadCondensationClass):
-            return NotWellOrder(verdict)
-        if not au.is_infinite(current.domain):
-            members = au.count_or_enumerate(current.domain, FINITE_LEVEL_CAP + 1)
-            if len(members) > FINITE_LEVEL_CAP:
+        tops: list[int] = []
+        current = p
+        level = 0
+        while True:
+            if trace is not None:
+                trace.append((level, current))
+            verdict = classify_classes(current)
+            if isinstance(verdict, BadCondensationClass):
+                return NotWellOrder(verdict)
+            if not au.is_infinite(current.domain):
+                members = au.count_or_enumerate(current.domain, FINITE_LEVEL_CAP + 1)
+                if len(members) > FINITE_LEVEL_CAP:
+                    return BudgetExceeded(level)
+                beta = o.from_int(len(members))
+                return WellOrder(_unwind(beta, tops))
+            try:
+                t = _top_class_size(current)
+            except StateBudgetExceeded:
                 return BudgetExceeded(level)
-            beta = o.from_int(len(members))
-            return WellOrder(_unwind(beta, tops))
-        try:
-            t = _top_class_size(current, budget)
-        except StateBudgetExceeded:
-            return BudgetExceeded(level)
-        quotient = finite_condensation(current, budget)
-        # the quotient domain is a subset, so one inclusion decides equality
-        if au.is_subset(current.domain, quotient.domain, max_states=budget):
-            return NotWellOrder(DenseFixpoint(level))
-        tops.append(t)
-        current = quotient
-        level += 1
-        if level > max_levels:
-            return BudgetExceeded(level)
+            quotient = finite_condensation(current)
+            # the quotient domain is a subset, so one inclusion decides equality
+            if au.is_subset(current.domain, quotient.domain):
+                return NotWellOrder(DenseFixpoint(level))
+            tops.append(t)
+            current = quotient
+            level += 1
+            if level > max_levels:
+                return BudgetExceeded(level)
 
 
 def _unwind(beta: CnfOrdinal, tops: list[int]) -> CnfOrdinal:

@@ -127,10 +127,10 @@ def language(aut, max_len):
     return out
 
 
-def complement(a, max_states=None):
+def complement(a):
     """Valid padded convolutions of a.arity not accepted by a: the
     difference from the pad-mask automaton."""
-    return au.difference(au.universe(a.alphabet, a.arity), a, max_states=max_states)
+    return au.difference(au.universe(a.alphabet, a.arity), a)
 
 
 def trim(a):
@@ -440,7 +440,7 @@ def with_sim(p):
     """p's structure plus the condensation equivalence ~, built through the
     public constructor, so the full structure check runs on it."""
     s = p.structure
-    relations = {**s.relations, "~": (2, rec.sim_automaton(p, 10 ** 6))}
+    relations = {**s.relations, "~": (2, rec.sim_automaton(p))}
     return logic.Structure(name=s.name, domain=s.domain, relations=relations)
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import itertools
 import random
 import re
@@ -777,7 +778,8 @@ def test_build_matches_reference_canonical(data):
     def accept(key):
         return key[1] in accepting
 
-    got = _built(lambda: au.build(arity, alphabet, ("q", 0), accept, moves, budget))
+    with au.state_budget(au.DEFAULT_STATE_BUDGET if budget is None else budget):
+        got = _built(lambda: au.build(arity, alphabet, ("q", 0), accept, moves))
     want = _built(lambda: _validated(reference_canonical(arity, alphabet, ("q", 0), accept, moves, budget)))
     assert got == want
     # the budget holds at budget + 1 keys, unless a foreign symbol is met first
@@ -855,12 +857,14 @@ def test_is_subset_budget_raises_at_budget_plus_one(budget):
     # first pair past the budget
     fives = au.automaton(1, ("a",), 5, 0, {0}, [(i, ("a",), (i + 1) % 5) for i in range(5)])
     stars = au.automaton(1, ("a",), 1, 0, {0}, [(0, ("a",), 0)])
-    with pytest.raises(StateBudgetExceeded) as info:
-        au.is_subset(fives, stars, max_states=budget)
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(budget):
+        au.is_subset(fives, stars)
     assert info.value.n_states == budget + 1
-    assert au.is_subset(fives, stars, max_states=5)
+    with au.state_budget(5):
+        assert au.is_subset(fives, stars)
     # "a" is the counterexample, the second pair: the search stops there
-    assert not au.is_subset(stars, fives, max_states=2)
+    with au.state_budget(2):
+        assert not au.is_subset(stars, fives)
 
 
 def _identifiers(node):
@@ -911,3 +915,29 @@ def test_every_public_kernel_function_is_used():
     assert sorted(unused) == sorted(GATE_ONLY)
     gate = set(_identifiers(ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))))
     assert {name.partition(".")[2] for name in GATE_ONLY} <= gate
+
+
+def test_no_function_takes_a_state_budget():
+    # the state budget is one scoped value that every construction reads:
+    # no function of the package takes `max_states`, and the entry points
+    # that set the budget for their work keep their signatures
+    from wob import logic, pathology, recognition
+
+    root = Path(__file__).resolve().parent.parent / "src" / "wob"
+    takers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and "max_states" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    ]
+    assert takers == []
+
+    def params(fn):
+        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    need, budget = inspect.Parameter.empty, au.DEFAULT_STATE_BUDGET
+    assert budget == 10 ** 6
+    assert params(recognition.recognize) == [("p", need), ("max_levels", None), ("budget", budget), ("trace", None)]
+    assert params(logic.compile_formula) == [("s", need), ("f", need), ("state_budget", budget)]
+    assert params(logic.eval_sentence) == [("s", need), ("f", need), ("state_budget", budget)]
+    assert params(pathology.kreisel_as_automatic) == [("pi0", need), ("state_budget", budget)]

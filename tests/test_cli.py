@@ -172,11 +172,26 @@ OMEGA_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega"
         (["recognize", OMEGA_MANIFEST, "--budget", "0"], "--budget must be at least 1"),
         (["recognize", OMEGA_MANIFEST, "--max-levels", "-1"], "--max-levels must be at least 0"),
         (["query", OMEGA_MANIFEST, "(exists x (= x x))", "--budget", "-5"], "--budget must be at least 1"),
+        (["fgh", "eval", "--alpha", "2", "--x", "-3"], "--x must be at least 0"),
+        (["fgh", "compare", "--alpha", "2", "--beta", "3", "--xs", "-1"], "--xs must be at least 0"),
+        (["ord", "fs", "w", "-1"], "the fs index must be at least 0"),
+        (["pathology", "kreisel", "--pi0", "builtin:except=-2", "compare", "1", "2"], "builtin:except=N must be at least 0"),
+        (["pathology", "omega1", "fgh", "--x", "-1"], "--x must be at least 0"),
+        (["pathology", "kreisel", "compare", "-1", "2"], "X must be at least 0"),
+        (["pathology", "kreisel", "descend", "3", "-5"], "LEN must be at least 0"),
+        (["hopda", "graph", "builtin:omega", "--budget", "-1"], "--budget must be at least 1"),
+        (["hopda", "graph", "builtin:omega", "--depth", "-1"], "--depth must be at least 0"),
     ],
-    ids=["recognize-budget-negative", "recognize-budget-zero", "recognize-max-levels-negative", "query-budget-negative"],
+    ids=[
+        "recognize-budget-negative", "recognize-budget-zero", "recognize-max-levels-negative", "query-budget-negative",
+        "fgh-eval-x-negative", "fgh-compare-xs-negative", "ord-fs-index-negative", "kreisel-except-negative",
+        "omega1-x-negative", "kreisel-compare-negative", "kreisel-descend-len-negative", "hopda-budget-negative",
+        "hopda-depth-negative",
+    ],
 )
 def test_non_positive_budget_is_usage_error(argv, message, capsys):
-    # a budget that admits no state is a bad argument, not a verdict
+    # a budget that admits no state, or a negative natural, is a bad
+    # argument: neither a verdict nor an internal error
     assert main(argv) == 2
     assert message in capsys.readouterr().err
 

@@ -321,6 +321,32 @@ def test_state_budget_holds_inside_each_construction():
     assert exc.value.n_states == 11
 
 
+MIXED = Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest"
+
+CAPPED = {
+    "domain_cube": lambda s: s.domain_cube(2),
+    "eq": lambda s: s.eq,
+    "llex": lambda s: s.llex,
+    "llex_automaton": lambda s: au.llex_automaton(s.domain.alphabet),
+    "insert_tape": lambda s: au.insert_tape(s.domain, 1),
+    "section": lambda s: au.section(s.relations["<"][1], 1, "abab"),
+    "is_subset_of_cube": lambda s: au.is_subset_of_cube(s.relations["<"][1], s.domain),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED))
+def test_cached_and_fixed_constructions_take_the_budget(name):
+    # the structure's cached atoms, the fixed relation automata, the
+    # cylindrification, the section and the cube check read the one budget
+    # in force like every other construction and stop at budget + 1 states
+    budget = 3
+    with pytest.raises(au.StateBudgetExceeded) as exc, au.state_budget(budget):
+        CAPPED[name](load_structure(MIXED))
+    assert exc.value.n_states == budget + 1
+    got = CAPPED[name](load_structure(MIXED))  # the default budget admits it
+    assert got is True or got.n_states > budget
+
+
 def test_equality_atom_built_once(monkeypatch):
     calls = []
     original = au.diagonal

@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import sys
 import traceback
@@ -138,7 +137,7 @@ def test_sim_automaton_matches_reference_classes():
     ]
     for pres, ref in cases:
         op = pres_to_op(pres)
-        sim = rec.sim_automaton(op, budget=10 ** 6)
+        sim = rec.sim_automaton(op)
         frag = [w for w in words_upto(pres.structure.domain.alphabet, 5) if pres.ref_domain(w)]
         for x in frag:
             for y in frag:
@@ -292,9 +291,9 @@ def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     calls = []
     original = rec.sim_automaton
 
-    def counted(p, budget):
+    def counted(p):
         calls.append(p)
-        return original(p, budget)
+        return original(p)
 
     monkeypatch.setattr(rec, "sim_automaton", counted)
     manifest = Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest"
@@ -472,14 +471,14 @@ def test_top_class_from_the_order_alone(monkeypatch, name):
     make, arg = TOP_CLASS_CASES[name]
     original = rec._top_class_size
     levels = []
-    monkeypatch.setattr(rec, "_top_class_size", lambda p, budget: levels.append(p) or original(p, budget))
+    monkeypatch.setattr(rec, "_top_class_size", lambda p: levels.append(p) or original(p))
     recognize(OrderPresentation(make(arg)))
     sims, counted = [], []
     original_sim, original_count = rec.sim_automaton, au.count_or_enumerate
     for pres in levels:
         monkeypatch.setattr(rec, "sim_automaton", lambda *args: sims.append(args) or original_sim(*args))
         monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
-        got = original(OrderPresentation(pres.structure), 10 ** 6)
+        got = original(OrderPresentation(pres.structure))
         monkeypatch.undo()
         assert sims == []
         assert got == reference_top_class_size(pres)
@@ -513,7 +512,7 @@ def test_sim_and_successor_match_the_compiled_formulas(name):
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
     for level, pres in trace:
-        got = au.save_automaton(rec.sim_automaton(pres, 10 ** 6), "sim")
+        got = au.save_automaton(rec.sim_automaton(pres), "sim")
         assert got == au.save_automaton(reference_sim(pres), "sim"), level
         got = au.save_automaton(pres.successor, "succ")
         assert got == au.save_automaton(reference_successor(pres), "succ"), level
@@ -568,32 +567,36 @@ def test_recognize_compiles_no_formula(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mixed", "omega_cube", "kreisel_true"])
 def test_condensation_steps_take_the_budget(monkeypatch, name):
-    # every kernel call the quotient and the top-class count make, ~ and I
-    # included, that takes a state budget is given the caller's; the fixed
-    # llex automaton and the cached domain cubes are built without one
+    # every construction the quotient and the top-class count run, ~ and I,
+    # the llex automaton and the domain cubes included, reads the budget in
+    # force: each BFS and each search sees the caller's, and nothing else
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
     budget = 10 ** 6 + 7
-    budgets = []
+    limits = []
 
     def recording(fn):
-        signature = inspect.signature(fn)
-
-        def record(*args, **kwargs):
-            if sys._getframe(1).f_globals["__name__"] == rec.__name__:
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                budgets.append((fn.__name__, bound.arguments["max_states"]))
-            return fn(*args, **kwargs)
+        def record(*args):
+            # the outermost kernel function on the stack: the one the caller called
+            frame, entry = sys._getframe(1), None
+            while frame is not None:
+                if frame.f_globals is vars(au):
+                    entry = frame.f_code.co_name
+                frame = frame.f_back
+            limits.append((entry, au.STATE_BUDGET.get()))
+            return fn(*args)
 
         return record
 
-    for attr, fn in list(vars(au).items()):
-        if inspect.isfunction(fn) and not attr.startswith("_") and "max_states" in inspect.signature(fn).parameters:
-            monkeypatch.setattr(au, attr, recording(fn))
-    for _level, pres in trace:
-        rec._top_class_size(OrderPresentation(pres.structure), budget)
-        rec.finite_condensation(OrderPresentation(pres.structure), budget)
-    assert {"difference", "join", "minimize", "project"} <= {fn for fn, _ in budgets}
-    assert [(fn, b) for fn, b in budgets if b != budget] == []
+    for attr in ("_canonical", "_reaches_acceptance"):
+        monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
+    with au.state_budget(budget):
+        for _level, pres in trace:
+            # a fresh structure, so its domain cubes are built here
+            s = logic._unchecked(pres.structure.name, pres.domain, pres.structure.relations)
+            rec._top_class_size(OrderPresentation(s))
+            rec.finite_condensation(OrderPresentation(s))
+    entries = {entry for entry, _ in limits}
+    assert {"difference", "join", "minimize", "project", "insert_tape", "llex_automaton"} <= entries
+    assert [(entry, b) for entry, b in limits if b != budget] == []
