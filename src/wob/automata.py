@@ -44,6 +44,7 @@ from .errors import (
     InvalidSymbol,
     LoadError,
     StateBudgetExceeded,
+    read_directives,
 )
 
 PAD = "#"
@@ -936,49 +937,30 @@ def save_automaton(a: Automaton, name: str) -> str:
 
 
 def parse_automaton(text: str, expect_name: Optional[str] = None) -> tuple[str, Automaton]:
-    name = None
-    arity = None
-    alphabet = None
-    n_states = None
-    initial = None
-    accepting = None
     transitions = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "automaton":
-                name = parts[1]
-            elif kind == "arity":
-                arity = int(parts[1])
-            elif kind == "alphabet":
-                alphabet = tuple(parts[1:])
-            elif kind == "states":
-                n_states = int(parts[1])
-            elif kind == "initial":
-                initial = int(parts[1])
-            elif kind == "accepting":
-                accepting = frozenset(int(p) for p in parts[1:])
-            elif kind == "trans":
-                if len(parts) != 4 or not (parts[2].startswith("(") and parts[2].endswith(")")):
-                    raise LoadError(f"malformed trans line: {line!r}", lineno)
-                letter = tuple(parts[2][1:-1].split(","))
-                transitions.append((int(parts[1]), letter, int(parts[3])))
-            else:
-                raise LoadError(f"unknown directive {kind!r}", lineno)
-        except LoadError:
-            raise
-        except (ValueError, IndexError) as exc:
-            raise LoadError(f"cannot parse {line!r}: {exc}", lineno) from exc
-    if None in (name, arity, alphabet, n_states, initial, accepting):
-        raise LoadError("missing header directive (automaton/arity/alphabet/states/initial/accepting)")
+
+    def trans(words):
+        if len(words) != 3 or not (words[1].startswith("(") and words[1].endswith(")")):
+            raise LoadError("malformed trans line")
+        transitions.append((int(words[0]), tuple(words[1][1:-1].split(",")), int(words[2])))
+
+    head = read_directives(
+        text,
+        {
+            "automaton": lambda w: w[0],
+            "arity": lambda w: int(w[0]),
+            "alphabet": tuple,
+            "states": lambda w: int(w[0]),
+            "initial": lambda w: int(w[0]),
+            "accepting": lambda w: frozenset(int(p) for p in w),
+        },
+        {"trans": trans},
+    )
+    name = head["automaton"]
     if expect_name is not None and name != expect_name:
         raise LoadError(f"expected automaton named {expect_name!r}, file declares {name!r}")
     try:
-        a = automaton(arity, alphabet, n_states, initial, accepting, transitions)
+        a = automaton(head["arity"], head["alphabet"], head["states"], head["initial"], head["accepting"], transitions)
     except InvalidAutomaton as exc:
         raise LoadError(str(exc)) from exc
     return name, a

@@ -62,6 +62,8 @@ def main(argv=None) -> int:
         return args.handler(args)
     except StateBudgetExceeded as exc:
         print(f"budget-exceeded: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            print(json.dumps({"verdict": "budget-exceeded", "states": exc.n_states, "budget": exc.budget}, sort_keys=True))
         return BUDGET
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -307,7 +309,7 @@ def _pi0_from_spec(spec: str) -> pa.PiPredicate:
         n = _natural(spec.split("=", 1)[1], "builtin:except=N")
         return pa.regular_except_word(pa.word_of_rank(n))
     _, aut = au.load_automaton(spec)
-    return pa.PiPredicate(kind="regular", aut=aut, description=spec)
+    return pa.PiPredicate(kind="regular", aut=aut)
 
 
 def cmd_kreisel(args) -> int:
@@ -328,6 +330,7 @@ def cmd_kreisel(args) -> int:
             print("usage: wob pathology kreisel descend START LEN", file=sys.stderr)
             return USAGE
         start, length = _natural(args.args[0], "START"), _natural(args.args[1], "LEN")
+        _at_least(length, 1, "LEN")
         chain = pa.find_descent(k, start, length)
         if chain is None:
             print("none")
@@ -349,7 +352,7 @@ def cmd_kreisel(args) -> int:
 def cmd_omega1(args) -> int:
     _at_least(args.x, 0, "--x")
     f = _parse_monotone(args.f)
-    spec = pa.OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1, name=f"f={args.f}")
+    spec = pa.OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1)
     ns = pa.omega_plus_one_system(spec)
     if args.action == "contract":
         print("contract ok: fs below limit and strictly increasing on 0..7")

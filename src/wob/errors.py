@@ -1,4 +1,7 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the one reader of the
+line format that its four text formats (`.aut`, `.manifest`, `.tm` and
+`.hopda`) share.  The module imports nothing, so every module may use it.
+"""
 
 
 class WobError(Exception):
@@ -36,6 +39,44 @@ class LoadError(WobError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_directives(text: str, header: dict, body: dict) -> dict:
+    """Read the shared line format and return the converted header values.
+
+    A line is blank, a `;` comment, or a directive word and its argument
+    words.  `header` maps each directive that must appear exactly once to a
+    converter of its words; `body` maps each repeatable directive to a
+    handler of its words.  An unknown or repeated directive, and a line its
+    converter or handler cannot take (IndexError, ValueError or LoadError),
+    raise LoadError with the line number; missing header directives raise
+    LoadError naming each of them.
+    """
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = line.split()
+        if not words or words[0].startswith(";"):
+            continue
+        kind, args = words[0], words[1:]
+        try:
+            if kind in header:
+                if kind in values:
+                    raise LoadError(f"repeated header directive {kind!r}")
+                values[kind] = header[kind](args)
+            elif kind in body:
+                body[kind](args)
+            else:
+                raise LoadError(f"unknown directive {kind!r}")
+        except LoadError as exc:
+            if exc.line is not None:  # a fault in a file the line refers to
+                raise
+            raise LoadError(f"{exc} in {line.strip()!r}", lineno) from exc
+        except (IndexError, ValueError) as exc:
+            raise LoadError(f"cannot parse {line.strip()!r}: {exc}", lineno) from exc
+    missing = [kind for kind in header if kind not in values]
+    if missing:
+        raise LoadError("missing header directive " + ", ".join(missing))
+    return values
 
 
 class UnknownRelation(WobError):

@@ -25,33 +25,27 @@ from .ordinals import FundamentalSequenceTable
 class NotationSystem:
     """Opaque notation values with the operations the hierarchy needs."""
 
-    name: str
     is_zero: Callable
     is_limit: Callable
     pred: Callable  # defined on successors
     fs: Callable  # fs(lam, n), defined on limits
     compare: Callable  # compare(a, b) -> negative | 0 | positive
-    parse: Optional[Callable] = None
-    show: Optional[Callable] = None
 
 
-def standard_system(fs_table: Optional[FundamentalSequenceTable] = None, name="std") -> NotationSystem:
+def standard_system(fs_table: Optional[FundamentalSequenceTable] = None) -> NotationSystem:
     table = fs_table or o.STANDARD_FS
 
     return NotationSystem(
-        name=name,
         is_zero=lambda a: a.is_zero(),
         is_limit=lambda a: a.is_limit(),
         pred=lambda a: a.pred(),
         fs=lambda a, n: table(a, n),
         compare=lambda a, b: a._cmp(b),
-        parse=o.parse,
-        show=o.show,
     )
 
 
 def shifted_system() -> NotationSystem:
-    return standard_system(o.SHIFTED_FS, name="shifted")
+    return standard_system(o.SHIFTED_FS)
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,6 @@ class Exceeded:
     reason: str  # "value" | "steps"
     value_reached: int  # running value when evaluation stopped (a lower bound)
     steps_done: int
-    stack_depth: int
 
 
 EvalResult = Union[int, Exceeded]
@@ -90,7 +83,7 @@ def eval_F(ns: NotationSystem, alpha, x: int, budget: Budget) -> EvalResult:
     while stack:
         steps += 1
         if steps > budget.max_steps:
-            return Exceeded("steps", value, steps - 1, len(stack))
+            return Exceeded("steps", value, steps - 1)
         a, cnt = stack[-1]
         if cnt <= 1:
             stack.pop()
@@ -99,7 +92,7 @@ def eval_F(ns: NotationSystem, alpha, x: int, budget: Budget) -> EvalResult:
         if ns.is_zero(a):
             value += 1
             if value > budget.max_value:
-                return Exceeded("value", value, steps, len(stack))
+                return Exceeded("value", value, steps)
         elif ns.is_limit(a):
             b = ns.fs(a, value)
             if ns.compare(b, a) >= 0:
@@ -141,8 +134,6 @@ class ComparisonPoint:
 
 @dataclass(frozen=True)
 class DominationReport:
-    left_system: str
-    right_system: str
     points: tuple
     disclaimer: str = (
         "desk-scale sample only: pointwise comparisons do not prove the "
@@ -180,4 +171,4 @@ def dominates_at(
         else:
             verdict = "eq" if right == left else "gt"
             points.append(ComparisonPoint(x, verdict, left, right))
-    return DominationReport(ns1.name, ns2.name, tuple(points))
+    return DominationReport(tuple(points))

@@ -5,6 +5,11 @@ epsilon-contraction convention, and the unfolding of colored graphs.
 A 0-pds is a letter; an (n+1)-pds is a nonempty sequence of n-pds.  push^k
 copies the topmost (k-1)-pds onto its k-pds and overwrites the topmost
 letter; pop^k removes the topmost (k-1)-pds and may never empty a store.
+
+The `.hopda` text format is read by `errors.read_directives`, the line
+reader that all four text formats share: `hopda`, `level`, `input`, `pds`
+and `bottom` appear once each, `state` and `rule` lines repeat.
+HopdaSpec checks the machine itself, as TmSpec does for `.tm` files.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import BadLevel, EmptyPds, LoadError, WobError
+from .errors import BadLevel, EmptyPds, LoadError, WobError, read_directives
 
 EPSILON = "eps"
 MAX_LEVEL = 100
@@ -127,6 +132,10 @@ class HopdaSpec:
         # the recursive pds operations take a few frames per level
         if not 1 <= self.level <= MAX_LEVEL:
             raise BadLevel(f"automaton level must be between 1 and {MAX_LEVEL}")
+        if not self.states:
+            raise WobError("need at least one state")
+        if len(set(self.states)) != len(self.states):
+            raise WobError("duplicate state names")
         if EPSILON in self.input_alphabet:
             raise WobError(f"input letter {EPSILON!r} is reserved")
         if self.bottom not in self.pds_alphabet:
@@ -300,16 +309,16 @@ def reachable_configs(h: HopdaSpec, words: Iterable) -> list:
     return [out[k] for k in sorted(out)]
 
 
-def epsilon_contract(g: ColoredGraph, eps_color: str = EPSILON) -> ColoredGraph:
+def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
     """Keep the epsilon-normal vertices plus the root; draw an a-edge u -> v
     whenever the graph has a path eps^* a eps^* from u to v with v normal."""
-    if eps_color not in g.colors:
-        raise WobError(f"graph has no {eps_color!r} edges")
+    if EPSILON not in g.colors:
+        raise WobError(f"graph has no {EPSILON!r} edges")
     succ: dict = {}  # color -> vertex -> successors
     for color, pairs in g.edges.items():
         for (u, v) in pairs:
             succ.setdefault(color, {}).setdefault(u, []).append(v)
-    eps_succ = succ.pop(eps_color, {})
+    eps_succ = succ.pop(EPSILON, {})
 
     @functools.cache
     def closure(u):
@@ -479,55 +488,36 @@ def save_hopda(h: HopdaSpec) -> str:
 
 
 def parse_hopda(text: str) -> HopdaSpec:
-    name = level = bottom = None
-    input_alphabet = pds_alphabet = None
     states = []
     accepting = set()
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "hopda":
-                name = parts[1]
-            elif parts[0] == "level":
-                level = int(parts[1])
-            elif parts[0] == "input":
-                input_alphabet = tuple(parts[1:])
-            elif parts[0] == "pds":
-                pds_alphabet = tuple(parts[1:])
-            elif parts[0] == "bottom":
-                bottom = parts[1]
-            elif parts[0] == "state":
-                states.append(parts[1])
-                if len(parts) > 2 and parts[2] == "accept":
-                    accepting.add(parts[1])
-            elif parts[0] == "rule":
-                if len(parts) != 7 or parts[4] != "->":
-                    raise LoadError(f"malformed rule {line!r}", lineno)
-                letter_ = None if parts[2] == EPSILON else parts[2]
-                op_text = parts[6]
-                if op_text == "noop":
-                    op = ("noop",)
-                elif op_text.startswith("push"):
-                    k, a = op_text[4:].split("(")
-                    op = ("push", int(k), a.rstrip(")"))
-                elif op_text.startswith("pop"):
-                    op = ("pop", int(op_text[3:]))
-                else:
-                    raise LoadError(f"unknown operation {op_text!r}", lineno)
-                rules.append(Rule(parts[1], letter_, parts[3], parts[5], op))
-            else:
-                raise LoadError(f"unknown directive {parts[0]!r}", lineno)
-        except LoadError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise LoadError(f"cannot parse {line!r}: {exc}", lineno) from exc
-    if None in (name, level, bottom) or input_alphabet is None or pds_alphabet is None or not states:
-        raise LoadError("missing hopda header directives")
+
+    def state(words):
+        states.append(words[0])
+        if len(words) > 1 and words[1] == "accept":
+            accepting.add(words[0])
+
+    def rule(words):
+        if len(words) != 6 or words[3] != "->":
+            raise LoadError("malformed rule")
+        q, letter_, guard, _, new_state, op_text = words
+        if op_text == "noop":
+            op = ("noop",)
+        elif op_text.startswith("push"):
+            k, a = op_text[4:].split("(")
+            op = ("push", int(k), a.rstrip(")"))
+        elif op_text.startswith("pop"):
+            op = ("pop", int(op_text[3:]))
+        else:
+            raise LoadError(f"unknown operation {op_text!r}")
+        rules.append(Rule(q, None if letter_ == EPSILON else letter_, guard, new_state, op))
+
+    head = read_directives(
+        text,
+        {"hopda": lambda w: w[0], "level": lambda w: int(w[0]), "input": tuple, "pds": tuple, "bottom": lambda w: w[0]},
+        {"state": state, "rule": rule},
+    )
     return HopdaSpec(
-        name=name, level=level, input_alphabet=input_alphabet, pds_alphabet=pds_alphabet,
-        states=tuple(states), rules=tuple(rules), bottom=bottom, accepting=frozenset(accepting),
+        name=head["hopda"], level=head["level"], input_alphabet=head["input"], pds_alphabet=head["pds"],
+        states=tuple(states), rules=tuple(rules), bottom=head["bottom"], accepting=frozenset(accepting),
     )

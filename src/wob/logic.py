@@ -24,6 +24,7 @@ from .errors import (
     NotASentence,
     UnknownRelation,
     WobError,
+    read_directives,
 )
 
 LLEX = "llex"
@@ -433,32 +434,20 @@ def parse_manifest(text: str, automaton_lookup) -> Structure:
 
     automaton_lookup(name) must return the Automaton for a referenced name.
     """
-    name = None
-    domain = None
     relations = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "structure":
-                name = parts[1]
-            elif kind == "domain":
-                domain = automaton_lookup(parts[1])
-            elif kind == "relation":
-                rel_name, arity, aut_name = parts[1], int(parts[2]), parts[3]
-                relations[rel_name] = (arity, automaton_lookup(aut_name))
-            else:
-                raise LoadError(f"unknown directive {kind!r}", lineno)
-        except LoadError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise LoadError(f"cannot parse {line!r}: {exc}", lineno) from exc
-    if name is None or domain is None:
-        raise LoadError("manifest must declare a structure name and a domain")
-    return Structure(name=name, domain=domain, relations=relations)
+
+    def relation(words):
+        rel_name, arity, aut_name = words[0], int(words[1]), words[2]
+        if rel_name in relations:
+            raise LoadError(f"relation {rel_name!r} declared twice")
+        relations[rel_name] = (arity, automaton_lookup(aut_name))
+
+    head = read_directives(
+        text,
+        {"structure": lambda w: w[0], "domain": lambda w: automaton_lookup(w[0])},
+        {"relation": relation},
+    )
+    return Structure(name=head["structure"], domain=head["domain"], relations=relations)
 
 
 def load_structure(path) -> Structure:
@@ -476,10 +465,9 @@ def load_structure(path) -> Structure:
         return parse_manifest(fh.read(), lookup)
 
 
-def save_structure(s: Structure, directory, manifest_name: Optional[str] = None) -> str:
+def save_structure(s: Structure, directory) -> str:
     """Write NAME.manifest plus one .aut file per automaton; returns manifest path."""
     os.makedirs(directory, exist_ok=True)
-    manifest_name = manifest_name or s.name
     lines = [f"structure {s.name}", f"domain {s.name}_domain"]
     files = {f"{s.name}_domain": s.domain}
     for rel_name, (arity, aut) in sorted(s.relations.items()):
@@ -490,7 +478,7 @@ def save_structure(s: Structure, directory, manifest_name: Optional[str] = None)
     for aut_name, aut in files.items():
         with open(os.path.join(directory, aut_name + ".aut"), "w", encoding="utf-8") as fh:
             fh.write(au.save_automaton(aut, aut_name))
-    manifest_path = os.path.join(directory, manifest_name + ".manifest")
+    manifest_path = os.path.join(directory, s.name + ".manifest")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest_path

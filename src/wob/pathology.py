@@ -65,7 +65,6 @@ class PiPredicate:
     kind: str  # "callback" | "regular"
     fn: Optional[Callable] = None  # naturals -> bool
     aut: Optional[Automaton] = None  # arity-1 over BINARY
-    description: str = ""
 
     def __post_init__(self):
         if self.kind == "callback" and self.fn is None:
@@ -87,24 +86,24 @@ class PiPredicate:
 
 
 def always_true() -> PiPredicate:
-    return PiPredicate(kind="callback", fn=lambda z: True, description="true")
+    return PiPredicate(kind="callback", fn=lambda z: True)
 
 
 def except_value(n: int) -> PiPredicate:
-    return PiPredicate(kind="callback", fn=lambda z: z != n, description=f"z != {n}")
+    return PiPredicate(kind="callback", fn=lambda z: z != n)
 
 
 def regular_true() -> PiPredicate:
-    return PiPredicate(kind="regular", aut=au.universe(BINARY, 1), description="all strings")
+    return PiPredicate(kind="regular", aut=au.universe(BINARY, 1))
 
 
 def regular_except_word(word) -> PiPredicate:
     aut = au.difference(au.universe(BINARY, 1), au.fixed_word(BINARY, word))
-    return PiPredicate(kind="regular", aut=aut, description=f"all but {''.join(word)!r}")
+    return PiPredicate(kind="regular", aut=aut)
 
 
 def regular_empty() -> PiPredicate:
-    return PiPredicate(kind="regular", aut=au.empty(BINARY, 1), description="no strings")
+    return PiPredicate(kind="regular", aut=au.empty(BINARY, 1))
 
 
 # -- the reordering ------------------------------------------------------------
@@ -223,6 +222,8 @@ def minimal_members(s: Structure, subset: Automaton) -> Automaton:
 
 
 TOP = ("omega",)
+# OmegaPlusOneSpec checks that f is monotone and the step bound sound for n below this
+CHECKED_RANGE = 8
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,13 @@ class OmegaPlusOneSpec:
     f: Callable
     cost: Callable  # steps needed to compute f(n)
     step_bound: Callable  # s(m)
-    name: str = "omega+1"
-    checked_range: int = 8
 
     def __post_init__(self):
-        for n in range(self.checked_range):
+        for n in range(CHECKED_RANGE):
             if self.f(n) > self.f(n + 1):
                 raise IllFormedSystem(f"f is not monotone at {n}")
-        for n in range(self.checked_range):
-            for m in range(2 * self.checked_range):
+        for n in range(CHECKED_RANGE):
+            for m in range(2 * CHECKED_RANGE):
                 if self.cost(n) > self.step_bound(m) and not self.f(n) >= m:
                     raise IllFormedSystem(
                         f"step bound unsound at n={n}, m={m}: undecided but f(n) < m"
@@ -255,7 +254,7 @@ class OmegaPlusOneSpec:
 
 def power_of_two_spec() -> OmegaPlusOneSpec:
     f = lambda n: 2 ** n
-    return OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1, name="f=2^n")
+    return OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1)
 
 
 def omega_plus_one_system(spec: OmegaPlusOneSpec) -> fgh.NotationSystem:
@@ -304,13 +303,11 @@ def omega_plus_one_system(spec: OmegaPlusOneSpec) -> fgh.NotationSystem:
         return (n, 0)
 
     ns = fgh.NotationSystem(
-        name=spec.name,
         is_zero=is_zero,
         is_limit=is_limit,
         pred=pred,
         fs=fs,
         compare=compare,
-        show=lambda a: "w" if a == TOP else f"({a[0]},{a[1]})",
     )
     return ns
 

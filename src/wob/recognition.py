@@ -75,11 +75,11 @@ class OrderPresentation:
         return {}
 
     def _once(self, name: str, make):
-        """make(), built once per name and state budget in force, and shared."""
-        key = name, au.STATE_BUDGET.get()
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
+        """make(), built once per name and shared: it is the same automaton
+        under any state budget."""
+        if name not in self._memo:
+            self._memo[name] = make()
+        return self._memo[name]
 
     def between(self) -> Automaton:
         """between(x, z, y): x < z < y, the one product of the order with itself."""

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import automata as au
 from .automata import PAD, Automaton
-from .errors import InvalidTm, LoadError, NotReversible, WobError
+from .errors import InvalidTm, LoadError, NotReversible, WobError, read_directives
 from .logic import Structure, _unchecked
 
 MARKER = ">"
@@ -667,12 +667,7 @@ class ExploredFragment:
         return "\n".join(lines) + "\n"
 
 
-def explore_fragment(
-    rpi: RpiStructure,
-    word_len: int = 4,
-    run_input_len: int = 2,
-    verify_sample: int = 50,
-) -> ExploredFragment:
+def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:
     """Collect binary words up to word_len and every configuration arising
     from runs on inputs up to run_input_len; compute the edge set
     structurally and verify it against the relation automaton, including a
@@ -702,8 +697,8 @@ def explore_fragment(
     for u, v in edges:
         if not rel.accepts(u, v):
             raise WobError(f"structural edge missing from the automaton: {u!r} -> {v!r}")
-    # sampled non-edges must be rejected too
-    sample = elements[:verify_sample]
+    # non-edges among the first 50 elements must be rejected too
+    sample = elements[:50]
     edge_set = set(edges)
     for u in sample:
         for v in sample:
@@ -791,55 +786,38 @@ def save_tm(tm: TmSpec) -> str:
 
 
 def parse_tm(text: str) -> TmSpec:
-    name = None
-    tapes = None
-    blank = None
     states = []
     accepting = set()
     transitions = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "tm":
-                name = parts[1]
-            elif parts[0] == "tapes":
-                tapes = int(parts[1])
-            elif parts[0] == "blank":
-                blank = parts[1]
-            elif parts[0] == "state":
-                states.append(parts[1])
-                if len(parts) > 2 and parts[2] == "accept":
-                    accepting.add(parts[1])
-            elif parts[0] == "trans":
-                if len(parts) != 6 or parts[3] != "->":
-                    raise LoadError(f"malformed trans line {line!r}", lineno)
-                q = parts[1]
-                if not (parts[2].startswith("(") and parts[2].endswith(")")):
-                    raise LoadError(f"malformed reads in {line!r}", lineno)
-                reads = tuple(parts[2][1:-1].split(","))
-                q2 = parts[4]
-                acts_text = parts[5]
-                if not (acts_text.startswith("(") and acts_text.endswith(")")):
-                    raise LoadError(f"malformed actions in {line!r}", lineno)
-                actions = []
-                for chunk in acts_text[1:-1].split(")("):
-                    w, m = chunk.split(",")
-                    actions.append((w, m))
-                if (q, reads) in transitions:
-                    raise LoadError(f"duplicate transition for {q} {reads}", lineno)
-                transitions[(q, reads)] = (q2, tuple(actions))
-            else:
-                raise LoadError(f"unknown directive {parts[0]!r}", lineno)
-        except LoadError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise LoadError(f"cannot parse {line!r}: {exc}", lineno) from exc
-    if None in (name, tapes, blank) or not states:
-        raise LoadError("missing tm/tapes/blank/state directives")
+
+    def state(words):
+        states.append(words[0])
+        if len(words) > 1 and words[1] == "accept":
+            accepting.add(words[0])
+
+    def trans(words):
+        if len(words) != 5 or words[2] != "->":
+            raise LoadError("malformed trans line")
+        q, reads_text, _, q2, acts_text = words
+        if not (reads_text.startswith("(") and reads_text.endswith(")")):
+            raise LoadError("malformed reads")
+        reads = tuple(reads_text[1:-1].split(","))
+        if not (acts_text.startswith("(") and acts_text.endswith(")")):
+            raise LoadError("malformed actions")
+        actions = []
+        for chunk in acts_text[1:-1].split(")("):
+            w, m = chunk.split(",")  # not two parts: a ValueError on this line, not in TmSpec
+            actions.append((w, m))
+        if (q, reads) in transitions:
+            raise LoadError(f"duplicate transition for {q} {reads}")
+        transitions[(q, reads)] = (q2, tuple(actions))
+
+    head = read_directives(
+        text,
+        {"tm": lambda w: w[0], "tapes": lambda w: int(w[0]), "blank": lambda w: w[0]},
+        {"state": state, "trans": trans},
+    )
     return TmSpec(
-        name=name, tapes=tapes, blank=blank,
+        name=head["tm"], tapes=head["tapes"], blank=head["blank"],
         states=tuple(states), accepting=frozenset(accepting), transitions=transitions,
     )

@@ -917,6 +917,46 @@ def test_every_public_kernel_function_is_used():
     assert {name.partition(".")[2] for name in GATE_ONLY} <= gate
 
 
+# dataclass fields no code reads, kept because perfbench/workloads.py passes
+# them and perfbench is not edited to drop them
+BENCH_ONLY_FIELDS = {"tm.RpiStructure.pi_tag"}
+
+
+def test_every_dataclass_field_is_read():
+    # a field is a value someone can set: each field of a dataclass in
+    # `src/wob/` is read as an attribute by the package, its scripts, its
+    # benchmark or its tests, or listed in BENCH_ONLY_FIELDS
+    root = Path(__file__).resolve().parent.parent
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "scripts", "perfbench", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    fields = [
+        (f"{path.stem}.{cls.name}", stmt.target.id)
+        for path, tree in trees.items()
+        if path.parent == root / "src" / "wob"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(is_dataclass(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert ("logic.Structure", "relations") in fields and ("hopda.HopdaSpec", "states") in fields
+    unread = {f"{owner}.{name}" for owner, name in fields if name not in read}
+    assert unread == BENCH_ONLY_FIELDS
+
+
 def test_no_function_takes_a_state_budget():
     # the state budget is one scoped value that every construction reads:
     # no function of the package takes `max_states`, and the entry points

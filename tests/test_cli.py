@@ -179,14 +179,15 @@ OMEGA_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega"
         (["pathology", "omega1", "fgh", "--x", "-1"], "--x must be at least 0"),
         (["pathology", "kreisel", "compare", "-1", "2"], "X must be at least 0"),
         (["pathology", "kreisel", "descend", "3", "-5"], "LEN must be at least 0"),
+        (["pathology", "kreisel", "descend", "3", "0"], "LEN must be at least 1"),
         (["hopda", "graph", "builtin:omega", "--budget", "-1"], "--budget must be at least 1"),
         (["hopda", "graph", "builtin:omega", "--depth", "-1"], "--depth must be at least 0"),
     ],
     ids=[
         "recognize-budget-negative", "recognize-budget-zero", "recognize-max-levels-negative", "query-budget-negative",
         "fgh-eval-x-negative", "fgh-compare-xs-negative", "ord-fs-index-negative", "kreisel-except-negative",
-        "omega1-x-negative", "kreisel-compare-negative", "kreisel-descend-len-negative", "hopda-budget-negative",
-        "hopda-depth-negative",
+        "omega1-x-negative", "kreisel-compare-negative", "kreisel-descend-len-negative", "kreisel-descend-len-zero",
+        "hopda-budget-negative", "hopda-depth-negative",
     ],
 )
 def test_non_positive_budget_is_usage_error(argv, message, capsys):
@@ -194,6 +195,24 @@ def test_non_positive_budget_is_usage_error(argv, message, capsys):
     # argument: neither a verdict nor an internal error
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+MIXED_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest")
+
+
+@pytest.mark.parametrize(
+    "argv, states, budget",
+    [
+        (["recognize", MIXED_MANIFEST, "--budget", "20"], 21, 20),
+        (["query", MIXED_MANIFEST, "(forall x (exists y (rel < x y)))", "--budget", "3"], 4, 3),
+    ],
+    ids=["recognize", "query"],
+)
+def test_state_budget_exit_prints_json(argv, states, budget, capsys):
+    # a state-budget exit is one JSON object like every other --json answer
+    code, out = run_cli(argv + ["--json"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "budget-exceeded", "states": states, "budget": budget}
 
 
 def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):

@@ -118,7 +118,7 @@ def test_eval_at_least():
 
 def test_ill_formed_system_detected():
     bad_fs = o.FundamentalSequenceTable(lambda lam, n: lam)  # fs not below limit
-    ns = standard_system(bad_fs, name="bad")
+    ns = standard_system(bad_fs)
     with pytest.raises(IllFormedSystem):
         eval_F(ns, OMEGA, 2, BIG)
 

@@ -1,12 +1,13 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import epsilon_chain_machine
 from wob import hopda as H
 from wob import ordinals as o
-from wob.errors import BadLevel, EmptyPds
+from wob.errors import BadLevel, EmptyPds, WobError
 from wob.hopda import (
     EPSILON,
     ColoredGraph,
@@ -342,6 +343,21 @@ def test_omega_omega_small_stacks_decode():
     values = {omega_omega_value(p) for (s, p) in configs if s == "s"}
     assert o.from_int(2) in values  # two units
     assert o.OMEGA + o.ONE in values  # a unit bumped to w, then a fresh unit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("state q\n", "state q\nstate q\n"), "duplicate state names"),
+        (lambda text: "".join(line for line in text.splitlines(keepends=True) if not line.startswith("state")),
+         "need at least one state"),
+    ],
+    ids=["duplicate", "none"],
+)
+def test_hopda_states_declared_once_each(edit, message):
+    text = (Path(__file__).resolve().parent.parent / "corpus" / "machines" / "anbn.hopda").read_text(encoding="utf-8")
+    with pytest.raises(WobError, match=message):
+        parse_hopda(edit(text))
 
 
 def test_hopda_save_load_roundtrip():

@@ -1,6 +1,9 @@
-"""Mutation fuzzing of the text parsers: whatever a file or argument holds,
-a parser returns a value or raises a WobError, never anything else."""
+"""The text parsers at the trust boundary.  The four file formats read
+their lines through one reader, which takes each header directive exactly
+once.  Mutation fuzzing: whatever a file or argument holds, a parser
+returns a value or raises a WobError, never anything else."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -93,3 +96,79 @@ def test_decimal_digits_only_in_ordinals():
         with pytest.raises(LoadError):
             o.parse(text)
     assert o.parse("w*٣") == o.parse("w*3")
+
+
+# a corpus file of each format and its header directives
+HEADERS = {
+    "automaton": ("omega/omega_lt.aut", ("automaton", "arity", "alphabet", "states", "initial", "accepting")),
+    "manifest": ("omega/omega.manifest", ("structure", "domain")),
+    "tm": ("machines/increment.tm", ("tm", "tapes", "blank")),
+    "hopda": ("machines/anbn.hopda", ("hopda", "level", "input", "pds", "bottom")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HEADERS))
+def test_header_directives_appear_exactly_once(name):
+    parse = PARSERS[name][0]
+    path, directives = HEADERS[name]
+    lines = (CORPUS_DIR / path).read_text(encoding="utf-8").splitlines(keepends=True)
+    parse("".join(lines))
+    for directive in directives:
+        i = next(i for i, line in enumerate(lines) if line.split()[0] == directive)
+        repeated = lines[: i + 1] + lines[i:]
+        with pytest.raises(LoadError, match=rf"^line {i + 2}: repeated header directive '{directive}'"):
+            parse("".join(repeated))
+        with pytest.raises(LoadError, match=rf"^missing header directive {directive}$"):
+            parse("".join(lines[:i] + lines[i + 1 :]))
+
+
+def test_manifest_relation_declared_once():
+    parse = PARSERS["manifest"][0]
+    text = (CORPUS_DIR / "omega" / "omega.manifest").read_text(encoding="utf-8")
+    with pytest.raises(LoadError, match=r"^line 4: relation '<' declared twice"):
+        parse(text + "relation < 2 omega_lt\n")
+
+
+def test_fault_in_a_referenced_file_keeps_its_own_line(tmp_path):
+    for path in (CORPUS_DIR / "omega").iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    lt = tmp_path / "omega_lt.aut"
+    lt.write_text(lt.read_text(encoding="utf-8").replace("arity 2", "arity two"), encoding="utf-8")
+    with pytest.raises(LoadError, match=r"^line 2: cannot parse 'arity two'"):
+        logic.load_structure(tmp_path / "omega.manifest")
+
+
+def test_one_function_splits_lines():
+    # the line syntax and its error policy live in one reader
+    root = Path(__file__).resolve().parent.parent / "src" / "wob"
+    splitters = [
+        f"{path.stem}.{fn.name}"
+        for path in sorted(root.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    ]
+    assert splitters == ["errors.read_directives"]
+
+
+def test_corpus_files_are_saved_forms_of_what_they_parse_to(tmp_path):
+    # parsing a committed file and saving the result gives the file back
+    for path in sorted(CORPUS_DIR.glob("*/*.aut")):
+        text = path.read_text(encoding="utf-8")
+        name, aut = au.parse_automaton(text)
+        assert au.save_automaton(aut, name) == text, path
+    for path in sorted(MACHINES.glob("*.tm")):
+        text = path.read_text(encoding="utf-8")
+        assert tmmod.save_tm(tmmod.parse_tm(text)) == text, path
+    for path in sorted(MACHINES.glob("*.hopda")):
+        text = path.read_text(encoding="utf-8")
+        assert ho.save_hopda(ho.parse_hopda(text)) == text, path
+    manifests = sorted(CORPUS_DIR.glob("*/*.manifest"))
+    assert len(manifests) == 15
+    for path in manifests:
+        saved = Path(logic.save_structure(logic.load_structure(path), tmp_path / path.parent.name)).parent
+        files = sorted(p.name for p in saved.iterdir())
+        assert files == sorted(p.name for p in path.parent.iterdir()), path
+        for file in files:
+            assert (saved / file).read_bytes() == (path.parent / file).read_bytes(), file

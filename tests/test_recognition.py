@@ -358,6 +358,26 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["join"] == short["join"]
 
 
+def test_interval_product_built_once_across_budgets(monkeypatch):
+    # what a presentation builds is the same automaton under any budget:
+    # recognizing under one budget and then reading the chain under the
+    # default joins each level's order with itself once, 3 joins in all
+    between = []
+    join = au.join
+
+    def counted(*args):
+        if [tuple(t) for t in args[1::2]] == [(0, 1), (1, 2)]:
+            between.append(args)
+        return join(*args)
+
+    monkeypatch.setattr(au, "join", counted)
+    p = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
+    recognize(p, budget=10 ** 5)
+    assert len(between) == 3
+    initial_chain(p, 5)
+    assert len(between) == 3
+
+
 def _llex_or_equal():
     alphabet = ("0", "1")
     rel = au.union(au.llex_automaton(alphabet), au.diagonal(alphabet))

@@ -296,7 +296,7 @@ def test_comparator_true_accepts_llex():
 def test_comparator_false_matches_pathology_model():
     tm = kreisel_comparator(false_pi=True)
     assert check_reversible(tm) is None
-    k = pa.KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=lambda z: False, description="empty"))
+    k = pa.KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=lambda z: False))
     words = [tuple(b) for n in range(4) for b in itertools.product("01", repeat=n)]
     for x in words:
         for y in words:
