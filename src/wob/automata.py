@@ -44,6 +44,7 @@ from .errors import (
     InvalidSymbol,
     LoadError,
     StateBudgetExceeded,
+    one_word,
     read_directives,
 )
 
@@ -483,20 +484,6 @@ def union(a: Automaton, b: Automaton) -> Automaton:
     return _canonical(a.arity, a.alphabet, (2, None), acc, moves)
 
 
-def determinize(a: Automaton) -> Automaton:
-    """Subset construction; the result is a partial DFA over reachable subsets."""
-
-    def moves(subset):
-        out = {}
-        for q in subset:
-            for letter, targets in a._delta.get(q, {}).items():
-                out.setdefault(letter, set()).update(targets)
-        for letter, targets in out.items():
-            yield letter, frozenset(targets)
-
-    return _canonical(a.arity, a.alphabet, frozenset({a.initial}), lambda s: bool(s & a.accepting), moves)
-
-
 def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
     """L(a) minus L(b) as an implicit graph, in the (start, accepting, moves)
     form `_canonical` takes.
@@ -685,37 +672,38 @@ def _enumerate_length(a, layers, length, want):
 
 
 def minimize(a: Automaton) -> Automaton:
-    """Language-equivalent minimal (partial, trimmed) DFA.
+    """Language-equivalent minimal (partial, trimmed) DFA, by double
+    reversal (Brzozowski 1962).
 
-    Moore refinement: a state's signature is its block, the letters it
-    reads and the blocks of their targets, so two states with different
-    letters differ, as if each missing letter led to a dead state.  Each
-    `_delta` row lists its letters in one sorted order, so equal letter
-    sets line their targets up.
+    The first reverse subset construction gives an accessible DFA of the
+    reversed language: `_canonical`'s BFS reaches every state and its trim
+    keeps it accessible.  Reversing such a DFA and determinizing gives the
+    minimal DFA of the language read forwards.  `_canonical` numbers that
+    as it numbers any DFA, so the result depends on L(a) alone.  Each pass
+    raises at budget + 1 states.  The first pass reads reversed words,
+    which are not padded convolutions, so it never leaves this function.
     """
-    d = determinize(a)
-    rows = [d._delta.get(q, {}) for q in range(d.n_states)]
-    shapes: dict = {}
-    shape = [shapes.setdefault(tuple(row), len(shapes)) for row in rows]
-    targets = [[r for (r,) in row.values()] for row in rows]
-    block = [int(q in d.accepting) for q in range(d.n_states)]
-    count = len(set(block))
-    while True:
-        ids: dict = {}
-        block = [ids.setdefault((b, s, *map(block.__getitem__, t)), len(ids)) for b, s, t in zip(block, shape, targets)]
-        if len(ids) == count:
-            break
-        count = len(ids)
+    return _reverse_subsets(_reverse_subsets(a))
 
-    reps = {}
-    for q, b in enumerate(block):
-        reps.setdefault(b, q)
 
-    def moves(b):
-        for letter, (r,) in rows[reps[b]].items():
-            yield letter, block[r]
+def _reverse_subsets(a: Automaton) -> Automaton:
+    """The subset construction over `a`'s edges read backwards, from its
+    accepting set; a set accepts when it holds `a.initial`."""
+    back: dict = {}
+    for q, out in a._delta.items():
+        for letter, targets in out.items():
+            for r in targets:
+                back.setdefault(r, {}).setdefault(letter, set()).add(q)
 
-    return _canonical(d.arity, d.alphabet, block[d.initial], lambda b: reps[b] in d.accepting, moves)
+    def moves(subset):
+        out: dict = {}
+        for r in subset:
+            for letter, sources in back.get(r, {}).items():
+                out.setdefault(letter, set()).update(sources)
+        for letter, sources in out.items():
+            yield letter, frozenset(sources)
+
+    return _canonical(a.arity, a.alphabet, frozenset(a.accepting), lambda s: a.initial in s, moves)
 
 
 # -- tape surgery -------------------------------------------------------
@@ -947,11 +935,11 @@ def parse_automaton(text: str, expect_name: Optional[str] = None) -> tuple[str, 
     head = read_directives(
         text,
         {
-            "automaton": lambda w: w[0],
-            "arity": lambda w: int(w[0]),
+            "automaton": one_word,
+            "arity": lambda w: int(one_word(w)),
             "alphabet": tuple,
-            "states": lambda w: int(w[0]),
-            "initial": lambda w: int(w[0]),
+            "states": lambda w: int(one_word(w)),
+            "initial": lambda w: int(one_word(w)),
             "accepting": lambda w: frozenset(int(p) for p in w),
         },
         {"trans": trans},

@@ -1,6 +1,7 @@
 """Exception types shared across the workbench, and the one reader of the
 line format that its four text formats (`.aut`, `.manifest`, `.tm` and
-`.hopda`) share.  The module imports nothing, so every module may use it.
+`.hopda`) share, with the word checks of their one-word and `state` lines.
+The module imports nothing, so every module may use it.
 """
 
 
@@ -77,6 +78,21 @@ def read_directives(text: str, header: dict, body: dict) -> dict:
     if missing:
         raise LoadError("missing header directive " + ", ".join(missing))
     return values
+
+
+def one_word(words) -> str:
+    """The argument of a directive that takes exactly one word."""
+    if len(words) != 1:
+        raise LoadError(f"expected one word, got {len(words)}")
+    return words[0]
+
+
+def state_line(words) -> tuple:
+    """A `state NAME` or `state NAME accept` line: the name, and whether
+    the state accepts."""
+    if words[1:] not in ([], ["accept"]):
+        raise LoadError("expected NAME or NAME accept")
+    return words[0], len(words) == 2
 
 
 class UnknownRelation(WobError):

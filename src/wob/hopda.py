@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import BadLevel, EmptyPds, LoadError, WobError, read_directives
+from .errors import BadLevel, EmptyPds, LoadError, WobError, one_word, read_directives, state_line
 
 EPSILON = "eps"
 MAX_LEVEL = 100
@@ -48,10 +48,6 @@ class Npds:
 
 def letter(a: str) -> Npds:
     return Npds(0, a)
-
-
-def stack(*children: Npds) -> Npds:
-    return Npds(children[0].level + 1, tuple(children))
 
 
 def init_pds(level: int, bottom: str) -> Npds:
@@ -136,6 +132,9 @@ class HopdaSpec:
             raise WobError("need at least one state")
         if len(set(self.states)) != len(self.states):
             raise WobError("duplicate state names")
+        for kind, letters in (("input", self.input_alphabet), ("pds", self.pds_alphabet)):
+            if len(set(letters)) != len(letters):
+                raise WobError(f"duplicate {kind} letters")
         if EPSILON in self.input_alphabet:
             raise WobError(f"input letter {EPSILON!r} is reserved")
         if self.bottom not in self.pds_alphabet:
@@ -493,9 +492,10 @@ def parse_hopda(text: str) -> HopdaSpec:
     rules = []
 
     def state(words):
-        states.append(words[0])
-        if len(words) > 1 and words[1] == "accept":
-            accepting.add(words[0])
+        name, accepts = state_line(words)
+        states.append(name)
+        if accepts:
+            accepting.add(name)
 
     def rule(words):
         if len(words) != 6 or words[3] != "->":
@@ -514,7 +514,7 @@ def parse_hopda(text: str) -> HopdaSpec:
 
     head = read_directives(
         text,
-        {"hopda": lambda w: w[0], "level": lambda w: int(w[0]), "input": tuple, "pds": tuple, "bottom": lambda w: w[0]},
+        {"hopda": one_word, "level": lambda w: int(one_word(w)), "input": tuple, "pds": tuple, "bottom": one_word},
         {"state": state, "rule": rule},
     )
     return HopdaSpec(

@@ -24,6 +24,7 @@ from .errors import (
     NotASentence,
     UnknownRelation,
     WobError,
+    one_word,
     read_directives,
 )
 
@@ -437,14 +438,14 @@ def parse_manifest(text: str, automaton_lookup) -> Structure:
     relations = {}
 
     def relation(words):
-        rel_name, arity, aut_name = words[0], int(words[1]), words[2]
+        rel_name, arity, aut_name = words
         if rel_name in relations:
             raise LoadError(f"relation {rel_name!r} declared twice")
-        relations[rel_name] = (arity, automaton_lookup(aut_name))
+        relations[rel_name] = (int(arity), automaton_lookup(aut_name))
 
     head = read_directives(
         text,
-        {"structure": lambda w: w[0], "domain": lambda w: automaton_lookup(w[0])},
+        {"structure": one_word, "domain": lambda w: automaton_lookup(one_word(w))},
         {"relation": relation},
     )
     return Structure(name=head["structure"], domain=head["domain"], relations=relations)

@@ -130,10 +130,6 @@ def compare(a: CnfOrdinal, b: CnfOrdinal) -> str:
     return "less" if c < 0 else ("equal" if c == 0 else "greater")
 
 
-def add(a: CnfOrdinal, b: CnfOrdinal) -> CnfOrdinal:
-    return a + b
-
-
 # -- fundamental sequences ------------------------------------------------
 
 
@@ -188,7 +184,6 @@ class FundamentalSequenceTable:
     """A system of fundamental sequences as a plain function on limits."""
 
     fs: Callable[[CnfOrdinal, int], CnfOrdinal]
-    name: str = "fs"
 
     def __call__(self, lam: CnfOrdinal, n: int) -> CnfOrdinal:
         if not lam.is_limit():
@@ -203,8 +198,8 @@ class FundamentalSequenceTable:
             raise MissingFs(f"fs undefined at {lam}[{n}]: {exc}") from exc
 
 
-STANDARD_FS = FundamentalSequenceTable(standard_fs, name="standard")
-SHIFTED_FS = FundamentalSequenceTable(lambda lam, n: standard_fs(lam, n + 1), name="shifted")
+STANDARD_FS = FundamentalSequenceTable(standard_fs)
+SHIFTED_FS = FundamentalSequenceTable(lambda lam, n: standard_fs(lam, n + 1))
 
 
 def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: int):

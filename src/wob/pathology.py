@@ -310,12 +310,3 @@ def omega_plus_one_system(spec: OmegaPlusOneSpec) -> fgh.NotationSystem:
         compare=compare,
     )
     return ns
-
-
-def position(spec: OmegaPlusOneSpec, a) -> int:
-    """Order position of a pair; (x,0) sits at x + sum_{y<=x} f(y)."""
-    if a == TOP:
-        raise ValueError("top has no finite position")
-    n, m = a
-    below = sum(spec.f(k) + 1 for k in range(n))
-    return below + (spec.f(n) - m)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import automata as au
 from .automata import PAD, Automaton
-from .errors import InvalidTm, LoadError, NotReversible, WobError, read_directives
+from .errors import InvalidTm, LoadError, NotReversible, WobError, one_word, read_directives, state_line
 from .logic import Structure, _unchecked
 
 MARKER = ">"
@@ -791,9 +791,10 @@ def parse_tm(text: str) -> TmSpec:
     transitions = {}
 
     def state(words):
-        states.append(words[0])
-        if len(words) > 1 and words[1] == "accept":
-            accepting.add(words[0])
+        name, accepts = state_line(words)
+        states.append(name)
+        if accepts:
+            accepting.add(name)
 
     def trans(words):
         if len(words) != 5 or words[2] != "->":
@@ -814,7 +815,7 @@ def parse_tm(text: str) -> TmSpec:
 
     head = read_directives(
         text,
-        {"tm": lambda w: w[0], "tapes": lambda w: int(w[0]), "blank": lambda w: w[0]},
+        {"tm": one_word, "tapes": lambda w: int(one_word(w)), "blank": one_word},
         {"state": state, "trans": trans},
     )
     return TmSpec(

@@ -9,6 +9,7 @@ from wob import corpus  # noqa: E402
 from wob import hopda as H  # noqa: E402
 from wob import logic  # noqa: E402
 from wob import ordinals as o  # noqa: E402
+from wob import pathology as pa  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
 from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobError  # noqa: E402
@@ -66,6 +67,21 @@ def parse_configuration(tm, word):
     if any(h is None for h in heads):
         raise WobError("missing head flag")
     return T.Configuration(word[0], tuple(columns), tuple(heads))
+
+
+def stack(*children):
+    """The (n+1)-pds of the given n-pds, bottom first."""
+    return H.Npds(children[0].level + 1, tuple(children))
+
+
+def position(spec, a):
+    """Order position of a pair of the omega+1 system; (x,0) sits at
+    x + sum_{y<=x} f(y)."""
+    if a == pa.TOP:
+        raise ValueError("top has no finite position")
+    n, m = a
+    below = sum(spec.f(k) + 1 for k in range(n))
+    return below + (spec.f(n) - m)
 
 
 def omega_tower(k):
@@ -314,11 +330,26 @@ def reference_initial_chain(p, count):
     return out
 
 
+def reference_determinize(a):
+    """Subset construction; the result is a partial DFA over reachable subsets."""
+
+    def moves(subset):
+        out = {}
+        for q in subset:
+            for letter, targets in a._delta.get(q, {}).items():
+                out.setdefault(letter, set()).update(targets)
+        for letter, targets in out.items():
+            yield letter, frozenset(targets)
+
+    return au._canonical(a.arity, a.alphabet, frozenset({a.initial}), lambda s: bool(s & a.accepting), moves)
+
+
 def reference_minimize(a):
-    """`minimize` by the (state, letter) table: each round a state's
-    signature is its block and the block of its target under every letter
-    any state reads, -1 for none."""
-    d = au.determinize(a)
+    """`minimize` by subset construction and Moore refinement over the
+    (state, letter) table: each round a state's signature is its block and
+    the block of its target under every letter any state reads, -1 for
+    none."""
+    d = reference_determinize(a)
     delta = {(q, letter): r for q, out in d._delta.items() for letter, (r,) in out.items()}
     letters = sorted({letter for _q, letter in delta}, key=d._letter_key)
     block = {q: int(q in d.accepting) for q in range(d.n_states)}

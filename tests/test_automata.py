@@ -18,6 +18,7 @@ from conftest import (
     reference_canonical,
     reference_check_padding,
     reference_complement,
+    reference_determinize,
     reference_insert_tape,
     reference_intersect,
     reference_minimize,
@@ -222,6 +223,38 @@ def test_minimize_matches_reference_moore(seed, arity):
     rng = random.Random(seed)
     a = _random_nfa(rng, alphabet=("0", "1", "2")) if arity == 1 else _random_nfa2(rng)
     assert au.save_automaton(au.minimize(a), "m") == au.save_automaton(reference_minimize(a), "m")
+
+
+def _fifth_letter_is_a(from_end):
+    """Words over a, b whose fifth letter, counted from the start or from
+    the end, is `a`: an NFA of 6 states.  Its language has a minimal DFA of
+    6 states counted from the start and of 2^5 = 32 from the end, and its
+    reversal the other way round."""
+    every = [(i, (s,), i + 1) for i in range(5) for s in AB]
+    if from_end:
+        moves = [(0, ("a",), 1)] + [(0, (s,), 0) for s in AB] + every[2:]
+    else:
+        moves = every[:-2] + [(4, ("a",), 5)] + [(5, (s,), 5) for s in AB]
+    return au.automaton(1, AB, 6, 0, {5}, moves)
+
+
+@pytest.mark.parametrize("from_end, raising_pass", [(False, 1), (True, 2)])
+def test_minimize_budget_holds_in_either_reversal(monkeypatch, from_end, raising_pass):
+    # minimize is two reverse subset constructions: the first builds a DFA
+    # of the reversed language, the second the minimal DFA.  Each raises at
+    # budget + 1, and 6 states are too few for the 32-state one
+    a = _fifth_letter_is_a(from_end)
+    passes = []
+    reverse_subsets = au._reverse_subsets
+    monkeypatch.setattr(au, "_reverse_subsets", lambda b: passes.append(b) or reverse_subsets(b))
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(6):
+        au.minimize(a)
+    assert (info.value.n_states, info.value.budget) == (7, 6)
+    assert len(passes) == raising_pass
+    with au.state_budget(32):
+        m = au.minimize(a)
+    assert m.n_states == (32 if from_end else 6)
+    assert au.save_automaton(m, "m") == au.save_automaton(reference_minimize(a), "m")
 
 
 @settings(max_examples=60, deadline=None)
@@ -562,7 +595,7 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         (au.union(a, b), la | lb, max_len),
         (au.difference(a, b), la - lb, max_len),
         (complement(a), everything - la, max_len),
-        (au.determinize(a), la, max_len),
+        (reference_determinize(a), la, max_len),
         (au.minimize(a), la, max_len),
         (trim(a), la, max_len),
         (au.permute_tapes(a, perm), {tuple(t[p] for p in perm) for t in la}, max_len),
@@ -799,7 +832,7 @@ def test_kernel_results_have_the_sorted_delta():
         c, d = _random_nfa2(rng), _random_nfa2(rng)
         trimmed += bool(a._reachable - a._coreachable)
         for out in (
-            trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), au.determinize(a),
+            trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), reference_determinize(a),
             au.minimize(a), complement(a), au.intersect(c, d), au.difference(c, d), au.project(c, 0),
             au.project(c, 1, infinite=True), au.permute_tapes(c, [1, 0]), au.insert_tape(a, 1, b),
             au.join(c, [0, 1], d, [1, 2]), au.section(c, 0, "ab"),
@@ -867,16 +900,72 @@ def test_is_subset_budget_raises_at_budget_plus_one(budget):
         assert not au.is_subset(stars, fives)
 
 
-def _identifiers(node):
-    """The names a piece of code reads: names, attributes and imported
-    names.  String literals, docstrings included, are not read."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name
+def _module_aliases(tree, module):
+    """The names a file binds to the package module `module` by import."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "wob")
+        for alias in node.names
+        if alias.name == module
+    }
+
+
+def _binds(fn, name):
+    """Whether a function or lambda binds `name` in its own scope: as a
+    parameter, an assignment or loop target, an import, an `except ... as`
+    or a nested definition.  Nested functions keep their bindings."""
+    args = fn.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+    if name in {a.arg for a in params}:
+        return True
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                return True
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == name:
+            return True
+        if isinstance(node, ast.alias) and (node.asname or node.name) == name:
+            return True
+        if isinstance(node, ast.ExceptHandler) and node.name == name:
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _unshadowed_reads(node, name, shadowed=False):
+    """The reads of the bare name `name` under `node` that no binding of
+    an enclosing function shadows."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        shadowed = shadowed or _binds(node, name)
+    if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load) and not shadowed:
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _unshadowed_reads(child, name, shadowed)
+
+
+def _references(tree, module, name, own):
+    """Whether a file's tree refers to the function `name` of the package
+    module `module`: as `alias.name`, through `from ...module import name`,
+    or, in the module itself (`own`), as a bare name no local binding
+    shadows."""
+    aliases = _module_aliases(tree, module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) in aliases:
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"wob.{module}"):
+            if any(alias.name == name for alias in node.names):
+                return True
+    return own and any(
+        any(_unshadowed_reads(statement, name))
+        for statement in tree.body
+        if not (isinstance(statement, ast.FunctionDef) and statement.name == name)
+    )
 
 
 # public functions no package code calls, kept because the acceptance gate
@@ -891,30 +980,57 @@ GATE_ONLY = {
 
 def test_every_public_kernel_function_is_used():
     # the package holds what the package, its scripts and its benchmark call:
-    # each public top-level function of every `src/wob/` module is named in
-    # that code outside its own definition, or read by the acceptance gate
-    # and listed in GATE_ONLY; test-only helpers live in conftest.py
+    # each public top-level function of every `src/wob/` module is referred
+    # to by that code outside its own definition, or read by the acceptance
+    # gate and listed in GATE_ONLY; test-only helpers live in conftest.py.
+    # A same-named local, parameter or attribute of another object is no
+    # reference.
     root = Path(__file__).resolve().parent.parent
-    statements = [
-        (path, node)
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src", "scripts", "perfbench")
         for path in sorted((root / folder).rglob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    }
     public = [
         (path, n.name)
-        for path, n in statements
-        if path.parent == root / "src" / "wob" and isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+        for path, tree in trees.items()
+        if path.parent == root / "src" / "wob"
+        for n in tree.body
+        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
     ]
     assert {"difference", "is_subset", "join", "recognize", "build_rpi"} <= {name for _, name in public}
     unused = [
         f"{module.stem}.{name}"
         for module, name in public
-        if not any(name in _identifiers(n) for path, n in statements if not (path == module and getattr(n, "name", None) == name))
+        if not any(_references(tree, module.stem, name, path == module) for path, tree in trees.items())
     ]
     assert sorted(unused) == sorted(GATE_ONLY)
-    gate = set(_identifiers(ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))))
-    assert {name.partition(".")[2] for name in GATE_ONLY} <= gate
+    gate = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    assert all(_references(gate, *name.split("."), False) for name in GATE_ONLY)
+
+
+def test_references_are_told_from_same_named_locals():
+    # the three ways to refer to a function, and three look-alikes that are not
+    tree = ast.parse(
+        "from . import ordinals as o\n"
+        "from .ordinals import show\n"
+        "def parse(text):\n"
+        "    return o.add(text) + helper(text)\n"
+        "def helper(x):\n"
+        "    return x\n"
+        "def other(add, seen):\n"
+        "    def inner(position):\n"
+        "        return position + add\n"
+        "    stack = [seen.add, inner]\n"
+        "    return stack\n"
+    )
+    assert _references(tree, "ordinals", "add", False)
+    assert _references(tree, "ordinals", "show", False)
+    assert _references(tree, "m", "helper", True)
+    assert not _references(tree, "m", "add", True)
+    assert not _references(tree, "m", "position", True)
+    assert not _references(tree, "m", "stack", True)
+    assert not _references(tree, "m", "helper", False)
 
 
 # dataclass fields no code reads, kept because perfbench/workloads.py passes

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import epsilon_chain_machine
+from conftest import epsilon_chain_machine, stack
 from wob import hopda as H
 from wob import ordinals as o
 from wob.errors import BadLevel, EmptyPds, WobError
@@ -30,7 +30,6 @@ from wob.hopda import (
     reachable_configs,
     run_word,
     save_hopda,
-    stack,
     top_letter,
     unfold,
 )
@@ -363,3 +362,16 @@ def test_hopda_states_declared_once_each(edit, message):
 def test_hopda_save_load_roundtrip():
     for h in [anbn_pda(), omega_machine(), omega_squared_machine(), omega_omega_machine()]:
         assert parse_hopda(save_hopda(h)) == h
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("input a b\n", "input a b a\n", "duplicate input letters"), ("pds Z A\n", "pds Z A Z\n", "duplicate pds letters")],
+    ids=["input", "pds"],
+)
+def test_hopda_letters_declared_once_each(old, new, message):
+    # as in an `.aut` alphabet, a letter is declared once
+    text = (Path(__file__).resolve().parent.parent / "corpus" / "machines" / "anbn.hopda").read_text(encoding="utf-8")
+    assert old in text
+    with pytest.raises(WobError, match=message):
+        parse_hopda(text.replace(old, new))

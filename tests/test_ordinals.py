@@ -67,8 +67,8 @@ def test_compare_examples():
 
 
 def test_add_examples():
-    assert o.add(ONE, OMEGA) == OMEGA
-    assert o.add(OMEGA, ONE) == parse("w+1")
+    assert ONE + OMEGA == OMEGA
+    assert OMEGA + ONE == parse("w+1")
 
 
 def test_mul_and_power_examples():

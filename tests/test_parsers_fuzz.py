@@ -172,3 +172,46 @@ def test_corpus_files_are_saved_forms_of_what_they_parse_to(tmp_path):
         assert files == sorted(p.name for p in path.parent.iterdir()), path
         for file in files:
             assert (saved / file).read_bytes() == (path.parent / file).read_bytes(), file
+
+
+# the directives whose line has a fixed number of words, by format
+FIXED_WORDS = {
+    ".aut": {"automaton", "arity", "states", "initial"},
+    ".manifest": {"structure", "domain", "relation"},
+    ".tm": {"tm", "tapes", "blank", "state"},
+    ".hopda": {"hopda", "level", "bottom", "state"},
+}
+
+
+def _parse_file(path, text):
+    return {
+        ".aut": au.parse_automaton,
+        ".manifest": PARSERS["manifest"][0],
+        ".tm": tmmod.parse_tm,
+        ".hopda": ho.parse_hopda,
+    }[path.suffix](text)
+
+
+def test_a_word_too_many_is_a_load_error():
+    # `tapes 1 9`, `level 1 2`, `state done acept` and `relation < 2 lt x`
+    # are malformed lines, not the line without its last word
+    checked = set()
+    for path in sorted(CORPUS_DIR.glob("*/*")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        _parse_file(path, "".join(lines))
+        for i, line in enumerate(lines):
+            if line.split()[0] in FIXED_WORDS[path.suffix]:
+                checked.add((path.suffix, line.split()[0], len(line.split())))
+                longer = lines[:i] + [line.rstrip("\n") + " extra\n"] + lines[i + 1 :]
+                with pytest.raises(LoadError, match=rf"^line {i + 1}: "):
+                    _parse_file(path, "".join(longer))
+    # every directive of the table, and both forms of a state line, were met
+    assert {(suffix, kind) for suffix, kind, _n in checked} == {(s, k) for s, kinds in FIXED_WORDS.items() for k in kinds}
+    assert {(".tm", "state", 2), (".tm", "state", 3), (".hopda", "state", 2), (".hopda", "state", 3)} <= checked
+
+
+def test_a_state_line_is_a_name_and_perhaps_accept():
+    text = (MACHINES / "increment.tm").read_text(encoding="utf-8")
+    accepting = next(line for line in text.splitlines() if line.startswith("state") and line.endswith(" accept"))
+    with pytest.raises(LoadError, match=r"expected NAME or NAME accept"):
+        tmmod.parse_tm(text.replace(accepting, accepting[: -len("accept")] + "acept"))

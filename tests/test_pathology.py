@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import position
 from wob import automata as au
 from wob import fgh
 from wob import ordinals as o
@@ -19,7 +20,6 @@ from wob.pathology import (
     kreisel_compare,
     minimal_members,
     omega_plus_one_system,
-    position,
     power_of_two_spec,
     rank_of_word,
     regular_except_word,

@@ -10,6 +10,7 @@ from conftest import (
     define_set,
     reference_check_linear,
     reference_initial_chain,
+    reference_minimize,
     reference_representatives,
     reference_sim,
     reference_successor,
@@ -478,6 +479,22 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
 
 def _ladder(k):
     return corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}").structure
+
+
+def test_minimal_i_fits_the_budget_of_the_interval_product():
+    # ladder k=8: the interval product `between` takes 1,460 states, the
+    # most of any step of I.  The double reversal in `minimize` builds 232
+    # and then the 166 of the minimal I, where the subset construction of
+    # the projection built 2,359
+    p = OrderPresentation(_ladder(8))
+    with au.state_budget(1500):
+        i = p.infinitely_between()
+    assert i.n_states == 166
+    want = reference_minimize(au.project(p.between(), 1, infinite=True))
+    assert au.save_automaton(i, "I") == au.save_automaton(want, "I")
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(1459):
+        OrderPresentation(_ladder(8)).infinitely_between()
+    assert info.value.n_states == 1460
 
 
 TOP_CLASS_CASES = {**CHAIN_CASES, "ladder4": (_ladder, 4), "ladder5": (_ladder, 5)}
