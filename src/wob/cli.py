@@ -309,7 +309,7 @@ def _pi0_from_spec(spec: str) -> pa.PiPredicate:
         n = _natural(spec.split("=", 1)[1], "builtin:except=N")
         return pa.regular_except_word(pa.word_of_rank(n))
     _, aut = au.load_automaton(spec)
-    return pa.PiPredicate(kind="regular", aut=aut)
+    return pa.PiPredicate(aut=aut)
 
 
 def cmd_kreisel(args) -> int:

@@ -15,8 +15,7 @@ from . import ordinals as o
 from .automata import PAD, Automaton
 from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
-
-LESS = "<"
+from .recognition import LESS
 
 
 @dataclass(frozen=True)

@@ -310,9 +310,8 @@ def reachable_configs(h: HopdaSpec, words: Iterable) -> list:
 
 def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
     """Keep the epsilon-normal vertices plus the root; draw an a-edge u -> v
-    whenever the graph has a path eps^* a eps^* from u to v with v normal."""
-    if EPSILON not in g.colors:
-        raise WobError(f"graph has no {EPSILON!r} edges")
+    whenever the graph has a path eps^* a eps^* from u to v with v normal.
+    A graph without eps edges is its own contraction."""
     succ: dict = {}  # color -> vertex -> successors
     for color, pairs in g.edges.items():
         for (u, v) in pairs:

@@ -28,6 +28,7 @@ from .errors import (
     read_directives,
 )
 
+EQ = "="
 LLEX = "llex"
 
 # the parser and the compiler recurse once per level of nesting
@@ -50,24 +51,6 @@ class Rel(Formula):
 
     def free_vars(self):
         return frozenset(self.vars)
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: str
-    right: str
-
-    def free_vars(self):
-        return frozenset((self.left, self.right))
-
-
-@dataclass(frozen=True)
-class Llex(Formula):
-    left: str
-    right: str
-
-    def free_vars(self):
-        return frozenset((self.left, self.right))
 
 
 @dataclass(frozen=True)
@@ -179,11 +162,11 @@ def _to_formula(sexp) -> Formula:
         if not all(isinstance(v, str) for v in [name, *vars_]):
             raise LoadError("rel arguments must be symbols")
         return Rel(name, tuple(vars_))
-    if head in ("eq", "=", "llex"):
+    if head in ("eq", EQ, LLEX):
         _expect_args(sexp, 2)
         if not all(isinstance(v, str) for v in sexp[1:]):
             raise LoadError(f"{head} arguments must be symbols")
-        return (Llex if head == "llex" else Eq)(sexp[1], sexp[2])
+        return Rel(LLEX if head == LLEX else EQ, (sexp[1], sexp[2]))
     if head == "not":
         _expect_args(sexp, 1)
         return Not(_to_formula(sexp[1]))
@@ -234,8 +217,9 @@ class Structure:
             raise ArityMismatch("domain automaton must have arity 1")
         if au.is_empty(self.domain):
             raise WobError(f"structure {self.name!r} has an empty domain")
-        if LLEX in self.relations:
-            raise WobError(f"relation name {LLEX!r} is reserved")
+        for reserved in (EQ, LLEX):
+            if reserved in self.relations:
+                raise WobError(f"relation name {reserved!r} is reserved")
         for rel_name, (arity, aut) in self.relations.items():
             if aut.arity != arity:
                 raise ArityMismatch(
@@ -271,6 +255,8 @@ class Structure:
         return au.minimize(au.intersect(base, self.domain_cube(2)))
 
     def relation(self, name: str) -> tuple[int, Automaton]:
+        if name == EQ:
+            return 2, self.eq
         if name == LLEX:
             return 2, self.llex
         if name not in self.relations:
@@ -311,10 +297,6 @@ class Compiler:
                     f"relation {f.name!r} has arity {arity}, got {len(f.vars)} variables"
                 )
             return self._atom(aut, list(f.vars))
-        if isinstance(f, Eq):
-            return self._atom(self.s.eq, [f.left, f.right])
-        if isinstance(f, Llex):
-            return self._atom(self.s.llex, [f.left, f.right])
         if isinstance(f, Not):
             r = self.compile(f.body)
             if r.aut is None:

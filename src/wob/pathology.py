@@ -24,18 +24,8 @@ from . import automata as au
 from . import fgh
 from .automata import Automaton
 from .errors import IllFormedSystem, PredicateDiverged, WobError
-from .logic import (
-    And,
-    Exists,
-    Llex,
-    Not,
-    Or,
-    Rel,
-    Structure,
-    _unchecked,
-    compile_formula,
-)
-from .recognition import minimal_elements
+from .logic import LLEX, And, Exists, Not, Or, Rel, Structure, _unchecked, compile_formula
+from .recognition import LESS, minimal_elements
 
 BINARY = ("0", "1")
 
@@ -60,21 +50,20 @@ def rank_of_word(w) -> int:
 
 @dataclass(frozen=True)
 class PiPredicate:
-    """The matrix pi_0 of a universally quantified sentence."""
+    """The matrix pi_0 of a universally quantified sentence: a callback on
+    the naturals or an arity-1 automaton over BINARY, exactly one given."""
 
-    kind: str  # "callback" | "regular"
     fn: Optional[Callable] = None  # naturals -> bool
     aut: Optional[Automaton] = None  # arity-1 over BINARY
 
     def __post_init__(self):
-        if self.kind == "callback" and self.fn is None:
-            raise WobError("callback predicate needs a function")
-        if self.kind == "regular":
-            if self.aut is None or self.aut.arity != 1:
-                raise WobError("regular predicate needs an arity-1 automaton")
+        if (self.fn is None) == (self.aut is None):
+            raise WobError("a predicate needs exactly one of a function and an automaton")
+        if self.aut is not None and self.aut.arity != 1:
+            raise WobError("regular predicate needs an arity-1 automaton")
 
     def holds(self, z: int) -> bool:
-        if self.kind == "callback":
+        if self.fn is not None:
             try:
                 got = self.fn(z)
             except Exception as exc:
@@ -86,24 +75,24 @@ class PiPredicate:
 
 
 def always_true() -> PiPredicate:
-    return PiPredicate(kind="callback", fn=lambda z: True)
+    return PiPredicate(fn=lambda z: True)
 
 
 def except_value(n: int) -> PiPredicate:
-    return PiPredicate(kind="callback", fn=lambda z: z != n)
+    return PiPredicate(fn=lambda z: z != n)
 
 
 def regular_true() -> PiPredicate:
-    return PiPredicate(kind="regular", aut=au.universe(BINARY, 1))
+    return PiPredicate(aut=au.universe(BINARY, 1))
 
 
 def regular_except_word(word) -> PiPredicate:
     aut = au.difference(au.universe(BINARY, 1), au.fixed_word(BINARY, word))
-    return PiPredicate(kind="regular", aut=aut)
+    return PiPredicate(aut=aut)
 
 
 def regular_empty() -> PiPredicate:
-    return PiPredicate(kind="regular", aut=au.empty(BINARY, 1))
+    return PiPredicate(aut=au.empty(BINARY, 1))
 
 
 # -- the reordering ------------------------------------------------------------
@@ -186,25 +175,25 @@ PI0_REL = "pi0"
 def kreisel_formula():
     """x < y per the defining disjunction, over llex and the pi0 relation."""
     first = And(
-        Llex("x", "y"),
-        Not(Exists("z", And(Llex("z", "x"), Not(Rel(PI0_REL, ("z",)))))),
+        Rel(LLEX, ("x", "y")),
+        Not(Exists("z", And(Rel(LLEX, ("z", "x")), Not(Rel(PI0_REL, ("z",)))))),
     )
     second = And(
-        Llex("y", "x"),
-        Exists("z", And(Llex("z", "y"), Not(Rel(PI0_REL, ("z",))))),
+        Rel(LLEX, ("y", "x")),
+        Exists("z", And(Rel(LLEX, ("z", "y")), Not(Rel(PI0_REL, ("z",))))),
     )
     return Or(first, second)
 
 
 def kreisel_as_automatic(pi0: PiPredicate, state_budget: int = 10 ** 6) -> Structure:
     """Compile the reordering into an automatic presentation over {0,1}^*."""
-    if pi0.kind != "regular":
+    if pi0.aut is None:
         raise WobError("only regular predicates compile to automata")
     domain = au.universe(BINARY, 1)
     helper = Structure(name="kreisel0", domain=domain, relations={PI0_REL: (1, pi0.aut)})
     rel = compile_formula(helper, kreisel_formula(), state_budget=state_budget)
     rel = au.minimize(rel)
-    return _unchecked("kreisel", domain, {"<": (2, rel)})
+    return _unchecked("kreisel", domain, {LESS: (2, rel)})
 
 
 def tail_set(s: Structure, word) -> Automaton:
@@ -215,7 +204,7 @@ def tail_set(s: Structure, word) -> Automaton:
 
 def minimal_members(s: Structure, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (exact)."""
-    return au.minimize(minimal_elements(s.relations["<"][1], subset))
+    return au.minimize(minimal_elements(s.relations[LESS][1], subset))
 
 
 # -- the omega+1 system with an inflated F_omega (Prop 2) ----------------------

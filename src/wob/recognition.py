@@ -21,16 +21,17 @@ Recognition compiles no formula; every set is a kernel construction run
 under the state budget `recognize` sets once (`au.state_budget`), so no
 other function here takes one.  Each presentation joins its order with
 itself once, into the interval product between(x, z, y) = x<z<y, and
-reads ~, the successor relation, the transitivity check and the bad-class
-set from it: infinitely many z lie between x and y in either orientation
-exactly when they do in one of them, so x ~ y fails exactly on I(x, y) or
-I(y, x), where
-I = { (x, y) : infinitely many z with x<z<y }.  Irreflexivity and totality
-are an empty product with the diagonal and an inclusion of the domain cube,
-and each level passes when no element has infinitely many predecessors
-within its class.  The class representatives are the domain minus the
-llex-larger side of ~, and the top class is the domain minus the elements
-with infinitely many elements above them.
+reads the successor relation, the transitivity check and
+I = { (x, y) : infinitely many z with x<z<y } from it.  Every per-level set
+is read from one relation, in_class = < minus I: the pairs y < x with y in
+x's class.  The order is linear, so distinct x and y are ~-equivalent
+exactly when (x, y) or (y, x) is in it, and ~ itself is never built.  A
+level passes when no element has infinitely many in_class predecessors,
+the class representatives are the domain minus the llex-larger side of
+in_class and its transpose, and an empty in_class (all classes singletons)
+is the fixpoint.  Irreflexivity and totality are an empty product with the
+diagonal and an inclusion of the domain cube, and the top class is the
+domain minus the elements with infinitely many elements above them.
 """
 
 from __future__ import annotations
@@ -71,28 +72,25 @@ class OrderPresentation:
         return self.structure.relations[LESS][1]
 
     @cached_property
-    def _memo(self) -> dict:
-        return {}
-
-    def _once(self, name: str, make):
-        """make(), built once per name and shared: it is the same automaton
-        under any state budget."""
-        if name not in self._memo:
-            self._memo[name] = make()
-        return self._memo[name]
-
     def between(self) -> Automaton:
         """between(x, z, y): x < z < y, the one product of the order with itself."""
-        return self._once("between", lambda: au.join(self.order, [0, 1], self.order, [1, 2]))
+        return au.join(self.order, [0, 1], self.order, [1, 2])
 
+    @cached_property
     def infinitely_between(self) -> Automaton:
         """I(x, y): infinitely many z with x < z < y."""
-        return self._once("I", lambda: au.minimize(au.project(self.between(), 1, infinite=True)))
+        return au.minimize(au.project(self.between, 1, infinite=True))
 
-    @property
+    @cached_property
+    def in_class(self) -> Automaton:
+        """(y, x): y < x with finitely many elements between, so y lies in
+        x's condensation class, below x."""
+        return au.difference(self.order, self.infinitely_between)
+
+    @cached_property
     def successor(self) -> Automaton:
         """succ(x, y): x < y with nothing between."""
-        return self._once("succ", lambda: au.minimize(au.difference(self.order, au.project(self.between(), 1))))
+        return au.minimize(au.difference(self.order, au.project(self.between, 1)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,7 @@ def check_linear(p: OrderPresentation) -> Optional[str]:
     order, diagonal = p.order, au.diagonal(p.domain.alphabet)
     if not au.is_empty(au.intersect(order, diagonal)):
         return "irreflexivity"
-    if not au.is_subset(au.project(p.between(), 1), order):
+    if not au.is_subset(au.project(p.between, 1), order):
         return "transitivity"
     both = au.union(order, au.permute_tapes(order, [1, 0]))
     if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal)):
@@ -152,22 +150,16 @@ def check_linear(p: OrderPresentation) -> Optional[str]:
 # -- condensation machinery --------------------------------------------------
 
 
-def sim_automaton(p: OrderPresentation) -> Automaton:
-    """x ~ y: only finitely many elements lie between x and y.  Infinitely
-    many lie between them in either orientation exactly when infinitely many
-    do in one of them, so ~ is the domain cube minus I and its transpose."""
-    i = p.infinitely_between()
-    apart = au.union(i, au.permute_tapes(i, [1, 0]))
-    return au.minimize(au.difference(p.structure.domain_cube(2), apart))
-
-
 def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     """Quotient by ~, represented by the llex-least element of each class:
-    the domain minus every x with some y ~ x llex-below it.  ~ lies in the
-    domain cube, so the bare llex automaton restricts nothing further.
-    Distinct representatives are never ~-equivalent, so the quotient order
-    is the original order restricted to representatives."""
-    outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), sim_automaton(p)), 0)
+    the domain minus every x with some y ~ x llex-below it.  The order is
+    linear, so distinct x and y are ~-equivalent exactly when one of (x, y)
+    and (y, x) is in `in_class`; llex is strict, so the diagonal, which
+    `in_class` lacks, never counts.  Distinct representatives are never
+    ~-equivalent, so the quotient order is the original order restricted to
+    representatives."""
+    same_class = au.union(p.in_class, au.permute_tapes(p.in_class, [1, 0]))
+    outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
     new_dom = au.minimize(au.difference(p.domain, outranked))
     below = au.join(p.order, [0, 1], new_dom, [0])
     new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1]))
@@ -188,9 +180,8 @@ def classify_classes(p: OrderPresentation):
     least element exactly when it is omega* or Z, that is, exactly when each
     of its elements has infinitely many predecessors within it; one set of
     such elements decides the level.  The order is linear, so y < x lies in
-    x's class exactly when I(y, x) fails."""
-    in_class = au.difference(p.order, p.infinitely_between())
-    bad = au.minimize(au.project(in_class, 0, infinite=True))
+    x's class exactly when I(y, x) fails, which is `in_class`."""
+    bad = au.minimize(au.project(p.in_class, 0, infinite=True))
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
     return AllFiniteOrOmega()
@@ -240,16 +231,15 @@ def recognize(
                     return BudgetExceeded(level)
                 beta = o.from_int(len(members))
                 return WellOrder(_unwind(beta, tops))
+            # every class a singleton: the quotient is the level itself
+            if au.is_empty(current.in_class):
+                return NotWellOrder(DenseFixpoint(level))
             try:
                 t = _top_class_size(current)
             except StateBudgetExceeded:
                 return BudgetExceeded(level)
-            quotient = finite_condensation(current)
-            # the quotient domain is a subset, so one inclusion decides equality
-            if au.is_subset(current.domain, quotient.domain):
-                return NotWellOrder(DenseFixpoint(level))
             tops.append(t)
-            current = quotient
+            current = finite_condensation(current)
             level += 1
             if level > max_levels:
                 return BudgetExceeded(level)

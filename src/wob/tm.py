@@ -130,12 +130,11 @@ class Configuration:
     columns: tuple  # tuple of per-tape cell tuples
     heads: tuple  # head column per tape
 
-    def serialize(self, tm: Optional[TmSpec] = None) -> tuple:
+    def serialize(self, tm: TmSpec) -> tuple:
         """The state token, then one column token per column.  Headless
         columns are read from tm's token table; a cell outside tm's cell
-        alphabets, or any cell when tm is not given, is joined by
-        `column_token`."""
-        token_of = tm._token_of if tm is not None else {}
+        alphabets is joined by `column_token`."""
+        token_of = tm._token_of
         none, headless = frozenset(), [False] * len(self.heads)
         word = [self.state] + [token_of.get((cells, none)) or column_token(cells, headless) for cells in self.columns]
         for j in set(self.heads):

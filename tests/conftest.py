@@ -13,7 +13,7 @@ from wob import pathology as pa  # noqa: E402
 from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
 from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobError  # noqa: E402
-from wob.logic import And, Eq, Exists, ExistsInf, Forall, Llex, Not, Or, Rel, implies  # noqa: E402
+from wob.logic import EQ, LLEX, And, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
 # -- structures, machines and ordinals only the tests build ----------------
@@ -439,7 +439,7 @@ REFERENCE_LAWS = (
         Forall("x", Forall("y", Forall("z", implies(
             And(Rel("<", ("x", "y")), Rel("<", ("y", "z"))), Rel("<", ("x", "z")))))),
     ),
-    ("totality", Forall("x", Forall("y", Or(Rel("<", ("x", "y")), Or(Rel("<", ("y", "x")), Eq("x", "y")))))),
+    ("totality", Forall("x", Forall("y", Or(Rel("<", ("x", "y")), Or(Rel("<", ("y", "x")), Rel(EQ, ("x", "y"))))))),
 )
 
 
@@ -471,14 +471,14 @@ def with_sim(p):
     """p's structure plus the condensation equivalence ~, built through the
     public constructor, so the full structure check runs on it."""
     s = p.structure
-    relations = {**s.relations, "~": (2, rec.sim_automaton(p))}
+    relations = {**s.relations, "~": (2, reference_sim(p))}
     return logic.Structure(name=s.name, domain=s.domain, relations=relations)
 
 
 def reference_representatives(p):
     """`finite_condensation`'s new domain as the compiled formula "no y ~ x
     is llex-below x"."""
-    return define_set(with_sim(p), Not(Exists("y", And(Llex("y", "x"), Rel("~", ("y", "x"))))), "x")
+    return define_set(with_sim(p), Not(Exists("y", And(Rel(LLEX, ("y", "x")), Rel("~", ("y", "x"))))), "x")
 
 
 def reference_top_class(p):
@@ -488,8 +488,9 @@ def reference_top_class(p):
 
 
 def reference_sim(p):
-    """`sim_automaton` as the compiled formula "not infinitely many z
-    between x and y", the betweenness taken in both orientations at once."""
+    """The condensation equivalence ~ as the compiled formula "not
+    infinitely many z between x and y", the betweenness taken in both
+    orientations at once."""
     between = Or(
         And(Rel("<", ("x", "z")), Rel("<", ("z", "y"))),
         And(Rel("<", ("y", "z")), Rel("<", ("z", "x"))),

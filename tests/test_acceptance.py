@@ -255,20 +255,20 @@ def test_criterion_7_rpi_construction():
         expected = tmmod.step(tm, c)
         for c2 in small:
             want = expected is not None and c2 == expected
-            assert aut.accepts(c.serialize(), c2.serialize()) == want
+            assert aut.accepts(c.serialize(tm), c2.serialize(tm)) == want
     # at serialized length <= 10: successor accepted, mutations rejected
     big = canonical_configs(9)
     for c in big:
         expected = tmmod.step(tm, c)
         if expected is None:
             continue
-        assert aut.accepts(c.serialize(), expected.serialize())
+        assert aut.accepts(c.serialize(tm), expected.serialize(tm))
         mut = tmmod.Configuration(
             expected.state, expected.columns,
             tuple((h + 1) % len(expected.columns) for h in expected.heads),
         )
         if mut != expected:
-            assert not aut.accepts(c.serialize(), mut.serialize())
+            assert not aut.accepts(c.serialize(tm), mut.serialize(tm))
 
     rpi = tmmod.build_rpi(tmmod.kreisel_comparator(False), pi_tag="pi0=true")
     frag = tmmod.explore_fragment(rpi, word_len=4, run_input_len=2)
@@ -296,7 +296,7 @@ def test_criterion_7_rpi_construction():
 
     # false pi0: an explicit verified descent witness exists
     rpi_bad = tmmod.build_rpi(tmmod.kreisel_comparator(True), pi_tag="pi0=empty")
-    k = pa.KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=lambda z: False))
+    k = pa.KreiselOrder(pi0=pa.PiPredicate(fn=lambda z: False))
     ranks = pa.find_descent(k, 1, 5)
     chain = tmmod.descent_witness(rpi_bad, ranks)
     assert len(chain) > 10

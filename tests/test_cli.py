@@ -234,6 +234,13 @@ def test_hopda_graph_and_dot(tmp_path, capsys):
     assert dot.read_text(encoding="utf-8").startswith("digraph")
 
 
+def test_hopda_contract_without_eps_edges(capsys):
+    # the omega machine has no eps rules, so its contraction is its graph
+    want = (0, "contract: 1000 vertices, 999 edges (partial)\n")
+    assert run_cli(["hopda", "contract", "builtin:omega"], capsys) == want
+    assert run_cli(["hopda", "graph", "builtin:omega"], capsys) == (0, want[1].replace("contract", "graph"))
+
+
 def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])

@@ -256,6 +256,12 @@ def test_epsilon_contract_never_contains_eps():
     assert EPSILON not in got.colors
 
 
+def test_epsilon_contract_of_an_eps_free_graph_is_the_graph():
+    g = config_graph(omega_machine())
+    assert EPSILON not in g.colors
+    assert epsilon_contract(g) == g
+
+
 def test_unfold_single_vertex():
     g = graph_from_edges(["v"], [], root="v")
     got = unfold(g, "v", 3)

@@ -9,13 +9,13 @@ from wob import automata as au
 from wob import corpus
 from wob.errors import ArityMismatch, NotASentence, UnknownRelation, WobError
 from wob.logic import (
+    EQ,
+    LLEX,
     And,
     Compiler,
-    Eq,
     Exists,
     ExistsInf,
     Forall,
-    Llex,
     Not,
     Or,
     Rel,
@@ -50,16 +50,6 @@ def eval_frag(f, frag, rels, alphabet):
             for combo in itertools.product(frag, repeat=len(vs)):
                 env = dict(zip(vs, combo))
                 if fn(*[env[v] for v in g.vars]):
-                    out.add(combo)
-            return vs, out
-        if isinstance(g, Eq):
-            return rec(Rel("__eq", (g.left, g.right)))
-        if isinstance(g, Llex):
-            vs = tuple(sorted({g.left, g.right}))
-            out = set()
-            for combo in itertools.product(frag, repeat=len(vs)):
-                env = dict(zip(vs, combo))
-                if key(env[g.left]) < key(env[g.right]):
                     out.add(combo)
             return vs, out
         if isinstance(g, Not):
@@ -101,7 +91,8 @@ def eval_frag(f, frag, rels, alphabet):
         return rest, {row[:i] + row[i + 1 :] for row in s}
 
     rels = dict(rels)
-    rels["__eq"] = (2, lambda x, y: x == y)
+    rels[EQ] = (2, lambda x, y: x == y)
+    rels[LLEX] = (2, lambda x, y: key(x) < key(y))
     return rec(f)
 
 
@@ -221,6 +212,21 @@ def test_unknown_relation_and_arity_errors():
         compile_formula(s, parse_formula("(rel nope x y)"))
     with pytest.raises(ArityMismatch):
         compile_formula(s, parse_formula("(rel < x y z)"))
+
+
+def test_equality_and_llex_are_relations():
+    # (= x y), (eq x y) and (llex x y) are atoms over the structure's two
+    # built-in relations, which no manifest may redefine
+    s = OMEGA2_P.structure
+    assert parse_formula("(= x y)") == parse_formula("(eq x y)") == Rel(EQ, ("x", "y"))
+    assert parse_formula("(llex x y)") == Rel(LLEX, ("x", "y"))
+    for text in ("(= x y)", "(llex x y)"):
+        shorthand = compile_formula(s, parse_formula(text))
+        spelled = compile_formula(s, parse_formula(text.replace("(", "(rel ", 1)))
+        assert au.save_automaton(spelled, "a") == au.save_automaton(shorthand, "a")
+    for name in (EQ, LLEX):
+        with pytest.raises(WobError, match="reserved"):
+            Structure(name="r", domain=s.domain, relations={name: s.relation("<")})
 
 
 def test_not_a_sentence():

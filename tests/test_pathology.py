@@ -140,7 +140,7 @@ def test_predicate_diverged():
     def bad(z):
         raise RuntimeError("boom")
 
-    k = KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=bad))
+    k = KreiselOrder(pi0=pa.PiPredicate(fn=bad))
     with pytest.raises(PredicateDiverged):
         kreisel_compare(k, 1, 2)
 

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import traceback
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from conftest import (
     reference_initial_chain,
     reference_minimize,
     reference_representatives,
-    reference_sim,
     reference_successor,
     reference_top_class,
     reference_top_class_size,
@@ -124,10 +124,11 @@ def test_condensation_of_dense_is_identity():
             assert q.domain.accepts(w)
 
 
-def test_sim_automaton_matches_reference_classes():
-    # the compiled "finitely many in between" equivalence against per-structure
-    # references: same track for the sums, equal leading digits for the digit
-    # presentations, everything equivalent on omega
+def test_in_class_matches_reference_classes():
+    # (y, x) is in `in_class` exactly when y < x in the same "finitely many in
+    # between" class, against per-structure class references: same track
+    # for the sums, equal leading digits for the digit presentations,
+    # everything in one class on omega
     cases = [
         (corpus.omega_unary(), lambda x, y: True),
         (corpus.omega_times_2(), lambda x, y: (x[:1] == ("b",)) == (y[:1] == ("b",))),
@@ -136,13 +137,13 @@ def test_sim_automaton_matches_reference_classes():
             lambda x, y: corpus.parse_digit_word(x)[:-1] == corpus.parse_digit_word(y)[:-1],
         ),
     ]
-    for pres, ref in cases:
-        op = pres_to_op(pres)
-        sim = rec.sim_automaton(op)
+    for pres, same_class in cases:
+        in_class = pres_to_op(pres).in_class
         frag = [w for w in words_upto(pres.structure.domain.alphabet, 5) if pres.ref_domain(w)]
         for x in frag:
             for y in frag:
-                assert sim.accepts(x, y) == ref(x, y), (pres.name, x, y)
+                want = pres.ref_less(y, x) and same_class(x, y)
+                assert in_class.accepts(y, x) == want, (pres.name, y, x)
 
 
 def test_classify_omega_ok():
@@ -283,27 +284,36 @@ def test_recognize_requires_linear():
 
 @pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
 def test_sim_compiled_once_per_level(monkeypatch, name, levels):
-    # only the quotient reads ~, so each condensed level builds it once and
-    # the last level, which is not condensed, not at all
+    # every set of a level is read from its one in-class relation, so each
+    # level, the last one included, builds it exactly once
     from pathlib import Path
 
     from wob.logic import load_structure
 
     calls = []
-    original = rec.sim_automaton
-
-    def counted(p):
-        calls.append(p)
-        return original(p)
-
-    monkeypatch.setattr(rec, "sim_automaton", counted)
+    original = OrderPresentation.in_class.func
+    counted = cached_property(lambda p: calls.append(p) or original(p))
+    counted.__set_name__(OrderPresentation, "in_class")
+    monkeypatch.setattr(OrderPresentation, "in_class", counted)
     manifest = Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest"
     trace = []
     got = recognize(OrderPresentation(load_structure(manifest)), trace=trace)
     assert isinstance(got, WellOrder)
     assert len(trace) == levels
-    assert len(calls) == levels - 1
+    assert len(calls) == levels
     assert all(c is pres for c, (_level, pres) in zip(calls, trace))
+
+
+@pytest.mark.parametrize("name, level", [("dense", 0), ("binlex", 1)])
+def test_dense_fixpoint_builds_no_last_quotient(monkeypatch, name, level):
+    # an empty in-class relation is the fixpoint, so the level where it is
+    # reached is not condensed: one quotient per level below it
+    calls = []
+    original = rec.finite_condensation
+    monkeypatch.setattr(rec, "finite_condensation", lambda p: calls.append(p) or original(p))
+    pres = OrderPresentation(logic.load_structure(CORPUS_DIR / name / f"{name}.manifest"))
+    assert recognize(pres) == NotWellOrder(DenseFixpoint(level))
+    assert len(calls) == level
 
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -488,12 +498,12 @@ def test_minimal_i_fits_the_budget_of_the_interval_product():
     # the projection built 2,359
     p = OrderPresentation(_ladder(8))
     with au.state_budget(1500):
-        i = p.infinitely_between()
+        i = p.infinitely_between
     assert i.n_states == 166
-    want = reference_minimize(au.project(p.between(), 1, infinite=True))
+    want = reference_minimize(au.project(p.between, 1, infinite=True))
     assert au.save_automaton(i, "I") == au.save_automaton(want, "I")
     with pytest.raises(StateBudgetExceeded) as info, au.state_budget(1459):
-        OrderPresentation(_ladder(8)).infinitely_between()
+        OrderPresentation(_ladder(8)).infinitely_between
     assert info.value.n_states == 1460
 
 
@@ -510,14 +520,14 @@ def test_top_class_from_the_order_alone(monkeypatch, name):
     levels = []
     monkeypatch.setattr(rec, "_top_class_size", lambda p: levels.append(p) or original(p))
     recognize(OrderPresentation(make(arg)))
-    sims, counted = [], []
-    original_sim, original_count = rec.sim_automaton, au.count_or_enumerate
+    counted = []
+    original_count = au.count_or_enumerate
     for pres in levels:
-        monkeypatch.setattr(rec, "sim_automaton", lambda *args: sims.append(args) or original_sim(*args))
+        fresh = OrderPresentation(pres.structure)
         monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
-        got = original(OrderPresentation(pres.structure))
+        got = original(fresh)
         monkeypatch.undo()
-        assert sims == []
+        assert "infinitely_between" not in vars(fresh) and "in_class" not in vars(fresh)
         assert got == reference_top_class_size(pres)
         top = au.save_automaton(counted.pop(), "top")
         assert top == au.save_automaton(reference_top_class(pres), "top")
@@ -541,16 +551,22 @@ def test_quotient_matches_the_compiled_representatives(name):
         assert au.save_automaton(quotient.order, "lt") == au.save_automaton(order, "lt"), level
 
 
+# (x, y): x < y with finitely many z between; tapes in variable order, as
+# `in_class` holds the smaller element first
+IN_CLASS = logic.parse_formula("(and (rel < x y) (not (existsinf z (and (rel < x z) (rel < z y)))))")
+
+
 @pytest.mark.parametrize("name", sorted(TOP_CLASS_CASES))
 def test_sim_and_successor_match_the_compiled_formulas(name):
-    # ~ and succ are read from the interval product, not compiled; at every
-    # level their minimal automata are the ones the formulas compile to
+    # the in-class relation and succ are read from the interval product, not
+    # compiled; at every level their minimal automata are the ones the
+    # formulas compile to
     make, arg = TOP_CLASS_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
     for level, pres in trace:
-        got = au.save_automaton(rec.sim_automaton(pres), "sim")
-        assert got == au.save_automaton(reference_sim(pres), "sim"), level
+        got = au.save_automaton(au.minimize(pres.in_class), "in_class")
+        assert got == au.save_automaton(au.minimize(logic.compile_formula(pres.structure, IN_CLASS)), "in_class"), level
         got = au.save_automaton(pres.successor, "succ")
         assert got == au.save_automaton(reference_successor(pres), "succ"), level
 
@@ -604,9 +620,10 @@ def test_recognize_compiles_no_formula(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mixed", "omega_cube", "kreisel_true"])
 def test_condensation_steps_take_the_budget(monkeypatch, name):
-    # every construction the quotient and the top-class count run, ~ and I,
-    # the llex automaton and the domain cubes included, reads the budget in
-    # force: each BFS and each search sees the caller's, and nothing else
+    # every construction the quotient and the top-class count run, I and the
+    # in-class relation, its transpose and the llex automaton included, reads
+    # the budget in force: each BFS and each search sees the caller's, and
+    # nothing else
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
@@ -630,10 +647,9 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
         monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
     with au.state_budget(budget):
         for _level, pres in trace:
-            # a fresh structure, so its domain cubes are built here
-            s = logic._unchecked(pres.structure.name, pres.domain, pres.structure.relations)
-            rec._top_class_size(OrderPresentation(s))
-            rec.finite_condensation(OrderPresentation(s))
+            # a fresh presentation, so its in-class relation is built here
+            rec._top_class_size(OrderPresentation(pres.structure))
+            rec.finite_condensation(OrderPresentation(pres.structure))
     entries = {entry for entry, _ in limits}
-    assert {"difference", "join", "minimize", "project", "insert_tape", "llex_automaton"} <= entries
+    assert {"difference", "join", "minimize", "project", "union", "permute_tapes", "llex_automaton"} <= entries
     assert [(entry, b) for entry, b in limits if b != budget] == []

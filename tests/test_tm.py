@@ -80,7 +80,7 @@ def assert_steps_match_simulator(tm, max_cols) -> int:
     Returns how many of the configurations have a successor."""
     aut = step_relation_automaton(tm)
     universe = all_valid_configs(tm, max_cols)
-    words = {c: c.serialize() for c in universe}
+    words = {c: c.serialize(tm) for c in universe}
     serialized = set(map(tuple, words.values()))
     by_word = {tuple(w): c for c, w in words.items()}
     stepping = 0
@@ -197,7 +197,7 @@ def test_step_automaton_rejects_noncanonical_sources():
         expected = step(tm, c)
         if expected is None:
             continue
-        assert not aut.accepts(c.serialize(), expected.serialize())
+        assert not aut.accepts(c.serialize(tm), expected.serialize(tm))
 
 
 def test_step_automaton_growth_case():
@@ -207,8 +207,8 @@ def test_step_automaton_growth_case():
     c2 = step(tm, c)
     c3 = step(tm, c2)
     assert len(c3.columns) == len(c2.columns) + 1  # grew a column
-    assert aut.accepts(c2.serialize(), c3.serialize())
-    assert not aut.accepts(c2.serialize(), c2.serialize())
+    assert aut.accepts(c2.serialize(tm), c3.serialize(tm))
+    assert not aut.accepts(c2.serialize(tm), c2.serialize(tm))
 
 
 def test_halted_configuration_has_no_successor():
@@ -218,14 +218,14 @@ def test_halted_configuration_has_no_successor():
     assert step(tm, final) is None
     aut = step_relation_automaton(tm)
     for c in all_valid_configs(tm, len(final.columns) + 1):
-        assert not aut.accepts(final.serialize(), c.serialize())
+        assert not aut.accepts(final.serialize(tm), c.serialize(tm))
 
 
 def test_no_self_loops():
     tm = increment_machine()
     aut = step_relation_automaton(tm)
     for c in all_valid_configs(tm, 3):
-        assert not aut.accepts(c.serialize(), c.serialize())
+        assert not aut.accepts(c.serialize(tm), c.serialize(tm))
 
 
 def test_copy_machine_runs_and_is_reversible():
@@ -250,12 +250,12 @@ def test_copy_machine_step_automaton_on_runs():
     for word in [(), ("a",), ("b", "a")]:
         trace, _ = run(tm, [word, ()])
         for c, c2 in zip(trace, trace[1:]):
-            assert aut.accepts(c.serialize(), c2.serialize())
+            assert aut.accepts(c.serialize(tm), c2.serialize(tm))
         # mutated pairs are rejected
         for c, c2 in zip(trace, trace[1:]):
             bad = Configuration(c2.state, c2.columns, tuple((h + 1) % len(c2.columns) for h in c2.heads))
             if bad != c2:
-                assert not aut.accepts(c.serialize(), bad.serialize())
+                assert not aut.accepts(c.serialize(tm), bad.serialize(tm))
 
 
 def test_collision_reported():
@@ -296,7 +296,7 @@ def test_comparator_true_accepts_llex():
 def test_comparator_false_matches_pathology_model():
     tm = kreisel_comparator(false_pi=True)
     assert check_reversible(tm) is None
-    k = pa.KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=lambda z: False))
+    k = pa.KreiselOrder(pi0=pa.PiPredicate(fn=lambda z: False))
     words = [tuple(b) for n in range(4) for b in itertools.product("01", repeat=n)]
     for x in words:
         for y in words:
@@ -382,7 +382,7 @@ def test_tag_config_matches_serialize():
     # a cell outside the machine's cell alphabets is built as `serialize` builds it
     foreign = Configuration(tm.initial, ((T.MARKER,) * 3, ("7", "0", tm.blank)), (1, 0, 1))
     for c in trace + [foreign]:
-        assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize()
+        assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize(tm)
 
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
@@ -392,7 +392,7 @@ def test_rpi_cycle_free_and_descent_for_false_pi():
     frag = explore_fragment(rpi, word_len=4, run_input_len=2)
     assert bounded_wf_check(rpi, frag) is None  # bounded fragment stays acyclic
     # ...but an arbitrarily long descending chain exists, witnessed explicitly:
-    k = pa.KreiselOrder(pi0=pa.PiPredicate(kind="callback", fn=lambda z: False))
+    k = pa.KreiselOrder(pi0=pa.PiPredicate(fn=lambda z: False))
     ranks = pa.find_descent(k, 1, 5)
     assert ranks is not None
     chain = descent_witness(rpi, ranks)
