@@ -20,168 +20,251 @@ from . import ordinals as o
 from . import pathology as pa
 from . import recognition as rec
 from . import tm as tmmod
-from .errors import LoadError, StateBudgetExceeded, WobError
-from .logic import compile_formula, eval_sentence, load_structure, parse_formula
+from .corpusrun import DEFAULT_SEED, run_corpus
+from .errors import StateBudgetExceeded, WobError
+from .logic import compile_formula, eval_sentence, load_structure, parse_formula, save_structure
 
 OK, NEGATIVE, USAGE, BUDGET, MALFORMED, INTERNAL = 0, 1, 2, 3, 4, 5
 
 
-class UsageError(Exception):
-    """A command-line argument that does not parse; exits with USAGE."""
-
-
-def _natural(text: str, what: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from None
-    _at_least(n, 0, what)
-    return n
-
-
-def _whole(value: float, what: str) -> int:
-    """A float option (so that 1e9 parses) as an int; inf and nan are usage errors."""
-    try:
-        return int(value)
-    except (OverflowError, ValueError):
-        raise UsageError(f"{what} must be finite, got {value!r}") from None
-
-
-def _at_least(value: int, least: int, flag: str):
-    if value < least:
-        raise UsageError(f"{flag} must be at least {least}, got {value}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_help()
-        return USAGE
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error, or --help
+        return exc.code
     try:
         return args.handler(args)
     except StateBudgetExceeded as exc:
-        print(f"budget-exceeded: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
-            print(json.dumps({"verdict": "budget-exceeded", "states": exc.n_states, "budget": exc.budget}, sort_keys=True))
-        return BUDGET
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
+        payload = {"verdict": "budget-exceeded", "states": exc.n_states, "budget": exc.budget}
+        return _fail(args, BUDGET, f"budget-exceeded: {exc}", payload)
     except (WobError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
+        return _fail(args, MALFORMED, f"error: {exc}", {"verdict": "malformed-input", "error": str(exc)})
     except Exception as exc:
         traceback.print_exc(limit=-5)
-        print(f"internal-error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return INTERNAL
+        return _fail(args, INTERNAL, f"internal-error: {type(exc).__name__}: {exc}", {"verdict": "internal-error"})
+
+
+def _fail(args, code: int, message: str, payload: dict) -> int:
+    print(message, file=sys.stderr)
+    if getattr(args, "json", False):
+        print(json.dumps(payload, sort_keys=True))
+    return code
+
+
+# -- argument types: a value they reject is a usage error from the parser --------
+
+
+def _integer(least: int):
+    def parse(text) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
+_natural, _positive = _integer(0), _integer(1)
+
+
+def _whole(text: str) -> int:
+    """A finite float (so that 1e9 parses) read as a positive int."""
+    try:
+        return _positive(int(float(text)))
+    except (OverflowError, ValueError):  # inf, nan, or not a number
+        raise argparse.ArgumentTypeError(f"must be finite, such as 1e9, got {text!r}") from None
+
+
+def _naturals(text: str) -> list:
+    """A comma-separated list of naturals; an empty item is rejected."""
+    return [_natural(item) for item in text.split(",")]
+
+
+def _parse_monotone(expr: str):
+    """Tiny whitelist of growth functions: 2^n, n^2, n, k*n+b, n+b."""
+    expr = expr.replace(" ", "")
+    if expr == "2^n":
+        return lambda n: 2 ** n
+    if expr == "n^2":
+        return lambda n: n * n
+    if expr == "n":
+        return lambda n: n
+    if "*n+" in expr:
+        k, b = expr.split("*n+")
+        return lambda n, k=_natural(k), b=_natural(b): k * n + b
+    if expr.startswith("n+"):
+        b = _natural(expr[2:])
+        return lambda n, b=b: n + b
+    raise argparse.ArgumentTypeError(f"unsupported function expression {expr!r} (try 2^n, n^2, k*n+b)")
+
+
+def _pi0(spec: str):
+    """A builtin predicate or an automaton file, as a function that builds the
+    predicate; the handler reads the file, so an unreadable one is malformed input."""
+    if spec == "builtin:true":
+        return pa.regular_true
+    if spec == "builtin:empty":
+        return pa.regular_empty
+    if spec.startswith("builtin:except="):
+        word = pa.word_of_rank(_natural(spec.split("=", 1)[1]))
+        return lambda: pa.regular_except_word(word)
+    return lambda: pa.PiPredicate(aut=au.load_automaton(spec)[1])
+
+
+TM_BUILTINS = {
+    "builtin:increment": tmmod.increment_machine,
+    "builtin:copy": tmmod.copy_machine,
+    "builtin:comparator": lambda: tmmod.kreisel_comparator(False),
+    "builtin:comparator-false": lambda: tmmod.kreisel_comparator(True),
+}
+HOPDA_BUILTINS = {
+    "builtin:anbn": ho.anbn_pda,
+    "builtin:omega": ho.omega_machine,
+    "builtin:omega2": ho.omega_squared_machine,
+    "builtin:omegaomega": ho.omega_omega_machine,
+}
+
+
+def _load(spec: str, builtins: dict, parse):
+    """A builtin machine by name, or the machine that `parse` reads from the file `spec`."""
+    if spec in builtins:
+        return builtins[spec]()
+    with open(spec, "r", encoding="utf-8") as fh:
+        return parse(fh.read())
+
+
+# -- the parser: each action takes exactly the arguments its handler reads -------
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wob", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("query", help="evaluate a first-order formula on a structure")
+    p = _action(sub, "query", cmd_query, json=True, help="evaluate a first-order formula on a structure")
     p.add_argument("manifest")
     p.add_argument("formula", help="formula file or inline s-expression")
     p.add_argument("--out", help="write the compiled automaton here")
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_query)
+    p.add_argument("--budget", type=_positive, default=au.DEFAULT_STATE_BUDGET)
 
-    p = sub.add_parser("recognize", help="decide well-orderedness, print the CNF")
+    p = _action(sub, "recognize", cmd_recognize, help="decide well-orderedness, print the CNF")
     p.add_argument("manifest")
-    p.add_argument("--max-levels", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_recognize)
+    p.add_argument("--max-levels", type=_natural, default=None)
+    p.add_argument("--budget", type=_positive, default=au.DEFAULT_STATE_BUDGET)
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--trace", action="store_true")
+    shown.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("ord", help="ordinal arithmetic in Cantor normal form")
-    p.add_argument("op", choices=["add", "mul", "cmp", "pow", "fs"])
-    p.add_argument("left")
-    p.add_argument("right", nargs="?")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_ord)
+    osub = _group(sub, "ord", "op", help="ordinal arithmetic in Cantor normal form")
+    for op in ("add", "mul", "cmp", "fs", "pow"):
+        p = _action(osub, op, cmd_ord, json=True)
+        p.add_argument("left")
+        if op == "fs":
+            p.add_argument("index", type=_natural)
+        elif op != "pow":
+            p.add_argument("right")
 
-    p = sub.add_parser("fgh", help="fast-growing hierarchy")
-    fsub = p.add_subparsers(dest="fgh_command")
-    pe = fsub.add_parser("eval")
-    pe.add_argument("--system", default="std", choices=["std", "shifted"])
-    pe.add_argument("--alpha", required=True)
-    pe.add_argument("--x", type=int, required=True)
-    pe.add_argument("--max-steps", type=float, default=1e7)
-    pe.add_argument("--max-value", type=float, default=1e9)
-    pe.add_argument("--json", action="store_true")
-    pe.set_defaults(handler=cmd_fgh_eval)
-    pc = fsub.add_parser("compare")
-    pc.add_argument("--system", default="std", choices=["std", "shifted"])
-    pc.add_argument("--system2", default="std", choices=["std", "shifted"])
-    pc.add_argument("--alpha", required=True)
-    pc.add_argument("--beta", required=True)
-    pc.add_argument("--xs", default="3,4,5,6")
-    pc.add_argument("--max-steps", type=float, default=1e7)
-    pc.set_defaults(handler=cmd_fgh_compare)
+    fsub = _group(sub, "fgh", "fgh_command", help="fast-growing hierarchy")
+    p = _action(fsub, "eval", cmd_fgh_eval, json=True)
+    p.add_argument("--system", default="std", choices=["std", "shifted"])
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--x", type=_natural, required=True)
+    p.add_argument("--max-steps", type=_whole, default=10 ** 7)
+    p.add_argument("--max-value", type=_whole, default=10 ** 9)
+    p = _action(fsub, "compare", cmd_fgh_compare)
+    p.add_argument("--system", default="std", choices=["std", "shifted"])
+    p.add_argument("--system2", default="std", choices=["std", "shifted"])
+    p.add_argument("--alpha", required=True)
+    p.add_argument("--beta", required=True)
+    p.add_argument("--xs", type=_naturals, default=[3, 4, 5, 6])
+    p.add_argument("--max-steps", type=_whole, default=10 ** 7)
 
-    p = sub.add_parser("pathology", help="Kreisel orderings and the omega+1 system")
-    psub = p.add_subparsers(dest="pathology_command")
-    pk = psub.add_parser("kreisel")
-    pk.add_argument("--pi0", default="builtin:true",
-                    help="automaton file, builtin:true, builtin:empty or builtin:except=N")
-    pk.add_argument("--g-from-f", dest="g_expr", default=None,
-                    help="use the slow inverse of this function (e.g. 2^n)")
-    pk.add_argument("action", choices=["compare", "descend", "to-structure"])
-    pk.add_argument("args", nargs="*")
-    pk.set_defaults(handler=cmd_kreisel)
-    po = psub.add_parser("omega1")
-    po.add_argument("--f", default="2^n")
-    po.add_argument("action", choices=["fgh", "contract"])
-    po.add_argument("--x", type=int, default=3)
-    po.set_defaults(handler=cmd_omega1)
+    psub = _group(sub, "pathology", "pathology_command", help="Kreisel orderings and the omega+1 system")
+    p = psub.add_parser("kreisel")
+    p.add_argument("--pi0", type=_pi0, default="builtin:true",
+                   help="automaton file, builtin:true, builtin:empty or builtin:except=N")
+    ksub = p.add_subparsers(dest="action", required=True)
+    p = _action(ksub, "compare", cmd_kreisel_compare)
+    p.add_argument("x", metavar="X", type=_natural)
+    p.add_argument("y", metavar="Y", type=_natural)
+    _g_from_f(p)
+    p = _action(ksub, "descend", cmd_kreisel_descend)
+    p.add_argument("start", metavar="START", type=_natural)
+    p.add_argument("length", metavar="LEN", type=_positive)
+    _g_from_f(p)
+    p = _action(ksub, "to-structure", cmd_kreisel_to_structure)
+    p.add_argument("outdir", metavar="OUTDIR")
+    p = psub.add_parser("omega1")
+    p.add_argument("--f", type=_parse_monotone, default="2^n")
+    wsub = p.add_subparsers(dest="action", required=True)
+    p = _action(wsub, "fgh", cmd_omega1_fgh)
+    p.add_argument("--x", type=_natural, default=3)
+    _action(wsub, "contract", cmd_omega1_contract)
 
-    p = sub.add_parser("tm", help="Turing machine configuration relations")
-    p.add_argument("action", choices=["step-automaton", "check-reversible", "build-rpi", "wf-check"])
-    p.add_argument("machine", help="file or builtin:increment|copy|comparator|comparator-false")
-    p.add_argument("--out", help="output file for automata")
+    tsub = _group(sub, "tm", "action", help="Turing machine configuration relations")
+    p = _action(tsub, "step-automaton", cmd_tm_step, machine=TM_BUILTINS)
+    p.add_argument("--out", help="write the automaton here")
+    _action(tsub, "check-reversible", cmd_tm_reversible, machine=TM_BUILTINS, json=True)
+    _action(tsub, "build-rpi", cmd_tm_rpi, machine=TM_BUILTINS, json=True)
+    p = _action(tsub, "wf-check", cmd_tm_wf, machine=TM_BUILTINS, json=True)
     p.add_argument("--dot", help="write the explored fragment as graphviz")
-    p.add_argument("--word-len", type=int, default=3)
-    p.add_argument("--run-len", type=int, default=2)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_tm)
+    p.add_argument("--word-len", type=_natural, default=3)
+    p.add_argument("--run-len", type=_natural, default=2)
 
-    p = sub.add_parser("hopda", help="higher-order pushdown simulation")
-    p.add_argument("action", choices=["run", "graph", "contract", "unfold"])
-    p.add_argument("machine", help="file or builtin:anbn|omega|omega2|omegaomega")
+    hsub = _group(sub, "hopda", "action", help="higher-order pushdown simulation")
+    p = _action(hsub, "run", cmd_hopda_run, machine=HOPDA_BUILTINS)
     p.add_argument("word", nargs="?", default="")
-    p.add_argument("--budget", type=int, default=1000)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--dot", help="write the graph as graphviz")
-    p.set_defaults(handler=cmd_hopda)
+    p.add_argument("--budget", type=_positive, default=10 ** 4, help="configurations to explore")
+    for action in ("graph", "contract", "unfold"):
+        p = _action(hsub, action, cmd_hopda_graph, machine=HOPDA_BUILTINS)
+        p.add_argument("--budget", type=_positive, default=1000, help="vertices to explore")
+        p.add_argument("--dot", help="write the graph as graphviz")
+        if action == "unfold":
+            p.add_argument("--depth", type=_natural, default=3)
 
-    p = sub.add_parser("corpus", help="run the bundled example corpus")
-    p.add_argument("--seed", type=int, default=20240817)
-    p.set_defaults(handler=cmd_corpus)
+    p = _action(sub, "corpus", cmd_corpus, help="run the bundled example corpus")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
+
+
+def _action(sub, name: str, handler, json: bool = False, help=None, machine=None) -> argparse.ArgumentParser:
+    """A leaf action; `machine` names the builtins its machine argument may be."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    if machine:
+        p.add_argument("machine", help="file or " + "|".join(machine))
+    if json:
+        p.add_argument("--json", action="store_true")
+    return p
+
+
+def _group(sub, name: str, dest: str, help=None):
+    return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+
+def _g_from_f(p):
+    p.add_argument("--g-from-f", type=_parse_monotone, default=None,
+                   help="use the slow inverse of this function (e.g. 2^n)")
 
 
 # -- handlers -------------------------------------------------------------------
 
 
 def _emit(args, text, payload):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(text)
 
 
 def cmd_query(args) -> int:
-    _at_least(args.budget, 1, "--budget")
     s = load_structure(args.manifest)
-    if os.path.exists(args.formula):
-        with open(args.formula, "r", encoding="utf-8") as fh:
+    text = args.formula
+    if os.path.exists(text):
+        with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        text = args.formula
     f = parse_formula(text)
     if args.out:
         aut = compile_formula(s, f, state_budget=args.budget)
@@ -198,11 +281,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_recognize(args) -> int:
-    _at_least(args.budget, 1, "--budget")
-    if args.max_levels is not None:
-        _at_least(args.max_levels, 0, "--max-levels")
-    s = load_structure(args.manifest)
-    p = rec.OrderPresentation(s)
+    p = rec.OrderPresentation(load_structure(args.manifest))
     trace = [] if args.trace else None
     got = rec.recognize(p, max_levels=args.max_levels, budget=args.budget, trace=trace)
     if args.trace and trace:
@@ -223,23 +302,15 @@ def cmd_recognize(args) -> int:
 def cmd_ord(args) -> int:
     left = o.parse(args.left)
     if args.op == "pow":
-        result = o.omega_power(left)
-        _emit(args, o.show(result), {"result": o.show(result)})
-        return OK
-    if args.right is None:
-        print("error: this operation needs a second argument", file=sys.stderr)
-        return USAGE
-    if args.op == "fs":
-        result = o.standard_fs(left, _natural(args.right, "the fs index"))
-        _emit(args, o.show(result), {"result": o.show(result)})
-        return OK
-    right = o.parse(args.right)
-    if args.op == "cmp":
-        verdict = o.compare(left, right)
-        _emit(args, verdict, {"result": verdict})
-        return OK
-    result = left + right if args.op == "add" else left * right
-    _emit(args, o.show(result), {"result": o.show(result)})
+        result = o.show(o.omega_power(left))
+    elif args.op == "fs":
+        result = o.show(o.standard_fs(left, args.index))
+    elif args.op == "cmp":
+        result = o.compare(left, o.parse(args.right))
+    else:
+        right = o.parse(args.right)
+        result = o.show(left + right if args.op == "add" else left * right)
+    _emit(args, result, {"result": result})
     return OK
 
 
@@ -248,14 +319,8 @@ def _system(name: str) -> fgh.NotationSystem:
 
 
 def cmd_fgh_eval(args) -> int:
-    _at_least(args.x, 0, "--x")
     ns = _system(args.system)
-    alpha = o.parse(args.alpha)
-    budget = fgh.Budget(
-        max_value=_whole(args.max_value, "--max-value"),
-        max_steps=_whole(args.max_steps, "--max-steps"),
-    )
-    got = fgh.eval_F(ns, alpha, args.x, budget)
+    got = fgh.eval_F(ns, o.parse(args.alpha), args.x, fgh.Budget(max_value=args.max_value, max_steps=args.max_steps))
     if isinstance(got, int):
         _emit(args, str(got), {"value": got})
         return OK
@@ -270,9 +335,8 @@ def cmd_fgh_eval(args) -> int:
 def cmd_fgh_compare(args) -> int:
     ns1, ns2 = _system(args.system), _system(args.system2)
     alpha, beta = o.parse(args.alpha), o.parse(args.beta)
-    xs = [_natural(x, "--xs") for x in args.xs.split(",") if x]
-    budget = fgh.Budget(max_value=10 ** 9, max_steps=_whole(args.max_steps, "--max-steps"))
-    report = fgh.dominates_at(ns1, alpha, ns2, beta, xs, budget)
+    budget = fgh.Budget(max_value=10 ** 9, max_steps=args.max_steps)
+    report = fgh.dominates_at(ns1, alpha, ns2, beta, args.xs, budget)
     print(f"F[{args.system}]_{args.alpha} vs F[{args.system2}]_{args.beta}")
     for pt in report.points:
         left = "?" if pt.left is None else str(pt.left)
@@ -282,84 +346,40 @@ def cmd_fgh_compare(args) -> int:
     return OK
 
 
-def _parse_monotone(expr: str):
-    """Tiny whitelist of growth functions: 2^n, n^2, n, k*n+b, n+b."""
-    expr = expr.replace(" ", "")
-    if expr == "2^n":
-        return lambda n: 2 ** n
-    if expr == "n^2":
-        return lambda n: n * n
-    if expr == "n":
-        return lambda n: n
-    if "*n+" in expr:
-        k, b = expr.split("*n+")
-        return lambda n, k=_natural(k, "k"), b=_natural(b, "b"): k * n + b
-    if expr.startswith("n+"):
-        b = _natural(expr[2:], "b")
-        return lambda n, b=b: n + b
-    raise LoadError(f"unsupported function expression {expr!r} (try 2^n, n^2, k*n+b)")
+def _kreisel_order(args) -> pa.KreiselOrder:
+    g = pa.slow_inverse(args.g_from_f) if args.g_from_f else None
+    return pa.KreiselOrder(pi0=args.pi0(), g=g)
 
 
-def _pi0_from_spec(spec: str) -> pa.PiPredicate:
-    if spec == "builtin:true":
-        return pa.regular_true()
-    if spec == "builtin:empty":
-        return pa.regular_empty()
-    if spec.startswith("builtin:except="):
-        n = _natural(spec.split("=", 1)[1], "builtin:except=N")
-        return pa.regular_except_word(pa.word_of_rank(n))
-    _, aut = au.load_automaton(spec)
-    return pa.PiPredicate(aut=aut)
+def cmd_kreisel_compare(args) -> int:
+    print(pa.kreisel_compare(_kreisel_order(args), args.x, args.y))
+    return OK
 
 
-def cmd_kreisel(args) -> int:
-    pi0 = _pi0_from_spec(args.pi0)
-    g = None
-    if args.g_expr:
-        g = pa.slow_inverse(_parse_monotone(args.g_expr))
-    k = pa.KreiselOrder(pi0=pi0, g=g)
-    if args.action == "compare":
-        if len(args.args) != 2:
-            print("usage: wob pathology kreisel compare X Y", file=sys.stderr)
-            return USAGE
-        x, y = _natural(args.args[0], "X"), _natural(args.args[1], "Y")
-        print(pa.kreisel_compare(k, x, y))
-        return OK
-    if args.action == "descend":
-        if len(args.args) != 2:
-            print("usage: wob pathology kreisel descend START LEN", file=sys.stderr)
-            return USAGE
-        start, length = _natural(args.args[0], "START"), _natural(args.args[1], "LEN")
-        _at_least(length, 1, "LEN")
-        chain = pa.find_descent(k, start, length)
-        if chain is None:
-            print("none")
-            return NEGATIVE
-        print(" ".join(str(v) for v in chain))
-        return OK
-    # to-structure
-    if len(args.args) != 1:
-        print("usage: wob pathology kreisel to-structure OUTDIR", file=sys.stderr)
-        return USAGE
-    s = pa.kreisel_as_automatic(pi0)
-    from .logic import save_structure
+def cmd_kreisel_descend(args) -> int:
+    chain = pa.find_descent(_kreisel_order(args), args.start, args.length)
+    if chain is None:
+        print("none")
+        return NEGATIVE
+    print(" ".join(str(v) for v in chain))
+    return OK
 
-    manifest = save_structure(s, args.args[0])
+
+def cmd_kreisel_to_structure(args) -> int:
+    manifest = save_structure(pa.kreisel_as_automatic(args.pi0()), args.outdir)
     print(f"wrote {manifest}")
     return OK
 
 
-def cmd_omega1(args) -> int:
-    _at_least(args.x, 0, "--x")
-    f = _parse_monotone(args.f)
-    spec = pa.OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1)
-    ns = pa.omega_plus_one_system(spec)
-    if args.action == "contract":
-        print("contract ok: fs below limit and strictly increasing on 0..7")
-        return OK
+def _omega1_system(f) -> fgh.NotationSystem:
+    return pa.omega_plus_one_system(pa.OmegaPlusOneSpec(f=f, cost=f, step_bound=lambda m: m + 1))
+
+
+def cmd_omega1_fgh(args) -> int:
+    ns = _omega1_system(args.f)
     x = args.x
-    want = f(x)
-    got = fgh.eval_F(ns, pa.TOP, x, fgh.Budget(max_value=10 ** 6, max_steps=10 ** 6))
+    want = args.f(x)
+    got = fgh.eval_F(ns, pa.TOP, x, fgh.Budget())
     if isinstance(got, int):
         verdict = got >= want
         print(f"F_w({x}) = {got} {'>=' if verdict else '<'} f({x}) = {want}")
@@ -368,54 +388,57 @@ def cmd_omega1(args) -> int:
     if ok:
         print(f"F_w({x}) >= {want} = f({x})   (value cap certificate)")
         return OK
-    print(f"undetermined within budget")
+    print("undetermined within budget")
     return BUDGET
 
 
-def _load_machine(spec: str) -> tmmod.TmSpec:
-    builtin = {
-        "builtin:increment": tmmod.increment_machine,
-        "builtin:copy": tmmod.copy_machine,
-        "builtin:comparator": lambda: tmmod.kreisel_comparator(False),
-        "builtin:comparator-false": lambda: tmmod.kreisel_comparator(True),
-    }
-    if spec in builtin:
-        return builtin[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return tmmod.parse_tm(fh.read())
+def cmd_omega1_contract(args) -> int:
+    ns = _omega1_system(args.f)
+    fs = [ns.fs(pa.TOP, n) for n in range(pa.CHECKED_RANGE)]
+    for n, value in enumerate(fs):
+        if ns.compare(value, pa.TOP) >= 0:
+            print(f"contract fails at n={n}: fs(w, {n}) is not below w")
+            return NEGATIVE
+        if n and ns.compare(fs[n - 1], value) >= 0:
+            print(f"contract fails at n={n}: fs(w, {n}) is not above fs(w, {n - 1})")
+            return NEGATIVE
+    print(f"contract ok: fs below limit and strictly increasing on 0..{len(fs) - 1}")
+    return OK
 
 
-def cmd_tm(args) -> int:
-    for flag, value in (("--word-len", args.word_len), ("--run-len", args.run_len)):
-        if value < 0:
-            raise UsageError(f"{flag} must not be negative, got {value}")
-    tm = _load_machine(args.machine)
-    if args.action == "check-reversible":
-        got = tmmod.check_reversible(tm)
-        if got is None:
-            _emit(args, "reversible", {"verdict": "reversible"})
-            return OK
-        _emit(args, f"colliding pair: {got[0]} / {got[1]}", {"verdict": "colliding", "pair": str(got)})
-        return NEGATIVE
-    if args.action == "step-automaton":
-        aut = tmmod.step_relation_automaton(tm)
-        text = au.save_automaton(aut, f"{tm.name}_step")
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.out} ({aut.n_states} states)")
-        else:
-            print(f"step automaton: {aut.n_states} states, {len(aut.transitions)} transitions")
+def cmd_tm_step(args) -> int:
+    tm = _load(args.machine, TM_BUILTINS, tmmod.parse_tm)
+    aut = tmmod.step_relation_automaton(tm)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(au.save_automaton(aut, f"{tm.name}_step"))
+        print(f"wrote {args.out} ({aut.n_states} states)")
+    else:
+        print(f"step automaton: {aut.n_states} states, {len(aut.transitions)} transitions")
+    return OK
+
+
+def cmd_tm_reversible(args) -> int:
+    got = tmmod.check_reversible(_load(args.machine, TM_BUILTINS, tmmod.parse_tm))
+    if got is None:
+        _emit(args, "reversible", {"verdict": "reversible"})
         return OK
-    rpi = tmmod.build_rpi(tm, pi_tag=args.machine)
-    if args.action == "build-rpi":
-        rel = rpi.relation
-        _emit(
-            args,
-            f"rpi relation: {rel.n_states} states, {len(rel.transitions)} transitions",
-            {"states": rel.n_states, "transitions": len(rel.transitions)},
-        )
-        return OK
+    _emit(args, f"colliding pair: {got[0]} / {got[1]}", {"verdict": "colliding", "pair": str(got)})
+    return NEGATIVE
+
+
+def cmd_tm_rpi(args) -> int:
+    rel = tmmod.build_rpi(_load(args.machine, TM_BUILTINS, tmmod.parse_tm), pi_tag=args.machine).relation
+    _emit(
+        args,
+        f"rpi relation: {rel.n_states} states, {len(rel.transitions)} transitions",
+        {"states": rel.n_states, "transitions": len(rel.transitions)},
+    )
+    return OK
+
+
+def cmd_tm_wf(args) -> int:
+    rpi = tmmod.build_rpi(_load(args.machine, TM_BUILTINS, tmmod.parse_tm), pi_tag=args.machine)
     fragment = tmmod.explore_fragment(rpi, word_len=args.word_len, run_input_len=args.run_len)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -429,28 +452,14 @@ def cmd_tm(args) -> int:
     return NEGATIVE
 
 
-def _load_hopda(spec: str) -> ho.HopdaSpec:
-    builtin = {
-        "builtin:anbn": ho.anbn_pda,
-        "builtin:omega": ho.omega_machine,
-        "builtin:omega2": ho.omega_squared_machine,
-        "builtin:omegaomega": ho.omega_omega_machine,
-    }
-    if spec in builtin:
-        return builtin[spec]()
-    with open(spec, "r", encoding="utf-8") as fh:
-        return ho.parse_hopda(fh.read())
+def cmd_hopda_run(args) -> int:
+    accepted = ho.run_word(_load(args.machine, HOPDA_BUILTINS, ho.parse_hopda), args.word, budget=args.budget)
+    print("accept" if accepted else "reject")
+    return OK if accepted else NEGATIVE
 
 
-def cmd_hopda(args) -> int:
-    _at_least(args.budget, 1, "--budget")
-    _at_least(args.depth, 0, "--depth")
-    h = _load_hopda(args.machine)
-    if args.action == "run":
-        accepted = ho.run_word(h, args.word, budget=max(args.budget, 10 ** 4))
-        print("accept" if accepted else "reject")
-        return OK if accepted else NEGATIVE
-    g = ho.config_graph(h, budget=args.budget)
+def cmd_hopda_graph(args) -> int:
+    g = ho.config_graph(_load(args.machine, HOPDA_BUILTINS, ho.parse_hopda), budget=args.budget)
     if args.action == "graph":
         out = g
     elif args.action == "contract":
@@ -469,10 +478,7 @@ def cmd_hopda(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    from .corpusrun import run_corpus
-
-    failures = run_corpus(seed=args.seed)
-    return OK if failures == 0 else NEGATIVE
+    return OK if run_corpus(seed=args.seed) == 0 else NEGATIVE
 
 
 if __name__ == "__main__":

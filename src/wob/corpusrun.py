@@ -19,7 +19,10 @@ from . import recognition as rec
 from . import tm as tmmod
 
 
-def run_corpus(seed: int = 20240817) -> int:
+DEFAULT_SEED = 20240817
+
+
+def run_corpus(seed: int = DEFAULT_SEED) -> int:
     cases = []
 
     def case(name):

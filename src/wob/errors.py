@@ -27,7 +27,7 @@ class CannotProject(WobError):
 
 class StateBudgetExceeded(WobError):
     def __init__(self, n_states, budget):
-        super().__init__(f"automaton grew to {n_states} states, budget {budget}")
+        super().__init__(f"grew to {n_states} states, budget {budget}")
         self.n_states = n_states
         self.budget = budget
 

@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import BadLevel, EmptyPds, LoadError, WobError, one_word, read_directives, state_line
+from .errors import BadLevel, EmptyPds, LoadError, StateBudgetExceeded, WobError, one_word, read_directives, state_line
 
 EPSILON = "eps"
 MAX_LEVEL = 100
@@ -289,11 +289,13 @@ def _runs(h: HopdaSpec, word: tuple):
 
 
 def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
-    """Does some run consume the word and end in an accepting state?"""
+    """Does some run consume the word and end in an accepting state?  A run
+    search that explores more than `budget` configurations raises
+    StateBudgetExceeded."""
     word = tuple(word)
     for explored, (state, _pds, pos) in enumerate(_runs(h, word), start=1):
         if explored > budget:
-            raise WobError(f"run budget exhausted on {h.name}")
+            raise StateBudgetExceeded(explored, budget)
         if pos == len(word) and state in h.accepting:
             return True
     return False

@@ -221,7 +221,7 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
         if x.is_limit():
             for n in range(samples):
                 frontier.append(table(x, n))
-    limits = sorted((x for x in grid if x.is_limit()), key=lambda o: _sort_key(o))
+    limits = sorted(x for x in grid if x.is_limit())
 
     for lam in limits:
         values = [table(lam, n) for n in range(samples)]
@@ -239,10 +239,6 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
                     if table(alpha, 0) < values[n]:
                         return FsViolation("bachmann", lam, n, alpha)
     return None
-
-
-def _sort_key(o: CnfOrdinal):
-    return tuple((_sort_key(e), m) for e, m in o.terms)
 
 
 # -- serialization ---------------------------------------------------------

@@ -219,10 +219,9 @@ CHECKED_RANGE = 8
 class OmegaPlusOneSpec:
     """A fast function packaged with its cost model and the step bound s.
 
-    The membership test runs the computation of f(n) for s(m) steps: if it
-    has not finished, (n, m) is declared a member, which is sound whenever
-    cost(n) > s(m) implies f(n) >= m.  The step bound must be supplied
-    explicitly because only its existence is guaranteed, not its shape.
+    The step bound is sound when cost(n) > s(m) implies f(n) >= m.  It must
+    be supplied explicitly because only its existence is guaranteed, not
+    its shape.
     """
 
     f: Callable
@@ -248,14 +247,6 @@ def power_of_two_spec() -> OmegaPlusOneSpec:
 
 def omega_plus_one_system(spec: OmegaPlusOneSpec) -> fgh.NotationSystem:
     f = spec.f
-
-    def contains(a) -> bool:
-        if a == TOP:
-            return True
-        n, m = a
-        if spec.cost(n) > spec.step_bound(m):
-            return True  # computation timed out: declared a member
-        return m <= f(n)
 
     def compare(a, b) -> int:
         if a == b:

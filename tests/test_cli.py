@@ -1,10 +1,16 @@
+import argparse
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wob import automata as au
 from wob import cli, corpus
@@ -159,7 +165,7 @@ def test_tm_wf_check(capsys):
 @pytest.mark.parametrize("flag", ["--word-len", "--run-len"])
 def test_tm_negative_length_is_usage_error(flag, capsys):
     assert main(["tm", "wf-check", "builtin:comparator", flag, "-1"]) == 2
-    assert f"{flag} must not be negative" in capsys.readouterr().err
+    assert f"argument {flag}: must be at least 0" in capsys.readouterr().err
 
 
 OMEGA_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega" / "omega.manifest")
@@ -168,20 +174,20 @@ OMEGA_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega"
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["recognize", OMEGA_MANIFEST, "--budget", "-5"], "--budget must be at least 1"),
-        (["recognize", OMEGA_MANIFEST, "--budget", "0"], "--budget must be at least 1"),
-        (["recognize", OMEGA_MANIFEST, "--max-levels", "-1"], "--max-levels must be at least 0"),
-        (["query", OMEGA_MANIFEST, "(exists x (= x x))", "--budget", "-5"], "--budget must be at least 1"),
-        (["fgh", "eval", "--alpha", "2", "--x", "-3"], "--x must be at least 0"),
-        (["fgh", "compare", "--alpha", "2", "--beta", "3", "--xs", "-1"], "--xs must be at least 0"),
-        (["ord", "fs", "w", "-1"], "the fs index must be at least 0"),
-        (["pathology", "kreisel", "--pi0", "builtin:except=-2", "compare", "1", "2"], "builtin:except=N must be at least 0"),
-        (["pathology", "omega1", "fgh", "--x", "-1"], "--x must be at least 0"),
-        (["pathology", "kreisel", "compare", "-1", "2"], "X must be at least 0"),
-        (["pathology", "kreisel", "descend", "3", "-5"], "LEN must be at least 0"),
-        (["pathology", "kreisel", "descend", "3", "0"], "LEN must be at least 1"),
-        (["hopda", "graph", "builtin:omega", "--budget", "-1"], "--budget must be at least 1"),
-        (["hopda", "graph", "builtin:omega", "--depth", "-1"], "--depth must be at least 0"),
+        (["recognize", OMEGA_MANIFEST, "--budget", "-5"], "argument --budget: must be at least 1"),
+        (["recognize", OMEGA_MANIFEST, "--budget", "0"], "argument --budget: must be at least 1"),
+        (["recognize", OMEGA_MANIFEST, "--max-levels", "-1"], "argument --max-levels: must be at least 0"),
+        (["query", OMEGA_MANIFEST, "(exists x (= x x))", "--budget", "-5"], "argument --budget: must be at least 1"),
+        (["fgh", "eval", "--alpha", "2", "--x", "-3"], "argument --x: must be at least 0"),
+        (["fgh", "compare", "--alpha", "2", "--beta", "3", "--xs", "-1"], "argument --xs: must be at least 0"),
+        (["ord", "fs", "w", "-1"], "argument index: must be at least 0"),
+        (["pathology", "kreisel", "--pi0", "builtin:except=-2", "compare", "1", "2"], "argument --pi0: must be at least 0"),
+        (["pathology", "omega1", "fgh", "--x", "-1"], "argument --x: must be at least 0"),
+        (["pathology", "kreisel", "compare", "-1", "2"], "argument X: must be at least 0"),
+        (["pathology", "kreisel", "descend", "3", "-5"], "argument LEN: must be at least 1"),
+        (["pathology", "kreisel", "descend", "3", "0"], "argument LEN: must be at least 1"),
+        (["hopda", "graph", "builtin:omega", "--budget", "-1"], "argument --budget: must be at least 1"),
+        (["hopda", "unfold", "builtin:omega", "--depth", "-1"], "argument --depth: must be at least 0"),
     ],
     ids=[
         "recognize-budget-negative", "recognize-budget-zero", "recognize-max-levels-negative", "query-budget-negative",
@@ -242,9 +248,7 @@ def test_hopda_contract_without_eps_edges(capsys):
 
 
 def test_unknown_subcommand_exit_2():
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
-    assert e.value.code == 2
+    assert main(["frobnicate"]) == 2
 
 
 def test_saved_automata_byte_identical_across_hash_seeds(tmp_path):
@@ -430,3 +434,255 @@ def test_manifest_relation_outside_the_domain_is_malformed_input(tmp_path, capsy
     assert main(["recognize", str(manifest)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "outside the domain" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "pow", "w", "2"],
+    ["fgh", "compare", "--alpha", "1", "--beta", "2", "--xs", ","],
+    ["fgh", "compare", "--alpha", "1", "--beta", "2", "--xs", "3,,4"],
+    ["fgh", "compare", "--alpha", "1", "--beta", "2", "--xs", ""],
+    ["recognize", OMEGA_MANIFEST, "--trace", "--json"],
+    ["tm", "check-reversible", "builtin:copy", "--out", "x"],
+    ["tm", "build-rpi", "builtin:copy", "--word-len", "2"],
+    ["hopda", "run", "builtin:omega", "a", "--dot", "x"],
+    ["hopda", "graph", "builtin:omega", "a"],
+    ["hopda", "contract", "builtin:omega", "--depth", "2"],
+    ["pathology", "kreisel", "to-structure", "out", "--g-from-f", "2^n"],
+    ["pathology", "omega1", "contract", "--x", "3"],
+    ["pathology", "omega1", "--f", "3^n", "contract"],
+    ["fgh"],
+    ["pathology", "kreisel"],
+])
+def test_argument_the_action_does_not_read_is_usage_error(argv, capsys):
+    # an argument no code reads, or a value that does not parse, would make
+    # the answer mean something else; the parser refuses it
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["tm", "wf-check", "--help"]) == 0
+    assert "--word-len" in capsys.readouterr().out
+
+
+def test_omega1_contract_checks_the_system(monkeypatch, capsys):
+    assert run_cli(["pathology", "omega1", "contract"], capsys) == (
+        0, "contract ok: fs below limit and strictly increasing on 0..7\n")
+    real = cli.pa.omega_plus_one_system
+
+    def broken(spec):  # fs(w, n) stops increasing at n = 5
+        ns = real(spec)
+        return dataclasses.replace(ns, fs=lambda lam, n: ns.fs(lam, min(n, 4)))
+
+    monkeypatch.setattr(cli.pa, "omega_plus_one_system", broken)
+    code, out = run_cli(["pathology", "omega1", "contract"], capsys)
+    assert code == 1 and "n=5" in out
+
+
+def test_hopda_run_honors_the_budget(capsys):
+    assert main(["hopda", "run", "builtin:omega", "aaaa"]) == 1
+    assert main(["hopda", "run", "builtin:omega", "aaaa", "--budget", "2"]) == 3
+    assert "budget-exceeded: grew to 3 states, budget 2" in capsys.readouterr().err
+
+
+def test_hopda_run_without_end_is_a_budget_exit(tmp_path, capsys):
+    machine = tmp_path / "loop.hopda"
+    machine.write_text("hopda loop\nlevel 1\ninput a\npds Z\nbottom Z\nstate s\nrule s eps Z -> s push1(Z)\n")
+    assert main(["hopda", "run", str(machine), "a", "--budget", "50"]) == 3
+    assert "budget 50" in capsys.readouterr().err
+
+
+def test_tm_wf_check_dot_draws_the_fragment(tmp_path, capsys):
+    dot = tmp_path / "fragment.dot"
+    code, out = run_cli(["tm", "wf-check", "builtin:comparator", "--word-len", "2", "--run-len", "1",
+                         "--dot", str(dot)], capsys)
+    assert (code, out) == (0, "wf-check ok (38 elements, 34 edges)\n")
+    lines = dot.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "digraph fragment {" and lines[-1] == "}"
+    assert sum("[label=" in line for line in lines) == 38
+    assert sum(" -> " in line for line in lines) == 34
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def leaf_actions(parser, path=(), dests=()):
+    """(path, destinations) for each action that runs a handler; an option
+    of a group belongs to every action below it."""
+    subs = None
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            subs = action
+        elif not isinstance(action, argparse._HelpAction):
+            dests += (action.dest,)
+    if subs is None:
+        yield path, set(dests)
+        return
+    for name, child in subs.choices.items():
+        yield from leaf_actions(child, path + (name,), dests)
+
+
+# one run of each action that passes through its handler to a 0 exit
+LEAF_RUNS = {
+    ("query",): ["query", OMEGA_MANIFEST, "(exists x (= x x))"],
+    ("recognize",): ["recognize", OMEGA_MANIFEST],
+    ("ord", "add"): ["ord", "add", "1", "w"],
+    ("ord", "mul"): ["ord", "mul", "2", "w"],
+    ("ord", "cmp"): ["ord", "cmp", "2", "w"],
+    ("ord", "fs"): ["ord", "fs", "w", "2"],
+    ("ord", "pow"): ["ord", "pow", "2"],
+    ("fgh", "eval"): ["fgh", "eval", "--alpha", "2", "--x", "2"],
+    ("fgh", "compare"): ["fgh", "compare", "--alpha", "1", "--beta", "2"],
+    ("pathology", "kreisel", "compare"): ["pathology", "kreisel", "compare", "1", "2"],
+    ("pathology", "kreisel", "descend"): ["pathology", "kreisel", "--pi0", "builtin:except=2", "descend", "3", "2"],
+    ("pathology", "kreisel", "to-structure"): ["pathology", "kreisel", "to-structure", "{tmp}"],
+    ("pathology", "omega1", "fgh"): ["pathology", "omega1", "fgh"],
+    ("pathology", "omega1", "contract"): ["pathology", "omega1", "contract"],
+    ("tm", "step-automaton"): ["tm", "step-automaton", "builtin:increment"],
+    ("tm", "check-reversible"): ["tm", "check-reversible", "builtin:increment"],
+    ("tm", "build-rpi"): ["tm", "build-rpi", "builtin:comparator"],
+    ("tm", "wf-check"): ["tm", "wf-check", "builtin:comparator", "--word-len", "1", "--run-len", "1"],
+    ("hopda", "run"): ["hopda", "run", "builtin:anbn", "ab"],
+    ("hopda", "graph"): ["hopda", "graph", "builtin:omega", "--budget", "5"],
+    ("hopda", "contract"): ["hopda", "contract", "builtin:omega", "--budget", "5"],
+    ("hopda", "unfold"): ["hopda", "unfold", "builtin:omega", "--budget", "5"],
+    ("corpus",): ["corpus"],
+}
+
+
+def test_every_argument_of_an_action_is_read_by_its_handler(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_corpus", lambda seed: 0)
+    leaves = dict(leaf_actions(cli.build_parser()))
+    assert set(leaves) == set(LEAF_RUNS)
+    unread = {}
+    for path, argv in LEAF_RUNS.items():
+        args = cli.build_parser().parse_args([a.format(tmp=tmp_path) for a in argv], namespace=ReadRecorder())
+        reads = object.__getattribute__(args, "_reads")
+        reads.clear()
+        assert args.handler(args) == 0, argv
+        if leaves[path] - reads:
+            unread[path] = leaves[path] - reads
+    capsys.readouterr()
+    assert unread == {}
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+MACHINES = CORPUS_DIR / "machines"
+EDGE = ["-1", "", "x", "inf"]
+SMALL = ["0", "1", "2", "3"]
+ORDINALS = ["0", "3", "w", "w^2*2+1", "w^w", "e0", ""]
+GROWTH = ["2^n", "n^2", "n", "2*n+1", "n+3", "0*n+0", "3^n", "", "x*n+1"]
+BUDGETS = st.one_of(st.integers(1, 50).map(str), st.sampled_from(EDGE + ["0"]))
+STEPS = ["1", "50", "1e3", "0", "nan"] + EDGE
+# the values the fuzz gives each argument, by destination; {tmp} is a
+# scratch directory, and the Turing machines are the small ones, because
+# building the comparators' relation takes most of a second
+VALUES = {
+    "manifest": sorted(str(p) for p in CORPUS_DIR.glob("*/*.manifest")) + ["{tmp}/missing.manifest"],
+    "formula": ["(exists x (= x x))", "(forall x (exists y (rel < x y)))", "(exists y (rel < y x))",
+                "(rel < x", "(exists x (rel P x))", ""],
+    "left": ORDINALS, "right": ORDINALS, "alpha": ORDINALS, "beta": ORDINALS,
+    "index": SMALL + EDGE, "x": SMALL + EDGE, "y": SMALL + EDGE, "start": SMALL + EDGE,
+    "length": SMALL + EDGE, "depth": SMALL + EDGE, "max_levels": SMALL + EDGE,
+    "word_len": ["0", "1", "2"] + EDGE, "run_len": ["0", "1", "2"] + EDGE,
+    "budget": BUDGETS, "max_steps": STEPS, "max_value": STEPS,
+    "xs": ["3", "2,3", ",", "3,,4", "-1", "x", ""],
+    "system": ["std", "shifted", "x"], "system2": ["std", "shifted", "x"],
+    "pi0": ["builtin:true", "builtin:empty", "builtin:except=2", "builtin:except=-1", "builtin:except=",
+            str(CORPUS_DIR / "omega" / "omega_domain.aut"), str(CORPUS_DIR / "omega" / "omega_lt.aut"),
+            "{tmp}/missing.aut"],
+    "f": GROWTH, "g_from_f": GROWTH,
+    "out": ["{tmp}/out", "{tmp}", ""], "dot": ["{tmp}/out", "{tmp}", ""], "outdir": ["{tmp}/kreisel"],
+    "word": ["", "a", "ab", "aabb", "ba", "c"],
+    "tm": ["builtin:increment", "builtin:copy", str(MACHINES / "increment.tm"), str(MACHINES / "copy.tm"),
+           "{tmp}/missing.tm"],
+    "hopda": sorted(cli.HOPDA_BUILTINS) + sorted(str(p) for p in MACHINES.glob("*.hopda")),
+}
+# cost bounds the fuzz always sets, so that every run is small
+ALWAYS = {"budget", "max_steps", "max_value"}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for one action, `corpus` apart: each level's options, then
+    an action name, down to a leaf's positionals; sometimes a flag of
+    another action."""
+    parser, argv = cli.build_parser(), []
+    while True:
+        sub = None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                sub = action
+            elif isinstance(action, argparse._HelpAction):
+                continue
+            elif not action.option_strings:
+                key = argv[0] if action.dest == "machine" else action.dest  # tm or hopda
+                if action.nargs != "?" or draw(st.booleans()):
+                    argv.append(draw(_values(key)))
+            elif action.dest in ALWAYS or draw(st.booleans()):
+                argv += _option(draw, action)
+        if sub is None:
+            break
+        name = draw(st.sampled_from(sorted(set(sub.choices) - {"corpus"})))
+        argv.append(name)
+        parser = sub.choices[name]
+    if draw(st.integers(0, 4)) == 0:
+        argv += _option(draw, ALL_OPTIONS[draw(st.sampled_from(sorted(ALL_OPTIONS)))])
+    return argv
+
+
+def _option(draw, action) -> list:
+    if action.nargs == 0:
+        return [action.option_strings[0]]
+    return [action.option_strings[0], draw(_values(action.dest))]
+
+
+def _values(key):
+    pool = VALUES[key]
+    return pool if isinstance(pool, st.SearchStrategy) else st.sampled_from(pool)
+
+
+def parsers(parser):
+    """The parser and every parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from parsers(child)
+
+
+# every option of every action but `corpus --seed`
+ALL_OPTIONS = {
+    action.option_strings[0]: action
+    for parser in parsers(cli.build_parser())
+    for action in parser._actions
+    if action.option_strings and not isinstance(action, argparse._HelpAction) and action.dest != "seed"
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, data):
+    # any argv: a documented exit code, never a traceback, and under
+    # --json one JSON object for every exit that is not a usage error
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [a.replace("{tmp}", str(tmp)) for a in data.draw(cli_argv())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in range(5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal-error" not in err.getvalue(), argv
+    if "--json" in argv and code != 2:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict), (argv, out.getvalue())

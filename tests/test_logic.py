@@ -261,6 +261,16 @@ SHADOWED = [
     "(forall x (exists x (= x x)))",
 ]
 
+# a connective with a sentence operand, true or false, and a quantifier
+# over a variable its body lacks
+SENTENCE_OPERANDS = [
+    "(and (rel < x y) (exists z (= z z)))",
+    "(and (rel < x y) (not (exists z (= z z))))",
+    "(or (rel < x y) (exists z (= z z)))",
+    "(or (rel < x y) (not (exists z (= z z))))",
+    "(exists z (rel < x y))",
+]
+
 
 @pytest.mark.parametrize("pres", [corpus.omega_unary(), corpus.omega_times_2(),
                                   corpus.omega_times_2_plus_3(), corpus.integer_line(),
@@ -276,7 +286,7 @@ def test_compile_matches_fragment_oracle(pres):
     points = set(fragment(pres, point_len))
     frag = fragment(pres, frag_len)
     rels = {"<": (2, pres.ref_less)}
-    for text in battery_for(pres.name) + SHADOWED:
+    for text in battery_for(pres.name) + SHADOWED + SENTENCE_OPERANDS:
         f = parse_formula(text)
         vs, oracle = eval_frag(f, frag, rels, s.domain.alphabet)
         assert vs == tuple(sorted(f.free_vars()))
