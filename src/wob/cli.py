@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     psub = _group(sub, "pathology", "pathology_command", help="Kreisel orderings and the omega+1 system")
     p = psub.add_parser("kreisel")
     p.add_argument("--pi0", type=_pi0, default="builtin:true",
-                   help="automaton file, builtin:true, builtin:empty or builtin:except=N")
+                   help="arity-1 automaton file over 0 1, builtin:true, builtin:empty or builtin:except=N")
     ksub = p.add_subparsers(dest="action", required=True)
     p = _action(ksub, "compare", cmd_kreisel_compare)
     p.add_argument("x", metavar="X", type=_natural)
@@ -376,20 +376,17 @@ def _omega1_system(f) -> fgh.NotationSystem:
 
 
 def cmd_omega1_fgh(args) -> int:
-    ns = _omega1_system(args.f)
     x = args.x
     want = args.f(x)
-    got = fgh.eval_F(ns, pa.TOP, x, fgh.Budget())
-    if isinstance(got, int):
-        verdict = got >= want
-        print(f"F_w({x}) = {got} {'>=' if verdict else '<'} f({x}) = {want}")
-        return OK if verdict else NEGATIVE
-    ok, _ = fgh.eval_at_least(ns, pa.TOP, x, want)
-    if ok:
+    verdict, got = fgh.eval_at_least(_omega1_system(args.f), pa.TOP, x, want)
+    if verdict is None:
+        print("undetermined within budget")
+        return BUDGET
+    if got is None:
         print(f"F_w({x}) >= {want} = f({x})   (value cap certificate)")
         return OK
-    print("undetermined within budget")
-    return BUDGET
+    print(f"F_w({x}) = {got} {'>=' if verdict else '<'} f({x}) = {want}")
+    return OK if verdict else NEGATIVE
 
 
 def cmd_omega1_contract(args) -> int:
@@ -448,7 +445,7 @@ def cmd_tm_wf(args) -> int:
         _emit(args, f"wf-check ok ({len(fragment.elements)} elements, {len(fragment.edges)} edges)",
               {"verdict": "ok", "elements": len(fragment.elements), "edges": len(fragment.edges)})
         return OK
-    _emit(args, f"wf-check {witness.kind}: {witness.chain}", {"verdict": witness.kind})
+    _emit(args, f"wf-check cycle: {witness}", {"verdict": "cycle"})
     return NEGATIVE
 
 

@@ -18,6 +18,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from .automata import _search
 from .errors import BadLevel, EmptyPds, LoadError, StateBudgetExceeded, WobError, one_word, read_directives, state_line
 
 EPSILON = "eps"
@@ -179,7 +180,6 @@ class HopdaSpec:
 @dataclass(frozen=True)
 class ColoredGraph:
     vertices: tuple
-    colors: tuple
     edges: dict  # color -> frozenset of (u, v)
     root: Optional[object] = None
     partial: bool = False
@@ -188,14 +188,16 @@ class ColoredGraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise WobError("duplicate vertices")
-        for color, pairs in self.edges.items():
-            if color not in self.colors:
-                raise WobError(f"edge color {color!r} not declared")
+        for pairs in self.edges.values():
             for (u, v) in pairs:
                 if u not in vset or v not in vset:
                     raise WobError(f"edge endpoint missing: {(u, v)}")
         if self.root is not None and self.root not in vset:
             raise WobError("root is not a vertex")
+
+    @property
+    def colors(self) -> tuple:
+        return tuple(sorted(self.edges))
 
     def to_dot(self) -> str:
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -223,7 +225,6 @@ def graph_from_edges(vertices, edges, root=None, partial=False) -> ColoredGraph:
         by_color.setdefault(c, set()).add((u, v))
     return ColoredGraph(
         vertices=tuple(vertices),
-        colors=tuple(sorted(by_color)),
         edges={c: frozenset(ps) for c, ps in by_color.items()},
         root=root,
         partial=partial,
@@ -320,24 +321,12 @@ def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
             succ.setdefault(color, {}).setdefault(u, []).append(v)
     eps_succ = succ.pop(EPSILON, {})
 
-    @functools.cache
-    def closure(u):
-        seen = {u}
-        todo = [u]
-        while todo:
-            w = todo.pop()
-            for v in eps_succ.get(w, ()):
-                if v not in seen:
-                    seen.add(v)
-                    todo.append(v)
-        return frozenset(seen)
-
+    closure = functools.cache(lambda u: _search({u}, eps_succ))
     normal = [v for v in g.vertices if not eps_succ.get(v)]
     normal_set = set(normal)
     kept = list(normal)
     if g.root is not None and g.root not in normal_set:
         kept = [g.root] + kept
-    kept_set = set(kept)
 
     edges = set()
     for u in kept:
@@ -345,8 +334,7 @@ def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
             for color, out in succ.items():
                 for b in out.get(w, ()):
                     edges.update((u, color, v) for v in closure(b) if v in normal_set)
-    return graph_from_edges(kept, sorted(edges), root=g.root if g.root in kept_set else None,
-                            partial=g.partial)
+    return graph_from_edges(kept, sorted(edges), root=g.root, partial=g.partial)
 
 
 def unfold(g: ColoredGraph, root, depth: int) -> ColoredGraph:

@@ -59,8 +59,8 @@ class PiPredicate:
     def __post_init__(self):
         if (self.fn is None) == (self.aut is None):
             raise WobError("a predicate needs exactly one of a function and an automaton")
-        if self.aut is not None and self.aut.arity != 1:
-            raise WobError("regular predicate needs an arity-1 automaton")
+        if self.aut is not None and (self.aut.arity, self.aut.alphabet) != (1, BINARY):
+            raise WobError("regular predicate needs an arity-1 automaton over the alphabet 0 1")
 
     def holds(self, z: int) -> bool:
         if self.fn is not None:

@@ -561,38 +561,37 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
 
 
 def _accept_edge_graph(tm: TmSpec) -> tuple:
-    """Pairs (C z, W y): z is a syntactically valid configuration in an
-    accepting state whose second tape reads `> y` (blanks beyond).
+    """Pairs (C z, W y): z is a configuration word (a word of
+    `_config_graph`) in an accepting state whose second tape reads `> y`
+    (blanks beyond).
 
     The y characters inside z run two positions ahead of the word side, so
     the pattern buffers the word characters and compares on arrival.
     """
-    ALL = frozenset(range(tm.tapes))
+    config_start, config_accepting, config_moves = _config_graph(tm)
+    cells_of = {tok: cells for (cells, _fx), tok in tm._token_of.items()}
 
     def moves(key):
-        if key == ("q",):
-            for q in sorted(tm.accepting):
-                for yc in ("0", "1", PAD):
-                    yield (q, yc), ("cols", (yc,), frozenset(), True, False)
+        ckey, buf = key
+        if ckey == config_start:
+            for (q,), target in config_moves(ckey):
+                if q in tm.accepting:
+                    for yc in ("0", "1", PAD):
+                        yield (q, yc), (target, (yc,))
             return
-        _, buf, seen, is_first, _content = key
+        is_first = ckey[1]
         want = tm.blank if buf[0] == PAD else buf[0]
         ycs = (PAD,) if buf[-1] == PAD else ("0", "1", PAD)
-        for (marker, fx, _heads), cols in tm._column_index.items():
-            if marker == is_first and not fx & seen:
-                for tok, cells, content in cols:
-                    if is_first or cells[1] == want:
-                        for yc in ycs:
-                            new_buf = (buf + (yc,)) if is_first else (buf[1:] + (yc,))
-                            yield (tok, yc), ("cols", new_buf, seen | fx, False, content)
+        for (tok,), target in config_moves(ckey):
+            if is_first or cells_of[tok][1] == want:
+                for yc in ycs:
+                    yield (tok, yc), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
 
     def acc(key):
-        if key[0] != "cols":
-            return False
-        _, buf, seen, is_first, content = key
-        return seen == ALL and not is_first and all(c == PAD for c in buf) and content
+        ckey, buf = key
+        return config_accepting(ckey) and all(c == PAD for c in buf)
 
-    return ("q",), acc, moves
+    return (config_start, None), acc, moves
 
 
 def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
@@ -706,45 +705,26 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
     return ExploredFragment(elements=elements, edges=edges)
 
 
-@dataclass(frozen=True)
-class WfWitness:
-    kind: str  # "cycle" | "descent"
-    chain: tuple
-
-
-def bounded_wf_check(rpi: RpiStructure, fragment: Optional[ExploredFragment] = None, **kw):
+def bounded_wf_check(rpi: RpiStructure, fragment: ExploredFragment):
     """Acyclicity of the explored fragment; on a finite acyclic fragment
-    every nonempty subset has a minimal element, so None means ok."""
-    fragment = fragment or explore_fragment(rpi, **kw)
+    every nonempty subset has a minimal element, so None means ok.
+    Otherwise a cycle, as a closed walk (its first element repeated at the
+    end).  `rpi` is not read; the fragment carries its edges."""
+    on_cycle_paths = au._reaching_cycles(frozenset(fragment.elements), fragment.edges)
+    if not on_cycle_paths:
+        return None
     succs = {}
     for u, v in fragment.edges:
-        succs.setdefault(u, []).append(v)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {u: WHITE for u in fragment.elements}
-    for root in fragment.elements:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succs.get(root, ())))]
-        color[root] = GREY
-        path = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for v in it:
-                if color.get(v, BLACK) == GREY:
-                    i = path.index(v)
-                    return WfWitness("cycle", tuple(path[i:] + [v]))
-                if color.get(v, BLACK) == WHITE:
-                    color[v] = GREY
-                    path.append(v)
-                    stack.append((v, iter(succs.get(v, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
+        if v in on_cycle_paths:
+            succs.setdefault(u, v)
+    # every element left has a successor left, so the walk repeats one
+    v = next(u for u in fragment.elements if u in on_cycle_paths)
+    at = {}  # element -> its position on the walk
+    while v not in at:
+        at[v] = len(at)
+        v = succs[v]
+    walk = list(at)
+    return tuple(walk[at[v]:] + [v])
 
 
 def descent_witness(rpi: RpiStructure, ranks: Sequence[int], max_steps: int = 10 ** 4):

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import inspect
 import itertools
 import random
@@ -900,72 +901,78 @@ def test_is_subset_budget_raises_at_budget_plus_one(budget):
         assert not au.is_subset(stars, fives)
 
 
-def _module_aliases(tree, module):
-    """The names a file binds to the package module `module` by import."""
-    return {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in (None, "wob")
-        for alias in node.names
-        if alias.name == module
-    }
-
-
-def _binds(fn, name):
-    """Whether a function or lambda binds `name` in its own scope: as a
-    parameter, an assignment or loop target, an import, an `except ... as`
-    or a nested definition.  Nested functions keep their bindings."""
+def _bound_names(fn) -> set:
+    """The names a function or lambda binds in its own scope: parameters,
+    assignment and loop targets, imports, `except ... as` names and nested
+    definitions.  Nested functions keep their bindings."""
     args = fn.args
     params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
-    if name in {a.arg for a in params}:
-        return True
+    names = {a.arg for a in params}
     stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name == name:
-                return True
+            names.add(node.name)
             continue
         if isinstance(node, ast.Lambda):
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == name:
-            return True
-        if isinstance(node, ast.alias) and (node.asname or node.name) == name:
-            return True
-        if isinstance(node, ast.ExceptHandler) and node.name == name:
-            return True
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
-    return False
+    return names
 
 
-def _unshadowed_reads(node, name, shadowed=False):
-    """The reads of the bare name `name` under `node` that no binding of
-    an enclosing function shadows."""
+def _unshadowed_reads(node, shadowed=frozenset()) -> set:
+    """The bare names read under `node` that no binding of an enclosing
+    function shadows."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        shadowed = shadowed or _binds(node, name)
-    if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load) and not shadowed:
-        yield node
+        shadowed = shadowed | _bound_names(node)
+    reads = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+        reads.add(node.id)
     for child in ast.iter_child_nodes(node):
-        yield from _unshadowed_reads(child, name, shadowed)
+        reads |= _unshadowed_reads(child, shadowed)
+    return reads
+
+
+@functools.cache
+def _reference_index(tree):
+    """What a file's tree can refer to, read in one walk: the names each
+    package module is imported as (`from . import module as alias`), every
+    `name.attr` read, every `from module import name`, and for each
+    top-level statement its unshadowed bare reads, with the name it
+    defines if it is a function."""
+    aliases, attributes, imports = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add((getattr(node.value, "id", None), node.attr))
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imports.add((node.module, alias.name))
+                if node.module in (None, "wob"):
+                    aliases.setdefault(alias.name, set()).add(alias.asname or alias.name)
+    reads = [
+        (statement.name if isinstance(statement, ast.FunctionDef) else None, _unshadowed_reads(statement))
+        for statement in tree.body
+    ]
+    return aliases, attributes, imports, reads
 
 
 def _references(tree, module, name, own):
     """Whether a file's tree refers to the function `name` of the package
     module `module`: as `alias.name`, through `from ...module import name`,
     or, in the module itself (`own`), as a bare name no local binding
-    shadows."""
-    aliases = _module_aliases(tree, module)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == name and getattr(node.value, "id", None) in aliases:
-            return True
-        if isinstance(node, ast.ImportFrom) and node.module in (module, f"wob.{module}"):
-            if any(alias.name == name for alias in node.names):
-                return True
-    return own and any(
-        any(_unshadowed_reads(statement, name))
-        for statement in tree.body
-        if not (isinstance(statement, ast.FunctionDef) and statement.name == name)
-    )
+    shadows outside its own definition."""
+    aliases, attributes, imports, reads = _reference_index(tree)
+    if any((alias, name) in attributes for alias in aliases.get(module, ())):
+        return True
+    if (module, name) in imports or (f"wob.{module}", name) in imports:
+        return True
+    return own and any(name in names for defined, names in reads if defined != name)
 
 
 # public functions no package code calls, kept because the acceptance gate

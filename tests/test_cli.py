@@ -143,10 +143,32 @@ def test_pathology_kreisel_to_structure(tmp_path, capsys):
     assert (code, out) == (0, "well-order w\n")
 
 
+@pytest.mark.parametrize("action", [["compare", "2", "3"], ["descend", "3", "4"], ["to-structure", "{tmp}"]])
+def test_pathology_kreisel_pi0_file_must_be_over_binary(action, tmp_path, capsys):
+    # omega_domain.aut is over `a`, so it would reject every binary word;
+    # it is refused as malformed, not read as a pi_0 false everywhere
+    for pi0, exits in PI0_EXITS.items():
+        argv = ["pathology", "kreisel", "--pi0", pi0] + action
+        code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+        assert code in exits, argv
+    err = capsys.readouterr().err
+    assert "over the alphabet 0 1" in err
+
+
 def test_pathology_omega1(capsys):
     code, out = run_cli(["pathology", "omega1", "--f", "2^n", "fgh", "--x", "3"], capsys)
     assert code == 0
     assert ">= 8" in out
+
+
+def test_omega1_fgh_evaluates_once(monkeypatch, capsys):
+    # one bounded evaluation answers: no exact run to the step cap first
+    calls = []
+    original = cli.fgh.eval_F
+    monkeypatch.setattr(cli.fgh, "eval_F", lambda *a: calls.append(a) or original(*a))
+    code, out = run_cli(["pathology", "omega1", "fgh", "--x", "3"], capsys)
+    assert (code, out) == (0, "F_w(3) >= 8 = f(3)   (value cap certificate)\n")
+    assert len(calls) == 1
 
 
 def test_tm_check_reversible(capsys):
@@ -585,6 +607,14 @@ ORDINALS = ["0", "3", "w", "w^2*2+1", "w^w", "e0", ""]
 GROWTH = ["2^n", "n^2", "n", "2*n+1", "n+3", "0*n+0", "3^n", "", "x*n+1"]
 BUDGETS = st.one_of(st.integers(1, 50).map(str), st.sampled_from(EDGE + ["0"]))
 STEPS = ["1", "50", "1e3", "0", "nan"] + EDGE
+# the --pi0 files the fuzz gives, with the exits each may give once the
+# arguments parse: only an arity-1 automaton over 0 1 gets to a verdict
+PI0_EXITS = {
+    str(CORPUS_DIR / "omega_bin" / "omega_bin_domain.aut"): {0, 1},
+    str(CORPUS_DIR / "omega" / "omega_domain.aut"): {4},
+    str(CORPUS_DIR / "omega" / "omega_lt.aut"): {4},
+    "{tmp}/missing.aut": {4},
+}
 # the values the fuzz gives each argument, by destination; {tmp} is a
 # scratch directory, and the Turing machines are the small ones, because
 # building the comparators' relation takes most of a second
@@ -599,9 +629,8 @@ VALUES = {
     "budget": BUDGETS, "max_steps": STEPS, "max_value": STEPS,
     "xs": ["3", "2,3", ",", "3,,4", "-1", "x", ""],
     "system": ["std", "shifted", "x"], "system2": ["std", "shifted", "x"],
-    "pi0": ["builtin:true", "builtin:empty", "builtin:except=2", "builtin:except=-1", "builtin:except=",
-            str(CORPUS_DIR / "omega" / "omega_domain.aut"), str(CORPUS_DIR / "omega" / "omega_lt.aut"),
-            "{tmp}/missing.aut"],
+    "pi0": ["builtin:true", "builtin:empty", "builtin:except=2", "builtin:except=-1", "builtin:except="]
+    + sorted(PI0_EXITS),
     "f": GROWTH, "g_from_f": GROWTH,
     "out": ["{tmp}/out", "{tmp}", ""], "dot": ["{tmp}/out", "{tmp}", ""], "outdir": ["{tmp}/kreisel"],
     "word": ["", "a", "ab", "aabb", "ba", "c"],
@@ -677,11 +706,15 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
     # any argv: a documented exit code, never a traceback, and under
     # --json one JSON object for every exit that is not a usage error
     tmp = tmp_path_factory.mktemp("fuzz")
-    argv = [a.replace("{tmp}", str(tmp)) for a in data.draw(cli_argv())]
+    drawn = data.draw(cli_argv())
+    argv = [a.replace("{tmp}", str(tmp)) for a in drawn]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in range(5), (argv, err.getvalue())
+    pi0 = drawn[drawn.index("--pi0") + 1] if "--pi0" in drawn else None
+    if code != 2 and pi0 in PI0_EXITS:
+        assert code in PI0_EXITS[pi0], (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal-error" not in err.getvalue(), argv
     if "--json" in argv and code != 2:
         lines = out.getvalue().splitlines()
