@@ -27,16 +27,12 @@ class Presentation:
     expected_cnf: Optional[CnfOrdinal] = None  # None when not a well-order
     expected_failure: Optional[str] = None  # "bad-class" | "dense"
 
-    @property
-    def order(self) -> Automaton:
-        return self.structure.relations[LESS][1]
-
 
 def _structure(name, alphabet, dom, rel) -> Structure:
     dom = au.minimize(dom)
     pair = au.insert_tape(dom, 1, track=dom)
     rel = au.minimize(au.intersect(rel, pair))
-    return _unchecked(name, dom, {LESS: (2, rel)})
+    return _unchecked(name, dom, {LESS: rel})
 
 
 def star_lang(alphabet, letter) -> Automaton:

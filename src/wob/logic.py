@@ -210,7 +210,7 @@ class Structure:
 
     name: str
     domain: Automaton
-    relations: dict = field(default_factory=dict)  # name -> (arity, Automaton)
+    relations: dict = field(default_factory=dict)  # name -> Automaton
 
     def __post_init__(self):
         if self.domain.arity != 1:
@@ -220,11 +220,9 @@ class Structure:
         for reserved in (EQ, LLEX):
             if reserved in self.relations:
                 raise WobError(f"relation name {reserved!r} is reserved")
-        for rel_name, (arity, aut) in self.relations.items():
-            if aut.arity != arity:
-                raise ArityMismatch(
-                    f"relation {rel_name!r} declared arity {arity}, automaton has {aut.arity}"
-                )
+        for rel_name, aut in self.relations.items():
+            if not isinstance(aut, Automaton):
+                raise WobError(f"relation {rel_name!r} is not an automaton")
             if aut.alphabet != self.domain.alphabet:
                 raise ArityMismatch(f"relation {rel_name!r} alphabet differs from domain")
             if not au.is_subset_of_cube(aut, self.domain):
@@ -254,11 +252,11 @@ class Structure:
         base = au.llex_automaton(self.domain.alphabet)
         return au.minimize(au.intersect(base, self.domain_cube(2)))
 
-    def relation(self, name: str) -> tuple[int, Automaton]:
+    def relation(self, name: str) -> Automaton:
         if name == EQ:
-            return 2, self.eq
+            return self.eq
         if name == LLEX:
-            return 2, self.llex
+            return self.llex
         if name not in self.relations:
             raise UnknownRelation(f"structure {self.name!r} has no relation {name!r}")
         return self.relations[name]
@@ -291,10 +289,10 @@ class Compiler:
 
     def compile(self, f: Formula) -> _Result:
         if isinstance(f, Rel):
-            arity, aut = self.s.relation(f.name)
-            if len(f.vars) != arity:
+            aut = self.s.relation(f.name)
+            if len(f.vars) != aut.arity:
                 raise ArityMismatch(
-                    f"relation {f.name!r} has arity {arity}, got {len(f.vars)} variables"
+                    f"relation {f.name!r} has arity {aut.arity}, got {len(f.vars)} variables"
                 )
             return self._atom(aut, list(f.vars))
         if isinstance(f, Not):
@@ -415,7 +413,8 @@ def eval_sentence(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BU
 def parse_manifest(text: str, automaton_lookup) -> Structure:
     """Parse `structure NAME / domain AUT / relation NAME ARITY AUT` lines.
 
-    automaton_lookup(name) must return the Automaton for a referenced name.
+    automaton_lookup(name) must return the Automaton for a referenced name;
+    ARITY must be that automaton's arity.
     """
     relations = {}
 
@@ -423,7 +422,10 @@ def parse_manifest(text: str, automaton_lookup) -> Structure:
         rel_name, arity, aut_name = words
         if rel_name in relations:
             raise LoadError(f"relation {rel_name!r} declared twice")
-        relations[rel_name] = (int(arity), automaton_lookup(aut_name))
+        aut = automaton_lookup(aut_name)
+        if int(arity) != aut.arity:
+            raise LoadError(f"relation {rel_name!r} declared arity {arity}, automaton has {aut.arity}")
+        relations[rel_name] = aut
 
     head = read_directives(
         text,
@@ -453,10 +455,10 @@ def save_structure(s: Structure, directory) -> str:
     os.makedirs(directory, exist_ok=True)
     lines = [f"structure {s.name}", f"domain {s.name}_domain"]
     files = {f"{s.name}_domain": s.domain}
-    for rel_name, (arity, aut) in sorted(s.relations.items()):
+    for rel_name, aut in sorted(s.relations.items()):
         aut_name = f"{s.name}_{rel_name}"
         safe = aut_name.replace("<", "lt").replace(">", "gt")
-        lines.append(f"relation {rel_name} {arity} {safe}")
+        lines.append(f"relation {rel_name} {aut.arity} {safe}")
         files[safe] = aut
     for aut_name, aut in files.items():
         with open(os.path.join(directory, aut_name + ".aut"), "w", encoding="utf-8") as fh:

@@ -212,6 +212,7 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
     >= lambda[n].  Returns the first violation or None.
     """
     grid: set[CnfOrdinal] = set()
+    fs: dict = {}  # limit in the grid -> its first `samples` fs members
     frontier = [bound]
     while frontier:
         x = frontier.pop()
@@ -219,12 +220,12 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
             continue
         grid.add(x)
         if x.is_limit():
-            for n in range(samples):
-                frontier.append(table(x, n))
-    limits = sorted(x for x in grid if x.is_limit())
+            fs[x] = [table(x, n) for n in range(samples)]
+            frontier.extend(fs[x])
+    limits = sorted(fs)
 
     for lam in limits:
-        values = [table(lam, n) for n in range(samples)]
+        values = fs[lam]
         for n, v in enumerate(values):
             if not v < lam:
                 return FsViolation("not-below", lam, n)
@@ -232,11 +233,11 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
             if not values[n] < values[n + 1]:
                 return FsViolation("monotonicity", lam, n)
     for lam in limits:
-        values = [table(lam, n) for n in range(samples)]
+        values = fs[lam]
         for alpha in limits:
             for n in range(samples - 1):
                 if values[n] < alpha <= values[n + 1]:
-                    if table(alpha, 0) < values[n]:
+                    if fs[alpha][0] < values[n]:
                         return FsViolation("bachmann", lam, n, alpha)
     return None
 

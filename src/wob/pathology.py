@@ -190,10 +190,10 @@ def kreisel_as_automatic(pi0: PiPredicate, state_budget: int = 10 ** 6) -> Struc
     if pi0.aut is None:
         raise WobError("only regular predicates compile to automata")
     domain = au.universe(BINARY, 1)
-    helper = Structure(name="kreisel0", domain=domain, relations={PI0_REL: (1, pi0.aut)})
+    helper = Structure(name="kreisel0", domain=domain, relations={PI0_REL: pi0.aut})
     rel = compile_formula(helper, kreisel_formula(), state_budget=state_budget)
     rel = au.minimize(rel)
-    return _unchecked("kreisel", domain, {LESS: (2, rel)})
+    return _unchecked("kreisel", domain, {LESS: rel})
 
 
 def tail_set(s: Structure, word) -> Automaton:
@@ -204,7 +204,7 @@ def tail_set(s: Structure, word) -> Automaton:
 
 def minimal_members(s: Structure, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (exact)."""
-    return au.minimize(minimal_elements(s.relations[LESS][1], subset))
+    return au.minimize(minimal_elements(s.relations[LESS], subset))
 
 
 # -- the omega+1 system with an inflated F_omega (Prop 2) ----------------------

@@ -60,7 +60,7 @@ class OrderPresentation:
     def __post_init__(self):
         if LESS not in self.structure.relations:
             raise NotLinear(f"structure {self.structure.name!r} has no relation {LESS!r}")
-        if self.structure.relations[LESS][0] != 2:
+        if self.order.arity != 2:
             raise NotLinear(f"relation {LESS!r} must be binary")
 
     @property
@@ -69,7 +69,7 @@ class OrderPresentation:
 
     @property
     def order(self) -> Automaton:
-        return self.structure.relations[LESS][1]
+        return self.structure.relations[LESS]
 
     @cached_property
     def between(self) -> Automaton:
@@ -163,17 +163,12 @@ def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     new_dom = au.minimize(au.difference(p.domain, outranked))
     below = au.join(p.order, [0, 1], new_dom, [0])
     new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1]))
-    return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: (2, new_rel)}))
+    return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: new_rel}))
 
 
-@dataclass(frozen=True)
-class AllFiniteOrOmega:
-    pass
-
-
-def classify_classes(p: OrderPresentation):
-    """Certify that every condensation class has a least element; otherwise
-    return a witness element from a failing class.
+def classify_classes(p: OrderPresentation) -> Optional[BadCondensationClass]:
+    """None when every condensation class has a least element; otherwise a
+    witness element from a failing class.
 
     Any two elements of a class have finitely many elements between them,
     so a class is ordered like a finite set, omega, omega* or Z.  It lacks a
@@ -184,7 +179,7 @@ def classify_classes(p: OrderPresentation):
     bad = au.minimize(au.project(p.in_class, 0, infinite=True))
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
-    return AllFiniteOrOmega()
+    return None
 
 
 def _top_class_size(p: OrderPresentation):
@@ -222,9 +217,9 @@ def recognize(
         while True:
             if trace is not None:
                 trace.append((level, current))
-            verdict = classify_classes(current)
-            if isinstance(verdict, BadCondensationClass):
-                return NotWellOrder(verdict)
+            bad = classify_classes(current)
+            if bad is not None:
+                return NotWellOrder(bad)
             if not au.is_infinite(current.domain):
                 members = au.count_or_enumerate(current.domain, FINITE_LEVEL_CAP + 1)
                 if len(members) > FINITE_LEVEL_CAP:

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 from . import automata as au
 from .automata import PAD, Automaton
 from .errors import InvalidTm, LoadError, NotReversible, WobError, one_word, read_directives, state_line
-from .logic import Structure, _unchecked
 
 MARKER = ">"
 WORD_TAG = "W"
@@ -465,17 +464,10 @@ def kreisel_comparator(false_pi: bool) -> TmSpec:
 
 @dataclass(frozen=True)
 class RpiStructure:
-    structure: Structure
+    domain: Automaton
+    relation: Automaton
     tm: TmSpec
     pi_tag: str
-
-    @property
-    def relation(self) -> Automaton:
-        return self.structure.relations["R"][1]
-
-    @property
-    def domain(self) -> Automaton:
-        return self.structure.domain
 
 
 def _rpi_alphabet(tm: TmSpec) -> tuple:
@@ -615,8 +607,7 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
         ((CONF_TAG,), _config_graph(tm)),
     ]))
     # every edge joins two domain words by construction, so no cube check
-    s = _unchecked(f"rpi_{tm.name}", domain, {"R": (2, rel)})
-    return RpiStructure(structure=s, tm=tm, pi_tag=pi_tag)
+    return RpiStructure(domain=domain, relation=rel, tm=tm, pi_tag=pi_tag)
 
 
 def tag_word(x) -> tuple:

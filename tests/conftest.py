@@ -24,7 +24,7 @@ def successor_structure():
     alphabet = ("a",)
     dom = corpus.star_lang(alphabet, "a")
     succ = au.automaton(2, alphabet, 2, 0, {1}, [(0, ("a", "a"), 0), (0, (au.PAD, "a"), 1)])
-    return logic.Structure(name="succ", domain=dom, relations={"S": (2, succ)})
+    return logic.Structure(name="succ", domain=dom, relations={"S": succ})
 
 
 def epsilon_chain_machine():
@@ -471,7 +471,7 @@ def with_sim(p):
     """p's structure plus the condensation equivalence ~, built through the
     public constructor, so the full structure check runs on it."""
     s = p.structure
-    relations = {**s.relations, "~": (2, reference_sim(p))}
+    relations = {**s.relations, "~": reference_sim(p)}
     return logic.Structure(name=s.name, domain=s.domain, relations=relations)
 
 

@@ -197,7 +197,7 @@ def test_criterion_5_kreisel_prop1():
     s_bad = pa.kreisel_as_automatic(pa.regular_except_word(pa.word_of_rank(2)))
     tail = pa.tail_set(s_bad, pa.word_of_rank(2))
     assert au.is_empty(pa.minimal_members(s_bad, tail))
-    rel = s_bad.relations["<"][1]
+    rel = s_bad.relations["<"]
     members = [w[0] for w in au.count_or_enumerate(tail, 700)]
     short = [w for w in members if len(w) <= 8]
     assert short

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from wob import automata as au
 from wob import cli, corpus
 from wob.cli import main
-from wob.errors import WobError
+from wob.errors import LoadError, WobError
 from wob.logic import load_structure, save_structure
 
 
@@ -458,6 +458,28 @@ def test_manifest_relation_outside_the_domain_is_malformed_input(tmp_path, capsy
     assert captured.out == "" and "outside the domain" in captured.err
 
 
+def omega_declaring_arity_3(directory) -> Path:
+    """A copy of corpus/omega in `directory` whose relation line reads
+    `relation < 3 omega_lt`; returns its manifest."""
+    directory.mkdir(exist_ok=True)
+    for src in (CORPUS_DIR / "omega").iterdir():
+        text = src.read_text(encoding="utf-8")
+        (directory / src.name).write_text(text.replace("relation < 2 ", "relation < 3 "), encoding="utf-8")
+    return directory / "omega.manifest"
+
+
+def test_manifest_arity_must_be_the_automatons(tmp_path, capsys):
+    # ARITY is checked against the automaton the line names, where the
+    # manifest is parsed, and the error names the line
+    manifest = omega_declaring_arity_3(tmp_path)
+    assert manifest.read_text(encoding="utf-8").splitlines()[2] == "relation < 3 omega_lt"
+    with pytest.raises(LoadError, match="line 3: relation '<' declared arity 3, automaton has 2"):
+        load_structure(manifest)
+    assert main(["recognize", str(manifest)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 3:" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["ord", "pow", "w", "2"],
     ["fgh", "compare", "--alpha", "1", "--beta", "2", "--xs", ","],
@@ -615,11 +637,23 @@ PI0_EXITS = {
     str(CORPUS_DIR / "omega" / "omega_lt.aut"): {4},
     "{tmp}/missing.aut": {4},
 }
+# the manifests the fuzz gives as often as the corpus ones, with the exit
+# each must give once the arguments parse: {tmp}/arity3 is made by
+# `omega_declaring_arity_3`
+MANIFEST_EXITS = {
+    "{tmp}/arity3/omega.manifest": {4},
+    "{tmp}/missing.manifest": {4},
+}
+FILE_EXITS = {**PI0_EXITS, **MANIFEST_EXITS}
+# the actions that read those files; at each level one of them is drawn
+# half the time, so that a fixed share of the examples reaches a file
+READS_FILES = {"query", "recognize", "pathology", "kreisel"}
 # the values the fuzz gives each argument, by destination; {tmp} is a
 # scratch directory, and the Turing machines are the small ones, because
 # building the comparators' relation takes most of a second
 VALUES = {
-    "manifest": sorted(str(p) for p in CORPUS_DIR.glob("*/*.manifest")) + ["{tmp}/missing.manifest"],
+    "manifest": st.one_of(st.sampled_from(sorted(str(p) for p in CORPUS_DIR.glob("*/*.manifest"))),
+                          st.sampled_from(sorted(MANIFEST_EXITS))),
     "formula": ["(exists x (= x x))", "(forall x (exists y (rel < x y)))", "(exists y (rel < y x))",
                 "(rel < x", "(exists x (rel P x))", ""],
     "left": ORDINALS, "right": ORDINALS, "alpha": ORDINALS, "beta": ORDINALS,
@@ -638,8 +672,9 @@ VALUES = {
            "{tmp}/missing.tm"],
     "hopda": sorted(cli.HOPDA_BUILTINS) + sorted(str(p) for p in MACHINES.glob("*.hopda")),
 }
-# cost bounds the fuzz always sets, so that every run is small
-ALWAYS = {"budget", "max_steps", "max_value"}
+# cost bounds the fuzz always sets, so that every run is small, and the
+# --pi0 file of a kreisel action
+ALWAYS = {"budget", "max_steps", "max_value", "pi0"}
 
 
 @st.composite
@@ -663,7 +698,9 @@ def cli_argv(draw):
                 argv += _option(draw, action)
         if sub is None:
             break
-        name = draw(st.sampled_from(sorted(set(sub.choices) - {"corpus"})))
+        names = sorted(set(sub.choices) - {"corpus"})
+        readers = [n for n in names if n in READS_FILES]
+        name = draw(st.sampled_from(readers if readers and draw(st.booleans()) else names))
         argv.append(name)
         parser = sub.choices[name]
     if draw(st.integers(0, 4)) == 0:
@@ -706,15 +743,16 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
     # any argv: a documented exit code, never a traceback, and under
     # --json one JSON object for every exit that is not a usage error
     tmp = tmp_path_factory.mktemp("fuzz")
+    omega_declaring_arity_3(tmp / "arity3")
     drawn = data.draw(cli_argv())
     argv = [a.replace("{tmp}", str(tmp)) for a in drawn]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in range(5), (argv, err.getvalue())
-    pi0 = drawn[drawn.index("--pi0") + 1] if "--pi0" in drawn else None
-    if code != 2 and pi0 in PI0_EXITS:
-        assert code in PI0_EXITS[pi0], (argv, err.getvalue())
+    if code != 2:
+        for name in set(drawn) & set(FILE_EXITS):
+            assert code in FILE_EXITS[name], (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal-error" not in err.getvalue(), argv
     if "--json" in argv and code != 2:
         lines = out.getvalue().splitlines()

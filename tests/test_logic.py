@@ -243,6 +243,15 @@ def test_quantifier_relativizes_to_domain():
     assert aut.accepts(("b", "a"))
 
 
+def test_relation_is_its_automaton():
+    # a relation's arity is its automaton's tape count, stated nowhere else:
+    # an (arity, automaton) pair is refused, naming the relation
+    s = OMEGA_P.structure
+    assert s.relation("<") is s.relations["<"] and s.relation("<").arity == 2
+    with pytest.raises(WobError, match="relation '<' is not an automaton"):
+        Structure(name="pair", domain=s.domain, relations={"<": (2, s.relations["<"])})
+
+
 def test_empty_domain_rejected():
     with pytest.raises(WobError):
         Structure(name="void", domain=au.empty(("a",), 1), relations={})
@@ -318,7 +327,7 @@ def test_negation_stops_at_the_state_budget():
     trans = [(0, (s,), 0) for s in ("a", "b")] + [(0, ("a",), 1)]
     trans += [(i, (s,), i + 1) for i in (1, 2, 3) for s in ("a", "b")]
     p = au.automaton(1, ("a", "b"), 5, 0, {4}, trans)
-    s = Structure("last4", au.universe(("a", "b"), 1), {"P": (1, p)})
+    s = Structure("last4", au.universe(("a", "b"), 1), {"P": p})
     budget = 10
     assert compile_formula(s, parse_formula("(rel P x)"), state_budget=budget).n_states == 5
     with pytest.raises(au.StateBudgetExceeded) as exc:
@@ -345,8 +354,8 @@ CAPPED = {
     "llex": lambda s: s.llex,
     "llex_automaton": lambda s: au.llex_automaton(s.domain.alphabet),
     "insert_tape": lambda s: au.insert_tape(s.domain, 1),
-    "section": lambda s: au.section(s.relations["<"][1], 1, "abab"),
-    "is_subset_of_cube": lambda s: au.is_subset_of_cube(s.relations["<"][1], s.domain),
+    "section": lambda s: au.section(s.relations["<"], 1, "abab"),
+    "is_subset_of_cube": lambda s: au.is_subset_of_cube(s.relations["<"], s.domain),
 }
 
 
@@ -394,7 +403,7 @@ def test_conjunction_is_one_join_without_cylinders(monkeypatch):
         monkeypatch.setattr(au, name, counted)
     got = compile_formula(s, parse_formula("(and (rel < x y) (rel < y z))"))
     assert calls == ["join"]
-    lt = s.relation("<")[1]
+    lt = s.relation("<")
     words = [w for (w,) in au.count_or_enumerate(s.domain, 12)]
     for x, y, z in itertools.product(words, repeat=3):
         assert got.accepts(x, y, z) == (lt.accepts(x, y) and lt.accepts(y, z))

@@ -174,6 +174,14 @@ def test_check_bachmann_property_violation():
     assert v.n == 0
 
 
+def test_check_bachmann_reads_each_fs_value_once():
+    # one table of fundamental sequences serves all three checks
+    calls = []
+    table = o.FundamentalSequenceTable(lambda lam, n: calls.append((lam, n)) or o.standard_fs(lam, n))
+    assert o.check_bachmann(table, parse("w^2"), samples=12) is None
+    assert len(calls) == len(set(calls)) == 13 * 12
+
+
 def test_check_bachmann_partial_table():
     table = {OMEGA: lambda n: from_int(n + 1)}
 

@@ -156,7 +156,7 @@ def test_automatic_true_pi0_recognizes_omega():
 
 def test_automatic_order_matches_integer_model():
     s = kreisel_as_automatic(regular_except_word(("1", "1")))
-    rel = s.relations["<"][1]
+    rel = s.relations["<"]
     witness_rank = rank_of_word(("1", "1"))
     pi0 = lambda z: z != witness_rank
     for x, y in itertools.product(range(14), repeat=2):
@@ -176,7 +176,7 @@ def test_automatic_false_pi0_not_well_order_with_descent_crosscheck():
     k = KreiselOrder(pi0=except_value(witness_rank))
     chain = find_descent(k, witness_rank + 1, 8)
     assert chain is not None
-    rel = s.relations["<"][1]
+    rel = s.relations["<"]
     for a, b in zip(chain, chain[1:]):
         assert rel.accepts(word_of_rank(b), word_of_rank(a))
 
@@ -186,7 +186,7 @@ def test_automatic_empty_pi0_reversed_above_least_witness():
     s = kreisel_as_automatic(regular_empty())
     got = rec.recognize(rec.OrderPresentation(s))
     assert isinstance(got, rec.NotWellOrder)
-    rel = s.relations["<"][1]
+    rel = s.relations["<"]
     # epsilon is the least element; above it the base order is reversed
     assert rel.accepts((), ("1", "0"))
     assert rel.accepts(("1",), ("0",))  # rank 2 < rank 1 in the reordering
@@ -199,7 +199,7 @@ def test_definable_tail_has_no_minimum():
     mins = minimal_members(s, tail)
     assert au.is_empty(mins)
     # fragment evidence: every member of length <= 8 has a smaller member
-    rel = s.relations["<"][1]
+    rel = s.relations["<"]
     members = [w[0] for w in au.count_or_enumerate(tail, 600)]
     short = [w for w in members if len(w) <= 8]
     assert short

@@ -372,8 +372,8 @@ def test_rpi_structure_rejects_an_edge_outside_the_domain():
     edge = au.automaton(2, alphabet, 3, 0, {2}, [(i, letter, i + 1) for i, letter in enumerate(outside)])
     assert not rpi.domain.accepts((T.WORD_TAG, T.CONF_TAG)) and rpi.domain.accepts((T.WORD_TAG, "0"))
     with pytest.raises(WobError, match="outside the domain"):
-        Structure(name="rpi_plus_one", domain=rpi.domain, relations={"R": (2, au.union(rel, edge))})
-    Structure(name="rpi", domain=rpi.domain, relations={"R": (2, rel)})
+        Structure(name="rpi_plus_one", domain=rpi.domain, relations={"R": au.union(rel, edge)})
+    Structure(name="rpi", domain=rpi.domain, relations={"R": rel})
 
 
 def test_tag_config_matches_serialize():
@@ -405,7 +405,7 @@ def test_rpi_cycle_free_and_descent_for_false_pi():
 def test_rpi_structure_passes_containment():
     # build_rpi skips the cube check; run here, it holds
     rpi = rpi_for(False)
-    assert rpi.structure.relations["R"][0] == 2
+    assert rpi.relation.arity == 2
     assert au.is_subset_of_cube(rpi.relation, rpi.domain)
 
 
