@@ -13,15 +13,18 @@ convolution.  Kernel operations only recombine letters of checked
 operands, so their results are not checked again.
 
 Every construction numbers its states by one BFS (`_canonical`), whose
-per-state tables become the result's transition index `_delta`.  Running
-two automata side by side on one convolution is one construction, `join`,
-which maps each side's tapes to result tapes; `intersect` and the
-cylindrification `insert_tape` are tape maps over it.  Inclusion is one
-subset product, `_difference_graph`: `difference` builds it, and
-`is_subset` and `is_subset_of_cube` search it up to the first
-counterexample.  That BFS and that search read the one state budget,
-`STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
-a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
+per-state tables become the result's transition index `_delta`.  Tapes are
+mapped by two constructions.  `join` runs two automata side by side on one
+convolution and maps each side's tapes to result tapes; `intersect`, a
+cylinder (a side with a tape the other lacks) and a tape equality (a join
+with `diagonal`) are joins.  `_relabel` maps the letters of one automaton
+and reads the ones that become all-pad as empty moves; `project` and
+`permute_tapes` are relabellings.  Inclusion is one subset product,
+`_difference_graph`: `difference` builds it, and `is_subset` and
+`is_subset_of_cube` search it up to the first counterexample.  That BFS
+and that search read the one state budget, `STATE_BUDGET`, and raise
+StateBudgetExceeded at budget + 1; it is set for a block by
+`with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
@@ -720,35 +723,50 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
     """Existential projection: drop the given tape and re-normalize padding.
 
     With `infinite`, a tuple is kept only when infinitely many words on the
-    dropped tape complete it (the ∃^∞ quantifier).
+    dropped tape complete it (the ∃^∞ quantifier).  See `_relabel`.
+    """
+    _require_tape(a, tape)
+    return _relabel(a, a.arity - 1, lambda letter: letter[:tape] + letter[tape + 1 :], infinite)
 
-    A letter whose remaining tapes all read pad (an ε-letter) can only be
-    followed by such letters, by the padding invariant, so on every run
-    the ε-letters form the tail.  A state's moves are therefore just its
-    own non-ε letters, and the projection accepts at a state when its
-    ε-edges reach acceptance, found by one backward search from the
-    accepting states.  With `infinite` the state must also reach, along
-    ε-edges, a cycle that can still reach acceptance: pumping the cycle
-    gives witnesses of every greater length, and a witness more than
-    n_states letters past the other tapes repeats a state in its tail.
+
+def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
+    """Reorder tapes: new tape i carries old tape perm[i]."""
+    if sorted(perm) != list(range(a.arity)):
+        raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
+    return _relabel(a, a.arity, lambda letter: tuple(letter[p] for p in perm))
+
+
+def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False) -> Automaton:
+    """`a` with each letter mapped by `relabel` to an `arity`-letter, and
+    the letters mapped to all-pad (ε-letters) read as empty moves.
+
+    An ε-letter can only be followed by such letters, by the padding
+    invariant, so on every run the ε-letters form the tail.  A state's
+    moves are therefore just its own non-ε letters, and the result accepts
+    at a state when its ε-edges reach acceptance, found by one backward
+    search from the accepting states.  With `infinite` the state must also
+    reach, along ε-edges, a cycle that can still reach acceptance: pumping
+    the cycle gives witnesses of every greater length, and a witness more
+    than n_states letters past the other tapes repeats a state in its tail.
+    A relabelling that keeps every tape, such as a permutation, has no
+    ε-letters, so its accepting states are `a`'s.
 
     The result is byte-identical to the textbook construction in which
     each state takes the moves and the acceptance of its ε-closure: the
     closure of a reachable state adds only states that read ε-letters
     alone, so the move graph, hence the BFS numbering, is unchanged, and
     "the closure meets the accepting states" is the backward search.
-    Letters that become one letter once the tape is dropped keep their
-    targets in the sorted full-letter order of `_delta`, as there.  With
-    `infinite`, the language (not the bytes) is that of the pumping-bound
-    construction, which intersects the minimal DFA with a counter of the
-    final ε-run and so also splits states by pad mask.
+    Letters that map to one letter keep their targets in the sorted
+    full-letter order of `_delta`, as there.  With `infinite`, the language
+    (not the bytes) is that of the pumping-bound construction, which
+    intersects the minimal DFA with a counter of the final ε-run and so
+    also splits states by pad mask.
     """
-    _require_tape(a, tape)
     real: dict = {}
     eps = []
     for q, out in a._delta.items():
         for letter, targets in out.items():
-            rest = letter[:tape] + letter[tape + 1 :]
+            rest = relabel(letter)
             if all(s == PAD for s in rest):
                 eps.extend((q, r) for r in targets)
             else:
@@ -765,36 +783,7 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
             for r in targets:
                 yield rest, r
 
-    return _canonical(a.arity - 1, a.alphabet, a.initial, live.__contains__, moves)
-
-
-def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
-    """Reorder tapes: new tape i carries old tape perm[i]."""
-    if sorted(perm) != list(range(a.arity)):
-        raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
-
-    def moves(q):
-        for letter, targets in a._delta.get(q, {}).items():
-            moved = tuple(letter[p] for p in perm)
-            for r in targets:
-                yield moved, r
-
-    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
-
-
-def insert_tape(a: Automaton, position: int, track: Optional[Automaton] = None) -> Automaton:
-    """Cylindrification: insert a fresh tape at `position` carrying any word
-    accepted by `track` (default: any word over the alphabet)."""
-    if not (0 <= position <= a.arity):
-        raise ArityMismatch(f"cannot insert at position {position} in arity {a.arity}")
-    if track is None:
-        track = universe(a.alphabet, 1)
-    if track.arity != 1:
-        raise ArityMismatch("track automaton must have arity 1")
-    if track.alphabet != a.alphabet:
-        raise ArityMismatch("track alphabet mismatch")
-    tapes = [t + (t >= position) for t in range(a.arity)]
-    return join(a, tapes, track, [position])
+    return _canonical(arity, a.alphabet, a.initial, live.__contains__, moves)
 
 
 # -- common relation automata -------------------------------------------
@@ -824,13 +813,9 @@ def letter_dfa(alphabet, arity, start, step, accepting_pred) -> Automaton:
     return build(arity, alphabet, start_key, lambda key: accepting_pred(key[1]), moves)
 
 
-def eq_tapes(alphabet, arity, i, j) -> Automaton:
-    """Valid convolutions whose tapes i and j carry equal words."""
-    return letter_dfa(alphabet, arity, 0, lambda v, l: v if l[i] == l[j] else None, lambda v: True)
-
-
 def diagonal(alphabet) -> Automaton:
-    return eq_tapes(alphabet, 2, 0, 1)
+    """Pairs of equal words."""
+    return letter_dfa(alphabet, 2, 0, lambda v, l: v if l[0] == l[1] else None, lambda v: True)
 
 
 def llex_automaton(alphabet) -> Automaton:

@@ -30,8 +30,7 @@ class Presentation:
 
 def _structure(name, alphabet, dom, rel) -> Structure:
     dom = au.minimize(dom)
-    pair = au.insert_tape(dom, 1, track=dom)
-    rel = au.minimize(au.intersect(rel, pair))
+    rel = au.minimize(au.intersect(rel, au.join(dom, [0], dom, [1])))
     return _unchecked(name, dom, {LESS: rel})
 
 
@@ -48,18 +47,13 @@ def finite_chain(alphabet, letter, n) -> Automaton:
     return au.automaton(1, alphabet, n + 1, 0, set(range(1, n + 1)), trans)
 
 
-def pair_product(a: Automaton, b: Automaton) -> Automaton:
-    """{conv(x, y) : x in L(a), y in L(b)}."""
-    return au.insert_tape(a, 1, track=b)
-
-
 def shorter_within(alphabet, dom) -> Automaton:
-    return au.intersect(au.shorter_automaton(alphabet), pair_product(dom, dom))
+    return au.intersect(au.shorter_automaton(alphabet), au.join(dom, [0], dom, [1]))
 
 
 def longer_within(alphabet, dom) -> Automaton:
     rev = au.permute_tapes(au.shorter_automaton(alphabet), [1, 0])
-    return au.intersect(rev, pair_product(dom, dom))
+    return au.intersect(rev, au.join(dom, [0], dom, [1]))
 
 
 def ordered_sum(alphabet, blocks) -> tuple[Automaton, Automaton]:
@@ -72,7 +66,7 @@ def ordered_sum(alphabet, blocks) -> tuple[Automaton, Automaton]:
         rel = au.union(rel, r)
     for i in range(len(blocks)):
         for j in range(i + 1, len(blocks)):
-            rel = au.union(rel, pair_product(blocks[i][0], blocks[j][0]))
+            rel = au.union(rel, au.join(blocks[i][0], [0], blocks[j][0], [1]))
     return dom, rel
 
 

@@ -239,7 +239,7 @@ class Structure:
         if arity not in self._cubes:
             cube = self.domain
             for _ in range(arity - 1):
-                cube = au.insert_tape(cube, cube.arity, track=self.domain)
+                cube = au.join(cube, range(cube.arity), self.domain, [cube.arity])
             self._cubes[arity] = cube
         return self._cubes[arity]
 
@@ -315,12 +315,12 @@ class Compiler:
     # -- helpers --
 
     def _atom(self, aut: Automaton, var_list: list) -> _Result:
-        # collapse repeated variables by intersecting with tape equality
+        # collapse repeated variables: join tapes i and j with the diagonal
         j = 1
         while j < len(var_list):
             i = var_list.index(var_list[j])  # its first occurrence
             if i < j:
-                aut = au.project(au.intersect(aut, au.eq_tapes(aut.alphabet, aut.arity, i, j)), j)
+                aut = au.project(au.join(aut, range(aut.arity), au.diagonal(aut.alphabet), [i, j]), j)
                 del var_list[j]
             else:
                 j += 1

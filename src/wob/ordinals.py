@@ -7,6 +7,7 @@ coefficients; the empty sum is 0.  Coefficients are arbitrary precision.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import total_ordering
 from typing import Callable, Optional
@@ -210,6 +211,10 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
     strictly increasing and stay below lambda; for each limit alpha in the
     grid lying in some interval (lambda[n], lambda[n+1]], alpha[0] must be
     >= lambda[n].  Returns the first violation or None.
+
+    Once monotonicity holds, the intervals of one lambda are disjoint and
+    increase with n, so each is the slice of the sorted limits between two
+    bisections, and reading the slices in order visits the limits in order.
     """
     grid: set[CnfOrdinal] = set()
     fs: dict = {}  # limit in the grid -> its first `samples` fs members
@@ -234,11 +239,11 @@ def check_bachmann(table: FundamentalSequenceTable, bound: CnfOrdinal, samples: 
                 return FsViolation("monotonicity", lam, n)
     for lam in limits:
         values = fs[lam]
-        for alpha in limits:
-            for n in range(samples - 1):
-                if values[n] < alpha <= values[n + 1]:
-                    if fs[alpha][0] < values[n]:
-                        return FsViolation("bachmann", lam, n, alpha)
+        for n in range(samples - 1):
+            inside = limits[bisect_right(limits, values[n]) : bisect_right(limits, values[n + 1])]
+            for alpha in inside:
+                if fs[alpha][0] < values[n]:
+                    return FsViolation("bachmann", lam, n, alpha)
     return None
 
 

@@ -271,7 +271,7 @@ def predecessors(p: OrderPresentation, word) -> Automaton:
 
 def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (unminimized)."""
-    dominated = au.project(au.intersect(order, au.insert_tape(subset, 1)), 0)
+    dominated = au.project(au.join(order, [0, 1], subset, [0]), 0)
     return au.difference(subset, dominated)
 
 

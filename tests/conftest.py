@@ -291,11 +291,10 @@ def reference_validate(a):
 
 def reference_section(rel, tape, word):
     """`section` by the plain construction: intersect the relation with the
-    cylinder of `fixed_word` (a free tape inserted for every other tape of
-    the relation) and project the fixed tape away."""
-    cyl = au.fixed_word(rel.alphabet, word)
-    for i in range(rel.arity - 1):
-        cyl = au.insert_tape(cyl, 0 if i < tape else cyl.arity)
+    cylinder of `fixed_word` (`fixed_word` on `tape` joined with the free
+    universe on every other tape) and project the fixed tape away."""
+    others = [t for t in range(rel.arity) if t != tape]
+    cyl = au.join(au.fixed_word(rel.alphabet, word), [tape], au.universe(rel.alphabet, len(others)), others)
     return au.project(au.intersect(rel, cyl), tape)
 
 
@@ -396,11 +395,11 @@ def reference_intersect(a, b):
     return au.build(a.arity, a.alphabet, (a.initial, b.initial), lambda pr: pr[0] in a.accepting and pr[1] in b.accepting, moves)
 
 
-def reference_insert_tape(a, position, track=None):
-    """`insert_tape` by its own cylinder construction: both sides run with a
+def reference_insert_tape(a, position):
+    """The cylinder `join(a, tapes, universe, [position])`, with `a` on the
+    other tapes in order, by its own construction: both sides run with a
     virtual drain state entered from acceptance on all-pad input."""
-    if track is None:
-        track = au.universe(a.alphabet, 1)
+    track = au.universe(a.alphabet, 1)
     DRAIN = -1
     pad_a = ("#",) * a.arity
 
@@ -647,3 +646,35 @@ def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max
     a.__dict__.update(_delta=delta, _reachable=every, _coreachable=every)
     return a
 
+
+def reference_check_bachmann(table, bound, samples):
+    """`ordinals.check_bachmann` with the Bachmann property tested for every
+    grid limit against every interval of every limit."""
+    grid = set()
+    fs = {}
+    frontier = [bound]
+    while frontier:
+        x = frontier.pop()
+        if x in grid or x.is_zero():
+            continue
+        grid.add(x)
+        if x.is_limit():
+            fs[x] = [table(x, n) for n in range(samples)]
+            frontier.extend(fs[x])
+    limits = sorted(fs)
+    for lam in limits:
+        values = fs[lam]
+        for n, v in enumerate(values):
+            if not v < lam:
+                return o.FsViolation("not-below", lam, n)
+        for n in range(samples - 1):
+            if not values[n] < values[n + 1]:
+                return o.FsViolation("monotonicity", lam, n)
+    for lam in limits:
+        values = fs[lam]
+        for alpha in limits:
+            for n in range(samples - 1):
+                if values[n] < alpha <= values[n + 1]:
+                    if fs[alpha][0] < values[n]:
+                        return o.FsViolation("bachmann", lam, n, alpha)
+    return None

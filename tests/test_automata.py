@@ -355,16 +355,22 @@ def test_project_and_complement_random_cross_check():
         assert language(comp, 4) == allpairs - lang
 
 
+def cylinder(a, position):
+    """`a` with a free tape inserted at `position`: a join with the universe."""
+    tapes = [t + (t >= position) for t in range(a.arity)]
+    return au.join(a, tapes, au.universe(a.alphabet, 1), [position])
+
+
 def test_insert_tape_cylindrification():
     # insert an unconstrained tape after {aa}^*: accepts (x, y) iff x in {aa}^*
-    c = au.insert_tape(aastar(), 1)
+    c = cylinder(aastar(), 1)
     for x, y in tuples_upto(("a",), 2, 4):
         assert c.accepts(x, y) == (len(x) % 2 == 0)
 
 
 def test_insert_tape_with_track():
     # tape 0 from {a}^*, tape 1 from {aa}^*
-    c = au.insert_tape(astar(), 1, track=aastar())
+    c = au.join(astar(), [0], aastar(), [1])
     for x, y in tuples_upto(("a",), 2, 5):
         assert c.accepts(x, y) == (len(y) % 2 == 0)
 
@@ -487,7 +493,7 @@ def test_padding_preserved_by_kernel_ops():
         complement(sh),
         au.project(sh, 0),
         au.minimize(llex),
-        au.insert_tape(sh, 1),
+        cylinder(sh, 1),
     ]:
         dataclasses.replace(op_result)
 
@@ -601,7 +607,7 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         (trim(a), la, max_len),
         (au.permute_tapes(a, perm), {tuple(t[p] for p in perm) for t in la}, max_len),
         (
-            au.insert_tape(a, position),
+            cylinder(a, position),
             {t[:position] + (w,) + t[position:] for t in language(a, 2) for w in words_upto(alphabet, 2)},
             2,
         ),
@@ -638,11 +644,11 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         assert language(out, n) == expect
     # complement is byte-identical to the plain subset x pad-mask construction
     assert au.save_automaton(complement(a), "c") == au.save_automaton(reference_complement(a), "c")
-    # insert_tape is byte-identical to its own cylinder construction, and
+    # a cylinder join is byte-identical to its own construction, and
     # intersect to the plain pair product on deterministic operands
     for x in (a, b, c):
         for pos in range(x.arity + 1):
-            assert au.save_automaton(au.insert_tape(x, pos), "i") == au.save_automaton(reference_insert_tape(x, pos), "i")
+            assert au.save_automaton(cylinder(x, pos), "i") == au.save_automaton(reference_insert_tape(x, pos), "i")
     ma, mb = au.minimize(a), au.minimize(b)
     assert au.save_automaton(au.intersect(ma, mb), "p") == au.save_automaton(reference_intersect(ma, mb), "p")
 
@@ -835,7 +841,7 @@ def test_kernel_results_have_the_sorted_delta():
         for out in (
             trim(a), au.intersect(a, b), au.union(a, b), au.difference(a, b), reference_determinize(a),
             au.minimize(a), complement(a), au.intersect(c, d), au.difference(c, d), au.project(c, 0),
-            au.project(c, 1, infinite=True), au.permute_tapes(c, [1, 0]), au.insert_tape(a, 1, b),
+            au.project(c, 1, infinite=True), au.permute_tapes(c, [1, 0]), au.join(a, [0], b, [1]),
             au.join(c, [0, 1], d, [1, 2]), au.section(c, 0, "ab"),
         ):
             assert_delta_is_reference(out)
@@ -850,7 +856,7 @@ def test_cube_check_matches_brute_force(seed, arity):
     rel = {1: lambda: _random_nfa(rng, n_states=4, alphabet=AB), 2: lambda: _random_nfa2(rng), 3: lambda: _random_nfa3(rng)}[arity]()
     cube = domain
     for _ in range(arity - 1):
-        cube = au.insert_tape(cube, cube.arity, track=domain)
+        cube = au.join(cube, range(cube.arity), domain, [cube.arity])
     if rng.random() < 0.3:
         rel = au.intersect(rel, cube)  # inside the cube by construction
     got = au.is_subset_of_cube(rel, domain)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -12,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formula_battery import all_texts
 from wob import automata as au
 from wob import cli, corpus
 from wob.cli import main
 from wob.errors import LoadError, WobError
-from wob.logic import load_structure, save_structure
+from wob.logic import eval_sentence, load_structure, parse_formula, save_structure
 
 
 def run_cli(args, capsys):
@@ -645,6 +647,12 @@ MANIFEST_EXITS = {
     "{tmp}/missing.manifest": {4},
 }
 FILE_EXITS = {**PI0_EXITS, **MANIFEST_EXITS}
+CORPUS_MANIFESTS = sorted(str(p) for p in CORPUS_DIR.glob("*/*.manifest"))
+# the formula files the fuzz gives `query`, one per battery text, the one
+# drawn written where it is named; a sentence is drawn twice as often as
+# a formula with free variables
+FORMULA_FILES = {f"{{tmp}}/formulas/{i}.fo": text for i, text in enumerate(all_texts())}
+SENTENCE_FILES = sorted(name for name, text in FORMULA_FILES.items() if not parse_formula(text).free_vars())
 # the actions that read those files; at each level one of them is drawn
 # half the time, so that a fixed share of the examples reaches a file
 READS_FILES = {"query", "recognize", "pathology", "kreisel"}
@@ -652,10 +660,16 @@ READS_FILES = {"query", "recognize", "pathology", "kreisel"}
 # scratch directory, and the Turing machines are the small ones, because
 # building the comparators' relation takes most of a second
 VALUES = {
-    "manifest": st.one_of(st.sampled_from(sorted(str(p) for p in CORPUS_DIR.glob("*/*.manifest"))),
-                          st.sampled_from(sorted(MANIFEST_EXITS))),
-    "formula": ["(exists x (= x x))", "(forall x (exists y (rel < x y)))", "(exists y (rel < y x))",
-                "(rel < x", "(exists x (rel P x))", ""],
+    "manifest": st.one_of(st.sampled_from(CORPUS_MANIFESTS), st.sampled_from(sorted(MANIFEST_EXITS))),
+    "formula": st.one_of(
+        st.sampled_from(["(exists x (= x x))", "(forall x (exists y (rel < x y)))", "(exists y (rel < y x))",
+                         "(rel < x", "(exists x (rel P x))", ""]),
+        st.sampled_from(SENTENCE_FILES),
+        st.sampled_from(SENTENCE_FILES),
+        st.sampled_from(sorted(set(FORMULA_FILES) - set(SENTENCE_FILES))),
+    ),
+    # a budget that admits the verdict of every battery sentence on the corpus
+    "query budget": st.one_of(BUDGETS, st.just("1000")),
     "left": ORDINALS, "right": ORDINALS, "alpha": ORDINALS, "beta": ORDINALS,
     "index": SMALL + EDGE, "x": SMALL + EDGE, "y": SMALL + EDGE, "start": SMALL + EDGE,
     "length": SMALL + EDGE, "depth": SMALL + EDGE, "max_levels": SMALL + EDGE,
@@ -695,7 +709,7 @@ def cli_argv(draw):
                 if action.nargs != "?" or draw(st.booleans()):
                     argv.append(draw(_values(key)))
             elif action.dest in ALWAYS or draw(st.booleans()):
-                argv += _option(draw, action)
+                argv += _option(draw, action, argv[0] if argv else "")
         if sub is None:
             break
         names = sorted(set(sub.choices) - {"corpus"})
@@ -708,10 +722,11 @@ def cli_argv(draw):
     return argv
 
 
-def _option(draw, action) -> list:
+def _option(draw, action, command="") -> list:
     if action.nargs == 0:
         return [action.option_strings[0]]
-    return [action.option_strings[0], draw(_values(action.dest))]
+    key = f"{command} {action.dest}"
+    return [action.option_strings[0], draw(_values(key if key in VALUES else action.dest))]
 
 
 def _values(key):
@@ -737,6 +752,26 @@ ALL_OPTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def query_exits(manifest, text):
+    """The exits `query MANIFEST FILE` without --out may give: 2 when the
+    formula has free variables, else the sentence's verdict (0 true,
+    1 false) or 3 when the budget is too small for it."""
+    f = parse_formula(text)
+    if f.free_vars():
+        return {2}
+    return {0 if eval_sentence(load_structure(manifest), f) else 1, 3}
+
+
+def parsed(argv):
+    """The namespace of an argv that parses, else None."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.data())
 def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, data):
@@ -746,6 +781,10 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
     omega_declaring_arity_3(tmp / "arity3")
     drawn = data.draw(cli_argv())
     argv = [a.replace("{tmp}", str(tmp)) for a in drawn]
+    formulas = set(drawn) & set(FORMULA_FILES)
+    for name in formulas:
+        (tmp / "formulas").mkdir(exist_ok=True)
+        Path(name.format(tmp=tmp)).write_text(FORMULA_FILES[name], encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -753,6 +792,11 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
     if code != 2:
         for name in set(drawn) & set(FILE_EXITS):
             assert code in FILE_EXITS[name], (argv, err.getvalue())
+    args = parsed(argv) if formulas else None
+    if args is not None and args.command == "query" and not args.out and args.manifest in CORPUS_MANIFESTS:
+        text = FORMULA_FILES.get(args.formula.replace(str(tmp), "{tmp}"))
+        if text is not None:
+            assert code in query_exits(args.manifest, text), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal-error" not in err.getvalue(), argv
     if "--json" in argv and code != 2:
         lines = out.getvalue().splitlines()

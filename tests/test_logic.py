@@ -1,10 +1,13 @@
 import hashlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import define_set, same_language, successor_structure, words_upto
+from conftest import conv, define_set, language, run_nfa, same_language, successor_structure, words_upto
 from wob import automata as au
 from wob import corpus
 from wob.errors import ArityMismatch, NotASentence, UnknownRelation, WobError
@@ -353,7 +356,7 @@ CAPPED = {
     "eq": lambda s: s.eq,
     "llex": lambda s: s.llex,
     "llex_automaton": lambda s: au.llex_automaton(s.domain.alphabet),
-    "insert_tape": lambda s: au.insert_tape(s.domain, 1),
+    "insert_tape": lambda s: au.join(s.domain, [0], au.universe(s.domain.alphabet, 1), [1]),
     "section": lambda s: au.section(s.relations["<"], 1, "abab"),
     "is_subset_of_cube": lambda s: au.is_subset_of_cube(s.relations["<"], s.domain),
 }
@@ -370,6 +373,45 @@ def test_cached_and_fixed_constructions_take_the_budget(name):
     assert exc.value.n_states == budget + 1
     got = CAPPED[name](load_structure(MIXED))  # the default budget admits it
     assert got is True or got.n_states > budget
+
+
+def _random_letter_dfa(rng, arity, accepting=(), n_states=3):
+    table = {}
+
+    def step(v, letter):
+        if (v, letter) not in table:
+            table[v, letter] = rng.choice([None] + list(range(n_states)))
+        return table[v, letter]
+
+    accepting = set(accepting) | {v for v in range(n_states) if rng.random() < 0.5}
+    return au.letter_dfa(("a", "b"), arity, 0, step, accepting.__contains__)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_repeated_variables_of_an_arity_3_atom_match_brute_force(seed):
+    # each repeated variable is collapsed by a join with the diagonal and a
+    # projection; the atom then holds exactly the tuples whose repetition
+    # the relation accepts, read here by the plain simulator
+    rng = random.Random(seed)
+    domain = _random_letter_dfa(rng, 1, accepting={0})  # holds the empty word
+    cube = au.join(au.join(domain, [0], domain, [1]), [0, 1], domain, [2])
+    rel = au.intersect(_random_letter_dfa(rng, 3), cube)
+    s = Structure(name="r3", domain=domain, relations={"R": rel})
+    words = list(words_upto(("a", "b"), 3))
+    for atom, spread in (
+        ("(rel R x y x)", lambda x, y: (x, y, x)),
+        ("(rel R x x y)", lambda x, y: (x, x, y)),
+        ("(rel R y x x)", lambda x, y: (y, x, x)),
+        ("(rel R x x x)", lambda x: (x, x, x)),
+    ):
+        got = compile_formula(s, parse_formula(atom))
+        expect = set()
+        for tup in itertools.product(words, repeat=got.arity):
+            triple = spread(*tup)
+            if run_nfa(rel, conv(*triple)) if any(triple) else rel.initial in rel.accepting:
+                expect.add(tup)
+        assert language(got, 3) == expect, atom
 
 
 def test_equality_atom_built_once(monkeypatch):
@@ -392,15 +434,16 @@ def test_equality_atom_built_once(monkeypatch):
 def test_conjunction_is_one_join_without_cylinders(monkeypatch):
     # `and` runs its operands side by side at their variables' tapes: each
     # already accepts only domain tuples, so no domain tape is inserted for
-    # the variable an operand lacks
+    # the variable an operand lacks (a cylinder would be a second join)
     s = load_structure(Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest")
     calls = []
-    for name in ("join", "insert_tape"):
-        def counted(*args, _fn=getattr(au, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+    original = au.join
 
-        monkeypatch.setattr(au, name, counted)
+    def counted(*args, **kwargs):
+        calls.append("join")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(au, "join", counted)
     got = compile_formula(s, parse_formula("(and (rel < x y) (rel < y z))"))
     assert calls == ["join"]
     lt = s.relation("<")

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import omega_tower
+from conftest import omega_tower, reference_check_bachmann
 from wob import ordinals as o
-from wob.errors import LoadError, NotALimit
+from wob.errors import LoadError, MissingFs, NotALimit
 from wob.ordinals import OMEGA, ONE, ZERO, CnfOrdinal, from_int, omega_power, parse, show
 
 
@@ -188,10 +188,55 @@ def test_check_bachmann_partial_table():
     def partial(lam, n):
         return table[lam](n)
 
-    from wob.errors import MissingFs
-
     with pytest.raises(MissingFs):
         o.check_bachmann(o.FundamentalSequenceTable(partial), parse("w^2"), samples=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 10 ** 6),
+    st.sampled_from(["w^2", "w^2*3", "w^3", "w^3+w^2", "w^w"]),
+    st.integers(2, 6),
+    st.sampled_from(["zero", "zero", "swap", "above", "missing"]),
+    st.sampled_from([0, 0.05, 0.2, 0.5]),
+)
+def test_check_bachmann_matches_reference(seed, bound, samples, fault, fault_rate):
+    # each limit's sequence is the standard one shifted by 0-2 places, or,
+    # at `fault_rate`, one with the fault: a first member 0 (a Bachmann
+    # violation wherever the limit falls in an interval), two members
+    # swapped, a member equal to the limit, or no sequence at all (MissingFs);
+    # the interval slices must return the violation, or raise the error,
+    # that the all-pairs scan does, also when several limits violate (the
+    # bounds are limits of limits, so that their grids hold many limits)
+    if bound == "w^w":
+        samples = min(samples, 3)  # the all-pairs scan takes seconds at 4
+
+    def fs(lam, n):
+        rng = random.Random(f"{seed}:{show(lam)}")
+        kind = fault if rng.random() < fault_rate else rng.randrange(3)
+        if kind == "missing":
+            raise KeyError(show(lam))
+        if kind == "zero" and n == 0:
+            return ZERO
+        if kind == "above" and n == 1:
+            return lam
+        if kind == "swap" and n in (1, 2):
+            n = 3 - n
+        return o.standard_fs(lam, n + (kind if isinstance(kind, int) else 0))
+
+    def run(check):
+        try:
+            return check(o.FundamentalSequenceTable(fs), parse(bound), samples)
+        except MissingFs as exc:
+            return ("MissingFs", str(exc))
+
+    assert run(o.check_bachmann) == run(reference_check_bachmann)
+
+
+def test_check_bachmann_standard_ok_on_a_large_grid():
+    # w^w with 5 samples has about 780 grid limits, each read against the
+    # intervals of every limit
+    assert o.check_bachmann(o.STANDARD_FS, parse("w^w"), samples=5) is None
 
 
 def test_show_examples():

@@ -336,7 +336,7 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     # the successor relation is built once, from one `between` join of the
     # order with itself; the kernel calls must not grow with the length of
     # the chain
-    calls = dict.fromkeys(("between", "compile", "minimize", "fixed_word", "insert_tape", "join"), 0)
+    calls = dict.fromkeys(("between", "compile", "minimize", "fixed_word", "join"), 0)
 
     def count(module, name):
         fn = getattr(module, name)
@@ -350,7 +350,7 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(logic.Compiler, "compile")
-    for name in ("minimize", "fixed_word", "insert_tape", "join"):
+    for name in ("minimize", "fixed_word", "join"):
         count(au, name)
 
     def run(length):
@@ -365,7 +365,6 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["compile"] == 0
     assert long["minimize"] <= 2
     assert long["fixed_word"] == 0
-    assert long["insert_tape"] == short["insert_tape"]
     assert long["join"] == short["join"]
 
 
@@ -546,7 +545,7 @@ def test_quotient_matches_the_compiled_representatives(name):
         quotient = finite_condensation(pres)
         reps = reference_representatives(pres)
         assert au.save_automaton(quotient.domain, "dom") == au.save_automaton(reps, "dom"), level
-        cube = au.insert_tape(reps, 1, track=reps)
+        cube = au.join(reps, [0], reps, [1])
         order = au.minimize(au.intersect(pres.order, cube))
         assert au.save_automaton(quotient.order, "lt") == au.save_automaton(order, "lt"), level
 
