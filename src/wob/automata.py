@@ -3,18 +3,19 @@
 Tuples of words are encoded as a single word over letter tuples: tape i
 carries word i, right-padded with the reserved pad symbol ``#`` up to the
 length of the longest word.  An automaton of arity k reads such letter
-tuples.  Every automaton from outside the kernel (`automaton()`, the loader,
-`build`) is validated by `Automaton.__post_init__` in one pass over its
-transitions: state numbers in range, each distinct letter checked once
-(arity, symbols of the alphabet or pad, not all-pad), and the padding
-invariant (once a tape reads pad it reads pad forever) on the states
-reachable from the initial one, so each accepting path spells a valid
-convolution.  Kernel operations only recombine letters of checked
-operands, so their results are not checked again.
+tuples, and stores its moves once, as the transition index `_delta`.
+Every automaton from outside the kernel (`automaton()`, the loader,
+`build`) is validated by `Automaton.__post_init__` in one pass over that
+index: state numbers in range, each distinct letter checked once (arity,
+symbols of the alphabet or pad, not all-pad), and the padding invariant
+(once a tape reads pad it reads pad forever) on the states reachable from
+the initial one, so each accepting path spells a valid convolution.
+Kernel operations only recombine letters of checked operands, so their
+results are not checked again.
 
 Every construction numbers its states by one BFS (`_canonical`), whose
-per-state tables become the result's transition index `_delta`.  Tapes are
-mapped by two constructions.  `join` runs two automata side by side on one
+per-state tables are the result's `_delta`.  Tapes are mapped by two
+constructions.  `join` runs two automata side by side on one
 convolution and maps each side's tapes to result tapes; `intersect`, a
 cylinder (a side with a tape the other lacks) and a tape equality (a join
 with `diagonal`) are joins.  `_relabel` maps the letters of one automaton
@@ -36,7 +37,7 @@ import itertools
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -110,11 +111,14 @@ def deconvolve(letters: Iterable[Letter]) -> WordTuple:
 class Automaton:
     """A (possibly nondeterministic) synchronous k-tape automaton.
 
-    States are integers 0..n_states-1; transitions is a frozenset of
-    (state, letter, state) triples.  Instances are immutable.  Constructing
-    one directly validates it, including the suffix-padding invariant along
-    every path reachable from the initial state; kernel operations build
-    their results without this check (see `_canonical`).
+    States are integers 0..n_states-1; the moves are stored once, as
+    `_delta`: state -> {letter: sorted tuple of targets}, all in sorted
+    order, no empty entries.  `transitions`, their frozenset of
+    (state, letter, state) triples, is derived on its first read.
+    Instances are immutable.  Constructing one directly validates it,
+    including the suffix-padding invariant along every path reachable
+    from the initial state; kernel operations build their results without
+    this check (see `_canonical`).
     """
 
     arity: int
@@ -122,7 +126,7 @@ class Automaton:
     n_states: int
     initial: int
     accepting: frozenset
-    transitions: frozenset
+    _delta: dict = field(hash=False)  # equal automata agree on the other fields
 
     def __post_init__(self):
         if self.arity < 1:
@@ -141,45 +145,49 @@ class Automaton:
             object.__setattr__(self, "accepting", frozenset(self.accepting))
         if not all(0 <= q < self.n_states for q in self.accepting):
             raise InvalidAutomaton("accepting state out of range")
-        if not isinstance(self.transitions, frozenset):
-            object.__setattr__(self, "transitions", frozenset(self.transitions))
-        # One pass: states per transition, each distinct letter once, and the
-        # padding invariant: each letter leaving a state pads every tape that a
-        # letter entering it from a reachable state pads (`leaving`: their AND).
+        # One pass over `_delta`: states per move, each distinct letter once,
+        # and the padding invariant: each letter leaving a state pads every
+        # tape that a letter entering it from a reachable state pads
+        # (`leaving`: their AND).
         symbols, n, full = set(self.alphabet) | {PAD}, self.n_states, (1 << self.arity) - 1
         reach, masks, entering, leaving = self._reachable, {}, {}, {}
-        for (q, letter, r) in self.transitions:
-            if not (0 <= q < n and 0 <= r < n):
-                raise InvalidAutomaton(f"transition state out of range: {(q, letter, r)}")
-            mask = masks.get(letter)
-            if mask is None:
-                if len(letter) != self.arity:
-                    raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
-                if not symbols.issuperset(letter):
-                    raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
-                mask = masks[letter] = _pad_mask(letter)
-                if mask == full:
-                    raise InvalidAutomaton("all-pad letter is forbidden")
-            if mask and q in reach:
-                entering[r] = entering.get(r, 0) | mask
-            leaving[q] = leaving.get(q, full) & mask
+        for q, row in self._delta.items():
+            for letter, targets in row.items():
+                for r in targets:
+                    if not (0 <= q < n and 0 <= r < n):
+                        raise InvalidAutomaton(f"transition state out of range: {(q, letter, r)}")
+                mask = masks.get(letter)
+                if mask is None:
+                    if len(letter) != self.arity:
+                        raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
+                    if not symbols.issuperset(letter):
+                        raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
+                    mask = masks[letter] = _pad_mask(letter)
+                    if mask == full:
+                        raise InvalidAutomaton("all-pad letter is forbidden")
+                if mask and q in reach:
+                    for r in targets:
+                        entering[r] = entering.get(r, 0) | mask
+                leaving[q] = leaving.get(q, full) & mask
         bad = [q for q, padded in entering.items() if padded & ~leaving.get(q, full)]
         if bad:
             q = min(bad)
-            letter = min(l for (p, l, _r) in self.transitions if p == q and entering[q] & ~masks[l])
+            letter = min(l for l in self._delta[q] if entering[q] & ~masks[l])
             raise InvalidAutomaton(f"padding invariant violated at state {q} on letter {letter!r}")
 
     # -- cached structure ------------------------------------------------
 
     @cached_property
-    def _delta(self) -> dict:
-        # in sorted transition order (as `_canonical` fills it), with tuple
-        # targets, so downstream constructions number their states the same
-        # in every process (string hashes vary per interpreter run)
-        d: dict = {}
-        for (q, letter, r) in sorted(self.transitions):
-            d.setdefault(q, {}).setdefault(letter, []).append(r)
-        return {q: {l: tuple(rs) for l, rs in m.items()} for q, m in d.items()}
+    def transitions(self) -> frozenset:
+        return frozenset((q, l, r) for q, row in self._delta.items() for l, rs in row.items() for r in rs)
+
+    @property
+    def n_transitions(self) -> int:
+        return sum(len(rs) for row in self._delta.values() for rs in row.values())
+
+    def _edges(self):
+        """Each (state, successor) pair, once per letter between them."""
+        return ((q, r) for q, row in self._delta.items() for rs in row.values() for r in rs)
 
     @cached_property
     def _letter_key(self) -> Callable:
@@ -192,15 +200,13 @@ class Automaton:
 
     @cached_property
     def _reachable(self) -> frozenset:
-        succ: dict = {}
-        for (q, _letter, r) in self.transitions:
-            succ.setdefault(q, set()).add(r)
+        succ = {q: {r for rs in row.values() for r in rs} for q, row in self._delta.items()}
         return _search({self.initial}, succ)
 
     @cached_property
     def _coreachable(self) -> frozenset:
         back: dict = {}
-        for (q, _letter, r) in self.transitions:
+        for q, r in self._edges():
             back.setdefault(r, set()).add(q)
         return _search(self.accepting, back)
 
@@ -251,13 +257,20 @@ def _search(seeds, succs: dict) -> frozenset:
 
 
 def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Automaton:
+    """The validated Automaton of (state, letter, state) triples."""
+    # indexed in sorted order, as `_canonical` fills `_delta`, so downstream
+    # constructions number their states the same in every process (string
+    # hashes vary per interpreter run)
+    delta: dict = {}
+    for (q, letter, r) in sorted({(q, tuple(l), r) for (q, l, r) in transitions}):
+        delta.setdefault(q, {}).setdefault(letter, []).append(r)
     return Automaton(
         arity=arity,
         alphabet=tuple(alphabet),
         n_states=n_states,
         initial=initial,
         accepting=frozenset(accepting),
-        transitions=frozenset((q, tuple(l), r) for (q, l, r) in transitions),
+        _delta={q: {l: tuple(rs) for l, rs in row.items()} for q, row in delta.items()},
     )
 
 
@@ -272,10 +285,10 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     reach acceptance are then dropped, the rest keeping their order: a
     useless state has only useless successors, so each useful state is
     first reached from a useful one, and the numbering is what a BFS over
-    the useful states alone gives.  The BFS's per-state tables become the
-    result's `_delta`, sorted as `Automaton._delta` sorts.  The BFS raises
-    at budget + 1 states.  The result is not validated, so moves written
-    outside the kernel go through `build`.
+    the useful states alone gives.  The BFS's per-state tables, letters
+    and targets sorted, are the result's `_delta` and the only copy of its
+    moves kept.  The BFS raises at budget + 1 states.  The result is not
+    validated, so moves written outside the kernel go through `build`.
     """
     budget = STATE_BUDGET.get()
     alphabet = tuple(alphabet)
@@ -293,6 +306,7 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     order = [initial_key]
     rows = []  # rows[q]: letter -> its sorted distinct target numbers, letters sorted
     back = [[]]  # back[r]: the states with a move into r
+    single = [(0,)]  # single[r]: the target tuple (r,), shared by every row
     for q, key in enumerate(order):  # grows while it is read
         out = {}
         for letter, target in moves(key):
@@ -309,17 +323,18 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
                 if r == len(order):
                     order.append(target)
                     back.append([q])
+                    single.append((r,))
                     if len(order) > budget:
                         raise StateBudgetExceeded(len(order), budget)
                 else:
                     back[r].append(q)
                 rs.append(r)
-            out[letter] = (r,) if len(rs) == 1 else tuple(sorted(set(rs)))
+            out[letter] = single[r] if len(rs) == 1 else tuple(sorted(set(rs)))
         rows.append({letter: out[letter] for letter in sorted(out)})
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:
-        return _unchecked(arity, alphabet, 1, 0, frozenset(), frozenset())
+        return _unchecked(arity, alphabet, 1, 0, frozenset(), {})
     if len(useful) < len(rows):  # renumber the useful states, in order
         new = {q: i for i, q in enumerate(sorted(useful))}
         accepting = frozenset(new[q] for q in accepting)
@@ -332,11 +347,9 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
                 if kept[rs]:
                     rows[i][letter] = kept[rs]
         del rows[len(new):]
-    delta = {q: row for q, row in enumerate(rows) if row}
-    transitions = frozenset((q, l, r) for q, row in delta.items() for l, rs in row.items() for r in rs)
-    a = _unchecked(arity, alphabet, len(rows), 0, accepting, transitions)
+    a = _unchecked(arity, alphabet, len(rows), 0, accepting, {q: row for q, row in enumerate(rows) if row})
     every = frozenset(range(len(rows)))  # each state kept is useful
-    a.__dict__.update(_delta=delta, _reachable=every, _coreachable=every)
+    a.__dict__.update(_reachable=every, _coreachable=every)
     return a
 
 
@@ -576,7 +589,7 @@ def is_empty(a: Automaton) -> bool:
 
 def is_infinite(a: Automaton) -> bool:
     """True iff the language is infinite (a useful cycle exists)."""
-    return bool(_reaching_cycles(a.useful_states, ((q, r) for (q, _letter, r) in a.transitions)))
+    return bool(_reaching_cycles(a.useful_states, a._edges()))
 
 
 def _reaching_cycles(live: frozenset, edges) -> frozenset:
@@ -616,7 +629,7 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     if a.initial not in useful:
         return out
     back: dict = {}
-    for (q, _letter, r) in a.transitions:
+    for q, r in a._edges():
         if q in useful and r in useful:
             back.setdefault(r, set()).add(q)
     if a.initial in a.accepting:
@@ -903,9 +916,9 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
 
 def save_automaton(a: Automaton, name: str) -> str:
     lines = [f"automaton {name}", f"arity {a.arity}", "alphabet " + " ".join(a.alphabet), f"states {a.n_states}", f"initial {a.initial}", "accepting " + " ".join(str(q) for q in sorted(a.accepting))]
-    key = a._letter_key
-    for (q, letter, r) in sorted(a.transitions, key=lambda t: (t[0], key(t[1]), t[2])):
-        lines.append(f"trans {q} ({','.join(letter)}) {r}")
+    for q, row in a._delta.items():
+        for letter in sorted(row, key=a._letter_key):
+            lines.extend(f"trans {q} ({','.join(letter)}) {r}" for r in row[letter])
     return "\n".join(lines) + "\n"
 
 

@@ -411,7 +411,7 @@ def cmd_tm_step(args) -> int:
             fh.write(au.save_automaton(aut, f"{tm.name}_step"))
         print(f"wrote {args.out} ({aut.n_states} states)")
     else:
-        print(f"step automaton: {aut.n_states} states, {len(aut.transitions)} transitions")
+        print(f"step automaton: {aut.n_states} states, {aut.n_transitions} transitions")
     return OK
 
 
@@ -428,8 +428,8 @@ def cmd_tm_rpi(args) -> int:
     rel = tmmod.build_rpi(_load(args.machine, TM_BUILTINS, tmmod.parse_tm), pi_tag=args.machine).relation
     _emit(
         args,
-        f"rpi relation: {rel.n_states} states, {len(rel.transitions)} transitions",
-        {"states": rel.n_states, "transitions": len(rel.transitions)},
+        f"rpi relation: {rel.n_states} states, {rel.n_transitions} transitions",
+        {"states": rel.n_states, "transitions": rel.n_transitions},
     )
     return OK
 

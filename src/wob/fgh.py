@@ -134,7 +134,7 @@ class ComparisonPoint:
 
 @dataclass(frozen=True)
 class DominationReport:
-    points: tuple
+    points: tuple[ComparisonPoint, ...]
     disclaimer: str = (
         "desk-scale sample only: pointwise comparisons do not prove the "
         "asymptotic domination theorem"

@@ -121,7 +121,7 @@ class HopdaSpec:
     input_alphabet: tuple
     pds_alphabet: tuple
     states: tuple  # first is initial
-    rules: tuple
+    rules: tuple[Rule, ...]
     bottom: str
     accepting: frozenset = frozenset()
 

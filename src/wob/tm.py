@@ -240,7 +240,9 @@ def _step_graph(tm: TmSpec) -> tuple:
     cells read and written under the heads, outgoing flags), so each such
     letter list is made once per build and shared by every transition that
     fits.  A state's column edges do not depend on its content bits, so
-    they are found once per (transition, seen, carry, guessed, first).
+    they are found once per (transition, seen, carry, guessed, first), and
+    kept as (shared letter list, target) groups that `moves` expands as it
+    yields.
     States are numbered as they are made: the BFS hashes ints, and a
     state's key is read back from `keys`.
     """
@@ -293,27 +295,29 @@ def _step_graph(tm: TmSpec) -> tuple:
                 if letters is None:
                     letters = shared[group] = column_letters(*group)
                 for content, column in letters:
-                    target = number((t, new_seen, r_heads, g, False, content))
-                    out.extend([(letter, target) for letter in column])
+                    out.append((column, number((t, new_seen, r_heads, g, False, content))))
         return out
 
-    edges = {}  # edge lists by state less its content bits
+    edges = {}  # edge groups by state less its content bits
 
     def moves(n):
         if n == START:
-            return start
+            yield from start
+            return
         if n == DONE:
-            return ()
+            return
         key = keys[n]
         t, seen, carry, guessed, first, content = key
         out = edges.get(key[:5])
         if out is None:
             out = edges[key[:5]] = column_edges(t, seen, carry, guessed, first)
+        for column, target in out:
+            for letter in column:
+                yield letter, target
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
         if seen == ALL and not guessed and carry and not first and content[0]:
-            return out + [((PAD, token_of[blanks, carry]), DONE)]
-        return out
+            yield (PAD, token_of[blanks, carry]), DONE
 
     def accepting(n):
         if n == DONE:

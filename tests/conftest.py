@@ -229,6 +229,11 @@ def reference_delta(transitions):
     return {q: {l: tuple(rs) for l, rs in m.items()} for q, m in d.items()}
 
 
+def unchecked(arity, alphabet, n_states, initial, accepting, transitions):
+    """The Automaton of (state, letter, state) triples, not validated."""
+    return au._unchecked(arity, tuple(alphabet), n_states, initial, frozenset(accepting), reference_delta(transitions))
+
+
 def assert_delta_is_reference(a):
     """`a._delta` equals `reference_delta` and iterates in its order, over
     states and over each state's letters."""
@@ -626,7 +631,7 @@ def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = au._search(accepting, dict(enumerate(back)))
     if 0 not in useful:
-        return au._unchecked(arity, alphabet, 1, 0, frozenset(), frozenset())
+        return au._unchecked(arity, alphabet, 1, 0, frozenset(), {})
     if len(useful) < len(rows):  # renumber the useful states, in order
         new = {q: i for i, q in enumerate(sorted(useful))}
         accepting = frozenset(new[q] for q in accepting)
@@ -640,10 +645,10 @@ def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max
                     rows[i][letter] = kept[rs]
         del rows[len(new):]
     delta = {q: row for q, row in enumerate(rows) if row}
-    transitions = frozenset((q, l, r) for q, row in delta.items() for l, rs in row.items() for r in rs)
-    a = au._unchecked(arity, alphabet, len(rows), 0, accepting, transitions)
+    a = au._unchecked(arity, alphabet, len(rows), 0, accepting, delta)
     every = frozenset(range(len(rows)))  # each state kept is useful
-    a.__dict__.update(_delta=delta, _reachable=every, _coreachable=every)
+    transitions = frozenset((q, l, r) for q, row in delta.items() for l, rs in row.items() for r in rs)
+    a.__dict__.update(transitions=transitions, _reachable=every, _coreachable=every)
     return a
 
 

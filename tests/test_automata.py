@@ -31,6 +31,7 @@ from conftest import (
     same_language,
     trim,
     tuples_upto,
+    unchecked,
     words_upto,
 )
 from wob import automata as au
@@ -722,7 +723,7 @@ def test_validator_matches_reference_on_build_graphs(data):
     # the same graph as numbered transitions, unreachable states included
     trans = [(q, l, r) for q, out in enumerate(graph) for l, r in out]
     got = _outcome(lambda: au.automaton(arity, AB, n_states, 0, accepting, trans))
-    want = _outcome(lambda: reference_validate(au._unchecked(arity, AB, n_states, 0, accepting, frozenset(trans))))
+    want = _outcome(lambda: reference_validate(unchecked(arity, AB, n_states, 0, accepting, trans)))
     assert got == want
 
 
@@ -749,7 +750,7 @@ def test_validator_rejects_each_kind_of_bad_letter():
         with pytest.raises(InvalidAutomaton, match=re.escape(message)):
             au.automaton(2, ("a",), 2, 0, {1}, trans)
         with pytest.raises(InvalidAutomaton):
-            reference_validate(au._unchecked(2, ("a",), 2, 0, frozenset({1}), frozenset(trans)))
+            reference_validate(unchecked(2, ("a",), 2, 0, {1}, trans))
     # a padding break at a state that is not reachable is not a violation
     au.automaton(2, ("a",), 3, 0, {0}, [(1, ("#", "a"), 2), (2, ("a", "a"), 2)])
 
@@ -767,7 +768,7 @@ def test_canonical_delta_is_the_sorted_build(data):
     accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), max_size=2))
     a = au._canonical(arity, AB, 0, accepting.__contains__, lambda q: graph[q])
     assert_delta_is_reference(a)
-    raw = au._unchecked(arity, AB, n_states, 0, accepting, frozenset((q, l, r) for q, out in enumerate(graph) for l, r in out))
+    raw = unchecked(arity, AB, n_states, 0, accepting, [(q, l, r) for q, out in enumerate(graph) for l, r in out])
     assert a.n_states == max(1, len(raw.useful_states))
 
 
@@ -781,13 +782,14 @@ def test_canonical_delta_after_trimming_the_last_state():
 
 
 def _built(make):
-    """What `make()` gives, as comparable data: the saved bytes and the
-    `_delta` items in order, or the class and message of what it raised."""
+    """What `make()` gives, as comparable data: the saved bytes, the
+    `_delta` items in order and the transition triples, or the class and
+    message of what it raised."""
     try:
         a = make()
     except Exception as exc:  # the class and message are what the test compares
         return type(exc), str(exc)
-    return au.save_automaton(a, "A"), [(q, list(row.items())) for q, row in a._delta.items()]
+    return au.save_automaton(a, "A"), [(q, list(row.items())) for q, row in a._delta.items()], a.transitions
 
 
 def _validated(a):
@@ -1046,6 +1048,162 @@ def test_references_are_told_from_same_named_locals():
     assert not _references(tree, "m", "helper", False)
 
 
+def _last_name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+_CONTAINERS = {"tuple", "list", "set", "frozenset", "Sequence", "Iterable", "Iterator"}
+
+
+def _type_index(package, trees):
+    """Types read from annotations: an annotation's types (a class name, or
+    `*C` for a container of C; `Optional`, `Union` and `|` give several),
+    each class of the `package` trees with the types of its annotated
+    members (fields, and what methods and properties return), and the
+    return types of each top-level function of `trees`, by name."""
+    aliases = {}  # module-level `Name = Union[...]`
+
+    def types(annotation):
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        if isinstance(annotation, (ast.Name, ast.Attribute)):
+            return aliases.get(_last_name(annotation), frozenset({_last_name(annotation)}))
+        if isinstance(annotation, ast.BinOp):
+            return types(annotation.left) | types(annotation.right)
+        if isinstance(annotation, ast.Subscript):
+            args = annotation.slice.elts if isinstance(annotation.slice, ast.Tuple) else [annotation.slice]
+            if _last_name(annotation.value) in ("Optional", "Union"):
+                return frozenset().union(*map(types, args))
+            if _last_name(annotation.value) in _CONTAINERS:
+                return frozenset("*" + t for t in types(args[0]) if not t.startswith("*"))
+        return frozenset()
+
+    for tree in package:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _last_name(getattr(node.value, "value", None)) in ("Optional", "Union"):
+                aliases[node.targets[0].id] = types(node.value)
+    members, returns = {}, {}
+    for tree in package:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                own = members.setdefault(cls.name, {})
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        own[stmt.target.id] = types(stmt.annotation)
+                    if isinstance(stmt, ast.FunctionDef):
+                        own[stmt.name] = types(stmt.returns)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                returns[node.name] = returns.get(node.name, frozenset()) | types(node.returns)
+    return types, members, returns
+
+
+def _owner_reads(tree, types, members, returns) -> set:
+    """Each attribute read `x.attr` in `tree`, as (C, attr) for every class
+    C of `members` that `x` may be an instance of.  `x` is resolved as the
+    function guard resolves a module alias: through the enclosing class
+    for a method's first parameter, annotated parameters and names, the
+    names bound to a constructor call, an annotated call, a member or an
+    element of an annotated container, and `isinstance` tests.  A read
+    whose `x` resolves to nothing is no read of any field."""
+    reads = set()
+
+    def owners(node, env):
+        if isinstance(node, ast.Name):
+            return env.get(node.id, frozenset())
+        if isinstance(node, ast.Attribute):
+            return frozenset().union(*(members.get(c, {}).get(node.attr, ()) for c in owners(node.value, env)))
+        if isinstance(node, ast.Subscript):
+            return elements(owners(node.value, env))
+        if isinstance(node, ast.Call):
+            if _last_name(node.func) in members:
+                return frozenset({_last_name(node.func)})
+            method = owners(node.func, env) if isinstance(node.func, ast.Attribute) else ()
+            return method or returns.get(_last_name(node.func), frozenset())
+        return frozenset()
+
+    def elements(got):
+        return frozenset(t[1:] for t in got if t.startswith("*"))
+
+    def bind(body, env):
+        # a scope's names take the types of all they are bound to, found
+        # again until nothing changes, so the statements' order is not read
+        bindings, stack = [], list(body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+                continue
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                bindings.append((node.targets[0].id, lambda value=node.value: owners(value, env)))
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                env[node.target.id] = env.get(node.target.id, frozenset()) | types(node.annotation)
+            if isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.target, ast.Name):
+                bindings.append((node.target.id, lambda value=node.iter: elements(owners(value, env))))
+            stack.extend(ast.iter_child_nodes(node))
+        changed = True
+        while changed:
+            changed = False
+            for name, resolve in bindings:
+                got = env.get(name, frozenset()) | resolve()
+                changed |= got != env.get(name, frozenset())
+                env[name] = got
+        return env
+
+    def narrowed(test, env):
+        # `isinstance(x, C)`, alone or in an `and`, makes x a C in the body
+        env = dict(env)
+        for t in test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]:
+            if isinstance(t, ast.Call) and _last_name(t.func) == "isinstance" and isinstance(t.args[0], ast.Name):
+                kinds = t.args[1].elts if isinstance(t.args[1], ast.Tuple) else [t.args[1]]
+                env[t.args[0].id] = frozenset(map(_last_name, kinds))
+        return env
+
+    def visit(node, env, cls=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            env = {**env, **{a.arg: types(a.annotation) if a.annotation else frozenset() for a in params}}
+            if cls is not None and params:
+                env[params[0].arg] = frozenset({cls})
+            body = node.body if isinstance(node.body, list) else [node.body]
+            env = bind(body, env)
+            for child in getattr(node, "decorator_list", []) + body:
+                visit(child, env)
+        elif isinstance(node, ast.ClassDef):
+            for child in node.body:
+                visit(child, env, node.name)
+        elif isinstance(node, (ast.If, ast.IfExp)):
+            visit(node.test, env)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, narrowed(node.test, env))
+            for child in node.orelse if isinstance(node.orelse, list) else [node.orelse]:
+                visit(child, env)
+        else:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.update((c, node.attr) for c in owners(node.value, env))
+            for child in ast.iter_child_nodes(node):
+                visit(child, env)
+
+    visit(tree, bind(tree.body, {}))
+    return reads
+
+
+def _is_dataclass(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return _last_name(target) == "dataclass"
+
+
+def _fields(tree):
+    """(class, field) for each field of each dataclass of `tree`."""
+    return [
+        (cls.name, stmt.target.id)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(_is_dataclass(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
 # dataclass fields no code reads, kept because perfbench/workloads.py passes
 # them and perfbench is not edited to drop them
 BENCH_ONLY_FIELDS = {"tm.RpiStructure.pi_tag"}
@@ -1053,37 +1211,69 @@ BENCH_ONLY_FIELDS = {"tm.RpiStructure.pi_tag"}
 
 def test_every_dataclass_field_is_read():
     # a field is a value someone can set: each field of a dataclass in
-    # `src/wob/` is read as an attribute by the package, its scripts, its
-    # benchmark or its tests, or listed in BENCH_ONLY_FIELDS
+    # `src/wob/` is read as an attribute of an instance of its own class
+    # by the package, its scripts, its benchmark or its tests, or listed in
+    # BENCH_ONLY_FIELDS; a read of a same-named attribute on an object of
+    # another class, or on one whose class is not resolved, does not count
     root = Path(__file__).resolve().parent.parent
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for folder in ("src", "scripts", "perfbench", "tests")
         for path in sorted((root / folder).rglob("*.py"))
     }
-    read = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
-
-    def is_dataclass(decorator):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
-
+    package = [tree for path, tree in trees.items() if path.parent == root / "src" / "wob"]
+    index = _type_index(package, trees.values())
+    reads = set().union(*(_owner_reads(tree, *index) for tree in trees.values()))
     fields = [
-        (f"{path.stem}.{cls.name}", stmt.target.id)
+        (f"{path.stem}.{cls}", cls, name)
         for path, tree in trees.items()
         if path.parent == root / "src" / "wob"
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and any(is_dataclass(d) for d in cls.decorator_list)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        for cls, name in _fields(tree)
     ]
-    assert ("logic.Structure", "relations") in fields and ("hopda.HopdaSpec", "states") in fields
-    unread = {f"{owner}.{name}" for owner, name in fields if name not in read}
+    assert {("automata.Automaton", "_delta"), ("logic.Structure", "relations"), ("hopda.HopdaSpec", "states")} <= {
+        (owner, name) for owner, _cls, name in fields
+    }
+    unread = {f"{owner}.{name}" for owner, cls, name in fields if (cls, name) not in reads}
     assert unread == BENCH_ONLY_FIELDS
+
+
+def test_field_reads_are_told_by_owner():
+    # `Table.name` is read only on objects of other classes or of no known
+    # class; each way a read resolves to its owner counts once
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "from typing import Optional, Union\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    size: int\n"
+        "    parts: tuple[Part, ...]\n"
+        "@dataclass\n"
+        "class Part:\n"
+        "    name: str\n"
+        "    weight: int\n"
+        "@dataclass\n"
+        "class Table:\n"
+        "    fs: object\n"
+        "    name: str\n"
+        "    rows: int\n"
+        "    def width(self) -> int:\n"
+        "        return self.fs\n"
+        "Either = Union[Spec, Part]\n"
+        "def load(text) -> Optional[Spec]:\n"
+        "    return None\n"
+        "def report(spec: Spec, anything, t: 'Table', e: Either):\n"
+        "    got = load(spec.name)\n"
+        "    heaviest = max(p.weight for p in got.parts)\n"
+        "    if isinstance(anything, Part):\n"
+        "        print(anything.name, e.size)\n"
+        "    return anything.name, anything.rows, Table(1, 2, 3).width(), heaviest\n"
+    )
+    reads = _owner_reads(tree, *_type_index([tree], [tree]))
+    fields = {(cls, name) for cls, name in _fields(tree)}
+    assert fields - reads == {("Table", "name"), ("Table", "rows")}
+    assert {("Spec", "name"), ("Part", "weight"), ("Part", "name"), ("Spec", "size"), ("Table", "fs")} <= reads
+    assert ("Part", "size") in reads  # `e` may be either class
 
 
 def test_no_function_takes_a_state_budget():

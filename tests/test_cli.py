@@ -250,6 +250,25 @@ def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):
     assert "binary symbols 0 and 1" in capsys.readouterr().err
 
 
+def test_tm_build_rpi_counts_the_transition_index(monkeypatch, capsys):
+    # the count is read from the relation's index: the frozenset of its
+    # triples is never built
+    built = []
+    build = cli.tmmod.build_rpi
+    monkeypatch.setattr(cli.tmmod, "build_rpi", lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
+    code, out = run_cli(["tm", "build-rpi", "builtin:comparator", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"states": 1746, "transitions": 106037}
+    assert "transitions" not in built[0].relation.__dict__
+
+
+def test_tm_step_automaton_counts_its_transitions(capsys):
+    aut = cli.tmmod.step_relation_automaton(cli.tmmod.increment_machine())
+    code, out = run_cli(["tm", "step-automaton", "builtin:increment"], capsys)
+    assert code == 0
+    assert out == f"step automaton: {aut.n_states} states, {len(aut.transitions)} transitions\n"
+
+
 def test_hopda_run(capsys):
     assert run_cli(["hopda", "run", "builtin:anbn", "aabb"], capsys)[0] == 0
     assert run_cli(["hopda", "run", "builtin:anbn", "aab"], capsys)[0] == 1

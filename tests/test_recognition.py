@@ -189,7 +189,7 @@ def test_recognize_ladder_rungs(k):
 
 
 @pytest.mark.parametrize("p", corpus.non_well_order_corpus(), ids=lambda p: p.name)
-def test_recognize_non_well_orders(p):
+def test_recognize_non_well_orders(p: corpus.Presentation):
     trace = []
     got = recognize(pres_to_op(p), trace=trace)
     assert isinstance(got, NotWellOrder), got

@@ -309,7 +309,7 @@ import functools
 
 
 @functools.lru_cache(maxsize=None)
-def rpi_for(false_pi):
+def rpi_for(false_pi) -> T.RpiStructure:
     tag = "pi0=empty" if false_pi else "pi0=true"
     return build_rpi(kreisel_comparator(false_pi), pi_tag=tag)
 
@@ -339,6 +339,22 @@ def test_build_rpi_true_wf():
         ins[v] = ins.get(v, 0) + 1
     assert all(n <= 1 for n in outs.values())
     assert all(n <= 1 for n in ins.values())
+
+
+def test_no_read_of_the_rpi_relation_builds_its_triples():
+    # the relation is stored once, as its transition index: building it,
+    # checking a fragment and following a witness path leave the frozenset
+    # of its triples unbuilt; read, it holds the indexed moves
+    rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
+    frag = explore_fragment(rpi, word_len=2, run_input_len=1)
+    assert bounded_wf_check(rpi, frag) is None
+    assert emb_path(rpi, ("0",), ("1",)) is not None
+    rel = rpi.relation
+    assert "transitions" not in rel.__dict__ and "transitions" not in rpi.domain.__dict__
+    assert rel.transitions == {(q, l, r) for q, row in rel._delta.items() for l, rs in row.items() for r in rs}
+    assert len(rel.transitions) == rel.n_transitions == 106037
+    saved = au.save_automaton(rel, "R").encode("utf-8")
+    assert hashlib.sha256(saved).hexdigest() == RPI_TRUE_RELATION_SHA256
 
 
 def test_emb_path_for_all_small_pairs():
