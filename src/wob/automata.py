@@ -115,7 +115,9 @@ class Automaton:
     `_delta`: state -> {letter: sorted tuple of targets}, all in sorted
     order, no empty entries.  `transitions`, their frozenset of
     (state, letter, state) triples, is derived on its first read.
-    Instances are immutable.  Constructing one directly validates it,
+    Instances are immutable, apart from the step table `_subset_steps`
+    that reads fill in (see `accepts_letters`); it is this automaton's
+    own, never shared.  Constructing one directly validates it,
     including the suffix-padding invariant along every path reachable
     from the initial state; kernel operations build their results without
     this check (see `_canonical`).
@@ -216,14 +218,36 @@ class Automaton:
 
     # -- running ----------------------------------------------------------
 
+    @cached_property
+    def _subset_steps(self) -> dict:
+        """(sorted state tuple, letter) -> sorted non-empty next-state
+        tuple: the edges of the determinised automaton that reads have
+        taken from a set of two or more states."""
+        return {}
+
     def accepts_letters(self, letters: Iterable[Letter]) -> bool:
-        delta, current = self._delta, (self.initial,)
+        """Run the lazily determinised automaton.  While one state is
+        alive a step is one `_delta` lookup; from a set of states it is
+        read from `_subset_steps`, or computed and stored there.  Only
+        non-empty steps are stored (an empty one ends the run), so the
+        table holds at most one entry per letter read."""
+        delta, steps, current = self._delta, self._subset_steps, (self.initial,)
         for letter in letters:
             letter = tuple(letter)
             if len(current) == 1:  # a deterministic step needs no set
-                current = delta.get(current[0], {}).get(letter, ())
+                row = delta.get(current[0])
+                if row is None:
+                    return False
+                current = row.get(letter, ())
             else:
-                current = tuple({r for q in current for r in delta.get(q, {}).get(letter, ())})
+                key = (current, letter)
+                after = steps.get(key)
+                if after is None:
+                    after = tuple(sorted({r for q in current if q in delta for r in delta[q].get(letter, ())}))
+                    if not after:
+                        return False
+                    steps[key] = after
+                current = after
             if not current:
                 return False
         return not self.accepting.isdisjoint(current)
@@ -279,9 +303,12 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
 
     moves(key) yields (letter, target_key).  States are numbered in BFS
     order with letters visited in sorted order, which makes every kernel
-    operation deterministic down to the byte level.  Each edge's target key
-    is hashed once, by the one `setdefault` that numbers it, and each
-    distinct letter's sort key is computed once per call.  States that cannot
+    operation deterministic down to the byte level.  A state's moves are
+    gathered per letter as the bare target key, and as a list only once a
+    second target arrives.  Each edge's target key is hashed by the one
+    `setdefault` that numbers it (a letter with several targets reads
+    their numbers back once more), and each distinct letter's sort key is
+    computed once per call.  States that cannot
     reach acceptance are then dropped, the rest keeping their order: a
     useless state has only useless successors, so each useful state is
     first reached from a useful one, and the numbering is what a BFS over
@@ -308,17 +335,24 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     back = [[]]  # back[r]: the states with a move into r
     single = [(0,)]  # single[r]: the target tuple (r,), shared by every row
     for q, key in enumerate(order):  # grows while it is read
-        out = {}
+        out = {}  # letter -> its one target key, or a list of two or more
         for letter, target in moves(key):
-            out.setdefault(tuple(letter), []).append(target)
+            letter = tuple(letter)
+            first = out.setdefault(letter, target)
+            if first is not target:  # keys are hashable, so never a list
+                if type(first) is list:
+                    first.append(target)
+                else:
+                    out[letter] = [first, target]
         try:
             letters = sorted(out, key=lkey)
         except KeyError:  # only a move graph given to `build` can hold a foreign symbol
             bad = next(letter for letter in out if not index.keys() >= set(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
         for letter in letters:
-            rs = []
-            for target in out[letter]:
+            targets = out[letter]
+            many = type(targets) is list
+            for target in targets if many else (targets,):
                 r = numbering.setdefault(target, len(order))
                 if r == len(order):
                     order.append(target)
@@ -328,9 +362,8 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
                         raise StateBudgetExceeded(len(order), budget)
                 else:
                     back[r].append(q)
-                rs.append(r)
-            out[letter] = single[r] if len(rs) == 1 else tuple(sorted(set(rs)))
-        rows.append({letter: out[letter] for letter in sorted(out)})
+            out[letter] = tuple(sorted({numbering[t] for t in targets})) if many else single[r]
+        rows.append(dict(sorted(out.items())))
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:

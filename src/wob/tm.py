@@ -170,24 +170,27 @@ def initial_configuration(tm: TmSpec, inputs: Sequence) -> Configuration:
 
 
 def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
-    reads = tuple(c.columns[c.heads[i]][i] for i in range(tm.tapes))
+    """The successor of `c`, or None when no transition applies.  Only the
+    columns under the heads are rebuilt, one write at a time in tape
+    order, so two heads on one column both write it; the other columns
+    are the same tuples as in `c`."""
+    reads = tuple(c.columns[h][i] for i, h in enumerate(c.heads))
     hit = tm.transitions.get((c.state, reads))
     if hit is None:
         return None
     q2, actions = hit
-    columns = [list(cells) for cells in c.columns]
-    heads = list(c.heads)
-    grow = False
-    for i, (w, m) in enumerate(actions):
-        columns[c.heads[i]][i] = w
-        heads[i] += 1 if m == "R" else -1
-        if heads[i] < 0:
+    columns = list(c.columns)
+    heads = []
+    for i, (h, (w, m)) in enumerate(zip(c.heads, actions)):
+        cells = columns[h]
+        columns[h] = cells[:i] + (w,) + cells[i + 1 :]
+        h += 1 if m == "R" else -1
+        if h < 0:
             raise InvalidTm("head fell off the left end")
-        if heads[i] >= len(columns):
-            grow = True
-    if grow:
-        columns.append([tm.blank] * tm.tapes)
-    return Configuration(q2, tuple(tuple(col) for col in columns), tuple(heads))
+        heads.append(h)
+    if max(heads) >= len(columns):
+        columns.append((tm.blank,) * tm.tapes)
+    return Configuration(q2, tuple(columns), tuple(heads))
 
 
 def run(tm: TmSpec, inputs: Sequence, max_steps: int = 10 ** 5):

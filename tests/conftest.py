@@ -520,6 +520,30 @@ def reference_top_class_size(p):
     return len(au.count_or_enumerate(top, 10 ** 5))
 
 
+def reference_step(tm, c):
+    """`tm.step` before it copied only the head columns: every column is
+    rebuilt as a list, each head writes its cell in tape order, and the
+    columns are frozen back into tuples."""
+    reads = tuple(c.columns[c.heads[i]][i] for i in range(tm.tapes))
+    hit = tm.transitions.get((c.state, reads))
+    if hit is None:
+        return None
+    q2, actions = hit
+    columns = [list(cells) for cells in c.columns]
+    heads = list(c.heads)
+    grow = False
+    for i, (w, m) in enumerate(actions):
+        columns[c.heads[i]][i] = w
+        heads[i] += 1 if m == "R" else -1
+        if heads[i] < 0:
+            raise T.InvalidTm("head fell off the left end")
+        if heads[i] >= len(columns):
+            grow = True
+    if grow:
+        columns.append([tm.blank] * tm.tapes)
+    return T.Configuration(q2, tuple(tuple(col) for col in columns), tuple(heads))
+
+
 def reference_step_graph(tm):
     """`tm._step_graph` before the column index: each state rescans every
     column token, re-enumerates the guessed subsets and joins each output

@@ -403,6 +403,37 @@ def test_llex_is_total_strict_order():
                 assert llex.accepts(x, y) != llex.accepts(y, x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_accepts_reads_the_step_table_as_the_oracle_runs(data):
+    # several targets per (state, letter), so runs keep sets of states
+    n_states = data.draw(st.integers(2, 6))
+    targets = st.sets(st.integers(0, n_states - 1), max_size=3)
+    trans = [(q, (s,), r) for q in range(n_states) for s in AB for r in data.draw(targets)]
+    accepting = data.draw(st.sets(st.integers(0, n_states - 1)))
+    a = au.automaton(1, AB, n_states, 0, accepting, trans)
+    longer = data.draw(st.lists(st.text("ab", min_size=6, max_size=14), max_size=20))
+    words = list(words_upto(AB, 5)) + [tuple(w) for w in longer]
+    for w in words:
+        assert a.accepts(w) == run_nfa(a, conv(w)), w
+    table = dict(a._subset_steps)
+    assert len(table) <= sum(map(len, words))  # at most one entry per letter read
+    succ = {}
+    for q, letter, r in a.transitions:
+        succ.setdefault((q, letter), set()).add(r)
+    for (subset, letter), after in table.items():  # each entry is a non-empty subset step
+        assert len(subset) >= 2 and list(subset) == sorted(set(subset))
+        assert after and after == tuple(sorted(set().union(*(succ.get((q, letter), ()) for q in subset))))
+    for w in words:  # a warm table answers alike and grows no more
+        assert a.accepts(w) == run_nfa(a, conv(w)), w
+    assert a._subset_steps == table
+    for w in words:  # a step onto a foreign or pad symbol is empty, so never stored
+        for i in range(len(w)):
+            assert not a.accepts(w[:i] + ("z",) + w[i + 1 :])
+            assert not a.accepts(w[:i] + (au.PAD,) + w[i + 1 :])
+    assert a._subset_steps == table
+
+
 def test_is_subset():
     assert au.is_subset(aastar(), astar())
     assert not au.is_subset(astar(), aastar())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_delta_is_reference, empty_machine, parse_configuration, reference_step_graph
+from conftest import assert_delta_is_reference, empty_machine, parse_configuration, reference_step, reference_step_graph
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
@@ -128,6 +128,41 @@ def split_machine():
     }
     return T.TmSpec(name="split", tapes=2, blank="_", states=("go", "back", "done"),
                     accepting=frozenset({"done"}), transitions=trans)
+
+
+def swap_machine():
+    """Two tapes whose heads move together: each step swaps the a and b
+    under them, so both heads rewrite one column."""
+    M = T.MARKER
+    trans = {
+        ("go", (M, M)): ("go", ((M, "R"), (M, "R"))),
+        ("go", ("a", "b")): ("go", (("b", "R"), ("a", "R"))),
+        ("go", ("b", "a")): ("go", (("a", "R"), ("b", "R"))),
+    }
+    return T.TmSpec(name="swap", tapes=2, blank="_", states=("go",), accepting=frozenset(), transitions=trans)
+
+
+@pytest.mark.parametrize("tm, max_cols", [
+    (increment_machine(), 4), (copy_machine(), 3), (collision_machine(), 3), (bounce_machine(), 4),
+    (split_machine(), 3), (swap_machine(), 3), (kreisel_comparator(True), 2), (kreisel_comparator(False), 2),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_step_matches_the_full_copy_simulator(tm, max_cols):
+    # the step automaton is tested against `step`, so `step` is tested
+    # against the simulator that rebuilt every column
+    shared = 0  # steps on which two heads write one column
+    for c in all_valid_configs(tm, max_cols, canonical_only=False):
+        got = step(tm, c)
+        assert got == reference_step(tm, c), c
+        shared += got is not None and len(set(c.heads)) < tm.tapes
+    assert shared or tm.tapes == 1
+
+
+def test_step_composes_two_writes_to_one_column():
+    tm = swap_machine()
+    c = Configuration("go", ((T.MARKER,) * 2, ("a", "b")), (1, 1))
+    want = Configuration("go", ((T.MARKER,) * 2, ("b", "a"), ("_", "_")), (2, 2))
+    assert step(tm, c) == reference_step(tm, c) == want
+    assert step(tm, c).columns[0] is c.columns[0]  # a column no head writes is not copied
 
 
 def test_step_automaton_exhaustive_on_a_left_mover():
