@@ -19,13 +19,16 @@ constructions.  `join` runs two automata side by side on one
 convolution and maps each side's tapes to result tapes; `intersect`, a
 cylinder (a side with a tape the other lacks) and a tape equality (a join
 with `diagonal`) are joins.  `_relabel` maps the letters of one automaton
-and reads the ones that become all-pad as empty moves; `project` and
-`permute_tapes` are relabellings.  Inclusion is one subset product,
-`_difference_graph`: `difference` builds it, and `is_subset` and
-`is_subset_of_cube` search it up to the first counterexample.  That BFS
-and that search read the one state budget, `STATE_BUDGET`, and raise
-StateBudgetExceeded at budget + 1; it is set for a block by
-`with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
+and reads the ones that become all-pad as empty moves, in one scan of its
+edges that gives an unnumbered graph; `project` and `permute_tapes` are
+that graph numbered by the BFS.  `minimize`, `is_subset` and `difference`
+also take a projection's graph unnumbered (`projection_graph`), so a
+projection that is only minimized or searched is never built.  Inclusion
+is one subset product, `_difference_graph`: `difference` builds it, and
+`is_subset` and `is_subset_of_cube` search it up to the first
+counterexample.  That BFS and that search read the one state budget,
+`STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
+a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
 Symbols are arbitrary non-reserved tokens; when every symbol is a single
 character a word prints as a plain string.
@@ -230,10 +233,10 @@ class Automaton:
         alive a step is one `_delta` lookup; from a set of states it is
         read from `_subset_steps`, or computed and stored there.  Only
         non-empty steps are stored (an empty one ends the run), so the
-        table holds at most one entry per letter read."""
+        table holds at most one entry per letter read.  Letters must be
+        tuples, as `convolve` gives them; they are not converted."""
         delta, steps, current = self._delta, self._subset_steps, (self.initial,)
         for letter in letters:
-            letter = tuple(letter)
             if len(current) == 1:  # a deterministic step needs no set
                 row = delta.get(current[0])
                 if row is None:
@@ -593,14 +596,15 @@ def _reaches_acceptance(start, accepting, moves) -> bool:
 
 
 def difference(a: Automaton, b: Automaton) -> Automaton:
-    """L(a) minus L(b): the difference graph, built."""
+    """L(a) minus L(b): the difference graph, built.  `b` may be a
+    projection graph (see `projection_graph`)."""
     _require_compatible(a, b)
     return _canonical(a.arity, a.alphabet, *_difference_graph(a, b))
 
 
 def is_subset(small: Automaton, big: Automaton) -> bool:
     """L(small) subseteq L(big): the difference graph, searched until its
-    first accepting key."""
+    first accepting key.  Either operand may be a projection graph."""
     _require_compatible(small, big)
     return not _reaches_acceptance(*_difference_graph(small, big))
 
@@ -731,6 +735,7 @@ def minimize(a: Automaton) -> Automaton:
     as it numbers any DFA, so the result depends on L(a) alone.  Each pass
     raises at budget + 1 states.  The first pass reads reversed words,
     which are not padded convolutions, so it never leaves this function.
+    It reads `a` only through its edges, so `a` may be a projection graph.
     """
     return _reverse_subsets(_reverse_subsets(a))
 
@@ -769,7 +774,33 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
     """Existential projection: drop the given tape and re-normalize padding.
 
     With `infinite`, a tuple is kept only when infinitely many words on the
-    dropped tape complete it (the ∃^∞ quantifier).  See `_relabel`.
+    dropped tape complete it (the ∃^∞ quantifier).  This is the projection
+    graph, numbered; see `projection_graph` and `_relabel`.
+    """
+    return _numbered(projection_graph(a, tape, infinite))
+
+
+def projection_graph(a: Automaton, tape: int, infinite: bool = False) -> _Graph:
+    """The projection of `a` (see `project`), unnumbered: an operand of
+    `minimize`, `is_subset` and `difference` only, never an Automaton.
+
+    Those three read an operand through `arity`, `alphabet`, `initial`,
+    `accepting` and `_delta` alone, so they take the graph that `project`
+    numbers and skip its BFS.  `minimize` and `is_subset` depend on the
+    language alone, so their results are those over the built projection.
+    The bytes of `difference`, and the state counts the budget reads, also
+    need each set of states that a reversal or a subset product forms to
+    match one over the projection.  They do when `a` is trimmed, as every
+    kernel result is.  By the padding invariant, a state reached only by
+    ε-letters has only ε-letters out, so it enters no such set: the graph
+    accepts only at the initial state and at states a non-ε letter enters.
+    Each state a non-ε letter enters reaches a live one, so the
+    projection's trim drops none of them.  With `infinite` that last step
+    fails, since a state may reach acceptance by finite ε-runs alone: a
+    forward subset product keeps such a state where the projection drops
+    it, so `difference` gives the same language in other bytes.  A
+    reversal's sets hold only states that reach a live one, so the first
+    pass of `minimize` matches with either value.
     """
     _require_tape(a, tape)
     return _relabel(a, a.arity - 1, lambda letter: letter[:tape] + letter[tape + 1 :], infinite)
@@ -779,12 +810,26 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
     """Reorder tapes: new tape i carries old tape perm[i]."""
     if sorted(perm) != list(range(a.arity)):
         raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
-    return _relabel(a, a.arity, lambda letter: tuple(letter[p] for p in perm))
+    return _numbered(_relabel(a, a.arity, lambda letter: tuple(letter[p] for p in perm)))
 
 
-def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False) -> Automaton:
+@dataclass(frozen=True)
+class _Graph:
+    """A relabelled automaton before numbering: `_delta` maps each of `a`'s
+    own states to its non-ε letters and their targets.  Targets keep `a`'s
+    order and may repeat, and no state is trimmed."""
+
+    arity: int
+    alphabet: tuple
+    initial: int
+    accepting: frozenset
+    _delta: dict
+
+
+def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False) -> _Graph:
     """`a` with each letter mapped by `relabel` to an `arity`-letter, and
-    the letters mapped to all-pad (ε-letters) read as empty moves.
+    the letters mapped to all-pad (ε-letters) read as empty moves.  Each
+    distinct letter is mapped once.
 
     An ε-letter can only be followed by such letters, by the padding
     invariant, so on every run the ε-letters form the tail.  A state's
@@ -795,41 +840,55 @@ def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False
     the cycle gives witnesses of every greater length, and a witness more
     than n_states letters past the other tapes repeats a state in its tail.
     A relabelling that keeps every tape, such as a permutation, has no
-    ε-letters, so its accepting states are `a`'s.
+    ε-letters, so its accepting states are `a`'s.  Only the initial state
+    and the states a non-ε letter enters are marked accepting: no other
+    state is reached.
 
-    The result is byte-identical to the textbook construction in which
-    each state takes the moves and the acceptance of its ε-closure: the
-    closure of a reachable state adds only states that read ε-letters
-    alone, so the move graph, hence the BFS numbering, is unchanged, and
-    "the closure meets the accepting states" is the backward search.
-    Letters that map to one letter keep their targets in the sorted
-    full-letter order of `_delta`, as there.  With `infinite`, the language
-    (not the bytes) is that of the pumping-bound construction, which
-    intersects the minimal DFA with a counter of the final ε-run and so
-    also splits states by pad mask.
+    Numbered by `_numbered`, the result is byte-identical to the textbook
+    construction in which each state takes the moves and the acceptance of
+    its ε-closure: the closure of a reachable state adds only states that
+    read ε-letters alone, so the move graph, hence the BFS numbering, is
+    unchanged, and "the closure meets the accepting states" is the
+    backward search.  Letters that map to one letter keep their targets in
+    the sorted full-letter order of `_delta`, as there.  With `infinite`,
+    the language (not the bytes) is that of the pumping-bound
+    construction, which intersects the minimal DFA with a counter of the
+    final ε-run and so also splits states by pad mask.
     """
+    images: dict = {}  # letter -> its image, or () for an ε-letter
     real: dict = {}
-    eps = []
+    back: dict = {}  # the ε-edges, target -> sources
+    entered = {a.initial}  # the initial state and every target of a non-ε letter
     for q, out in a._delta.items():
+        row: dict = {}
         for letter, targets in out.items():
-            rest = relabel(letter)
-            if all(s == PAD for s in rest):
-                eps.extend((q, r) for r in targets)
+            rest = images.get(letter)
+            if rest is None:
+                rest = relabel(letter)
+                rest = images[letter] = rest if any(s != PAD for s in rest) else ()
+            if rest:
+                row.setdefault(rest, []).extend(targets)
+                entered.update(targets)
             else:
-                real.setdefault(q, {}).setdefault(rest, []).extend(targets)
-    back: dict = {}
-    for q, r in eps:
-        back.setdefault(r, []).append(q)
+                for r in targets:
+                    back.setdefault(r, []).append(q)
+        if row:
+            real[q] = row
     live = _search(a.accepting, back)
     if infinite:
-        live = _reaching_cycles(live, eps)
+        live = _reaching_cycles(live, ((q, r) for r, qs in back.items() for q in qs))
+    return _Graph(arity, a.alphabet, a.initial, live.intersection(entered), real)
+
+
+def _numbered(g: _Graph) -> Automaton:
+    """The automaton of a relabelling: `_canonical`'s BFS over its graph."""
 
     def moves(q):
-        for rest, targets in real.get(q, {}).items():
+        for rest, targets in g._delta.get(q, {}).items():
             for r in targets:
                 yield rest, r
 
-    return _canonical(arity, a.alphabet, a.initial, live.__contains__, moves)
+    return _canonical(g.arity, g.alphabet, g.initial, g.accepting.__contains__, moves)
 
 
 # -- common relation automata -------------------------------------------

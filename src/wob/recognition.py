@@ -32,6 +32,9 @@ in_class and its transpose, and an empty in_class (all classes singletons)
 is the fixpoint.  Irreflexivity and totality are an empty product with the
 diagonal and an inclusion of the domain cube, and the top class is the
 domain minus the elements with infinitely many elements above them.
+Every projection here is only minimized, searched or subtracted, so none
+is built: each is `au.projection_graph`, the edge scan `au.project` would
+number.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ class OrderPresentation:
 
     @cached_property
     def infinitely_between(self) -> Automaton:
-        """I(x, y): infinitely many z with x < z < y."""
-        return au.minimize(au.project(self.between, 1, infinite=True))
+        """I(x, y): infinitely many z with x < z < y: the minimal automaton
+        of the ∃^∞ projection of `between`, whose graph is minimized
+        without being built."""
+        return au.minimize(au.projection_graph(self.between, 1, infinite=True))
 
     @cached_property
     def in_class(self) -> Automaton:
@@ -89,8 +94,9 @@ class OrderPresentation:
 
     @cached_property
     def successor(self) -> Automaton:
-        """succ(x, y): x < y with nothing between."""
-        return au.minimize(au.difference(self.order, au.project(self.between, 1)))
+        """succ(x, y): x < y with nothing between: the order minus the
+        projection graph of `between`."""
+        return au.minimize(au.difference(self.order, au.projection_graph(self.between, 1)))
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,13 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 def check_linear(p: OrderPresentation) -> Optional[str]:
     """None when the relation is a strict linear order, else the first
     failing law, each one kernel test: < meets no pair of the diagonal,
-    every x < z < y has x < y, and every pair of the domain is ordered one
-    way or the other or equal."""
+    every x < z < y has x < y (an inclusion search over the projection
+    graph of `between`, which is not built), and every pair of the domain
+    is ordered one way or the other or equal."""
     order, diagonal = p.order, au.diagonal(p.domain.alphabet)
     if not au.is_empty(au.intersect(order, diagonal)):
         return "irreflexivity"
-    if not au.is_subset(au.project(p.between, 1), order):
+    if not au.is_subset(au.projection_graph(p.between, 1), order):
         return "transitivity"
     both = au.union(order, au.permute_tapes(order, [1, 0]))
     if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal)):
@@ -157,9 +164,10 @@ def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     and (y, x) is in `in_class`; llex is strict, so the diagonal, which
     `in_class` lacks, never counts.  Distinct representatives are never
     ~-equivalent, so the quotient order is the original order restricted to
-    representatives."""
+    representatives.  The outranked elements are a projection graph, read
+    only by `difference`."""
     same_class = au.union(p.in_class, au.permute_tapes(p.in_class, [1, 0]))
-    outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
+    outranked = au.projection_graph(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
     new_dom = au.minimize(au.difference(p.domain, outranked))
     below = au.join(p.order, [0, 1], new_dom, [0])
     new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1]))
@@ -175,8 +183,9 @@ def classify_classes(p: OrderPresentation) -> Optional[BadCondensationClass]:
     least element exactly when it is omega* or Z, that is, exactly when each
     of its elements has infinitely many predecessors within it; one set of
     such elements decides the level.  The order is linear, so y < x lies in
-    x's class exactly when I(y, x) fails, which is `in_class`."""
-    bad = au.minimize(au.project(p.in_class, 0, infinite=True))
+    x's class exactly when I(y, x) fails, which is `in_class`.  The set is
+    the minimal automaton of a projection graph, never built unminimized."""
+    bad = au.minimize(au.projection_graph(p.in_class, 0, infinite=True))
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
     return None
@@ -188,8 +197,10 @@ def _top_class_size(p: OrderPresentation):
     Called when every class is finite or omega.  An element of a lower
     class has infinitely many elements above it (the rest of its omega
     class, or those between it and a higher class), so the elements with
-    finitely many above are exactly a finite top class, and none otherwise."""
-    below_infinitely_many = au.project(p.order, 1, infinite=True)
+    finitely many above are exactly a finite top class, and none otherwise.
+    Those above infinitely many are a projection graph, read only by
+    `difference`."""
+    below_infinitely_many = au.projection_graph(p.order, 1, infinite=True)
     top = au.minimize(au.difference(p.domain, below_infinitely_many))
     members = au.count_or_enumerate(top, TOP_CLASS_CAP + 1)
     if len(members) > TOP_CLASS_CAP:
@@ -270,8 +281,9 @@ def predecessors(p: OrderPresentation, word) -> Automaton:
 
 
 def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
-    """Members of a regular subset with no order-smaller member (unminimized)."""
-    dominated = au.project(au.join(order, [0, 1], subset, [0]), 0)
+    """Members of a regular subset with no order-smaller member (unminimized):
+    the subset minus the projection graph of the dominated ones."""
+    dominated = au.projection_graph(au.join(order, [0, 1], subset, [0]), 0)
     return au.difference(subset, dominated)
 
 

@@ -153,20 +153,8 @@ def initial_configuration(tm: TmSpec, inputs: Sequence) -> Configuration:
     """Heads start on the end marker in column 0."""
     if len(inputs) != tm.tapes:
         raise InvalidTm(f"expected {tm.tapes} input words")
-    inputs = [tuple(w) for w in inputs]
-    ncols = max(len(w) for w in inputs) + 1
-    columns = []
-    for j in range(ncols):
-        cells = []
-        for w in inputs:
-            if j == 0:
-                cells.append(MARKER)
-            elif j - 1 < len(w):
-                cells.append(w[j - 1])
-            else:
-                cells.append(tm.blank)
-        columns.append(tuple(cells))
-    return Configuration(tm.initial, tuple(columns), (0,) * tm.tapes)
+    columns = ((MARKER,) * tm.tapes, *itertools.zip_longest(*inputs, fillvalue=tm.blank))
+    return Configuration(tm.initial, columns, (0,) * tm.tapes)
 
 
 def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:

@@ -520,6 +520,48 @@ def reference_top_class_size(p):
     return len(au.count_or_enumerate(top, 10 ** 5))
 
 
+def reference_initial_configuration(tm, inputs):
+    """`tm.initial_configuration` before it zipped the inputs: each cell
+    through three branches, the marker, an input symbol or the blank."""
+    if len(inputs) != tm.tapes:
+        raise T.InvalidTm(f"expected {tm.tapes} input words")
+    inputs = [tuple(w) for w in inputs]
+    ncols = max(len(w) for w in inputs) + 1
+    columns = []
+    for j in range(ncols):
+        cells = []
+        for w in inputs:
+            if j == 0:
+                cells.append(T.MARKER)
+            elif j - 1 < len(w):
+                cells.append(w[j - 1])
+            else:
+                cells.append(tm.blank)
+        columns.append(tuple(cells))
+    return T.Configuration(tm.initial, tuple(columns), (0,) * tm.tapes)
+
+
+def built_projection_sets(p):
+    """The sets of one condensation level with each projection built by
+    `au.project`, as the recognizer built them before it read projection
+    graphs: I, the bad-class set, the top-class set, the representatives,
+    the quotient order and succ."""
+    i = au.minimize(au.project(p.between, 1, infinite=True))
+    in_class = au.difference(p.order, i)
+    same_class = au.union(in_class, au.permute_tapes(in_class, [1, 0]))
+    outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
+    reps = au.minimize(au.difference(p.domain, outranked))
+    below = au.join(p.order, [0, 1], reps, [0])
+    return {
+        "I": i,
+        "bad": au.minimize(au.project(in_class, 0, infinite=True)),
+        "top": au.minimize(au.difference(p.domain, au.project(p.order, 1, infinite=True))),
+        "reps": reps,
+        "quotient": au.minimize(au.join(below, [0, 1], reps, [1])),
+        "succ": au.minimize(au.difference(p.order, au.project(p.between, 1))),
+    }
+
+
 def reference_step(tm, c):
     """`tm.step` before it copied only the head columns: every column is
     rebuilt as a list, each head writes its cell in tape order, and the

@@ -940,6 +940,37 @@ def test_is_subset_budget_raises_at_budget_plus_one(budget):
         assert not au.is_subset(stars, fives)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]), st.booleans())
+def test_projection_graph_reads_as_the_built_projection(seed, arity, infinite):
+    # minimize, is_subset and difference take the unnumbered projection graph
+    # where they took the projection: the same minimal bytes and answers on
+    # any operand.  On a trimmed (kernel-built) operand each set a reversal
+    # forms matches one over the projection, so the first reversal is
+    # byte-identical, and without `infinite` so is the difference
+    rng = random.Random(seed)
+    draw = (lambda: _random_nfa2(rng)) if arity == 2 else (lambda: _random_nfa3(rng))
+    a = draw()
+    for operand, trimmed in ((a, False), (trim(a), True)):
+        for tape in range(arity):
+            graph = au.projection_graph(operand, tape, infinite)
+            built = au.project(operand, tape, infinite)
+            assert au.save_automaton(au.minimize(graph), "m") == au.save_automaton(au.minimize(built), "m")
+            if trimmed:
+                first = au.save_automaton(au._reverse_subsets(graph), "r")
+                assert first == au.save_automaton(au._reverse_subsets(built), "r")
+            partner = au.project(draw(), rng.randrange(arity)) if arity == 3 else _random_nfa(rng, n_states=4, alphabet=AB)
+            for other in (partner, au.union(built, partner), au.intersect(built, partner)):
+                assert au.is_subset(graph, other) == au.is_subset(built, other)
+                assert au.is_subset(other, graph) == au.is_subset(other, built)
+                got, want = au.difference(other, graph), au.difference(other, built)
+                assert au.save_automaton(au.minimize(got), "d") == au.save_automaton(au.minimize(want), "d")
+                if trimmed and not infinite:
+                    assert au.save_automaton(got, "d") == au.save_automaton(want, "d")
+    with pytest.raises(CannotProject):
+        au.projection_graph(a, arity)
+
+
 def _bound_names(fn) -> set:
     """The names a function or lambda binds in its own scope: parameters,
     assignment and loop targets, imports, `except ... as` names and nested

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     REFERENCE_NO_LEAST,
+    built_projection_sets,
     define_set,
     reference_check_linear,
     reference_initial_chain,
@@ -619,10 +620,12 @@ def test_recognize_compiles_no_formula(monkeypatch):
 
 @pytest.mark.parametrize("name", ["mixed", "omega_cube", "kreisel_true"])
 def test_condensation_steps_take_the_budget(monkeypatch, name):
-    # every construction the quotient and the top-class count run, I and the
-    # in-class relation, its transpose and the llex automaton included, reads
-    # the budget in force: each BFS and each search sees the caller's, and
-    # nothing else
+    # every construction the linearity check, I, the bad-class set, the
+    # quotient and the top-class count run, the in-class relation, its
+    # transpose and the llex automaton included, reads the budget in force:
+    # each BFS and each search sees the caller's, and nothing else.  That
+    # covers the reverse subset construction over a projection graph and
+    # the inclusion search over one
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
@@ -631,11 +634,13 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
 
     def recording(fn):
         def record(*args):
-            # the outermost kernel function on the stack: the one the caller called
+            # the outermost kernel function on the stack: the one the caller
+            # called, marked when one of its arguments is a projection graph
             frame, entry = sys._getframe(1), None
             while frame is not None:
                 if frame.f_globals is vars(au):
-                    entry = frame.f_code.co_name
+                    graph = any(isinstance(v, au._Graph) for v in frame.f_locals.values())
+                    entry = frame.f_code.co_name + (" over a graph" if graph else "")
                 frame = frame.f_back
             limits.append((entry, au.STATE_BUDGET.get()))
             return fn(*args)
@@ -646,9 +651,86 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
         monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
     with au.state_budget(budget):
         for _level, pres in trace:
-            # a fresh presentation, so its in-class relation is built here
+            # a fresh presentation, so its interval product, I and in-class
+            # relation are built here
+            fresh = OrderPresentation(pres.structure)
+            assert rec.check_linear(fresh) is None
+            fresh.infinitely_between
+            rec.classify_classes(fresh)
             rec._top_class_size(OrderPresentation(pres.structure))
             rec.finite_condensation(OrderPresentation(pres.structure))
     entries = {entry for entry, _ in limits}
-    assert {"difference", "join", "minimize", "project", "union", "permute_tapes", "llex_automaton"} <= entries
+    assert {
+        "difference",
+        "difference over a graph",
+        "is_subset over a graph",
+        "join",
+        "minimize",
+        "minimize over a graph",
+        "union",
+        "permute_tapes",
+        "llex_automaton",
+    } <= entries
+    assert "project" not in entries
     assert [(entry, b) for entry, b in limits if b != budget] == []
+
+
+def test_recognize_builds_no_projection(monkeypatch):
+    # every projection the condensation loop and the chain read is only
+    # minimized, searched or subtracted, so none is numbered: no BFS runs
+    # under `project`.  The Kreisel orders' `<` is compiled by `logic`,
+    # whose projections are built and not counted here
+    structures = [make(arg) for make, arg in CHAIN_CASES.values()]
+    runs = []
+    canonical = au._canonical
+
+    def counting(*args):
+        frame, in_project = sys._getframe(1), False
+        while frame is not None:
+            if frame.f_globals is vars(logic):
+                return canonical(*args)
+            in_project |= frame.f_globals is vars(au) and frame.f_code.co_name == "project"
+            frame = frame.f_back
+        if in_project:
+            runs.append(args[:2])
+        return canonical(*args)
+
+    monkeypatch.setattr(au, "_canonical", counting)
+    for s in structures:
+        recognize(OrderPresentation(s))
+        initial_chain(OrderPresentation(s), 10)
+    assert runs == []
+    au.project(au.llex_automaton(("0", "1")), 0)  # the count sees a projection
+    assert len(runs) == 1
+
+
+GRAPH_CASES = {**CHAIN_CASES, **{f"ladder{k}": (_ladder, k) for k in range(3, 7)}}
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_CASES))
+def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
+    # at every level, I, the bad-class set, the top-class set, the quotient
+    # and succ, each read from a projection graph, save the bytes of the
+    # same set with the projection built
+    make, arg = GRAPH_CASES[name]
+    trace = []
+    recognize(OrderPresentation(make(arg)), trace=trace)
+    original_is_empty, original_count = au.is_empty, au.count_or_enumerate
+    for level, pres in trace:
+        want = built_projection_sets(pres)
+        fresh = OrderPresentation(pres.structure)
+        got = {"I": fresh.infinitely_between, "succ": fresh.successor}
+        tested, counted = [], []
+        monkeypatch.setattr(au, "is_empty", lambda a: tested.append(a) or original_is_empty(a))
+        classify_classes(fresh)
+        monkeypatch.undo()
+        (got["bad"],) = tested
+        if level < len(trace) - 1:  # recognize condensed this level
+            monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
+            rec._top_class_size(fresh)
+            monkeypatch.undo()
+            (got["top"],) = counted
+            quotient = finite_condensation(fresh)
+            got["reps"], got["quotient"] = quotient.domain, quotient.order
+        for key, aut in got.items():
+            assert au.save_automaton(aut, key) == au.save_automaton(want[key], key), (level, key)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_delta_is_reference, empty_machine, parse_configuration, reference_step, reference_step_graph
+from conftest import (
+    assert_delta_is_reference,
+    empty_machine,
+    parse_configuration,
+    reference_initial_configuration,
+    reference_step,
+    reference_step_graph,
+)
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
@@ -155,6 +162,19 @@ def test_step_matches_the_full_copy_simulator(tm, max_cols):
         assert got == reference_step(tm, c), c
         shared += got is not None and len(set(c.heads)) < tm.tapes
     assert shared or tm.tapes == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_initial_configuration_matches_the_cell_by_cell_build(data):
+    # the marker column and one zip of the inputs, padded with the blank,
+    # give the configuration the three-branch build gave
+    tm = data.draw(st.sampled_from([increment_machine(), copy_machine(), kreisel_comparator(False)]))
+    symbols = sorted(set().union(*tm.tape_cells) - {T.MARKER, tm.blank}) or ["a"]
+    words = data.draw(st.lists(st.text(alphabet=symbols, max_size=6), min_size=tm.tapes, max_size=tm.tapes))
+    assert initial_configuration(tm, words) == reference_initial_configuration(tm, words)
+    with pytest.raises(InvalidTm):
+        initial_configuration(tm, words + [""])
 
 
 def test_step_composes_two_writes_to_one_column():
