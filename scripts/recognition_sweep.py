@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Recognize every bundled presentation and print the verdicts with level
-counts, as a quick health check of the condensation pipeline."""
+counts, as a quick health check of the condensation pipeline.  A verdict
+that differs from the presentation's `expected_cnf` / `expected_failure`
+is reported on stderr, and the exit status is then 1."""
 
 import sys
 import time
@@ -10,8 +12,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wob import corpus, ordinals as o, recognition as rec
 
+FAILURES = {"bad-class": rec.BadCondensationClass, "dense": rec.DenseFixpoint}
 
-def main():
+
+def agrees(p: corpus.Presentation, got) -> bool:
+    if p.expected_cnf is not None:
+        return isinstance(got, rec.WellOrder) and got.cnf == p.expected_cnf
+    return isinstance(got, rec.NotWellOrder) and isinstance(got.evidence, FAILURES[p.expected_failure])
+
+
+def main() -> int:
+    mismatches = 0
     for p in corpus.well_order_corpus() + corpus.non_well_order_corpus():
         trace = []
         t0 = time.monotonic()
@@ -24,7 +35,12 @@ def main():
         else:
             verdict = f"budget-exceeded level={got.level}"
         print(f"{p.name:16s} {verdict:40s} levels={len(trace)} {dt:5.2f}s")
+        if not agrees(p, got):
+            mismatches += 1
+            want = o.show(p.expected_cnf) if p.expected_cnf is not None else p.expected_failure
+            print(f"mismatch: {p.name}: expected {want}, got {verdict}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -30,8 +30,8 @@ counterexample.  That BFS and that search read the one state budget,
 `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
 a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
-Symbols are arbitrary non-reserved tokens; when every symbol is a single
-character a word prints as a plain string.
+Symbols are arbitrary non-reserved tokens; `show_word` prints a word as a
+plain string when every symbol is a single character.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ Word = tuple  # tuple of symbol tokens
 WordTuple = tuple  # tuple of Words, length = arity
 
 
-def as_word(w) -> Word:
-    """Normalize a word given as a string (one char per symbol) or sequence."""
-    return tuple(w)
+def show_word(w: Word) -> str:
+    """A word as text: its symbols joined plainly when each is one
+    character, else separated by spaces."""
+    return "".join(w) if all(len(s) == 1 for s in w) else " ".join(w)
 
 
 def check_symbol(sym: str) -> str:
@@ -92,7 +93,7 @@ def check_symbol(sym: str) -> str:
 
 def convolve(words: Sequence) -> list[Letter]:
     """Encode k words as a sequence of k-letter tuples, right-padded with PAD."""
-    ws = [as_word(w) for w in words]
+    ws = [tuple(w) for w in words]
     if not ws:
         raise ArityMismatch("convolution of zero words")
     for w in ws:
@@ -953,7 +954,7 @@ def shorter_automaton(alphabet) -> Automaton:
 
 def fixed_word(alphabet, word) -> Automaton:
     """The singleton language {word} (arity 1)."""
-    w = as_word(word)
+    w = tuple(word)
     n = len(w)
 
     def moves(i):
@@ -973,7 +974,7 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
     `tape` with every other tape padded.
     """
     _require_tape(rel, tape)
-    w = as_word(word)
+    w = tuple(word)
     symbols = set(rel.alphabet)
     for s in w:
         if s not in symbols:

@@ -3,6 +3,9 @@ and the recognition examples.
 
 Every presentation carries reference Python predicates for its domain and
 order so brute-force oracles never have to trust the automata they check.
+An ordered sum is built from its blocks (`block_sum`): each `Block` brings
+its automata, its reference predicates and its type, and the sum's
+predicates and expected verdict are derived from them.
 """
 
 from __future__ import annotations
@@ -28,46 +31,79 @@ class Presentation:
     expected_failure: Optional[str] = None  # "bad-class" | "dense"
 
 
-def _structure(name, alphabet, dom, rel) -> Structure:
+def _structure(name, dom, rel) -> Structure:
     dom = au.minimize(dom)
-    rel = au.minimize(au.intersect(rel, au.join(dom, [0], dom, [1])))
-    return _unchecked(name, dom, {LESS: rel})
+    return _unchecked(name, dom, {LESS: au.minimize(_within(rel, dom))})
 
 
-def star_lang(alphabet, letter) -> Automaton:
-    return au.automaton(1, alphabet, 1, 0, {0}, [(0, (letter,), 0)])
+def _within(rel, dom) -> Automaton:
+    return au.intersect(rel, au.join(dom, [0], dom, [1]))
 
 
-def prefixed_star(alphabet, tag, letter) -> Automaton:
-    return au.automaton(1, alphabet, 2, 0, {1}, [(0, (tag,), 1), (1, (letter,), 1)])
+@dataclass(frozen=True)
+class Block:
+    """One summand of an ordered sum: its words and their order, the
+    reference predicates for both, and its type (None for omega*)."""
+
+    domain: Automaton
+    order: Automaton
+    ref_domain: Callable  # word tuple -> bool
+    ref_less: Callable  # (word tuple, word tuple) -> bool
+    cnf: Optional[CnfOrdinal]
 
 
-def finite_chain(alphabet, letter, n) -> Automaton:
+def run_block(alphabet, letter, tag=None, descending=False) -> Block:
+    """`letter^n`, or `tag letter^n`, for every n >= 0, ordered by length
+    (type omega) or by length descending (omega*)."""
+    head = () if tag is None else (tag,)
+    k = len(head)
+    trans = [(i, (s,), i + 1) for i, s in enumerate(head)] + [(k, (letter,), k)]
+    dom = au.automaton(1, alphabet, k + 1, 0, {k}, trans)
+    shorter = au.shorter_automaton(alphabet)
+    order = au.permute_tapes(shorter, [1, 0]) if descending else shorter
+    less = (lambda x, y: len(x) > len(y)) if descending else (lambda x, y: len(x) < len(y))
+    return Block(dom, _within(order, dom), lambda w: _in_run(w, head, letter), less, None if descending else o.OMEGA)
+
+
+def _in_run(w, head, letter) -> bool:
+    return tuple(w[:len(head)]) == head and all(c == letter for c in w[len(head):])
+
+
+def chain_block(alphabet, letter, n) -> Block:
+    """The n-element chain `letter`, `letter letter`, ..., ordered by length."""
     trans = [(i, (letter,), i + 1) for i in range(n)]
-    return au.automaton(1, alphabet, n + 1, 0, set(range(1, n + 1)), trans)
+    dom = au.automaton(1, alphabet, n + 1, 0, set(range(1, n + 1)), trans)
+    return Block(dom, _within(au.shorter_automaton(alphabet), dom),
+                 lambda w: 1 <= len(w) <= n and _in_run(w, (), letter),
+                 lambda x, y: len(x) < len(y), o.from_int(n))
 
 
-def shorter_within(alphabet, dom) -> Automaton:
-    return au.intersect(au.shorter_automaton(alphabet), au.join(dom, [0], dom, [1]))
-
-
-def longer_within(alphabet, dom) -> Automaton:
-    rev = au.permute_tapes(au.shorter_automaton(alphabet), [1, 0])
-    return au.intersect(rev, au.join(dom, [0], dom, [1]))
-
-
-def ordered_sum(alphabet, blocks) -> tuple[Automaton, Automaton]:
-    """Disjoint blocks [(domain, order), ...]; earlier blocks come first."""
-    dom = blocks[0][0]
-    for d, _ in blocks[1:]:
-        dom = au.union(dom, d)
-    rel = blocks[0][1]
-    for _, r in blocks[1:]:
-        rel = au.union(rel, r)
+def block_sum(name, blocks: list[Block]) -> Presentation:
+    """The ordered sum of disjoint blocks, earlier blocks first.  A word's
+    block is the first whose `ref_domain` holds.  The expected verdict is
+    "bad-class" when a block is omega* (each of its elements has infinitely
+    many predecessors in its condensation class), else the ordinal sum of
+    the block types, so 3 + omega is omega."""
+    dom, rel = blocks[0].domain, blocks[0].order
+    for b in blocks[1:]:
+        dom, rel = au.union(dom, b.domain), au.union(rel, b.order)
     for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            rel = au.union(rel, au.join(blocks[i][0], [0], blocks[j][0], [1]))
-    return dom, rel
+        for b in blocks[i + 1:]:
+            rel = au.union(rel, au.join(blocks[i].domain, [0], b.domain, [1]))
+
+    def rank(w):
+        return next((i for i, held in enumerate(b.ref_domain(w) for b in blocks) if held), None)
+
+    def ref_less(x, y):
+        i, j = rank(x), rank(y)
+        return i is not None and j is not None and (i < j or (i == j and blocks[i].ref_less(x, y)))
+
+    cnfs = [b.cnf for b in blocks]
+    well = all(c is not None for c in cnfs)
+    return Presentation(
+        name, _structure(name, dom, rel), lambda w: rank(w) is not None, ref_less,
+        expected_cnf=sum(cnfs, o.ZERO) if well else None, expected_failure=None if well else "bad-class",
+    )
 
 
 def first_divergence_order(alphabet, low) -> Automaton:
@@ -128,7 +164,7 @@ def digit_presentation(alpha: CnfOrdinal, name: str) -> Presentation:
     order = first_divergence_order(DIGITS, "b")
     below = au.section(order, 1, digit_word_flat(alpha, k))
     dom = au.minimize(au.intersect(digit_words(k), below))
-    s = _structure(name, DIGITS, dom, order)
+    s = _structure(name, dom, order)
 
     target = digit_word_flat(alpha, k)
 
@@ -150,24 +186,14 @@ def digit_presentation(alpha: CnfOrdinal, name: str) -> Presentation:
 
 
 def omega_unary() -> Presentation:
-    alphabet = ("a",)
-    dom = star_lang(alphabet, "a")
-    rel = au.shorter_automaton(alphabet)
-    s = _structure("omega", alphabet, dom, rel)
-    return Presentation(
-        "omega",
-        s,
-        lambda w: all(c == "a" for c in w),
-        lambda x, y: len(x) < len(y),
-        expected_cnf=o.OMEGA,
-    )
+    return block_sum("omega", [run_block(("a",), "a")])
 
 
 def omega_binary() -> Presentation:
     alphabet = ("0", "1")
     dom = au.universe(alphabet, 1)
     rel = au.llex_automaton(alphabet)
-    s = _structure("omega_bin", alphabet, dom, rel)
+    s = _structure("omega_bin", dom, rel)
     return Presentation(
         "omega_bin",
         s,
@@ -179,142 +205,33 @@ def omega_binary() -> Presentation:
 
 def omega_plus_one() -> Presentation:
     alphabet = ("a", "t")
-    blocks = [
-        (star_lang(alphabet, "a"), shorter_within(alphabet, star_lang(alphabet, "a"))),
-        (finite_chain(alphabet, "t", 1), au.empty(alphabet, 2)),
-    ]
-    dom, rel = ordered_sum(alphabet, blocks)
-    s = _structure("omega_plus_one", alphabet, dom, rel)
-
-    def ref_domain(w):
-        return all(c == "a" for c in w) or w == ("t",)
-
-    def ref_less(x, y):
-        kx, ky = x == ("t",), y == ("t",)
-        if kx:
-            return False
-        if ky:
-            return True
-        return len(x) < len(y)
-
-    return Presentation("omega_plus_one", s, ref_domain, ref_less, expected_cnf=o.OMEGA + o.ONE)
+    return block_sum("omega_plus_one", [run_block(alphabet, "a"), chain_block(alphabet, "t", 1)])
 
 
 def omega_times_2() -> Presentation:
     alphabet = ("a", "b")
-    first = star_lang(alphabet, "a")
-    second = prefixed_star(alphabet, "b", "a")
-    blocks = [
-        (first, shorter_within(alphabet, first)),
-        (second, shorter_within(alphabet, second)),
-    ]
-    dom, rel = ordered_sum(alphabet, blocks)
-    s = _structure("omega_times_2", alphabet, dom, rel)
-
-    def ref_domain(w):
-        return all(c == "a" for c in w) or (len(w) >= 1 and w[0] == "b" and all(c == "a" for c in w[1:]))
-
-    def ref_less(x, y):
-        bx = len(x) >= 1 and x[0] == "b"
-        by = len(y) >= 1 and y[0] == "b"
-        if bx != by:
-            return by
-        return len(x) < len(y)
-
-    return Presentation("omega_times_2", s, ref_domain, ref_less, expected_cnf=o.OMEGA * o.from_int(2))
+    return block_sum("omega_times_2", [run_block(alphabet, "a"), run_block(alphabet, "a", tag="b")])
 
 
 def omega_times_2_plus_3() -> Presentation:
     """Three-track presentation: a^*, then b a^*, then {c, cc, ccc}."""
     alphabet = ("a", "b", "c")
-    first = star_lang(alphabet, "a")
-    second = prefixed_star(alphabet, "b", "a")
-    third = finite_chain(alphabet, "c", 3)
-    blocks = [
-        (first, shorter_within(alphabet, first)),
-        (second, shorter_within(alphabet, second)),
-        (third, shorter_within(alphabet, third)),
-    ]
-    dom, rel = ordered_sum(alphabet, blocks)
-    s = _structure("omega2p3", alphabet, dom, rel)
-
-    def track(w):
-        if len(w) >= 1 and w[0] == "b":
-            return 1
-        if len(w) >= 1 and w[0] == "c":
-            return 2
-        return 0
-
-    def ref_domain(w):
-        t = track(w)
-        if t == 0:
-            return all(c == "a" for c in w)
-        if t == 1:
-            return all(c == "a" for c in w[1:])
-        return 1 <= len(w) <= 3 and all(c == "c" for c in w)
-
-    def ref_less(x, y):
-        tx, ty = track(x), track(y)
-        if tx != ty:
-            return tx < ty
-        return len(x) < len(y)
-
-    return Presentation(
-        "omega2p3", s, ref_domain, ref_less, expected_cnf=o.OMEGA * o.from_int(2) + o.from_int(3)
-    )
+    return block_sum("omega2p3", [
+        run_block(alphabet, "a"), run_block(alphabet, "a", tag="b"), chain_block(alphabet, "c", 3),
+    ])
 
 
 def integer_line() -> Presentation:
     """Sign-and-magnitude integers: ..., m a a, m a, eps, a, a a, ..."""
     alphabet = ("m", "a")
-    neg = prefixed_star(alphabet, "m", "a")
-    nonneg = star_lang(alphabet, "a")
-    blocks = [
-        (neg, longer_within(alphabet, neg)),
-        (nonneg, shorter_within(alphabet, nonneg)),
-    ]
-    dom, rel = ordered_sum(alphabet, blocks)
-    s = _structure("zline", alphabet, dom, rel)
-
-    def val(w):
-        if len(w) >= 1 and w[0] == "m":
-            return -len(w)  # m a^k  ->  -(k+1)
-        return len(w)
-
-    def ref_domain(w):
-        if len(w) >= 1 and w[0] == "m":
-            return all(c == "a" for c in w[1:])
-        return all(c == "a" for c in w)
-
-    return Presentation(
-        "zline", s, ref_domain, lambda x, y: val(x) < val(y), expected_failure="bad-class"
-    )
+    return block_sum("zline", [run_block(alphabet, "a", tag="m", descending=True), run_block(alphabet, "a")])
 
 
 def omega_plus_omega_star() -> Presentation:
     alphabet = ("a", "b")
-    first = star_lang(alphabet, "a")
-    second = prefixed_star(alphabet, "b", "a")
-    blocks = [
-        (first, shorter_within(alphabet, first)),
-        (second, longer_within(alphabet, second)),
-    ]
-    dom, rel = ordered_sum(alphabet, blocks)
-    s = _structure("omega_plus_rev", alphabet, dom, rel)
-
-    def ref_domain(w):
-        return all(c == "a" for c in w) or (len(w) >= 1 and w[0] == "b" and all(c == "a" for c in w[1:]))
-
-    def ref_less(x, y):
-        bx = len(x) >= 1 and x[0] == "b"
-        by = len(y) >= 1 and y[0] == "b"
-        if bx != by:
-            return by
-        if not bx:
-            return len(x) < len(y)
-        return len(x) > len(y)
-
-    return Presentation("omega_plus_rev", s, ref_domain, ref_less, expected_failure="bad-class")
+    return block_sum("omega_plus_rev", [
+        run_block(alphabet, "a"), run_block(alphabet, "a", tag="b", descending=True),
+    ])
 
 
 def dense_dyadic() -> Presentation:
@@ -325,7 +242,7 @@ def dense_dyadic() -> Presentation:
         [(0, ("0",), 0), (0, ("1",), 1), (1, ("0",), 0), (1, ("1",), 1)],
     )
     rel = first_divergence_order(alphabet, "0")
-    s = _structure("dense", alphabet, dom, rel)
+    s = _structure("dense", dom, rel)
 
     def val(w):
         return sum(int(c) / 2 ** (i + 1) for i, c in enumerate(w))
@@ -343,7 +260,7 @@ def binary_lex() -> Presentation:
     alphabet = ("0", "1")
     dom = au.universe(alphabet, 1)
     rel = first_divergence_order(alphabet, "0")
-    s = _structure("binlex", alphabet, dom, rel)
+    s = _structure("binlex", dom, rel)
 
     def ref_less(x, y):
         return x != y and (x == y[: len(x)] or x < y)

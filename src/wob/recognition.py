@@ -104,8 +104,7 @@ class BadCondensationClass:
     witness: tuple  # an element of a class with no least element
 
     def __str__(self):
-        w = "".join(self.witness) if all(len(s) == 1 for s in self.witness) else " ".join(self.witness)
-        return f"bad-class witness={w!r} (no-least)"
+        return f"bad-class witness={au.show_word(self.witness)!r} (no-least)"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,16 @@ from typing import Optional, Sequence
 
 from . import automata as au
 from .automata import PAD, Automaton
-from .errors import InvalidTm, LoadError, NotReversible, WobError, one_word, read_directives, state_line
+from .errors import (
+    InvalidTm,
+    LoadError,
+    NotReversible,
+    StateBudgetExceeded,
+    WobError,
+    one_word,
+    read_directives,
+    state_line,
+)
 
 MARKER = ">"
 WORD_TAG = "W"
@@ -638,13 +647,10 @@ class ExploredFragment:
     edges: list  # (u, v) pairs, all automaton-verified
 
     def to_dot(self) -> str:
-        def label(w):
-            return "".join(w) if all(len(t) == 1 for t in w) else " ".join(w)
-
         lines = ["digraph fragment {"]
         index = {w: i for i, w in enumerate(self.elements)}
         for w, i in index.items():
-            lines.append(f'  n{i} [label="{label(w)}"];')
+            lines.append(f'  n{i} [label="{au.show_word(w)}"];')
         for u, v in self.edges:
             lines.append(f"  n{index[u]} -> n{index[v]};")
         lines.append("}")
@@ -652,14 +658,24 @@ class ExploredFragment:
 
 
 def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:
-    """Collect binary words up to word_len and every configuration arising
-    from runs on inputs up to run_input_len; compute the edge set
-    structurally and verify it against the relation automaton, including a
-    sample of non-edges."""
+    """Collect binary words up to max(word_len, run_input_len) and every
+    configuration arising from runs on inputs up to run_input_len; compute
+    the edge set structurally and verify it against the relation
+    automaton, including a sample of non-edges.
+
+    The fragment must fit the state budget `au.STATE_BUDGET`: its words
+    and one initial configuration per pair of run inputs are counted
+    before anything is listed, and the elements again as each run adds its
+    configurations; StateBudgetExceeded past the budget."""
     tm = rpi.tm
     rel = rpi.relation
+    budget = au.STATE_BUDGET.get()
+    top = max(word_len, run_input_len)
+    least = 2 ** (top + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
+    if least > budget:
+        raise StateBudgetExceeded(least, budget)
     words = []
-    for n in range(word_len + 1):
+    for n in range(top + 1):
         words.extend(tuple(bits) for bits in itertools.product("01", repeat=n))
     elements = [tag_word(w) for w in words]
     configs = set()
@@ -671,6 +687,8 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
             trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
             path = [tag_config(c, tm) for c in trace]
             configs.update(path)
+            if len(elements) + len(configs) > budget:
+                raise StateBudgetExceeded(len(elements) + len(configs), budget)
             edges.add((tag_word(x), path[0]))
             edges.update(zip(path, path[1:]))
             if accepted:

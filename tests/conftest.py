@@ -22,7 +22,7 @@ from wob.logic import EQ, LLEX, And, Exists, ExistsInf, Forall, Not, Or, Rel, im
 def successor_structure():
     """Unary naturals with the append-one-a successor relation."""
     alphabet = ("a",)
-    dom = corpus.star_lang(alphabet, "a")
+    dom = corpus.run_block(alphabet, "a").domain
     succ = au.automaton(2, alphabet, 2, 0, {1}, [(0, ("a", "a"), 0), (0, (au.PAD, "a"), 1)])
     return logic.Structure(name="succ", domain=dom, relations={"S": succ})
 

@@ -72,6 +72,16 @@ def test_convolve_rejects_pad():
         au.convolve(["a#", "a"])
 
 
+def test_show_word_joins_one_character_symbols_plainly():
+    from wob import recognition, tm
+
+    assert [au.show_word(w) for w in [(), ("a", "b"), ("W", "0", "10")]] == ["", "ab", "W 0 10"]
+    # the two printers of words print with it
+    assert str(recognition.BadCondensationClass(("m", "a"))) == "bad-class witness='ma' (no-least)"
+    frag = tm.ExploredFragment(elements=[("W", "1"), ("C", "q0")], edges=[(("W", "1"), ("C", "q0"))])
+    assert frag.to_dot() == 'digraph fragment {\n  n0 [label="W1"];\n  n1 [label="C q0"];\n  n0 -> n1;\n}\n'
+
+
 def test_padding_invariant_rejected_at_construction():
     # pad then real symbol on tape 0
     with pytest.raises(InvalidAutomaton):

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -467,7 +468,7 @@ def test_manifest_relation_outside_the_domain_is_malformed_input(tmp_path, capsy
     # a manifest is checked where it is parsed: llex on {a,b}* relates words
     # outside the domain a*
     alphabet = ("a", "b")
-    files = {"bad_domain": corpus.star_lang(alphabet, "a"), "bad_lt": au.llex_automaton(alphabet)}
+    files = {"bad_domain": corpus.run_block(alphabet, "a").domain, "bad_lt": au.llex_automaton(alphabet)}
     for name, aut in files.items():
         (tmp_path / f"{name}.aut").write_text(au.save_automaton(aut, name), encoding="utf-8")
     manifest = tmp_path / "bad.manifest"
@@ -568,6 +569,18 @@ def test_tm_wf_check_dot_draws_the_fragment(tmp_path, capsys):
     assert lines[0] == "digraph fragment {" and lines[-1] == "}"
     assert sum("[label=" in line for line in lines) == 38
     assert sum(" -> " in line for line in lines) == 34
+
+
+@pytest.mark.parametrize("flag", ["--word-len", "--run-len"])
+def test_tm_wf_check_past_the_state_budget_exits_3(flag, capsys):
+    # 2^41 - 1 words, or as many run inputs, are counted against the
+    # default budget before any is listed
+    start = time.monotonic()
+    code, out = run_cli(["tm", "wf-check", "builtin:comparator", flag, "40", "--json"], capsys)
+    assert time.monotonic() - start < 5
+    got = json.loads(out)
+    assert (code, got["verdict"], got["budget"]) == (3, "budget-exceeded", 1000000)
+    assert got["states"] >= 2 ** 41 - 1
 
 
 class ReadRecorder(argparse.Namespace):

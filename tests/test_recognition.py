@@ -5,6 +5,8 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_NO_LEAST,
@@ -214,6 +216,54 @@ def test_recognize_non_well_orders(p: corpus.Presentation):
         assert same_language(q.domain, level_p.domain)
 
 
+BLOCK_TAGS = ("b", "c", "d")
+
+
+@st.composite
+def block_specs(draw):
+    """1-3 blocks (kind, tag, n) with distinct tags, in any order: the run
+    `tag a^n` ascending ("up") or descending ("down"), or the n-element
+    chain tag, tag tag, ... ("chain")."""
+    tags = draw(st.permutations(BLOCK_TAGS))[: draw(st.integers(1, 3))]
+    return [(draw(st.sampled_from(["up", "down", "chain"])), tag, draw(st.integers(1, 3))) for tag in tags]
+
+
+def _spec_block(alphabet, spec):
+    kind, tag, n = spec
+    if kind == "chain":
+        return corpus.chain_block(alphabet, tag, n)
+    return corpus.run_block(alphabet, "a", tag=tag, descending=kind == "down")
+
+
+def _spec_head(spec):
+    """The first elements of an ascending block, at most five."""
+    kind, tag, n = spec
+    if kind == "chain":
+        return [(tag,) * i for i in range(1, n + 1)]
+    return [(tag,) + ("a",) * i for i in range(5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_specs())
+def test_random_block_sums_recognize_as_their_expected_verdict(specs):
+    alphabet = ("a",) + BLOCK_TAGS
+    p = corpus.block_sum("sum", [_spec_block(alphabet, spec) for spec in specs])
+    op = pres_to_op(p)
+    # the derived reference predicates are the automata's on short words
+    frag = [w for w in words_upto(alphabet, 3) if p.ref_domain(w)]
+    assert frag == [w for w in words_upto(alphabet, 3) if op.domain.accepts(w)]
+    assert all(p.ref_less(x, y) == op.order.accepts(x, y) for x in frag for y in frag)
+    assert check_linear(op) is None
+    got = recognize(op)
+    if any(kind == "down" for kind, _, _ in specs):
+        assert (p.expected_cnf, p.expected_failure) == (None, "bad-class")
+        assert isinstance(got, NotWellOrder) and isinstance(got.evidence, BadCondensationClass), got
+        return
+    assert p.expected_failure is None
+    assert got == WellOrder(p.expected_cnf)
+    assert initial_chain(op, 5) == [w for spec in specs for w in _spec_head(spec)][:5]
+
+
 def test_initial_chain_matches_brute_force_order():
     for p in [corpus.omega_times_2(), corpus.digit_presentation(o.parse("w^2"), "omega_sq")]:
         op = pres_to_op(p)
@@ -399,7 +449,7 @@ def _two_cycle():
     # eps < a < eps
     alphabet = ("a",)
     cyc = au.automaton(2, alphabet, 3, 0, {1, 2}, [(0, (au.PAD, "a"), 1), (0, ("a", au.PAD), 2)])
-    return Structure(name="cyc", domain=corpus.star_lang(alphabet, "a"), relations={"<": cyc})
+    return Structure(name="cyc", domain=corpus.run_block(alphabet, "a").domain, relations={"<": cyc})
 
 
 def _strict_prefix():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import re
 from pathlib import Path
@@ -29,7 +30,7 @@ def test_build_corpus_reproduces_committed_corpus(tmp_path):
 
 
 def test_recognition_sweep_matches_corpus_expectations(capsys):
-    load_script("recognition_sweep").main()
+    assert load_script("recognition_sweep").main() == 0
     lines = capsys.readouterr().out.splitlines()
     presentations = corpus.well_order_corpus() + corpus.non_well_order_corpus()
     assert len(lines) == len(presentations)
@@ -44,6 +45,21 @@ def test_recognition_sweep_matches_corpus_expectations(capsys):
             assert verdict == f"well-order {o.show(p.expected_cnf)}"
         else:
             assert verdict.startswith(f"not-well-order {failure_shapes[p.expected_failure]}"), line
+
+
+def test_recognition_sweep_fails_on_a_wrong_expectation(monkeypatch, capsys):
+    script = load_script("recognition_sweep")
+    wrong_cnf = dataclasses.replace(corpus.omega_times_2(), expected_cnf=o.OMEGA)
+    wrong_failure = dataclasses.replace(corpus.integer_line(), expected_failure="dense")
+    monkeypatch.setattr(script.corpus, "well_order_corpus", lambda: [wrong_cnf, corpus.omega_plus_one()])
+    monkeypatch.setattr(script.corpus, "non_well_order_corpus", lambda: [corpus.dense_dyadic(), wrong_failure])
+    assert script.main() == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 4
+    assert captured.err.splitlines() == [
+        "mismatch: omega_times_2: expected w, got well-order w*2",
+        "mismatch: zline: expected dense, got not-well-order bad-class witness='' (no-least)",
+    ]
 
 
 def test_domination_report_lines(capsys):

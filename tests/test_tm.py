@@ -17,7 +17,7 @@ from conftest import (
 from wob import automata as au
 from wob import pathology as pa
 from wob import tm as T
-from wob.errors import InvalidTm, NotReversible, WobError
+from wob.errors import InvalidTm, NotReversible, StateBudgetExceeded, WobError
 from wob.logic import Structure
 from wob.tm import (
     Configuration,
@@ -394,6 +394,34 @@ def test_build_rpi_true_wf():
         ins[v] = ins.get(v, 0) + 1
     assert all(n <= 1 for n in outs.values())
     assert all(n <= 1 for n in ins.values())
+
+
+def test_explore_fragment_keeps_to_the_state_budget():
+    # words up to length 2 and one initial configuration for each of the
+    # 3 x 3 runs on inputs up to length 1: at least 7 + 9 = 16 elements,
+    # counted before anything is listed; 38 in all
+    rpi = rpi_for(False)
+    with au.state_budget(15), pytest.raises(StateBudgetExceeded) as exc:
+        explore_fragment(rpi, word_len=2, run_input_len=1)
+    assert (exc.value.n_states, exc.value.budget) == (16, 15)
+    # past the first count, the runs' configurations exceed the budget
+    with au.state_budget(16), pytest.raises(StateBudgetExceeded) as exc:
+        explore_fragment(rpi, word_len=2, run_input_len=1)
+    assert 16 < exc.value.n_states <= 38 and exc.value.budget == 16
+    with au.state_budget(38):
+        assert len(explore_fragment(rpi, word_len=2, run_input_len=1).elements) == 38
+
+
+def test_explore_fragment_runs_inputs_longer_than_its_words():
+    # a run on inputs longer than word_len is run, and its inputs are words
+    # of the fragment
+    rpi = rpi_for(False)
+    frag = explore_fragment(rpi, word_len=0, run_input_len=1)
+    assert [w for w in frag.elements if w[0] == T.WORD_TAG] == [T.tag_word(w) for w in [(), ("0",), ("1",)]]
+    start = T.tag_config(T.initial_configuration(rpi.tm, [("1",), ("0",), ()]), rpi.tm)
+    assert (T.tag_word(("1",)), start) in frag.edges
+    assert {v for edge in frag.edges for v in edge} <= set(frag.elements)
+    assert bounded_wf_check(rpi, frag) is None
 
 
 def test_no_read_of_the_rpi_relation_builds_its_triples():
