@@ -14,7 +14,13 @@ Kernel operations only recombine letters of checked operands, so their
 results are not checked again.
 
 Every construction numbers its states by one BFS (`_canonical`), whose
-per-state tables are the result's `_delta`.  Tapes are mapped by two
+per-state tables are the result's `_delta`.  The BFS reads a state's moves
+as letter groups, (letters, target) with each letter of the tuple leading
+to target: a graph whose letters share targets hands each shared tuple
+over whole, and the kernel's own graphs yield one-letter groups.  A
+state's targets are numbered in the order of each group's least letter,
+ties in yield order, so the numbering is that of the same moves read one
+letter at a time.  Tapes are mapped by two
 constructions.  `join` runs two automata side by side on one
 convolution and maps each side's tapes to result tapes; `intersect`, a
 cylinder (a side with a tape the other lacks) and a tape equality (a join
@@ -305,32 +311,41 @@ def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Aut
 def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
     """Build the trimmed Automaton of an implicit graph over hashable state keys.
 
-    moves(key) yields (letter, target_key).  States are numbered in BFS
-    order with letters visited in sorted order, which makes every kernel
-    operation deterministic down to the byte level.  A state's moves are
-    gathered per letter as the bare target key, and as a list only once a
-    second target arrives.  Each edge's target key is hashed by the one
-    `setdefault` that numbers it (a letter with several targets reads
-    their numbers back once more), and each distinct letter's sort key is
-    computed once per call.  States that cannot
-    reach acceptance are then dropped, the rest keeping their order: a
-    useless state has only useless successors, so each useful state is
-    first reached from a useful one, and the numbering is what a BFS over
-    the useful states alone gives.  The BFS's per-state tables, letters
-    and targets sorted, are the result's `_delta` and the only copy of its
-    moves kept.  The BFS raises at budget + 1 states.  The result is not
-    validated, so moves written outside the kernel go through `build`.
+    moves(key) yields (letters, target_key) groups: `letters` is a tuple of
+    letters that all lead to `target_key`.  A graph whose letters share
+    targets hands over each shared letter tuple whole; any other yields
+    one-letter groups.  States are numbered in BFS order.  A state's
+    targets are numbered in the order of each group's least letter by
+    alphabet index (PAD first), and groups that share their least letter
+    in the order they were yielded: the numbering of the same moves
+    yielded one letter at a time, letters visited in sorted order, which
+    makes every kernel operation deterministic down to the byte level.
+    Each distinct letter tuple's least sort key is computed once per call.
+    Each group's target key is hashed by the one `setdefault` that numbers
+    it.  A group of several letters, none of them in the state's table
+    yet, enters it in one `dict.update`; otherwise each letter merges the
+    target's number into its entry.
+    States that cannot reach acceptance are then dropped, the rest keeping
+    their order: a useless state has only useless successors, so each
+    useful state is first reached from a useful one, and the numbering is
+    what a BFS over the useful states alone gives.  The BFS's per-state
+    tables, letters and targets sorted, are the result's `_delta` and the
+    only copy of its moves kept.  The BFS raises at budget + 1 states, and
+    at a letter with a symbol outside the alphabet before any target of
+    its state is numbered.  The result is not validated, so moves written
+    outside the kernel go through `build`.
     """
     budget = STATE_BUDGET.get()
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
     index[PAD] = -1
-    lkeys: dict = {}
+    ranks: dict = {}  # a group's letters -> the symbol indices of its least letter
 
-    def lkey(letter):
-        indices = lkeys.get(letter)
+    def rank(group):
+        letters = group[0]
+        indices = ranks.get(letters)
         if indices is None:
-            indices = lkeys[letter] = tuple(map(index.__getitem__, letter))
+            indices = ranks[letters] = min(tuple(map(index.__getitem__, letter)) for letter in letters)
         return indices
 
     numbering = {initial_key: 0}
@@ -339,35 +354,31 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     back = [[]]  # back[r]: the states with a move into r
     single = [(0,)]  # single[r]: the target tuple (r,), shared by every row
     for q, key in enumerate(order):  # grows while it is read
-        out = {}  # letter -> its one target key, or a list of two or more
-        for letter, target in moves(key):
-            letter = tuple(letter)
-            first = out.setdefault(letter, target)
-            if first is not target:  # keys are hashable, so never a list
-                if type(first) is list:
-                    first.append(target)
-                else:
-                    out[letter] = [first, target]
+        groups = list(moves(key))
         try:
-            letters = sorted(out, key=lkey)
+            groups.sort(key=rank)  # stable: a tie keeps the yield order
         except KeyError:  # only a move graph given to `build` can hold a foreign symbol
-            bad = next(letter for letter in out if not index.keys() >= set(letter))
+            bad = next(letter for letters, _ in moves(key) for letter in letters if not index.keys() >= set(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
-        for letter in letters:
-            targets = out[letter]
-            many = type(targets) is list
-            for target in targets if many else (targets,):
-                r = numbering.setdefault(target, len(order))
-                if r == len(order):
-                    order.append(target)
-                    back.append([q])
-                    single.append((r,))
-                    if len(order) > budget:
-                        raise StateBudgetExceeded(len(order), budget)
-                else:
-                    back[r].append(q)
-            out[letter] = tuple(sorted({numbering[t] for t in targets})) if many else single[r]
-        rows.append(dict(sorted(out.items())))
+        row: dict = {}
+        for letters, target in groups:
+            r = numbering.setdefault(target, len(order))
+            if r == len(order):
+                order.append(target)
+                back.append([q])
+                single.append((r,))
+                if len(order) > budget:
+                    raise StateBudgetExceeded(len(order), budget)
+            else:
+                back[r].append(q)
+            if len(letters) > 1 and row.keys().isdisjoint(letters):
+                row.update(dict.fromkeys(letters, single[r]))
+            else:  # one letter, or a letter with several targets
+                for letter in letters:
+                    rs = row.setdefault(letter, single[r])
+                    if r not in rs:
+                        row[letter] = tuple(sorted(rs + (r,)))
+        rows.append(dict(sorted(row.items())))
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:
@@ -375,14 +386,10 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     if len(useful) < len(rows):  # renumber the useful states, in order
         new = {q: i for i, q in enumerate(sorted(useful))}
         accepting = frozenset(new[q] for q in accepting)
-        kept: dict = {}  # targets -> the useful ones renumbered, shared by equal targets
-        for i, q in enumerate(sorted(useful)):
-            row, rows[i] = rows[q], {}  # i <= q: slot i is read or useless
-            for letter, rs in row.items():
-                if rs not in kept:
-                    kept[rs] = tuple(new[r] for r in rs if r in new)
-                if kept[rs]:
-                    rows[i][letter] = kept[rs]
+        targets = {rs for q in useful for rs in rows[q].values()}
+        kept = {rs: tuple(new[r] for r in rs if r in new) for rs in targets}  # shared by equal targets
+        for i, q in enumerate(sorted(useful)):  # i <= q: slot i is read or useless
+            rows[i] = {letter: kept[rs] for letter, rs in rows[q].items() if kept[rs]}
         del rows[len(new):]
     a = _unchecked(arity, alphabet, len(rows), 0, accepting, {q: row for q, row in enumerate(rows) if row})
     every = frozenset(range(len(rows)))  # each state kept is useful
@@ -399,7 +406,11 @@ def _unchecked(*values) -> Automaton:
 
 
 def build(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
-    """`_canonical` for moves written outside the kernel: the result is validated."""
+    """`_canonical` for moves written outside the kernel: the result is
+    validated.  moves(key) yields (letters, target_key) groups, `letters` a
+    tuple of letters (tuples of symbols) that all lead to target_key; the
+    states are numbered as if each group's letters were read one at a time
+    (see `_canonical`)."""
     a = _canonical(arity, alphabet, initial_key, accepting_pred, moves)
     a.__post_init__()
     return a
@@ -489,10 +500,10 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
             for lb, b_targets in index.get(la if a_key is None else a_key(la), ()):
                 if a_targets is DRAINED and b_targets is DRAINED:
                     continue
-                letter = la if pick is None else pick(la + lb)
+                letters = (la if pick is None else pick(la + lb),)
                 for ra in a_targets:
                     for rb in b_targets:
-                        yield letter, (ra, rb)
+                        yield letters, (ra, rb)
 
     a_acc, b_acc = a.accepting | {DRAIN}, b.accepting | {DRAIN}
     return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves)
@@ -521,12 +532,12 @@ def union(a: Automaton, b: Automaton) -> Automaton:
             for side, aut in ((0, a), (1, b)):
                 for letter, targets in aut._delta.get(aut.initial, {}).items():
                     for r in targets:
-                        yield letter, (side, r)
+                        yield (letter,), (side, r)
             return
         aut = a if tag == 0 else b
         for letter, targets in aut._delta.get(q, {}).items():
             for r in targets:
-                yield letter, (tag, r)
+                yield (letter,), (tag, r)
 
     def acc(key):
         tag, q = key
@@ -571,7 +582,7 @@ def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
         for letter, targets in a._delta.get(p, {}).items():
             after = image(subset, letter)
             for r in targets:
-                yield letter, (r, after)
+                yield (letter,), (r, after)
 
     return (a.initial, frozenset({b.initial})), lambda pair: pair[0] in a.accepting and not (pair[1] & done), moves
 
@@ -585,7 +596,7 @@ def _reaches_acceptance(start, accepting, moves) -> bool:
         return True
     seen, stack = {start}, [start]
     while stack:
-        for _letter, key in moves(stack.pop()):
+        for _letters, key in moves(stack.pop()):
             if key not in seen:
                 seen.add(key)
                 if len(seen) > budget:
@@ -756,7 +767,7 @@ def _reverse_subsets(a: Automaton) -> Automaton:
             for letter, sources in back.get(r, {}).items():
                 out.setdefault(letter, set()).update(sources)
         for letter, sources in out.items():
-            yield letter, frozenset(sources)
+            yield (letter,), frozenset(sources)
 
     return _canonical(a.arity, a.alphabet, frozenset(a.accepting), lambda s: a.initial in s, moves)
 
@@ -887,7 +898,7 @@ def _numbered(g: _Graph) -> Automaton:
     def moves(q):
         for rest, targets in g._delta.get(q, {}).items():
             for r in targets:
-                yield rest, r
+                yield (rest,), r
 
     return _canonical(g.arity, g.alphabet, g.initial, g.accepting.__contains__, moves)
 
@@ -913,7 +924,7 @@ def letter_dfa(alphabet, arity, start, step, accepting_pred) -> Automaton:
             v2 = step(v, letter)
             if v2 is None:
                 continue
-            yield letter, (tuple(s == PAD for s in letter), v2)
+            yield (letter,), (tuple(s == PAD for s in letter), v2)
 
     start_key = ((False,) * arity, start)
     return build(arity, alphabet, start_key, lambda key: accepting_pred(key[1]), moves)
@@ -959,7 +970,7 @@ def fixed_word(alphabet, word) -> Automaton:
 
     def moves(i):
         if i < n:
-            yield (w[i],), i + 1
+            yield ((w[i],),), i + 1
 
     return build(1, alphabet, 0, lambda i: i == n, moves)
 
@@ -999,7 +1010,7 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
         sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
         for rest, targets in real.get((q, sym), ()):
             for r in targets:
-                yield rest, (r, nxt)
+                yield (rest,), (r, nxt)
 
     return _canonical(rel.arity - 1, rel.alphabet, (rel.initial, 0), lambda key: key[0] in tail[key[1]], moves)
 

@@ -435,7 +435,9 @@ def cmd_tm_rpi(args) -> int:
 
 
 def cmd_tm_wf(args) -> int:
-    rpi = tmmod.build_rpi(_load(args.machine, TM_BUILTINS, tmmod.parse_tm), pi_tag=args.machine)
+    machine = _load(args.machine, TM_BUILTINS, tmmod.parse_tm)
+    tmmod.check_fragment_budget(args.word_len, args.run_len)  # before the relation is built
+    rpi = tmmod.build_rpi(machine, pi_tag=args.machine)
     fragment = tmmod.explore_fragment(rpi, word_len=args.word_len, run_input_len=args.run_len)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:

@@ -238,11 +238,11 @@ def _step_graph(tm: TmSpec) -> tuple:
 
     A column's letter and content bits depend only on (first, head tapes,
     cells read and written under the heads, outgoing flags), so each such
-    letter list is made once per build and shared by every transition that
-    fits.  A state's column edges do not depend on its content bits, so
-    they are found once per (transition, seen, carry, guessed, first), and
-    kept as (shared letter list, target) groups that `moves` expands as it
-    yields.
+    letter tuple is made once per build and shared by every transition
+    that fits.  A state's column edges do not depend on its content bits,
+    so they are found once per (transition, seen, carry, guessed, first),
+    and kept as (shared letter tuple, target) groups that `moves` yields
+    whole, as the letter groups `au.build` reads.
     States are numbered as they are made: the BFS hashes ints, and a
     state's key is read back from `keys`.
     """
@@ -266,7 +266,7 @@ def _step_graph(tm: TmSpec) -> tuple:
         l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
         t = (reads, actions, l_movers)
         for g0 in _subsets(l_movers):
-            start.append(((q, q2), number((t, frozenset(), frozenset(), g0, True, (False, False)))))
+            start.append((((q, q2),), number((t, frozenset(), frozenset(), g0, True, (False, False)))))
     shared = {}  # (first, head tapes, reads, writes, out flags) -> [(content, letters), ...]
 
     def column_letters(first, fx, reads, writes, out_flags):
@@ -279,7 +279,7 @@ def _step_graph(tm: TmSpec) -> tuple:
             out_cells = tuple(out_cells)
             content = (in_content, bool(out_flags) or out_cells != blanks)
             by_content.setdefault(content, []).append((tok, token_of[out_cells, out_flags]))
-        return list(by_content.items())
+        return [(content, tuple(letters)) for content, letters in by_content.items()]
 
     def column_edges(t, seen, carry, guessed, first):
         reads, actions, l_movers = t
@@ -311,13 +311,11 @@ def _step_graph(tm: TmSpec) -> tuple:
         out = edges.get(key[:5])
         if out is None:
             out = edges[key[:5]] = column_edges(t, seen, carry, guessed, first)
-        for column, target in out:
-            for letter in column:
-                yield letter, target
+        yield from out
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
         if seen == ALL and not guessed and carry and not first and content[0]:
-            yield (PAD, token_of[blanks, carry]), DONE
+            yield ((PAD, token_of[blanks, carry]),), DONE
 
     def accepting(n):
         if n == DONE:
@@ -343,13 +341,13 @@ def _config_graph(tm: TmSpec) -> tuple:
     def moves(key):
         if key == ("start",):
             for q in tm.states:
-                yield (q,), (frozenset(), True, False)
+                yield ((q,),), (frozenset(), True, False)
             return
         seen, first, _content = key
         for (marker, fx, _heads), cols in tm._column_index.items():
             if marker == first and not fx & seen:
                 for tok, _cells, content in cols:
-                    yield (tok,), (seen | fx, False, content)
+                    yield ((tok,),), (seen | fx, False, content)
 
     def accepting(key):
         return key != ("start",) and key[0] == ALL and not key[1] and key[2]
@@ -484,7 +482,7 @@ def _bits_graph() -> tuple:
 
     def moves(_key):
         for b in ("0", "1"):
-            yield (b,), "bits"
+            yield ((b,),), "bits"
 
     return "bits", lambda _key: True, moves
 
@@ -496,12 +494,12 @@ def _tagged(parts) -> tuple:
     def moves(key):
         if key is None:
             for i, (tag, (start, _accepting, _moves)) in enumerate(parts):
-                yield tag, (i, start)
+                yield (tag,), (i, start)
             return
         i, sub = key
         _start, _accepting, part_moves = parts[i][1]
-        for letter, target in part_moves(sub):
-            yield letter, (i, target)
+        for letters, target in part_moves(sub):
+            yield letters, (i, target)
 
     def accepting(key):
         if key is None:
@@ -527,7 +525,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
     def moves(key):
         if key == ("q",):
             for xc in ("0", "1", PAD):
-                yield (xc, q0), ("col0", (xc,))
+                yield ((xc, q0),), ("col0", (xc,))
             return
         if key[0] == "col0":
             (x1,) = key[1]
@@ -535,7 +533,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
                 if x1 == PAD and xc != PAD:
                     continue
                 # the marker column carries all the head flags
-                yield (xc, col0), ("cols", (x1, xc), False, True)
+                yield ((xc, col0),), ("cols", (x1, xc), False, True)
             return
         _, buf, ydone, content = key
         x_cell = tm.blank if buf[0] == PAD else buf[0]
@@ -547,7 +545,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
             for xc in ("0", "1", PAD):
                 if buf[1] == PAD and xc != PAD:
                     continue
-                yield (xc, tok), ("cols", (buf[1], xc), new_ydone, new_content)
+                yield ((xc, tok),), ("cols", (buf[1], xc), new_ydone, new_content)
 
     def acc(key):
         # all x characters emitted, and the final column is contentful
@@ -570,18 +568,18 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
     def moves(key):
         ckey, buf = key
         if ckey == config_start:
-            for (q,), target in config_moves(ckey):
+            for ((q,),), target in config_moves(ckey):
                 if q in tm.accepting:
                     for yc in ("0", "1", PAD):
-                        yield (q, yc), (target, (yc,))
+                        yield ((q, yc),), (target, (yc,))
             return
         is_first = ckey[1]
         want = tm.blank if buf[0] == PAD else buf[0]
         ycs = (PAD,) if buf[-1] == PAD else ("0", "1", PAD)
-        for (tok,), target in config_moves(ckey):
+        for ((tok,),), target in config_moves(ckey):
             if is_first or cells_of[tok][1] == want:
                 for yc in ycs:
-                    yield (tok, yc), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
+                    yield ((tok, yc),), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
 
     def acc(key):
         ckey, buf = key
@@ -657,23 +655,32 @@ class ExploredFragment:
         return "\n".join(lines) + "\n"
 
 
+def check_fragment_budget(word_len: int, run_input_len: int) -> None:
+    """StateBudgetExceeded when the fragment `explore_fragment` would list
+    for these lengths can not fit the state budget: its binary words up to
+    max(word_len, run_input_len) and one initial configuration per pair of
+    run inputs are counted, from the two lengths alone."""
+    budget = au.STATE_BUDGET.get()
+    least = 2 ** (max(word_len, run_input_len) + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
+    if least > budget:
+        raise StateBudgetExceeded(least, budget)
+
+
 def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:
     """Collect binary words up to max(word_len, run_input_len) and every
     configuration arising from runs on inputs up to run_input_len; compute
     the edge set structurally and verify it against the relation
     automaton, including a sample of non-edges.
 
-    The fragment must fit the state budget `au.STATE_BUDGET`: its words
-    and one initial configuration per pair of run inputs are counted
-    before anything is listed, and the elements again as each run adds its
-    configurations; StateBudgetExceeded past the budget."""
+    The fragment must fit the state budget `au.STATE_BUDGET`: it is sized
+    by `check_fragment_budget` before anything is listed, and the elements
+    are counted again as each run adds its configurations;
+    StateBudgetExceeded past the budget."""
+    check_fragment_budget(word_len, run_input_len)
     tm = rpi.tm
     rel = rpi.relation
     budget = au.STATE_BUDGET.get()
     top = max(word_len, run_input_len)
-    least = 2 ** (top + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
-    if least > budget:
-        raise StateBudgetExceeded(least, budget)
     words = []
     for n in range(top + 1):
         words.extend(tuple(bits) for bits in itertools.product("01", repeat=n))

@@ -156,7 +156,7 @@ def trim(a):
     def moves(q):
         for letter, targets in a._delta.get(q, {}).items():
             for r in targets:
-                yield letter, r
+                yield (letter,), r
 
     return au.build(a.arity, a.alphabet, a.initial, a.accepting.__contains__, moves)
 
@@ -193,7 +193,7 @@ def reference_complement(aut):
             if any(m and s != "#" for m, s in zip(mask, letter)):
                 continue
             after = frozenset(r for q in subset for r in trans.get((q, letter), ()))
-            yield letter, (after, tuple(s == "#" for s in letter))
+            yield (letter,), (after, tuple(s == "#" for s in letter))
 
     start = (frozenset({aut.initial}), (False,) * aut.arity)
     return au.build(aut.arity, aut.alphabet, start, lambda key: not (key[0] & aut.accepting), moves)
@@ -343,7 +343,7 @@ def reference_determinize(a):
             for letter, targets in a._delta.get(q, {}).items():
                 out.setdefault(letter, set()).update(targets)
         for letter, targets in out.items():
-            yield letter, frozenset(targets)
+            yield (letter,), frozenset(targets)
 
     return au._canonical(a.arity, a.alphabet, frozenset({a.initial}), lambda s: bool(s & a.accepting), moves)
 
@@ -375,7 +375,7 @@ def reference_minimize(a):
         for letter in letters:
             r = delta.get((reps[b], letter))
             if r is not None:
-                yield letter, block[r]
+                yield (letter,), block[r]
 
     return au.build(d.arity, d.alphabet, block[d.initial], lambda b: reps[b] in d.accepting, moves)
 
@@ -395,7 +395,7 @@ def reference_intersect(a, b):
                 continue
             for r1 in targets:
                 for r2 in targets2:
-                    yield letter, ((r2, r1) if flip else (r1, r2))
+                    yield (letter,), ((r2, r1) if flip else (r1, r2))
 
     return au.build(a.arity, a.alphabet, (a.initial, b.initial), lambda pr: pr[0] in a.accepting and pr[1] in b.accepting, moves)
 
@@ -427,7 +427,7 @@ def reference_insert_tape(a, position):
                     continue
                 base = la if la is not None else pad_a
                 sym = lt[0] if lt is not None else "#"
-                yield base[:position] + (sym,) + base[position:], (ra, rt)
+                yield (base[:position] + (sym,) + base[position:],), (ra, rt)
 
     def acc(key):
         qa, qt = key
@@ -619,7 +619,7 @@ def reference_step_graph(tm):
                 l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
                 t = (reads, actions, l_movers)
                 for g0 in _subsets(l_movers):
-                    yield (q, q2), (t, frozenset(), frozenset(), g0, True, (False, False))
+                    yield ((q, q2),), (t, frozenset(), frozenset(), g0, True, (False, False))
             return
         if key == ("done",):
             return
@@ -637,12 +637,12 @@ def reference_step_graph(tm):
                 out_flags = carry | g
                 out_content = bool(out_flags) or any(c != tm.blank for c in out_cells)
                 ytok = T.column_token(out_cells, [i in out_flags for i in range(K)])
-                yield (tok, ytok), (t, new_seen, new_carry, g, False, (in_content, out_content))
+                yield ((tok, ytok),), (t, new_seen, new_carry, g, False, (in_content, out_content))
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
         if seen == ALL and not guessed and carry and not first and _content[0]:
             extra = T.column_token((tm.blank,) * K, [i in carry for i in range(K)])
-            yield (PAD, extra), ("done",)
+            yield ((PAD, extra),), ("done",)
 
     def accepting(key):
         if key == ("done",):

@@ -724,9 +724,9 @@ def test_build_validates_the_padding_invariant():
     # tape 0 pads, then reads a real symbol again on the way to acceptance
     def moves(q):
         if q == 0:
-            yield ("#", "a"), 1
+            yield (("#", "a"),), 1
         elif q == 1:
-            yield ("a", "a"), 2
+            yield (("a", "a"),), 2
 
     with pytest.raises(InvalidAutomaton):
         au.build(2, AB, 0, lambda q: q == 2, moves)
@@ -756,7 +756,7 @@ def test_validator_matches_reference_on_build_graphs(data):
     accepting = data.draw(st.frozensets(st.integers(0, n_states - 1)))
 
     def moves(q):
-        return graph[q]
+        return [((l,), r) for l, r in graph[q]]
 
     got = _outcome(lambda: au.build(arity, AB, 0, accepting.__contains__, moves))
     want = _outcome(lambda: reference_validate(au._canonical(arity, AB, 0, accepting.__contains__, moves)))
@@ -773,7 +773,7 @@ def test_build_rejects_a_foreign_symbol_as_automaton_does():
     # so a foreign symbol must be reported there, with the validator's error
     trans = [(0, ("a", "z"), 1)]
     with pytest.raises(InvalidAutomaton) as built:
-        au.build(2, ("a",), 0, lambda q: q == 1, lambda q: [(l, r) for p, l, r in trans if p == q])
+        au.build(2, ("a",), 0, lambda q: q == 1, lambda q: [((l,), r) for p, l, r in trans if p == q])
     with pytest.raises(InvalidAutomaton) as checked:
         au.automaton(2, ("a",), 2, 0, {1}, trans)
     assert str(built.value) == str(checked.value) == "letter ('a', 'z') uses symbols outside the alphabet"
@@ -807,7 +807,7 @@ def test_canonical_delta_is_the_sorted_build(data):
     move = st.tuples(st.sampled_from(letters), st.integers(0, n_states - 1))
     graph = data.draw(st.lists(st.lists(move, max_size=8), min_size=n_states, max_size=n_states))
     accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), max_size=2))
-    a = au._canonical(arity, AB, 0, accepting.__contains__, lambda q: graph[q])
+    a = au._canonical(arity, AB, 0, accepting.__contains__, lambda q: [((l,), r) for l, r in graph[q]])
     assert_delta_is_reference(a)
     raw = unchecked(arity, AB, n_states, 0, accepting, [(q, l, r) for q, out in enumerate(graph) for l, r in out])
     assert a.n_states == max(1, len(raw.useful_states))
@@ -816,7 +816,7 @@ def test_canonical_delta_is_the_sorted_build(data):
 def test_canonical_delta_after_trimming_the_last_state():
     # state 1 (reached first, on a) is dead; 2 and 3 are renumbered 1 and 2
     graph = {0: [(("b",), 2), (("a",), 1), (("b",), 3)], 1: [(("a",), 1)], 2: [(("a",), 3), (("a",), 2)], 3: []}
-    a = au._canonical(1, AB, 0, {3}.__contains__, lambda q: graph[q])
+    a = au._canonical(1, AB, 0, {3}.__contains__, lambda q: [((l,), r) for l, r in graph[q]])
     assert (a.n_states, a.accepting) == (3, frozenset({2}))
     assert a._delta == {0: {("b",): (1, 2)}, 1: {("a",): (1, 2)}}
     assert_delta_is_reference(a)
@@ -838,40 +838,77 @@ def _validated(a):
     return a
 
 
+def _one_letter_moves(groups):
+    """The moves of a letter-group graph, one letter at a time, as
+    `reference_canonical` reads them."""
+
+    def moves(key):
+        return [(letter, target) for letters, target in groups(key) for letter in letters]
+
+    return moves
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_build_matches_reference_canonical(data):
-    # move graphs with several targets per letter, repeated letters and
+    # move graphs as letter groups: runs of letters that share a target, a
+    # letter in two groups with different targets, repeated letters and
     # moves, states that cannot reach acceptance and now and then the
-    # foreign symbol z; tuple keys, as the package's graphs use.  With the
-    # alphabet (b, a), sort by symbol index and plain tuple order differ
+    # foreign symbol z, alone or inside a group of several letters; tuple
+    # keys, as the package's graphs use.  The reference reads the same
+    # moves one letter at a time.  With the alphabet (b, a), sort by symbol
+    # index and plain tuple order differ
     alphabet = data.draw(st.sampled_from([AB, AB[::-1]]))
     arity = data.draw(st.integers(1, 2))
     n_states = data.draw(st.integers(1, 7))
     symbol = st.sampled_from(AB * 6 + ("#", "z"))
     letter = st.tuples(*[symbol] * arity).filter(lambda l: set(l) != {"#"})
-    move = st.tuples(letter, st.integers(0, n_states - 1))
-    graph = data.draw(st.lists(st.lists(move, max_size=4), min_size=n_states, max_size=n_states))
+    group = st.tuples(st.lists(letter, min_size=1, max_size=4).map(tuple), st.integers(0, n_states - 1))
+    graph = data.draw(st.lists(st.lists(group, max_size=4), min_size=n_states, max_size=n_states))
     accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), min_size=1, max_size=2))
     budget = data.draw(st.none() | st.integers(1, n_states + 1))
 
-    def moves(key):
-        return [(l, ("q", r)) for l, r in graph[key[1]]]
+    def groups(key):
+        return [(letters, ("q", r)) for letters, r in graph[key[1]]]
 
     def accept(key):
         return key[1] in accepting
 
     with au.state_budget(au.DEFAULT_STATE_BUDGET if budget is None else budget):
-        got = _built(lambda: au.build(arity, alphabet, ("q", 0), accept, moves))
-    want = _built(lambda: _validated(reference_canonical(arity, alphabet, ("q", 0), accept, moves, budget)))
+        got = _built(lambda: au.build(arity, alphabet, ("q", 0), accept, groups))
+    want = _built(lambda: _validated(reference_canonical(arity, alphabet, ("q", 0), accept, _one_letter_moves(groups), budget)))
     assert got == want
     # the budget holds at budget + 1 keys, unless a foreign symbol is met first
     reached = au._search({0}, {q: {r for _l, r in out} for q, out in enumerate(graph)})
-    foreign = any("z" in l for q in reached for l, _r in graph[q])
+    foreign = any("z" in l for q in reached for letters, _r in graph[q] for l in letters)
     if budget is not None and len(reached) > budget and not foreign:
         assert got == (StateBudgetExceeded, str(StateBudgetExceeded(budget + 1, budget)))
     if budget is None or len(reached) <= budget:
         assert got[0] is not StateBudgetExceeded
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        # a tie on the least letter a: the group yielded first is numbered first
+        {0: [((("b",), ("a",)), 1), ((("a",),), 2)], 1: [((("a",),), 3)], 2: [((("b",),), 3)], 3: []},
+        # a letter in two groups with different targets, and a group whose
+        # least letter comes after another group's
+        {0: [((("b",),), 2), ((("a",), ("b",)), 1)], 1: [((("a",), ("b",)), 3)], 2: [((("a",),), 3)], 3: []},
+        # a foreign symbol inside a group of several letters, reported
+        # before the one yielded after it
+        {0: [((("a",),), 1), ((("b",), ("z",), ("a",)), 2), ((("y",),), 1)], 1: [], 2: [((("a",),), 3)], 3: []},
+    ],
+)
+def test_build_reads_a_group_as_its_letters_in_yield_order(graph):
+    for alphabet in (AB, AB[::-1]):
+        got = _built(lambda: au.build(1, alphabet, 0, {3}.__contains__, graph.__getitem__))
+        want = _built(lambda: _validated(reference_canonical(1, alphabet, 0, {3}.__contains__, _one_letter_moves(graph.__getitem__))))
+        assert got == want
+        with au.state_budget(2):
+            got = _built(lambda: au.build(1, alphabet, 0, {3}.__contains__, graph.__getitem__))
+        want = _built(lambda: _validated(reference_canonical(1, alphabet, 0, {3}.__contains__, _one_letter_moves(graph.__getitem__), 2)))
+        assert got == want
 
 
 def test_kernel_results_have_the_sorted_delta():

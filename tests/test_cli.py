@@ -583,6 +583,18 @@ def test_tm_wf_check_past_the_state_budget_exits_3(flag, capsys):
     assert got["states"] >= 2 ** 41 - 1
 
 
+def test_tm_wf_check_refuses_the_fragment_before_building_the_relation(monkeypatch, capsys):
+    # the fragment's size is read from the two options alone, so the
+    # relation is never built for a fragment past the budget
+    def refuse(*args, **kw):
+        raise AssertionError("build_rpi ran")
+
+    monkeypatch.setattr(cli.tmmod, "build_rpi", refuse)
+    code, out = run_cli(["tm", "wf-check", "builtin:comparator", "--word-len", "40", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "budget-exceeded", "states": 2199023255600, "budget": 1000000}
+
+
 class ReadRecorder(argparse.Namespace):
     """A namespace that records the name of every attribute read from it."""
 

@@ -424,6 +424,32 @@ def test_explore_fragment_runs_inputs_longer_than_its_words():
     assert bounded_wf_check(rpi, frag) is None
 
 
+def test_the_rpi_relation_reaches_the_bfs_as_letter_groups(monkeypatch):
+    # the step graph hands over its shared column-letter tuples whole: the
+    # relation's 106,037 transitions come in as about 13,000 groups, where
+    # a graph yielding one letter at a time gives one group per letter
+    counts = []
+    build = au.build
+
+    def counting(arity, alphabet, start, accepting, moves):
+        count = [0, 0]
+
+        def counted(key):
+            for letters, target in moves(key):
+                count[0] += 1
+                count[1] += len(letters)
+                yield letters, target
+
+        counts.append(count)
+        return build(arity, alphabet, start, accepting, counted)
+
+    monkeypatch.setattr(au, "build", counting)
+    rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
+    groups, letters = counts[0]
+    assert rpi.relation.n_transitions == 106037 and letters >= 106037
+    assert groups < 15000
+
+
 def test_no_read_of_the_rpi_relation_builds_its_triples():
     # the relation is stored once, as its transition index: building it,
     # checking a fragment and following a witness path leave the frozenset
