@@ -126,8 +126,8 @@ class Automaton:
     order, no empty entries.  `transitions`, their frozenset of
     (state, letter, state) triples, is derived on its first read.
     Instances are immutable, apart from the step table `_subset_steps`
-    that reads fill in (see `accepts_letters`); it is this automaton's
-    own, never shared.  Constructing one directly validates it,
+    that reads fill in (see `_run`); it is this automaton's own, never
+    shared.  Constructing one directly validates it,
     including the suffix-padding invariant along every path reachable
     from the initial state; kernel operations build their results without
     this check (see `_canonical`).
@@ -235,14 +235,17 @@ class Automaton:
         taken from a set of two or more states."""
         return {}
 
-    def accepts_letters(self, letters: Iterable[Letter]) -> bool:
-        """Run the lazily determinised automaton.  While one state is
-        alive a step is one `_delta` lookup; from a set of states it is
-        read from `_subset_steps`, or computed and stored there.  Only
-        non-empty steps are stored (an empty one ends the run), so the
-        table holds at most one entry per letter read.  Letters must be
-        tuples, as `convolve` gives them; they are not converted."""
-        delta, steps, current = self._delta, self._subset_steps, (self.initial,)
+    def _run(self, letters: Iterable[Letter], trail: list) -> bool:
+        """Run the lazily determinised automaton from the state set
+        trail[-1], appending the set reached after each letter to `trail`;
+        True when the run ends in an accepting state, False as soon as a
+        step is empty.  While one state is alive a step is one `_delta`
+        lookup; from a set of states it is read from `_subset_steps`, or
+        computed and stored there.  Only non-empty steps are stored (an
+        empty one ends the run), so the table holds at most one entry per
+        letter read.  Letters must be tuples, as `convolve` gives them;
+        they are not converted."""
+        delta, steps, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
         for letter in letters:
             if len(current) == 1:  # a deterministic step needs no set
                 row = delta.get(current[0])
@@ -260,7 +263,38 @@ class Automaton:
                 current = after
             if not current:
                 return False
+            push(current)
         return not self.accepting.isdisjoint(current)
+
+    def accepts_letters(self, letters: Iterable[Letter]) -> bool:
+        """Membership of a convolution, read by `_run` from the initial state."""
+        return self._run(letters, [(self.initial,)])
+
+    def rejected_hop(self, words: Sequence) -> Optional[int]:
+        """The least i whose pair (words[i], words[i + 1]) this binary
+        relation rejects, or None; each answer is that of `accepts`.  A
+        pair's letters that begin as the previous pair's do are not read
+        again: its run resumes from the state set the previous run stored
+        after them (`trail[k]`, the set after k letters).  Two pairs share
+        their first k letters when their three words agree on their first k
+        symbols, so the shared prefix is the lesser of the positions where
+        each pair's two words first differ (a C-level compare)."""
+        if self.arity != 2:
+            raise ArityMismatch(f"a path is read by a binary relation, not one of arity {self.arity}")
+        trail, prev_diff = [(self.initial,)], 0
+        for i in range(len(words) - 1):
+            u, v = words[i], words[i + 1]
+            if PAD in v or (not i and PAD in u):  # a word holding the pad symbol is no member
+                return i
+            first_diff = next(itertools.compress(itertools.count(), map(operator.ne, u, v)), min(len(u), len(v)))
+            shared = min(prev_diff, first_diff)
+            del trail[shared + 1 :]  # each earlier pair was accepted, so its trail is whole
+            letters = itertools.zip_longest(itertools.islice(u, shared, None), itertools.islice(v, shared, None),
+                                            fillvalue=PAD)
+            if not self._run(letters, trail):
+                return i
+            prev_diff = first_diff
+        return None
 
     def accepts(self, *words) -> bool:
         """Membership of a word tuple (one word per tape)."""

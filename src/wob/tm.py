@@ -139,15 +139,19 @@ class Configuration:
     heads: tuple  # head column per tape
 
     def serialize(self, tm: TmSpec) -> tuple:
-        """The state token, then one column token per column.  Headless
-        columns are read from tm's token table; a cell outside tm's cell
-        alphabets is joined by `column_token`."""
-        token_of = tm._token_of
-        none, headless = frozenset(), [False] * len(self.heads)
-        word = [self.state] + [token_of.get((cells, none)) or column_token(cells, headless) for cells in self.columns]
-        for j in set(self.heads):
-            word[j + 1] = column_token(self.columns[j], [h == j for h in self.heads])
-        return tuple(word)
+        """The state token, then one column token per column."""
+        return (self.state, *self.column_tokens(tm, range(len(self.columns))))
+
+    def column_tokens(self, tm: TmSpec, cols) -> list:
+        """The tokens of the columns `cols`, read from tm's token table; a
+        column with a cell outside tm's cell alphabets is joined by
+        `column_token`."""
+        token_of, none, columns, heads = tm._token_of, frozenset(), self.columns, self.heads
+        return [
+            token_of.get((columns[j], frozenset(i for i, h in enumerate(heads) if h == j) if j in heads else none))
+            or column_token(columns[j], [h == j for h in heads])
+            for j in cols
+        ]
 
 
 def is_canonical(tm: TmSpec, c: Configuration) -> bool:
@@ -620,19 +624,37 @@ def tag_config(c: Configuration, tm: TmSpec) -> tuple:
     return (CONF_TAG,) + c.serialize(tm)
 
 
+def trace_words(tm: TmSpec, trace: Sequence[Configuration]) -> list:
+    """`tag_config` of each configuration of a run's trace, each one the
+    `step` of the one before.  The first is serialized whole; each later
+    word is its predecessor's with the state and the columns the step
+    touched re-tokenised: the old heads, the new heads, an appended column."""
+    words = [tag_config(trace[0], tm)]
+    for prev, c in zip(trace, trace[1:]):
+        n = len(c.columns)
+        touched = {*prev.heads, *c.heads, *range(len(prev.columns), n)}
+        word = list(words[-1])
+        word[1] = c.state
+        word += [None] * (n + 2 - len(word))
+        for j, tok in zip(touched, c.column_tokens(tm, touched)):
+            word[j + 2] = tok
+        words.append(tuple(word))
+    return words
+
+
 def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):
     """The witness path x R I(x,y) R ... R F(x,y) R y when the comparator
-    accepts (x, y); every hop is verified against the relation automaton."""
+    accepts (x, y); every hop is verified against the relation automaton,
+    in one pass (`Automaton.rejected_hop`)."""
     tm = rpi.tm
     inputs = [tuple(x), tuple(y)] + [()] * (tm.tapes - 2)
     trace, accepted = run(tm, inputs, max_steps)
     if not accepted:
         return None
-    rel = rpi.relation
-    path = [tag_word(x)] + [tag_config(c, tm) for c in trace] + [tag_word(y)]
-    for u, v in zip(path, path[1:]):
-        if not rel.accepts(u, v):
-            raise WobError(f"edge not in the relation: {u!r} -> {v!r}")
+    path = [tag_word(x)] + trace_words(tm, trace) + [tag_word(y)]
+    bad = rpi.relation.rejected_hop(path)
+    if bad is not None:
+        raise WobError(f"edge not in the relation: {path[bad]!r} -> {path[bad + 1]!r}")
     return path
 
 
@@ -692,7 +714,7 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
     for x in short:
         for y in short:
             trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
-            path = [tag_config(c, tm) for c in trace]
+            path = trace_words(tm, trace)
             configs.update(path)
             if len(elements) + len(configs) > budget:
                 raise StateBudgetExceeded(len(elements) + len(configs), budget)

@@ -444,6 +444,79 @@ def test_accepts_reads_the_step_table_as_the_oracle_runs(data):
     assert a._subset_steps == table
 
 
+@st.composite
+def padded_nfa2(draw):
+    """An arity-2 NFA over AB with up to three targets per letter.  Each
+    state r is given the tapes its entering letters pad (state 0 none), and
+    a move q -> r needs r's padded tapes to include q's, so the padding
+    invariant holds by construction."""
+    n_states = draw(st.integers(2, 6))
+    padded = [0] + [draw(st.sampled_from([0, 0, 1, 2])) for _ in range(n_states - 1)]
+    pool = AB + (au.PAD,)
+    trans = []
+    for q in range(n_states):
+        for letter in itertools.product(pool, repeat=2):
+            mask = sum(1 << i for i, s in enumerate(letter) if s == au.PAD)
+            fits = [r for r in range(n_states) if padded[r] == mask and (padded[r] & padded[q]) == padded[q]]
+            if mask != 3 and fits:
+                trans += [(q, letter, r) for r in draw(st.sets(st.sampled_from(fits), max_size=3))]
+    accepting = draw(st.sets(st.integers(0, n_states - 1), min_size=1))
+    return n_states, accepting, trans
+
+
+@st.composite
+def word_path(draw):
+    """Words, each the one before with one position edited, a symbol
+    appended, or a suffix cut off; a few symbols are the pad or foreign."""
+    symbol = st.sampled_from("aaabbb" + au.PAD + "z")
+    words = [tuple(draw(st.text("ab", max_size=5)))]
+    for _ in range(draw(st.integers(0, 12))):
+        w = words[-1]
+        how = draw(st.sampled_from(["edit", "edit", "append", "cut"]))
+        if how == "edit" and w:
+            i = draw(st.integers(0, len(w) - 1))
+            w = w[:i] + (draw(symbol),) + w[i + 1 :]
+        elif how == "append" or not w:
+            w = w + (draw(symbol),)
+        else:
+            w = w[: draw(st.integers(0, len(w) - 1))]
+        words.append(w)
+    return words
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_nfa2(), word_path())
+def test_rejected_hop_is_the_first_pair_the_oracle_rejects(nfa, words):
+    n_states, accepting, trans = nfa
+    a = au.automaton(2, AB, n_states, 0, accepting, trans)
+    twin = au.automaton(2, AB, n_states, 0, accepting, trans)
+
+    def member(u, v):  # a word holding the pad symbol is no member, as for `accepts`
+        return au.PAD not in u + v and run_nfa(a, conv(u, v))
+
+    for start in range(len(words)):  # every suffix of the path is a path
+        rest = words[start:]
+        want = next((i for i in range(len(rest) - 1) if not member(rest[i], rest[i + 1])), None)
+        assert a.rejected_hop(rest) == want, (start, rest)
+        # per-hop `accepts` up to the same pair fills its step table alike
+        for u, v in itertools.islice(zip(rest, rest[1:]), len(rest) - 1 if want is None else want + 1):
+            assert twin.accepts(u, v) == member(u, v)
+        assert a._subset_steps == twin._subset_steps
+    succ = {}
+    for q, letter, r in a.transitions:
+        succ.setdefault((q, letter), set()).add(r)
+    for (subset, letter), after in a._subset_steps.items():  # each entry is a non-empty subset step
+        assert len(subset) >= 2 and list(subset) == sorted(set(subset))
+        assert after and after == tuple(sorted(set().union(*(succ.get((q, letter), ()) for q in subset))))
+
+
+def test_rejected_hop_reads_binary_relations_only():
+    assert au.llex_automaton(AB).rejected_hop([("a",), ("b",), ("a", "a"), ("b",)]) == 2
+    assert au.llex_automaton(AB).rejected_hop([("a",)]) is None
+    with pytest.raises(ArityMismatch):
+        sigma_star().rejected_hop([("a",), ("b",)])
+
+
 def test_is_subset():
     assert au.is_subset(aastar(), astar())
     assert not au.is_subset(astar(), aastar())

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 from pathlib import Path
@@ -508,6 +509,76 @@ def test_tag_config_matches_serialize():
     foreign = Configuration(tm.initial, ((T.MARKER,) * 3, ("7", "0", tm.blank)), (1, 0, 1))
     for c in trace + [foreign]:
         assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize(tm)
+
+
+@pytest.mark.parametrize("tm", [
+    increment_machine(), copy_machine(), bounce_machine(), split_machine(), swap_machine(),
+    kreisel_comparator(True), kreisel_comparator(False),
+], ids=lambda tm: tm.name)
+def test_trace_words_is_tag_config_of_each_configuration(tm):
+    # every run on inputs up to length 3 on the first two tapes (the others
+    # empty); tape 0 also holds a symbol outside the cell alphabets, which
+    # `column_token` joins
+    def words(tape, extra=()):
+        symbols = [s for s in tm.tape_cells[tape] if s != T.MARKER] + list(extra)
+        return [w for n in range(4) for w in itertools.product(symbols, repeat=n)]
+
+    others = [words(t) for t in range(1, min(tm.tapes, 2))] + [[()]] * (tm.tapes - 2)
+    appended = foreign = 0
+    for inputs in itertools.product(words(0, ["7"]), *others):
+        trace, _ = run(tm, list(inputs))
+        assert T.trace_words(tm, trace) == [tag_config(c, tm) for c in trace], inputs
+        appended += len(trace[-1].columns) > len(trace[0].columns)
+        foreign += any("7" in c.columns[h] for c in trace[1:] for h in c.heads)
+    assert appended and foreign
+
+
+def test_emb_path_names_the_first_hop_the_relation_rejects():
+    # the pi_0-true comparator's runs read against the pi_0-false
+    # comparator's relation: the path is rejected at the hop per-hop
+    # `accepts` rejects first
+    true, false = rpi_for(False), rpi_for(True)
+    mixed = T.RpiStructure(true.domain, false.relation, true.tm, "mixed")
+    words = [tuple(b) for n in range(4) for b in itertools.product("01", repeat=n)]
+    raised = 0
+    for x in words:
+        for y in words:
+            path = emb_path(true, x, y)
+            if path is None:
+                continue
+            bad = next((i for i, (u, v) in enumerate(zip(path, path[1:])) if not false.relation.accepts(u, v)), None)
+            if bad is None:
+                assert emb_path(mixed, x, y) == path
+                continue
+            message = f"edge not in the relation: {path[bad]!r} -> {path[bad + 1]!r}"
+            with pytest.raises(WobError) as exc:
+                emb_path(mixed, x, y)
+            assert str(exc.value) == message
+            raised += 1
+    assert raised
+
+
+def test_emb_path_steps_at_most_three_quarters_of_its_letters():
+    # a hop resumes from where its letters stop agreeing with the previous
+    # hop's, so fewer letters are stepped than the hops hold.  Each letter
+    # stepped is one `get` on the transition index (one state alive) or on
+    # the step table (a set of states), counted on a copy of the relation
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, *args):
+            Counting.lookups += 1
+            return dict.get(self, *args)
+
+    rpi = rpi_for(False)
+    relation = dataclasses.replace(rpi.relation, _delta=Counting(rpi.relation._delta))
+    relation.__dict__["_subset_steps"] = Counting()
+    x, y = tuple("01101001011010010110100101101001"), tuple("1001011010010110100101101001011001101001")
+    Counting.lookups = 0
+    path = emb_path(dataclasses.replace(rpi, relation=relation), x, y)
+    assert path == emb_path(rpi, x, y) and path is not None
+    letters = sum(max(len(u), len(v)) for u, v in zip(path, path[1:]))
+    assert Counting.lookups <= 0.75 * letters, (Counting.lookups, letters)
 
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
