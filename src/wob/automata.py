@@ -20,7 +20,9 @@ to target: a graph whose letters share targets hands each shared tuple
 over whole, and the kernel's own graphs yield one-letter groups.  A
 state's targets are numbered in the order of each group's least letter,
 ties in yield order, so the numbering is that of the same moves read one
-letter at a time.  Tapes are mapped by two
+letter at a time.  `reader` gives membership reads of a graph that is
+never built: it fills a state's row by the same numbering and row fill
+(`_numbering`) when a read first reaches the state.  Tapes are mapped by two
 constructions.  `join` runs two automata side by side on one
 convolution and maps each side's tapes to result tapes; `intersect`, a
 cylinder (a side with a tape the other lacks) and a tape equality (a join
@@ -145,10 +147,7 @@ class Automaton:
             raise InvalidAutomaton("arity must be >= 1")
         if not isinstance(self.alphabet, tuple):
             object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        for s in self.alphabet:
-            check_symbol(s)
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidAutomaton("duplicate symbols in alphabet")
+        _check_alphabet(self.alphabet)
         if self.n_states < 1:
             raise InvalidAutomaton("need at least one state")
         if not (0 <= self.initial < self.n_states):
@@ -243,20 +242,22 @@ class Automaton:
         lookup; from a set of states it is read from `_subset_steps`, or
         computed and stored there.  Only non-empty steps are stored (an
         empty one ends the run), so the table holds at most one entry per
-        letter read.  Letters must be tuples, as `convolve` gives them;
+        letter read.  A state `_delta` holds no row for is looked up in
+        `_missing_row`.  Letters must be tuples, as `convolve` gives them;
         they are not converted."""
         delta, steps, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
         for letter in letters:
             if len(current) == 1:  # a deterministic step needs no set
                 row = delta.get(current[0])
                 if row is None:
-                    return False
+                    row = self._missing_row(current[0])
                 current = row.get(letter, ())
             else:
                 key = (current, letter)
                 after = steps.get(key)
                 if after is None:
-                    after = tuple(sorted({r for q in current if q in delta for r in delta[q].get(letter, ())}))
+                    rows = (delta[q] if q in delta else self._missing_row(q) for q in current)
+                    after = tuple(sorted({r for row in rows for r in row.get(letter, ())}))
                     if not after:
                         return False
                     steps[key] = after
@@ -265,6 +266,12 @@ class Automaton:
                 return False
             push(current)
         return not self.accepting.isdisjoint(current)
+
+    def _missing_row(self, q) -> dict:
+        """The moves of state q, which `_delta` holds no row for: none, as
+        a built automaton stores every row it has.  A reader fills the row
+        here (see `reader`)."""
+        return {}
 
     def accepts_letters(self, letters: Iterable[Letter]) -> bool:
         """Membership of a convolution, read by `_run` from the initial state."""
@@ -304,6 +311,13 @@ class Automaton:
             return self.accepts_letters(convolve(words))
         except InvalidSymbol:  # a word holding the pad symbol is no member
             return False
+
+
+def _check_alphabet(alphabet: tuple) -> None:
+    for s in alphabet:
+        check_symbol(s)
+    if len(set(alphabet)) != len(alphabet):
+        raise InvalidAutomaton("duplicate symbols in alphabet")
 
 
 def _pad_mask(letter) -> int:
@@ -348,17 +362,13 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     moves(key) yields (letters, target_key) groups: `letters` is a tuple of
     letters that all lead to `target_key`.  A graph whose letters share
     targets hands over each shared letter tuple whole; any other yields
-    one-letter groups.  States are numbered in BFS order.  A state's
-    targets are numbered in the order of each group's least letter by
-    alphabet index (PAD first), and groups that share their least letter
-    in the order they were yielded: the numbering of the same moves
+    one-letter groups.  States are numbered in BFS order, each state's
+    targets by `_numbering` in the order its groups are handed over.  Those
+    are sorted by each group's least letter by alphabet index (PAD first),
+    ties in yield order, so the numbering is that of the same moves
     yielded one letter at a time, letters visited in sorted order, which
     makes every kernel operation deterministic down to the byte level.
     Each distinct letter tuple's least sort key is computed once per call.
-    Each group's target key is hashed by the one `setdefault` that numbers
-    it.  A group of several letters, none of them in the state's table
-    yet, enters it in one `dict.update`; otherwise each letter merges the
-    target's number into its entry.
     States that cannot reach acceptance are then dropped, the rest keeping
     their order: a useless state has only useless successors, so each
     useful state is first reached from a useful one, and the numbering is
@@ -369,7 +379,6 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     its state is numbered.  The result is not validated, so moves written
     outside the kernel go through `build`.
     """
-    budget = STATE_BUDGET.get()
     alphabet = tuple(alphabet)
     index = {s: i for i, s in enumerate(alphabet)}
     index[PAD] = -1
@@ -382,11 +391,8 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
             indices = ranks[letters] = min(tuple(map(index.__getitem__, letter)) for letter in letters)
         return indices
 
-    numbering = {initial_key: 0}
-    order = [initial_key]
-    rows = []  # rows[q]: letter -> its sorted distinct target numbers, letters sorted
-    back = [[]]  # back[r]: the states with a move into r
-    single = [(0,)]  # single[r]: the target tuple (r,), shared by every row
+    order, back, fill = _numbering(initial_key)
+    rows = []
     for q, key in enumerate(order):  # grows while it is read
         groups = list(moves(key))
         try:
@@ -394,25 +400,7 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
         except KeyError:  # only a move graph given to `build` can hold a foreign symbol
             bad = next(letter for letters, _ in moves(key) for letter in letters if not index.keys() >= set(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
-        row: dict = {}
-        for letters, target in groups:
-            r = numbering.setdefault(target, len(order))
-            if r == len(order):
-                order.append(target)
-                back.append([q])
-                single.append((r,))
-                if len(order) > budget:
-                    raise StateBudgetExceeded(len(order), budget)
-            else:
-                back[r].append(q)
-            if len(letters) > 1 and row.keys().isdisjoint(letters):
-                row.update(dict.fromkeys(letters, single[r]))
-            else:  # one letter, or a letter with several targets
-                for letter in letters:
-                    rs = row.setdefault(letter, single[r])
-                    if r not in rs:
-                        row[letter] = tuple(sorted(rs + (r,)))
-        rows.append(dict(sorted(row.items())))
+        rows.append(dict(sorted(fill(q, groups).items())))
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
     useful = _search(accepting, dict(enumerate(back)))
     if 0 not in useful:
@@ -431,9 +419,55 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     return a
 
 
-def _unchecked(*values) -> Automaton:
+def _numbering(initial_key) -> tuple:
+    """The state numbering and the row fill of a search over an implicit
+    graph, as (order, back, fill): `order` lists the state keys by number,
+    the initial key first; `back[r]` lists the states with a move into r;
+    and `fill(q, groups)` numbers the targets of state q's letter groups,
+    in the order given, and returns its row, letter -> sorted distinct
+    target numbers.  `_canonical` fills every row in BFS order, and
+    `reader` a row when a read first needs it.
+
+    Each group's target key is hashed by the one `setdefault` that numbers
+    it.  A group of several letters, none of them in the row yet, enters
+    it in one `dict.update`; otherwise each letter merges the target's
+    number into its entry.  A target set of one state is one tuple shared
+    by every row.  Numbering a key past the state budget in effect when
+    the numbering is made raises StateBudgetExceeded.
+    """
+    budget = STATE_BUDGET.get()
+    numbering = {initial_key: 0}
+    order = [initial_key]
+    back = [[]]
+    single = [(0,)]  # single[r]: the target tuple (r,)
+
+    def fill(q, groups):
+        row: dict = {}
+        for letters, target in groups:
+            r = numbering.setdefault(target, len(order))
+            if r == len(order):
+                order.append(target)
+                back.append([q])
+                single.append((r,))
+                if len(order) > budget:
+                    raise StateBudgetExceeded(len(order), budget)
+            else:
+                back[r].append(q)
+            if len(letters) > 1 and row.keys().isdisjoint(letters):
+                row.update(dict.fromkeys(letters, single[r]))
+            else:  # one letter, or a letter with several targets
+                for letter in letters:
+                    rs = row.setdefault(letter, single[r])
+                    if r not in rs:
+                        row[letter] = tuple(sorted(rs + (r,)))
+        return row
+
+    return order, back, fill
+
+
+def _unchecked(*values, cls=Automaton) -> Automaton:
     """An Automaton from field values known to be valid, skipping __post_init__."""
-    a = object.__new__(Automaton)
+    a = object.__new__(cls)
     for f, value in zip(fields(Automaton), values):
         object.__setattr__(a, f.name, value)
     return a
@@ -448,6 +482,53 @@ def build(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
     a = _canonical(arity, alphabet, initial_key, accepting_pred, moves)
     a.__post_init__()
     return a
+
+
+def reader(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
+    """The automaton of moves written outside the kernel, as `build` takes
+    them, for membership reads only (`accepts`, `accepts_letters`,
+    `rejected_hop`): a state's row is filled, by `_canonical`'s numbering
+    and row fill (`_numbering`), the first time a read needs it, and kept
+    in `_delta`.  Nothing is trimmed, and an untrimmed graph accepts the
+    words its trimmed numbering accepts, so every read answers as the
+    built automaton's; its states are numbered in the order reads reach
+    them, not in BFS order.  The state keys are counted against the state
+    budget in effect when the reader is made.  `n_states` and `accepting`
+    grow with the states numbered, and `_delta` holds only the rows
+    filled, so the reader is no operand of a construction.
+
+    The alphabet is checked here, and each letter of a filled row, once,
+    for its arity and its symbols, as `build` checks them.  The padding
+    invariant is not checked: a read presents a convolution of words,
+    padded by construction, so it follows only paths that spell one,
+    whatever other paths the graph has, and its answer can not depend on
+    the invariant.  `build` checks it on the same moves."""
+    alphabet = tuple(alphabet)
+    _check_alphabet(alphabet)
+    order, _back, fill = _numbering(initial_key)
+    a = _unchecked(arity, alphabet, 1, 0, {0} if accepting_pred(initial_key) else set(), {}, cls=_Reader)
+    a.__dict__.update(_fill=fill, _order=order, _moves=moves, _accepting_pred=accepting_pred,
+                      _checked=set(), _symbols=set(alphabet) | {PAD})
+    return a
+
+
+class _Reader(Automaton):
+    """An automaton whose rows are filled as reads reach them; see `reader`."""
+
+    def _missing_row(self, q) -> dict:
+        order, checked = self._order, self._checked
+        row = self._fill(q, self._moves(order[q]))
+        for letter in row.keys() - checked:
+            if len(letter) != self.arity:
+                raise InvalidAutomaton(f"letter {letter!r} has wrong arity")
+            if not self._symbols.issuperset(letter):
+                raise InvalidAutomaton(f"letter {letter!r} uses symbols outside the alphabet")
+            checked.add(letter)
+        accepting = self._accepting_pred
+        self.accepting.update(n for n in range(self.n_states, len(order)) if accepting(order[n]))
+        object.__setattr__(self, "n_states", len(order))
+        self._delta[q] = row
+        return row
 
 
 def empty(alphabet, arity) -> Automaton:

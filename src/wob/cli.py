@@ -436,7 +436,7 @@ def cmd_tm_rpi(args) -> int:
 
 def cmd_tm_wf(args) -> int:
     machine = _load(args.machine, TM_BUILTINS, tmmod.parse_tm)
-    tmmod.check_fragment_budget(args.word_len, args.run_len)  # before the relation is built
+    tmmod.check_fragment_budget(args.word_len, args.run_len)  # before build_rpi checks the machine or a row is read
     rpi = tmmod.build_rpi(machine, pi_tag=args.machine)
     fragment = tmmod.explore_fragment(rpi, word_len=args.word_len, run_input_len=args.run_len)
     if args.dot:

@@ -12,16 +12,19 @@ makes the one-step relation synchronous-automaton recognizable.
 
 Every automaton here is a graph, a (start, accepting, moves) triple that
 `automata.build` numbers, trims and validates in one pass.  The relation
-and the domain of the RPI structure are each one build of a tagged sum of
-such graphs (`_tagged`): binary words carry the tag W and configurations
-the tag C, and the sum's start state reads the tag letters.
+and the domain of the RPI structure are each a tagged sum of such graphs
+(`_tagged`): binary words carry the tag W and configurations the tag C,
+and the sum's start state reads the tag letters.  The relation is read
+through `automata.reader` over its sum, which fills only the rows the
+reads reach; the relation and the domain are each one build of their
+sum, made when something reads their bytes or their counts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from . import automata as au
@@ -333,9 +336,12 @@ def _step_graph(tm: TmSpec) -> tuple:
     return START, accepting, moves
 
 
-def _subsets(s: frozenset) -> list:
+@cache
+def _subsets(s: frozenset) -> tuple:
+    """The subsets of a set of tape indices, made once per set: a machine
+    has at most three tapes, so at most eight sets are kept."""
     items = sorted(s)
-    return [frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+    return tuple(frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r))
 
 
 def _config_graph(tm: TmSpec) -> tuple:
@@ -470,10 +476,28 @@ def kreisel_comparator(false_pi: bool) -> TmSpec:
 
 @dataclass(frozen=True)
 class RpiStructure:
-    domain: Automaton
-    relation: Automaton
+    """The well-founded relation of a reversible comparator.  Reads go
+    through `reader`, which fills a row of the relation's move graph the
+    first time a read reaches it (`automata.reader`), counting its states
+    against the state budget in effect when `build_rpi` ran.  `relation`
+    and `domain` are built, numbered, trimmed and validated, on their
+    first read, for what needs their bytes or their counts."""
+
     tm: TmSpec
     pi_tag: str
+    reader: Automaton
+
+    @cached_property
+    def relation(self) -> Automaton:
+        # every edge joins two domain words by construction, so no cube check
+        return au.build(2, self.reader.alphabet, *_relation_graph(self.tm))
+
+    @cached_property
+    def domain(self) -> Automaton:
+        return au.build(1, self.reader.alphabet, *_tagged([
+            ((WORD_TAG,), _bits_graph()),
+            ((CONF_TAG,), _config_graph(self.tm)),
+        ]))
 
 
 def _rpi_alphabet(tm: TmSpec) -> tuple:
@@ -564,10 +588,15 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
     (blanks beyond).
 
     The y characters inside z run two positions ahead of the word side, so
-    the pattern buffers the word characters and compares on arrival.
+    the pattern buffers the word characters and compares on arrival.  The
+    configuration moves of each configuration key are listed once, split
+    by the cell of y their column holds, and grouped by their target: a
+    state's letters with one configuration target and one buffered
+    character are one letter group.
     """
     config_start, config_accepting, config_moves = _config_graph(tm)
     cells_of = {tok: cells for (cells, _fx), tok in tm._token_of.items()}
+    by_y: dict = {}  # configuration key -> y cell -> configuration target -> its column tokens
 
     def moves(key):
         ckey, buf = key
@@ -578,12 +607,18 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
                         yield ((q, yc),), (target, (yc,))
             return
         is_first = ckey[1]
-        want = tm.blank if buf[0] == PAD else buf[0]
+        # the first column is the all-marker one; past it, y's cell must be
+        # the buffered character
+        want = MARKER if is_first else tm.blank if buf[0] == PAD else buf[0]
         ycs = (PAD,) if buf[-1] == PAD else ("0", "1", PAD)
-        for ((tok,),), target in config_moves(ckey):
-            if is_first or cells_of[tok][1] == want:
-                for yc in ycs:
-                    yield ((tok, yc),), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
+        split = by_y.get(ckey)
+        if split is None:
+            split = by_y[ckey] = {}
+            for ((tok,),), target in config_moves(ckey):
+                split.setdefault(cells_of[tok][1], {}).setdefault(target, []).append(tok)
+        for target, toks in split.get(want, {}).items():
+            for yc in ycs:
+                yield tuple((tok, yc) for tok in toks), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
 
     def acc(key):
         ckey, buf = key
@@ -592,9 +627,20 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
     return (config_start, None), acc, moves
 
 
+def _relation_graph(tm: TmSpec) -> tuple:
+    """The relation's move graph: machine steps on configurations, input
+    edges into initial configurations, accept edges out of accepting
+    ones."""
+    return _tagged([
+        ((CONF_TAG, CONF_TAG), _step_graph(tm)),
+        ((WORD_TAG, CONF_TAG), _input_edge_graph(tm)),
+        ((CONF_TAG, WORD_TAG), _accept_edge_graph(tm)),
+    ])
+
+
 def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
-    """Assemble the relation: machine steps on configurations, input edges
-    into initial configurations, accept edges out of accepting ones."""
+    """Check the machine and make the relation's reader; the relation and
+    the domain are built on their first read (see `RpiStructure`)."""
     if tm.tapes < 2:
         raise InvalidTm("the construction needs an input tape for x and one for y")
     collision = check_reversible(tm)
@@ -602,18 +648,7 @@ def build_rpi(tm: TmSpec, pi_tag: str) -> RpiStructure:
         raise NotReversible(collision)
     if not all({"0", "1"} <= set(cells) for cells in tm.tape_cells[:2]):
         raise InvalidTm("the input tapes for x and y must hold the binary symbols 0 and 1")
-    alphabet = _rpi_alphabet(tm)
-    rel = au.build(2, alphabet, *_tagged([
-        ((CONF_TAG, CONF_TAG), _step_graph(tm)),
-        ((WORD_TAG, CONF_TAG), _input_edge_graph(tm)),
-        ((CONF_TAG, WORD_TAG), _accept_edge_graph(tm)),
-    ]))
-    domain = au.build(1, alphabet, *_tagged([
-        ((WORD_TAG,), _bits_graph()),
-        ((CONF_TAG,), _config_graph(tm)),
-    ]))
-    # every edge joins two domain words by construction, so no cube check
-    return RpiStructure(domain=domain, relation=rel, tm=tm, pi_tag=pi_tag)
+    return RpiStructure(tm=tm, pi_tag=pi_tag, reader=au.reader(2, _rpi_alphabet(tm), *_relation_graph(tm)))
 
 
 def tag_word(x) -> tuple:
@@ -652,7 +687,7 @@ def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):
     if not accepted:
         return None
     path = [tag_word(x)] + trace_words(tm, trace) + [tag_word(y)]
-    bad = rpi.relation.rejected_hop(path)
+    bad = rpi.reader.rejected_hop(path)
     if bad is not None:
         raise WobError(f"edge not in the relation: {path[bad]!r} -> {path[bad + 1]!r}")
     return path
@@ -691,8 +726,10 @@ def check_fragment_budget(word_len: int, run_input_len: int) -> None:
 def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:
     """Collect binary words up to max(word_len, run_input_len) and every
     configuration arising from runs on inputs up to run_input_len; compute
-    the edge set structurally and verify it against the relation
-    automaton, including a sample of non-edges.
+    the edge set structurally and verify it against the relation's
+    reader, including a sample of non-edges.  Each run's path, its input
+    edge, its steps and its accept edge, is read in one pass
+    (`Automaton.rejected_hop`); each sampled non-edge is read on its own.
 
     The fragment must fit the state budget `au.STATE_BUDGET`: it is sized
     by `check_fragment_budget` before anything is listed, and the elements
@@ -700,7 +737,7 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
     StateBudgetExceeded past the budget."""
     check_fragment_budget(word_len, run_input_len)
     tm = rpi.tm
-    rel = rpi.relation
+    rel = rpi.reader
     budget = au.STATE_BUDGET.get()
     top = max(word_len, run_input_len)
     words = []
@@ -714,20 +751,17 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
     for x in short:
         for y in short:
             trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
-            path = trace_words(tm, trace)
-            configs.update(path)
+            confs = trace_words(tm, trace)
+            configs.update(confs)
             if len(elements) + len(configs) > budget:
                 raise StateBudgetExceeded(len(elements) + len(configs), budget)
-            edges.add((tag_word(x), path[0]))
+            path = [tag_word(x), *confs, *([tag_word(y)] if accepted else [])]
+            bad = rel.rejected_hop(path)
+            if bad is not None:
+                raise WobError(f"structural edge missing from the automaton: {path[bad]!r} -> {path[bad + 1]!r}")
             edges.update(zip(path, path[1:]))
-            if accepted:
-                edges.add((path[-1], tag_word(y)))
     elements.extend(sorted(configs))
     edges = sorted(edges)
-
-    for u, v in edges:
-        if not rel.accepts(u, v):
-            raise WobError(f"structural edge missing from the automaton: {u!r} -> {v!r}")
     # non-edges among the first 50 elements must be rejected too
     sample = elements[:50]
     edge_set = set(edges)

@@ -984,6 +984,86 @@ def test_build_reads_a_group_as_its_letters_in_yield_order(graph):
         assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reader_answers_as_its_move_graph(data):
+    # a reader over a random letter-group graph answers every read as a
+    # subset simulation of the graph itself, and raises InvalidAutomaton
+    # exactly when a read fills the row of a state holding a letter with a
+    # foreign symbol (z) or of the wrong arity; where `build` accepts the
+    # graph, the built automaton gives the same answers to the reads that
+    # do not raise (its trim may drop a state with a wrong-arity letter)
+    arity = data.draw(st.integers(1, 2))
+    n_states = data.draw(st.integers(1, 6))
+    symbol = st.sampled_from(AB * 8 + ("#", "z"))
+    letter = st.tuples(*[symbol] * arity).filter(lambda l: set(l) != {"#"}) | st.just(("a",) * (arity + 1))
+    group = st.tuples(st.lists(letter, min_size=1, max_size=3).map(tuple), st.integers(0, n_states - 1))
+    graph = data.draw(st.lists(st.lists(group, max_size=4), min_size=n_states, max_size=n_states))
+    accepting = data.draw(st.frozensets(st.integers(0, n_states - 1), max_size=2))
+    bad = {q for q, out in enumerate(graph) for letters, _r in out for l in letters if len(l) != arity or "z" in l}
+
+    def groups(key):
+        return [(letters, ("q", r)) for letters, r in graph[key[1]]]
+
+    def accept(key):
+        return key[1] in accepting
+
+    def simulate(letters):
+        """The graph's answer, or InvalidAutomaton when a state whose row
+        a read fills (each state alive before a letter) is bad."""
+        current = {0}
+        for l in letters:
+            if current & bad:
+                return InvalidAutomaton
+            current = {r for q in current for ls, r in graph[q] if l in ls}
+            if not current:
+                return False
+        return bool(current & accepting)
+
+    def answer(read):
+        try:
+            return read()
+        except InvalidAutomaton:
+            return InvalidAutomaton
+
+    try:
+        built = au.build(arity, AB, ("q", 0), accept, groups)
+    except InvalidAutomaton:
+        built = None
+    reader = au.reader(arity, AB, ("q", 0), accept, groups)
+    pool = [l for l in itertools.product(AB + ("#",), repeat=arity) if set(l) != {"#"}]
+    for word in data.draw(st.lists(st.lists(st.sampled_from(pool), max_size=5), max_size=6)):
+        want = simulate([tuple(l) for l in word])
+        assert answer(lambda: reader.accepts_letters(word)) == want
+        if built is not None and want is not InvalidAutomaton:
+            assert built.accepts_letters(word) == want
+    if arity == 2:
+        word = st.lists(st.sampled_from(AB + ("#",)), max_size=4).map(tuple)
+        path = data.draw(st.lists(word, min_size=1, max_size=5))
+        want = None
+        for i, (u, v) in enumerate(zip(path, path[1:])):
+            hop = False if "#" in u + v else simulate(au.convolve([u, v]))
+            if hop is not True:
+                want = InvalidAutomaton if hop is InvalidAutomaton else i
+                break
+        assert answer(lambda: au.reader(arity, AB, ("q", 0), accept, groups).rejected_hop(path)) == want
+        if built is not None and want is not InvalidAutomaton:
+            assert built.rejected_hop(path) == want
+
+
+def test_reader_counts_its_states_against_the_budget():
+    # the budget in effect when the reader is made holds at budget + 1 keys
+    graph = {0: [((("a",), ("b",)), 1)], 1: [((("a",),), 2), ((("b",),), 3)], 2: [], 3: []}
+    with au.state_budget(3):
+        reader = au.reader(1, AB, 0, {3}.__contains__, graph.__getitem__)
+    assert reader.accepts_letters([("a",)]) is False
+    assert reader.n_states == 2 and reader.accepting == set()
+    with pytest.raises(StateBudgetExceeded) as exc:
+        reader.accepts_letters([("a",), ("b",)])
+    assert (exc.value.n_states, exc.value.budget) == (4, 3)
+    assert au.reader(1, AB, 0, {3}.__contains__, graph.__getitem__).accepts_letters([("b",), ("b",)])
+
+
 def test_kernel_results_have_the_sorted_delta():
     rng = random.Random(20261018)
     trimmed = 0

@@ -700,9 +700,14 @@ SENTENCE_FILES = sorted(name for name, text in FORMULA_FILES.items() if not pars
 # the actions that read those files; at each level one of them is drawn
 # half the time, so that a fixed share of the examples reaches a file
 READS_FILES = {"query", "recognize", "pathology", "kreisel"}
-# the values the fuzz gives each argument, by destination; {tmp} is a
-# scratch directory, and the Turing machines are the small ones, because
-# building the comparators' relation takes most of a second
+# the values the fuzz gives each argument, by destination, or where one
+# action takes values of its own by "COMMAND destination" (an option) or
+# the action's path (its machine); {tmp} is a scratch directory, and the
+# Turing machines are the small ones, because building the comparators'
+# relation takes most of a second: only `tm wf-check`, which reads the
+# relation without building it, is also given a comparator
+SMALL_TMS = ["builtin:increment", "builtin:copy", str(MACHINES / "increment.tm"), str(MACHINES / "copy.tm"),
+             "{tmp}/missing.tm"]
 VALUES = {
     "manifest": st.one_of(st.sampled_from(CORPUS_MANIFESTS), st.sampled_from(sorted(MANIFEST_EXITS))),
     "formula": st.one_of(
@@ -726,8 +731,8 @@ VALUES = {
     "f": GROWTH, "g_from_f": GROWTH,
     "out": ["{tmp}/out", "{tmp}", ""], "dot": ["{tmp}/out", "{tmp}", ""], "outdir": ["{tmp}/kreisel"],
     "word": ["", "a", "ab", "aabb", "ba", "c"],
-    "tm": ["builtin:increment", "builtin:copy", str(MACHINES / "increment.tm"), str(MACHINES / "copy.tm"),
-           "{tmp}/missing.tm"],
+    "tm": SMALL_TMS,
+    "tm wf-check": st.one_of(st.sampled_from(SMALL_TMS), st.just("builtin:comparator")),
     "hopda": sorted(cli.HOPDA_BUILTINS) + sorted(str(p) for p in MACHINES.glob("*.hopda")),
 }
 # cost bounds the fuzz always sets, so that every run is small, and the
@@ -749,7 +754,9 @@ def cli_argv(draw):
             elif isinstance(action, argparse._HelpAction):
                 continue
             elif not action.option_strings:
-                key = argv[0] if action.dest == "machine" else action.dest  # tm or hopda
+                key = action.dest
+                if key == "machine":  # tm or hopda, or an action with machines of its own
+                    key = " ".join(argv) if " ".join(argv) in VALUES else argv[0]
                 if action.nargs != "?" or draw(st.booleans()):
                     argv.append(draw(_values(key)))
             elif action.dest in ALWAYS or draw(st.booleans()):

@@ -624,13 +624,14 @@ def test_sim_and_successor_match_the_compiled_formulas(name):
 @pytest.mark.parametrize("budget", [20, 80, 153])
 def test_recognize_budget_holds_on_the_interval_product(budget):
     # on mixed the interval product is the largest construction; a budget
-    # too small for it raises inside the product's BFS at budget + 1 states
+    # too small for it raises inside the product's BFS at budget + 1 states,
+    # where the BFS's row fill numbers a target
     pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     with pytest.raises(StateBudgetExceeded) as info:
         recognize(pres, budget=budget)
     assert info.value.n_states == budget + 1
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
-    assert "between" in frames and frames[-2:] == ["join", "_canonical"]
+    assert "between" in frames and frames[-3:] == ["join", "_canonical", "fill"]
 
 
 def test_recognize_runs_no_cube_check(monkeypatch):

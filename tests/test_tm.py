@@ -1,6 +1,6 @@
-import dataclasses
 import hashlib
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -426,9 +426,10 @@ def test_explore_fragment_runs_inputs_longer_than_its_words():
 
 
 def test_the_rpi_relation_reaches_the_bfs_as_letter_groups(monkeypatch):
-    # the step graph hands over its shared column-letter tuples whole: the
-    # relation's 106,037 transitions come in as about 13,000 groups, where
-    # a graph yielding one letter at a time gives one group per letter
+    # the step graph hands over its shared column-letter tuples whole, and
+    # the accept edges their letters by target: the relation's 106,037
+    # transitions come in as about 7,100 groups, where a graph yielding one
+    # letter at a time gives one group per letter
     counts = []
     build = au.build
 
@@ -445,26 +446,72 @@ def test_the_rpi_relation_reaches_the_bfs_as_letter_groups(monkeypatch):
         return build(arity, alphabet, start, accepting, counted)
 
     monkeypatch.setattr(au, "build", counting)
-    rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
+    relation = build_rpi(kreisel_comparator(False), pi_tag="pi0=true").relation  # built on its first read
     groups, letters = counts[0]
-    assert rpi.relation.n_transitions == 106037 and letters >= 106037
-    assert groups < 15000
+    assert relation.n_transitions == 106037 and letters >= 106037
+    assert groups < 8000
 
 
 def test_no_read_of_the_rpi_relation_builds_its_triples():
-    # the relation is stored once, as its transition index: building it,
-    # checking a fragment and following a witness path leave the frozenset
-    # of its triples unbuilt; read, it holds the indexed moves
+    # reads go through the relation's reader: checking a fragment and
+    # following a witness path leave the relation and the domain unbuilt.
+    # Built afterwards, the relation is the pinned one, stored once, as its
+    # transition index: the frozenset of its triples is derived on a read
     rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
     frag = explore_fragment(rpi, word_len=2, run_input_len=1)
     assert bounded_wf_check(rpi, frag) is None
     assert emb_path(rpi, ("0",), ("1",)) is not None
+    assert "relation" not in rpi.__dict__ and "domain" not in rpi.__dict__
+    assert 0 < len(rpi.reader._delta) < 1746
     rel = rpi.relation
     assert "transitions" not in rel.__dict__ and "transitions" not in rpi.domain.__dict__
     assert rel.transitions == {(q, l, r) for q, row in rel._delta.items() for l, rs in row.items() for r in rs}
     assert len(rel.transitions) == rel.n_transitions == 106037
     saved = au.save_automaton(rel, "R").encode("utf-8")
     assert hashlib.sha256(saved).hexdigest() == RPI_TRUE_RELATION_SHA256
+
+
+def _bench_shaped_pairs(seed, count):
+    """`count` pairs x <llex y of binary words with lengths 16 to 40, as
+    the benchmark's rpi workload draws them."""
+    rng = random.Random(seed)
+    lengths = itertools.cycle(itertools.product((16, 24, 32, 40), repeat=2))
+    pairs = []
+    for lx, ly in itertools.islice(lengths, count):
+        x = y = ()
+        while x == y:
+            x, y = (tuple(rng.choice("01") for _ in range(n)) for n in (lx, ly))
+        pairs.append(tuple(sorted((x, y), key=lambda w: (len(w), w))))
+    return pairs
+
+
+@pytest.mark.parametrize("false_pi", [False, True], ids=["pi0-true", "pi0-false"])
+def test_the_rpi_reader_answers_as_the_built_relation(false_pi):
+    # a fresh reader and the built relation agree on every edge of both
+    # comparators' fragments, every pair of the first 50 elements, the
+    # witness paths of 200 benchmark-shaped pairs run by both comparators,
+    # and words holding the pad symbol or a foreign one
+    reader = build_rpi(kreisel_comparator(false_pi), pi_tag="x").reader
+    relation = rpi_for(false_pi).relation
+    fragments = [explore_fragment(rpi_for(f), word_len=3, run_input_len=2) for f in (False, True)]
+    pairs = [edge for frag in fragments for edge in frag.edges]
+    pairs += [(u, v) for u in fragments[0].elements[:50] for v in fragments[0].elements[:50]]
+    pads = [(T.WORD_TAG, "0", au.PAD), (T.CONF_TAG, "go", au.PAD), (T.WORD_TAG, "z"), (T.CONF_TAG, "z", "0")]
+    pairs += [(u, v) for u in pads + fragments[0].elements[:5] for v in pads + fragments[0].elements[:5]]
+    answers = [reader.accepts(u, v) for u, v in pairs]
+    assert answers == [relation.accepts(u, v) for u, v in pairs]
+    assert True in answers and False in answers
+    rejected = 0
+    for x, y in _bench_shaped_pairs(7, 200):
+        for tm in (rpi_for(False).tm, rpi_for(True).tm):
+            trace, accepted = run(tm, [x, y, ()])
+            path = [tag_word(x), *T.trace_words(tm, trace), *([tag_word(y)] if accepted else [])]
+            got = reader.rejected_hop(path)
+            assert got == relation.rejected_hop(path)
+            rejected += got is not None
+    assert 0 < rejected < 400
+    padded = [tag_word("0"), (T.CONF_TAG, au.PAD)]
+    assert reader.rejected_hop(padded) == relation.rejected_hop(padded) == 0
 
 
 def test_emb_path_for_all_small_pairs():
@@ -538,7 +585,7 @@ def test_emb_path_names_the_first_hop_the_relation_rejects():
     # comparator's relation: the path is rejected at the hop per-hop
     # `accepts` rejects first
     true, false = rpi_for(False), rpi_for(True)
-    mixed = T.RpiStructure(true.domain, false.relation, true.tm, "mixed")
+    mixed = T.RpiStructure(true.tm, "mixed", build_rpi(false.tm, "x").reader)
     words = [tuple(b) for n in range(4) for b in itertools.product("01", repeat=n)]
     raised = 0
     for x in words:
@@ -561,8 +608,8 @@ def test_emb_path_names_the_first_hop_the_relation_rejects():
 def test_emb_path_steps_at_most_three_quarters_of_its_letters():
     # a hop resumes from where its letters stop agreeing with the previous
     # hop's, so fewer letters are stepped than the hops hold.  Each letter
-    # stepped is one `get` on the transition index (one state alive) or on
-    # the step table (a set of states), counted on a copy of the relation
+    # stepped is one `get` on the reader's rows (one state alive; a row's
+    # first read is one more `get`) or on its step table (a set of states)
     class Counting(dict):
         lookups = 0
 
@@ -570,15 +617,33 @@ def test_emb_path_steps_at_most_three_quarters_of_its_letters():
             Counting.lookups += 1
             return dict.get(self, *args)
 
-    rpi = rpi_for(False)
-    relation = dataclasses.replace(rpi.relation, _delta=Counting(rpi.relation._delta))
-    relation.__dict__["_subset_steps"] = Counting()
+    rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
+    object.__setattr__(rpi.reader, "_delta", Counting())
+    rpi.reader.__dict__["_subset_steps"] = Counting()
     x, y = tuple("01101001011010010110100101101001"), tuple("1001011010010110100101101001011001101001")
     Counting.lookups = 0
-    path = emb_path(dataclasses.replace(rpi, relation=relation), x, y)
-    assert path == emb_path(rpi, x, y) and path is not None
+    path = emb_path(rpi, x, y)
+    assert path == emb_path(rpi_for(False), x, y) and path is not None
     letters = sum(max(len(u), len(v)) for u, v in zip(path, path[1:]))
     assert Counting.lookups <= 0.75 * letters, (Counting.lookups, letters)
+
+
+def test_explore_fragment_names_a_structural_edge_the_relation_rejects():
+    # the pi_0-true comparator's runs read against the pi_0-false
+    # comparator's relation: the fragment check raises at the first hop,
+    # in run order, that per-edge `accepts` on the built relation rejects
+    true, false = rpi_for(False), rpi_for(True)
+    mixed = T.RpiStructure(true.tm, "mixed", build_rpi(false.tm, "x").reader)
+    with pytest.raises(WobError) as exc:
+        explore_fragment(mixed, word_len=2, run_input_len=2)
+    words = [tuple(b) for n in range(3) for b in itertools.product("01", repeat=n)]
+    for x, y in itertools.product(words, repeat=2):
+        trace, accepted = run(true.tm, [x, y, ()])
+        path = [tag_word(x), *T.trace_words(true.tm, trace), *([tag_word(y)] if accepted else [])]
+        bad = next((i for i, (u, v) in enumerate(zip(path, path[1:])) if not false.relation.accepts(u, v)), None)
+        if bad is not None:
+            break
+    assert str(exc.value) == f"structural edge missing from the automaton: {path[bad]!r} -> {path[bad + 1]!r}"
 
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
