@@ -31,7 +31,9 @@ and reads the ones that become all-pad as empty moves, in one scan of its
 edges that gives an unnumbered graph; `project` and `permute_tapes` are
 that graph numbered by the BFS.  `minimize`, `is_subset` and `difference`
 also take a projection's graph unnumbered (`projection_graph`), so a
-projection that is only minimized or searched is never built.  Inclusion
+projection that is only minimized or searched is never built, and
+`count_or_enumerate` reads a section's graph (`section_graph`) the same
+way, so a section that is only enumerated is never numbered.  Inclusion
 is one subset product, `_difference_graph`: `difference` builds it, and
 `is_subset` and `is_subset_of_cube` search it up to the first
 counterexample.  That BFS and that search read the one state budget,
@@ -201,15 +203,6 @@ class Automaton:
         return ((q, r) for q, row in self._delta.items() for rs in row.values() for r in rs)
 
     @cached_property
-    def _letter_key(self) -> Callable:
-        index = {s: i for i, s in enumerate(self.alphabet)}
-
-        def key(letter):
-            return tuple(-1 if s == PAD else index[s] for s in letter)
-
-        return key
-
-    @cached_property
     def _reachable(self) -> frozenset:
         succ = {q: {r for rs in row.values() for r in rs} for q, row in self._delta.items()}
         return _search({self.initial}, succ)
@@ -232,6 +225,12 @@ class Automaton:
         """(sorted state tuple, letter) -> sorted non-empty next-state
         tuple: the edges of the determinised automaton that reads have
         taken from a set of two or more states."""
+        return {}
+
+    @cached_property
+    def _section_splits(self) -> dict:
+        """tape -> `_split_tape(self, tape)`, made by the first section on
+        that tape (see `section_graph`)."""
         return {}
 
     def _run(self, letters: Iterable[Letter], trail: list) -> bool:
@@ -323,6 +322,18 @@ def _check_alphabet(alphabet: tuple) -> None:
 def _pad_mask(letter) -> int:
     """The tapes a letter pads, as a bit set."""
     return sum(1 << i for i, s in enumerate(letter) if s == PAD)
+
+
+def _letter_key(alphabet) -> Callable:
+    """The sort key of letters over `alphabet`: each symbol's index in it,
+    PAD first."""
+    index = {s: i for i, s in enumerate(alphabet)}
+    index[PAD] = -1
+
+    def key(letter):
+        return tuple(map(index.__getitem__, letter))
+
+    return key
 
 
 def _search(seeds, succs: dict) -> frozenset:
@@ -785,23 +796,37 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     Length here is convolution length; ties are broken letter-wise using the
     declared symbol order with PAD sorting first.  This order restricted to
     arity 1 is the built-in llex relation.
+
+    `a` is read through `arity`, `alphabet`, `initial`, `accepting` and
+    `_delta` alone, so it may be a section graph (`section_graph`), read
+    without being numbered.  The words do not depend on a numbering, and
+    the enumeration keeps to the states reachable from `a.initial`: one
+    forward search gives them and their back edges, and acceptance is
+    searched back along those edges only.  A graph built by a forward
+    search holds only reachable keys, so the states its trimmed numbering
+    keeps are its coreachable ones, and the layers below end exactly where
+    they end on that numbering.
     """
     out: list[WordTuple] = []
     if limit <= 0:
         return out
-    useful = a.useful_states
-    if a.initial not in useful:
-        return out
-    back: dict = {}
-    for q, r in a._edges():
-        if q in useful and r in useful:
-            back.setdefault(r, set()).add(q)
+    delta = a._delta
+    back: dict = {}  # the back edges of the reachable states
+    seen, stack = {a.initial}, [a.initial]
+    while stack:
+        q = stack.pop()
+        for targets in delta.get(q, {}).values():
+            for r in targets:
+                back.setdefault(r, []).append(q)
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
     if a.initial in a.accepting:
         out.append(((),) * a.arity)
-    # layers[m]: the useful states that reach acceptance in exactly m steps.
-    # A word longer than m passes through layer m, so once a layer is empty
-    # no longer word exists; in an infinite language no layer is empty.
-    layers = [a.accepting & useful]
+    # layers[m]: the reachable states that reach acceptance in exactly m
+    # steps.  A word longer than m passes through layer m, so once a layer is
+    # empty no longer word exists; in an infinite language no layer is empty.
+    layers = [a.accepting & seen]
     while len(out) < limit:
         layer = {p for q in layers[-1] for p in back.get(q, ())}
         if not layer:
@@ -818,17 +843,21 @@ def _enumerate_length(a, layers, length, want):
     # letter iterator per position of `path`, so long words need no recursion.
     results = []
     path = []
-    lkey = a._letter_key
+    lkey = _letter_key(a.alphabet)
 
     def branches(subset, remaining):
-        options = {}
-        for q in subset:
-            for letter, targets in a._delta.get(q, {}).items():
-                options.setdefault(letter, set()).update(targets)
+        if len(subset) == 1:  # a deterministic step: the row is the options
+            options = a._delta.get(next(iter(subset)), {})
+        else:
+            options = {}
+            for q in subset:
+                for letter, targets in a._delta.get(q, {}).items():
+                    options.setdefault(letter, set()).update(targets)
+        layer = layers[remaining - 1]
         for letter in sorted(options, key=lkey):
-            targets = options[letter] & layers[remaining - 1]
+            targets = layer.intersection(options[letter])
             if targets:
-                yield letter, frozenset(targets)
+                yield letter, targets
 
     stack = [branches(frozenset({a.initial}), length)]
     while stack:
@@ -942,9 +971,11 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
 
 @dataclass(frozen=True)
 class _Graph:
-    """A relabelled automaton before numbering: `_delta` maps each of `a`'s
-    own states to its non-ε letters and their targets.  Targets keep `a`'s
-    order and may repeat, and no state is trimmed."""
+    """An automaton before numbering: a relabelling (`_relabel`), whose
+    `_delta` maps each of the operand's own states to its non-ε letters and
+    their targets, or a section (`section_graph`), over the (state,
+    position) keys its search reached.  Targets keep the operand's order
+    and may repeat, and no state is trimmed."""
 
     arity: int
     alphabet: tuple
@@ -1008,7 +1039,8 @@ def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False
 
 
 def _numbered(g: _Graph) -> Automaton:
-    """The automaton of a relabelling: `_canonical`'s BFS over its graph."""
+    """The automaton of a relabelling or a section: `_canonical`'s BFS
+    over its graph."""
 
     def moves(q):
         for rest, targets in g._delta.get(q, {}).items():
@@ -1091,13 +1123,27 @@ def fixed_word(alphabet, word) -> Automaton:
 
 
 def section(rel: Automaton, tape: int, word) -> Automaton:
-    """Fix one tape of a relation to a constant word and project it away.
+    """Fix one tape of a relation to a constant word and project it away:
+    the section graph (see `section_graph`), numbered."""
+    return _numbered(section_graph(rel, tape, word))
 
-    One pass over (state, position in word) pairs.  A letter whose other
-    tapes all read pad can only be followed by such letters, so those
-    letters are not moves: whether the rest of the word can be read that
-    way is looked up in `tail[i]`, the states that accept `word[i:]` on
-    `tape` with every other tape padded.
+
+def section_graph(rel: Automaton, tape: int, word) -> _Graph:
+    """The section of `rel` at `word` on `tape` (see `section`), unnumbered:
+    a `_Graph` over (state, position in word) keys, holding the keys a
+    forward search from (rel.initial, 0) reaches.
+
+    A letter whose other tapes all read pad can only be followed by such
+    letters, so those letters are not moves: whether the rest of the word
+    can be read that way is looked up in `tail[i]`, the states that accept
+    `word[i:]` on `tape` with every other tape padded.  The split of
+    `rel`'s letters into moves and tape-only tail edges is made once per
+    tape (`Automaton._section_splits`); only `tail` is made per word.  For
+    one (state, symbol), distinct letters have distinct rests, so a key's
+    row lists its moves in `rel`'s letter order, as `_numbered` reads them.
+    The keys are at most `rel`'s states times the word's positions, so,
+    like a projection's graph, the search reads no state budget; `section`
+    reads it in its BFS.
     """
     _require_tape(rel, tape)
     w = tuple(word)
@@ -1106,28 +1152,46 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
         if s not in symbols:
             raise InvalidSymbol(f"symbol {s!r} of the section word is not in the alphabet")
     n = len(w)
+    splits = rel._section_splits
+    real, tail_sources = splits[tape] if tape in splits else splits.setdefault(tape, _split_tape(rel, tape))
+    tail = [frozenset()] * n + [rel.accepting]
+    for i in range(n - 1, -1, -1):
+        if not tail[i + 1]:  # then no earlier tail holds a state either
+            break
+        tail[i] = frozenset(q for r in tail[i + 1] for q in tail_sources.get((w[i], r), ()))
 
+    start = (rel.initial, 0)
+    delta: dict = {}
+    seen, stack = {start}, [start]
+    while stack:
+        q, i = key = stack.pop()
+        sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
+        for rest, targets in real.get((q, sym), ()):
+            out = delta.setdefault(key, {})[rest] = [(r, nxt) for r in targets]
+            fresh = [k for k in out if k not in seen]
+            seen.update(fresh)
+            stack.extend(fresh)
+    accepting = frozenset(k for k in seen if k[0] in tail[k[1]])
+    return _Graph(rel.arity - 1, rel.alphabet, start, accepting, delta)
+
+
+def _split_tape(rel: Automaton, tape: int) -> tuple:
+    """`rel`'s letters split by their symbol on `tape`, as (real,
+    tail_sources): real[(q, sym)] lists (rest, targets), the letters of q
+    that read sym on `tape` and something on another tape, with `tape`
+    dropped; tail_sources[(sym, r)] lists the states q with an edge into r
+    that reads sym on `tape` alone."""
     real: dict = {}
-    tail_edges: dict = {}
+    tail_sources: dict = {}
     for q, out in rel._delta.items():
         for letter, targets in out.items():
             rest = letter[:tape] + letter[tape + 1 :]
             if all(s == PAD for s in rest):
-                tail_edges.setdefault(letter[tape], []).extend((q, r) for r in targets)
+                for r in targets:
+                    tail_sources.setdefault((letter[tape], r), []).append(q)
             else:
                 real.setdefault((q, letter[tape]), []).append((rest, targets))
-    tail = [frozenset()] * n + [rel.accepting]
-    for i in range(n - 1, -1, -1):
-        tail[i] = frozenset(q for q, r in tail_edges.get(w[i], ()) if r in tail[i + 1])
-
-    def moves(key):
-        q, i = key
-        sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
-        for rest, targets in real.get((q, sym), ()):
-            for r in targets:
-                yield (rest,), (r, nxt)
-
-    return _canonical(rel.arity - 1, rel.alphabet, (rel.initial, 0), lambda key: key[0] in tail[key[1]], moves)
+    return real, tail_sources
 
 
 # -- text format ---------------------------------------------------------
@@ -1135,8 +1199,9 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
 
 def save_automaton(a: Automaton, name: str) -> str:
     lines = [f"automaton {name}", f"arity {a.arity}", "alphabet " + " ".join(a.alphabet), f"states {a.n_states}", f"initial {a.initial}", "accepting " + " ".join(str(q) for q in sorted(a.accepting))]
+    key = _letter_key(a.alphabet)
     for q, row in a._delta.items():
-        for letter in sorted(row, key=a._letter_key):
+        for letter in sorted(row, key=key):
             lines.extend(f"trans {q} ({','.join(letter)}) {r}" for r in row[letter])
     return "\n".join(lines) + "\n"
 

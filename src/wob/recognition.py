@@ -295,15 +295,20 @@ def initial_chain(p: OrderPresentation, count: int) -> list:
     """The first `count` elements of the order.  The first is certified least
     of the domain and each later one the one cover of its predecessor, both
     by automaton emptiness: the image of x under the successor relation is
-    the set of minimal elements of { y : x < y }.  Two covers mean the order
-    is not linear; none ends the chain."""
+    the set of minimal elements of { y : x < y }, read off the section
+    graph of the successor relation at x without numbering it.  Two minimal
+    elements or two covers mean the order is not linear, and the error
+    names them; no cover ends the chain."""
     out: list = []
     found = least_of(p, p.domain) if count > 0 else []
     while found:
         if len(found) > 1:
-            raise NotLinear("two minimal elements; order is not linear")
+            two = " and ".join(repr(au.show_word(w)) for w in found)
+            if out:
+                raise NotLinear(f"element {au.show_word(out[-1])!r} has two covers, {two}; order is not linear")
+            raise NotLinear(f"two minimal elements, {two}; order is not linear")
         out.append(found[0])
         if len(out) == count:
             break
-        found = [w[0] for w in au.count_or_enumerate(au.section(p.successor, 0, found[0]), 2)]
+        found = [w[0] for w in au.count_or_enumerate(au.section_graph(p.successor, 0, found[0]), 2)]
     return out

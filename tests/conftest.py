@@ -355,7 +355,7 @@ def reference_minimize(a):
     none."""
     d = reference_determinize(a)
     delta = {(q, letter): r for q, out in d._delta.items() for letter, (r,) in out.items()}
-    letters = sorted({letter for _q, letter in delta}, key=d._letter_key)
+    letters = sorted({letter for _q, letter in delta}, key=au._letter_key(d.alphabet))
     block = {q: int(q in d.accepting) for q in range(d.n_states)}
     while True:
         signatures = {}

@@ -5,10 +5,11 @@ import inspect
 import itertools
 import random
 import re
+import signal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -566,6 +567,112 @@ def test_section_matches_oracles(data):
             assert language(got, max_len) == expect, (tape, word)
             ref = reference_section(rel, tape, word)
             assert au.save_automaton(au.minimize(got), "s") == au.save_automaton(au.minimize(ref), "s")
+
+
+def _within(seconds, f, *args):
+    """f(*args), failed with TimeoutError once `seconds` have passed: an
+    enumeration whose layers never run dry fails here rather than hangs.
+    The alarm repeats, as one raised inside a gc callback is dropped."""
+
+    def stop(*_):
+        raise TimeoutError(f"{f.__name__} ran past {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 0.1)
+    try:
+        return f(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _oracle_words(accepts, arity, max_len, limit):
+    """The first `limit` tuples of arity `arity`, components of length at
+    most max_len, that `accepts` holds, in count_or_enumerate's order:
+    convolution length, then letter-wise with PAD first."""
+    rank = {au.PAD: -1, **{s: i for i, s in enumerate(AB)}}
+    found = [tup for tup in tuples_upto(AB, arity, max_len) if accepts(tup)]
+    found.sort(key=lambda tup: (len(conv(*tup)), [tuple(rank[s] for s in letter) for letter in conv(*tup)]))
+    return found[:limit]
+
+
+def _assert_enumerates(got, accepts, arity, max_len, limit, infinite):
+    # the words of convolution length <= max_len are the oracle's llex
+    # prefix; any longer ones follow them and are accepted too
+    short = [tup for tup in got if len(conv(*tup)) <= max_len]
+    assert short == _oracle_words(accepts, arity, max_len, limit)
+    assert got[: len(short)] == short
+    assert all(accepts(tup) for tup in got)
+    assert len(got) == len(set(got)) <= limit
+    if infinite:
+        assert len(got) == limit
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_section_graph_enumerates_as_the_section(data):
+    # the unnumbered section graph gives the built section's words, which
+    # are the oracle's; numbered, it is the section byte for byte.  Few
+    # random sections are infinite; llex's on tape 0 all are
+    seed = data.draw(st.integers(0, 10 ** 6))
+    kind = data.draw(st.sampled_from([2, 3, "llex"]))
+    limit = data.draw(st.sampled_from([1, 2, 3, 4, 5, 100]))
+    rng = random.Random(seed)
+    if kind == "llex":
+        rel = au.llex_automaton(AB)
+    else:
+        rel = _random_nfa2(rng) if kind == 2 else _random_nfa3(rng)
+    arity = rel.arity
+    max_len = 4 if arity == 2 else 2
+    for tape in range(arity):
+        for word in words_upto(AB, 4):
+            graph = au.section_graph(rel, tape, word)
+            built = au.section(rel, tape, word)
+            got = _within(1, au.count_or_enumerate, graph, limit)
+            assert got == au.count_or_enumerate(built, limit), (tape, word)
+            _assert_enumerates(
+                got, lambda rest: run_nfa(rel, conv(*rest[:tape], word, *rest[tape:])), arity - 1, max_len, limit,
+                au.is_infinite(built),
+            )
+            assert au.save_automaton(au._numbered(graph), "s") == au.save_automaton(built, "s")
+
+
+# no shrinking: a smaller seed is no smaller relation, and each failing
+# attempt would wait out its timer
+@settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.data())
+def test_count_or_enumerate_keeps_to_reachable_states(data):
+    # random relations keep their unreachable states, some on a cycle that
+    # reaches acceptance: such a cycle must not keep the layers going
+    seed = data.draw(st.integers(0, 10 ** 6))
+    arity = data.draw(st.sampled_from([2, 3]))
+    limit = data.draw(st.sampled_from([1, 2, 3, 4, 5, 100]))
+    rng = random.Random(seed)
+    rel = _random_nfa2(rng) if arity == 2 else _random_nfa3(rng)
+    got = _within(1, au.count_or_enumerate, rel, limit)
+    _assert_enumerates(got, lambda tup: run_nfa(rel, conv(*tup)), arity, 3 if arity == 2 else 2, limit, au.is_infinite(rel))
+
+
+def test_count_or_enumerate_ignores_an_unreachable_cycle():
+    # state 2 is unreachable and loops on b before it reaches acceptance
+    a = au.automaton(1, AB, 3, 0, {1}, [(0, ("a",), 1), (2, ("b",), 2), (2, ("a",), 1)])
+    assert _within(1, au.count_or_enumerate, a, 5) == [(("a",),)]
+
+
+def test_sections_on_alternate_tapes_match_a_fresh_relation():
+    # the split of a relation's letters is kept per tape: sections on tape 0
+    # and tape 1 taken in turn from one relation are those of a fresh copy
+    rng = random.Random(5)
+    for rel in [au.llex_automaton(AB)] + [_random_nfa2(rng) for _ in range(6)]:
+        for word in words_upto(AB, 3):
+            for tape in (0, 1, 0, 1):
+                fresh = dataclasses.replace(rel)
+                assert au.save_automaton(au.section(rel, tape, word), "s") == au.save_automaton(
+                    au.section(fresh, tape, word), "s"
+                ), (tape, word)
+                assert au.count_or_enumerate(au.section_graph(rel, tape, word), 4) == au.count_or_enumerate(
+                    au.section_graph(fresh, tape, word), 4
+                ), (tape, word)
 
 
 def test_section_rejects_bad_words_and_tapes():

@@ -333,6 +333,22 @@ def test_recognize_requires_linear():
         recognize(OrderPresentation(_strict_prefix()))
 
 
+def test_initial_chain_names_two_covers():
+    # the empty word is least in the prefix order, and both one-letter
+    # words cover it
+    with pytest.raises(NotLinear, match=r"^element '' has two covers, '0' and '1'; order is not linear$"):
+        initial_chain(OrderPresentation(_strict_prefix()), 5)
+
+
+def test_initial_chain_names_two_minimal_elements():
+    # an empty order on {a, b}: both elements are minimal, and no chain starts
+    ab = ("a", "b")
+    domain = au.union(au.fixed_word(ab, "a"), au.fixed_word(ab, "b"))
+    s = Structure(name="antichain", domain=domain, relations={"<": au.empty(ab, 2)})
+    with pytest.raises(NotLinear, match=r"^two minimal elements, 'a' and 'b'; order is not linear$"):
+        initial_chain(OrderPresentation(s), 5)
+
+
 @pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
 def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     # every set of a level is read from its one in-class relation, so each
