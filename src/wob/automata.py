@@ -40,6 +40,12 @@ counterexample.  That BFS and that search read the one state budget,
 `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
 a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
+There is one subset step: a set of states is a sorted tuple, and its row,
+letter -> sorted tuple of targets, is merged from its states' rows by
+`_merged` alone.  Reads and the subset product take a set's row from
+`_row`, which an automaton keeps in `_subset_steps`; enumeration and
+Brzozowski's reversal merge theirs where they step.
+
 Symbols are arbitrary non-reserved tokens; `show_word` prints a word as a
 plain string when every symbol is a single character.
 """
@@ -129,9 +135,10 @@ class Automaton:
     `_delta`: state -> {letter: sorted tuple of targets}, all in sorted
     order, no empty entries.  `transitions`, their frozenset of
     (state, letter, state) triples, is derived on its first read.
-    Instances are immutable, apart from the step table `_subset_steps`
-    that reads fill in (see `_run`); it is this automaton's own, never
-    shared.  Constructing one directly validates it,
+    Instances are immutable, apart from the table `_subset_steps` of
+    the rows of sets of states, which reads and subset products fill in
+    (see `_row`); it is this automaton's own, never shared.  Constructing
+    one directly validates it,
     including the suffix-padding invariant along every path reachable
     from the initial state; kernel operations build their results without
     this check (see `_canonical`).
@@ -222,9 +229,10 @@ class Automaton:
 
     @cached_property
     def _subset_steps(self) -> dict:
-        """(sorted state tuple, letter) -> sorted non-empty next-state
-        tuple: the edges of the determinised automaton that reads have
-        taken from a set of two or more states."""
+        """Sorted tuple of states (any number but one) -> the row of that
+        set, as `_merged` gives it: the states of the determinised
+        automaton that reads and subset products have stepped from (see
+        `_row`)."""
         return {}
 
     @cached_property
@@ -233,34 +241,34 @@ class Automaton:
         that tape (see `section_graph`)."""
         return {}
 
+    def _row(self, states: tuple) -> dict:
+        """The row of a sorted tuple of states, letter -> sorted tuple of
+        targets: a single state's `_delta` row (`_missing_row`'s when
+        `_delta` holds none), or a set's rows merged once and kept in
+        `_subset_steps`."""
+        if len(states) == 1:
+            row = self._delta.get(states[0])
+            return self._missing_row(states[0]) if row is None else row
+        row = self._subset_steps.get(states)
+        if row is None:
+            row = self._subset_steps[states] = _merged(self._row((q,)) for q in states)
+        return row
+
     def _run(self, letters: Iterable[Letter], trail: list) -> bool:
         """Run the lazily determinised automaton from the state set
         trail[-1], appending the set reached after each letter to `trail`;
         True when the run ends in an accepting state, False as soon as a
-        step is empty.  While one state is alive a step is one `_delta`
-        lookup; from a set of states it is read from `_subset_steps`, or
-        computed and stored there.  Only non-empty steps are stored (an
-        empty one ends the run), so the table holds at most one entry per
-        letter read.  A state `_delta` holds no row for is looked up in
-        `_missing_row`.  Letters must be tuples, as `convolve` gives them;
-        they are not converted."""
-        delta, steps, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
+        step is empty.  A step is one lookup of the set's row, in `_delta`
+        for one state and in `_subset_steps` for more, and one of the
+        letter in it; `_row` is called only when the row is missing.
+        Letters must be tuples, as `convolve` gives them; they are not
+        converted."""
+        delta, rows, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
         for letter in letters:
-            if len(current) == 1:  # a deterministic step needs no set
-                row = delta.get(current[0])
-                if row is None:
-                    row = self._missing_row(current[0])
-                current = row.get(letter, ())
-            else:
-                key = (current, letter)
-                after = steps.get(key)
-                if after is None:
-                    rows = (delta[q] if q in delta else self._missing_row(q) for q in current)
-                    after = tuple(sorted({r for row in rows for r in row.get(letter, ())}))
-                    if not after:
-                        return False
-                    steps[key] = after
-                current = after
+            row = delta.get(current[0]) if len(current) == 1 else rows.get(current)
+            if row is None:
+                row = self._row(current)
+            current = row.get(letter, ())
             if not current:
                 return False
             push(current)
@@ -347,6 +355,17 @@ def _search(seeds, succs: dict) -> frozenset:
                 seen.add(r)
                 stack.append(r)
     return frozenset(seen)
+
+
+def _merged(rows) -> dict:
+    """The row of a set of states, from their rows: letter -> the sorted
+    tuple of the targets any of them has on it.  The only place where a
+    set's rows are merged."""
+    merged: dict = {}
+    for row in rows:
+        for letter, targets in row.items():
+            merged.setdefault(letter, set()).update(targets)
+    return {letter: tuple(sorted(targets)) for letter, targets in merged.items()}
 
 
 def automaton(arity, alphabet, n_states, initial, accepting, transitions) -> Automaton:
@@ -678,39 +697,28 @@ def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
     """L(a) minus L(b) as an implicit graph, in the (start, accepting, moves)
     form `_canonical` takes.
 
-    A key pairs a state of `a` with the set of states `b` can be in after
-    the same letters, so `b` is determinized only along the letters `a`
-    uses and no complement of it is built.  With `tape`, `b` is unary and
-    reads that tape alone, entering a drain state from acceptance once the
-    tape pads: the accepting keys are then those of the tuples of L(a)
-    whose word on `tape` is not in L(b).  Many letters share their symbol
-    on `tape`, so there each (subset, symbol) image is computed once.
+    A key pairs a state of `a` with the sorted tuple of states `b` can be in
+    after the same letters, so `b` is determinized only along the letters
+    `a` uses and no complement of it is built.  Each key reads the set's
+    row once (`b._row`).  With `tape`, `b` is unary and reads that tape
+    alone, as the letter (symbol on `tape`,), entering a drain state from
+    acceptance once the tape pads: the accepting keys are then those of the
+    tuples of L(a) whose word on `tape` is not in L(b).
     """
     DRAIN = -1
-    delta, done = b._delta, b.accepting if tape is None else b.accepting | {DRAIN}
-    images: dict = {}  # (subset, symbol on tape) -> image
-
-    def image(subset, letter):
-        if tape is None:
-            return frozenset(r for q in subset for r in delta.get(q, {}).get(letter, ()))
-        key = (subset, letter[tape])
-        after = images.get(key)
-        if after is None:
-            if key[1] == PAD:
-                after = frozenset({DRAIN} if subset & done else ())
-            else:
-                after = frozenset(r for q in subset for r in delta.get(q, {}).get(key[1:], ()))
-            images[key] = after
-        return after
+    done = b.accepting if tape is None else b.accepting | {DRAIN}
 
     def moves(pair):
         p, subset = pair
+        row = b._row(subset)
+        if tape is not None and not done.isdisjoint(subset):  # the tape may pad: into the drain
+            row = {**row, (PAD,): (DRAIN,)}
         for letter, targets in a._delta.get(p, {}).items():
-            after = image(subset, letter)
+            after = row.get(letter if tape is None else (letter[tape],), ())
             for r in targets:
                 yield (letter,), (r, after)
 
-    return (a.initial, frozenset({b.initial})), lambda pair: pair[0] in a.accepting and not (pair[1] & done), moves
+    return (a.initial, (b.initial,)), lambda pair: pair[0] in a.accepting and done.isdisjoint(pair[1]), moves
 
 
 def _reaches_acceptance(start, accepting, moves) -> bool:
@@ -843,23 +851,19 @@ def _enumerate_length(a, layers, length, want):
     # letter iterator per position of `path`, so long words need no recursion.
     results = []
     path = []
-    lkey = _letter_key(a.alphabet)
+    delta, lkey = a._delta, _letter_key(a.alphabet)
 
     def branches(subset, remaining):
-        if len(subset) == 1:  # a deterministic step: the row is the options
-            options = a._delta.get(next(iter(subset)), {})
-        else:
-            options = {}
-            for q in subset:
-                for letter, targets in a._delta.get(q, {}).items():
-                    options.setdefault(letter, set()).update(targets)
-        layer = layers[remaining - 1]
-        for letter in sorted(options, key=lkey):
-            targets = layer.intersection(options[letter])
+        # one state's row is read bare, a set's merged; the order of targets
+        # does not matter here, as they only form the next set
+        row = delta.get(subset[0], {}) if len(subset) == 1 else _merged(delta.get(q, {}) for q in subset)
+        inside = layers[remaining - 1].__contains__
+        for letter in sorted(row, key=lkey):
+            targets = tuple(filter(inside, row[letter]))
             if targets:
                 yield letter, targets
 
-    stack = [branches(frozenset({a.initial}), length)]
+    stack = [branches((a.initial,), length)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -872,7 +876,7 @@ def _enumerate_length(a, layers, length, want):
         if len(path) < length:
             stack.append(branches(subset, length - len(path)))
             continue
-        if subset & a.accepting:
+        if not a.accepting.isdisjoint(subset):
             results.append(deconvolve(path))
             if len(results) >= want:
                 break
@@ -898,22 +902,19 @@ def minimize(a: Automaton) -> Automaton:
 
 def _reverse_subsets(a: Automaton) -> Automaton:
     """The subset construction over `a`'s edges read backwards, from its
-    accepting set; a set accepts when it holds `a.initial`."""
+    accepting set: a set is a sorted tuple, its row the merge (`_merged`)
+    of its states' back edges, and it accepts when it holds `a.initial`."""
     back: dict = {}
     for q, out in a._delta.items():
         for letter, targets in out.items():
             for r in targets:
-                back.setdefault(r, {}).setdefault(letter, set()).add(q)
+                back.setdefault(r, {}).setdefault(letter, []).append(q)
 
     def moves(subset):
-        out: dict = {}
-        for r in subset:
-            for letter, sources in back.get(r, {}).items():
-                out.setdefault(letter, set()).update(sources)
-        for letter, sources in out.items():
-            yield (letter,), frozenset(sources)
+        for letter, sources in _merged(back.get(r, {}) for r in subset).items():
+            yield (letter,), sources
 
-    return _canonical(a.arity, a.alphabet, frozenset(a.accepting), lambda s: a.initial in s, moves)
+    return _canonical(a.arity, a.alphabet, tuple(sorted(a.accepting)), lambda s: a.initial in s, moves)
 
 
 # -- tape surgery -------------------------------------------------------
@@ -975,13 +976,21 @@ class _Graph:
     `_delta` maps each of the operand's own states to its non-ε letters and
     their targets, or a section (`section_graph`), over the (state,
     position) keys its search reached.  Targets keep the operand's order
-    and may repeat, and no state is trimmed."""
+    and may repeat, as `_numbered` numbers them, and no state is trimmed."""
 
     arity: int
     alphabet: tuple
     initial: int
     accepting: frozenset
     _delta: dict
+
+    def _row(self, states: tuple) -> dict:
+        """The row of a sorted tuple of states, as `Automaton._row` gives
+        it; a single state's row is merged too, as `_delta` keeps its
+        targets in the operand's order.  A graph is read by one
+        construction, whose sets of states seldom repeat, so no row is
+        kept."""
+        return _merged(self._delta.get(q, {}) for q in states)
 
 
 def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False) -> _Graph:

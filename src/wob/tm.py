@@ -716,11 +716,21 @@ def check_fragment_budget(word_len: int, run_input_len: int) -> None:
     """StateBudgetExceeded when the fragment `explore_fragment` would list
     for these lengths can not fit the state budget: its binary words up to
     max(word_len, run_input_len) and one initial configuration per pair of
-    run inputs are counted, from the two lengths alone."""
+    run inputs are counted, from the two lengths alone.
+
+    The words alone pass the budget once the longer length reaches its bit
+    length, so the count is decided by bit length and no huge int is
+    built.  The error's count is the fragment's size while both lengths
+    are below 64; past that it is budget + 1, as the size is then only
+    known to pass the budget (and may have more digits than an int
+    prints)."""
     budget = au.STATE_BUDGET.get()
-    least = 2 ** (max(word_len, run_input_len) + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
+    top = max(word_len, run_input_len)
+    if top >= max(budget.bit_length(), 64):  # 2 ** (top + 1) - 1 words: past the budget and 2^64
+        raise StateBudgetExceeded(budget + 1, budget)
+    least = 2 ** (top + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
     if least > budget:
-        raise StateBudgetExceeded(least, budget)
+        raise StateBudgetExceeded(least if top < 64 else budget + 1, budget)
 
 
 def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:

@@ -718,6 +718,74 @@ def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max
     return a
 
 
+def reference_difference_graph(a, b, tape=None):
+    """The subset product of `difference` and `is_subset_of_cube` keyed by
+    frozensets: a key pairs a state of `a` with the frozenset of `b`'s
+    states, and each image is computed per letter, with no row merged or
+    kept.  In the (start, accepting, moves) form, with moves yielding
+    (letter, target) pairs as `reference_canonical` reads them."""
+    DRAIN = -1
+    done = b.accepting if tape is None else b.accepting | {DRAIN}
+
+    def image(subset, letter):
+        if tape is not None:
+            if letter[tape] == au.PAD:
+                return frozenset({DRAIN} if subset & done else ())
+            letter = (letter[tape],)
+        return frozenset(r for q in subset for r in b._delta.get(q, {}).get(letter, ()))
+
+    def moves(pair):
+        p, subset = pair
+        for letter, targets in a._delta.get(p, {}).items():
+            after = image(subset, letter)
+            for r in targets:
+                yield letter, (r, after)
+
+    return (a.initial, frozenset({b.initial})), lambda pair: pair[0] in a.accepting and not pair[1] & done, moves
+
+
+def reference_difference(a, b):
+    """L(a) minus L(b): the frozenset-keyed subset product, numbered."""
+    return reference_canonical(a.arity, a.alphabet, *reference_difference_graph(a, b))
+
+
+def reference_is_subset_of_cube(rel, domain):
+    """Whether no tape's frozenset-keyed subset product, searched whole,
+    holds an accepting key."""
+    for tape in range(rel.arity):
+        start, accepting, moves = reference_difference_graph(rel, domain, tape)
+        seen, stack = {start}, [start]
+        while stack:
+            key = stack.pop()
+            if accepting(key):
+                return False
+            for _letter, target in moves(key):
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+    return True
+
+
+def reference_reverse_subsets(a):
+    """`_reverse_subsets` with frozenset keys, each set's moves merged over
+    the back edges per call, numbered."""
+    back = {}
+    for q, out in a._delta.items():
+        for letter, targets in out.items():
+            for r in targets:
+                back.setdefault(r, {}).setdefault(letter, set()).add(q)
+
+    def moves(subset):
+        out = {}
+        for r in subset:
+            for letter, sources in back.get(r, {}).items():
+                out.setdefault(letter, set()).update(sources)
+        for letter, sources in out.items():
+            yield letter, frozenset(sources)
+
+    return reference_canonical(a.arity, a.alphabet, frozenset(a.accepting), lambda s: a.initial in s, moves)
+
+
 def reference_check_bachmann(table, bound, samples):
     """`ordinals.check_bachmann` with the Bachmann property tested for every
     grid limit against every interval of every limit."""

@@ -583,6 +583,18 @@ def test_tm_wf_check_past_the_state_budget_exits_3(flag, capsys):
     assert got["states"] >= 2 ** 41 - 1
 
 
+@pytest.mark.parametrize("flag, length", [("--word-len", "14300"), ("--run-len", "100000000")])
+def test_tm_wf_check_far_past_the_state_budget_exits_3_at_once(flag, length, capsys):
+    # a fragment of 2^14301 - 1 words, or 4^100000001 run-input pairs, is
+    # decided by bit length: no such int is built, and its count, past the
+    # digits an int prints, is reported as budget + 1
+    start = time.monotonic()
+    code, out = run_cli(["tm", "wf-check", "builtin:comparator", flag, length, "--json"], capsys)
+    assert time.monotonic() - start < 1
+    assert code == 3 and len(out.splitlines()) == 1
+    assert json.loads(out) == {"verdict": "budget-exceeded", "states": 1000001, "budget": 1000000}
+
+
 def test_tm_wf_check_refuses_the_fragment_before_building_the_relation(monkeypatch, capsys):
     # the fragment's size is read from the two options alone, so the
     # relation is never built for a fragment past the budget
@@ -723,8 +735,8 @@ VALUES = {
     "index": SMALL + EDGE, "x": SMALL + EDGE, "y": SMALL + EDGE, "start": SMALL + EDGE,
     "length": SMALL + EDGE, "depth": SMALL + EDGE, "max_levels": SMALL + EDGE,
     # 40 puts a wf-check fragment past the state budget, refused before
-    # the relation is read
-    "word_len": ["0", "1", "2", "40"] + EDGE, "run_len": ["0", "1", "2", "40"] + EDGE,
+    # the relation is read; 14300 puts its count past the digits an int prints
+    "word_len": ["0", "1", "2", "40", "14300"] + EDGE, "run_len": ["0", "1", "2", "40", "14300"] + EDGE,
     "budget": BUDGETS, "max_steps": STEPS, "max_value": STEPS,
     "xs": ["3", "2,3", ",", "3,,4", "-1", "x", ""],
     "system": ["std", "shifted", "x"], "system2": ["std", "shifted", "x"],
@@ -855,9 +867,9 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
         text = FORMULA_FILES.get(args.formula.replace(str(tmp), "{tmp}"))
         if text is not None:
             assert code in query_exits(args.manifest, text), (argv, err.getvalue())
-    if args is not None and args.command == "tm" and args.action == "wf-check" and max(args.word_len, args.run_len) == 40:
-        # a fragment of 2^41 - 1 words: past the state budget once the
-        # machine loads, whatever the machine
+    if args is not None and args.command == "tm" and args.action == "wf-check" and max(args.word_len, args.run_len) >= 40:
+        # a fragment of 2^41 - 1 words or more: past the state budget once
+        # the machine loads, whatever the machine
         assert code == (4 if args.machine.endswith("missing.tm") else 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and "internal-error" not in err.getvalue(), argv
     if "--json" in argv and code != 2:
