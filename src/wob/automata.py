@@ -394,7 +394,7 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     targets hands over each shared letter tuple whole; any other yields
     one-letter groups.  States are numbered in BFS order, each state's
     targets by `_numbering` in the order its groups are handed over.  Those
-    are sorted by each group's least letter by alphabet index (PAD first),
+    are sorted by each group's least letter under `_letter_key` (PAD first),
     ties in yield order, so the numbering is that of the same moves
     yielded one letter at a time, letters visited in sorted order, which
     makes every kernel operation deterministic down to the byte level.
@@ -410,15 +410,14 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     outside the kernel go through `build`.
     """
     alphabet = tuple(alphabet)
-    index = {s: i for i, s in enumerate(alphabet)}
-    index[PAD] = -1
-    ranks: dict = {}  # a group's letters -> the symbol indices of its least letter
+    letter_key = _letter_key(alphabet)
+    ranks: dict = {}  # a group's letters -> the sort key of its least letter
 
     def rank(group):
         letters = group[0]
         indices = ranks.get(letters)
         if indices is None:
-            indices = ranks[letters] = min(tuple(map(index.__getitem__, letter)) for letter in letters)
+            indices = ranks[letters] = min(map(letter_key, letters))
         return indices
 
     order, back, fill = _numbering(initial_key)
@@ -428,7 +427,8 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
         try:
             groups.sort(key=rank)  # stable: a tie keeps the yield order
         except KeyError:  # only a move graph given to `build` can hold a foreign symbol
-            bad = next(letter for letters, _ in moves(key) for letter in letters if not index.keys() >= set(letter))
+            symbols = {*alphabet, PAD}
+            bad = next(letter for letters, _ in moves(key) for letter in letters if not symbols.issuperset(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
         rows.append(dict(sorted(fill(q, groups).items())))
     accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))

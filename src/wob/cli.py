@@ -464,7 +464,7 @@ def cmd_hopda_graph(args) -> int:
     elif args.action == "contract":
         out = ho.epsilon_contract(g)
     else:
-        out = ho.unfold(g, g.root, args.depth)
+        out = ho.unfold(g, g.root, args.depth, budget=args.budget)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(out.to_dot())

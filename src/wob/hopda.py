@@ -337,9 +337,11 @@ def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
     return graph_from_edges(kept, sorted(edges), root=g.root, partial=g.partial)
 
 
-def unfold(g: ColoredGraph, root, depth: int) -> ColoredGraph:
+def unfold(g: ColoredGraph, root, depth: int, budget: int = 1000) -> ColoredGraph:
     """The tree of paths from the root, truncated after `depth` edges; a path
-    extends along an i-edge of the graph into an i-edge of the unfolding."""
+    extends along an i-edge of the graph into an i-edge of the unfolding.
+    Paths are added breadth first until the tree holds `budget` vertices;
+    a tree cut there, or unfolded from a partial graph, is flagged partial."""
     if root not in g.vertices:
         raise WobError("root is not a vertex of the graph")
     succ = {}
@@ -353,12 +355,14 @@ def unfold(g: ColoredGraph, root, depth: int) -> ColoredGraph:
         nxt = []
         for path in frontier:
             for color, v in sorted(succ.get(path[-1], [])):
+                if len(paths) >= budget:
+                    return graph_from_edges(paths, edges, root=(root,), partial=True)
                 ext = path + (v,)
                 paths.append(ext)
                 edges.append((path, color, ext))
                 nxt.append(ext)
         frontier = nxt
-    return graph_from_edges(paths, edges, root=(root,))
+    return graph_from_edges(paths, edges, root=(root,), partial=g.partial)
 
 
 # -- bundled machines -------------------------------------------------------------

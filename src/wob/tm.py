@@ -43,6 +43,7 @@ from .errors import (
 MARKER = ">"
 WORD_TAG = "W"
 CONF_TAG = "C"
+MAX_STEPS = 10 ** 5  # the steps `run` takes before it gives up on a machine
 
 
 @dataclass(frozen=True)
@@ -197,17 +198,18 @@ def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
     return Configuration(q2, tuple(columns), tuple(heads))
 
 
-def run(tm: TmSpec, inputs: Sequence, max_steps: int = 10 ** 5):
-    """Run to halt; returns (trace of configurations, accepted)."""
+def run(tm: TmSpec, inputs: Sequence):
+    """Run to halt, at most MAX_STEPS steps; returns (trace of
+    configurations, accepted)."""
     c = initial_configuration(tm, inputs)
     trace = [c]
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         nxt = step(tm, c)
         if nxt is None:
             return trace, c.state in tm.accepting
         c = nxt
         trace.append(c)
-    raise InvalidTm(f"machine {tm.name} did not halt within {max_steps} steps")
+    raise InvalidTm(f"machine {tm.name} did not halt within {MAX_STEPS} steps")
 
 
 # -- reversibility ------------------------------------------------------------
@@ -245,35 +247,24 @@ def _step_graph(tm: TmSpec) -> tuple:
 
     A column's letter and content bits depend only on (first, head tapes,
     cells read and written under the heads, outgoing flags), so each such
-    letter tuple is made once per build and shared by every transition
-    that fits.  A state's column edges do not depend on its content bits,
-    so they are found once per (transition, seen, carry, guessed, first),
-    and kept as (shared letter tuple, target) groups that `moves` yields
-    whole, as the letter groups `au.build` reads.
-    States are numbered as they are made: the BFS hashes ints, and a
-    state's key is read back from `keys`.
+    letter tuple is made once per build, kept in `shared` and handed to
+    every transition that fits, as the letter groups `au.build` reads:
+    without that table every row would hold letter tuples of its own, and
+    the build's traced peak would rise by about 60%, its time by half or
+    more.  A state is its key (t, seen, carry, guessed, first, content),
+    numbered by the search that reads the graph.
     """
     K = tm.tapes
     ALL = frozenset(range(K))
     index, token_of = tm._column_index, tm._token_of
     blanks = (tm.blank,) * K
-    START, DONE = 0, 1
-    keys = [None, None]  # state number -> (t, seen, carry, guessed, first, content)
-    numbers = {}  # its inverse
-
-    def number(key):
-        n = numbers.get(key)
-        if n is None:
-            n = numbers[key] = len(keys)
-            keys.append(key)
-        return n
-
+    START, DONE = ("start",), ("done",)
     start = []
     for (q, reads), (q2, actions) in tm.transitions.items():
         l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
         t = (reads, actions, l_movers)
         for g0 in _subsets(l_movers):
-            start.append((((q, q2),), number((t, frozenset(), frozenset(), g0, True, (False, False)))))
+            start.append((((q, q2),), (t, frozenset(), frozenset(), g0, True, (False, False))))
     shared = {}  # (first, head tapes, reads, writes, out flags) -> [(content, letters), ...]
 
     def column_letters(first, fx, reads, writes, out_flags):
@@ -288,9 +279,14 @@ def _step_graph(tm: TmSpec) -> tuple:
             by_content.setdefault(content, []).append((tok, token_of[out_cells, out_flags]))
         return [(content, tuple(letters)) for content, letters in by_content.items()]
 
-    def column_edges(t, seen, carry, guessed, first):
+    def moves(key):
+        if key == START:
+            yield from start
+            return
+        if key == DONE:
+            return
+        t, seen, carry, guessed, first, content = key
         reads, actions, l_movers = t
-        out = []
         for r_heads in _subsets(ALL - l_movers - seen):
             fx = guessed | r_heads
             new_seen = seen | fx
@@ -301,35 +297,17 @@ def _step_graph(tm: TmSpec) -> tuple:
                 letters = shared.get(group)
                 if letters is None:
                     letters = shared[group] = column_letters(*group)
-                for content, column in letters:
-                    out.append((column, number((t, new_seen, r_heads, g, False, content))))
-        return out
-
-    edges = {}  # edge groups by state less its content bits
-
-    def moves(n):
-        if n == START:
-            yield from start
-            return
-        if n == DONE:
-            return
-        key = keys[n]
-        t, seen, carry, guessed, first, content = key
-        out = edges.get(key[:5])
-        if out is None:
-            out = edges[key[:5]] = column_edges(t, seen, carry, guessed, first)
-        yield from out
+                for out_content, column in letters:
+                    yield column, (t, new_seen, r_heads, g, False, out_content)
         # input exhausted while a head still moves right past the end; the
         # appended column carries a head, so the output stays canonical
         if seen == ALL and not guessed and carry and not first and content[0]:
             yield ((PAD, token_of[blanks, carry]),), DONE
 
-    def accepting(n):
-        if n == DONE:
-            return True
-        if n == START:
-            return False
-        t, seen, carry, guessed, first, content = keys[n]
+    def accepting(key):
+        if len(key) == 1:
+            return key == DONE
+        t, seen, carry, guessed, first, content = key
         # both sides must end in a contentful column (canonical configurations)
         return seen == ALL and not carry and not guessed and not first and all(content)
 
@@ -589,14 +567,18 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
 
     The y characters inside z run two positions ahead of the word side, so
     the pattern buffers the word characters and compares on arrival.  The
-    configuration moves of each configuration key are listed once, split
-    by the cell of y their column holds, and grouped by their target: a
-    state's letters with one configuration target and one buffered
-    character are one letter group.
+    machine's columns are listed once by the cell of y they hold; a state
+    reads those that hold its wanted cell, keeps the moves `_config_graph`
+    makes through them and groups them by their target: its letters with
+    one configuration target and one buffered character are one letter
+    group.  Reading every configuration move at each state instead takes
+    half again as long to fill the accept rows that reads reach.
     """
     config_start, config_accepting, config_moves = _config_graph(tm)
-    cells_of = {tok: cells for (cells, _fx), tok in tm._token_of.items()}
-    by_y: dict = {}  # configuration key -> y cell -> configuration target -> its column tokens
+    by_cell: dict = {}  # (first, y cell) -> [(head tapes, column token, content), ...]
+    for (first, fx, _heads), cols in tm._column_index.items():
+        for tok, cells, content in cols:
+            by_cell.setdefault((first, cells[1]), []).append((fx, tok, content))
 
     def moves(key):
         ckey, buf = key
@@ -606,17 +588,16 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
                     for yc in ("0", "1", PAD):
                         yield ((q, yc),), (target, (yc,))
             return
-        is_first = ckey[1]
+        seen, is_first, _content = ckey
         # the first column is the all-marker one; past it, y's cell must be
         # the buffered character
         want = MARKER if is_first else tm.blank if buf[0] == PAD else buf[0]
         ycs = (PAD,) if buf[-1] == PAD else ("0", "1", PAD)
-        split = by_y.get(ckey)
-        if split is None:
-            split = by_y[ckey] = {}
-            for ((tok,),), target in config_moves(ckey):
-                split.setdefault(cells_of[tok][1], {}).setdefault(target, []).append(tok)
-        for target, toks in split.get(want, {}).items():
+        by_target: dict = {}  # configuration target -> its column tokens
+        for fx, tok, content in by_cell.get((is_first, want), ()):
+            if not fx & seen:  # as `_config_graph` moves
+                by_target.setdefault((seen | fx, False, content), []).append(tok)
+        for target, toks in by_target.items():
             for yc in ycs:
                 yield tuple((tok, yc) for tok in toks), (target, buf + (yc,) if is_first else buf[1:] + (yc,))
 
@@ -677,13 +658,13 @@ def trace_words(tm: TmSpec, trace: Sequence[Configuration]) -> list:
     return words
 
 
-def emb_path(rpi: RpiStructure, x, y, max_steps: int = 10 ** 4):
+def emb_path(rpi: RpiStructure, x, y):
     """The witness path x R I(x,y) R ... R F(x,y) R y when the comparator
     accepts (x, y); every hop is verified against the relation automaton,
     in one pass (`Automaton.rejected_hop`)."""
     tm = rpi.tm
     inputs = [tuple(x), tuple(y)] + [()] * (tm.tapes - 2)
-    trace, accepted = run(tm, inputs, max_steps)
+    trace, accepted = run(tm, inputs)
     if not accepted:
         return None
     path = [tag_word(x)] + trace_words(tm, trace) + [tag_word(y)]
@@ -804,7 +785,7 @@ def bounded_wf_check(rpi: RpiStructure, fragment: ExploredFragment):
     return tuple(walk[at[v]:] + [v])
 
 
-def descent_witness(rpi: RpiStructure, ranks: Sequence[int], max_steps: int = 10 ** 4):
+def descent_witness(rpi: RpiStructure, ranks: Sequence[int]):
     """A descending chain through the relation, built by concatenating the
     embedding paths along a descending chain of the comparator order.
 
@@ -817,7 +798,7 @@ def descent_witness(rpi: RpiStructure, ranks: Sequence[int], max_steps: int = 10
     chain = []
     for hi, lo in zip(ranks, ranks[1:]):
         x, y = word_of_rank(lo), word_of_rank(hi)
-        path = emb_path(rpi, x, y, max_steps)
+        path = emb_path(rpi, x, y)
         if path is None:
             raise WobError(f"comparator does not accept ({lo}, {hi})")
         # path runs x -> ... -> y; descending means walking it backwards

@@ -150,6 +150,7 @@ def test_pathology_kreisel_to_structure(tmp_path, capsys):
 def test_pathology_kreisel_pi0_file_must_be_over_binary(action, tmp_path, capsys):
     # omega_domain.aut is over `a`, so it would reject every binary word;
     # it is refused as malformed, not read as a pi_0 false everywhere
+    write_pi0_query(tmp_path)
     for pi0, exits in PI0_EXITS.items():
         argv = ["pathology", "kreisel", "--pi0", pi0] + action
         code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -289,6 +290,18 @@ def test_hopda_contract_without_eps_edges(capsys):
     want = (0, "contract: 1000 vertices, 999 edges (partial)\n")
     assert run_cli(["hopda", "contract", "builtin:omega"], capsys) == want
     assert run_cli(["hopda", "graph", "builtin:omega"], capsys) == (0, want[1].replace("contract", "graph"))
+
+
+def test_hopda_unfold_holds_at_most_budget_vertices(capsys):
+    # the omega2 tree doubles every two levels: 28,642 paths at depth 24
+    assert run_cli(["hopda", "unfold", "builtin:omega2", "--depth", "24"], capsys) == (
+        0, "unfold: 1000 vertices, 999 edges (partial)\n")
+
+
+def test_hopda_unfold_of_a_partial_graph_is_partial(capsys):
+    # the graph stops at 5 vertices, so its unfolding to depth 10 does too
+    assert run_cli(["hopda", "unfold", "builtin:omega", "--budget", "5", "--depth", "10"], capsys) == (
+        0, "unfold: 5 vertices, 4 edges (partial)\n")
 
 
 def test_unknown_subcommand_exit_2():
@@ -691,10 +704,22 @@ STEPS = ["1", "50", "1e3", "0", "nan"] + EDGE
 # arguments parse: only an arity-1 automaton over 0 1 gets to a verdict
 PI0_EXITS = {
     str(CORPUS_DIR / "omega_bin" / "omega_bin_domain.aut"): {0, 1},
+    "{tmp}/pi0.aut": {0, 1},  # written by PI0_QUERY
     str(CORPUS_DIR / "omega" / "omega_domain.aut"): {4},
     str(CORPUS_DIR / "omega" / "omega_lt.aut"): {4},
     "{tmp}/missing.aut": {4},
 }
+# the query whose --out writes the fuzz's {tmp}/pi0.aut, an arity-1
+# automaton over 0 1: the elements of omega_bin with a predecessor
+PI0_QUERY = ["query", str(CORPUS_DIR / "omega_bin" / "omega_bin.manifest"), "(exists y (rel < y x))",
+             "--out", "{tmp}/pi0.aut"]
+
+
+def write_pi0_query(tmp):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([a.replace("{tmp}", str(tmp)) for a in PI0_QUERY]) == 0
+
+
 # the manifests the fuzz gives as often as the corpus ones, with the exit
 # each must give once the arguments parse: {tmp}/arity3 is made by
 # `omega_declaring_arity_3`
@@ -855,6 +880,8 @@ def test_cli_fuzz_exits_with_a_code_that_means_what_it_says(tmp_path_factory, da
     for name in formulas:
         (tmp / "formulas").mkdir(exist_ok=True)
         Path(name.format(tmp=tmp)).write_text(FORMULA_FILES[name], encoding="utf-8")
+    if PI0_QUERY[-1] in drawn:
+        write_pi0_query(tmp)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -291,6 +291,13 @@ def test_unfold_is_tree_with_one_edge_per_color():
     assert all(indeg.get(v, 0) <= 1 for v in got.vertices)
 
 
+def test_unfold_stops_at_the_budget():
+    g = graph_from_edges(["u", "v"], [("u", "a", "v"), ("v", "b", "u")], root="u")
+    assert not unfold(g, "u", 3, budget=4).partial
+    got = unfold(g, "u", 3, budget=3)
+    assert got.vertices == (("u",), ("u", "v"), ("u", "v", "u")) and got.partial
+
+
 def test_unfold_preserves_colors():
     g = graph_from_edges(["u", "v"], [("u", "a", "v")], root="u")
     got = unfold(g, "u", 1)
