@@ -56,7 +56,6 @@ import itertools
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -70,6 +69,7 @@ from .errors import (
     one_word,
     read_directives,
 )
+from .records import record
 
 PAD = "#"
 
@@ -127,7 +127,7 @@ def deconvolve(letters: Iterable[Letter]) -> WordTuple:
     return tuple(tuple(l[i] for l in letters if l[i] != PAD) for i in range(k))
 
 
-@dataclass(frozen=True)
+@record
 class Automaton:
     """A (possibly nondeterministic) synchronous k-tape automaton.
 
@@ -149,7 +149,10 @@ class Automaton:
     n_states: int
     initial: int
     accepting: frozenset
-    _delta: dict = field(hash=False)  # equal automata agree on the other fields
+    _delta: dict
+
+    def __hash__(self):  # equal automata agree on the other fields
+        return hash((self.arity, self.alphabet, self.n_states, self.initial, self.accepting))
 
     def __post_init__(self):
         if self.arity < 1:
@@ -498,8 +501,8 @@ def _numbering(initial_key) -> tuple:
 def _unchecked(*values, cls=Automaton) -> Automaton:
     """An Automaton from field values known to be valid, skipping __post_init__."""
     a = object.__new__(cls)
-    for f, value in zip(fields(Automaton), values):
-        object.__setattr__(a, f.name, value)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(a, name, value)
     return a
 
 
@@ -970,7 +973,7 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
     return _numbered(_relabel(a, a.arity, lambda letter: tuple(letter[p] for p in perm)))
 
 
-@dataclass(frozen=True)
+@record
 class _Graph:
     """An automaton before numbering: a relabelling (`_relabel`), whose
     `_delta` maps each of the operand's own states to its non-ε letters and

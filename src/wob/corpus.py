@@ -10,7 +10,6 @@ predicates and expected verdict are derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import automata as au
@@ -19,9 +18,10 @@ from .automata import PAD, Automaton
 from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
 from .recognition import LESS
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     name: str
     structure: Structure
@@ -40,7 +40,7 @@ def _within(rel, dom) -> Automaton:
     return au.intersect(rel, au.join(dom, [0], dom, [1]))
 
 
-@dataclass(frozen=True)
+@record
 class Block:
     """One summand of an ordered sum: its words and their order, the
     reference predicates for both, and its type (None for omega*)."""

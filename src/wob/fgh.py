@@ -13,15 +13,15 @@ large values stay sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 from . import ordinals as o
 from .errors import IllFormedSystem
 from .ordinals import FundamentalSequenceTable
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class NotationSystem:
     """Opaque notation values with the operations the hierarchy needs."""
 
@@ -48,7 +48,7 @@ def shifted_system() -> NotationSystem:
     return standard_system(o.SHIFTED_FS)
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     max_value: int = 10 ** 6
     max_steps: int = 10 ** 6
@@ -58,7 +58,7 @@ class Budget:
             raise ValueError("budget components must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Exceeded:
     reason: str  # "value" | "steps"
     value_reached: int  # running value when evaluation stopped (a lower bound)
@@ -124,7 +124,7 @@ def eval_at_least(ns: NotationSystem, alpha, x: int, threshold: int, max_steps: 
     return None, None
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonPoint:
     x: int
     verdict: str  # "lt" | "eq" | "gt" | "exceeded"
@@ -132,7 +132,7 @@ class ComparisonPoint:
     right: Optional[int]
 
 
-@dataclass(frozen=True)
+@record
 class DominationReport:
     points: tuple[ComparisonPoint, ...]
     disclaimer: str = (

@@ -15,17 +15,17 @@ HopdaSpec checks the machine itself, as TmSpec does for `.tm` files.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .automata import _search
 from .errors import BadLevel, EmptyPds, LoadError, StateBudgetExceeded, WobError, one_word, read_directives, state_line
+from .records import record
 
 EPSILON = "eps"
 MAX_LEVEL = 100
 
 
-@dataclass(frozen=True)
+@record
 class Npds:
     level: int
     content: Union[str, tuple]  # a letter at level 0, a tuple of Npds above
@@ -105,7 +105,7 @@ def apply_op(p: Npds, op: tuple) -> Npds:
 # -- automata -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     state: str
     letter: Optional[str]  # None is an epsilon move
@@ -114,7 +114,7 @@ class Rule:
     op: tuple  # ("push", k, a) | ("pop", k) | ("noop",)
 
 
-@dataclass(frozen=True)
+@record
 class HopdaSpec:
     name: str
     level: int
@@ -177,12 +177,15 @@ class HopdaSpec:
 # -- colored graphs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ColoredGraph:
+    """A graph whose search stopped at a budget lists in `cut` the vertices
+    some of whose edges it dropped; it is partial when it has any."""
+
     vertices: tuple
     edges: dict  # color -> frozenset of (u, v)
     root: Optional[object] = None
-    partial: bool = False
+    cut: frozenset = frozenset()
 
     def __post_init__(self):
         vset = set(self.vertices)
@@ -194,6 +197,12 @@ class ColoredGraph:
                     raise WobError(f"edge endpoint missing: {(u, v)}")
         if self.root is not None and self.root not in vset:
             raise WobError("root is not a vertex")
+        if not self.cut <= vset:
+            raise WobError("a cut vertex is not a vertex")
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.cut)
 
     @property
     def colors(self) -> tuple:
@@ -218,7 +227,7 @@ def _vlabel(v) -> str:
     return str(v)
 
 
-def graph_from_edges(vertices, edges, root=None, partial=False) -> ColoredGraph:
+def graph_from_edges(vertices, edges, root=None, cut=frozenset()) -> ColoredGraph:
     """edges: iterable of (u, color, v)."""
     by_color: dict = {}
     for (u, c, v) in edges:
@@ -227,14 +236,14 @@ def graph_from_edges(vertices, edges, root=None, partial=False) -> ColoredGraph:
         vertices=tuple(vertices),
         edges={c: frozenset(ps) for c, ps in by_color.items()},
         root=root,
-        partial=partial,
+        cut=frozenset(cut),
     )
 
 
 def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
     """BFS over configurations (state, pds) from the initial one; edges are
-    labeled with input letters or the epsilon color.  A truncated graph is
-    flagged partial."""
+    labeled with input letters or the epsilon color.  Past `budget` vertices
+    no new one is added, and a vertex with a move to one is cut."""
     start = (h.initial_state, h.initial_pds())
 
     def key(cfg):
@@ -244,7 +253,7 @@ def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
     frontier = [start]
     order = [start]
     edges = []
-    partial = False
+    cut = set()
     while frontier:
         frontier.sort(key=key)
         next_frontier = []
@@ -255,7 +264,7 @@ def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
                 color = EPSILON if letter_ is None else letter_
                 if target not in seen:
                     if len(seen) >= budget:
-                        partial = True
+                        cut.add(key(cfg))
                         continue
                     seen.add(target)
                     order.append(target)
@@ -265,7 +274,7 @@ def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
         frontier = next_frontier
     verts = [(s, p.serialize()) for (s, p) in order]
     vedges = [((u[0], u[1].serialize()), c, (v[0], v[1].serialize())) for (u, c, v) in edges]
-    return graph_from_edges(verts, sorted(set(vedges)), root=verts[0], partial=partial)
+    return graph_from_edges(verts, sorted(set(vedges)), root=verts[0], cut=cut)
 
 
 def _runs(h: HopdaSpec, word: tuple):
@@ -314,7 +323,10 @@ def reachable_configs(h: HopdaSpec, words: Iterable) -> list:
 def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
     """Keep the epsilon-normal vertices plus the root; draw an a-edge u -> v
     whenever the graph has a path eps^* a eps^* from u to v with v normal.
-    A graph without eps edges is its own contraction."""
+    A graph without eps edges is its own contraction.  A kept vertex is cut
+    when a cut vertex lies on such a path from it: in its eps-closure, or
+    after the letter with eps-edges of its own (a normal one there is a
+    kept vertex, cut itself)."""
     succ: dict = {}  # color -> vertex -> successors
     for color, pairs in g.edges.items():
         for (u, v) in pairs:
@@ -328,20 +340,27 @@ def epsilon_contract(g: ColoredGraph) -> ColoredGraph:
     if g.root is not None and g.root not in normal_set:
         kept = [g.root] + kept
 
-    edges = set()
+    edges, cut, eps_cut = set(), set(), g.cut - normal_set
     for u in kept:
         for w in closure(u):
+            if w in g.cut:
+                cut.add(u)
             for color, out in succ.items():
                 for b in out.get(w, ()):
-                    edges.update((u, color, v) for v in closure(b) if v in normal_set)
-    return graph_from_edges(kept, sorted(edges), root=g.root, partial=g.partial)
+                    after = closure(b)
+                    edges.update((u, color, v) for v in after if v in normal_set)
+                    if not eps_cut.isdisjoint(after):
+                        cut.add(u)
+    return graph_from_edges(kept, sorted(edges), root=g.root, cut=cut)
 
 
 def unfold(g: ColoredGraph, root, depth: int, budget: int = 1000) -> ColoredGraph:
     """The tree of paths from the root, truncated after `depth` edges; a path
     extends along an i-edge of the graph into an i-edge of the unfolding.
-    Paths are added breadth first until the tree holds `budget` vertices;
-    a tree cut there, or unfolded from a partial graph, is flagged partial."""
+    Paths are added breadth first until the tree holds `budget` vertices.
+    A path shorter than `depth` is cut when some of its extensions are
+    missing: the tree stopped at the budget before adding them, or the path
+    ends on a cut vertex of the graph."""
     if root not in g.vertices:
         raise WobError("root is not a vertex of the graph")
     succ = {}
@@ -350,19 +369,25 @@ def unfold(g: ColoredGraph, root, depth: int, budget: int = 1000) -> ColoredGrap
             succ.setdefault(u, []).append((color, v))
     paths = [(root,)]
     edges = []
+    cut = set()
     frontier = [(root,)]
     for _ in range(depth):
+        if not frontier:
+            break
         nxt = []
         for path in frontier:
+            if path[-1] in g.cut:
+                cut.add(path)
             for color, v in sorted(succ.get(path[-1], [])):
                 if len(paths) >= budget:
-                    return graph_from_edges(paths, edges, root=(root,), partial=True)
+                    cut.add(path)
+                    break
                 ext = path + (v,)
                 paths.append(ext)
                 edges.append((path, color, ext))
                 nxt.append(ext)
         frontier = nxt
-    return graph_from_edges(paths, edges, root=(root,), partial=g.partial)
+    return graph_from_edges(paths, edges, root=(root,), cut=cut)
 
 
 # -- bundled machines -------------------------------------------------------------

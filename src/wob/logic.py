@@ -12,7 +12,6 @@ answers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .errors import (
     one_word,
     read_directives,
 )
+from .records import factory, record
 
 EQ = "="
 LLEX = "llex"
@@ -38,13 +38,13 @@ MAX_FORMULA_DEPTH = 100
 # -- formulas --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Formula:
     def free_vars(self) -> frozenset:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class Rel(Formula):
     name: str
     vars: tuple
@@ -53,7 +53,7 @@ class Rel(Formula):
         return frozenset(self.vars)
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     body: Formula
 
@@ -61,7 +61,7 @@ class Not(Formula):
         return self.body.free_vars()
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     left: Formula
     right: Formula
@@ -70,7 +70,7 @@ class And(Formula):
         return self.left.free_vars() | self.right.free_vars()
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     left: Formula
     right: Formula
@@ -79,7 +79,7 @@ class Or(Formula):
         return self.left.free_vars() | self.right.free_vars()
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     var: str
     body: Formula
@@ -88,7 +88,7 @@ class Exists(Formula):
         return self.body.free_vars() - {self.var}
 
 
-@dataclass(frozen=True)
+@record
 class Forall(Formula):
     var: str
     body: Formula
@@ -97,7 +97,7 @@ class Forall(Formula):
         return self.body.free_vars() - {self.var}
 
 
-@dataclass(frozen=True)
+@record
 class ExistsInf(Formula):
     var: str
     body: Formula
@@ -204,13 +204,13 @@ def parse_formula(text: str) -> Formula:
 # -- structures -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Structure:
     """An automatic presentation: a named regular domain plus relations."""
 
     name: str
     domain: Automaton
-    relations: dict = field(default_factory=dict)  # name -> Automaton
+    relations: dict = factory(dict)  # name -> Automaton
 
     def __post_init__(self):
         if self.domain.arity != 1:
@@ -274,7 +274,7 @@ def _unchecked(name: str, domain: Automaton, relations: dict) -> Structure:
 # -- compilation -------------------------------------------------------------
 
 
-@dataclass
+@record
 class _Result:
     """Compiled subformula: automaton over sorted free vars, or a sentence truth."""
 

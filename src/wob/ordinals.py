@@ -8,15 +8,15 @@ coefficients; the empty sum is 0.  Coefficients are arbitrary precision.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import total_ordering
 from typing import Callable, Optional
 
 from .errors import LoadError, MissingFs, NotALimit
+from .records import record
 
 
 @total_ordering
-@dataclass(frozen=True)
+@record
 class CnfOrdinal:
     terms: tuple = ()  # tuple of (exponent: CnfOrdinal, coefficient: int)
 
@@ -164,7 +164,7 @@ def canonical_prefix(alpha: CnfOrdinal, count: int) -> list[CnfOrdinal]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class FsViolation:
     kind: str  # "monotonicity" | "not-below" | "bachmann"
     lam: CnfOrdinal
@@ -180,7 +180,7 @@ class FsViolation:
         return f"{self.kind} violation at lambda={self.lam}, n={self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class FundamentalSequenceTable:
     """A system of fundamental sequences as a plain function on limits."""
 

@@ -17,7 +17,6 @@ exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import automata as au
@@ -26,6 +25,7 @@ from .automata import Automaton
 from .errors import IllFormedSystem, PredicateDiverged, WobError
 from .logic import LLEX, And, Exists, Not, Or, Rel, Structure, _unchecked, compile_formula
 from .recognition import LESS, minimal_elements
+from .records import record
 
 BINARY = ("0", "1")
 
@@ -48,7 +48,7 @@ def rank_of_word(w) -> int:
 # -- predicates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PiPredicate:
     """The matrix pi_0 of a universally quantified sentence: a callback on
     the naturals or an arity-1 automaton over BINARY, exactly one given."""
@@ -98,7 +98,7 @@ def regular_empty() -> PiPredicate:
 # -- the reordering ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KreiselOrder:
     pi0: PiPredicate
     g: Optional[Callable] = None  # slow inverse, naturals -> naturals
@@ -215,7 +215,7 @@ TOP = ("omega",)
 CHECKED_RANGE = 8
 
 
-@dataclass(frozen=True)
+@record
 class OmegaPlusOneSpec:
     """A fast function packaged with its cost model and the step bound s.
 

@@ -39,7 +39,6 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -49,6 +48,7 @@ from .automata import DEFAULT_STATE_BUDGET, Automaton
 from .errors import NotComparable, NotLinear, StateBudgetExceeded
 from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
+from .records import record
 
 LESS = "<"
 
@@ -56,7 +56,7 @@ TOP_CLASS_CAP = 10 ** 5
 FINITE_LEVEL_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
+@record
 class OrderPresentation:
     structure: Structure
 
@@ -99,7 +99,7 @@ class OrderPresentation:
         return au.minimize(au.difference(self.order, au.projection_graph(self.between, 1)))
 
 
-@dataclass(frozen=True)
+@record
 class BadCondensationClass:
     witness: tuple  # an element of a class with no least element
 
@@ -107,7 +107,7 @@ class BadCondensationClass:
         return f"bad-class witness={au.show_word(self.witness)!r} (no-least)"
 
 
-@dataclass(frozen=True)
+@record
 class DenseFixpoint:
     level: int
 
@@ -115,17 +115,17 @@ class DenseFixpoint:
         return f"dense-fixpoint level={self.level}"
 
 
-@dataclass(frozen=True)
+@record
 class WellOrder:
     cnf: CnfOrdinal
 
 
-@dataclass(frozen=True)
+@record
 class NotWellOrder:
     evidence: Union[BadCondensationClass, DenseFixpoint]
 
 
-@dataclass(frozen=True)
+@record
 class BudgetExceeded:
     level: int
 

@@ -23,7 +23,6 @@ sum, made when something reads their bytes or their counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
@@ -39,6 +38,7 @@ from .errors import (
     read_directives,
     state_line,
 )
+from .records import record
 
 MARKER = ">"
 WORD_TAG = "W"
@@ -46,7 +46,7 @@ CONF_TAG = "C"
 MAX_STEPS = 10 ** 5  # the steps `run` takes before it gives up on a machine
 
 
-@dataclass(frozen=True)
+@record
 class TmSpec:
     name: str
     tapes: int
@@ -136,7 +136,7 @@ def column_token(cells, flags) -> str:
 # -- configurations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Configuration:
     state: str
     columns: tuple  # tuple of per-tape cell tuples
@@ -452,7 +452,7 @@ def kreisel_comparator(false_pi: bool) -> TmSpec:
 # -- the automatic well-founded relation ---------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RpiStructure:
     """The well-founded relation of a reversible comparator.  Reads go
     through `reader`, which fills a row of the relation's move graph the
@@ -677,7 +677,7 @@ def emb_path(rpi: RpiStructure, x, y):
 # -- bounded verification -------------------------------------------------------
 
 
-@dataclass
+@record
 class ExploredFragment:
     elements: list  # words (tuples of tokens)
     edges: list  # (u, v) pairs, all automaton-verified

@@ -16,6 +16,12 @@ from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobErro
 from wob.logic import EQ, LLEX, And, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
+def rebuilt(value, **changes):
+    """A record built anew by its class's constructor from its fields, with
+    `changes` made: the constructor's checks run again on the result."""
+    return type(value)(**{**{name: getattr(value, name) for name in type(value)._fields}, **changes})
+
+
 # -- structures, machines and ordinals only the tests build ----------------
 
 

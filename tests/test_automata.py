@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import functools
 import inspect
 import itertools
@@ -17,6 +16,7 @@ from conftest import (
     complement,
     conv,
     language,
+    rebuilt,
     reference_canonical,
     reference_check_padding,
     reference_complement,
@@ -580,7 +580,7 @@ def test_section_matches_oracles(data):
     for tape in range(arity):
         for word in words_upto(AB, 4):
             got = au.section(rel, tape, word)
-            dataclasses.replace(got)  # re-runs the validator the kernel skips
+            rebuilt(got)  # re-runs the validator the kernel skips
             expect = set()
             for rest in tuples_upto(AB, arity - 1, max_len):
                 tup = rest[:tape] + (word,) + rest[tape:]
@@ -688,7 +688,7 @@ def test_sections_on_alternate_tapes_match_a_fresh_relation():
     for rel in [au.llex_automaton(AB)] + [_random_nfa2(rng) for _ in range(6)]:
         for word in words_upto(AB, 3):
             for tape in (0, 1, 0, 1):
-                fresh = dataclasses.replace(rel)
+                fresh = rebuilt(rel)
                 assert au.save_automaton(au.section(rel, tape, word), "s") == au.save_automaton(
                     au.section(fresh, tape, word), "s"
                 ), (tape, word)
@@ -727,7 +727,7 @@ def test_eq_tapes_and_diagonal():
 
 
 def test_padding_preserved_by_kernel_ops():
-    # kernel results skip the validator; dataclasses.replace re-runs it
+    # kernel results skip the validator; rebuilding one re-runs it
     sh = au.shorter_automaton(AB)
     llex = au.llex_automaton(AB)
     for op_result in [
@@ -739,7 +739,7 @@ def test_padding_preserved_by_kernel_ops():
         au.minimize(llex),
         cylinder(sh, 1),
     ]:
-        dataclasses.replace(op_result)
+        rebuilt(op_result)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -882,7 +882,7 @@ def test_kernel_ops_valid_trimmed_and_correct(data):
         reference = au.save_automaton(au.minimize(reference_project_inf(a, tape)), "p")
         assert au.save_automaton(au.minimize(infinite), "p") == reference
     for out, expect, n in cases:
-        dataclasses.replace(out)  # re-runs the validator the kernel skips
+        rebuilt(out)  # re-runs the validator the kernel skips
         if not (out.n_states == 1 and not out.accepting and not out.transitions):
             assert out.useful_states == frozenset(range(out.n_states))
         assert language(out, n) == expect
@@ -1624,12 +1624,13 @@ def _owner_reads(tree, types, members, returns) -> set:
 
 
 def _is_dataclass(decorator):
+    """A `record` or `dataclass` decorator."""
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
-    return _last_name(target) == "dataclass"
+    return _last_name(target) in ("record", "dataclass")
 
 
 def _fields(tree):
-    """(class, field) for each field of each dataclass of `tree`."""
+    """(class, field) for each field of each record or dataclass of `tree`."""
     return [
         (cls.name, stmt.target.id)
         for cls in ast.walk(tree)
@@ -1639,13 +1640,13 @@ def _fields(tree):
     ]
 
 
-# dataclass fields no code reads, kept because perfbench/workloads.py passes
+# record fields no code reads, kept because perfbench/workloads.py passes
 # them and perfbench is not edited to drop them
 BENCH_ONLY_FIELDS = {"tm.RpiStructure.pi_tag"}
 
 
 def test_every_dataclass_field_is_read():
-    # a field is a value someone can set: each field of a dataclass in
+    # a field is a value someone can set: each field of a record in
     # `src/wob/` is read as an attribute of an instance of its own class
     # by the package, its scripts, its benchmark or its tests, or listed in
     # BENCH_ONLY_FIELDS; a read of a same-named attribute on an object of

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import io
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebuilt
 from formula_battery import all_texts
 from wob import automata as au
 from wob import cli, corpus
@@ -298,6 +298,12 @@ def test_hopda_unfold_holds_at_most_budget_vertices(capsys):
         0, "unfold: 1000 vertices, 999 edges (partial)\n")
 
 
+def test_hopda_unfold_of_a_whole_tree_is_not_partial(capsys):
+    # the 1000-vertex graph is partial, but the 4 paths of length up to 3 are all there
+    assert run_cli(["hopda", "unfold", "builtin:omega", "--depth", "3"], capsys) == (
+        0, "unfold: 4 vertices, 3 edges\n")
+
+
 def test_hopda_unfold_of_a_partial_graph_is_partial(capsys):
     # the graph stops at 5 vertices, so its unfolding to depth 10 does too
     assert run_cli(["hopda", "unfold", "builtin:omega", "--budget", "5", "--depth", "10"], capsys) == (
@@ -553,7 +559,7 @@ def test_omega1_contract_checks_the_system(monkeypatch, capsys):
 
     def broken(spec):  # fs(w, n) stops increasing at n = 5
         ns = real(spec)
-        return dataclasses.replace(ns, fs=lambda lam, n: ns.fs(lam, min(n, 4)))
+        return rebuilt(ns, fs=lambda lam, n: ns.fs(lam, min(n, 4)))
 
     monkeypatch.setattr(cli.pa, "omega_plus_one_system", broken)
     code, out = run_cli(["pathology", "omega1", "contract"], capsys)

@@ -298,6 +298,40 @@ def test_unfold_stops_at_the_budget():
     assert got.vertices == (("u",), ("u", "v"), ("u", "v", "u")) and got.partial
 
 
+def test_config_graph_cuts_the_vertices_whose_moves_it_dropped():
+    g = config_graph(omega_machine(), budget=5)
+    assert g.cut == {g.vertices[-1]} and g.partial
+
+
+def test_unfold_is_partial_only_where_a_short_path_meets_a_cut():
+    # the 5-vertex omega chain is cut at its 5th vertex, 4 edges from the root
+    g = config_graph(omega_machine(), budget=5)
+    assert not unfold(g, g.root, 3).partial
+    assert not unfold(g, g.root, 4).partial  # the path to the cut vertex is depth long
+    got = unfold(g, g.root, 5)
+    assert got.cut == {tuple(g.vertices)}
+    with_budget = unfold(g, g.root, 5, budget=3)
+    assert with_budget.cut == {tuple(g.vertices[:3])}
+
+
+def test_epsilon_contract_cuts_the_vertices_whose_paths_meet_a_cut():
+    # the truncated eps chain: the root reaches the cut end by eps moves
+    g = config_graph(epsilon_chain_machine(), budget=5)
+    assert epsilon_contract(g).cut == {g.root, g.vertices[-1]}
+    # a cut vertex with eps edges after the letter cuts u; a normal one
+    # there is a contracted vertex, cut itself
+    g = graph_from_edges(["u", "b", "x", "y", "n"], [("u", "a", "b"), ("b", EPSILON, "x"), ("x", EPSILON, "y"),
+                                                    ("y", "a", "n")], root="u", cut={"x"})
+    assert epsilon_contract(g).cut == {"u"}
+    g = graph_from_edges(["u", "v"], [("u", "a", "v")], root="u", cut={"v"})
+    assert epsilon_contract(g).cut == {"v"}
+
+
+def test_colored_graph_rejects_a_cut_vertex_outside_it():
+    with pytest.raises(WobError, match="cut vertex"):
+        graph_from_edges(["u"], [], root="u", cut={"v"})
+
+
 def test_unfold_preserves_colors():
     g = graph_from_edges(["u", "v"], [("u", "a", "v")], root="u")
     got = unfold(g, "u", 1)

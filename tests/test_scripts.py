@@ -1,8 +1,8 @@
-import dataclasses
 import importlib.util
 import re
 from pathlib import Path
 
+from conftest import rebuilt
 from wob import corpus
 from wob import ordinals as o
 
@@ -49,8 +49,8 @@ def test_recognition_sweep_matches_corpus_expectations(capsys):
 
 def test_recognition_sweep_fails_on_a_wrong_expectation(monkeypatch, capsys):
     script = load_script("recognition_sweep")
-    wrong_cnf = dataclasses.replace(corpus.omega_times_2(), expected_cnf=o.OMEGA)
-    wrong_failure = dataclasses.replace(corpus.integer_line(), expected_failure="dense")
+    wrong_cnf = rebuilt(corpus.omega_times_2(), expected_cnf=o.OMEGA)
+    wrong_failure = rebuilt(corpus.integer_line(), expected_failure="dense")
     monkeypatch.setattr(script.corpus, "well_order_corpus", lambda: [wrong_cnf, corpus.omega_plus_one()])
     monkeypatch.setattr(script.corpus, "non_well_order_corpus", lambda: [corpus.dense_dyadic(), wrong_failure])
     assert script.main() == 1
