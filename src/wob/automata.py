@@ -137,7 +137,9 @@ class Automaton:
     (state, letter, state) triples, is derived on its first read.
     Instances are immutable, apart from the table `_subset_steps` of
     the rows of sets of states, which reads and subset products fill in
-    (see `_row`); it is this automaton's own, never shared.  Constructing
+    (see `_row`), and the table `_subset_loops` beside it, which path
+    reads fill in (see `_loops`); both are this automaton's own, never
+    shared.  Constructing
     one directly validates it,
     including the suffix-padding invariant along every path reachable
     from the initial state; kernel operations build their results without
@@ -239,6 +241,12 @@ class Automaton:
         return {}
 
     @cached_property
+    def _subset_loops(self) -> dict:
+        """Sorted tuple of states -> the symbols that loop on it (see
+        `_loops`), for the sets `rejected_hop` settles a tail on."""
+        return {}
+
+    @cached_property
     def _section_splits(self) -> dict:
         """tape -> `_split_tape(self, tape)`, made by the first section on
         that tape (see `section_graph`)."""
@@ -257,15 +265,25 @@ class Automaton:
             row = self._subset_steps[states] = _merged(self._row((q,)) for q in states)
         return row
 
-    def _run(self, letters: Iterable[Letter], trail: list) -> bool:
+    def _loops(self, states: tuple) -> frozenset:
+        """The symbols a whose letter (a, a) steps the sorted tuple of
+        states `states` to itself, read off its `_row` once and kept in
+        `_subset_loops`: a tail of such letters leaves the set as it is."""
+        loops = self._subset_loops.get(states)
+        if loops is None:
+            loops = self._subset_loops[states] = frozenset(
+                a for (a, b), targets in self._row(states).items() if a == b and targets == states
+            )
+        return loops
+
+    def _run(self, letters: Iterable[Letter], trail: list) -> tuple:
         """Run the lazily determinised automaton from the state set
         trail[-1], appending the set reached after each letter to `trail`;
-        True when the run ends in an accepting state, False as soon as a
-        step is empty.  A step is one lookup of the set's row, in `_delta`
-        for one state and in `_subset_steps` for more, and one of the
-        letter in it; `_row` is called only when the row is missing.
-        Letters must be tuples, as `convolve` gives them; they are not
-        converted."""
+        the set reached at the end, or () as soon as a step is empty.  A
+        step is one lookup of the set's row, in `_delta` for one state and
+        in `_subset_steps` for more, and one of the letter in it; `_row` is
+        called only when the row is missing.  Letters must be tuples, as
+        `convolve` gives them; they are not converted."""
         delta, rows, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
         for letter in letters:
             row = delta.get(current[0]) if len(current) == 1 else rows.get(current)
@@ -273,9 +291,9 @@ class Automaton:
                 row = self._row(current)
             current = row.get(letter, ())
             if not current:
-                return False
+                return current
             push(current)
-        return not self.accepting.isdisjoint(current)
+        return current
 
     def _missing_row(self, q) -> dict:
         """The moves of state q, which `_delta` holds no row for: none, as
@@ -285,7 +303,7 @@ class Automaton:
 
     def accepts_letters(self, letters: Iterable[Letter]) -> bool:
         """Membership of a convolution, read by `_run` from the initial state."""
-        return self._run(letters, [(self.initial,)])
+        return not self.accepting.isdisjoint(self._run(letters, [(self.initial,)]))
 
     def rejected_hop(self, words: Sequence) -> Optional[int]:
         """The least i whose pair (words[i], words[i + 1]) this binary
@@ -295,22 +313,43 @@ class Automaton:
         after them (`trail[k]`, the set after k letters).  Two pairs share
         their first k letters when their three words agree on their first k
         symbols, so the shared prefix is the lesser of the positions where
-        each pair's two words first differ (a C-level compare)."""
+        each pair's two words first differ (a C-level compare).
+
+        The compare of a pair of two words of one length also finds where
+        they last differ.  Its letters are stepped only up to there; the
+        tail after it is letters (a, a), and when each of its symbols loops
+        on the set reached (`_loops`), the set after the tail is that set,
+        settled by one set test.  The trail then stops where the tail
+        begins, so the next pair resumes at most there."""
         if self.arity != 2:
             raise ArityMismatch(f"a path is read by a binary relation, not one of arity {self.arity}")
-        trail, prev_diff = [(self.initial,)], 0
+        trail, prev_diff, accepting, run = [(self.initial,)], 0, self.accepting, self._run
         for i in range(len(words) - 1):
             u, v = words[i], words[i + 1]
             if PAD in v or (not i and PAD in u):  # a word holding the pad symbol is no member
                 return i
-            first_diff = next(itertools.compress(itertools.count(), map(operator.ne, u, v)), min(len(u), len(v)))
+            n = len(u)
+            if n == len(v):  # the positions where they differ, the first and the last
+                diffs = list(itertools.compress(itertools.count(), map(operator.ne, u, v)))
+                first_diff, tail = (diffs[0], diffs[-1] + 1) if diffs else (n, n)
+            else:
+                first_diff = next(itertools.compress(itertools.count(), map(operator.ne, u, v)), min(n, len(v)))
             shared = min(prev_diff, first_diff)
-            del trail[shared + 1 :]  # each earlier pair was accepted, so its trail is whole
-            letters = itertools.zip_longest(itertools.islice(u, shared, None), itertools.islice(v, shared, None),
-                                            fillvalue=PAD)
-            if not self._run(letters, trail):
-                return i
+            del trail[shared + 1 :]  # each earlier pair was accepted, and its trail is whole up to prev_diff
             prev_diff = first_diff
+            if n != len(v):
+                current = run(itertools.zip_longest(itertools.islice(u, shared, None), itertools.islice(v, shared, None),
+                                                    fillvalue=PAD), trail)
+            else:
+                tail = max(shared, tail)
+                current = run(zip(u[shared:tail], v[shared:tail]), trail)
+                if current and tail < n:
+                    if self._loops(current).issuperset(itertools.islice(u, tail, None)):
+                        prev_diff = min(first_diff, tail)
+                    else:
+                        current = run(zip(u[tail:], v[tail:]), trail)
+            if accepting.isdisjoint(current):
+                return i
         return None
 
     def accepts(self, *words) -> bool:

@@ -43,7 +43,7 @@ from .records import record
 MARKER = ">"
 WORD_TAG = "W"
 CONF_TAG = "C"
-MAX_STEPS = 10 ** 5  # the steps `run` takes before it gives up on a machine
+MAX_STEPS = 10 ** 5  # the steps `run_words` takes before it gives up on a machine
 
 
 @record
@@ -144,18 +144,19 @@ class Configuration:
 
     def serialize(self, tm: TmSpec) -> tuple:
         """The state token, then one column token per column."""
-        return (self.state, *self.column_tokens(tm, range(len(self.columns))))
+        return (self.state, *_column_tokens(tm, self.columns, self.heads, range(len(self.columns))))
 
-    def column_tokens(self, tm: TmSpec, cols) -> list:
-        """The tokens of the columns `cols`, read from tm's token table; a
-        column with a cell outside tm's cell alphabets is joined by
-        `column_token`."""
-        token_of, none, columns, heads = tm._token_of, frozenset(), self.columns, self.heads
-        return [
-            token_of.get((columns[j], frozenset(i for i, h in enumerate(heads) if h == j) if j in heads else none))
-            or column_token(columns[j], [h == j for h in heads])
-            for j in cols
-        ]
+
+def _column_tokens(tm: TmSpec, columns: Sequence, heads: Sequence, cols) -> list:
+    """The tokens of the columns `cols` of a configuration's `columns` and
+    `heads`, read from tm's token table; a column with a cell outside tm's
+    cell alphabets is joined by `column_token`."""
+    token_of, none = tm._token_of, frozenset()
+    return [
+        token_of.get((columns[j], frozenset([i for i, h in enumerate(heads) if h == j]) if j in heads else none))
+        or column_token(columns[j], [h == j for h in heads])
+        for j in cols
+    ]
 
 
 def is_canonical(tm: TmSpec, c: Configuration) -> bool:
@@ -174,41 +175,60 @@ def initial_configuration(tm: TmSpec, inputs: Sequence) -> Configuration:
     return Configuration(tm.initial, columns, (0,) * tm.tapes)
 
 
-def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
-    """The successor of `c`, or None when no transition applies.  Only the
-    columns under the heads are rebuilt, one write at a time in tape
-    order, so two heads on one column both write it; the other columns
-    are the same tuples as in `c`."""
-    reads = tuple(c.columns[h][i] for i, h in enumerate(c.heads))
-    hit = tm.transitions.get((c.state, reads))
-    if hit is None:
-        return None
-    q2, actions = hit
-    columns = list(c.columns)
-    heads = []
-    for i, (h, (w, m)) in enumerate(zip(c.heads, actions)):
+def _move(tm: TmSpec, columns: list, heads: list, actions) -> None:
+    """A transition's moves, made in place on a configuration's column
+    list and head list.  Only a column whose cell under a head changes is
+    rebuilt, one write at a time in tape order, so two heads on one column
+    both write it; a head past the last column appends a blank one."""
+    for i, (w, m) in enumerate(actions):
+        h = heads[i]
         cells = columns[h]
-        columns[h] = cells[:i] + (w,) + cells[i + 1 :]
+        if cells[i] != w:
+            columns[h] = cells[:i] + (w,) + cells[i + 1 :]
         h += 1 if m == "R" else -1
         if h < 0:
             raise InvalidTm("head fell off the left end")
-        heads.append(h)
+        heads[i] = h
     if max(heads) >= len(columns):
         columns.append((tm.blank,) * tm.tapes)
-    return Configuration(q2, tuple(columns), tuple(heads))
 
 
-def run(tm: TmSpec, inputs: Sequence):
-    """Run to halt, at most MAX_STEPS steps; returns (trace of
-    configurations, accepted)."""
+def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
+    """The successor of `c`, or None when no transition applies; the
+    columns no head is on are the same tuples as in `c` (`_move`)."""
+    hit = tm.transitions.get((c.state, tuple(c.columns[h][i] for i, h in enumerate(c.heads))))
+    if hit is None:
+        return None
+    columns, heads = list(c.columns), list(c.heads)
+    _move(tm, columns, heads, hit[1])
+    return Configuration(hit[0], tuple(columns), tuple(heads))
+
+
+def run_words(tm: TmSpec, inputs: Sequence) -> tuple:
+    """Run to halt, at most MAX_STEPS steps; returns (the `tag_config` word
+    of each configuration, accepted).  One column list and one head list
+    are stepped in place (`_move`, as `step` moves).  The first word is
+    serialized whole; each later one is its predecessor's with the state
+    and the columns the step touched re-tokenised: the old heads, the new
+    heads, an appended column."""
     c = initial_configuration(tm, inputs)
-    trace = [c]
+    state, columns, heads, transitions = c.state, list(c.columns), list(c.heads), tm.transitions
+    word = list(tag_config(c, tm))
+    words = [tuple(word)]
     for _ in range(MAX_STEPS):
-        nxt = step(tm, c)
-        if nxt is None:
-            return trace, c.state in tm.accepting
-        c = nxt
-        trace.append(c)
+        hit = transitions.get((state, tuple([columns[h][i] for i, h in enumerate(heads)])))
+        if hit is None:
+            return words, state in tm.accepting
+        state, actions = hit
+        touched, n = {*heads}, len(columns)
+        _move(tm, columns, heads, actions)
+        touched.update(heads, range(n, len(columns)))
+        word[1] = state
+        if len(columns) > n:
+            word.append(None)
+        for j, tok in zip(touched, _column_tokens(tm, columns, heads, touched)):
+            word[j + 2] = tok
+        words.append(tuple(word))
     raise InvalidTm(f"machine {tm.name} did not halt within {MAX_STEPS} steps")
 
 
@@ -640,34 +660,15 @@ def tag_config(c: Configuration, tm: TmSpec) -> tuple:
     return (CONF_TAG,) + c.serialize(tm)
 
 
-def trace_words(tm: TmSpec, trace: Sequence[Configuration]) -> list:
-    """`tag_config` of each configuration of a run's trace, each one the
-    `step` of the one before.  The first is serialized whole; each later
-    word is its predecessor's with the state and the columns the step
-    touched re-tokenised: the old heads, the new heads, an appended column."""
-    words = [tag_config(trace[0], tm)]
-    for prev, c in zip(trace, trace[1:]):
-        n = len(c.columns)
-        touched = {*prev.heads, *c.heads, *range(len(prev.columns), n)}
-        word = list(words[-1])
-        word[1] = c.state
-        word += [None] * (n + 2 - len(word))
-        for j, tok in zip(touched, c.column_tokens(tm, touched)):
-            word[j + 2] = tok
-        words.append(tuple(word))
-    return words
-
-
 def emb_path(rpi: RpiStructure, x, y):
     """The witness path x R I(x,y) R ... R F(x,y) R y when the comparator
     accepts (x, y); every hop is verified against the relation automaton,
     in one pass (`Automaton.rejected_hop`)."""
     tm = rpi.tm
-    inputs = [tuple(x), tuple(y)] + [()] * (tm.tapes - 2)
-    trace, accepted = run(tm, inputs)
+    words, accepted = run_words(tm, [tuple(x), tuple(y)] + [()] * (tm.tapes - 2))
     if not accepted:
         return None
-    path = [tag_word(x)] + trace_words(tm, trace) + [tag_word(y)]
+    path = [tag_word(x), *words, tag_word(y)]
     bad = rpi.reader.rejected_hop(path)
     if bad is not None:
         raise WobError(f"edge not in the relation: {path[bad]!r} -> {path[bad + 1]!r}")
@@ -741,8 +742,7 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
     short = [w for w in words if len(w) <= run_input_len]
     for x in short:
         for y in short:
-            trace, accepted = run(tm, [x, y] + [()] * (tm.tapes - 2))
-            confs = trace_words(tm, trace)
+            confs, accepted = run_words(tm, [x, y] + [()] * (tm.tapes - 2))
             configs.update(confs)
             if len(elements) + len(configs) > budget:
                 raise StateBudgetExceeded(len(elements) + len(configs), budget)
@@ -751,10 +751,13 @@ def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 
             if bad is not None:
                 raise WobError(f"structural edge missing from the automaton: {path[bad]!r} -> {path[bad + 1]!r}")
             edges.update(zip(path, path[1:]))
-    elements.extend(sorted(configs))
+    configs = sorted(configs)
+    # non-edges among the first 25 words and the first 25 configurations
+    # must be rejected too; the words come first among the elements, so a
+    # sample of the first elements alone would hold no configuration
+    sample = elements[:25] + configs[:25]
+    elements.extend(configs)
     edges = sorted(edges)
-    # non-edges among the first 50 elements must be rejected too
-    sample = elements[:50]
     edge_set = set(edges)
     for u in sample:
         for v in sample:

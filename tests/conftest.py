@@ -1,5 +1,6 @@
 import itertools
 import sys
+import weakref
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -101,12 +102,19 @@ def omega_tower(k):
 # -- oracles ------------------------------------------------------------------
 
 
+_NFA_MOVES = weakref.WeakKeyDictionary()  # automaton -> its (state, letter) -> targets table
+
+
 def run_nfa(aut, letters):
-    """Independent membership check: plain subset simulation, no package code."""
+    """Independent membership check: plain subset simulation, no package
+    code.  The (state, letter) table is built once per automaton, from its
+    triples."""
+    trans = _NFA_MOVES.get(aut)
+    if trans is None:
+        trans = _NFA_MOVES[aut] = {}
+        for (q, letter, r) in aut.transitions:
+            trans.setdefault((q, letter), set()).add(r)
     current = {aut.initial}
-    trans = {}
-    for (q, letter, r) in aut.transitions:
-        trans.setdefault((q, letter), set()).add(r)
     for letter in letters:
         nxt = set()
         for q in current:
@@ -566,6 +574,20 @@ def built_projection_sets(p):
         "quotient": au.minimize(au.join(below, [0, 1], reps, [1])),
         "succ": au.minimize(au.difference(p.order, au.project(p.between, 1))),
     }
+
+
+def run(tm, inputs):
+    """The reference run over `tm.step`: (the trace of configurations,
+    accepted), at most `tm.MAX_STEPS` steps."""
+    c = T.initial_configuration(tm, inputs)
+    trace = [c]
+    for _ in range(T.MAX_STEPS):
+        nxt = T.step(tm, c)
+        if nxt is None:
+            return trace, c.state in tm.accepting
+        c = nxt
+        trace.append(c)
+    raise T.InvalidTm(f"machine {tm.name} did not halt within {T.MAX_STEPS} steps")
 
 
 def reference_step(tm, c):

@@ -495,9 +495,46 @@ def word_path(draw):
     return words
 
 
-@settings(max_examples=200, deadline=None)
-@given(padded_nfa2(), word_path())
-def test_rejected_hop_is_the_first_pair_the_oracle_rejects(nfa, words):
+@st.composite
+def looping_nfa2(draw):
+    """`padded_nfa2` with diagonal self-loops (q, (a, a), q) added at
+    states no padded letter enters, so a run's set of states often loops
+    on a tail of letters (a, a), and as often leaves it on another target."""
+    n_states, accepting, trans = draw(padded_nfa2())
+    padded = {r for _q, letter, r in trans if au.PAD in letter}
+    free = [q for q in range(n_states) if q not in padded]  # state 0 is entered by no padded letter
+    loops = draw(st.sets(st.tuples(st.sampled_from(free), st.sampled_from(AB))))
+    return n_states, accepting, trans + [(q, (a, a), q) for q, a in loops]
+
+
+@st.composite
+def windowed_path(draw):
+    """Words up to length 12, each the one before with the symbols of one
+    window of up to three redrawn and its tail kept; now and then a symbol
+    is appended or a suffix cut off, and a few symbols are the pad or
+    foreign."""
+    symbol = st.sampled_from("aaaabbbb" + au.PAD + "z")
+    words = [tuple(draw(st.lists(st.sampled_from(AB), max_size=12)))]
+    for _ in range(draw(st.integers(0, 10))):
+        w = words[-1]
+        how = draw(st.sampled_from(["window"] * 6 + ["append", "cut"]))
+        if how == "window" and w:
+            i = draw(st.integers(0, len(w) - 1))
+            j = draw(st.integers(i + 1, min(len(w), i + 3)))
+            w = w[:i] + tuple(draw(st.lists(symbol, min_size=j - i, max_size=j - i))) + w[j:]
+        elif (how == "append" and len(w) < 12) or not w:
+            w = w + (draw(symbol),)
+        else:
+            w = w[: draw(st.integers(0, len(w) - 1))]
+        words.append(w)
+    return words
+
+
+def assert_rejected_hop_reads_as_the_oracle(nfa, words):
+    """On every suffix of the path, `rejected_hop` names the first pair the
+    oracle rejects, and its step table is that of a twin read by per-hop
+    `accepts`; each step-table and loop-table entry is its set's row, and
+    the symbols that loop on the set, read off the triples."""
     n_states, accepting, trans = nfa
     a = au.automaton(2, AB, n_states, 0, accepting, trans)
     twin = au.automaton(2, AB, n_states, 0, accepting, trans)
@@ -516,6 +553,22 @@ def test_rejected_hop_is_the_first_pair_the_oracle_rejects(nfa, words):
     for subset, row in a._subset_steps.items():  # each entry is a set of states and its merged row
         assert len(subset) >= 2 and list(subset) == sorted(set(subset))
         assert row == merged_row(a, subset)
+    for subset, loops in a._subset_loops.items():
+        assert loops == {x for (x, y), targets in merged_row(a, subset).items() if x == y and targets == subset}
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_nfa2(), word_path())
+def test_rejected_hop_is_the_first_pair_the_oracle_rejects(nfa, words):
+    assert_rejected_hop_reads_as_the_oracle(nfa, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(looping_nfa2(), windowed_path())
+def test_rejected_hop_settles_a_looping_tail_as_the_oracle_reads_it(nfa, words):
+    # pairs of one length that agree past a window, over NFAs whose sets of
+    # states loop on some diagonal letters: the tail test both holds and fails
+    assert_rejected_hop_reads_as_the_oracle(nfa, words)
 
 
 def test_rejected_hop_reads_binary_relations_only():

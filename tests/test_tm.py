@@ -14,6 +14,7 @@ from conftest import (
     reference_initial_configuration,
     reference_step,
     reference_step_graph,
+    run,
 )
 from wob import automata as au
 from wob import pathology as pa
@@ -34,7 +35,7 @@ from wob.tm import (
     initial_configuration,
     kreisel_comparator,
     parse_tm,
-    run,
+    run_words,
     save_tm,
     step,
     step_relation_automaton,
@@ -504,8 +505,8 @@ def test_the_rpi_reader_answers_as_the_built_relation(false_pi):
     rejected = 0
     for x, y in _bench_shaped_pairs(7, 200):
         for tm in (rpi_for(False).tm, rpi_for(True).tm):
-            trace, accepted = run(tm, [x, y, ()])
-            path = [tag_word(x), *T.trace_words(tm, trace), *([tag_word(y)] if accepted else [])]
+            words, accepted = run_words(tm, [x, y, ()])
+            path = [tag_word(x), *words, *([tag_word(y)] if accepted else [])]
             got = reader.rejected_hop(path)
             assert got == relation.rejected_hop(path)
             rejected += got is not None
@@ -558,14 +559,22 @@ def test_tag_config_matches_serialize():
         assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize(tm)
 
 
+def walk_machine():
+    """One tape: walk right forever, so a run ends only at MAX_STEPS."""
+    M = T.MARKER
+    trans = {("go", (M,)): ("go", ((M, "R"),)), ("go", ("_",)): ("go", (("_", "R"),))}
+    return T.TmSpec(name="walk", tapes=1, blank="_", states=("go",), accepting=frozenset(), transitions=trans)
+
+
 @pytest.mark.parametrize("tm", [
     increment_machine(), copy_machine(), bounce_machine(), split_machine(), swap_machine(),
     kreisel_comparator(True), kreisel_comparator(False),
 ], ids=lambda tm: tm.name)
 def test_trace_words_is_tag_config_of_each_configuration(tm):
-    # every run on inputs up to length 3 on the first two tapes (the others
-    # empty); tape 0 also holds a symbol outside the cell alphabets, which
-    # `column_token` joins
+    # the words `run_words` gives for a run's trace, on every input up to
+    # length 3 on the first two tapes (the others empty), against the
+    # reference run over `step`; tape 0 also holds a symbol outside the
+    # cell alphabets, which `column_token` joins
     def words(tape, extra=()):
         symbols = [s for s in tm.tape_cells[tape] if s != T.MARKER] + list(extra)
         return [w for n in range(4) for w in itertools.product(symbols, repeat=n)]
@@ -573,11 +582,25 @@ def test_trace_words_is_tag_config_of_each_configuration(tm):
     others = [words(t) for t in range(1, min(tm.tapes, 2))] + [[()]] * (tm.tapes - 2)
     appended = foreign = 0
     for inputs in itertools.product(words(0, ["7"]), *others):
-        trace, _ = run(tm, list(inputs))
-        assert T.trace_words(tm, trace) == [tag_config(c, tm) for c in trace], inputs
+        trace, accepted = run(tm, list(inputs))
+        assert run_words(tm, list(inputs)) == ([tag_config(c, tm) for c in trace], accepted), inputs
         appended += len(trace[-1].columns) > len(trace[0].columns)
         foreign += any("7" in c.columns[h] for c in trace[1:] for h in c.heads)
     assert appended and foreign
+
+
+def test_run_words_stops_at_max_steps_as_the_reference_run(monkeypatch):
+    # a run halts when its last step is at most MAX_STEPS - 1; increment on
+    # n a's takes n + 2 steps
+    monkeypatch.setattr(T, "MAX_STEPS", 30)
+    inc = increment_machine()
+    trace, accepted = run(inc, [("a",) * 27])
+    assert run_words(inc, [("a",) * 27]) == ([tag_config(c, inc) for c in trace], accepted)
+    assert len(trace) == 30 and accepted
+    for tm, inputs in ((inc, [("a",) * 28]), (walk_machine(), [("_", "_")])):
+        for runner in (run, run_words):
+            with pytest.raises(InvalidTm, match=f"machine {tm.name} did not halt within 30 steps"):
+                runner(tm, inputs)
 
 
 def test_emb_path_names_the_first_hop_the_relation_rejects():
@@ -605,11 +628,11 @@ def test_emb_path_names_the_first_hop_the_relation_rejects():
     assert raised
 
 
-def test_emb_path_steps_at_most_three_quarters_of_its_letters():
-    # a hop resumes from where its letters stop agreeing with the previous
-    # hop's, so fewer letters are stepped than the hops hold.  Each letter
-    # stepped is one `get` on the reader's rows (one state alive; a row's
-    # first read is one more `get`) or on its step table (a set of states)
+def stepped_letters(x, y) -> tuple:
+    """(letters stepped, letters held) by the hops of emb_path(x, y) on a
+    fresh pi_0-true reader.  Each letter stepped is one `get` on the
+    reader's rows (one state alive; a row's first read is one more `get`)
+    or on its step table (a set of states)."""
     class Counting(dict):
         lookups = 0
 
@@ -620,12 +643,28 @@ def test_emb_path_steps_at_most_three_quarters_of_its_letters():
     rpi = build_rpi(kreisel_comparator(False), pi_tag="pi0=true")
     object.__setattr__(rpi.reader, "_delta", Counting())
     rpi.reader.__dict__["_subset_steps"] = Counting()
-    x, y = tuple("01101001011010010110100101101001"), tuple("1001011010010110100101101001011001101001")
-    Counting.lookups = 0
     path = emb_path(rpi, x, y)
     assert path == emb_path(rpi_for(False), x, y) and path is not None
-    letters = sum(max(len(u), len(v)) for u, v in zip(path, path[1:]))
-    assert Counting.lookups <= 0.75 * letters, (Counting.lookups, letters)
+    return Counting.lookups, sum(max(len(u), len(v)) for u, v in zip(path, path[1:]))
+
+
+def test_emb_path_steps_at_most_a_quarter_of_its_letters():
+    # a hop resumes from where its letters stop agreeing with the previous
+    # hop's, and a machine step's unchanged tail is settled by one set test,
+    # so fewer letters are stepped than the hops hold
+    x, y = tuple("01101001011010010110100101101001"), tuple("1001011010010110100101101001011001101001")
+    stepped, letters = stepped_letters(x, y)
+    assert stepped <= 0.25 * letters, (stepped, letters)
+
+
+def test_a_long_emb_path_steps_at_most_a_twentieth_of_its_letters():
+    # each hop steps a few letters around the heads, so the letters stepped
+    # grow with the path's length, not with its length squared
+    rng = random.Random(5)
+    x, y = (tuple(rng.choice("01") for _ in range(n)) for n in (200, 201))
+    stepped, letters = stepped_letters(x, y)
+    assert letters > 40000
+    assert stepped <= 0.05 * letters, (stepped, letters)
 
 
 def test_explore_fragment_names_a_structural_edge_the_relation_rejects():
@@ -638,12 +677,30 @@ def test_explore_fragment_names_a_structural_edge_the_relation_rejects():
         explore_fragment(mixed, word_len=2, run_input_len=2)
     words = [tuple(b) for n in range(3) for b in itertools.product("01", repeat=n)]
     for x, y in itertools.product(words, repeat=2):
-        trace, accepted = run(true.tm, [x, y, ()])
-        path = [tag_word(x), *T.trace_words(true.tm, trace), *([tag_word(y)] if accepted else [])]
+        confs, accepted = run_words(true.tm, [x, y, ()])
+        path = [tag_word(x), *confs, *([tag_word(y)] if accepted else [])]
         bad = next((i for i, (u, v) in enumerate(zip(path, path[1:])) if not false.relation.accepts(u, v)), None)
         if bad is not None:
             break
     assert str(exc.value) == f"structural edge missing from the automaton: {path[bad]!r} -> {path[bad + 1]!r}"
+
+
+def test_explore_fragment_samples_configuration_non_edges():
+    # the binary words come first among the elements, so a sample of the
+    # first elements alone holds no configuration: the sample takes the
+    # first 25 words and the first 25 configurations, and a relation that
+    # also accepts one planted pair of sampled configurations is caught
+    rpi = rpi_for(False)
+    frag = explore_fragment(rpi, word_len=5, run_input_len=3)
+    configs = [w for w in frag.elements if w[0] == T.CONF_TAG][:25]
+    u, v = next((u, v) for u in configs for v in configs if (u, v) not in set(frag.edges))
+    letters = au.convolve([u, v])
+    pair = au.automaton(2, rpi.relation.alphabet, len(letters) + 1, 0, {len(letters)},
+                        [(i, letter, i + 1) for i, letter in enumerate(letters)])
+    planted = T.RpiStructure(rpi.tm, "planted", au.union(rpi.relation, pair))
+    with pytest.raises(WobError) as exc:
+        explore_fragment(planted, word_len=5, run_input_len=3)
+    assert str(exc.value) == f"automaton accepts a non-edge: {u!r} -> {v!r}"
 
 
 def test_rpi_cycle_free_and_descent_for_false_pi():
