@@ -97,6 +97,11 @@ def show_word(w: Word) -> str:
     return "".join(w) if all(len(s) == 1 for s in w) else " ".join(w)
 
 
+def dot_label(text: str) -> str:
+    """`text` as a quoted graphviz string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def check_symbol(sym: str) -> str:
     if not isinstance(sym, str) or not sym:
         raise InvalidSymbol(f"symbol must be a nonempty string, got {sym!r}")

@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Optional, Union
 
-from .automata import _search
+from . import ordinals as o
+from .automata import _search, dot_label
 from .errors import BadLevel, EmptyPds, LoadError, StateBudgetExceeded, WobError, one_word, read_directives, state_line
 from .records import record
 
@@ -138,6 +139,12 @@ class HopdaSpec:
                 raise WobError(f"duplicate {kind} letters")
         if EPSILON in self.input_alphabet:
             raise WobError(f"input letter {EPSILON!r} is reserved")
+        for kind, letters in (("input", self.input_alphabet), ("pds", self.pds_alphabet)):
+            for a in letters:
+                if not (isinstance(a, str) and len(a) == 1):
+                    raise WobError(f"{kind} letter {a!r} is not a single character")
+        if "[" in self.pds_alphabet or "]" in self.pds_alphabet:
+            raise WobError("a pds letter may not be '[' or ']', which delimit a serialized store")
         if self.bottom not in self.pds_alphabet:
             raise WobError("bottom letter must be in the pds alphabet")
         for r in self.rules:
@@ -213,10 +220,10 @@ class ColoredGraph:
         lines = ["digraph g {"]
         for v, i in index.items():
             shape = ' shape="box"' if v == self.root else ""
-            lines.append(f'  n{i} [label="{_vlabel(v)}"{shape}];')
+            lines.append(f'  n{i} [label={dot_label(_vlabel(v))}{shape}];')
         for color in self.colors:
             for (u, v) in sorted(self.edges.get(color, ()), key=lambda p: (index[p[0]], index[p[1]])):
-                lines.append(f'  n{index[u]} -> n{index[v]} [label="{color}"];')
+                lines.append(f'  n{index[u]} -> n{index[v]} [label={dot_label(color)}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -243,59 +250,50 @@ def graph_from_edges(vertices, edges, root=None, cut=frozenset()) -> ColoredGrap
 def config_graph(h: HopdaSpec, budget: int = 1000) -> ColoredGraph:
     """BFS over configurations (state, pds) from the initial one; edges are
     labeled with input letters or the epsilon color.  Past `budget` vertices
-    no new one is added, and a vertex with a move to one is cut."""
-    start = (h.initial_state, h.initial_pds())
-
-    def key(cfg):
-        return (cfg[0], cfg[1].serialize())
-
-    seen = {start}
-    frontier = [start]
-    order = [start]
-    edges = []
-    cut = set()
+    no new one is added, and a vertex with a move to one is cut.  Each
+    configuration is keyed once, as its vertex (state, serialized pds)."""
+    pds = h.initial_pds()
+    root = (h.initial_state, pds.serialize())
+    pds_of = {root: pds}  # vertex -> its pds, in BFS order
+    frontier, edges, cut = [root], [], set()
     while frontier:
-        frontier.sort(key=key)
         next_frontier = []
-        for cfg in frontier:
-            state, pds = cfg
-            for letter_, new_state, new_pds in h.moves_from(state, pds):
-                target = (new_state, new_pds)
-                color = EPSILON if letter_ is None else letter_
-                if target not in seen:
-                    if len(seen) >= budget:
-                        cut.add(key(cfg))
+        for u in sorted(frontier):
+            for letter_, new_state, new_pds in h.moves_from(u[0], pds_of[u]):
+                v = (new_state, new_pds.serialize())
+                if v not in pds_of:
+                    if len(pds_of) >= budget:
+                        cut.add(u)
                         continue
-                    seen.add(target)
-                    order.append(target)
-                    next_frontier.append(target)
-                if target in seen:
-                    edges.append((cfg, color, target))
+                    pds_of[v] = new_pds
+                    next_frontier.append(v)
+                edges.append((u, EPSILON if letter_ is None else letter_, v))
         frontier = next_frontier
-    verts = [(s, p.serialize()) for (s, p) in order]
-    vedges = [((u[0], u[1].serialize()), c, (v[0], v[1].serialize())) for (u, c, v) in edges]
-    return graph_from_edges(verts, sorted(set(vedges)), root=verts[0], cut=cut)
+    return graph_from_edges(pds_of, edges, root=root, cut=cut)
 
 
 def _runs(h: HopdaSpec, word: tuple):
-    """The configurations (state, pds, position in word) that runs on `word`
-    reach, depth first, in the order they are popped."""
-    start = (h.initial_state, h.initial_pds(), 0)
+    """The configurations that runs on `word` reach, depth first, in the
+    order they are popped: each as its key (state, serialized pds, position
+    in word) and its pds."""
+    pds = h.initial_pds()
+    start = (h.initial_state, pds.serialize(), 0)
     seen = {start}
-    stack_ = [start]
+    stack_ = [(start, pds)]
     while stack_:
-        state, pds, pos = cfg = stack_.pop()
-        yield cfg
+        key, pds = stack_.pop()
+        yield key, pds
+        state, _, pos = key
         for letter_, new_state, new_pds in h.moves_from(state, pds):
             if letter_ is None:
-                nxt = (new_state, new_pds, pos)
+                nxt = (new_state, new_pds.serialize(), pos)
             elif pos < len(word) and word[pos] == letter_:
-                nxt = (new_state, new_pds, pos + 1)
+                nxt = (new_state, new_pds.serialize(), pos + 1)
             else:
                 continue
             if nxt not in seen:
                 seen.add(nxt)
-                stack_.append(nxt)
+                stack_.append((nxt, new_pds))
 
 
 def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
@@ -303,7 +301,7 @@ def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
     search that explores more than `budget` configurations raises
     StateBudgetExceeded."""
     word = tuple(word)
-    for explored, (state, _pds, pos) in enumerate(_runs(h, word), start=1):
+    for explored, ((state, _, pos), _pds) in enumerate(_runs(h, word), start=1):
         if explored > budget:
             raise StateBudgetExceeded(explored, budget)
         if pos == len(word) and state in h.accepting:
@@ -315,8 +313,8 @@ def reachable_configs(h: HopdaSpec, words: Iterable) -> list:
     """All configurations reached while consuming each of the given words."""
     out = {}
     for word in words:
-        for state, pds, _pos in _runs(h, tuple(word)):
-            out[(state, pds.serialize())] = (state, pds)
+        for (state, serialized, _), pds in _runs(h, tuple(word)):
+            out[(state, serialized)] = (state, pds)
     return [out[k] for k in sorted(out)]
 
 
@@ -442,8 +440,6 @@ def omega_squared_machine() -> HopdaSpec:
 
 
 def omega_squared_value(pds: Npds):
-    from . import ordinals as o
-
     s = pds.serialize()
     return o.OMEGA * o.from_int(s.count("B")) + o.from_int(s.count("A"))
 
@@ -472,8 +468,6 @@ def omega_omega_machine() -> HopdaSpec:
 
 
 def omega_omega_value(pds: Npds):
-    from . import ordinals as o
-
     total = o.ZERO
     for sub in pds.content[1:]:
         k = sub.serialize().count("A")

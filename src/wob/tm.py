@@ -687,7 +687,7 @@ class ExploredFragment:
         lines = ["digraph fragment {"]
         index = {w: i for i, w in enumerate(self.elements)}
         for w, i in index.items():
-            lines.append(f'  n{i} [label="{au.show_word(w)}"];')
+            lines.append(f'  n{i} [label={au.dot_label(au.show_word(w))}];')
         for u, v in self.edges:
             lines.append(f"  n{index[u]} -> n{index[v]};")
         lines.append("}")

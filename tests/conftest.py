@@ -590,6 +590,66 @@ def run(tm, inputs):
     raise T.InvalidTm(f"machine {tm.name} did not halt within {T.MAX_STEPS} steps")
 
 
+def reference_config_graph(h, budget=1000):
+    """`hopda.config_graph` before each configuration was keyed once: a
+    `seen` set and an `order` list of (state, Npds) pairs, each lookup
+    hashing the nested records, and every vertex and both ends of every
+    edge serialized after the search."""
+    start = (h.initial_state, h.initial_pds())
+
+    def key(cfg):
+        return (cfg[0], cfg[1].serialize())
+
+    seen = {start}
+    frontier = [start]
+    order = [start]
+    edges = []
+    cut = set()
+    while frontier:
+        frontier.sort(key=key)
+        next_frontier = []
+        for cfg in frontier:
+            state, pds = cfg
+            for letter_, new_state, new_pds in h.moves_from(state, pds):
+                target = (new_state, new_pds)
+                color = H.EPSILON if letter_ is None else letter_
+                if target not in seen:
+                    if len(seen) >= budget:
+                        cut.add(key(cfg))
+                        continue
+                    seen.add(target)
+                    order.append(target)
+                    next_frontier.append(target)
+                if target in seen:
+                    edges.append((cfg, color, target))
+        frontier = next_frontier
+    verts = [(s, p.serialize()) for (s, p) in order]
+    vedges = [((u[0], u[1].serialize()), c, (v[0], v[1].serialize())) for (u, c, v) in edges]
+    return H.graph_from_edges(verts, sorted(set(vedges)), root=verts[0], cut=cut)
+
+
+def reference_runs(h, word):
+    """`hopda._runs` over Npds records: the configurations (state, pds,
+    position in word) that runs on `word` reach, depth first, in the order
+    they are popped."""
+    start = (h.initial_state, h.initial_pds(), 0)
+    seen = {start}
+    stack_ = [start]
+    while stack_:
+        state, pds, pos = cfg = stack_.pop()
+        yield cfg
+        for letter_, new_state, new_pds in h.moves_from(state, pds):
+            if letter_ is None:
+                nxt = (new_state, new_pds, pos)
+            elif pos < len(word) and word[pos] == letter_:
+                nxt = (new_state, new_pds, pos + 1)
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                stack_.append(nxt)
+
+
 def reference_step(tm, c):
     """`tm.step` before it copied only the head columns: every column is
     rebuilt as a list, each head writes its cell in tape order, and the

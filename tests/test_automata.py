@@ -84,6 +84,9 @@ def test_show_word_joins_one_character_symbols_plainly():
     assert str(recognition.BadCondensationClass(("m", "a"))) == "bad-class witness='ma' (no-least)"
     frag = tm.ExploredFragment(elements=[("W", "1"), ("C", "q0")], edges=[(("W", "1"), ("C", "q0"))])
     assert frag.to_dot() == 'digraph fragment {\n  n0 [label="W1"];\n  n1 [label="C q0"];\n  n0 -> n1;\n}\n'
+    # a quote or backslash in a word is escaped, so the label stays one string
+    frag = tm.ExploredFragment(elements=[("W", '"'), ("C", "\\")], edges=[])
+    assert frag.to_dot() == 'digraph fragment {\n  n0 [label="W\\""];\n  n1 [label="C\\\\"];\n}\n'
 
 
 def test_padding_invariant_rejected_at_construction():

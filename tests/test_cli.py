@@ -483,6 +483,35 @@ def test_deep_hopda_level_is_malformed_input(tmp_path, capsys):
     assert "between 1 and 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("pds Z A\nbottom Z\n", "pds ZZ A\nbottom ZZ\n", "pds letter 'ZZ' is not a single character"),
+     ("input a b\n", "input ab a b\n", "input letter 'ab' is not a single character")],
+    ids=["pds", "input"],
+)
+def test_hopda_letter_of_two_characters_is_malformed_input(tmp_path, capsys, old, new, message):
+    # WORD is read one character at a time, and a 0-pds is one letter, so a
+    # longer letter is refused on load, never answered with a verdict
+    anbn = Path(__file__).resolve().parent.parent / "corpus" / "machines" / "anbn.hopda"
+    text = anbn.read_text()
+    assert old in text
+    machine = tmp_path / "long.hopda"
+    machine.write_text(text.replace(old, new))
+    assert main(["hopda", "run", str(machine), "ab"]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_hopda_dot_escapes_quotes_in_labels(tmp_path, capsys):
+    machine = tmp_path / "q.hopda"
+    machine.write_text('hopda q\nlevel 1\ninput a "\npds Z "\nbottom Z\nstate s\n'
+                       'rule s a Z -> s push1(")\nrule s " Z -> s noop\n')
+    dot = tmp_path / "q.dot"
+    assert main(["hopda", "graph", str(machine), "--budget", "3", "--dot", str(dot)]) == 0
+    assert dot.read_text(encoding="utf-8") == (
+        'digraph g {\n  n0 [label="s:[Z]" shape="box"];\n  n1 [label="s:[Z\\"]"];\n'
+        '  n0 -> n0 [label="\\""];\n  n0 -> n1 [label="a"];\n}\n')
+
+
 def test_manifest_relation_outside_the_domain_is_malformed_input(tmp_path, capsys):
     # a manifest is checked where it is parsed: llex on {a,b}* relates words
     # outside the domain a*

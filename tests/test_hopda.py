@@ -4,10 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import epsilon_chain_machine, stack
+from conftest import epsilon_chain_machine, reference_config_graph, reference_runs, stack
 from wob import hopda as H
 from wob import ordinals as o
-from wob.errors import BadLevel, EmptyPds, WobError
+from wob.errors import BadLevel, EmptyPds, StateBudgetExceeded, WobError
 from wob.hopda import (
     EPSILON,
     ColoredGraph,
@@ -422,3 +422,68 @@ def test_hopda_letters_declared_once_each(old, new, message):
     assert old in text
     with pytest.raises(WobError, match=message):
         parse_hopda(text.replace(old, new))
+
+
+def test_hopda_pds_letter_may_not_be_a_bracket():
+    # a configuration is keyed by its serialized store, which brackets
+    # delimit: with bracket letters the level-2 stores [[a][b]] (two 1-pds)
+    # and [[a][b]] (one 1-pds a ] [ b) would share a key
+    text = (Path(__file__).resolve().parent.parent / "corpus" / "machines" / "omega_omega.hopda").read_text(
+        encoding="utf-8")
+    assert "pds Z A T\n" in text
+    for bracket in "[]":
+        with pytest.raises(WobError, match="may not be"):
+            parse_hopda(text.replace("pds Z A T\n", f"pds Z A T {bracket}\n"))
+
+
+# -- the configuration search against its reference over Npds records ------------
+
+BUILTINS = [anbn_pda, omega_machine, omega_squared_machine, omega_omega_machine]
+
+
+@pytest.mark.parametrize(
+    "machine,budget",
+    [(m, b) for m in BUILTINS for b in (1, 5, 40, 1200)] + [(omega_omega_machine, 5000)],
+    ids=[f"{m.__name__}-{b}" for m in BUILTINS for b in (1, 5, 40, 1200)] + ["omega_omega_machine-5000"],
+)
+def test_config_graph_matches_the_reference(machine, budget):
+    h = machine()
+    got, want = config_graph(h, budget=budget), reference_config_graph(h, budget=budget)
+    assert got.vertices == want.vertices  # in order
+    assert (got.edges, got.root, got.cut) == (want.edges, want.root, want.cut)
+    assert got.to_dot() == want.to_dot()
+    assert epsilon_contract(got) == epsilon_contract(want)
+    for depth in (0, 3, 8):
+        assert unfold(got, got.root, depth, budget=budget) == unfold(want, want.root, depth, budget=budget)
+
+
+def _reference_run_word(h, word, budget):
+    for explored, (state, _pds, pos) in enumerate(reference_runs(h, word), start=1):
+        if explored > budget:
+            raise StateBudgetExceeded(explored, budget)
+        if pos == len(word) and state in h.accepting:
+            return True
+    return False
+
+
+def _answer(run, h, word, budget):
+    try:
+        return run(h, word, budget)
+    except StateBudgetExceeded as exc:
+        return ("budget", exc.n_states)
+
+
+@pytest.mark.parametrize("machine", BUILTINS, ids=lambda m: m.__name__)
+def test_runs_match_the_reference(machine):
+    h = machine()
+    first, last = h.input_alphabet[0], h.input_alphabet[-1]
+    words = [w for n in range(6) for w in itertools.product(h.input_alphabet, repeat=n)]
+    words += [(first,) * 30 + (last,) * 30, (first, last) * 15]
+    for word in words:
+        got = list(H._runs(h, word))
+        assert all(pds.serialize() == serialized for (_s, serialized, _p), pds in got)
+        assert [(state, pds, pos) for (state, _, pos), pds in got] == list(reference_runs(h, word))
+        for budget in (2, 10, 10 ** 4):
+            assert _answer(run_word, h, word, budget) == _answer(_reference_run_word, h, word, budget)
+    want = {(state, pds.serialize()): (state, pds) for word in words for state, pds, _ in reference_runs(h, word)}
+    assert reachable_configs(h, words) == [want[k] for k in sorted(want)]
