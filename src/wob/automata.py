@@ -36,7 +36,9 @@ projection that is only minimized or searched is never built, and
 way, so a section that is only enumerated is never numbered.  Inclusion
 is one subset product, `_difference_graph`: `difference` builds it, and
 `is_subset` and `is_subset_of_cube` search it up to the first
-counterexample.  That BFS and that search read the one state budget,
+counterexample; `is_irreflexive` and `is_total` search graphs of their
+own the same way (`_reaches_acceptance`), so a relation's linearity
+builds nothing.  That BFS and that search read the one state budget,
 `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
 a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
@@ -664,21 +666,7 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     a_key = _picker([a_tapes.index(t) for t in shared], a.arity)
     b_key = _picker([b_tapes.index(t) for t in shared], b.arity)
     pick = _picker([a_tapes.index(t) if t in a_tapes else a.arity + b_tapes.index(t) for t in range(arity)], a.arity)
-    DRAIN, DRAINED = -1, (-1,)
-
-    def side(aut, drains):
-        # a state's (letter, targets) moves, plus the all-pad move to the drain
-        drain = [((PAD,) * aut.arity, DRAINED)]
-
-        def moves(q):
-            if q == DRAIN:
-                return drain
-            out = aut._delta.get(q, {}).items()
-            return itertools.chain(out, drain) if drains and q in aut.accepting else out
-
-        return moves
-
-    a_side, b_side = side(a, arity > a.arity), side(b, arity > b.arity)
+    a_side, b_side = _side(a, arity > a.arity), _side(b, arity > b.arity)
     b_index: dict = {}  # b's state -> its moves by their symbols on the shared tapes
 
     def moves(pair):
@@ -690,15 +678,35 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
                 index.setdefault(lb if b_key is None else b_key(lb), []).append((lb, targets))
         for la, a_targets in a_side(qa):
             for lb, b_targets in index.get(la if a_key is None else a_key(la), ()):
-                if a_targets is DRAINED and b_targets is DRAINED:
+                if a_targets is _DRAINED and b_targets is _DRAINED:
                     continue
                 letters = (la if pick is None else pick(la + lb),)
                 for ra in a_targets:
                     for rb in b_targets:
                         yield letters, (ra, rb)
 
-    a_acc, b_acc = a.accepting | {DRAIN}, b.accepting | {DRAIN}
+    a_acc, b_acc = a.accepting | {_DRAIN}, b.accepting | {_DRAIN}
     return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves)
+
+
+_DRAIN, _DRAINED = -1, (-1,)
+
+
+def _side(aut: Automaton, drains: bool = True) -> Callable:
+    """The moves of `aut` as one side of a product, state -> its
+    (letter, targets) pairs: its own, and, when `drains`, the all-pad
+    letter from acceptance into the drain state `_DRAIN`, whose one move
+    is that letter again.  A side needs the drain when its words may end
+    before the convolution does."""
+    drain = [((PAD,) * aut.arity, _DRAINED)]
+
+    def moves(q):
+        if q == _DRAIN:
+            return drain
+        out = aut._delta.get(q, {}).items()
+        return itertools.chain(out, drain) if drains and q in aut.accepting else out
+
+    return moves
 
 
 def _picker(positions: list, arity: int) -> Optional[Callable]:
@@ -811,6 +819,60 @@ def is_subset_of_cube(rel: Automaton, domain: Automaton) -> bool:
     if rel.alphabet != domain.alphabet:
         raise ArityMismatch("alphabet mismatch")
     return not any(_reaches_acceptance(*_difference_graph(rel, domain, tape)) for tape in range(rel.arity))
+
+
+def is_irreflexive(rel: Automaton) -> bool:
+    """No pair (w, w) is in the binary relation: `rel`'s own states,
+    searched along its letters (a, a) alone from the initial state, reach
+    no accepting one, so the pair (ε, ε) counts too.  No diagonal is built."""
+    if rel.arity != 2:
+        raise ArityMismatch(f"a relation of arity {rel.arity} is not binary")
+
+    def moves(q):
+        for letter, targets in rel._delta.get(q, {}).items():
+            if letter[0] == letter[1]:
+                for r in targets:
+                    yield (letter,), r
+
+    return not _reaches_acceptance(rel.initial, rel.accepting.__contains__, moves)
+
+
+def is_total(rel: Automaton, domain: Automaton) -> bool:
+    """Any two distinct words of L(domain) are related by the binary
+    relation one way or the other: one search for a counterexample pair
+    (x, y), with no cube, union or transpose built.
+
+    A key is (domain state on x, the same on y, the set of `rel`'s states
+    after (x, y), the set after (y, x), x and y equal so far).  Each
+    domain side moves as a side of `join` does (`_side`), into a drain
+    from acceptance on the pad; the two sets step by `rel._row`, the
+    second on the swapped letter.  A key is a counterexample when both
+    sides accept or are drained, neither set meets `rel`'s accepting
+    states, and the words differ."""
+    if rel.arity != 2 or domain.arity != 1:
+        raise ArityMismatch(f"a relation of arity {rel.arity} over a domain of arity {domain.arity}")
+    if rel.alphabet != domain.alphabet:
+        raise ArityMismatch("alphabet mismatch")
+    side, done = _side(domain), domain.accepting | {_DRAIN}
+
+    def moves(key):
+        qx, qy, ahead, behind, equal = key
+        row, swapped, y_moves = rel._row(ahead), rel._row(behind), list(side(qy))
+        for (a,), xs in side(qx):
+            for (b,), ys in y_moves:
+                if xs is not _DRAINED or ys is not _DRAINED:
+                    letter = (a, b)
+                    after, before = row.get(letter, ()), swapped.get((b, a), ())
+                    for rx in xs:
+                        for ry in ys:
+                            yield (letter,), (rx, ry, after, before, equal and a == b)
+
+    def accepting(key):
+        qx, qy, ahead, behind, equal = key
+        return not equal and qx in done and qy in done and rel.accepting.isdisjoint(ahead + behind)
+
+    start = (domain.initial,) * 2 + ((rel.initial,),) * 2 + (True,)
+    return not _reaches_acceptance(start, accepting, moves)
 
 
 def is_empty(a: Automaton) -> bool:

@@ -15,6 +15,7 @@ HopdaSpec checks the machine itself, as TmSpec does for `.tm` files.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Iterable, Optional, Union
 
 from . import ordinals as o
@@ -513,15 +514,12 @@ def parse_hopda(text: str) -> HopdaSpec:
         if len(words) != 6 or words[3] != "->":
             raise LoadError("malformed rule")
         q, letter_, guard, _, new_state, op_text = words
-        if op_text == "noop":
-            op = ("noop",)
-        elif op_text.startswith("push"):
-            k, a = op_text[4:].split("(")
-            op = ("push", int(k), a.rstrip(")"))
-        elif op_text.startswith("pop"):
-            op = ("pop", int(op_text[3:]))
-        else:
-            raise LoadError(f"unknown operation {op_text!r}")
+        # exactly the forms save_hopda writes
+        form = re.fullmatch(r"(noop)|pop([0-9]+)|push([0-9]+)\((.)\)", op_text)
+        if form is None:
+            raise LoadError(f"unknown operation {op_text!r}: expected noop, pop<k> or push<k>(<letter>)")
+        noop, pop, push, letter = form.groups()
+        op = ("noop",) if noop else ("pop", int(pop)) if pop else ("push", int(push), letter)
         rules.append(Rule(q, None if letter_ == EPSILON else letter_, guard, new_state, op))
 
     head = read_directives(

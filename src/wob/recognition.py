@@ -29,9 +29,11 @@ exactly when (x, y) or (y, x) is in it, and ~ itself is never built.  A
 level passes when no element has infinitely many in_class predecessors,
 the class representatives are the domain minus the llex-larger side of
 in_class and its transpose, and an empty in_class (all classes singletons)
-is the fixpoint.  Irreflexivity and totality are an empty product with the
-diagonal and an inclusion of the domain cube, and the top class is the
-domain minus the elements with infinitely many elements above them.
+is the fixpoint.  Irreflexivity and totality are each one search for a
+counterexample, `au.is_irreflexive` over the order's own states and
+`au.is_total` over pairs of domain words, building no diagonal, cube or
+transpose, and the top class is the domain minus the elements with
+infinitely many elements above them.
 Every projection here is only minimized, searched or subtracted, so none
 is built: each is `au.projection_graph`, the edge scan `au.project` would
 number.
@@ -138,17 +140,15 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 
 def check_linear(p: OrderPresentation) -> Optional[str]:
     """None when the relation is a strict linear order, else the first
-    failing law, each one kernel test: < meets no pair of the diagonal,
-    every x < z < y has x < y (an inclusion search over the projection
-    graph of `between`, which is not built), and every pair of the domain
-    is ordered one way or the other or equal."""
-    order, diagonal = p.order, au.diagonal(p.domain.alphabet)
-    if not au.is_empty(au.intersect(order, diagonal)):
+    failing law, each one kernel search that builds nothing but `between`:
+    < holds no pair (w, w), every x < z < y has x < y (an inclusion search
+    over the projection graph of `between`), and every two distinct
+    elements of the domain are ordered one way or the other."""
+    if not au.is_irreflexive(p.order):
         return "irreflexivity"
-    if not au.is_subset(au.projection_graph(p.between, 1), order):
+    if not au.is_subset(au.projection_graph(p.between, 1), p.order):
         return "transitivity"
-    both = au.union(order, au.permute_tapes(order, [1, 0]))
-    if not au.is_subset(p.structure.domain_cube(2), au.union(both, diagonal)):
+    if not au.is_total(p.order, p.domain):
         return "totality"
     return None
 

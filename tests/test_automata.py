@@ -1325,6 +1325,24 @@ def test_is_subset_budget_raises_at_budget_plus_one(budget):
         assert not au.is_subset(stars, fives)
 
 
+def test_linearity_searches_raise_at_budget_plus_one():
+    # a five-cycle of (a, a) letters accepting nowhere is irreflexive, found
+    # after all five states; llex on a* is total, found after its three keys
+    # (start, x ended, y ended); under the empty relation the pair (a, ε),
+    # the third key met (after (a, a)), ends the search
+    cycle = au.automaton(2, ("a",), 5, 0, (), [(i, ("a", "a"), (i + 1) % 5) for i in range(5)])
+    llex, empty, stars = au.llex_automaton(("a",)), au.empty(("a",), 2), au.universe(("a",), 1)
+    for search, keys in ((lambda: au.is_irreflexive(cycle), 5), (lambda: au.is_total(llex, stars), 3)):
+        for budget in range(1, keys):
+            with pytest.raises(StateBudgetExceeded) as info, au.state_budget(budget):
+                search()
+            assert info.value.n_states == budget + 1
+        with au.state_budget(keys):
+            assert search()
+    with au.state_budget(3):
+        assert not au.is_total(empty, stars)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]), st.booleans())
 def test_projection_graph_reads_as_the_built_projection(seed, arity, infinite):

@@ -501,6 +501,19 @@ def test_hopda_letter_of_two_characters_is_malformed_input(tmp_path, capsys, old
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("push", ["push1(A", "push1(A)))"], ids=["unclosed", "overclosed"])
+def test_hopda_push_must_be_written_exactly(tmp_path, capsys, push):
+    # a push is push<k>(<letter>) and nothing near it: a parenthesis short
+    # or over is refused on load, not read as push1(A)
+    anbn = Path(__file__).resolve().parent.parent / "corpus" / "machines" / "anbn.hopda"
+    text = anbn.read_text()
+    assert "rule p a Z -> p push1(A)\n" in text
+    machine = tmp_path / "push.hopda"
+    machine.write_text(text.replace("rule p a Z -> p push1(A)\n", f"rule p a Z -> p {push}\n"))
+    assert main(["hopda", "run", str(machine), "ab"]) == 4
+    assert f"unknown operation {push!r}" in capsys.readouterr().err
+
+
 def test_hopda_dot_escapes_quotes_in_labels(tmp_path, capsys):
     machine = tmp_path / "q.hopda"
     machine.write_text('hopda q\nlevel 1\ninput a "\npds Z "\nbottom Z\nstate s\n'

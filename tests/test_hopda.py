@@ -407,8 +407,10 @@ def test_hopda_states_declared_once_each(edit, message):
 
 
 def test_hopda_save_load_roundtrip():
+    # the machine and its text are both fixed points of a save and a load
     for h in [anbn_pda(), omega_machine(), omega_squared_machine(), omega_omega_machine()]:
         assert parse_hopda(save_hopda(h)) == h
+        assert save_hopda(parse_hopda(save_hopda(h))) == save_hopda(h)
 
 
 @pytest.mark.parametrize(

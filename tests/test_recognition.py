@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import traceback
 from functools import cached_property
@@ -518,6 +519,138 @@ def test_check_linear_negates_no_ternary_relation(monkeypatch):
         monkeypatch.setattr(au, name, recording(getattr(au, name)))
     assert check_linear(OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))) is None
     assert firsts and 3 not in firsts
+
+
+BITS = ("0", "1")
+
+
+def _random_domain(rng):
+    """A unary NFA over 0/1 of up to three states, a letter often leading
+    to two of them, with a non-empty language."""
+    while True:
+        n = rng.randint(1, 3)
+        trans = [(q, (a,), r) for q in range(n) for a in BITS for r in range(n) if rng.random() < 0.4]
+        domain = au.automaton(1, BITS, n, 0, {q for q in range(n) if rng.random() < 0.6}, trans)
+        if not au.is_empty(domain):
+            return domain
+
+
+def _finite(tuples, arity=2):
+    """The relation holding exactly `tuples`: the trie of their convolutions."""
+    states, trans, accepting = {(): 0}, set(), set()
+    for t in tuples:
+        prefix = ()
+        for letter in au.convolve(t):
+            q, prefix = states[prefix], prefix + (letter,)
+            trans.add((q, letter, states.setdefault(prefix, len(states))))
+        accepting.add(states[prefix])
+    return au.automaton(arity, BITS, len(states), 0, accepting, trans)
+
+
+def _on_domain(domain, rel):
+    cube = au.join(domain, [0], domain, [1])
+    return Structure(name="r", domain=domain, relations={"<": au.minimize(au.intersect(rel, cube))})
+
+
+SHORT = ["".join(w) for w in words_upto(BITS, 2)]
+
+
+def _random_order(rng):
+    """A linear order perturbed at random: a random order of a few short
+    words, or llex on a random domain NFA, with one cover dropped, a
+    reflexive pair, a reversed cover or a random pair added, or as it is."""
+    if rng.random() < 0.5:
+        chain = rng.sample(SHORT, rng.randint(1, 5))
+        domain, rel = _finite([(w,) for w in chain], 1), _finite(itertools.combinations(chain, 2))
+    else:
+        domain, rel = (_random_domain(rng) if rng.random() < 0.7 else au.universe(BITS, 1)), au.llex_automaton(BITS)
+        # SHORT is in llex order, and a word between two of length 2 or less is one
+        chain = [w for w in SHORT if domain.accepts(w)]
+    i = rng.randrange(len(chain))
+    x, y = chain[i], chain[(i + 1) % len(chain)]  # a cover, or the last element and the first
+    return _on_domain(domain, rng.choice([
+        lambda: rel,
+        lambda: au.difference(rel, _finite([(x, y)])),
+        lambda: au.union(rel, _finite([(x, x)])),
+        lambda: au.union(rel, _finite([(y, x)])),
+        lambda: au.union(rel, _finite([tuple(rng.choices(chain, k=2))])),
+    ])())
+
+
+# an NFA for the words ending in 1: a 1 may stay in state 0 or end the word
+ENDS_IN_ONE = au.automaton(1, BITS, 2, 0, {1}, [(0, ("0",), 0), (0, ("1",), 0), (0, ("1",), 1)])
+
+LINEARITY_EDGES = {
+    # llex plus the pair (ε, ε) and nothing else reflexive
+    "only_empty_pair_reflexive": (
+        lambda: _on_domain(au.universe(BITS, 1), au.union(au.llex_automaton(BITS), _finite([("", "")]))),
+        "irreflexivity"),
+    # llex without ε < 0: nothing lies between them, so only that pair is unordered
+    "empty_word_unordered": (
+        lambda: _on_domain(au.universe(BITS, 1), au.difference(au.llex_automaton(BITS), _finite([("", "0")]))),
+        "totality"),
+    "nondeterministic_domain_linear": (lambda: _on_domain(ENDS_IN_ONE, au.llex_automaton(BITS)), None),
+    "nondeterministic_domain_unordered": (
+        lambda: _on_domain(ENDS_IN_ONE, au.difference(au.llex_automaton(BITS), _finite([("1", "01")]))),
+        "totality"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINEARITY_EDGES))
+def test_check_linear_edge_cases(name):
+    make, want = LINEARITY_EDGES[name]
+    p = OrderPresentation(make())
+    assert check_linear(p) == reference_check_linear(p) == want
+
+
+def test_check_linear_matches_the_laws_on_random_relations():
+    # 200 seeded perturbed orders give every law's failure and linear
+    # orders; about 2.5 s, most of it the reference's compiled sentences
+    laws = []
+    for seed in range(200):
+        p = OrderPresentation(_random_order(random.Random(seed)))
+        law = check_linear(p)
+        assert law == reference_check_linear(p), seed
+        laws.append(law)
+    assert set(laws) == {None, "irreflexivity", "transitivity", "totality"}
+
+
+@pytest.mark.parametrize("name", ["mixed", "kreisel_true", "kreisel_witness"])
+def test_check_linear_builds_nothing_beside_the_interval_product(monkeypatch, name):
+    # with `between` built, each law is one search: no BFS numbers a state,
+    # and no diagonal, union, transpose or domain cube is made
+    make, arg = CHAIN_CASES[name]
+    p = OrderPresentation(make(arg))
+    p.between
+    calls = []
+
+    def recording(label, fn):
+        return lambda *args: calls.append(label) or fn(*args)
+
+    for attr in ("_canonical", "diagonal", "union", "permute_tapes"):
+        monkeypatch.setattr(au, attr, recording(attr, getattr(au, attr)))
+    monkeypatch.setattr(Structure, "domain_cube", recording("domain_cube", Structure.domain_cube))
+    assert check_linear(p) is None
+    assert calls == []
+
+
+# the least state budget under which `recognize` gives a verdict
+LEAST_BUDGETS = {
+    "omega": 5, "omega_bin": 17, "omega_plus_one": 11, "omega_times_2": 11, "omega2p3": 28, "omega_sq": 21,
+    "mixed": 155, "omega_cube": 56, "w4p2": 48, "wsq_p1": 30, "twelve": 34, "zline": 10, "omega_plus_rev": 14,
+    "dense": 40, "binlex": 40, "kreisel_true": 17, "kreisel_witness": 48,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_least_budget_with_a_verdict(name):
+    # a construction that grows shows as a budget exit at the pinned value
+    make, arg = CHAIN_CASES[name]
+    budget = LEAST_BUDGETS[name]
+    assert isinstance(recognize(OrderPresentation(make(arg)), budget=budget), (WellOrder, NotWellOrder))
+    with pytest.raises(StateBudgetExceeded) as info:
+        recognize(OrderPresentation(make(arg)), budget=budget - 1)
+    assert info.value.n_states == budget
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
