@@ -26,21 +26,25 @@ never built: it fills a state's row by the same numbering and row fill
 constructions.  `join` runs two automata side by side on one
 convolution and maps each side's tapes to result tapes; `intersect`, a
 cylinder (a side with a tape the other lacks) and a tape equality (a join
-with `diagonal`) are joins.  `_relabel` maps the letters of one automaton
-and reads the ones that become all-pad as empty moves, in one scan of its
-edges that gives an unnumbered graph; `project` and `permute_tapes` are
-that graph numbered by the BFS.  `minimize`, `is_subset` and `difference`
-also take a projection's graph unnumbered (`projection_graph`), so a
-projection that is only minimized or searched is never built, and
-`count_or_enumerate` reads a section's graph (`section_graph`) the same
-way, so a section that is only enumerated is never numbered.  Inclusion
-is one subset product, `_difference_graph`: `difference` builds it, and
-`is_subset` and `is_subset_of_cube` search it up to the first
-counterexample; `is_irreflexive` and `is_total` search graphs of their
-own the same way (`_reaches_acceptance`), so a relation's linearity
-builds nothing.  That BFS and that search read the one state budget,
-`STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1; it is set for
-a block by `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
+with `diagonal`) are joins.  `join_graph` searches the same product once,
+giving each key an int as it first reaches it, trims it and, given a
+tape, drops that tape as it goes, so a product that is only projected,
+minimized or joined again is never numbered by the BFS.  `_relabel` maps
+the letters of one automaton and reads the ones that become all-pad as
+empty moves, in one scan of its edges that gives an unnumbered graph;
+`project` and `permute_tapes` are that graph numbered by the BFS.
+`minimize`, `is_subset` and `difference` also take a projection's graph
+unnumbered (`projection_graph`), so a projection that is only minimized
+or searched is never built, and `count_or_enumerate` reads a section's
+graph (`section_graph`) the same way, so a section that is only
+enumerated is never numbered.  Inclusion is one subset product,
+`_difference_graph`: `difference` builds it, and `is_subset` and
+`is_subset_of_cube` search it up to the first counterexample;
+`is_irreflexive` and `is_total` search graphs of their own the same way
+(`_reaches_acceptance`), so a relation's linearity builds nothing.  That
+BFS and those searches read the one state budget, `STATE_BUDGET`, and
+raise StateBudgetExceeded at budget + 1; it is set for a block by
+`with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
 There is one subset step: a set of states is a sorted tuple, and its row,
 letter -> sorted tuple of targets, is merged from its states' rows by
@@ -58,7 +62,7 @@ import itertools
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -645,13 +649,25 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     """The lockstep product: tape i of `a` becomes result tape `a_tapes[i]`,
     likewise for `b`, and a tuple is accepted when each side accepts its own
     tapes of it.  The maps are injective and together cover the result
-    tapes; a tape both sides map to carries one word for both.
+    tapes; a tape both sides map to carries one word for both.  The
+    product's graph is `_join_graph`'s, numbered by `_canonical`; a product
+    that is only projected, minimized or joined again is `join_graph`."""
+    arity, *graph = _join_graph(a, a_tapes, b, b_tapes)
+    return _canonical(arity, a.alphabet, *graph)
+
+
+def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Optional[int] = None) -> tuple:
+    """The product `join` describes as (arity, start, accepting, moves), the
+    last three in the form `_canonical` takes, over (state of `a`, state of
+    `b`) keys; `join` numbers it and `join_graph` searches it.  With
+    `drop`, each letter is given without that result tape, so a letter
+    that pads every other tape is given as all-pad.
 
     A side's words may end before the convolution does, so each side runs
     with a virtual drain state, entered from acceptance on all-pad input on
     its own tapes.  A side whose tapes the other side covers never needs
-    it: the whole letter would be all-pad.  Targets follow `a`'s `_delta`
-    order, then `b`'s.
+    it: the whole letter would be all-pad.  A key's moves are one-letter
+    groups, its targets in `a`'s `_delta` order, then `b`'s.
     """
     a_tapes, b_tapes = tuple(a_tapes), tuple(b_tapes)
     tapes = set(a_tapes) | set(b_tapes)
@@ -665,9 +681,11 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     shared = sorted(set(a_tapes) & set(b_tapes))
     a_key = _picker([a_tapes.index(t) for t in shared], a.arity)
     b_key = _picker([b_tapes.index(t) for t in shared], b.arity)
-    pick = _picker([a_tapes.index(t) if t in a_tapes else a.arity + b_tapes.index(t) for t in range(arity)], a.arity)
+    kept = [t for t in range(arity) if t != drop]
+    pick = _picker([a_tapes.index(t) if t in a_tapes else a.arity + b_tapes.index(t) for t in kept], a.arity)
     a_side, b_side = _side(a, arity > a.arity), _side(b, arity > b.arity)
     b_index: dict = {}  # b's state -> its moves by their symbols on the shared tapes
+    groups: dict = {}  # (a's letter, b's letter) -> their one-letter group
 
     def moves(pair):
         qa, qb = pair
@@ -680,13 +698,74 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
             for lb, b_targets in index.get(la if a_key is None else a_key(la), ()):
                 if a_targets is _DRAINED and b_targets is _DRAINED:
                     continue
-                letters = (la if pick is None else pick(la + lb),)
+                letters = groups.get((la, lb))
+                if letters is None:  # one group object per pair of letters, so equal letters are one object
+                    letters = groups[la, lb] = (la if pick is None else pick(la + lb),)
                 for ra in a_targets:
                     for rb in b_targets:
                         yield letters, (ra, rb)
 
     a_acc, b_acc = a.accepting | {_DRAIN}, b.accepting | {_DRAIN}
-    return _canonical(arity, a.alphabet, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves)
+    return arity, (a.initial, b.initial), lambda pair: pair[0] in a_acc and pair[1] in b_acc, moves
+
+
+def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optional[int] = None):
+    """The product `join` builds, trimmed but never numbered by
+    `_canonical`: a `_Graph` over the ints one forward search of
+    `_join_graph` gives its keys as it first reaches them, with no sort
+    and no renumbering.  It is an operand of `minimize`, `difference`,
+    `is_subset`, and of `join` or `join_graph` again.  The search numbers
+    the keys `join`'s BFS numbers and, like `_numbering`, raises at
+    budget + 1 of them; a backward search from the accepting keys then
+    trims the rest.  The graph is then `join`'s result up to the names of
+    its states, so each set of states a reversal or a subset product
+    forms over it is one over that result.
+
+    With `tape`, the search drops that tape as it goes and gives the pair
+    of projection graphs (∃, ∃^∞) that `projection_graph` gives over
+    `join`'s result.  A letter that pads every other tape is an ε-edge,
+    kept backwards as in `_relabel`.  The two graphs differ in their
+    accepting keys alone: the ε-live ones (for ∃^∞, those whose ε-edges
+    reach a live cycle) that are the initial key or that a non-ε letter
+    enters.  A kept key's in-edges all come from kept keys, so a non-ε
+    letter enters it when it has more in-edges than ε-ones.  Targets keep
+    `_join_graph`'s order and, with `tape`, may repeat.
+    """
+    arity, start, accepting, moves = _join_graph(a, a_tapes, b, b_tapes, tape)
+    if tape is not None and not (arity > 1 and 0 <= tape < arity):
+        raise CannotProject(f"cannot drop tape {tape} of a product of arity {arity}")
+    budget = STATE_BUDGET.get()
+    numbering, order, back, eps, final, rows = {start: 0}, [start], {0: []}, {}, [], []
+    pads = (PAD,) * (arity - 1) if tape is not None else None  # the ε-letter
+    for q, key in enumerate(order):  # grows while it is read
+        if accepting(key):
+            final.append(q)
+        row: dict = {}
+        for (letter,), target in moves(key):
+            r = numbering.get(target)
+            if r is None:
+                r = numbering[target] = len(order)
+                order.append(target)
+                back[r] = [q]
+                if len(order) > budget:
+                    raise StateBudgetExceeded(len(order), budget)
+            else:
+                back[r].append(q)
+            if letter == pads:
+                eps.setdefault(r, []).append(q)
+            else:
+                row.setdefault(letter, []).append(r)
+        rows.append(row)
+    useful = _search(final, back)
+    for q in useful.intersection(p for r in back if r not in useful for p in back[r]):  # a move into a trimmed key
+        rows[q] = {letter: kept for letter, targets in rows[q].items() if (kept := [r for r in targets if r in useful])}
+    delta = {q: row for q, row in enumerate(rows) if row and q in useful}
+    if tape is None:
+        return _Graph(arity, a.alphabet, 0, frozenset(final), delta)
+    live = _search(final, eps)
+    exists = frozenset(q for q in live if not q or len(back[q]) > len(eps.get(q, ())))
+    cycles = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
+    return _Graph(arity - 1, a.alphabet, 0, exists, delta), _Graph(arity - 1, a.alphabet, 0, exists & cycles, delta)
 
 
 _DRAIN, _DRAINED = -1, (-1,)
@@ -1049,6 +1128,8 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
 def projection_graph(a: Automaton, tape: int, infinite: bool = False) -> _Graph:
     """The projection of `a` (see `project`), unnumbered: an operand of
     `minimize`, `is_subset` and `difference` only, never an Automaton.
+    A product that is only projected is not built for it either:
+    `join_graph` gives the same graphs from its own search.
 
     Those three read an operand through `arity`, `alphabet`, `initial`,
     `accepting` and `_delta` alone, so they take the graph that `project`
@@ -1083,9 +1164,11 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
 class _Graph:
     """An automaton before numbering: a relabelling (`_relabel`), whose
     `_delta` maps each of the operand's own states to its non-ε letters and
-    their targets, or a section (`section_graph`), over the (state,
-    position) keys its search reached.  Targets keep the operand's order
-    and may repeat, as `_numbered` numbers them, and no state is trimmed."""
+    their targets, a section (`section_graph`), over the (state, position)
+    keys its search reached, or a product (`join_graph`), over the ints
+    its search gave its keys.  Targets keep the operand's order and may
+    repeat, as `_numbered` numbers them; no state of a relabelling or a
+    section is trimmed."""
 
     arity: int
     alphabet: tuple
@@ -1200,11 +1283,14 @@ def diagonal(alphabet) -> Automaton:
     return letter_dfa(alphabet, 2, 0, lambda v, l: v if l[0] == l[1] else None, lambda v: True)
 
 
-def llex_automaton(alphabet) -> Automaton:
+@cache
+def llex_automaton(alphabet: tuple) -> Automaton:
     """Strict length-lexicographic order on tape 0 vs tape 1.
 
     Shorter words come first; equal lengths compare by the declared symbol
-    order.  This is the built-in `llex` relation.
+    order.  This is the built-in `llex` relation.  It is built once per
+    alphabet, under the state budget in force at its first build: it has
+    five keys, and every condensation level asks for it.
     """
     idx = {s: i for i, s in enumerate(alphabet)}
     EQ, LT, GT, XS, YS = range(5)  # XS, YS: tape 0 or tape 1 has ended

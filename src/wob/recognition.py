@@ -19,10 +19,11 @@ allows).
 
 Recognition compiles no formula; every set is a kernel construction run
 under the state budget `recognize` sets once (`au.state_budget`), so no
-other function here takes one.  Each presentation joins its order with
-itself once, into the interval product between(x, z, y) = x<z<y, and
-reads the successor relation, the transitivity check and
-I = { (x, y) : infinitely many z with x<z<y } from it.  Every per-level set
+other function here takes one.  Each presentation searches the interval
+product between(x, z, y) = x<z<y of its order with itself once, dropping
+z as the search goes, and reads the successor relation, the transitivity
+check and I = { (x, y) : infinitely many z with x<z<y } from its two
+projection graphs; the product is never built.  Every per-level set
 is read from one relation, in_class = < minus I: the pairs y < x with y in
 x's class.  The order is linear, so distinct x and y are ~-equivalent
 exactly when (x, y) or (y, x) is in it, and ~ itself is never built.  A
@@ -36,7 +37,7 @@ transpose, and the top class is the domain minus the elements with
 infinitely many elements above them.
 Every projection here is only minimized, searched or subtracted, so none
 is built: each is `au.projection_graph`, the edge scan `au.project` would
-number.
+number, or, for a product, `au.join_graph`, its one search.
 """
 
 from __future__ import annotations
@@ -77,16 +78,18 @@ class OrderPresentation:
         return self.structure.relations[LESS]
 
     @cached_property
-    def between(self) -> Automaton:
-        """between(x, z, y): x < z < y, the one product of the order with itself."""
-        return au.join(self.order, [0, 1], self.order, [1, 2])
+    def between(self) -> tuple:
+        """The interval product between(x, z, y): x < z < y, the one product
+        of the order with itself, searched once with z dropped as the
+        search goes: its projection graphs (∃z, ∃^∞z) over (x, y), as
+        `au.join_graph` gives them.  The product is never an Automaton."""
+        return au.join_graph(self.order, [0, 1], self.order, [1, 2], tape=1)
 
     @cached_property
     def infinitely_between(self) -> Automaton:
         """I(x, y): infinitely many z with x < z < y: the minimal automaton
-        of the ∃^∞ projection of `between`, whose graph is minimized
-        without being built."""
-        return au.minimize(au.projection_graph(self.between, 1, infinite=True))
+        of `between`'s ∃^∞ graph."""
+        return au.minimize(self.between[1])
 
     @cached_property
     def in_class(self) -> Automaton:
@@ -96,9 +99,9 @@ class OrderPresentation:
 
     @cached_property
     def successor(self) -> Automaton:
-        """succ(x, y): x < y with nothing between: the order minus the
-        projection graph of `between`."""
-        return au.minimize(au.difference(self.order, au.projection_graph(self.between, 1)))
+        """succ(x, y): x < y with nothing between: the order minus
+        `between`'s ∃ graph."""
+        return au.minimize(au.difference(self.order, self.between[0]))
 
 
 @record
@@ -140,13 +143,14 @@ RecognitionResult = Union[WellOrder, NotWellOrder, BudgetExceeded]
 
 def check_linear(p: OrderPresentation) -> Optional[str]:
     """None when the relation is a strict linear order, else the first
-    failing law, each one kernel search that builds nothing but `between`:
-    < holds no pair (w, w), every x < z < y has x < y (an inclusion search
-    over the projection graph of `between`), and every two distinct
-    elements of the domain are ordered one way or the other."""
+    failing law, each one kernel search that builds nothing: < holds no
+    pair (w, w), every x < z < y has x < y (an inclusion search over
+    `between`'s ∃ graph, the one search of the interval product), and
+    every two distinct elements of the domain are ordered one way or the
+    other."""
     if not au.is_irreflexive(p.order):
         return "irreflexivity"
-    if not au.is_subset(au.projection_graph(p.between, 1), p.order):
+    if not au.is_subset(p.between[0], p.order):
         return "transitivity"
     if not au.is_total(p.order, p.domain):
         return "totality"
@@ -163,13 +167,16 @@ def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     and (y, x) is in `in_class`; llex is strict, so the diagonal, which
     `in_class` lacks, never counts.  Distinct representatives are never
     ~-equivalent, so the quotient order is the original order restricted to
-    representatives.  The outranked elements are a projection graph, read
-    only by `difference`."""
+    representatives.  Every product here is only projected, joined or
+    minimized, so each is `au.join_graph`'s search: the outranked
+    elements are the ∃ graph of `llex ∩ same_class`, read only by
+    `difference`, and the restriction to representatives is two joins,
+    one per tape, the second over the first's graph."""
     same_class = au.union(p.in_class, au.permute_tapes(p.in_class, [1, 0]))
-    outranked = au.projection_graph(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
+    outranked, _ = au.join_graph(au.llex_automaton(p.domain.alphabet), [0, 1], same_class, [0, 1], tape=0)
     new_dom = au.minimize(au.difference(p.domain, outranked))
-    below = au.join(p.order, [0, 1], new_dom, [0])
-    new_rel = au.minimize(au.join(below, [0, 1], new_dom, [1]))
+    below = au.join_graph(p.order, [0, 1], new_dom, [0])
+    new_rel = au.minimize(au.join_graph(below, [0, 1], new_dom, [1]))
     return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: new_rel}))
 
 
@@ -281,8 +288,8 @@ def predecessors(p: OrderPresentation, word) -> Automaton:
 
 def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
     """Members of a regular subset with no order-smaller member (unminimized):
-    the subset minus the projection graph of the dominated ones."""
-    dominated = au.projection_graph(au.join(order, [0, 1], subset, [0]), 0)
+    the subset minus the ∃ graph of the dominated ones."""
+    dominated, _ = au.join_graph(order, [0, 1], subset, [0], tape=0)
     return au.difference(subset, dominated)
 
 

@@ -559,8 +559,10 @@ def built_projection_sets(p):
     """The sets of one condensation level with each projection built by
     `au.project`, as the recognizer built them before it read projection
     graphs: I, the bad-class set, the top-class set, the representatives,
-    the quotient order and succ."""
-    i = au.minimize(au.project(p.between, 1, infinite=True))
+    the quotient order and succ.  The interval product is built here by
+    `au.join`, so no set shares the recognizer's search of it."""
+    between = au.join(p.order, [0, 1], p.order, [1, 2])
+    i = au.minimize(au.project(between, 1, infinite=True))
     in_class = au.difference(p.order, i)
     same_class = au.union(in_class, au.permute_tapes(in_class, [1, 0]))
     outranked = au.project(au.intersect(au.llex_automaton(p.domain.alphabet), same_class), 0)
@@ -572,7 +574,7 @@ def built_projection_sets(p):
         "top": au.minimize(au.difference(p.domain, au.project(p.order, 1, infinite=True))),
         "reps": reps,
         "quotient": au.minimize(au.join(below, [0, 1], reps, [1])),
-        "succ": au.minimize(au.difference(p.order, au.project(p.between, 1))),
+        "succ": au.minimize(au.difference(p.order, au.project(between, 1))),
     }
 
 

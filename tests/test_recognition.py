@@ -401,24 +401,24 @@ def test_initial_chain_matches_least_of_remaining_loop(name):
 
 
 def test_initial_chain_compiles_successor_once(monkeypatch):
-    # the successor relation is built once, from one `between` join of the
-    # order with itself; the kernel calls must not grow with the length of
-    # the chain
-    calls = dict.fromkeys(("between", "compile", "minimize", "fixed_word", "join"), 0)
+    # the successor relation is built once, from one `between` search of
+    # the order joined with itself; the kernel calls must not grow with the
+    # length of the chain
+    calls = dict.fromkeys(("between", "compile", "minimize", "fixed_word", "join", "join_graph"), 0)
 
     def count(module, name):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
-            if name == "join" and [tuple(t) for t in args[1::2]] == [(0, 1), (1, 2)]:
+            if name == "join_graph" and [tuple(t) for t in args[1:4:2]] == [(0, 1), (1, 2)]:
                 calls["between"] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     count(logic.Compiler, "compile")
-    for name in ("minimize", "fixed_word", "join"):
+    for name in ("minimize", "fixed_word", "join", "join_graph"):
         count(au, name)
 
     def run(length):
@@ -434,21 +434,22 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["minimize"] <= 2
     assert long["fixed_word"] == 0
     assert long["join"] == short["join"]
+    assert long["join_graph"] == short["join_graph"]
 
 
 def test_interval_product_built_once_across_budgets(monkeypatch):
-    # what a presentation builds is the same automaton under any budget:
-    # recognizing under one budget and then reading the chain under the
-    # default joins each level's order with itself once, 3 joins in all
+    # what a presentation builds is the same under any budget: recognizing
+    # under one budget and then reading the chain under the default
+    # searches each level's order joined with itself once, 3 searches in all
     between = []
-    join = au.join
+    join_graph = au.join_graph
 
-    def counted(*args):
-        if [tuple(t) for t in args[1::2]] == [(0, 1), (1, 2)]:
+    def counted(*args, **kwargs):
+        if [tuple(t) for t in args[1:4:2]] == [(0, 1), (1, 2)]:
             between.append(args)
-        return join(*args)
+        return join_graph(*args, **kwargs)
 
-    monkeypatch.setattr(au, "join", counted)
+    monkeypatch.setattr(au, "join_graph", counted)
     p = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     recognize(p, budget=10 ** 5)
     assert len(between) == 3
@@ -691,15 +692,15 @@ def _ladder(k):
 
 
 def test_minimal_i_fits_the_budget_of_the_interval_product():
-    # ladder k=8: the interval product `between` takes 1,460 states, the
-    # most of any step of I.  The double reversal in `minimize` builds 232
-    # and then the 166 of the minimal I, where the subset construction of
-    # the projection built 2,359
+    # ladder k=8: the search of the interval product `between` reaches
+    # 1,460 keys, the most of any step of I.  The double reversal in
+    # `minimize` builds 232 and then the 166 of the minimal I, where the
+    # subset construction of the projection built 2,359
     p = OrderPresentation(_ladder(8))
     with au.state_budget(1500):
         i = p.infinitely_between
     assert i.n_states == 166
-    want = reference_minimize(au.project(p.between, 1, infinite=True))
+    want = reference_minimize(au.project(au.join(p.order, [0, 1], p.order, [1, 2]), 1, infinite=True))
     assert au.save_automaton(i, "I") == au.save_automaton(want, "I")
     with pytest.raises(StateBudgetExceeded) as info, au.state_budget(1459):
         OrderPresentation(_ladder(8)).infinitely_between
@@ -773,14 +774,14 @@ def test_sim_and_successor_match_the_compiled_formulas(name):
 @pytest.mark.parametrize("budget", [20, 80, 153])
 def test_recognize_budget_holds_on_the_interval_product(budget):
     # on mixed the interval product is the largest construction; a budget
-    # too small for it raises inside the product's BFS at budget + 1 states,
-    # where the BFS's row fill numbers a target
+    # too small for it raises inside the product's search at budget + 1
+    # keys, where the search numbers a target
     pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     with pytest.raises(StateBudgetExceeded) as info:
         recognize(pres, budget=budget)
     assert info.value.n_states == budget + 1
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
-    assert "between" in frames and frames[-3:] == ["join", "_canonical", "fill"]
+    assert frames[-2:] == ["between", "join_graph"]
 
 
 def test_recognize_runs_no_cube_check(monkeypatch):
@@ -824,30 +825,34 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     # quotient and the top-class count run, the in-class relation, its
     # transpose and the llex automaton included, reads the budget in force:
     # each BFS and each search sees the caller's, and nothing else.  That
-    # covers the reverse subset construction over a projection graph and
-    # the inclusion search over one
+    # covers the reverse subset construction over a projection graph, the
+    # inclusion search over one and the searches of products.  The llex
+    # automaton is built once per alphabet, so its cache is cleared for
+    # its BFS to run here
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
+    au.llex_automaton.cache_clear()
     budget = 10 ** 6 + 7
     limits = []
 
     def recording(fn):
-        def record(*args):
+        def record(*args, **kwargs):
             # the outermost kernel function on the stack: the one the caller
-            # called, marked when one of its arguments is a projection graph
-            frame, entry = sys._getframe(1), None
+            # called, marked when one of its arguments is a projection graph;
+            # a search the caller called itself is its own entry
+            frame, entry = sys._getframe(1), fn.__name__
             while frame is not None:
                 if frame.f_globals is vars(au):
                     graph = any(isinstance(v, au._Graph) for v in frame.f_locals.values())
                     entry = frame.f_code.co_name + (" over a graph" if graph else "")
                 frame = frame.f_back
             limits.append((entry, au.STATE_BUDGET.get()))
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return record
 
-    for attr in ("_canonical", "_reaches_acceptance"):
+    for attr in ("_canonical", "_reaches_acceptance", "join_graph"):
         monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
     with au.state_budget(budget):
         for _level, pres in trace:
@@ -864,7 +869,7 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
         "difference",
         "difference over a graph",
         "is_subset over a graph",
-        "join",
+        "join_graph",
         "minimize",
         "minimize over a graph",
         "union",
@@ -934,3 +939,48 @@ def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
             got["reps"], got["quotient"] = quotient.domain, quotient.order
         for key, aut in got.items():
             assert au.save_automaton(aut, key) == au.save_automaton(want[key], key), (level, key)
+
+
+def _non_minimal(order):
+    """`order` in union with its own restriction to non-empty words: the
+    same language, from about twice the states."""
+    nonempty = au.difference(au.universe(order.alphabet, 1), au.fixed_word(order.alphabet, ()))
+    restricted = au.join(au.join(order, [0, 1], nonempty, [0]), [0, 1], nonempty, [1])
+    return au.union(order, restricted)
+
+
+def _bfs_keys(monkeypatch, build):
+    """The keys every BFS of `build()` numbers, before its trim."""
+    orders = []
+    numbering = au._numbering
+    with monkeypatch.context() as m:
+        m.setattr(au, "_numbering", lambda key: (lambda made: orders.append(made[0]) or made)(numbering(key)))
+        build()
+    return sum(map(len, orders))
+
+
+def test_interval_search_matches_the_built_product(monkeypatch):
+    # the one search of the interval product gives, after its trim, the
+    # sets the built product `join` + `project` gives: the minimal I and
+    # succ save the same bytes, transitivity gets the same answer, and the
+    # difference with the ∃ graph numbers the same keys as with the built
+    # projection, so a budget exits where it did.  On perturbed orders, on
+    # a non-minimal `<` and on the ladder; the perturbed orders' products
+    # hold keys the trim drops
+    orders = [_random_order(random.Random(seed)).relations["<"] for seed in range(200)]
+    for k in range(1, 7):
+        order = _ladder(k).relations["<"]
+        orders += [order, _non_minimal(order)]
+    for n, order in enumerate(orders):
+        exists, infinitely = OrderPresentation(Structure(name="o", domain=au.universe(order.alphabet, 1),
+                                                         relations={"<": order})).between
+        between = au.join(order, [0, 1], order, [1, 2])
+        built = au.project(between, 1)
+        want_i = au.minimize(au.project(between, 1, infinite=True))
+        assert au.save_automaton(au.minimize(infinitely), "I") == au.save_automaton(want_i, "I"), n
+        got, want = au.difference(order, exists), au.difference(order, built)
+        assert au.save_automaton(got, "d") == au.save_automaton(want, "d"), n
+        assert au.save_automaton(au.minimize(got), "succ") == au.save_automaton(au.minimize(want), "succ"), n
+        assert au.is_subset(exists, order) == au.is_subset(built, order), n
+        keys = [_bfs_keys(monkeypatch, lambda: au.difference(order, b)) for b in (exists, built)]
+        assert keys[0] == keys[1], n
