@@ -651,7 +651,10 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     tapes of it.  The maps are injective and together cover the result
     tapes; a tape both sides map to carries one word for both.  The
     product's graph is `_join_graph`'s, numbered by `_canonical`; a product
-    that is only projected, minimized or joined again is `join_graph`."""
+    that is only projected, minimized or joined again is `join_graph`.
+    `_numbered(join_graph(...))` saves the same bytes, as `_canonical`
+    renumbers by letter rank whatever the keys are called, but in two
+    passes where this is one."""
     arity, *graph = _join_graph(a, a_tapes, b, b_tapes)
     return _canonical(arity, a.alphabet, *graph)
 
@@ -660,8 +663,7 @@ def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Opti
     """The product `join` describes as (arity, start, accepting, moves), the
     last three in the form `_canonical` takes, over (state of `a`, state of
     `b`) keys; `join` numbers it and `join_graph` searches it.  With
-    `drop`, each letter is given without that result tape, so a letter
-    that pads every other tape is given as all-pad.
+    `drop`, each letter is given without that result tape.
 
     A side's words may end before the convolution does, so each side runs
     with a virtual drain state, entered from acceptance on all-pad input on
@@ -723,19 +725,17 @@ def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optio
 
     With `tape`, the search drops that tape as it goes and gives the pair
     of projection graphs (∃, ∃^∞) that `projection_graph` gives over
-    `join`'s result.  A letter that pads every other tape is an ε-edge,
-    kept backwards as in `_relabel`.  The two graphs differ in their
-    accepting keys alone: the ε-live ones (for ∃^∞, those whose ε-edges
-    reach a live cycle) that are the initial key or that a non-ε letter
-    enters.  A kept key's in-edges all come from kept keys, so a non-ε
-    letter enters it when it has more in-edges than ε-ones.  Targets keep
-    `_join_graph`'s order and, with `tape`, may repeat.
+    `join`'s result, without a second scan of its edges: a letter that
+    pads every other tape is an ε-edge, kept backwards, and the accepting
+    keys are `_relabel`'s (`_projected`).  A kept key's edges all come
+    from kept keys, so the ε-edges need no trim.
     """
     arity, start, accepting, moves = _join_graph(a, a_tapes, b, b_tapes, tape)
     if tape is not None and not (arity > 1 and 0 <= tape < arity):
         raise CannotProject(f"cannot drop tape {tape} of a product of arity {arity}")
     budget = STATE_BUDGET.get()
-    numbering, order, back, eps, final, rows = {start: 0}, [start], {0: []}, {}, [], []
+    numbering, order, back, final, rows = {start: 0}, [start], {0: []}, [], []
+    eps, entered = {}, {0}  # the ε-edges, target -> sources; the keys a non-ε letter enters
     pads = (PAD,) * (arity - 1) if tape is not None else None  # the ε-letter
     for q, key in enumerate(order):  # grows while it is read
         if accepting(key):
@@ -755,6 +755,7 @@ def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optio
                 eps.setdefault(r, []).append(q)
             else:
                 row.setdefault(letter, []).append(r)
+                entered.add(r)
         rows.append(row)
     useful = _search(final, back)
     for q in useful.intersection(p for r in back if r not in useful for p in back[r]):  # a move into a trimmed key
@@ -762,10 +763,7 @@ def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optio
     delta = {q: row for q, row in enumerate(rows) if row and q in useful}
     if tape is None:
         return _Graph(arity, a.alphabet, 0, frozenset(final), delta)
-    live = _search(final, eps)
-    exists = frozenset(q for q in live if not q or len(back[q]) > len(eps.get(q, ())))
-    cycles = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
-    return _Graph(arity - 1, a.alphabet, 0, exists, delta), _Graph(arity - 1, a.alphabet, 0, exists & cycles, delta)
+    return tuple(_Graph(arity - 1, a.alphabet, 0, _projected(final, eps, entered, inf), delta) for inf in (False, True))
 
 
 _DRAIN, _DRAINED = -1, (-1,)
@@ -1233,10 +1231,18 @@ def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False
                     back.setdefault(r, []).append(q)
         if row:
             real[q] = row
-    live = _search(a.accepting, back)
+    return _Graph(arity, a.alphabet, a.initial, _projected(a.accepting, back, entered, infinite), real)
+
+
+def _projected(accepting, eps: dict, entered: set, infinite: bool) -> frozenset:
+    """The accepting states of a relabelling (`_relabel`, or `join_graph`
+    given a tape): those of `entered` whose ε-edges, kept backwards in
+    `eps` (target -> sources), reach `accepting`, and with `infinite`
+    also reach a cycle that can still reach acceptance."""
+    live = _search(accepting, eps)
     if infinite:
-        live = _reaching_cycles(live, ((q, r) for r, qs in back.items() for q in qs))
-    return _Graph(arity, a.alphabet, a.initial, live.intersection(entered), real)
+        live = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
+    return live.intersection(entered)
 
 
 def _numbered(g: _Graph) -> Automaton:
@@ -1283,15 +1289,22 @@ def diagonal(alphabet) -> Automaton:
     return letter_dfa(alphabet, 2, 0, lambda v, l: v if l[0] == l[1] else None, lambda v: True)
 
 
-@cache
-def llex_automaton(alphabet: tuple) -> Automaton:
+def llex_automaton(alphabet) -> Automaton:
     """Strict length-lexicographic order on tape 0 vs tape 1.
 
     Shorter words come first; equal lengths compare by the declared symbol
-    order.  This is the built-in `llex` relation.  It is built once per
-    alphabet, under the state budget in force at its first build: it has
-    five keys, and every condensation level asks for it.
+    order.  This is the built-in `llex` relation.  Every condensation level
+    asks for it, so it is built once per alphabet.  Its BFS numbers at
+    most five keys, one per classifier value, so a budget of five or more
+    never stops it; under a smaller one it is built afresh, to raise
+    where its BFS does.
     """
+    alphabet = tuple(alphabet)
+    return _llex_automaton(alphabet) if STATE_BUDGET.get() >= 5 else _llex_automaton.__wrapped__(alphabet)
+
+
+@cache
+def _llex_automaton(alphabet: tuple) -> Automaton:
     idx = {s: i for i, s in enumerate(alphabet)}
     EQ, LT, GT, XS, YS = range(5)  # XS, YS: tape 0 or tape 1 has ended
 

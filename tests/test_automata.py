@@ -410,6 +410,18 @@ def test_llex_automaton_matches_reference():
         assert llex.accepts(x, y) == ref(x, y), (x, y)
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3, 4])
+def test_llex_automaton_is_built_once_and_keeps_the_budget(budget):
+    # one automaton per alphabet, a list alphabet included, yet a budget
+    # under its BFS's five keys stops it at budget + 1 after it is cached
+    assert au.llex_automaton(list(AB)) is au.llex_automaton(AB)
+    with pytest.raises(au.StateBudgetExceeded) as exc, au.state_budget(budget):
+        au.llex_automaton(AB)
+    assert exc.value.n_states == budget + 1
+    with au.state_budget(5):
+        assert au.llex_automaton(("a", "b", "c")).n_states == 4
+
+
 def test_llex_is_total_strict_order():
     llex = au.llex_automaton(AB)
     pool = list(words_upto(AB, 3))

@@ -827,12 +827,12 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     # each BFS and each search sees the caller's, and nothing else.  That
     # covers the reverse subset construction over a projection graph, the
     # inclusion search over one and the searches of products.  The llex
-    # automaton is built once per alphabet, so its cache is cleared for
-    # its BFS to run here
+    # automaton is built once per alphabet under a budget of five or more,
+    # so its cache is cleared for its BFS to run here
     make, arg = CHAIN_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
-    au.llex_automaton.cache_clear()
+    au._llex_automaton.cache_clear()
     budget = 10 ** 6 + 7
     limits = []
 
