@@ -13,37 +13,35 @@ the initial one, so each accepting path spells a valid convolution.
 Kernel operations only recombine letters of checked operands, so their
 results are not checked again.
 
-Every construction numbers its states by one BFS (`_canonical`), whose
-per-state tables are the result's `_delta`.  The BFS reads a state's moves
-as letter groups, (letters, target) with each letter of the tuple leading
-to target: a graph whose letters share targets hands each shared tuple
-over whole, and the kernel's own graphs yield one-letter groups.  A
-state's targets are numbered in the order of each group's least letter,
-ties in yield order, so the numbering is that of the same moves read one
-letter at a time.  `reader` gives membership reads of a graph that is
-never built: it fills a state's row by the same numbering and row fill
-(`_numbering`) when a read first reaches the state.  Tapes are mapped by two
-constructions.  `join` runs two automata side by side on one
-convolution and maps each side's tapes to result tapes; `intersect`, a
-cylinder (a side with a tape the other lacks) and a tape equality (a join
-with `diagonal`) are joins.  `join_graph` searches the same product once,
-giving each key an int as it first reaches it, trims it and, given a
-tape, drops that tape as it goes, so a product that is only projected,
-minimized or joined again is never numbered by the BFS.  `_relabel` maps
-the letters of one automaton and reads the ones that become all-pad as
-empty moves, in one scan of its edges that gives an unnumbered graph;
-`project` and `permute_tapes` are that graph numbered by the BFS.
-`minimize`, `is_subset` and `difference` also take a projection's graph
-unnumbered (`projection_graph`), so a projection that is only minimized
-or searched is never built, and `count_or_enumerate` reads a section's
-graph (`section_graph`) the same way, so a section that is only
-enumerated is never numbered.  Inclusion is one subset product,
+Every construction numbers its states by one search (`_explored`): it
+fills each state's row by one row fill (`_numbering`) in BFS order, then
+drops the states that cannot reach acceptance and renumbers the rest in
+order.  A state's moves are letter groups, (letters, target) with each
+letter of the tuple leading to target.  `_canonical` hands them over
+sorted by least letter, so the numbering is that of the same moves read
+one letter at a time, and `join_graph` in the order a product yields them.
+`reader` gives membership reads of a graph that is never built: it fills a
+state's row by the same row fill when a read first reaches the state.
+Tapes are mapped by two constructions.  `join` runs two automata side by
+side on one convolution and maps each side's tapes to result tapes;
+`intersect`, a cylinder (a side with a tape the other lacks) and a tape
+equality (a join with `diagonal`) are joins.  `join_graph` searches the
+same product and, given a tape, drops that tape as it goes, so a product
+that is only projected, minimized or joined again is never built.
+`_relabel` maps the letters of one automaton and reads the ones that
+become all-pad as empty moves, in one scan of its edges that gives an
+unnumbered graph; `project` and `permute_tapes` are that graph numbered by
+`_canonical`.  `minimize`, `is_subset` and `difference` also take a
+projection's graph unnumbered (`projection_graph`), so a projection that
+is only minimized or searched is never built, and `count_or_enumerate`
+reads a section's graph (`section_graph`) the same way, so a section that
+is only enumerated is never numbered.  Inclusion is one subset product,
 `_difference_graph`: `difference` builds it, and `is_subset` and
 `is_subset_of_cube` search it up to the first counterexample;
 `is_irreflexive` and `is_total` search graphs of their own the same way
-(`_reaches_acceptance`), so a relation's linearity builds nothing.  That
-BFS and those searches read the one state budget, `STATE_BUDGET`, and
-raise StateBudgetExceeded at budget + 1; it is set for a block by
+(`_reaches_acceptance`), so a relation's linearity builds nothing.  The
+row fill and that search alone read the state budget, `STATE_BUDGET`, and
+raise StateBudgetExceeded at budget + 1 keys; it is set for a block by
 `with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
 
 There is one subset step: a set of states is a sorted tuple, and its row,
@@ -445,22 +443,17 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
     moves(key) yields (letters, target_key) groups: `letters` is a tuple of
     letters that all lead to `target_key`.  A graph whose letters share
     targets hands over each shared letter tuple whole; any other yields
-    one-letter groups.  States are numbered in BFS order, each state's
-    targets by `_numbering` in the order its groups are handed over.  Those
-    are sorted by each group's least letter under `_letter_key` (PAD first),
-    ties in yield order, so the numbering is that of the same moves
-    yielded one letter at a time, letters visited in sorted order, which
-    makes every kernel operation deterministic down to the byte level.
-    Each distinct letter tuple's least sort key is computed once per call.
-    States that cannot reach acceptance are then dropped, the rest keeping
-    their order: a useless state has only useless successors, so each
-    useful state is first reached from a useful one, and the numbering is
-    what a BFS over the useful states alone gives.  The BFS's per-state
-    tables, letters and targets sorted, are the result's `_delta` and the
-    only copy of its moves kept.  The BFS raises at budget + 1 states, and
-    at a letter with a symbol outside the alphabet before any target of
-    its state is numbered.  The result is not validated, so moves written
-    outside the kernel go through `build`.
+    one-letter groups.  The states and rows are `_explored`'s, each
+    state's groups handed over sorted by their least letter under
+    `_letter_key` (PAD first), ties in yield order: the numbering of the
+    same moves yielded one letter at a time, letters visited in sorted
+    order, which makes every kernel operation deterministic down to the
+    byte level.  Each distinct letter tuple's least sort key is computed
+    once per call.  The rows, letters sorted, are the result's `_delta`
+    and the only copy of its moves kept.  A letter with a symbol outside
+    the alphabet raises before any target of its state is numbered.  The
+    result is not validated, so moves written outside the kernel go
+    through `build`.
     """
     alphabet = tuple(alphabet)
     letter_key = _letter_key(alphabet)
@@ -473,62 +466,89 @@ def _canonical(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton
             indices = ranks[letters] = min(map(letter_key, letters))
         return indices
 
-    order, back, fill = _numbering(initial_key)
-    rows = []
-    for q, key in enumerate(order):  # grows while it is read
-        groups = list(moves(key))
+    def ranked(key):
         try:
-            groups.sort(key=rank)  # stable: a tie keeps the yield order
+            return sorted(moves(key), key=rank)  # stable: a tie keeps the yield order
         except KeyError:  # only a move graph given to `build` can hold a foreign symbol
             symbols = {*alphabet, PAD}
             bad = next(letter for letters, _ in moves(key) for letter in letters if not symbols.issuperset(letter))
             raise InvalidAutomaton(f"letter {bad!r} uses symbols outside the alphabet") from None
-        rows.append(dict(sorted(fill(q, groups).items())))
-    accepting = frozenset(i for i, k in enumerate(order) if accepting_pred(k))
-    useful = _search(accepting, dict(enumerate(back)))
-    if 0 not in useful:
-        return _unchecked(arity, alphabet, 1, 0, frozenset(), {})
-    if len(useful) < len(rows):  # renumber the useful states, in order
-        new = {q: i for i, q in enumerate(sorted(useful))}
-        accepting = frozenset(new[q] for q in accepting)
-        targets = {rs for q in useful for rs in rows[q].values()}
-        kept = {rs: tuple(new[r] for r in rs if r in new) for rs in targets}  # shared by equal targets
-        for i, q in enumerate(sorted(useful)):  # i <= q: slot i is read or useless
-            rows[i] = {letter: kept[rs] for letter, rs in rows[q].items() if kept[rs]}
-        del rows[len(new):]
+
+    rows, accepting, *_ = _explored(initial_key, accepting_pred, ranked)
+    for q, row in enumerate(rows):  # in place: each row is freed as its sorted copy is made
+        rows[q] = dict(sorted(row.items()))
     a = _unchecked(arity, alphabet, len(rows), 0, accepting, {q: row for q, row in enumerate(rows) if row})
-    every = frozenset(range(len(rows)))  # each state kept is useful
-    a.__dict__.update(_reachable=every, _coreachable=every)
+    every = frozenset(range(len(rows)))  # each state kept is reachable, and useful if any accepts
+    a.__dict__.update(_reachable=every, _coreachable=every if accepting else frozenset())
     return a
 
 
-def _numbering(initial_key) -> tuple:
-    """The state numbering and the row fill of a search over an implicit
-    graph, as (order, back, fill): `order` lists the state keys by number,
-    the initial key first; `back[r]` lists the states with a move into r;
-    and `fill(q, groups)` numbers the targets of state q's letter groups,
-    in the order given, and returns its row, letter -> sorted distinct
-    target numbers.  `_canonical` fills every row in BFS order, and
-    `reader` a row when a read first needs it.
+def _explored(initial_key, accepting_pred, moves) -> tuple:
+    """The one search of an implicit graph in `_canonical`'s form, as
+    (rows, accepting, eps, silent): every row filled by `_numbering` in BFS
+    order, then the states that reach acceptance renumbered in order.  A
+    useless state has only useless successors, so each useful state is
+    first reached from a useful one: the numbering is that of a search of
+    the useful states alone.  A group with no letters is an ε-move,
+    numbered and followed back by the trim but held by no row; `eps` maps
+    each target of ε-moves to their sources, and `silent` holds the states
+    past the first that ε-moves alone enter.
+    """
+    order, back, eps, fill = _numbering(initial_key)
+    rows = []
+    for q, key in enumerate(order):  # grows while it is read
+        rows.append(fill(q, moves(key)))
+    accepting = frozenset(itertools.compress(range(len(order)), map(accepting_pred, order)))
+    useful = _search(accepting, dict(enumerate(back)))
+    if not useful:  # the initial state alone, with no moves
+        return [{}], frozenset(), {}, frozenset()
+    silent = frozenset(r for r, qs in eps.items() if r and len(qs) == len(back[r]))
+    if len(useful) < len(rows):  # renumber the useful states, in order
+        kept = sorted(useful)
+        new = dict(zip(kept, range(len(kept))))
+        image: dict = {}  # a target tuple -> its useful targets renumbered, shared by equal tuples
+        for i, old in enumerate([rows[q] for q in kept]):
+            rows[i] = row = {}
+            for letter, rs in old.items():
+                to = image.get(rs)
+                if to is None:
+                    to = image[rs] = tuple([new[r] for r in rs if r in new])
+                if to:
+                    row[letter] = to
+        del rows[len(kept):]
+        accepting = frozenset(new[q] for q in accepting)
+        eps = {new[r]: [new[q] for q in qs] for r, qs in eps.items() if r in new}
+        silent = frozenset(new[r] for r in silent if r in new)
+    return rows, accepting, eps, silent
 
-    Each group's target key is hashed by the one `setdefault` that numbers
-    it.  A group of several letters, none of them in the row yet, enters
-    it in one `dict.update`; otherwise each letter merges the target's
-    number into its entry.  A target set of one state is one tuple shared
-    by every row.  Numbering a key past the state budget in effect when
-    the numbering is made raises StateBudgetExceeded.
+
+def _numbering(initial_key) -> tuple:
+    """The numbering and row fill of a search over an implicit graph, as
+    (order, back, eps, fill): `order` lists the state keys by number, the
+    initial key first; `back[r]` lists the states with a move into r, and
+    `eps[r]` those with an ε-move into r (see `_explored`); `fill(q,
+    groups)` numbers the targets of state q's groups in the order given
+    and returns its row, letter -> sorted distinct target numbers.
+    `_explored` fills every row, and `reader` a row when a read needs it.
+    Numbering a key past the budget in effect when the numbering is made
+    raises StateBudgetExceeded, tested on new keys alone.  A group of
+    several letters new to the row enters it in one `dict.update`, a
+    target set of one state is one tuple shared by every row, and a target
+    above an entry's last is appended without a sort.
     """
     budget = STATE_BUDGET.get()
     numbering = {initial_key: 0}
     order = [initial_key]
     back = [[]]
+    eps: dict = {}
     single = [(0,)]  # single[r]: the target tuple (r,)
 
     def fill(q, groups):
         row: dict = {}
         for letters, target in groups:
-            r = numbering.setdefault(target, len(order))
-            if r == len(order):
+            r = numbering.get(target)
+            if r is None:
+                r = numbering[target] = len(order)
                 order.append(target)
                 back.append([q])
                 single.append((r,))
@@ -536,16 +556,22 @@ def _numbering(initial_key) -> tuple:
                     raise StateBudgetExceeded(len(order), budget)
             else:
                 back[r].append(q)
-            if len(letters) > 1 and row.keys().isdisjoint(letters):
+            if not letters:  # an ε-move
+                eps.setdefault(r, []).append(q)
+            elif len(letters) > 1 and row.keys().isdisjoint(letters):
                 row.update(dict.fromkeys(letters, single[r]))
-            else:  # one letter, or a letter with several targets
+            else:  # one letter, or letters of which some have targets
                 for letter in letters:
-                    rs = row.setdefault(letter, single[r])
-                    if r not in rs:
-                        row[letter] = tuple(sorted(rs + (r,)))
+                    rs = row.get(letter)
+                    if rs is None:
+                        row[letter] = single[r]
+                    elif r > rs[-1]:
+                        row[letter] = rs + single[r]
+                    elif r not in rs:
+                        row[letter] = tuple(sorted(rs + single[r]))
         return row
 
-    return order, back, fill
+    return order, back, eps, fill
 
 
 def _unchecked(*values, cls=Automaton) -> Automaton:
@@ -588,7 +614,7 @@ def reader(arity, alphabet, initial_key, accepting_pred, moves) -> Automaton:
     the invariant.  `build` checks it on the same moves."""
     alphabet = tuple(alphabet)
     _check_alphabet(alphabet)
-    order, _back, fill = _numbering(initial_key)
+    order, _back, _eps, fill = _numbering(initial_key)
     a = _unchecked(arity, alphabet, 1, 0, {0} if accepting_pred(initial_key) else set(), {}, cls=_Reader)
     a.__dict__.update(_fill=fill, _order=order, _moves=moves, _accepting_pred=accepting_pred,
                       _checked=set(), _symbols=set(alphabet) | {PAD})
@@ -652,9 +678,9 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     tapes; a tape both sides map to carries one word for both.  The
     product's graph is `_join_graph`'s, numbered by `_canonical`; a product
     that is only projected, minimized or joined again is `join_graph`.
-    `_numbered(join_graph(...))` saves the same bytes, as `_canonical`
-    renumbers by letter rank whatever the keys are called, but in two
-    passes where this is one."""
+    `_numbered(join_graph(...))` saves the same bytes, but its second pass
+    made the battery compile slower (405 → 428 ms, least of 15 on 2
+    vCPUs), so `join` keeps its one pass."""
     arity, *graph = _join_graph(a, a_tapes, b, b_tapes)
     return _canonical(arity, a.alphabet, *graph)
 
@@ -663,13 +689,14 @@ def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Opti
     """The product `join` describes as (arity, start, accepting, moves), the
     last three in the form `_canonical` takes, over (state of `a`, state of
     `b`) keys; `join` numbers it and `join_graph` searches it.  With
-    `drop`, each letter is given without that result tape.
+    `drop`, letters lose that tape, and one that pads every other tape is
+    an ε-move, a group with no letters.
 
     A side's words may end before the convolution does, so each side runs
     with a virtual drain state, entered from acceptance on all-pad input on
     its own tapes.  A side whose tapes the other side covers never needs
-    it: the whole letter would be all-pad.  A key's moves are one-letter
-    groups, its targets in `a`'s `_delta` order, then `b`'s.
+    it: the whole letter would be all-pad.  A key's moves are groups of
+    one letter or none, its targets in `a`'s `_delta` order, then `b`'s.
     """
     a_tapes, b_tapes = tuple(a_tapes), tuple(b_tapes)
     tapes = set(a_tapes) | set(b_tapes)
@@ -684,6 +711,7 @@ def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Opti
     a_key = _picker([a_tapes.index(t) for t in shared], a.arity)
     b_key = _picker([b_tapes.index(t) for t in shared], b.arity)
     kept = [t for t in range(arity) if t != drop]
+    pads = (PAD,) * len(kept) if drop is not None else None  # the ε-letter
     pick = _picker([a_tapes.index(t) if t in a_tapes else a.arity + b_tapes.index(t) for t in kept], a.arity)
     a_side, b_side = _side(a, arity > a.arity), _side(b, arity > b.arity)
     b_index: dict = {}  # b's state -> its moves by their symbols on the shared tapes
@@ -702,7 +730,8 @@ def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Opti
                     continue
                 letters = groups.get((la, lb))
                 if letters is None:  # one group object per pair of letters, so equal letters are one object
-                    letters = groups[la, lb] = (la if pick is None else pick(la + lb),)
+                    letter = la if pick is None else pick(la + lb)
+                    letters = groups[la, lb] = () if letter == pads else (letter,)
                 for ra in a_targets:
                     for rb in b_targets:
                         yield letters, (ra, rb)
@@ -712,58 +741,27 @@ def _join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], drop: Opti
 
 
 def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optional[int] = None):
-    """The product `join` builds, trimmed but never numbered by
-    `_canonical`: a `_Graph` over the ints one forward search of
-    `_join_graph` gives its keys as it first reaches them, with no sort
-    and no renumbering.  It is an operand of `minimize`, `difference`,
-    `is_subset`, and of `join` or `join_graph` again.  The search numbers
-    the keys `join`'s BFS numbers and, like `_numbering`, raises at
-    budget + 1 of them; a backward search from the accepting keys then
-    trims the rest.  The graph is then `join`'s result up to the names of
-    its states, so each set of states a reversal or a subset product
-    forms over it is one over that result.
+    """The product `join` builds, as the `_Graph` of `_explored`'s search
+    of `_join_graph`'s moves in the order they are yielded: `join`'s result
+    up to the names of its states, as both keep the same keys, so each set
+    of states a reversal or a subset product forms over it is one over
+    that result.  It is an operand of `minimize`, `difference`, `is_subset`,
+    and of `join` or `join_graph` again.
 
     With `tape`, the search drops that tape as it goes and gives the pair
     of projection graphs (∃, ∃^∞) that `projection_graph` gives over
     `join`'s result, without a second scan of its edges: a letter that
-    pads every other tape is an ε-edge, kept backwards, and the accepting
-    keys are `_relabel`'s (`_projected`).  A kept key's edges all come
-    from kept keys, so the ε-edges need no trim.
+    pads every other tape is an ε-move, and the accepting keys are
+    `_relabel`'s (`_projected`), less the silent ones.
     """
     arity, start, accepting, moves = _join_graph(a, a_tapes, b, b_tapes, tape)
     if tape is not None and not (arity > 1 and 0 <= tape < arity):
         raise CannotProject(f"cannot drop tape {tape} of a product of arity {arity}")
-    budget = STATE_BUDGET.get()
-    numbering, order, back, final, rows = {start: 0}, [start], {0: []}, [], []
-    eps, entered = {}, {0}  # the ε-edges, target -> sources; the keys a non-ε letter enters
-    pads = (PAD,) * (arity - 1) if tape is not None else None  # the ε-letter
-    for q, key in enumerate(order):  # grows while it is read
-        if accepting(key):
-            final.append(q)
-        row: dict = {}
-        for (letter,), target in moves(key):
-            r = numbering.get(target)
-            if r is None:
-                r = numbering[target] = len(order)
-                order.append(target)
-                back[r] = [q]
-                if len(order) > budget:
-                    raise StateBudgetExceeded(len(order), budget)
-            else:
-                back[r].append(q)
-            if letter == pads:
-                eps.setdefault(r, []).append(q)
-            else:
-                row.setdefault(letter, []).append(r)
-                entered.add(r)
-        rows.append(row)
-    useful = _search(final, back)
-    for q in useful.intersection(p for r in back if r not in useful for p in back[r]):  # a move into a trimmed key
-        rows[q] = {letter: kept for letter, targets in rows[q].items() if (kept := [r for r in targets if r in useful])}
-    delta = {q: row for q, row in enumerate(rows) if row and q in useful}
+    rows, final, eps, silent = _explored(start, accepting, moves)
+    delta = {q: row for q, row in enumerate(rows) if row}
     if tape is None:
-        return _Graph(arity, a.alphabet, 0, frozenset(final), delta)
-    return tuple(_Graph(arity - 1, a.alphabet, 0, _projected(final, eps, entered, inf), delta) for inf in (False, True))
+        return _Graph(arity, a.alphabet, 0, final, delta)
+    return tuple(_Graph(arity - 1, a.alphabet, 0, _projected(final, eps, inf) - silent, delta) for inf in (False, True))
 
 
 _DRAIN, _DRAINED = -1, (-1,)
@@ -1164,9 +1162,10 @@ class _Graph:
     `_delta` maps each of the operand's own states to its non-ε letters and
     their targets, a section (`section_graph`), over the (state, position)
     keys its search reached, or a product (`join_graph`), over the ints
-    its search gave its keys.  Targets keep the operand's order and may
-    repeat, as `_numbered` numbers them; no state of a relabelling or a
-    section is trimmed."""
+    `_explored` gave its keys.  A product's targets are `_numbering`'s
+    sorted distinct tuples; a relabelling's or a section's keep the
+    operand's order and may repeat, as `_numbered` numbers them, and none
+    of their states is trimmed."""
 
     arity: int
     alphabet: tuple
@@ -1176,8 +1175,8 @@ class _Graph:
 
     def _row(self, states: tuple) -> dict:
         """The row of a sorted tuple of states, as `Automaton._row` gives
-        it; a single state's row is merged too, as `_delta` keeps its
-        targets in the operand's order.  A graph is read by one
+        it; a single state's row is merged too, as a relabelling's or a
+        section's targets keep the operand's order.  A graph is read by one
         construction, whose sets of states seldom repeat, so no row is
         kept."""
         return _merged(self._delta.get(q, {}) for q in states)
@@ -1231,18 +1230,18 @@ def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False
                     back.setdefault(r, []).append(q)
         if row:
             real[q] = row
-    return _Graph(arity, a.alphabet, a.initial, _projected(a.accepting, back, entered, infinite), real)
+    return _Graph(arity, a.alphabet, a.initial, _projected(a.accepting, back, infinite) & entered, real)
 
 
-def _projected(accepting, eps: dict, entered: set, infinite: bool) -> frozenset:
-    """The accepting states of a relabelling (`_relabel`, or `join_graph`
-    given a tape): those of `entered` whose ε-edges, kept backwards in
-    `eps` (target -> sources), reach `accepting`, and with `infinite`
-    also reach a cycle that can still reach acceptance."""
+def _projected(accepting, eps: dict, infinite: bool) -> frozenset:
+    """The states of a relabelling (`_relabel`, or `join_graph` given a
+    tape) whose ε-edges, kept backwards in `eps` (target -> sources), reach
+    `accepting`, and with `infinite` also reach a cycle that can still
+    reach acceptance; each caller keeps those that are reached."""
     live = _search(accepting, eps)
     if infinite:
         live = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
-    return live.intersection(entered)
+    return live
 
 
 def _numbered(g: _Graph) -> Automaton:

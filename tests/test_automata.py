@@ -1822,3 +1822,21 @@ def test_no_function_takes_a_state_budget():
     assert params(logic.compile_formula) == [("s", need), ("f", need), ("state_budget", budget)]
     assert params(logic.eval_sentence) == [("s", need), ("f", need), ("state_budget", budget)]
     assert params(pathology.kreisel_as_automatic) == [("pi0", need), ("state_budget", budget)]
+
+
+def test_the_kernel_tests_the_budget_in_two_loops():
+    # every key a construction numbers goes through `_numbering`'s row fill,
+    # and the one early-exit search counts its own: those two functions, and
+    # no other in the kernel, raise StateBudgetExceeded
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "wob" / "automata.py").read_text(encoding="utf-8"))
+
+    def raisers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from raisers(child, child.name)
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "StateBudgetExceeded":
+                    yield owner
+                yield from raisers(child, owner)
+
+    assert sorted(raisers(tree, None)) == ["_reaches_acceptance", "fill"]

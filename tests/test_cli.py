@@ -247,6 +247,14 @@ def test_state_budget_exit_prints_json(argv, states, budget, capsys):
     assert json.loads(out) == {"verdict": "budget-exceeded", "states": states, "budget": budget}
 
 
+def test_recognize_max_levels_stops_one_level_short(capsys):
+    # omega_cube condenses three times: --max-levels 3 gives the verdict,
+    # and 2 stops at level 3 with the budget exit code
+    manifest = str(Path(__file__).resolve().parent.parent / "corpus" / "omega_cube" / "omega_cube.manifest")
+    assert run_cli(["recognize", manifest, "--max-levels", "2"], capsys) == (3, "budget-exceeded level=3\n")
+    assert run_cli(["recognize", manifest, "--max-levels", "3"], capsys) == (0, "well-order w^3\n")
+
+
 def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):
     assert main(["tm", "build-rpi", "builtin:copy"]) == 4
     assert "binary symbols 0 and 1" in capsys.readouterr().err

@@ -319,6 +319,14 @@ def test_recognize_level_cap():
     got = recognize(pres_to_op(p), max_levels=0)
     assert isinstance(got, rec.BudgetExceeded)
     assert got.level == 1
+    # at each corpus order's level count L the verdict comes back, and one
+    # level fewer stops at level L; binlex's verdict is its dense fixpoint
+    for name, levels in [("omega_cube", 3), ("mixed", 2), ("omega", 1), ("binlex", 1)]:
+        s = logic.load_structure(CORPUS_DIR / name / f"{name}.manifest")
+        verdict = recognize(OrderPresentation(s))
+        assert not isinstance(verdict, rec.BudgetExceeded), name
+        assert recognize(OrderPresentation(s), max_levels=levels) == verdict, name
+        assert recognize(OrderPresentation(s), max_levels=levels - 1) == rec.BudgetExceeded(levels), name
 
 
 def test_tiny_state_budget_raises():
@@ -775,13 +783,13 @@ def test_sim_and_successor_match_the_compiled_formulas(name):
 def test_recognize_budget_holds_on_the_interval_product(budget):
     # on mixed the interval product is the largest construction; a budget
     # too small for it raises inside the product's search at budget + 1
-    # keys, where the search numbers a target
+    # keys, where the one numbering loop numbers a target
     pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     with pytest.raises(StateBudgetExceeded) as info:
         recognize(pres, budget=budget)
     assert info.value.n_states == budget + 1
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
-    assert frames[-2:] == ["between", "join_graph"]
+    assert frames[-4:] == ["between", "join_graph", "_explored", "fill"]
 
 
 def test_recognize_runs_no_cube_check(monkeypatch):
@@ -957,6 +965,18 @@ def _bfs_keys(monkeypatch, build):
         m.setattr(au, "_numbering", lambda key: (lambda made: orders.append(made[0]) or made)(numbering(key)))
         build()
     return sum(map(len, orders))
+
+
+def test_interval_search_accepts_where_the_built_projections_do():
+    # the search's ∃ and ∃^∞ graphs accept as many keys as the projections
+    # of the built product: a key that ε-moves alone enter accepts in
+    # neither, though its ε-moves may reach acceptance (seed 30 has one)
+    for seed in range(60):
+        order = _random_order(random.Random(seed)).relations["<"]
+        between = au.join(order, [0, 1], order, [1, 2])
+        got = au.join_graph(order, [0, 1], order, [1, 2], tape=1)
+        want = [au.projection_graph(between, 1, infinite) for infinite in (False, True)]
+        assert [len(g.accepting) for g in got] == [len(w.accepting) for w in want], seed
 
 
 def test_interval_search_matches_the_built_product(monkeypatch):
