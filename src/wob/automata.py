@@ -19,30 +19,31 @@ drops the states that cannot reach acceptance and renumbers the rest in
 order.  A state's moves are letter groups, (letters, target) with each
 letter of the tuple leading to target.  `_canonical` hands them over
 sorted by least letter, so the numbering is that of the same moves read
-one letter at a time, and `join_graph` in the order a product yields them.
-`reader` gives membership reads of a graph that is never built: it fills a
-state's row by the same row fill when a read first reaches the state.
-Tapes are mapped by two constructions.  `join` runs two automata side by
-side on one convolution and maps each side's tapes to result tapes;
-`intersect`, a cylinder (a side with a tape the other lacks) and a tape
-equality (a join with `diagonal`) are joins.  `join_graph` searches the
-same product and, given a tape, drops that tape as it goes, so a product
-that is only projected, minimized or joined again is never built.
-`_relabel` maps the letters of one automaton and reads the ones that
-become all-pad as empty moves, in one scan of its edges that gives an
-unnumbered graph; `project` and `permute_tapes` are that graph numbered by
-`_canonical`.  `minimize`, `is_subset` and `difference` also take a
-projection's graph unnumbered (`projection_graph`), so a projection that
-is only minimized or searched is never built, and `count_or_enumerate`
-reads a section's graph (`section_graph`) the same way, so a section that
-is only enumerated is never numbered.  Inclusion is one subset product,
-`_difference_graph`: `difference` builds it, and `is_subset` and
-`is_subset_of_cube` search it up to the first counterexample;
-`is_irreflexive` and `is_total` search graphs of their own the same way
-(`_reaches_acceptance`), so a relation's linearity builds nothing.  The
-row fill and that search alone read the state budget, `STATE_BUDGET`, and
-raise StateBudgetExceeded at budget + 1 keys; it is set for a block by
-`with state_budget(n):` and is otherwise DEFAULT_STATE_BUDGET.
+one letter at a time, and the unnumbered graphs (`_Graph`) in the order
+their moves are yielded.  `reader` gives membership reads of a graph that
+is never built: it fills a state's row by the same row fill when a read
+first reaches the state.  `join`/`join_graph` and `project`/
+`projection_graph` are each one move description (`_join_graph`,
+`_projection`), numbered by `_canonical` or searched into a graph.  `join`
+runs two automata side by side on one convolution and maps each side's
+tapes to result tapes; `intersect`, a cylinder (a side with a tape the
+other lacks) and a tape equality (a join with `diagonal`) are joins.  A
+projection drops a tape and reads the letters that become all-pad as
+empty moves; `join_graph`, given a tape, drops it as its search goes, so
+a product that is only projected, minimized or joined again is never
+built.  `permute_tapes` numbers its operand's moves with their letters
+permuted.  `minimize`, `is_subset` and `difference` take the graphs, so a
+projection that is only minimized or searched is never built, and
+`count_or_enumerate` reads a section's graph (`section_graph`) the same
+way, so a section that is only enumerated is never numbered.  Inclusion
+is one subset product, `_difference_graph`: `difference` builds it, and
+`is_subset` and `is_subset_of_cube` search it up to the first
+counterexample; `is_irreflexive` and `is_total` search graphs of their
+own the same way (`_reaches_acceptance`), so a relation's linearity
+builds nothing.  The row fill and that search alone read the state
+budget, `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1 keys;
+it is set for a block by `with state_budget(n):` and is otherwise
+DEFAULT_STATE_BUDGET.
 
 There is one subset step: a set of states is a sorted tuple, and its row,
 letter -> sorted tuple of targets, is merged from its states' rows by
@@ -752,7 +753,7 @@ def join_graph(a, a_tapes: Sequence[int], b, b_tapes: Sequence[int], tape: Optio
     of projection graphs (∃, ∃^∞) that `projection_graph` gives over
     `join`'s result, without a second scan of its edges: a letter that
     pads every other tape is an ε-move, and the accepting keys are
-    `_relabel`'s (`_projected`), less the silent ones.
+    `_projection`'s (`_projected`), less the silent ones.
     """
     arity, start, accepting, moves = _join_graph(a, a_tapes, b, b_tapes, tape)
     if tape is not None and not (arity > 1 and 0 <= tape < arity):
@@ -831,20 +832,22 @@ def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
     after the same letters, so `b` is determinized only along the letters
     `a` uses and no complement of it is built.  Each key reads the set's
     row once (`b._row`).  With `tape`, `b` is unary and reads that tape
-    alone, as the letter (symbol on `tape`,), entering a drain state from
-    acceptance once the tape pads: the accepting keys are then those of the
-    tuples of L(a) whose word on `tape` is not in L(b).
+    alone, as the letter (symbol on `tape`,), entering the drain `_DRAIN`
+    from acceptance once the tape pads: the accepting keys are then those
+    of the tuples of L(a) whose word on `tape` is not in L(b).
     """
-    DRAIN = -1
-    done = b.accepting if tape is None else b.accepting | {DRAIN}
+    done = b.accepting if tape is None else b.accepting | {_DRAIN}
 
     def moves(pair):
         p, subset = pair
         row = b._row(subset)
-        if tape is not None and not done.isdisjoint(subset):  # the tape may pad: into the drain
-            row = {**row, (PAD,): (DRAIN,)}
         for letter, targets in a._delta.get(p, {}).items():
-            after = row.get(letter if tape is None else (letter[tape],), ())
+            if tape is None:
+                after = row.get(letter, ())
+            elif letter[tape] != PAD:
+                after = row.get((letter[tape],), ())
+            else:  # the tape pads: into the drain from acceptance
+                after = () if done.isdisjoint(subset) else _DRAINED
             for r in targets:
                 yield (letter,), (r, after)
 
@@ -1115,57 +1118,108 @@ def project(a: Automaton, tape: int, infinite: bool = False) -> Automaton:
     """Existential projection: drop the given tape and re-normalize padding.
 
     With `infinite`, a tuple is kept only when infinitely many words on the
-    dropped tape complete it (the ∃^∞ quantifier).  This is the projection
-    graph, numbered; see `projection_graph` and `_relabel`.
+    dropped tape complete it (the ∃^∞ quantifier).  The moves are
+    `_projection`'s, numbered by `_canonical`; `projection_graph` searches
+    the same moves.
     """
-    return _numbered(projection_graph(a, tape, infinite))
+    return _canonical(a.arity - 1, a.alphabet, *_projection(a, tape, infinite))
 
 
 def projection_graph(a: Automaton, tape: int, infinite: bool = False) -> _Graph:
-    """The projection of `a` (see `project`), unnumbered: an operand of
-    `minimize`, `is_subset` and `difference` only, never an Automaton.
-    A product that is only projected is not built for it either:
-    `join_graph` gives the same graphs from its own search.
+    """The projection `project` builds, as the `_Graph` of `_explored`'s
+    search of `_projection`'s moves in the order they are yielded:
+    `project`'s result up to the names of its states, as both keep the same
+    keys, so each set of states a reversal or a subset product forms over
+    it is one over that result.  It is an operand of `minimize`,
+    `is_subset` and `difference` only, never an Automaton.  A product that
+    is only projected is not built for it either: `join_graph` gives the
+    same graphs from its own search.
+    """
+    rows, accepting, *_ = _explored(*_projection(a, tape, infinite))
+    return _Graph(a.arity - 1, a.alphabet, 0, accepting, {q: row for q, row in enumerate(rows) if row})
 
-    Those three read an operand through `arity`, `alphabet`, `initial`,
-    `accepting` and `_delta` alone, so they take the graph that `project`
-    numbers and skip its BFS.  `minimize` and `is_subset` depend on the
-    language alone, so their results are those over the built projection.
-    The bytes of `difference`, and the state counts the budget reads, also
-    need each set of states that a reversal or a subset product forms to
-    match one over the projection.  They do when `a` is trimmed, as every
-    kernel result is.  By the padding invariant, a state reached only by
-    ε-letters has only ε-letters out, so it enters no such set: the graph
-    accepts only at the initial state and at states a non-ε letter enters.
-    Each state a non-ε letter enters reaches a live one, so the
-    projection's trim drops none of them.  With `infinite` that last step
-    fails, since a state may reach acceptance by finite ε-runs alone: a
-    forward subset product keeps such a state where the projection drops
-    it, so `difference` gives the same language in other bytes.  A
-    reversal's sets hold only states that reach a live one, so the first
-    pass of `minimize` matches with either value.
+
+def _projection(a: Automaton, tape: int, infinite: bool) -> tuple:
+    """The projection of `a` that drops `tape`, as (start, accepting,
+    moves) in the form `_canonical` takes, over `a`'s own states; `project`
+    numbers it and `projection_graph` searches it.
+
+    By the padding invariant a letter that pads every other tape (an
+    ε-letter) is followed only by such letters, so a state's moves are its
+    own non-ε letters, each distinct letter relabelled once, and it accepts
+    when its ε-letters reach acceptance (`_projected`, from one scan of
+    them); with `infinite`, when they reach a cycle that can still reach
+    it: pumping the cycle gives witnesses of every greater length, and a
+    witness more than n_states letters past the other tapes repeats a
+    state in its tail.  Numbered, this is byte for byte the textbook
+    construction, in which each state takes the moves and the acceptance
+    of its ε-closure: a search reaches only the initial state and targets
+    of non-ε letters, whose closures add no moves, and a state's moves
+    keep `a`'s letter order, which `_canonical`'s stable sort keeps among
+    letters that relabel to one.
     """
     _require_tape(a, tape)
-    return _relabel(a, a.arity - 1, lambda letter: letter[:tape] + letter[tape + 1 :], infinite)
+    images: dict = {}  # letter -> its one-letter group, or () for an ε-letter
+    eps: dict = {}  # the ε-letters, target -> sources
+    for q, row in a._delta.items():
+        for letter, targets in row.items():
+            group = images.get(letter)
+            if group is None:
+                rest = letter[:tape] + letter[tape + 1 :]
+                group = images[letter] = (rest,) if rest.count(PAD) < len(rest) else ()
+            if not group:
+                for r in targets:
+                    eps.setdefault(r, []).append(q)
+    return a.initial, _projected(a.accepting, eps, infinite).__contains__, _relabelled(a, images)
+
+
+def _projected(accepting, eps: dict, infinite: bool) -> frozenset:
+    """The states of a projection (`_projection`, or `join_graph` given a
+    tape) whose ε-moves, kept backwards in `eps` (target -> sources), reach
+    `accepting`, and with `infinite` also reach a cycle that can still
+    reach acceptance; each caller tests only the states its search
+    reaches."""
+    live = _search(accepting, eps)
+    if infinite:
+        live = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
+    return live
+
+
+def _relabelled(a: Automaton, images: dict) -> Callable:
+    """The moves of `a` in `_canonical`'s form with each letter replaced by
+    its group in `images`, a letter whose group is empty left out: state ->
+    (group, target) pairs, in `a`'s letter order."""
+    delta = a._delta
+
+    def moves(q):
+        for letter, targets in delta.get(q, {}).items():
+            group = images[letter]
+            if group:
+                for r in targets:
+                    yield group, r
+
+    return moves
 
 
 def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
-    """Reorder tapes: new tape i carries old tape perm[i]."""
+    """Reorder tapes: new tape i carries old tape perm[i].  `a`'s moves,
+    each distinct letter permuted once, numbered by `_canonical`; a
+    permutation keeps every tape, so no letter becomes all-pad and the
+    accepting states are `a`'s."""
     if sorted(perm) != list(range(a.arity)):
         raise ArityMismatch(f"{perm} is not a permutation of 0..{a.arity - 1}")
-    return _numbered(_relabel(a, a.arity, lambda letter: tuple(letter[p] for p in perm)))
+    letters = dict.fromkeys(letter for row in a._delta.values() for letter in row)
+    images = {letter: (tuple(letter[p] for p in perm),) for letter in letters}
+    return _canonical(a.arity, a.alphabet, a.initial, a.accepting.__contains__, _relabelled(a, images))
 
 
 @record
 class _Graph:
-    """An automaton before numbering: a relabelling (`_relabel`), whose
-    `_delta` maps each of the operand's own states to its non-ε letters and
-    their targets, a section (`section_graph`), over the (state, position)
-    keys its search reached, or a product (`join_graph`), over the ints
-    `_explored` gave its keys.  A product's targets are `_numbering`'s
-    sorted distinct tuples; a relabelling's or a section's keep the
-    operand's order and may repeat, as `_numbered` numbers them, and none
-    of their states is trimmed."""
+    """An automaton before numbering: a search's rows (`join_graph`,
+    `projection_graph`), over the ints `_explored` gave its keys, or a
+    section's (`section_graph`), over the (state, position) keys its search
+    reached.  Every row maps a letter to a sorted tuple of distinct
+    targets, as an Automaton's does."""
 
     arity: int
     alphabet: tuple
@@ -1175,85 +1229,12 @@ class _Graph:
 
     def _row(self, states: tuple) -> dict:
         """The row of a sorted tuple of states, as `Automaton._row` gives
-        it; a single state's row is merged too, as a relabelling's or a
-        section's targets keep the operand's order.  A graph is read by one
-        construction, whose sets of states seldom repeat, so no row is
-        kept."""
+        it: a single state's row bare, a set's merged.  A graph is read by
+        one construction, whose sets of states seldom repeat, so no merged
+        row is kept."""
+        if len(states) == 1:
+            return self._delta.get(states[0], {})
         return _merged(self._delta.get(q, {}) for q in states)
-
-
-def _relabel(a: Automaton, arity: int, relabel: Callable, infinite: bool = False) -> _Graph:
-    """`a` with each letter mapped by `relabel` to an `arity`-letter, and
-    the letters mapped to all-pad (ε-letters) read as empty moves.  Each
-    distinct letter is mapped once.
-
-    An ε-letter can only be followed by such letters, by the padding
-    invariant, so on every run the ε-letters form the tail.  A state's
-    moves are therefore just its own non-ε letters, and the result accepts
-    at a state when its ε-edges reach acceptance, found by one backward
-    search from the accepting states.  With `infinite` the state must also
-    reach, along ε-edges, a cycle that can still reach acceptance: pumping
-    the cycle gives witnesses of every greater length, and a witness more
-    than n_states letters past the other tapes repeats a state in its tail.
-    A relabelling that keeps every tape, such as a permutation, has no
-    ε-letters, so its accepting states are `a`'s.  Only the initial state
-    and the states a non-ε letter enters are marked accepting: no other
-    state is reached.
-
-    Numbered by `_numbered`, the result is byte-identical to the textbook
-    construction in which each state takes the moves and the acceptance of
-    its ε-closure: the closure of a reachable state adds only states that
-    read ε-letters alone, so the move graph, hence the BFS numbering, is
-    unchanged, and "the closure meets the accepting states" is the
-    backward search.  Letters that map to one letter keep their targets in
-    the sorted full-letter order of `_delta`, as there.  With `infinite`,
-    the language (not the bytes) is that of the pumping-bound
-    construction, which intersects the minimal DFA with a counter of the
-    final ε-run and so also splits states by pad mask.
-    """
-    images: dict = {}  # letter -> its image, or () for an ε-letter
-    real: dict = {}
-    back: dict = {}  # the ε-edges, target -> sources
-    entered = {a.initial}  # the initial state and every target of a non-ε letter
-    for q, out in a._delta.items():
-        row: dict = {}
-        for letter, targets in out.items():
-            rest = images.get(letter)
-            if rest is None:
-                rest = relabel(letter)
-                rest = images[letter] = rest if any(s != PAD for s in rest) else ()
-            if rest:
-                row.setdefault(rest, []).extend(targets)
-                entered.update(targets)
-            else:
-                for r in targets:
-                    back.setdefault(r, []).append(q)
-        if row:
-            real[q] = row
-    return _Graph(arity, a.alphabet, a.initial, _projected(a.accepting, back, infinite) & entered, real)
-
-
-def _projected(accepting, eps: dict, infinite: bool) -> frozenset:
-    """The states of a relabelling (`_relabel`, or `join_graph` given a
-    tape) whose ε-edges, kept backwards in `eps` (target -> sources), reach
-    `accepting`, and with `infinite` also reach a cycle that can still
-    reach acceptance; each caller keeps those that are reached."""
-    live = _search(accepting, eps)
-    if infinite:
-        live = _reaching_cycles(live, ((q, r) for r, qs in eps.items() for q in qs))
-    return live
-
-
-def _numbered(g: _Graph) -> Automaton:
-    """The automaton of a relabelling or a section: `_canonical`'s BFS
-    over its graph."""
-
-    def moves(q):
-        for rest, targets in g._delta.get(q, {}).items():
-            for r in targets:
-                yield (rest,), r
-
-    return _canonical(g.arity, g.alphabet, g.initial, g.accepting.__contains__, moves)
 
 
 # -- common relation automata -------------------------------------------
@@ -1344,6 +1325,17 @@ def section(rel: Automaton, tape: int, word) -> Automaton:
     return _numbered(section_graph(rel, tape, word))
 
 
+def _numbered(g: _Graph) -> Automaton:
+    """The automaton of a section graph: `_canonical`'s BFS over it."""
+
+    def moves(q):
+        for rest, targets in g._delta.get(q, {}).items():
+            for r in targets:
+                yield (rest,), r
+
+    return _canonical(g.arity, g.alphabet, g.initial, g.accepting.__contains__, moves)
+
+
 def section_graph(rel: Automaton, tape: int, word) -> _Graph:
     """The section of `rel` at `word` on `tape` (see `section`), unnumbered:
     a `_Graph` over (state, position in word) keys, holding the keys a
@@ -1357,9 +1349,8 @@ def section_graph(rel: Automaton, tape: int, word) -> _Graph:
     tape (`Automaton._section_splits`); only `tail` is made per word.  For
     one (state, symbol), distinct letters have distinct rests, so a key's
     row lists its moves in `rel`'s letter order, as `_numbered` reads them.
-    The keys are at most `rel`'s states times the word's positions, so,
-    like a projection's graph, the search reads no state budget; `section`
-    reads it in its BFS.
+    The keys are at most `rel`'s states times the word's positions, so the
+    search reads no state budget; `section` reads it in its BFS.
     """
     _require_tape(rel, tape)
     w = tuple(word)
@@ -1383,7 +1374,7 @@ def section_graph(rel: Automaton, tape: int, word) -> _Graph:
         q, i = key = stack.pop()
         sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
         for rest, targets in real.get((q, sym), ()):
-            out = delta.setdefault(key, {})[rest] = [(r, nxt) for r in targets]
+            out = delta.setdefault(key, {})[rest] = tuple([(r, nxt) for r in targets])
             fresh = [k for k in out if k not in seen]
             seen.update(fresh)
             stack.extend(fresh)

@@ -36,8 +36,8 @@ counterexample, `au.is_irreflexive` over the order's own states and
 transpose, and the top class is the domain minus the elements with
 infinitely many elements above them.
 Every projection here is only minimized, searched or subtracted, so none
-is built: each is `au.projection_graph`, the edge scan `au.project` would
-number, or, for a product, `au.join_graph`, its one search.
+is built: each is `au.projection_graph`, the search of the moves
+`au.project` numbers, or, for a product, `au.join_graph`, its one search.
 """
 
 from __future__ import annotations

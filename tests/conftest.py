@@ -332,6 +332,44 @@ def reference_project_inf(a, tape):
     return au.project(au.intersect(aut, longer), tape)
 
 
+def reference_project(a, tape, infinite=False):
+    """`project` by the textbook construction, numbered by
+    `reference_canonical`: each state of `a` takes its own letters that read
+    some tape but `tape`, with `tape` dropped, in `a`'s letter order, and
+    accepts when its ε-closure (along the letters that read `tape` alone)
+    meets acceptance; with `infinite`, when the closure reaches an ε-cycle
+    that can still reach acceptance."""
+
+    def rest(letter):
+        return letter[:tape] + letter[tape + 1 :]
+
+    def eps_successors(q):
+        return [r for letter, rs in a._delta.get(q, {}).items() if set(rest(letter)) == {au.PAD} for r in rs]
+
+    def closure(q):
+        seen, stack = {q}, [q]
+        while stack:
+            for r in eps_successors(stack.pop()):
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        return seen
+
+    def on_cycle(c):
+        return any(c in closure(r) for r in eps_successors(c))
+
+    def accepting(q):
+        return any(a.accepting & closure(c) for c in closure(q) if not infinite or on_cycle(c))
+
+    def moves(q):
+        for letter, rs in a._delta.get(q, {}).items():
+            if set(rest(letter)) != {au.PAD}:
+                for r in rs:
+                    yield rest(letter), r
+
+    return reference_canonical(a.arity - 1, a.alphabet, a.initial, accepting, moves)
+
+
 def reference_initial_chain(p, count):
     """`initial_chain` as the least-of-remaining loop: each element is the
     one minimal element of everything above its predecessor."""

@@ -26,6 +26,7 @@ from conftest import (
     reference_intersect,
     reference_is_subset_of_cube,
     reference_minimize,
+    reference_project,
     reference_project_inf,
     reference_reverse_subsets,
     reference_section,
@@ -1413,7 +1414,7 @@ def test_subset_constructions_match_the_frozenset_reference(seed, trimmed):
     # reversal and the cube search give the same bytes and answers.  The
     # operands are NFAs of up to 12 states, so a set holding a state past 7
     # does not iterate in sorted order by chance, and projection graphs,
-    # whose rows keep their targets unsorted and repeated
+    # whose single states' rows are read bare
     rng = random.Random(seed)
     n = rng.randint(4, 12)
     shape = trim if trimmed else (lambda x: x)
@@ -1428,6 +1429,32 @@ def test_subset_constructions_match_the_frozenset_reference(seed, trimmed):
     for domain in (unary, au.projection_graph(binary, rng.randrange(2))):
         for rel in (unary, a, wide):
             assert au.is_subset_of_cube(rel, domain) == reference_is_subset_of_cube(rel, domain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]), st.booleans())
+def test_project_and_permute_tapes_save_the_textbook_bytes(seed, arity, dense):
+    # the projection numbered as the textbook construction numbers it, each
+    # state with its own relabelled moves in the operand's letter order and
+    # the acceptance of its ε-closure, and a permutation as its letters
+    # mapped one by one: the same bytes for ∃ and ∃^∞, on trimmed and
+    # untrimmed NFAs whose rows hold ties among one letter's targets
+    rng = random.Random(seed)
+    a = _dense_nfa(rng, arity, rng.randint(3, 8)) if dense else (_random_nfa2(rng) if arity == 2 else _random_nfa3(rng))
+    for operand in (a, trim(a)):
+        for tape in range(arity):
+            for infinite in (False, True):
+                got = au.save_automaton(au.project(operand, tape, infinite), "p")
+                assert got == au.save_automaton(reference_project(operand, tape, infinite), "p")
+        perm = rng.sample(range(arity), arity)
+
+        def permuted(q):
+            for letter, targets in operand._delta.get(q, {}).items():
+                for r in targets:
+                    yield tuple(letter[p] for p in perm), r
+
+        want = reference_canonical(arity, AB, operand.initial, operand.accepting.__contains__, permuted)
+        assert au.save_automaton(au.permute_tapes(operand, perm), "t") == au.save_automaton(want, "t")
 
 
 def _bound_names(fn) -> set:
@@ -1840,3 +1867,21 @@ def test_the_kernel_tests_the_budget_in_two_loops():
                 yield from raisers(child, owner)
 
     assert sorted(raisers(tree, None)) == ["_reaches_acceptance", "fill"]
+
+
+def test_graphs_come_from_three_constructions():
+    # an unnumbered graph is a search's rows (a product's or a projection's)
+    # or a section's: a second scan that builds a graph of its own, beside
+    # the one move description each of those has, does not come back
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "wob" / "automata.py").read_text(encoding="utf-8"))
+
+    def makers(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from makers(child, child.name)
+            else:
+                if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_Graph":
+                    yield owner
+                yield from makers(child, owner)
+
+    assert sorted(set(makers(tree, None))) == ["join_graph", "projection_graph", "section_graph"]
