@@ -13,36 +13,36 @@ the initial one, so each accepting path spells a valid convolution.
 Kernel operations only recombine letters of checked operands, so their
 results are not checked again.
 
-Every construction numbers its states by one search (`_explored`): it
-fills each state's row by one row fill (`_numbering`) in BFS order, then
-drops the states that cannot reach acceptance and renumbers the rest in
-order.  A state's moves are letter groups, (letters, target) with each
-letter of the tuple leading to target.  `_canonical` hands them over
-sorted by least letter, so the numbering is that of the same moves read
-one letter at a time, and the unnumbered graphs (`_Graph`) in the order
-their moves are yielded.  `reader` gives membership reads of a graph that
-is never built: it fills a state's row by the same row fill when a read
-first reaches the state.  `join`/`join_graph` and `project`/
-`projection_graph` are each one move description (`_join_graph`,
-`_projection`), numbered by `_canonical` or searched into a graph.  `join`
-runs two automata side by side on one convolution and maps each side's
-tapes to result tapes; `intersect`, a cylinder (a side with a tape the
-other lacks) and a tape equality (a join with `diagonal`) are joins.  A
-projection drops a tape and reads the letters that become all-pad as
-empty moves; `join_graph`, given a tape, drops it as its search goes, so
-a product that is only projected, minimized or joined again is never
-built.  `permute_tapes` numbers its operand's moves with their letters
-permuted.  `minimize`, `is_subset` and `difference` take the graphs, so a
-projection that is only minimized or searched is never built, and
-`count_or_enumerate` reads a section's graph (`section_graph`) the same
-way, so a section that is only enumerated is never numbered.  Inclusion
-is one subset product, `_difference_graph`: `difference` builds it, and
-`is_subset` and `is_subset_of_cube` search it up to the first
-counterexample; `is_irreflexive` and `is_total` search graphs of their
-own the same way (`_reaches_acceptance`), so a relation's linearity
-builds nothing.  The row fill and that search alone read the state
-budget, `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1 keys;
-it is set for a block by `with state_budget(n):` and is otherwise
+Every construction numbers its states by one search (`_explored`): it fills
+each state's row by one row fill (`_numbering`) in BFS order, then drops
+the states that cannot reach acceptance and renumbers the rest in order.  A
+state's moves are letter groups, (letters, target) with each letter of the
+tuple leading to target.  `_canonical` hands them over sorted by least
+letter, so the numbering is that of the same moves read one letter at a
+time, and the unnumbered graphs (`_Graph`) in the order their moves are
+yielded.  `reader` gives membership reads of a graph that is never built:
+it fills a state's row by the same row fill when a read first reaches the
+state.  `join`/`join_graph` and `project`/`projection_graph` are each one
+move description (`_join_graph`, `_projection`), numbered by `_canonical`
+or searched into a graph.  `join` runs two automata side by side on one
+convolution and maps each side's tapes to result tapes; `intersect`, a
+cylinder (a side with a tape the other lacks) and a tape equality (a join
+with `diagonal`) are joins.  A projection drops a tape and reads the
+letters that become all-pad as empty moves; `join_graph`, given a tape,
+drops it as its search goes, so a product that is only projected, minimized
+or joined again is never built.  `permute_tapes` numbers its operand's
+moves with their letters permuted.  `minimize`, `is_subset` and
+`difference` take the graphs, so a projection that is only minimized or
+searched is never built, and `count_or_enumerate` reads a section's graph
+(`section_graph`) the same way, so a section that is only enumerated is
+never numbered; `count_words` counts a finite language on its minimal DFA
+without listing it.  Inclusion is one subset product, `_difference_graph`:
+`difference` builds it, and `is_subset` and `is_subset_of_cube` search it
+up to the first counterexample; `is_irreflexive` and `is_total` search
+graphs of their own the same way (`_reaches_acceptance`), so a relation's
+linearity builds nothing.  The row fill and that search alone read the
+state budget, `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1
+keys; it is set for a block by `with state_budget(n):` and is otherwise
 DEFAULT_STATE_BUDGET.
 
 There is one subset step: a set of states is a sorted tuple, and its row,
@@ -143,17 +143,15 @@ class Automaton:
 
     States are integers 0..n_states-1; the moves are stored once, as
     `_delta`: state -> {letter: sorted tuple of targets}, all in sorted
-    order, no empty entries.  `transitions`, their frozenset of
-    (state, letter, state) triples, is derived on its first read.
-    Instances are immutable, apart from the table `_subset_steps` of
-    the rows of sets of states, which reads and subset products fill in
-    (see `_row`), and the table `_subset_loops` beside it, which path
-    reads fill in (see `_loops`); both are this automaton's own, never
-    shared.  Constructing
-    one directly validates it,
-    including the suffix-padding invariant along every path reachable
-    from the initial state; kernel operations build their results without
-    this check (see `_canonical`).
+    order, no empty entries.  `transitions`, their frozenset of (state,
+    letter, state) triples, is derived on its first read.  Instances are
+    immutable, apart from the table `_subset_steps` of the rows of sets of
+    states, which reads and subset products fill in (see `_row`), and the
+    table `_subset_loops` beside it, which path reads fill in (see
+    `_loops`); both are this automaton's own, never shared.  Constructing
+    one directly validates it, including the suffix-padding invariant along
+    every path reachable from the initial state; kernel operations build
+    their results without this check (see `_canonical`).
     """
 
     arity: int
@@ -1030,6 +1028,23 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
         if a.initial in layer:
             out.extend(_enumerate_length(a, layers, len(layers) - 1, limit - len(out)))
     return out
+
+
+def count_words(a: Automaton) -> int:
+    """The number of words of a trimmed DFA with a finite language, such as
+    `minimize` returns, counted one length at a time.  Each state is useful,
+    so a path of `n_states` moves, which has a cycle, raises ValueError."""
+    paths, words = {a.initial: 1}, 0
+    for _ in range(a.n_states):
+        words += sum(n for q, n in paths.items() if q in a.accepting)
+        step: dict = {}
+        for q, n in paths.items():
+            for (r,) in a._delta.get(q, {}).values():
+                step[r] = step.get(r, 0) + n
+        paths = step
+    if paths:
+        raise ValueError("the language is infinite")
+    return words
 
 
 def _enumerate_length(a, layers, length, want):

@@ -48,15 +48,12 @@ from typing import Optional, Union
 from . import automata as au
 from . import ordinals as o
 from .automata import DEFAULT_STATE_BUDGET, Automaton
-from .errors import NotComparable, NotLinear, StateBudgetExceeded
+from .errors import NotComparable, NotLinear
 from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
 from .records import record
 
 LESS = "<"
-
-TOP_CLASS_CAP = 10 ** 5
-FINITE_LEVEL_CAP = 10 ** 5
 
 
 @record
@@ -205,13 +202,8 @@ def _top_class_size(p: OrderPresentation):
     class, or those between it and a higher class), so the elements with
     finitely many above are exactly a finite top class, and none otherwise.
     Those above infinitely many are a projection graph, read only by
-    `difference`."""
-    below_infinitely_many = au.projection_graph(p.order, 1, infinite=True)
-    top = au.minimize(au.difference(p.domain, below_infinitely_many))
-    members = au.count_or_enumerate(top, TOP_CLASS_CAP + 1)
-    if len(members) > TOP_CLASS_CAP:
-        raise StateBudgetExceeded(len(members), TOP_CLASS_CAP)
-    return len(members)
+    `difference`, and the rest is counted on its minimal DFA, never listed."""
+    return au.count_words(au.minimize(au.difference(p.domain, au.projection_graph(p.order, 1, infinite=True))))
 
 
 def recognize(
@@ -220,7 +212,8 @@ def recognize(
     budget: int = DEFAULT_STATE_BUDGET,
     trace: Optional[list] = None,
 ) -> RecognitionResult:
-    """Decide well-orderedness and the CNF of the order type within `budget` states."""
+    """Decide well-orderedness and the CNF of the order type within `budget`
+    states; BudgetExceeded means only that it ran past `max_levels` levels."""
     with au.state_budget(budget):
         failure = check_linear(p)
         if failure is not None:
@@ -238,19 +231,11 @@ def recognize(
             if bad is not None:
                 return NotWellOrder(bad)
             if not au.is_infinite(current.domain):
-                members = au.count_or_enumerate(current.domain, FINITE_LEVEL_CAP + 1)
-                if len(members) > FINITE_LEVEL_CAP:
-                    return BudgetExceeded(level)
-                beta = o.from_int(len(members))
-                return WellOrder(_unwind(beta, tops))
+                return WellOrder(_unwind(o.from_int(au.count_words(au.minimize(current.domain))), tops))
             # every class a singleton: the quotient is the level itself
             if au.is_empty(current.in_class):
                 return NotWellOrder(DenseFixpoint(level))
-            try:
-                t = _top_class_size(current)
-            except StateBudgetExceeded:
-                return BudgetExceeded(level)
-            tops.append(t)
+            tops.append(_top_class_size(current))
             current = finite_condensation(current)
             level += 1
             if level > max_levels:

@@ -132,6 +132,18 @@ def conv(*words):
     return [tuple(w[i] if i < len(w) else "#" for w in ws) for i in range(n)]
 
 
+def binary_llex(alphabet, shortest, longest):
+    """The words over 0 and 1 with `shortest` to `longest` letters, ordered
+    by llex, as a corpus block: 2^(longest+1) - 2^shortest elements, far too
+    many to list past a few dozen letters."""
+    ab = ("0", "1")
+    dom = au.automaton(1, alphabet, longest + 1, 0, range(shortest, longest + 1),
+                       [(i, (s,), i + 1) for i in range(longest) for s in ab])
+    order = au.intersect(au.llex_automaton(alphabet), au.join(dom, [0], dom, [1]))
+    return corpus.Block(dom, order, lambda w: shortest <= len(w) <= longest and set(w) <= set(ab),
+                        lambda x, y: (len(x), x) < (len(y), y), o.from_int(2 ** (longest + 1) - 2 ** shortest))
+
+
 def words_upto(alphabet, max_len):
     for n in range(max_len + 1):
         for tup in itertools.product(alphabet, repeat=n):

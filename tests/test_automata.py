@@ -750,6 +750,35 @@ def test_count_or_enumerate_ignores_an_unreachable_cycle():
     assert _within(1, au.count_or_enumerate, a, 5) == [(("a",),)]
 
 
+def _at_most(arity, length):
+    """The convolutions of at most `length` letters, over AB."""
+    return au.letter_dfa(AB, arity, 0, lambda v, letter: v + 1 if v < length else None, lambda v: True)
+
+
+def test_count_words_counts_the_listed_words():
+    # a random NFA, untrimmed as `automaton` keeps it, counted when its
+    # language is finite, and always after a cut to short convolutions: the
+    # count on the minimal DFA is the number of words the enumeration lists
+    rng = random.Random(43)
+    for i in range(200):
+        arity = rng.choice([1, 2])
+        if i % 2:
+            a = _dense_nfa(rng, arity, rng.randint(3, 8))
+        else:
+            a = _random_nfa(rng, 6, AB) if arity == 1 else _random_nfa2(rng)
+        cut = au.intersect(a, _at_most(arity, rng.randint(0, 9 if arity == 1 else 5)))
+        for finite in [cut] + ([a] if not au.is_infinite(a) else []):
+            assert au.count_words(au.minimize(finite)) == len(au.count_or_enumerate(finite, 10 ** 6)), i
+
+
+def test_count_words_refuses_an_infinite_language():
+    for a in (au.universe(AB, 1), au.minimize(au.llex_automaton(AB))):
+        with pytest.raises(ValueError):
+            au.count_words(a)
+    assert au.count_words(au.minimize(au.empty(AB, 2))) == 0
+    assert au.count_words(au.minimize(_at_most(1, 40))) == 2 ** 41 - 1
+
+
 def test_sections_on_alternate_tapes_match_a_fresh_relation():
     # the split of a relation's letters is kept per tape: sections on tape 0
     # and tape 1 taken in turn from one relation are those of a fresh copy

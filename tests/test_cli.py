@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rebuilt
+from conftest import binary_llex, rebuilt
 from formula_battery import all_texts
 from wob import automata as au
 from wob import cli, corpus
@@ -106,6 +106,15 @@ def test_recognize_json(tmp_path, capsys):
     code, out = run_cli(["recognize", manifest, "--json"], capsys)
     assert code == 0
     assert json.loads(out) == {"verdict": "well-order", "cnf": "w*2"}
+
+
+def test_recognize_counts_a_large_finite_order(tmp_path, capsys):
+    # 2^17 - 1 words are counted on the domain's minimal DFA, not listed
+    p = corpus.block_sum("bin16", [binary_llex(("0", "1"), 0, 16)])
+    manifest = save_structure(p.structure, tmp_path)
+    code, out = run_cli(["recognize", manifest, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"verdict": "well-order", "cnf": "131071"}
 
 
 def test_query_compiled_out(tmp_path, capsys):

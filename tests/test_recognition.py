@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     REFERENCE_NO_LEAST,
+    binary_llex,
     built_projection_sets,
     define_set,
     reference_check_linear,
@@ -327,6 +328,35 @@ def test_recognize_level_cap():
         assert not isinstance(verdict, rec.BudgetExceeded), name
         assert recognize(OrderPresentation(s), max_levels=levels) == verdict, name
         assert recognize(OrderPresentation(s), max_levels=levels - 1) == rec.BudgetExceeded(levels), name
+
+
+def test_finite_sets_are_counted_not_listed():
+    # the last level and a finite top class are counted on their minimal
+    # DFA, so a size past any listing comes back exact
+    orders = [
+        corpus.block_sum("bin16", [binary_llex(("0", "1"), 0, 16)]),
+        corpus.block_sum("bin40", [binary_llex(("0", "1"), 0, 40)]),
+        corpus.block_sum("w_bin30", [corpus.run_block(("a", "0", "1"), "a"), binary_llex(("a", "0", "1"), 1, 30)]),
+    ]
+    want = [o.from_int(2 ** 17 - 1), o.from_int(2 ** 41 - 1), o.parse("w+2147483646")]
+    for p, cnf in zip(orders, want):
+        assert p.expected_cnf == cnf
+        assert recognize(pres_to_op(p)) == WellOrder(cnf), p.name
+
+
+def test_a_budget_exit_while_counting_the_top_class_is_raised(monkeypatch):
+    # only the top-class set projects tape 1 with infinitely many: a budget
+    # exit there is the state budget's, never a level verdict
+    original = au.projection_graph
+
+    def refusing(a, tape, infinite=False):
+        if (tape, infinite) == (1, True):
+            raise StateBudgetExceeded(7, 6)
+        return original(a, tape, infinite)
+
+    monkeypatch.setattr(au, "projection_graph", refusing)
+    with pytest.raises(StateBudgetExceeded):
+        recognize(pres_to_op(corpus.omega_times_2()))
 
 
 def test_tiny_state_budget_raises():
@@ -729,10 +759,10 @@ def test_top_class_from_the_order_alone(monkeypatch, name):
     monkeypatch.setattr(rec, "_top_class_size", lambda p: levels.append(p) or original(p))
     recognize(OrderPresentation(make(arg)))
     counted = []
-    original_count = au.count_or_enumerate
+    original_count = au.count_words
     for pres in levels:
         fresh = OrderPresentation(pres.structure)
-        monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
+        monkeypatch.setattr(au, "count_words", lambda a: counted.append(a) or original_count(a))
         got = original(fresh)
         monkeypatch.undo()
         assert "infinitely_between" not in vars(fresh) and "in_class" not in vars(fresh)
@@ -928,7 +958,7 @@ def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
     make, arg = GRAPH_CASES[name]
     trace = []
     recognize(OrderPresentation(make(arg)), trace=trace)
-    original_is_empty, original_count = au.is_empty, au.count_or_enumerate
+    original_is_empty, original_count = au.is_empty, au.count_words
     for level, pres in trace:
         want = built_projection_sets(pres)
         fresh = OrderPresentation(pres.structure)
@@ -939,7 +969,7 @@ def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
         monkeypatch.undo()
         (got["bad"],) = tested
         if level < len(trace) - 1:  # recognize condensed this level
-            monkeypatch.setattr(au, "count_or_enumerate", lambda a, cap: counted.append(a) or original_count(a, cap))
+            monkeypatch.setattr(au, "count_words", lambda a: counted.append(a) or original_count(a))
             rec._top_class_size(fresh)
             monkeypatch.undo()
             (got["top"],) = counted

@@ -73,3 +73,19 @@ def test_domination_report_lines(capsys):
         assert re.fullmatch(r"F\[std\]_\S+ vs F\[shifted\]_\S+", head), row
         assert points == "x=3:lt x=4:lt x=5:lt x=6:lt", row
     assert lines[-1].startswith("note: pointwise samples only")
+
+
+def test_line_counts_split_each_line_once(tmp_path, capsys):
+    sample = tmp_path / "sample.py"
+    sample.write_text('"""Module doc\nover two lines."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+                      'def f():\n    """One line."""\n    s = """not a\ndoc"""\n    return s\n')
+    script = load_script("line_counts")
+    assert script.split(sample) == {"code": 5, "docstring": 3, "comment": 1, "blank": 3}
+    sources = sorted(str(p) for p in (ROOT / "src" / "wob").glob("*.py"))
+    assert script.main(sources) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == len(sources) + 1
+    for path, line in zip(sources, rows):
+        n = len(Path(path).read_text().splitlines())
+        assert line.startswith(f"{path}: {n} lines, code "), line
+        assert sum(map(int, re.findall(r" (\d+)(?:,|$)", line.split("lines, ")[1]))) == n, line
