@@ -33,12 +33,14 @@ drops it as its search goes, so a product that is only projected, minimized
 or joined again is never built.  `permute_tapes` numbers its operand's
 moves with their letters permuted.  `minimize`, `is_subset` and
 `difference` take the graphs, so a projection that is only minimized or
-searched is never built, and `count_or_enumerate` reads a section's graph
-(`section_graph`) the same way, so a section that is only enumerated is
-never numbered; `count_words` counts a finite language on its minimal DFA
-without listing it.  Inclusion is one subset product, `_difference_graph`:
-`difference` builds it, and `is_subset` and `is_subset_of_cube` search it
-up to the first counterexample; `is_irreflexive` and `is_total` search
+searched is never built.  `section_words` lists a section's first words by
+set steps over the word, memoized on the relation (`_SectionSteps`), so a
+section that is only enumerated is neither built nor searched;
+`count_or_enumerate` lists an automaton's or a graph's words, both by one
+descent (`_descend`), and `count_words` counts a finite language on its
+minimal DFA without listing it.  Inclusion is one subset product,
+`_difference_graph`: `difference` builds it, and `is_subset` and
+`is_subset_of_cube` search it up to the first counterexample; `is_irreflexive` and `is_total` search
 graphs of their own the same way (`_reaches_acceptance`), so a relation's
 linearity builds nothing.  The row fill and that search alone read the
 state budget, `STATE_BUDGET`, and raise StateBudgetExceeded at budget + 1
@@ -48,8 +50,10 @@ DEFAULT_STATE_BUDGET.
 There is one subset step: a set of states is a sorted tuple, and its row,
 letter -> sorted tuple of targets, is merged from its states' rows by
 `_merged` alone.  Reads and the subset product take a set's row from
-`_row`, which an automaton keeps in `_subset_steps`; enumeration and
-Brzozowski's reversal merge theirs where they step.
+`_row`, which an automaton keeps in `_subset_steps`; a section's steps
+merge a set's moves on one symbol once and keep them in the relation's
+`_section_steps`; enumeration and Brzozowski's reversal merge theirs where
+they step.
 
 Symbols are arbitrary non-reserved tokens; `show_word` prints a word as a
 plain string when every symbol is a single character.
@@ -146,12 +150,13 @@ class Automaton:
     order, no empty entries.  `transitions`, their frozenset of (state,
     letter, state) triples, is derived on its first read.  Instances are
     immutable, apart from the table `_subset_steps` of the rows of sets of
-    states, which reads and subset products fill in (see `_row`), and the
+    states, which reads and subset products fill in (see `_row`), the
     table `_subset_loops` beside it, which path reads fill in (see
-    `_loops`); both are this automaton's own, never shared.  Constructing
-    one directly validates it, including the suffix-padding invariant along
-    every path reachable from the initial state; kernel operations build
-    their results without this check (see `_canonical`).
+    `_loops`), and the set steps of sections, `_section_steps`; all are
+    this automaton's own, never shared.  Constructing one directly
+    validates it, including the suffix-padding invariant along every path
+    reachable from the initial state; kernel operations build their
+    results without this check (see `_canonical`).
     """
 
     arity: int
@@ -255,9 +260,10 @@ class Automaton:
         return {}
 
     @cached_property
-    def _section_splits(self) -> dict:
-        """tape -> `_split_tape(self, tape)`, made by the first section on
-        that tape (see `section_graph`)."""
+    def _section_steps(self) -> dict:
+        """tape -> `_SectionSteps(self, tape)`, the split of this relation's
+        letters on that tape and its memoized set steps, made by the first
+        section on that tape (see `section_words`)."""
         return {}
 
     def _row(self, states: tuple) -> dict:
@@ -991,14 +997,16 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     arity 1 is the built-in llex relation.
 
     `a` is read through `arity`, `alphabet`, `initial`, `accepting` and
-    `_delta` alone, so it may be a section graph (`section_graph`), read
-    without being numbered.  The words do not depend on a numbering, and
-    the enumeration keeps to the states reachable from `a.initial`: one
+    `_delta` alone, so it may be a graph (`section_graph`), read without
+    being numbered; a section that is only listed is read faster by
+    `section_words`.  The words do not depend on a numbering, and the
+    enumeration keeps to the states reachable from `a.initial`: one
     forward search gives them and their back edges, and acceptance is
     searched back along those edges only.  A graph built by a forward
     search holds only reachable keys, so the states its trimmed numbering
     keeps are its coreachable ones, and the layers below end exactly where
-    they end on that numbering.
+    they end on that numbering.  Each length the layers reach is listed by
+    `_descend`, kept to the layers.
     """
     out: list[WordTuple] = []
     if limit <= 0:
@@ -1020,13 +1028,19 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     # steps.  A word longer than m passes through layer m, so once a layer is
     # empty no longer word exists; in an infinite language no layer is empty.
     layers = [a.accepting & seen]
+    lkey = _letter_key(a.alphabet)
+
+    def moves(states, i):  # one state's row is read bare, a set's merged
+        row = delta.get(states[0], {}) if len(states) == 1 else _merged(delta.get(q, {}) for q in states)
+        return sorted(row.items(), key=lambda move: lkey(move[0]))
+
     while len(out) < limit:
         layer = {p for q in layers[-1] for p in back.get(q, ())}
         if not layer:
             break
         layers.append(layer)
         if a.initial in layer:
-            out.extend(_enumerate_length(a, layers, len(layers) - 1, limit - len(out)))
+            out.extend(_descend((a.initial,), moves, layers[::-1], limit - len(out)))
     return out
 
 
@@ -1045,45 +1059,6 @@ def count_words(a: Automaton) -> int:
     if paths:
         raise ValueError("the language is infinite")
     return words
-
-
-def _enumerate_length(a, layers, length, want):
-    # DFS over state subsets, so each letter sequence is visited exactly once
-    # even when the automaton is nondeterministic.  The stack holds one
-    # letter iterator per position of `path`, so long words need no recursion.
-    results = []
-    path = []
-    delta, lkey = a._delta, _letter_key(a.alphabet)
-
-    def branches(subset, remaining):
-        # one state's row is read bare, a set's merged; the order of targets
-        # does not matter here, as they only form the next set
-        row = delta.get(subset[0], {}) if len(subset) == 1 else _merged(delta.get(q, {}) for q in subset)
-        inside = layers[remaining - 1].__contains__
-        for letter in sorted(row, key=lkey):
-            targets = tuple(filter(inside, row[letter]))
-            if targets:
-                yield letter, targets
-
-    stack = [branches((a.initial,), length)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if path:
-                path.pop()
-            continue
-        letter, subset = step
-        path.append(letter)
-        if len(path) < length:
-            stack.append(branches(subset, length - len(path)))
-            continue
-        if not a.accepting.isdisjoint(subset):
-            results.append(deconvolve(path))
-            if len(results) >= want:
-                break
-        path.pop()
-    return results
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -1359,36 +1334,22 @@ def section_graph(rel: Automaton, tape: int, word) -> _Graph:
     A letter whose other tapes all read pad can only be followed by such
     letters, so those letters are not moves: whether the rest of the word
     can be read that way is looked up in `tail[i]`, the states that accept
-    `word[i:]` on `tape` with every other tape padded.  The split of
-    `rel`'s letters into moves and tape-only tail edges is made once per
-    tape (`Automaton._section_splits`); only `tail` is made per word.  For
-    one (state, symbol), distinct letters have distinct rests, so a key's
-    row lists its moves in `rel`'s letter order, as `_numbered` reads them.
-    The keys are at most `rel`'s states times the word's positions, so the
-    search reads no state budget; `section` reads it in its BFS.
+    `word[i:]` on `tape` with every other tape padded (`_SectionSteps.tails`,
+    the memoized steps `section_words` reads too).  For one (state,
+    symbol), distinct letters have distinct rests, so a key's row lists its
+    moves in `rel`'s letter order, as `_numbered` reads them.  The keys are
+    at most `rel`'s states times the word's positions, so the search reads
+    no state budget; `section` reads it in its BFS.
     """
-    _require_tape(rel, tape)
-    w = tuple(word)
-    symbols = set(rel.alphabet)
-    for s in w:
-        if s not in symbols:
-            raise InvalidSymbol(f"symbol {s!r} of the section word is not in the alphabet")
-    n = len(w)
-    splits = rel._section_splits
-    real, tail_sources = splits[tape] if tape in splits else splits.setdefault(tape, _split_tape(rel, tape))
-    tail = [frozenset()] * n + [rel.accepting]
-    for i in range(n - 1, -1, -1):
-        if not tail[i + 1]:  # then no earlier tail holds a state either
-            break
-        tail[i] = frozenset(q for r in tail[i + 1] for q in tail_sources.get((w[i], r), ()))
-
+    steps, w = _checked_section(rel, tape, word)
+    n, tail, moves = len(w), steps.tails(w), steps.moves
     start = (rel.initial, 0)
     delta: dict = {}
     seen, stack = {start}, [start]
     while stack:
         q, i = key = stack.pop()
         sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
-        for rest, targets in real.get((q, sym), ()):
+        for rest, targets in moves.get((q, sym), {}).items():
             out = delta.setdefault(key, {})[rest] = tuple([(r, nxt) for r in targets])
             fresh = [k for k in out if k not in seen]
             seen.update(fresh)
@@ -1397,23 +1358,160 @@ def section_graph(rel: Automaton, tape: int, word) -> _Graph:
     return _Graph(rel.arity - 1, rel.alphabet, start, accepting, delta)
 
 
-def _split_tape(rel: Automaton, tape: int) -> tuple:
-    """`rel`'s letters split by their symbol on `tape`, as (real,
-    tail_sources): real[(q, sym)] lists (rest, targets), the letters of q
-    that read sym on `tape` and something on another tape, with `tape`
-    dropped; tail_sources[(sym, r)] lists the states q with an edge into r
-    that reads sym on `tape` alone."""
-    real: dict = {}
-    tail_sources: dict = {}
-    for q, out in rel._delta.items():
-        for letter, targets in out.items():
-            rest = letter[:tape] + letter[tape + 1 :]
-            if all(s == PAD for s in rest):
-                for r in targets:
-                    tail_sources.setdefault((letter[tape], r), []).append(q)
+def section_words(rel: Automaton, tape: int, word, limit: int) -> list[WordTuple]:
+    """The first `limit` words of the section of `rel` at `word` on `tape`
+    in length-lexicographic order, `count_or_enumerate(section(rel, tape,
+    word), limit)`, read by the set steps `_SectionSteps` keeps: no key is
+    made per (state, position), and each position costs a few lookups once
+    the steps are known.
+
+    A word of length m reads m moves, then tail edges along the rest of
+    `word` when m is shorter, so m is a length of the section exactly when
+    the forward set after m moves meets tail[min(m, len(word))].  The
+    forward sets go on past `word` until one is empty; a padded forward
+    step keeps only the states that can still reach acceptance, so they
+    end for a finite section.  For each length found, one backward pass
+    gives live[i], the states at position i with moves into that tail set,
+    and `_descend` lists the words along them.
+    """
+    steps, w = _checked_section(rel, tape, word)
+    n, tail, out = len(w), steps.tails(w), []
+    forward, back = steps.forward, steps.back
+
+    def moves(states, i):  # at position i of the length being listed
+        return forward[states, syms[i]][0]
+
+    current, m = (rel.initial,), 0
+    while current and len(out) < limit:
+        end, sym = (tail[m], w[m]) if m < n else (tail[n], PAD)
+        if any(map(end.__contains__, current)):
+            if not m:
+                out.append(((),) * (rel.arity - 1))
             else:
-                real.setdefault((q, letter[tape]), []).append((rest, targets))
-    return real, tail_sources
+                syms = w[:m] + (PAD,) * (m - n)
+                live = [()] * m + [end]
+                for i in range(m - 1, 0, -1):
+                    live[i] = back[live[i + 1], syms[i]]
+                out.extend(_descend((rel.initial,), moves, live, limit - len(out)))
+        current = forward[current, sym][1]
+        m += 1
+    return out
+
+
+def _descend(start: tuple, moves: Callable, live: list, want: int) -> list:
+    """The first `want` words of len(live) - 1 letters, in letter order,
+    read from the set of states `start` by `moves(states, i)`, the (letter,
+    targets) pairs of `states` at position i in letter order, keeping to
+    live[i], the states at position i that end such a word, so that every
+    branch taken ends in a word.  The descent is depth first: the stack
+    holds the branches not yet taken, (position, letter, targets), the
+    least letter on top, so long words need no recursion and each letter
+    sequence is visited once even when the automaton is nondeterministic."""
+    length, out, path, stack = len(live) - 1, [], [], []
+
+    def push(i, states):  # the branches at position i, from `states`
+        inside = live[i + 1].__contains__
+        for letter, targets in reversed(moves(states, i)):
+            targets = tuple(filter(inside, targets))
+            if targets:
+                stack.append((i, letter, targets))
+
+    push(0, start)
+    while stack:
+        i, letter, states = stack.pop()
+        del path[i:]
+        path.append(letter)
+        if i + 1 < length:
+            push(i + 1, states)
+            continue
+        out.append(deconvolve(path))
+        if len(out) == want:
+            break
+    return out
+
+
+def _checked_section(rel: Automaton, tape: int, word) -> tuple:
+    """(`rel`'s `_SectionSteps` on `tape`, `word` as a tuple), once the
+    tape and the word's symbols are checked."""
+    _require_tape(rel, tape)
+    w = tuple(word)
+    symbols = set(rel.alphabet)
+    for s in w:
+        if s not in symbols:
+            raise InvalidSymbol(f"symbol {s!r} of the section word is not in the alphabet")
+    steps = rel._section_steps.get(tape)
+    if steps is None:
+        steps = rel._section_steps[tape] = _SectionSteps(rel, tape)
+    return steps, w
+
+
+class _SetSteps(dict):
+    """(sorted tuple of states, symbol) -> `make(states, symbol)`, made on
+    the first lookup of the key and kept."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(*key)
+        return got
+
+
+class _SectionSteps:
+    """The sections of one relation on one tape, read by set steps.
+
+    The relation's letters are split once by their symbol on the tape: a
+    move reads something on another tape (`moves[q, sym]`: the rest of the
+    letter, with the tape dropped -> its targets), and a tail edge reads the
+    tape alone, every other tape padded, so only tail edges follow it.  The
+    steps of a sorted tuple of states on a symbol are kept in three
+    `_SetSteps` tables, keyed by (states, symbol) and never by a position
+    in a word: `forward`, the set's merged moves in letter order and their
+    targets; `back` and `tail`, the states with a move or a tail edge into
+    the set.  Past the word the tape reads pad, and a forward step there
+    keeps only the states that can still reach acceptance by such moves."""
+
+    def __init__(self, rel: Automaton, tape: int):
+        moves: dict = {}
+        sources: dict = {}  # (sym, r) -> the states with a move into r on sym
+        tail_sources: dict = {}  # the same for tail edges
+        for q, out in rel._delta.items():
+            for letter, targets in out.items():
+                sym, rest = letter[tape], letter[:tape] + letter[tape + 1 :]
+                if all(s == PAD for s in rest):
+                    into = tail_sources
+                else:
+                    moves.setdefault((q, sym), {})[rest] = targets
+                    into = sources
+                for r in targets:
+                    into.setdefault((sym, r), []).append(q)
+        live = _search(rel.accepting, {r: qs for (sym, r), qs in sources.items() if sym == PAD})
+        lkey = _letter_key(rel.alphabet)
+
+        def forward(states, sym):
+            row = _merged(moves.get((q, sym), {}) for q in states)
+            targets = {r for rs in row.values() for r in rs}
+            if sym == PAD:
+                targets &= live
+            return sorted(row.items(), key=lambda move: lkey(move[0])), tuple(sorted(targets))
+
+        def before(edges):  # the states with an edge in `edges` into a set
+            return _SetSteps(lambda states, sym: tuple(sorted({q for r in states for q in edges.get((sym, r), ())})))
+
+        self.moves, self.accepting = moves, tuple(sorted(rel.accepting))
+        self.forward, self.back, self.tail = _SetSteps(forward), before(sources), before(tail_sources)
+
+    def tails(self, w: tuple) -> list:
+        """tail[i]: the states that accept w[i:] on the tape with every
+        other tape padded, for i up to len(w); tail[len(w)] is the
+        accepting states."""
+        tail = [()] * len(w) + [self.accepting]
+        for i in range(len(w) - 1, -1, -1):
+            if not tail[i + 1]:  # then no earlier tail holds a state either
+                break
+            tail[i] = self.tail[tail[i + 1], w[i]]
+        return tail
 
 
 # -- text format ---------------------------------------------------------

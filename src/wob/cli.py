@@ -3,6 +3,11 @@
 Exit codes: 0 ok, 1 negative verdict, 2 usage error, 3 budget exceeded,
 4 malformed or unreadable input, 5 internal error.  All output is
 deterministic for fixed inputs and seed.
+
+`wob chain MANIFEST N` prints the first N elements of the order `<`, one
+per line: the least element, then each one's one cover.  Two minimal
+elements or two covers mean the order is not linear (exit 4), and an
+element with no cover ends the chain early.
 """
 
 from __future__ import annotations
@@ -157,6 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     shown.add_argument("--trace", action="store_true")
     shown.add_argument("--json", action="store_true")
 
+    p = _action(sub, "chain", cmd_chain, json=True, help="print the first N elements of the order, each certified")
+    p.add_argument("manifest")
+    p.add_argument("count", metavar="N", type=_natural)
+    p.add_argument("--budget", type=_positive, default=au.DEFAULT_STATE_BUDGET)
+
     osub = _group(sub, "ord", "op", help="ordinal arithmetic in Cantor normal form")
     for op in ("add", "mul", "cmp", "fs", "pow"):
         p = _action(osub, op, cmd_ord, json=True)
@@ -297,6 +307,18 @@ def cmd_recognize(args) -> int:
         return NEGATIVE
     _emit(args, f"budget-exceeded level={got.level}", {"verdict": "budget-exceeded", "level": got.level})
     return BUDGET
+
+
+def cmd_chain(args) -> int:
+    p = rec.OrderPresentation(load_structure(args.manifest))
+    with au.state_budget(args.budget):
+        chain = [au.show_word(w) for w in rec.initial_chain(p, args.count)]
+    if args.json:
+        print(json.dumps({"chain": chain}, sort_keys=True))
+    else:
+        for word in chain:
+            print(word)
+    return OK
 
 
 def cmd_ord(args) -> int:

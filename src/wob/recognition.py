@@ -287,10 +287,11 @@ def initial_chain(p: OrderPresentation, count: int) -> list:
     """The first `count` elements of the order.  The first is certified least
     of the domain and each later one the one cover of its predecessor, both
     by automaton emptiness: the image of x under the successor relation is
-    the set of minimal elements of { y : x < y }, read off the section
-    graph of the successor relation at x without numbering it.  Two minimal
-    elements or two covers mean the order is not linear, and the error
-    names them; no cover ends the chain."""
+    the set of minimal elements of { y : x < y }, its first two words read
+    by `au.section_words`, whose set steps the successor relation keeps
+    from one element to the next.  Two minimal elements or two covers mean
+    the order is not linear, and the error names them; no cover ends the
+    chain."""
     out: list = []
     found = least_of(p, p.domain) if count > 0 else []
     while found:
@@ -302,5 +303,5 @@ def initial_chain(p: OrderPresentation, count: int) -> list:
         out.append(found[0])
         if len(out) == count:
             break
-        found = [w[0] for w in au.count_or_enumerate(au.section_graph(p.successor, 0, found[0]), 2)]
+        found = [w[0] for w in au.section_words(p.successor, 0, found[0], 2)]
     return out

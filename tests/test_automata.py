@@ -728,6 +728,50 @@ def test_section_graph_enumerates_as_the_section(data):
             assert au.save_automaton(au._numbered(graph), "s") == au.save_automaton(built, "s")
 
 
+# no shrinking, as above: each failing attempt would wait out its timer
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.data())
+def test_section_words_list_the_section(data):
+    # the memoized set steps give the numbered section's first words on
+    # every tape; one relation's steps are kept across its words and tapes,
+    # so most words here read tables that earlier words filled
+    seed = data.draw(st.integers(0, 10 ** 6))
+    kind = data.draw(st.sampled_from([2, 3, "llex"]))
+    rng = random.Random(seed)
+    if kind == "llex":
+        rel = au.llex_automaton(AB)
+    else:
+        rel = _random_nfa2(rng) if kind == 2 else _random_nfa3(rng)
+    for tape in range(rel.arity):
+        for word in words_upto(AB, 4):
+            for limit in (1, 2, 3, 4, 5, 100):
+                got = _within(1, au.section_words, rel, tape, word, limit)
+                assert got == au.count_or_enumerate(au.section(rel, tape, word), limit), (tape, word, limit)
+
+
+def test_section_words_of_an_infinite_section():
+    # llex's sections on tape 0 are infinite: the read stops at the limit
+    llex = au.llex_automaton(AB)
+    assert _within(1, au.section_words, llex, 0, "ab", 5) == [(tuple(w),) for w in ("ba", "bb", "aaa", "aab", "aba")]
+    assert au.section_words(llex, 0, "ab", 0) == []
+    word = "a" * 1500
+    assert _within(5, au.section_words, llex, 0, word, 2) == au.count_or_enumerate(au.section(llex, 0, word), 2)
+    with pytest.raises(InvalidSymbol):
+        au.section_words(llex, 0, "ac", 2)
+    with pytest.raises(CannotProject):
+        au.section_words(llex, 2, "ab", 2)
+
+
+def test_section_words_end_where_the_padded_sets_cannot_accept():
+    # past x = "a", y = "a" is accepted and every longer y enters state 2,
+    # which loops on (#, a) and never reaches acceptance: the forward sets
+    # past the word keep only states that can, so the read ends
+    rel = au.automaton(2, AB, 3, 0, {1}, [(0, ("a", "a"), 1), (1, (au.PAD, "a"), 2), (2, (au.PAD, "a"), 2)])
+    for limit in (1, 2, 100):
+        assert _within(1, au.section_words, rel, 0, "a", limit) == [(("a",),)]
+    assert au.count_or_enumerate(au.section(rel, 0, "a"), 2) == [(("a",),)]
+
+
 # no shrinking: a smaller seed is no smaller relation, and each failing
 # attempt would wait out its timer
 @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))

@@ -19,7 +19,7 @@ from wob import automata as au
 from wob import cli, corpus
 from wob.cli import main
 from wob.errors import LoadError, WobError
-from wob.logic import eval_sentence, load_structure, parse_formula, save_structure
+from wob.logic import Structure, eval_sentence, load_structure, parse_formula, save_structure
 
 
 def run_cli(args, capsys):
@@ -115,6 +115,53 @@ def test_recognize_counts_a_large_finite_order(tmp_path, capsys):
     code, out = run_cli(["recognize", manifest, "--json"], capsys)
     assert code == 0
     assert json.loads(out) == {"verdict": "well-order", "cnf": "131071"}
+
+
+OMEGA_SQ_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "omega_sq" / "omega_sq.manifest")
+
+
+def test_chain_prints_the_initial_segment(capsys):
+    # one element a line, or one JSON object; b separates the digit word's
+    # blocks, so these are (0, 0, k) for k = 0..5
+    want = ["bb", "bba", "bbaa", "bbaaa", "bbaaaa", "bbaaaaa"]
+    code, out = run_cli(["chain", OMEGA_SQ_MANIFEST, "6"], capsys)
+    assert code == 0
+    assert out.splitlines() == want
+    code, out = run_cli(["chain", OMEGA_SQ_MANIFEST, "6", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"chain": want}
+
+
+def test_chain_of_no_elements(capsys):
+    assert run_cli(["chain", OMEGA_SQ_MANIFEST, "0"], capsys) == (0, "")
+    code, out = run_cli(["chain", OMEGA_SQ_MANIFEST, "0", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"chain": []}
+
+
+def test_chain_budget_exit_prints_json(capsys):
+    code, out = run_cli(["chain", OMEGA_SQ_MANIFEST, "3", "--budget", "2", "--json"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "budget-exceeded", "states": 3, "budget": 2}
+
+
+def test_chain_of_an_order_with_two_covers_is_malformed(tmp_path, capsys):
+    # in the strict-prefix order the empty word is least and both
+    # one-letter words cover it
+    ab = ("0", "1")
+
+    def prefix(v, letter):  # 1 once x has ended inside y
+        if letter[0] == au.PAD:
+            return 1
+        return 0 if v == 0 and letter[0] == letter[1] else None
+
+    order = au.letter_dfa(ab, 2, 0, prefix, lambda v: v == 1)
+    manifest = save_structure(Structure(name="prefix", domain=au.universe(ab, 1), relations={"<": order}), tmp_path)
+    code = main(["chain", manifest, "5"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "element '' has two covers, '0' and '1'; order is not linear" in captured.err
 
 
 def test_query_compiled_out(tmp_path, capsys):
@@ -717,6 +764,7 @@ def leaf_actions(parser, path=(), dests=()):
 LEAF_RUNS = {
     ("query",): ["query", OMEGA_MANIFEST, "(exists x (= x x))"],
     ("recognize",): ["recognize", OMEGA_MANIFEST],
+    ("chain",): ["chain", OMEGA_MANIFEST, "3"],
     ("ord", "add"): ["ord", "add", "1", "w"],
     ("ord", "mul"): ["ord", "mul", "2", "w"],
     ("ord", "cmp"): ["ord", "cmp", "2", "w"],
@@ -801,7 +849,7 @@ FORMULA_FILES = {f"{{tmp}}/formulas/{i}.fo": text for i, text in enumerate(all_t
 SENTENCE_FILES = sorted(name for name, text in FORMULA_FILES.items() if not parse_formula(text).free_vars())
 # the actions that read those files; at each level one of them is drawn
 # half the time, so that a fixed share of the examples reaches a file
-READS_FILES = {"query", "recognize", "pathology", "kreisel"}
+READS_FILES = {"query", "recognize", "chain", "pathology", "kreisel"}
 # the values the fuzz gives each argument, by destination, or where one
 # action takes values of its own by "COMMAND destination" (an option) or
 # the action's path (its machine); {tmp} is a scratch directory, and the
@@ -823,7 +871,7 @@ VALUES = {
     "query budget": st.one_of(BUDGETS, st.just("1000")),
     "left": ORDINALS, "right": ORDINALS, "alpha": ORDINALS, "beta": ORDINALS,
     "index": SMALL + EDGE, "x": SMALL + EDGE, "y": SMALL + EDGE, "start": SMALL + EDGE,
-    "length": SMALL + EDGE, "depth": SMALL + EDGE, "max_levels": SMALL + EDGE,
+    "length": SMALL + EDGE, "depth": SMALL + EDGE, "max_levels": SMALL + EDGE, "count": SMALL + EDGE,
     # 40 puts a wf-check fragment past the state budget, refused before
     # the relation is read; 14300 puts its count past the digits an int prints
     "word_len": ["0", "1", "2", "40", "14300"] + EDGE, "run_len": ["0", "1", "2", "40", "14300"] + EDGE,

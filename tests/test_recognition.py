@@ -475,6 +475,41 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
     assert long["join_graph"] == short["join_graph"]
 
 
+def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
+    # each cover is read by the successor relation's memoized set steps:
+    # no section graph is searched, and the one enumeration is least_of's,
+    # however long the chain.  The steps are keyed by (set of states,
+    # symbol), never by a position in a word, so their tables stay small
+    # after 200 elements
+    calls = dict.fromkeys(("section_graph", "count_or_enumerate"), 0)
+
+    def count(name):
+        fn = getattr(au, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(au, name, counted)
+
+    for name in calls:
+        count(name)
+
+    def run(name, length):
+        p = OrderPresentation(logic.load_structure(CORPUS_DIR / name / f"{name}.manifest"))
+        for key in calls:
+            calls[key] = 0
+        assert len(initial_chain(p, length)) == length
+        return p, dict(calls)
+
+    assert run("mixed", 10)[1] == run("mixed", 40)[1] == {"section_graph": 0, "count_or_enumerate": 1}
+    for name in ("omega", "omega_sq", "mixed", "omega_cube"):
+        succ = run(name, 200)[0].successor
+        (steps,) = succ._section_steps.values()
+        entries = len(steps.forward) + len(steps.back) + len(steps.tail)
+        assert entries < 4 * succ.n_states * (len(succ.alphabet) + 1), (name, entries)
+
+
 def test_interval_product_built_once_across_budgets(monkeypatch):
     # what a presentation builds is the same under any budget: recognizing
     # under one budget and then reading the chain under the default
