@@ -32,13 +32,16 @@ letters that become all-pad as empty moves; `join_graph`, given a tape,
 drops it as its search goes, so a product that is only projected, minimized
 or joined again is never built.  `permute_tapes` numbers its operand's
 moves with their letters permuted.  `minimize`, `is_subset` and
-`difference` take the graphs, so a projection that is only minimized or
-searched is never built.  `section_words` lists a section's first words by
-set steps over the word, memoized on the relation (`_SectionSteps`), so a
-section that is only enumerated is neither built nor searched;
-`count_or_enumerate` lists an automaton's or a graph's words, both by one
-descent (`_descend`), and `count_words` counts a finite language on its
-minimal DFA without listing it.  Inclusion is one subset product,
+`difference` take the graphs (`Operand`), so a projection that is only
+minimized or searched is never built.  One split of a relation's letters
+per tape, memoized on the relation (`_SectionSteps`), serves `section`,
+`section_words` and `count_or_enumerate`: `section` numbers its moves over
+(state, position) keys, and `section_words` lists a section's first words
+by set steps over the word, so a section that is only enumerated is
+neither built nor searched; `count_or_enumerate` lists an automaton's
+words by the same steps with no tape fixed, one descent (`_descend`) for
+each length, and `count_words` counts a finite language on its minimal
+DFA without listing it.  Inclusion is one subset product,
 `_difference_graph`: `difference` builds it, and `is_subset` and
 `is_subset_of_cube` search it up to the first counterexample; `is_irreflexive` and `is_total` search
 graphs of their own the same way (`_reaches_acceptance`), so a relation's
@@ -50,10 +53,10 @@ DEFAULT_STATE_BUDGET.
 There is one subset step: a set of states is a sorted tuple, and its row,
 letter -> sorted tuple of targets, is merged from its states' rows by
 `_merged` alone.  Reads and the subset product take a set's row from
-`_row`, which an automaton keeps in `_subset_steps`; a section's steps
-merge a set's moves on one symbol once and keep them in the relation's
-`_section_steps`; enumeration and Brzozowski's reversal merge theirs where
-they step.
+`_row`, which an automaton keeps in `_subset_steps`; the steps of sections
+and enumeration merge a set's moves on one symbol once and keep them in
+the relation's `_section_steps`; Brzozowski's reversal merges its own
+where it steps.
 
 Symbols are arbitrary non-reserved tokens; `show_word` prints a word as a
 plain string when every symbol is a single character.
@@ -66,7 +69,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache, cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -263,7 +266,8 @@ class Automaton:
     def _section_steps(self) -> dict:
         """tape -> `_SectionSteps(self, tape)`, the split of this relation's
         letters on that tape and its memoized set steps, made by the first
-        section on that tape (see `section_words`)."""
+        section on that tape; None -> the steps with no tape fixed, made by
+        the first `count_or_enumerate` (see `_checked_section`)."""
         return {}
 
     def _row(self, states: tuple) -> dict:
@@ -663,7 +667,7 @@ def _valid_letters(alphabet, arity):
 # -- boolean operations -------------------------------------------------
 
 
-def _require_compatible(a: Automaton, b: Automaton):
+def _require_compatible(a: Operand, b: Operand):
     if a.arity != b.arity:
         raise ArityMismatch(f"arity {a.arity} vs {b.arity}")
     if a.alphabet != b.alphabet:
@@ -682,10 +686,10 @@ def join(a: Automaton, a_tapes: Sequence[int], b: Automaton, b_tapes: Sequence[i
     tapes of it.  The maps are injective and together cover the result
     tapes; a tape both sides map to carries one word for both.  The
     product's graph is `_join_graph`'s, numbered by `_canonical`; a product
-    that is only projected, minimized or joined again is `join_graph`.
-    `_numbered(join_graph(...))` saves the same bytes, but its second pass
-    made the battery compile slower (405 → 428 ms, least of 15 on 2
-    vCPUs), so `join` keeps its one pass."""
+    that is only projected, minimized or joined again is `join_graph`.  A
+    second numbering of `join_graph`'s rows saves the same bytes, but its
+    second pass made the battery compile slower (405 → 428 ms, least of 15
+    on 2 vCPUs), so `join` keeps its one pass."""
     arity, *graph = _join_graph(a, a_tapes, b, b_tapes)
     return _canonical(arity, a.alphabet, *graph)
 
@@ -828,7 +832,7 @@ def union(a: Automaton, b: Automaton) -> Automaton:
     return _canonical(a.arity, a.alphabet, (2, None), acc, moves)
 
 
-def _difference_graph(a: Automaton, b: Automaton, tape: Optional[int] = None):
+def _difference_graph(a: Operand, b: Operand, tape: Optional[int] = None):
     """L(a) minus L(b) as an implicit graph, in the (start, accepting, moves)
     form `_canonical` takes.
 
@@ -878,14 +882,14 @@ def _reaches_acceptance(start, accepting, moves) -> bool:
     return False
 
 
-def difference(a: Automaton, b: Automaton) -> Automaton:
+def difference(a: Automaton, b: Operand) -> Automaton:
     """L(a) minus L(b): the difference graph, built.  `b` may be a
     projection graph (see `projection_graph`)."""
     _require_compatible(a, b)
     return _canonical(a.arity, a.alphabet, *_difference_graph(a, b))
 
 
-def is_subset(small: Automaton, big: Automaton) -> bool:
+def is_subset(small: Operand, big: Operand) -> bool:
     """L(small) subseteq L(big): the difference graph, searched until its
     first accepting key.  Either operand may be a projection graph."""
     _require_compatible(small, big)
@@ -996,52 +1000,12 @@ def count_or_enumerate(a: Automaton, limit: int) -> list[WordTuple]:
     declared symbol order with PAD sorting first.  This order restricted to
     arity 1 is the built-in llex relation.
 
-    `a` is read through `arity`, `alphabet`, `initial`, `accepting` and
-    `_delta` alone, so it may be a graph (`section_graph`), read without
-    being numbered; a section that is only listed is read faster by
-    `section_words`.  The words do not depend on a numbering, and the
-    enumeration keeps to the states reachable from `a.initial`: one
-    forward search gives them and their back edges, and acceptance is
-    searched back along those edges only.  A graph built by a forward
-    search holds only reachable keys, so the states its trimmed numbering
-    keeps are its coreachable ones, and the layers below end exactly where
-    they end on that numbering.  Each length the layers reach is listed by
-    `_descend`, kept to the layers.
+    The words are listed by `a`'s set steps with no tape fixed, as a
+    section's are (`_SectionSteps.words`): every letter is a move, and the
+    tail set is the accepting states.  They do not depend on a numbering,
+    and an untrimmed automaton lists the words of its trimmed one.
     """
-    out: list[WordTuple] = []
-    if limit <= 0:
-        return out
-    delta = a._delta
-    back: dict = {}  # the back edges of the reachable states
-    seen, stack = {a.initial}, [a.initial]
-    while stack:
-        q = stack.pop()
-        for targets in delta.get(q, {}).values():
-            for r in targets:
-                back.setdefault(r, []).append(q)
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-    if a.initial in a.accepting:
-        out.append(((),) * a.arity)
-    # layers[m]: the reachable states that reach acceptance in exactly m
-    # steps.  A word longer than m passes through layer m, so once a layer is
-    # empty no longer word exists; in an infinite language no layer is empty.
-    layers = [a.accepting & seen]
-    lkey = _letter_key(a.alphabet)
-
-    def moves(states, i):  # one state's row is read bare, a set's merged
-        row = delta.get(states[0], {}) if len(states) == 1 else _merged(delta.get(q, {}) for q in states)
-        return sorted(row.items(), key=lambda move: lkey(move[0]))
-
-    while len(out) < limit:
-        layer = {p for q in layers[-1] for p in back.get(q, ())}
-        if not layer:
-            break
-        layers.append(layer)
-        if a.initial in layer:
-            out.extend(_descend((a.initial,), moves, layers[::-1], limit - len(out)))
-    return out
+    return _checked_section(a, None)[0].words((), limit)
 
 
 def count_words(a: Automaton) -> int:
@@ -1061,7 +1025,7 @@ def count_words(a: Automaton) -> int:
     return words
 
 
-def minimize(a: Automaton) -> Automaton:
+def minimize(a: Operand) -> Automaton:
     """Language-equivalent minimal (partial, trimmed) DFA, by double
     reversal (Brzozowski 1962).
 
@@ -1077,7 +1041,7 @@ def minimize(a: Automaton) -> Automaton:
     return _reverse_subsets(_reverse_subsets(a))
 
 
-def _reverse_subsets(a: Automaton) -> Automaton:
+def _reverse_subsets(a: Operand) -> Automaton:
     """The subset construction over `a`'s edges read backwards, from its
     accepting set: a set is a sorted tuple, its row the merge (`_merged`)
     of its states' back edges, and it accepts when it holds `a.initial`."""
@@ -1206,10 +1170,10 @@ def permute_tapes(a: Automaton, perm: Sequence[int]) -> Automaton:
 @record
 class _Graph:
     """An automaton before numbering: a search's rows (`join_graph`,
-    `projection_graph`), over the ints `_explored` gave its keys, or a
-    section's (`section_graph`), over the (state, position) keys its search
-    reached.  Every row maps a letter to a sorted tuple of distinct
-    targets, as an Automaton's does."""
+    `projection_graph`), over the ints `_explored` gave its keys.  Every
+    row maps a letter to a sorted tuple of distinct targets, as an
+    Automaton's does, so the constructions that read an automaton only
+    through these fields and `_row` take either (`Operand`)."""
 
     arity: int
     alphabet: tuple
@@ -1225,6 +1189,9 @@ class _Graph:
         if len(states) == 1:
             return self._delta.get(states[0], {})
         return _merged(self._delta.get(q, {}) for q in states)
+
+
+Operand = Union[Automaton, _Graph]  # an operand of `minimize`, `difference` or `is_subset`
 
 
 # -- common relation automata -------------------------------------------
@@ -1311,91 +1278,33 @@ def fixed_word(alphabet, word) -> Automaton:
 
 def section(rel: Automaton, tape: int, word) -> Automaton:
     """Fix one tape of a relation to a constant word and project it away:
-    the section graph (see `section_graph`), numbered."""
-    return _numbered(section_graph(rel, tape, word))
-
-
-def _numbered(g: _Graph) -> Automaton:
-    """The automaton of a section graph: `_canonical`'s BFS over it."""
-
-    def moves(q):
-        for rest, targets in g._delta.get(q, {}).items():
-            for r in targets:
-                yield (rest,), r
-
-    return _canonical(g.arity, g.alphabet, g.initial, g.accepting.__contains__, moves)
-
-
-def section_graph(rel: Automaton, tape: int, word) -> _Graph:
-    """The section of `rel` at `word` on `tape` (see `section`), unnumbered:
-    a `_Graph` over (state, position in word) keys, holding the keys a
-    forward search from (rel.initial, 0) reaches.
-
-    A letter whose other tapes all read pad can only be followed by such
-    letters, so those letters are not moves: whether the rest of the word
-    can be read that way is looked up in `tail[i]`, the states that accept
-    `word[i:]` on `tape` with every other tape padded (`_SectionSteps.tails`,
-    the memoized steps `section_words` reads too).  For one (state,
-    symbol), distinct letters have distinct rests, so a key's row lists its
-    moves in `rel`'s letter order, as `_numbered` reads them.  The keys are
-    at most `rel`'s states times the word's positions, so the search reads
-    no state budget; `section` reads it in its BFS.
-    """
+    `_canonical`'s BFS over (state of `rel`, position in `word`) keys, along
+    the moves `_SectionSteps` splits off.  A letter whose other tapes all
+    read pad is followed only by such letters, so it is no move: key (q, i)
+    accepts when q reads the rest of the word that way (`tails`).  For one
+    (state, symbol), distinct letters have distinct rests, so a key's moves
+    keep `rel`'s letter order."""
     steps, w = _checked_section(rel, tape, word)
-    n, tail, moves = len(w), steps.tails(w), steps.moves
-    start = (rel.initial, 0)
-    delta: dict = {}
-    seen, stack = {start}, [start]
-    while stack:
-        q, i = key = stack.pop()
+    n, tail, split = len(w), steps.tails(w), steps.moves
+
+    def moves(key):
+        q, i = key
         sym, nxt = (w[i], i + 1) if i < n else (PAD, n)
-        for rest, targets in moves.get((q, sym), {}).items():
-            out = delta.setdefault(key, {})[rest] = tuple([(r, nxt) for r in targets])
-            fresh = [k for k in out if k not in seen]
-            seen.update(fresh)
-            stack.extend(fresh)
-    accepting = frozenset(k for k in seen if k[0] in tail[k[1]])
-    return _Graph(rel.arity - 1, rel.alphabet, start, accepting, delta)
+        for rest, targets in split.get((q, sym), {}).items():
+            for r in targets:
+                yield (rest,), (r, nxt)
+
+    return _canonical(rel.arity - 1, rel.alphabet, (rel.initial, 0), lambda key: key[0] in tail[key[1]], moves)
 
 
 def section_words(rel: Automaton, tape: int, word, limit: int) -> list[WordTuple]:
     """The first `limit` words of the section of `rel` at `word` on `tape`
     in length-lexicographic order, `count_or_enumerate(section(rel, tape,
-    word), limit)`, read by the set steps `_SectionSteps` keeps: no key is
-    made per (state, position), and each position costs a few lookups once
-    the steps are known.
-
-    A word of length m reads m moves, then tail edges along the rest of
-    `word` when m is shorter, so m is a length of the section exactly when
-    the forward set after m moves meets tail[min(m, len(word))].  The
-    forward sets go on past `word` until one is empty; a padded forward
-    step keeps only the states that can still reach acceptance, so they
-    end for a finite section.  For each length found, one backward pass
-    gives live[i], the states at position i with moves into that tail set,
-    and `_descend` lists the words along them.
-    """
+    word), limit)`, read by the set steps `_SectionSteps` keeps (see
+    `_SectionSteps.words`): no key is made per (state, position), and each
+    position costs a few lookups once the steps are known."""
     steps, w = _checked_section(rel, tape, word)
-    n, tail, out = len(w), steps.tails(w), []
-    forward, back = steps.forward, steps.back
-
-    def moves(states, i):  # at position i of the length being listed
-        return forward[states, syms[i]][0]
-
-    current, m = (rel.initial,), 0
-    while current and len(out) < limit:
-        end, sym = (tail[m], w[m]) if m < n else (tail[n], PAD)
-        if any(map(end.__contains__, current)):
-            if not m:
-                out.append(((),) * (rel.arity - 1))
-            else:
-                syms = w[:m] + (PAD,) * (m - n)
-                live = [()] * m + [end]
-                for i in range(m - 1, 0, -1):
-                    live[i] = back[live[i + 1], syms[i]]
-                out.extend(_descend((rel.initial,), moves, live, limit - len(out)))
-        current = forward[current, sym][1]
-        m += 1
-    return out
+    return steps.words(w, limit)
 
 
 def _descend(start: tuple, moves: Callable, live: list, want: int) -> list:
@@ -1430,10 +1339,13 @@ def _descend(start: tuple, moves: Callable, live: list, want: int) -> list:
     return out
 
 
-def _checked_section(rel: Automaton, tape: int, word) -> tuple:
+def _checked_section(rel: Automaton, tape: Optional[int], word=()) -> tuple:
     """(`rel`'s `_SectionSteps` on `tape`, `word` as a tuple), once the
-    tape and the word's symbols are checked."""
-    _require_tape(rel, tape)
+    tape and the word's symbols are checked; with tape None, the steps with
+    no tape fixed.  The steps are made on the first call and kept in
+    `rel._section_steps`."""
+    if tape is not None:
+        _require_tape(rel, tape)
     w = tuple(word)
     symbols = set(rel.alphabet)
     for s in w:
@@ -1459,27 +1371,33 @@ class _SetSteps(dict):
 
 
 class _SectionSteps:
-    """The sections of one relation on one tape, read by set steps.
+    """The sections of one relation on one tape, read by set steps; with no
+    tape (None), the relation's own words.
 
     The relation's letters are split once by their symbol on the tape: a
     move reads something on another tape (`moves[q, sym]`: the rest of the
     letter, with the tape dropped -> its targets), and a tail edge reads the
-    tape alone, every other tape padded, so only tail edges follow it.  The
-    steps of a sorted tuple of states on a symbol are kept in three
-    `_SetSteps` tables, keyed by (states, symbol) and never by a position
-    in a word: `forward`, the set's merged moves in letter order and their
-    targets; `back` and `tail`, the states with a move or a tail edge into
-    the set.  Past the word the tape reads pad, and a forward step there
-    keeps only the states that can still reach acceptance by such moves."""
+    tape alone, every other tape padded, so only tail edges follow it.
+    With no tape, every letter is a move on PAD, whole, and there are no
+    tail edges.  The steps of a sorted tuple of states on a symbol are kept
+    in three `_SetSteps` tables, keyed by (states, symbol) and never by a
+    position in a word: `forward`, the set's merged moves in letter order
+    and their targets; `back` and `tail`, the states with a move or a tail
+    edge into the set.  Past the word the tape reads pad, and a forward step
+    there keeps only the states that can still reach acceptance by such
+    moves."""
 
-    def __init__(self, rel: Automaton, tape: int):
+    def __init__(self, rel: Automaton, tape: Optional[int]):
         moves: dict = {}
         sources: dict = {}  # (sym, r) -> the states with a move into r on sym
         tail_sources: dict = {}  # the same for tail edges
         for q, out in rel._delta.items():
             for letter, targets in out.items():
-                sym, rest = letter[tape], letter[:tape] + letter[tape + 1 :]
-                if all(s == PAD for s in rest):
+                if tape is None:
+                    sym, rest = PAD, letter
+                else:
+                    sym, rest = letter[tape], letter[:tape] + letter[tape + 1 :]
+                if rest.count(PAD) == len(rest):
                     into = tail_sources
                 else:
                     moves.setdefault((q, sym), {})[rest] = targets
@@ -1500,6 +1418,7 @@ class _SectionSteps:
             return _SetSteps(lambda states, sym: tuple(sorted({q for r in states for q in edges.get((sym, r), ())})))
 
         self.moves, self.accepting = moves, tuple(sorted(rel.accepting))
+        self.initial, self.arity = rel.initial, rel.arity - (tape is not None)
         self.forward, self.back, self.tail = _SetSteps(forward), before(sources), before(tail_sources)
 
     def tails(self, w: tuple) -> list:
@@ -1512,6 +1431,40 @@ class _SectionSteps:
                 break
             tail[i] = self.tail[tail[i + 1], w[i]]
         return tail
+
+    def words(self, w: tuple, limit: int) -> list[WordTuple]:
+        """The first `limit` words of the section at `w`, in
+        length-lexicographic order (with no tape, `w` is empty).
+
+        A word of length m reads m moves, then tail edges along the rest of
+        `w` when m is shorter, so m is a length of the section exactly when
+        the forward set after m moves meets tail[min(m, len(w))].  The
+        forward sets go on past `w` until one is empty; a padded forward
+        step keeps only the states that can still reach acceptance, so they
+        end for a finite section.  For each length found, one backward pass
+        gives live[i], the states at position i with moves into that tail
+        set, and `_descend` lists the words along them."""
+        n, tail, out = len(w), self.tails(w), []
+        forward, back = self.forward, self.back
+
+        def moves(states, i):  # at position i of the length being listed
+            return forward[states, syms[i]][0]
+
+        current, m = (self.initial,), 0
+        while current and len(out) < limit:
+            end, sym = (tail[m], w[m]) if m < n else (tail[n], PAD)
+            if any(map(end.__contains__, current)):
+                if not m:
+                    out.append(((),) * self.arity)
+                else:
+                    syms = w[:m] + (PAD,) * (m - n)
+                    live = [()] * m + [end]
+                    for i in range(m - 1, 0, -1):
+                        live[i] = back[live[i + 1], syms[i]]
+                    out.extend(_descend((self.initial,), moves, live, limit - len(out)))
+            current = forward[current, sym][1]
+            m += 1
+        return out
 
 
 # -- text format ---------------------------------------------------------

@@ -7,7 +7,8 @@ deterministic for fixed inputs and seed.
 `wob chain MANIFEST N` prints the first N elements of the order `<`, one
 per line: the least element, then each one's one cover.  Two minimal
 elements or two covers mean the order is not linear (exit 4), and an
-element with no cover ends the chain early.
+element with no cover ends the chain early.  For N > 0, an order with no
+least element exits 1 (`not-well-order: no least element`).
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ def cmd_chain(args) -> int:
     p = rec.OrderPresentation(load_structure(args.manifest))
     with au.state_budget(args.budget):
         chain = [au.show_word(w) for w in rec.initial_chain(p, args.count)]
+    if args.count and not chain:  # a domain is never empty, so the order has no least element
+        payload = {"chain": [], "evidence": "no-least-element", "verdict": "not-well-order"}
+        return _fail(args, NEGATIVE, "not-well-order: no least element", payload)
     if args.json:
         print(json.dumps({"chain": chain}, sort_keys=True))
     else:

@@ -139,6 +139,25 @@ def test_chain_of_no_elements(capsys):
     assert json.loads(out) == {"chain": []}
 
 
+ZLINE_MANIFEST = str(Path(__file__).resolve().parent.parent / "corpus" / "zline" / "zline.manifest")
+
+
+def test_chain_of_an_order_with_no_least_element(capsys):
+    # the integer line has no least element: a negative verdict, never the
+    # empty chain that N = 0 prints
+    code = main(["chain", ZLINE_MANIFEST, "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "not-well-order: no least element\n"
+    code, out = run_cli(["chain", ZLINE_MANIFEST, "3", "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"chain": [], "evidence": "no-least-element", "verdict": "not-well-order"}
+    assert run_cli(["chain", ZLINE_MANIFEST, "0"], capsys) == (0, "")
+    code, out = run_cli(["chain", ZLINE_MANIFEST, "0", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"chain": []}
+
+
 def test_chain_budget_exit_prints_json(capsys):
     code, out = run_cli(["chain", OMEGA_SQ_MANIFEST, "3", "--budget", "2", "--json"], capsys)
     assert code == 3

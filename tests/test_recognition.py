@@ -477,11 +477,11 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
 
 def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
     # each cover is read by the successor relation's memoized set steps:
-    # no section graph is searched, and the one enumeration is least_of's,
+    # no section is built, and the one enumeration is least_of's,
     # however long the chain.  The steps are keyed by (set of states,
     # symbol), never by a position in a word, so their tables stay small
     # after 200 elements
-    calls = dict.fromkeys(("section_graph", "count_or_enumerate"), 0)
+    calls = dict.fromkeys(("section", "count_or_enumerate"), 0)
 
     def count(name):
         fn = getattr(au, name)
@@ -502,7 +502,7 @@ def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
         assert len(initial_chain(p, length)) == length
         return p, dict(calls)
 
-    assert run("mixed", 10)[1] == run("mixed", 40)[1] == {"section_graph": 0, "count_or_enumerate": 1}
+    assert run("mixed", 10)[1] == run("mixed", 40)[1] == {"section": 0, "count_or_enumerate": 1}
     for name in ("omega", "omega_sq", "mixed", "omega_cube"):
         succ = run(name, 200)[0].successor
         (steps,) = succ._section_steps.values()
