@@ -1,0 +1,202 @@
+"""The timed gates of the CI workflow, each one function with its bound and
+timeout written once beside it.  The benchmark's workloads stop at small
+inputs, so a cost that grows with the height of an order, the length of a
+chain or the size of the RPI relation shows only here.
+
+    PYTHONPATH=src python scripts/gates.py [NAME ...]
+
+runs the named gates, or all of them, one at a time, each in a fresh child
+process that is killed at the gate's timeout.  It prints each gate's time
+against its timeout and exits 1 naming the first gate that fails or times
+out, or 2 on a name that is no gate.
+"""
+import contextlib
+import io
+import multiprocessing
+import random
+import sys
+import tempfile
+import time
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from conftest import binary_llex, ladder  # noqa: E402  (it puts src/ on the path)
+from wob import automata as au  # noqa: E402
+from wob import cli, corpus, logic, tm  # noqa: E402
+from wob import ordinals as o  # noqa: E402
+from wob import recognition as rec  # noqa: E402
+
+GATES = {}  # name -> (gate function, timeout in seconds)
+
+
+def counted_sets():
+    """The last level and a finite top class are counted on their minimal
+    DFA, not listed: 2^41 - 1 elements, and w followed by 2^31 - 2, come
+    back exact in well under a second."""
+    for name, blocks, want in [
+        ("bin40", [binary_llex(("0", "1"), 0, 40)], "2199023255551"),
+        ("w_bin30", [corpus.run_block(("a", "0", "1"), "a"), binary_llex(("a", "0", "1"), 1, 30)], "w+2147483646"),
+    ]:
+        got = rec.recognize(rec.OrderPresentation(corpus.block_sum(name, blocks).structure))
+        assert isinstance(got, rec.WellOrder) and got.cnf == o.parse(want), (name, got)
+        print(name + ":", o.show(got.cnf))
+
+
+GATES["counted_sets"] = (counted_sets, 5)
+
+
+def ladder_recognized(k):
+    """The benchmark's recognize workload stops at w^3, so a slowdown that
+    grows with the power of w shows only on a taller order.  Each level
+    searches its interval product once, so the cost grows with the height
+    of the order; k=20 has 21 levels."""
+    p = ladder(k)
+    got = rec.recognize(rec.OrderPresentation(p.structure))
+    assert isinstance(got, rec.WellOrder) and got.cnf == p.expected_cnf, got
+    print(f"ladder{k}:", o.show(got.cnf))
+
+
+for k, timeout in [(14, 30), (20, 60)]:
+    GATES[f"ladder{k}"] = (partial(ladder_recognized, k), timeout)
+
+
+def chains(names, length):
+    """The benchmark's chain workload stops at 40 elements, so a cost that
+    grows with the length of a chain shows only on a longer one.  Each
+    cover is read by memoized set steps, a few lookups a letter, so the
+    chain's cost grows with the sum of its elements' lengths; a read that
+    builds a graph per element again shows on a longer chain.  Each chain
+    is checked to rise by its presentation's own reference order."""
+    less = {p.name: p.ref_less for p in corpus.well_order_corpus()}
+    for name in names:
+        p = rec.OrderPresentation(logic.load_structure(ROOT / "corpus" / name / f"{name}.manifest"))
+        chain = rec.initial_chain(p, length)
+        assert len(chain) == length, (name, len(chain))
+        assert all(less[name](x, y) for x, y in zip(chain, chain[1:])), name
+        print(f"{name}: {length} elements, the last of length {len(chain[-1])}")
+
+
+GATES["chains"] = (partial(chains, ["omega", "omega_sq", "mixed", "omega_cube"], 200), 20)
+GATES["chain1000"] = (partial(chains, ["omega_cube"], 1000), 15)
+
+
+def rpi_memory():
+    """Reads go through the RPI relation's reader, which fills only the rows
+    they reach: 200 reads leave the relation unbuilt, fill fewer than 400
+    of its rows and keep a bounded step table: fewer than 1,000 sets of
+    states, whose merged rows hold fewer than 2,000 letters, so a merge
+    that keeps too much shows.  A 200/201-bit read settles each step's
+    unchanged tail by one set test, whose per-set loop table must stay
+    under 1,000 sets too.  Built on request, the relation keeps one copy
+    of its moves, its transition index; an eager second copy (its
+    triples, or pre-expanded edge lists) shows in the build's peak."""
+    bound = 12  # MB traced, for the reads and for the build
+    machine = tm.kreisel_comparator(False)  # builtin:comparator
+    tracemalloc.start()
+    rpi = tm.build_rpi(machine, pi_tag="builtin:comparator")
+    # 200 reads of pairs x <llex y of lengths 16-40, each accepted
+    rng = random.Random(1)
+    for _ in range(200):
+        x, y = ("".join(rng.choice("01") for _ in range(rng.randint(16, 40))) for _ in range(2))
+        small, big = sorted((x, y), key=lambda w: (len(w), w))
+        if small != big:
+            assert tm.emb_path(rpi, small, big) is not None, (small, big)
+    x, y = ("".join(rng.choice("01") for _ in range(n)) for n in (200, 201))
+    assert tm.emb_path(rpi, x, y) is not None
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    table = rpi.reader._subset_steps  # each set of states reached -> its merged row
+    rows, steps, letters = len(rpi.reader._delta), len(table), sum(map(len, table.values()))
+    loops = len(rpi.reader._subset_loops)  # each set a tail was settled on -> its looping symbols
+    print(f"200 emb_path reads and a 200/201-bit one traced peak: {peak:.2f} MB of {bound} MB, rows filled: {rows}, "
+          f"step table: {steps} sets holding {letters} row letters, loop table: {loops} sets")
+    assert "relation" not in rpi.__dict__
+    assert rows < 400, rows
+    assert steps < 1000, steps
+    assert letters < 2000, letters
+    assert loops < 1000, loops
+    assert peak < bound, peak
+    tracemalloc.reset_peak()
+    relation = rpi.relation
+    peak = tracemalloc.get_traced_memory()[1] / 1e6
+    assert relation.n_states == 1746, relation.n_states
+    print(f"relation build traced peak: {peak:.2f} MB of {bound} MB")
+    assert peak < bound, peak
+
+
+GATES["rpi_memory"] = (rpi_memory, 60)
+
+
+def bachmann():
+    """The Bachmann scan reads each interval's own slice of the grid's
+    limits; testing every limit against every interval took 10 s."""
+    assert o.check_bachmann(o.STANDARD_FS, o.parse("w^w"), 5) is None
+    print("bachmann on w^w, 5 samples: ok")
+
+
+GATES["bachmann"] = (bachmann, 3)
+
+
+def nonlinear():
+    """Linearity is checked first: a reflexive pair (llex plus the diagonal)
+    and an unordered pair (the strict-prefix order) each stop recognition
+    with exit 4 and the failing law named."""
+    ab = ("0", "1")
+
+    def prefix(v, letter):  # 1 once x has ended inside y
+        if letter[0] == au.PAD:
+            return 1
+        return 0 if v == 0 and letter[0] == letter[1] else None
+
+    orders = {"reflexive": (au.union(au.llex_automaton(ab), au.diagonal(ab)), "irreflexivity"),
+              "prefix": (au.letter_dfa(ab, 2, 0, prefix, lambda v: v == 1), "totality")}
+    with tempfile.TemporaryDirectory() as out:
+        for name, (order, law) in orders.items():
+            manifest = logic.save_structure(logic.Structure(name=name, domain=au.universe(ab, 1), relations={"<": order}), out)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["recognize", str(manifest)])
+            assert code == 4, (name, code)
+            assert f"{law} fails" in err.getvalue(), err.getvalue()
+            print(f"{name}: exit 4, {law} fails")
+
+
+GATES["nonlinear"] = (nonlinear, 10)
+
+
+def run(names) -> int:
+    """Run each named gate in a fresh process under its timeout, stopping
+    at the first that fails."""
+    spawn = multiprocessing.get_context("spawn")
+    for name in names:
+        target, timeout = GATES[name]
+        child = spawn.Process(target=target, name=name)
+        start = time.perf_counter()
+        child.start()
+        child.join(timeout)
+        took = time.perf_counter() - start
+        if child.is_alive():
+            child.kill()
+            child.join()
+            print(f"gate {name} failed: timed out at {timeout} s", file=sys.stderr)
+            return 1
+        if child.exitcode:
+            print(f"gate {name} failed: exit {child.exitcode} after {took:.1f} s", file=sys.stderr)
+            return 1
+        print(f"gate {name}: {took:.1f} s of {timeout} s", flush=True)
+    return 0
+
+
+def main(names) -> int:
+    unknown = [name for name in names if name not in GATES]
+    if unknown:
+        print(f"no gate named {', '.join(unknown)}; the gates are {', '.join(GATES)}", file=sys.stderr)
+        return 2
+    return run(names or list(GATES))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -206,7 +206,12 @@ def parse_formula(text: str) -> Formula:
 
 @record
 class Structure:
-    """An automatic presentation: a named regular domain plus relations."""
+    """An automatic presentation: a named regular domain plus relations.
+
+    A structure built here or loaded from a manifest has each relation
+    checked to relate only domain words; the structures the package
+    builds from checked parts (a condensation level, the corpus and
+    Kreisel orders) are made by `_unchecked`, which skips the check."""
 
     name: str
     domain: Automaton
@@ -284,6 +289,14 @@ class _Result:
 
 
 class Compiler:
+    """Each subformula becomes an automaton over its own free variables in
+    alphabetical order, and `exists`, `forall` and `existsinf` project
+    their variable away at their own node.  Nothing is substituted, so a
+    quantifier that reuses a name needs no renaming.  A conjunction is one
+    `join` of its operands at their variables' places in the sorted union;
+    a disjunction aligns each side by one join with the domain cube of the
+    variables it lacks (`_align`)."""
+
     def __init__(self, structure: Structure):
         self.s = structure
 

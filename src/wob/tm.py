@@ -479,7 +479,11 @@ class RpiStructure:
     first time a read reaches it (`automata.reader`), counting its states
     against the state budget in effect when `build_rpi` ran.  `relation`
     and `domain` are built, numbered, trimmed and validated, on their
-    first read, for what needs their bytes or their counts."""
+    first read, for what needs their bytes or their counts.  The relation
+    is not checked to relate only domain words: each edge joins two domain
+    words by construction, the configuration side of an accept edge read
+    by the domain's own configuration moves, and the tests run that check
+    on the built relation."""
 
     tm: TmSpec
     pi_tag: str

@@ -144,6 +144,12 @@ def binary_llex(alphabet, shortest, longest):
                         lambda x, y: (len(x), x) < (len(y), y), o.from_int(2 ** (longest + 1) - 2 ** shortest))
 
 
+def ladder(k):
+    """The presentation of w^k*2+w^(k-1)*3+1: the corpus stops at w^3, and
+    these rungs are where the cost per power of w shows."""
+    return corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}")
+
+
 def words_upto(alphabet, max_len):
     for n in range(max_len + 1):
         for tup in itertools.product(alphabet, repeat=n):

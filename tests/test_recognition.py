@@ -14,6 +14,7 @@ from conftest import (
     binary_llex,
     built_projection_sets,
     define_set,
+    ladder,
     reference_check_linear,
     reference_initial_chain,
     reference_minimize,
@@ -186,8 +187,7 @@ def test_recognize_well_orders(p):
 
 @pytest.mark.parametrize("k", [4, 5])
 def test_recognize_ladder_rungs(k):
-    # the corpus stops at w^3; these rungs are where the cost per power of w shows
-    p = corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}")
+    p = ladder(k)
     got = recognize(pres_to_op(p))
     assert isinstance(got, WellOrder), got
     assert got.cnf == p.expected_cnf
@@ -761,7 +761,7 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
 
 
 def _ladder(k):
-    return corpus.digit_presentation(o.parse(f"w^{k}*2+w^{k - 1}*3+1"), f"ladder{k}").structure
+    return ladder(k).structure
 
 
 def test_minimal_i_fits_the_budget_of_the_interval_product():

@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import re
+import time
 from pathlib import Path
 
 from conftest import rebuilt
@@ -89,3 +91,47 @@ def test_line_counts_split_each_line_once(tmp_path, capsys):
         n = len(Path(path).read_text().splitlines())
         assert line.startswith(f"{path}: {n} lines, code "), line
         assert sum(map(int, re.findall(r" (\d+)(?:,|$)", line.split("lines, ")[1]))) == n, line
+
+
+def test_the_workflow_runs_each_gate_once():
+    # a gate lives in scripts/gates.py alone, and CI runs each by name
+    gates = load_script("gates")
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "<<'PY'" not in workflow
+    assert sorted(re.findall(r"python scripts/gates\.py (\w+)", workflow)) == sorted(gates.GATES)
+
+
+def test_gates_parse_as_python_3_10():
+    # CI runs the gates on Python 3.10 to 3.13
+    ast.parse((ROOT / "scripts" / "gates.py").read_text(), feature_version=(3, 10))
+
+
+def _gate_passes():
+    print("passed")
+
+
+def _gate_fails():
+    raise AssertionError("bound exceeded")
+
+
+def _gate_hangs():
+    time.sleep(60)
+
+
+def test_gate_runner_names_the_first_gate_that_fails(monkeypatch, capfd):
+    gates = load_script("gates")
+    monkeypatch.setattr(gates, "GATES", {"passes": (_gate_passes, 30), "fails": (_gate_fails, 30),
+                                         "hangs": (_gate_hangs, 1)})
+    assert gates.main([]) == 1
+    out, err = capfd.readouterr()
+    assert re.fullmatch(r"passed\ngate passes: \d+\.\d s of 30 s\n", out)
+    assert "AssertionError: bound exceeded" in err
+    assert re.search(r"^gate fails failed: exit 1 after \d+\.\d s$", err, re.M)
+    assert "hangs" not in out + err
+    start = time.perf_counter()
+    assert gates.main(["hangs", "passes"]) == 1
+    assert time.perf_counter() - start < 30
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", "gate hangs failed: timed out at 1 s\n")
+    assert gates.main(["passes", "nope"]) == 2
+    assert capfd.readouterr().err == "no gate named nope; the gates are passes, fails, hangs\n"
