@@ -64,6 +64,32 @@ for k, timeout in [(14, 30), (20, 60)]:
     GATES[f"ladder{k}"] = (partial(ladder_recognized, k), timeout)
 
 
+def trace14():
+    """`recognize --trace` prints each level's domain and order from the
+    level records, which keep a level's structure and not its presentation,
+    so the levels' interval products go as the loop leaves them: ladder k=14
+    traced peaked at 28.2 MB when the dump kept the presentations, and at
+    9.0 MB, as without `--trace`, with the records (2-vCPU host).  Stdout
+    goes to a file, whose text tracemalloc does not count."""
+    bound = 12  # MB traced
+    with tempfile.TemporaryDirectory() as out:
+        manifest = logic.save_structure(ladder(14).structure, out)
+        dump = Path(out) / "trace.txt"
+        with open(dump, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            tracemalloc.start()
+            code = cli.main(["recognize", manifest, "--trace"])
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+            tracemalloc.stop()
+        last = dump.read_text(encoding="utf-8").splitlines()[-1]
+    print(f"ladder14 --trace: {last}, traced peak {peak:.2f} MB of {bound} MB")
+    assert code == 0, code
+    assert last == "well-order w^14*2+w^13*3+1", last
+    assert peak < bound, peak
+
+
+GATES["trace14"] = (trace14, 60)
+
+
 def chains(names, length):
     """The benchmark's chain workload stops at 40 elements, so a cost that
     grows with the length of a chain shows only on a longer one.  Each

@@ -24,9 +24,8 @@ def agrees(p: corpus.Presentation, got) -> bool:
 def main() -> int:
     mismatches = 0
     for p in corpus.well_order_corpus() + corpus.non_well_order_corpus():
-        trace = []
         t0 = time.monotonic()
-        got = rec.recognize(rec.OrderPresentation(p.structure), trace=trace)
+        levels, got = rec.condense(rec.OrderPresentation(p.structure))
         dt = time.monotonic() - t0
         if isinstance(got, rec.WellOrder):
             verdict = f"well-order {o.show(got.cnf)}"
@@ -34,7 +33,7 @@ def main() -> int:
             verdict = f"not-well-order {got.evidence}"
         else:
             verdict = f"budget-exceeded level={got.level}"
-        print(f"{p.name:16s} {verdict:40s} levels={len(trace)} {dt:5.2f}s")
+        print(f"{p.name:16s} {verdict:40s} levels={len(levels)} {dt:5.2f}s")
         if not agrees(p, got):
             mismatches += 1
             want = o.show(p.expected_cnf) if p.expected_cnf is not None else p.expected_failure

@@ -293,13 +293,12 @@ def cmd_query(args) -> int:
 
 def cmd_recognize(args) -> int:
     p = rec.OrderPresentation(load_structure(args.manifest))
-    trace = [] if args.trace else None
-    got = rec.recognize(p, max_levels=args.max_levels, budget=args.budget, trace=trace)
-    if args.trace and trace:
-        for level, pres in trace:
-            print(f"; condensation level {level}")
-            print(au.save_automaton(pres.domain, f"level{level}_domain"), end="")
-            print(au.save_automaton(pres.order, f"level{level}_order"), end="")
+    levels, got = rec.condense(p, max_levels=args.max_levels, budget=args.budget)
+    level: rec.Level
+    for i, level in enumerate(levels if args.trace else []):
+        print(f"; condensation level {i}")
+        print(au.save_automaton(level.structure.domain, f"level{i}_domain"), end="")
+        print(au.save_automaton(level.structure.relations[rec.LESS], f"level{i}_order"), end="")
     if isinstance(got, rec.WellOrder):
         _emit(args, f"well-order {o.show(got.cnf)}", {"verdict": "well-order", "cnf": o.show(got.cnf)})
         return OK

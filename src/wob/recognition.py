@@ -18,8 +18,8 @@ condensation reaching a fixpoint while the order is still infinite
 allows).
 
 Recognition compiles no formula; every set is a kernel construction run
-under the state budget `recognize` sets once (`au.state_budget`), so no
-other function here takes one.  Each presentation searches the interval
+under the state budget `condense` sets once (`au.state_budget`), so no
+other function here but `recognize`, its wrapper, takes one.  Each presentation searches the interval
 product between(x, z, y) = x<z<y of its order with itself once, dropping
 z as the search goes, and reads the successor relation, the transitivity
 check and I = { (x, y) : infinitely many z with x<z<y } from its two
@@ -206,48 +206,63 @@ def _top_class_size(p: OrderPresentation):
     return au.count_words(au.minimize(au.difference(p.domain, au.projection_graph(p.order, 1, infinite=True))))
 
 
-def recognize(
+@record
+class Level:
+    """One condensation level: its structure, not its presentation, whose
+    interval product would outlive the level, and its finite top-class
+    count, or None where the level was not condensed."""
+
+    structure: Structure
+    top: Optional[int]
+
+
+def condense(
     p: OrderPresentation,
     max_levels: Optional[int] = None,
     budget: int = DEFAULT_STATE_BUDGET,
-    trace: Optional[list] = None,
-) -> RecognitionResult:
-    """Decide well-orderedness and the CNF of the order type within `budget`
-    states; BudgetExceeded means only that it ran past `max_levels` levels."""
+) -> tuple[list[Level], RecognitionResult]:
+    """The levels the condensation reaches from `p`, level 0 first, and the
+    verdict, decided within `budget` states; BudgetExceeded means only that
+    it ran past `max_levels` levels, and counts those it condensed."""
     with au.state_budget(budget):
         failure = check_linear(p)
         if failure is not None:
             raise NotLinear(f"{p.structure.name}: {failure} fails")
         if max_levels is None:
             max_levels = max(2, p.order.n_states)
-
-        tops: list[int] = []
+        levels: list[Level] = []
         current = p
-        level = 0
         while True:
-            if trace is not None:
-                trace.append((level, current))
+            levels.append(Level(current.structure, None))
             bad = classify_classes(current)
             if bad is not None:
-                return NotWellOrder(bad)
+                return levels, NotWellOrder(bad)
             if not au.is_infinite(current.domain):
-                return WellOrder(_unwind(o.from_int(au.count_words(au.minimize(current.domain))), tops))
+                last = o.from_int(au.count_words(au.minimize(current.domain)))
+                return levels, WellOrder(_unwind(last, levels[-2::-1]))
             # every class a singleton: the quotient is the level itself
             if au.is_empty(current.in_class):
-                return NotWellOrder(DenseFixpoint(level))
-            tops.append(_top_class_size(current))
+                return levels, NotWellOrder(DenseFixpoint(len(levels) - 1))
+            levels[-1] = Level(current.structure, _top_class_size(current))
             current = finite_condensation(current)
-            level += 1
-            if level > max_levels:
-                return BudgetExceeded(level)
+            if len(levels) > max_levels:
+                return levels, BudgetExceeded(len(levels))
 
 
-def _unwind(beta: CnfOrdinal, tops: list[int]) -> CnfOrdinal:
-    for t in reversed(tops):
-        if t > 0:
+def recognize(
+    p: OrderPresentation, max_levels: Optional[int] = None, budget: int = DEFAULT_STATE_BUDGET
+) -> RecognitionResult:
+    """Decide well-orderedness and the CNF of the order type: `condense`'s verdict."""
+    return condense(p, max_levels, budget)[1]
+
+
+def _unwind(beta: CnfOrdinal, condensed: list[Level]) -> CnfOrdinal:
+    """Level 0's order type from `beta`, the type above the `condensed` levels, listed top down."""
+    for level in condensed:
+        if level.top > 0:
             if not beta.is_successor():
                 raise AssertionError("finite top class but quotient type is a limit")
-            beta = o.OMEGA * beta.pred() + o.from_int(t)
+            beta = o.OMEGA * beta.pred() + o.from_int(level.top)
         else:
             beta = o.OMEGA * beta
     if not beta < o.omega_power(o.OMEGA):
@@ -255,9 +270,9 @@ def _unwind(beta: CnfOrdinal, tops: list[int]) -> CnfOrdinal:
     return beta
 
 
-def isomorphic(p: OrderPresentation, q: OrderPresentation, **kw) -> bool:
-    rp = recognize(p, **kw)
-    rq = recognize(q, **kw)
+def isomorphic(p: OrderPresentation, q: OrderPresentation) -> bool:
+    rp = recognize(p)
+    rq = recognize(q)
     if not isinstance(rp, WellOrder) or not isinstance(rq, WellOrder):
         raise NotComparable(f"{type(rp).__name__} vs {type(rq).__name__}")
     return rp.cnf == rq.cnf

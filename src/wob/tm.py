@@ -719,7 +719,7 @@ def check_fragment_budget(word_len: int, run_input_len: int) -> None:
         raise StateBudgetExceeded(least if top < 64 else budget + 1, budget)
 
 
-def explore_fragment(rpi: RpiStructure, word_len: int = 4, run_input_len: int = 2) -> ExploredFragment:
+def explore_fragment(rpi: RpiStructure, word_len: int, run_input_len: int) -> ExploredFragment:
     """Collect binary words up to max(word_len, run_input_len) and every
     configuration arising from runs on inputs up to run_input_len; compute
     the edge set structurally and verify it against the relation's

@@ -1931,7 +1931,8 @@ def test_no_function_takes_a_state_budget():
 
     need, budget = inspect.Parameter.empty, au.DEFAULT_STATE_BUDGET
     assert budget == 10 ** 6
-    assert params(recognition.recognize) == [("p", need), ("max_levels", None), ("budget", budget), ("trace", None)]
+    assert params(recognition.recognize) == [("p", need), ("max_levels", None), ("budget", budget)]
+    assert params(recognition.condense) == [("p", need), ("max_levels", None), ("budget", budget)]
     assert params(logic.compile_formula) == [("s", need), ("f", need), ("state_budget", budget)]
     assert params(logic.eval_sentence) == [("s", need), ("f", need), ("state_budget", budget)]
     assert params(pathology.kreisel_as_automatic) == [("pi0", need), ("state_budget", budget)]

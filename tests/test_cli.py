@@ -456,6 +456,16 @@ def test_recognize_trace_output_pinned(name, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECOGNIZE_TRACE_SHA256[name]
 
 
+def test_recognize_trace_output_pinned_at_the_level_cap(capsys):
+    # the cap's exit dumps the levels it condensed, 0 to 2, and names the next
+    manifest = Path(__file__).resolve().parent.parent / "corpus" / "omega_cube" / "omega_cube.manifest"
+    assert main(["recognize", str(manifest), "--trace", "--max-levels", "2"]) == 3
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith(";")] == [f"; condensation level {i}" for i in range(3)]
+    assert out.endswith("\nbudget-exceeded level=3\n")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "ec8e8b9309d9fc817be519dbf39edff0e87a3cc3216117a256b8043fc565d8d7"
+
+
 def test_internal_error_is_not_a_verdict(tmp_path, capsys, monkeypatch):
     # an exception that is not a WobError must map to the internal-error
     # code, not to 1 ("false")

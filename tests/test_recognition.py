@@ -43,6 +43,7 @@ from wob.recognition import (
     WellOrder,
     check_linear,
     classify_classes,
+    condense,
     finite_condensation,
     initial_chain,
     isomorphic,
@@ -195,8 +196,7 @@ def test_recognize_ladder_rungs(k):
 
 @pytest.mark.parametrize("p", corpus.non_well_order_corpus(), ids=lambda p: p.name)
 def test_recognize_non_well_orders(p: corpus.Presentation):
-    trace = []
-    got = recognize(pres_to_op(p), trace=trace)
+    levels, got = condense(pres_to_op(p))
     assert isinstance(got, NotWellOrder), got
     ev = got.evidence
     if p.expected_failure == "bad-class":
@@ -213,7 +213,7 @@ def test_recognize_non_well_orders(p: corpus.Presentation):
     else:
         # quotient equals the domain at the reported level, verified by
         # automaton equivalence
-        level_p = dict((lvl, pres) for lvl, pres in trace)[ev.level]
+        level_p = OrderPresentation(levels[ev.level].structure)
         q = finite_condensation(level_p)
         assert same_language(q.domain, level_p.domain)
 
@@ -402,12 +402,11 @@ def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     counted.__set_name__(OrderPresentation, "in_class")
     monkeypatch.setattr(OrderPresentation, "in_class", counted)
     manifest = Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest"
-    trace = []
-    got = recognize(OrderPresentation(load_structure(manifest)), trace=trace)
+    reached, got = condense(OrderPresentation(load_structure(manifest)))
     assert isinstance(got, WellOrder)
-    assert len(trace) == levels
+    assert len(reached) == levels
     assert len(calls) == levels
-    assert all(c is pres for c, (_level, pres) in zip(calls, trace))
+    assert all(c.structure is level.structure for c, level in zip(calls, reached))
 
 
 @pytest.mark.parametrize("name, level", [("dense", 0), ("binlex", 1)])
@@ -427,6 +426,39 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 CHAIN_CASES = {m.stem: (logic.load_structure, m) for m in sorted(CORPUS_DIR.glob("*/*.manifest"))}
 CHAIN_CASES["kreisel_true"] = (pa.kreisel_as_automatic, pa.regular_true())
 CHAIN_CASES["kreisel_witness"] = (pa.kreisel_as_automatic, pa.regular_except_word(("1", "1")))
+
+
+def _saved(s: Structure, directory: Path) -> dict:
+    logic.save_structure(s, directory)
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+@pytest.mark.parametrize("name, cap", [(name, None) for name in sorted(CHAIN_CASES)] + [("omega_cube", cap) for cap in range(3)])
+def test_level_records_agree_with_the_verdict(tmp_path, name, cap):
+    # one record per level reached, level 0 the presentation's own
+    # structure: a verdict is read at the last record, a level cap stops
+    # after the records it counts, a record has a top count exactly where its
+    # level was condensed, and each next record is that level's quotient
+    make, arg = CHAIN_CASES[name]
+    s = make(arg)
+    levels, got = condense(OrderPresentation(s), max_levels=cap)
+    assert recognize(OrderPresentation(s), max_levels=cap) == got
+    assert levels[0].structure is s
+    if isinstance(got, rec.BudgetExceeded):
+        assert len(levels) == got.level == cap + 1
+    elif isinstance(got, WellOrder):  # one level per power of w, and the finite last
+        assert len(levels) == got.cnf.terms[0][0].as_int() + 1
+        assert not au.is_infinite(levels[-1].structure.domain)
+    elif isinstance(got.evidence, DenseFixpoint):
+        assert len(levels) == got.evidence.level + 1
+        assert au.is_empty(OrderPresentation(levels[-1].structure).in_class)
+    else:
+        assert classify_classes(OrderPresentation(levels[-1].structure)) == got.evidence
+    condensed = len(levels) - (not isinstance(got, rec.BudgetExceeded))
+    assert [level.top is not None for level in levels] == [i < condensed for i in range(len(levels))]
+    for i, (lower, upper) in enumerate(zip(levels, levels[1:])):
+        quotient = finite_condensation(OrderPresentation(lower.structure))
+        assert _saved(upper.structure, tmp_path / f"{i}got") == _saved(quotient.structure, tmp_path / f"{i}want"), i
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
@@ -734,8 +766,7 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
     # tests for emptiness is, after minimization, the no-least set itself;
     # it is read from the interval product, with no formula compiled
     make, arg = CHAIN_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
+    levels, _ = condense(OrderPresentation(make(arg)))
     sets = []
     compiled = []
     original_compile, original_is_empty = logic.Compiler.compile, au.is_empty
@@ -748,7 +779,8 @@ def test_one_bad_class_set_is_the_no_least_set(monkeypatch, name):
         sets.append(a)
         return original_is_empty(a)
 
-    for _level, pres in trace:
+    for level in levels:
+        pres = OrderPresentation(level.structure)
         sets.clear()
         monkeypatch.setattr(logic.Compiler, "compile", compiling)
         monkeypatch.setattr(au, "is_empty", recording)
@@ -813,15 +845,15 @@ def test_quotient_matches_the_compiled_representatives(name):
     # level both save the bytes of the compiled formula and of the order
     # intersected with the representative cube
     make, arg = TOP_CLASS_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
-    for level, pres in trace[:-1]:
+    levels, _ = condense(OrderPresentation(make(arg)))
+    for i, level in enumerate(levels[:-1]):
+        pres = OrderPresentation(level.structure)
         quotient = finite_condensation(pres)
         reps = reference_representatives(pres)
-        assert au.save_automaton(quotient.domain, "dom") == au.save_automaton(reps, "dom"), level
+        assert au.save_automaton(quotient.domain, "dom") == au.save_automaton(reps, "dom"), i
         cube = au.join(reps, [0], reps, [1])
         order = au.minimize(au.intersect(pres.order, cube))
-        assert au.save_automaton(quotient.order, "lt") == au.save_automaton(order, "lt"), level
+        assert au.save_automaton(quotient.order, "lt") == au.save_automaton(order, "lt"), i
 
 
 # (x, y): x < y with finitely many z between; tapes in variable order, as
@@ -835,13 +867,13 @@ def test_sim_and_successor_match_the_compiled_formulas(name):
     # compiled; at every level their minimal automata are the ones the
     # formulas compile to
     make, arg = TOP_CLASS_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
-    for level, pres in trace:
+    levels, _ = condense(OrderPresentation(make(arg)))
+    for i, level in enumerate(levels):
+        pres = OrderPresentation(level.structure)
         got = au.save_automaton(au.minimize(pres.in_class), "in_class")
-        assert got == au.save_automaton(au.minimize(logic.compile_formula(pres.structure, IN_CLASS)), "in_class"), level
+        assert got == au.save_automaton(au.minimize(logic.compile_formula(pres.structure, IN_CLASS)), "in_class"), i
         got = au.save_automaton(pres.successor, "succ")
-        assert got == au.save_automaton(reference_successor(pres), "succ"), level
+        assert got == au.save_automaton(reference_successor(pres), "succ"), i
 
 
 @pytest.mark.parametrize("budget", [20, 80, 153])
@@ -873,10 +905,10 @@ def test_package_built_structures_pass_the_full_check(name):
     # the check skipped inside the package holds: at every level, and for the
     # structure with ~ of every level, the public constructor accepts them
     make, arg = CHAIN_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
-    assert trace
-    for _level, pres in trace:
+    levels, _ = condense(OrderPresentation(make(arg)))
+    assert levels
+    for level in levels:
+        pres = OrderPresentation(level.structure)
         for s in (pres.structure, with_sim(pres)):
             assert Structure(name=s.name, domain=s.domain, relations=s.relations) == s
 
@@ -903,8 +935,7 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     # automaton is built once per alphabet under a budget of five or more,
     # so its cache is cleared for its BFS to run here
     make, arg = CHAIN_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
+    levels, _ = condense(OrderPresentation(make(arg)))
     au._llex_automaton.cache_clear()
     budget = 10 ** 6 + 7
     limits = []
@@ -928,15 +959,15 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     for attr in ("_canonical", "_reaches_acceptance", "join_graph"):
         monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
     with au.state_budget(budget):
-        for _level, pres in trace:
+        for level in levels:
             # a fresh presentation, so its interval product, I and in-class
             # relation are built here
-            fresh = OrderPresentation(pres.structure)
+            fresh = OrderPresentation(level.structure)
             assert rec.check_linear(fresh) is None
             fresh.infinitely_between
             rec.classify_classes(fresh)
-            rec._top_class_size(OrderPresentation(pres.structure))
-            rec.finite_condensation(OrderPresentation(pres.structure))
+            rec._top_class_size(OrderPresentation(level.structure))
+            rec.finite_condensation(OrderPresentation(level.structure))
     entries = {entry for entry, _ in limits}
     assert {
         "difference",
@@ -991,19 +1022,18 @@ def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
     # and succ, each read from a projection graph, save the bytes of the
     # same set with the projection built
     make, arg = GRAPH_CASES[name]
-    trace = []
-    recognize(OrderPresentation(make(arg)), trace=trace)
+    levels, _ = condense(OrderPresentation(make(arg)))
     original_is_empty, original_count = au.is_empty, au.count_words
-    for level, pres in trace:
-        want = built_projection_sets(pres)
-        fresh = OrderPresentation(pres.structure)
+    for i, level in enumerate(levels):
+        want = built_projection_sets(OrderPresentation(level.structure))
+        fresh = OrderPresentation(level.structure)
         got = {"I": fresh.infinitely_between, "succ": fresh.successor}
         tested, counted = [], []
         monkeypatch.setattr(au, "is_empty", lambda a: tested.append(a) or original_is_empty(a))
         classify_classes(fresh)
         monkeypatch.undo()
         (got["bad"],) = tested
-        if level < len(trace) - 1:  # recognize condensed this level
+        if level.top is not None:  # recognize condensed this level
             monkeypatch.setattr(au, "count_words", lambda a: counted.append(a) or original_count(a))
             rec._top_class_size(fresh)
             monkeypatch.undo()
@@ -1011,7 +1041,7 @@ def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
             quotient = finite_condensation(fresh)
             got["reps"], got["quotient"] = quotient.domain, quotient.order
         for key, aut in got.items():
-            assert au.save_automaton(aut, key) == au.save_automaton(want[key], key), (level, key)
+            assert au.save_automaton(aut, key) == au.save_automaton(want[key], key), (i, key)
 
 
 def _non_minimal(order):

@@ -61,6 +61,7 @@ SAMPLES = {
     "recognition.WellOrder": lambda: [recognition.WellOrder(o.OMEGA)],
     "recognition.NotWellOrder": lambda: [recognition.NotWellOrder(recognition.DenseFixpoint(1))],
     "recognition.BudgetExceeded": lambda: [recognition.BudgetExceeded(3)],
+    "recognition.Level": lambda: recognition.condense(recognition.OrderPresentation(corpus.omega_times_2().structure))[0],
     "tm.TmSpec": lambda: [tm.increment_machine(), _comparator()],
     "tm.Configuration": lambda: [tm.initial_configuration(_comparator(), ["01", "1", ""]),
                                  tm.initial_configuration(_comparator(), ["1", "1", ""])],
@@ -118,7 +119,7 @@ def hash_or_error(value):
 
 def test_every_record_class_has_samples():
     assert set(record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 39
+    assert len(SAMPLES) == 40
 
 
 @pytest.mark.parametrize("key", sorted(SAMPLES))
