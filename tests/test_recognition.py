@@ -454,7 +454,7 @@ def test_level_records_agree_with_the_verdict(tmp_path, name, cap):
         assert au.is_empty(OrderPresentation(levels[-1].structure).in_class)
     else:
         assert classify_classes(OrderPresentation(levels[-1].structure)) == got.evidence
-    condensed = len(levels) - (not isinstance(got, rec.BudgetExceeded))
+    condensed = len(levels) if isinstance(got, rec.BudgetExceeded) else len(levels) - 1
     assert [level.top is not None for level in levels] == [i < condensed for i in range(len(levels))]
     for i, (lower, upper) in enumerate(zip(levels, levels[1:])):
         quotient = finite_condensation(OrderPresentation(lower.structure))
