@@ -39,9 +39,10 @@ per tape, memoized on the relation (`_SectionSteps`), serves `section`,
 (state, position) keys, and `section_words` lists a section's first words
 by set steps over the word, so a section that is only enumerated is
 neither built nor searched; `count_or_enumerate` lists an automaton's
-words by the same steps with no tape fixed, one descent (`_descend`) for
-each length, and `count_words` counts a finite language on its minimal
-DFA without listing it.  Inclusion is one subset product,
+words by the same steps with no tape fixed.  Each length's words are read
+by one greedy descent over memoized choice lists, a lookup a position, and
+`count_words` counts a finite language on its minimal DFA without listing
+it.  Inclusion is one subset product,
 `_difference_graph`: `difference` builds it, and `is_subset` and
 `is_subset_of_cube` search it up to the first counterexample; `is_irreflexive` and `is_total` search
 graphs of their own the same way (`_reaches_acceptance`), so a relation's
@@ -1313,42 +1314,11 @@ def section_words(rel: Automaton, tape: int, word, limit: int) -> list[WordTuple
     """The first `limit` words of the section of `rel` at `word` on `tape`
     in length-lexicographic order, `count_or_enumerate(section(rel, tape,
     word), limit)`, read by the set steps `_SectionSteps` keeps (see
-    `_SectionSteps.words`): no key is made per (state, position), and each
-    position costs a few lookups once the steps are known."""
+    `_SectionSteps.words`): no key is made per (state, position), and once
+    the steps are known a position costs one lookup in each of the
+    forward, live and descent passes."""
     steps, w = _checked_section(rel, tape, word)
     return steps.words(w, limit)
-
-
-def _descend(start: tuple, moves: Callable, live: list, want: int) -> list:
-    """The first `want` words of len(live) - 1 letters, in letter order,
-    read from the set of states `start` by `moves(states, i)`, the (letter,
-    targets) pairs of `states` at position i in letter order, keeping to
-    live[i], the states at position i that end such a word, so that every
-    branch taken ends in a word.  The descent is depth first: the stack
-    holds the branches not yet taken, (position, letter, targets), the
-    least letter on top, so long words need no recursion and each letter
-    sequence is visited once even when the automaton is nondeterministic."""
-    length, out, path, stack = len(live) - 1, [], [], []
-
-    def push(i, states):  # the branches at position i, from `states`
-        inside = live[i + 1].__contains__
-        for letter, targets in reversed(moves(states, i)):
-            targets = tuple(filter(inside, targets))
-            if targets:
-                stack.append((i, letter, targets))
-
-    push(0, start)
-    while stack:
-        i, letter, states = stack.pop()
-        del path[i:]
-        path.append(letter)
-        if i + 1 < length:
-            push(i + 1, states)
-            continue
-        out.append(deconvolve(path))
-        if len(out) == want:
-            break
-    return out
 
 
 def _checked_section(rel: Automaton, tape: Optional[int], word=()) -> tuple:
@@ -1392,12 +1362,13 @@ class _SectionSteps:
     tape alone, every other tape padded, so only tail edges follow it.
     With no tape, every letter is a move on PAD, whole, and there are no
     tail edges.  The steps of a sorted tuple of states on a symbol are kept
-    in three `_SetSteps` tables, keyed by (states, symbol) and never by a
-    position in a word: `forward`, the set's merged moves in letter order
-    and their targets; `back` and `tail`, the states with a move or a tail
-    edge into the set.  Past the word the tape reads pad, and a forward step
-    there keeps only the states that can still reach acceptance by such
-    moves."""
+    in four `_SetSteps` tables, never keyed by a position in a word:
+    `forward[states, sym]`, the targets of the set's moves; `back` and
+    `tail`, the states with a move or a tail edge into the set; and
+    `choices[states, sym, after]`, the set's merged moves in letter order,
+    each one's targets kept to the set `after`, a move left with none
+    dropped.  Past the word the tape reads pad, and a forward step there
+    keeps only the states that can still reach acceptance by such moves."""
 
     def __init__(self, rel: Automaton, tape: Optional[int]):
         moves: dict = {}
@@ -1420,18 +1391,21 @@ class _SectionSteps:
         lkey = _letter_key(rel.alphabet)
 
         def forward(states, sym):
-            row = _merged(moves.get((q, sym), {}) for q in states)
-            targets = {r for rs in row.values() for r in rs}
-            if sym == PAD:
-                targets &= live
-            return sorted(row.items(), key=lambda move: lkey(move[0])), tuple(sorted(targets))
+            targets = {r for q in states for rs in moves.get((q, sym), {}).values() for r in rs}
+            return tuple(sorted(targets & live if sym == PAD else targets))
+
+        def choices(states, sym, after):
+            inside = set(after).__contains__
+            row = sorted(_merged(moves.get((q, sym), {}) for q in states).items(), key=lambda move: lkey(move[0]))
+            return [(rest, kept) for rest, targets in row if (kept := tuple(filter(inside, targets)))]
 
         def before(edges):  # the states with an edge in `edges` into a set
             return _SetSteps(lambda states, sym: tuple(sorted({q for r in states for q in edges.get((sym, r), ())})))
 
         self.moves, self.accepting = moves, tuple(sorted(rel.accepting))
         self.initial, self.arity = rel.initial, rel.arity - (tape is not None)
-        self.forward, self.back, self.tail = _SetSteps(forward), before(sources), before(tail_sources)
+        self.forward, self.choices = _SetSteps(forward), _SetSteps(choices)
+        self.back, self.tail = before(sources), before(tail_sources)
 
     def tails(self, w: tuple) -> list:
         """tail[i]: the states that accept w[i:] on the tape with every
@@ -1455,26 +1429,36 @@ class _SectionSteps:
         step keeps only the states that can still reach acceptance, so they
         end for a finite section.  For each length found, one backward pass
         gives live[i], the states at position i with moves into that tail
-        set, and `_descend` lists the words along them."""
+        set, and a greedy descent lists the words along the choices kept to
+        them, each of which ends in a word: it takes the first choice at
+        each position, keeps (position, choices, next index) where another
+        is left, and on backtracking resumes at the deepest of those."""
         n, tail, out = len(w), self.tails(w), []
-        forward, back = self.forward, self.back
-
-        def moves(states, i):  # at position i of the length being listed
-            return forward[states, syms[i]][0]
-
+        forward, back, choices = self.forward, self.back, self.choices
         current, m = (self.initial,), 0
         while current and len(out) < limit:
             end, sym = (tail[m], w[m]) if m < n else (tail[n], PAD)
-            if any(map(end.__contains__, current)):
-                if not m:
-                    out.append(((),) * self.arity)
-                else:
-                    syms = w[:m] + (PAD,) * (m - n)
-                    live = [()] * m + [end]
-                    for i in range(m - 1, 0, -1):
-                        live[i] = back[live[i + 1], syms[i]]
-                    out.extend(_descend((self.initial,), moves, live, limit - len(out)))
-            current = forward[current, sym][1]
+            if end and any(map(end.__contains__, current)):
+                syms = w[:m] + (PAD,) * (m - n)
+                live = [()] * m + [end]
+                for i in range(m - 1, 0, -1):
+                    live[i] = back[live[i + 1], syms[i]]
+                path, forks, i, states = [None] * m, [], 0, (self.initial,)
+                while True:
+                    for i in range(i, m):
+                        ahead = choices[states, syms[i], live[i + 1]]
+                        if len(ahead) > 1:
+                            forks.append((i, ahead, 1))
+                        path[i], states = ahead[0]
+                    out.append(deconvolve(path) or ((),) * self.arity)  # no letter to give the empty word's arity
+                    if len(out) == limit or not forks:
+                        break
+                    i, ahead, k = forks.pop()
+                    if k + 1 < len(ahead):
+                        forks.append((i, ahead, k + 1))
+                    path[i], states = ahead[k]
+                    i += 1
+            current = forward[current, sym]
             m += 1
         return out
 

@@ -244,9 +244,9 @@ def condense(
             if au.is_empty(current.in_class):
                 return levels, NotWellOrder(DenseFixpoint(len(levels) - 1))
             levels[-1] = Level(current.structure, _top_class_size(current))
-            current = finite_condensation(current)
             if len(levels) > max_levels:
                 return levels, BudgetExceeded(len(levels))
+            current = finite_condensation(current)
 
 
 def recognize(

@@ -787,6 +787,43 @@ def test_section_words_end_where_the_padded_sets_cannot_accept():
     assert au.count_or_enumerate(au.section(rel, 0, "a"), 2) == [(("a",),)]
 
 
+def _shared_target_nfa():
+    """Two tapes over AB.  From state 0 the letters (a, a) and (a, b) both
+    lead to state 1, and (a, a) leads to state 2 as well; state 3 reads
+    tape 0 on alone once tape 1 has ended."""
+    pad = au.PAD
+    return au.automaton(2, AB, 4, 0, {0, 3}, [
+        (0, ("a", "a"), 1), (0, ("a", "b"), 1), (0, ("a", "a"), 2), (1, ("a", "a"), 0), (1, ("b", "b"), 0),
+        (1, ("b", pad), 3), (2, ("b", "a"), 0), (2, ("b", "b"), 2), (3, ("a", pad), 3),
+    ])
+
+
+def test_section_words_descend_as_the_oracle():
+    # sections with several words of one length, which branch off each
+    # other at depths 0 to 5: the first 1-8 words are the oracle's, so a
+    # descent that takes its choices out of letter order, resumes at the
+    # wrong position or steps outside the live sets shows
+    cases = [(au.llex_automaton(AB), 0, w) for w in ("", "a", "ab", "ba", "bab")]
+    cases += [(au.shorter_automaton(AB), tape, w) for tape in (0, 1) for w in words_upto(AB, 4)]
+    nfa = _shared_target_nfa()
+    cases += [(nfa, 0, w) for w in ("ab", "aaab", "abaa", "abab")] + [(nfa, 1, w) for w in ("aaaa", "aaaaa", "aaaaaa")]
+    depths = set()
+    for rel, tape, word in cases:
+        def accepts(rest):
+            return run_nfa(rel, conv(*rest[:tape], word, *rest[tape:]))
+
+        want = _oracle_words(accepts, 1, len(word) + 3, 8)
+        # every word is listed: 8 within the oracle's lengths, or a finite
+        # section whose words are no longer than those
+        assert len(want) == 8 or not au.is_infinite(au.section(rel, tape, word)), (tape, word)
+        for limit in range(1, 9):
+            assert au.section_words(rel, tape, word, limit) == want[:limit], (tape, word, limit)
+        for x, y in zip(want, want[1:]):
+            if len(x[0]) == len(y[0]):
+                depths.add(next(i for i, (s, t) in enumerate(zip(x[0], y[0])) if s != t))
+    assert depths == set(range(6))
+
+
 # no shrinking: a smaller seed is no smaller relation, and each failing
 # attempt would wait out its timer
 @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))

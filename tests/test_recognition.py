@@ -461,6 +461,23 @@ def test_level_records_agree_with_the_verdict(tmp_path, name, cap):
         assert _saved(upper.structure, tmp_path / f"{i}got") == _saved(quotient.structure, tmp_path / f"{i}want"), i
 
 
+def test_level_cap_is_tested_before_the_quotient(monkeypatch):
+    # a level cap stops before the quotient it would throw away: omega_cube
+    # capped at 2 levels keeps 3 records and builds 2 quotients.  omega's
+    # one quotient needs 5 states, so under a budget of 4 and a cap of 0
+    # levels the cap's exit comes first
+    calls = []
+    monkeypatch.setattr(rec, "finite_condensation", lambda p: calls.append(p) or finite_condensation(p))
+    cube = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega_cube" / "omega_cube.manifest"))
+    levels, got = condense(cube, max_levels=2)
+    assert got == rec.BudgetExceeded(3) and len(levels) == 3
+    assert len(calls) == 2
+    omega = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega" / "omega.manifest"))
+    assert recognize(omega, max_levels=0, budget=4) == rec.BudgetExceeded(1)
+    with pytest.raises(StateBudgetExceeded):
+        recognize(omega, max_levels=1, budget=4)
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
 def test_initial_chain_matches_least_of_remaining_loop(name):
     # the cover of x is the one minimal element of { y : x < y }, so the
@@ -511,8 +528,8 @@ def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
     # each cover is read by the successor relation's memoized set steps:
     # no section is built, and the one enumeration is least_of's,
     # however long the chain.  The steps are keyed by (set of states,
-    # symbol), never by a position in a word, so their tables stay small
-    # after 200 elements
+    # symbol) and the descent's choices by (set, symbol, live set), never by
+    # a position in a word, so their tables stay small after 200 elements
     calls = dict.fromkeys(("section", "count_or_enumerate"), 0)
 
     def count(name):
@@ -538,7 +555,7 @@ def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
     for name in ("omega", "omega_sq", "mixed", "omega_cube"):
         succ = run(name, 200)[0].successor
         (steps,) = succ._section_steps.values()
-        entries = len(steps.forward) + len(steps.back) + len(steps.tail)
+        entries = len(steps.forward) + len(steps.choices) + len(steps.back) + len(steps.tail)
         assert entries < 4 * succ.n_states * (len(succ.alphabet) + 1), (name, entries)
 
 
