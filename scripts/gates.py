@@ -12,6 +12,7 @@ out, or 2 on a name that is no gate.
 """
 import contextlib
 import io
+import json
 import multiprocessing
 import random
 import sys
@@ -156,6 +157,24 @@ def rpi_memory():
 
 
 GATES["rpi_memory"] = (rpi_memory, 60)
+
+
+def wf_check():
+    """The benchmark's rpi workload checks a fragment of the comparator's
+    relation at word length 5 and run length 3 (1,142 elements); at 8 and
+    6 it lists 120,406 elements and runs 127^2 machine runs, so a cost
+    that grows with the fragment, in `run_words` or in the reads, shows
+    here."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["tm", "wf-check", "builtin:comparator", "--word-len", "8", "--run-len", "6", "--json"])
+    got = json.loads(out.getvalue())
+    print(f"wf-check --word-len 8 --run-len 6: exit {code}, {got}")
+    assert code == 0, code
+    assert got == {"edges": 127896, "elements": 120406, "verdict": "ok"}, got
+
+
+GATES["wf_check"] = (wf_check, 30)
 
 
 def bachmann():

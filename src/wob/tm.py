@@ -10,6 +10,10 @@ marker must rewrite it and move right, so the serialization never grows on
 the left and a machine step only edits a bounded window, which is what
 makes the one-step relation synchronous-automaton recognizable.
 
+A set of tapes, such as the heads on a column, is an int mask, bit i for
+tape i.  Each column token is read from one mask table, `TmSpec._token_of`,
+keyed by (cells, head mask); a run re-tokenises the columns `_move` touched.
+
 Every automaton here is a graph, a (start, accepting, moves) triple that
 `automata.build` numbers, trims and validates in one pass.  The relation
 and the domain of the RPI structure are each a tagged sum of such graphs
@@ -44,6 +48,7 @@ MARKER = ">"
 WORD_TAG = "W"
 CONF_TAG = "C"
 MAX_STEPS = 10 ** 5  # the steps `run_words` takes before it gives up on a machine
+_TAPES = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(8))  # tape mask -> its tapes, in order
 
 
 @record
@@ -100,12 +105,12 @@ class TmSpec:
 
     @cached_property
     def _token_of(self) -> dict:
-        """(cells, head tapes) -> column token, over every column."""
-        return {
-            (cells, fx): column_token(cells, [i in fx for i in range(self.tapes)])
+        """The mask table: (cells, head mask) -> column token, every column."""
+        return _TokenTable(
+            ((cells, fx), column_token(cells, [fx >> i & 1 for i in range(self.tapes)]))
             for cells in itertools.product(*self.tape_cells)
-            for fx in _subsets(frozenset(range(self.tapes)))
-        }
+            for fx in _subsets((1 << self.tapes) - 1)
+        )
 
     @cached_property
     def config_alphabet(self) -> tuple:
@@ -116,14 +121,14 @@ class TmSpec:
 
     @cached_property
     def _column_index(self) -> dict:
-        """(first, head tapes, cells under the heads in tape order) ->
+        """(first, head mask, cells under the heads in tape order) ->
         [(token, cells, content), ...] over the columns a configuration word
         can hold: the all-marker column first, marker-free ones after it.
         Content is whether the column carries a head or a non-blank cell."""
         index = {}
         for (cells, fx), tok in self._token_of.items():
             if MARKER not in cells or set(cells) == {MARKER}:
-                key = (MARKER in cells, fx, tuple(cells[i] for i in sorted(fx)))
+                key = (MARKER in cells, fx, tuple(cells[i] for i in _TAPES[fx]))
                 content = bool(fx) or any(c != self.blank for c in cells)
                 index.setdefault(key, []).append((tok, cells, content))
         return index
@@ -131,6 +136,14 @@ class TmSpec:
 
 def column_token(cells, flags) -> str:
     return "".join(cells) + "".join("1" if f else "0" for f in flags)
+
+
+class _TokenTable(dict):
+    """The mask table; a column with a cell outside the machine's cell
+    alphabets is joined by `column_token`, and not kept."""
+
+    def __missing__(self, key):
+        return column_token(key[0], [key[1] >> i & 1 for i in range(len(key[0]))])
 
 
 # -- configurations -----------------------------------------------------------
@@ -143,20 +156,11 @@ class Configuration:
     heads: tuple  # head column per tape
 
     def serialize(self, tm: TmSpec) -> tuple:
-        """The state token, then one column token per column."""
-        return (self.state, *_column_tokens(tm, self.columns, self.heads, range(len(self.columns))))
-
-
-def _column_tokens(tm: TmSpec, columns: Sequence, heads: Sequence, cols) -> list:
-    """The tokens of the columns `cols` of a configuration's `columns` and
-    `heads`, read from tm's token table; a column with a cell outside tm's
-    cell alphabets is joined by `column_token`."""
-    token_of, none = tm._token_of, frozenset()
-    return [
-        token_of.get((columns[j], frozenset([i for i, h in enumerate(heads) if h == j]) if j in heads else none))
-        or column_token(columns[j], [h == j for h in heads])
-        for j in cols
-    ]
+        """The state token, then each column's token from tm's mask table."""
+        masks = [0] * len(self.columns)
+        for i, h in enumerate(self.heads):
+            masks[h] |= 1 << i
+        return (self.state, *map(tm._token_of.__getitem__, zip(self.columns, masks)))
 
 
 def is_canonical(tm: TmSpec, c: Configuration) -> bool:
@@ -175,11 +179,14 @@ def initial_configuration(tm: TmSpec, inputs: Sequence) -> Configuration:
     return Configuration(tm.initial, columns, (0,) * tm.tapes)
 
 
-def _move(tm: TmSpec, columns: list, heads: list, actions) -> None:
+def _move(tm: TmSpec, columns: list, heads: list, actions) -> dict:
     """A transition's moves, made in place on a configuration's column
     list and head list.  Only a column whose cell under a head changes is
     rebuilt, one write at a time in tape order, so two heads on one column
-    both write it; a head past the last column appends a blank one."""
+    both write it; a head past the last column appends a blank one.
+    Returns each touched column's head mask: the old and new head columns
+    and an appended one."""
+    touched = dict.fromkeys(heads, 0)
     for i, (w, m) in enumerate(actions):
         h = heads[i]
         cells = columns[h]
@@ -189,8 +196,10 @@ def _move(tm: TmSpec, columns: list, heads: list, actions) -> None:
         if h < 0:
             raise InvalidTm("head fell off the left end")
         heads[i] = h
+        touched[h] = touched.get(h, 0) | 1 << i
     if max(heads) >= len(columns):
         columns.append((tm.blank,) * tm.tapes)
+    return touched
 
 
 def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
@@ -209,26 +218,27 @@ def run_words(tm: TmSpec, inputs: Sequence) -> tuple:
     of each configuration, accepted).  One column list and one head list
     are stepped in place (`_move`, as `step` moves).  The first word is
     serialized whole; each later one is its predecessor's with the state
-    and the columns the step touched re-tokenised: the old heads, the new
-    heads, an appended column."""
+    and the columns `_move` touched re-tokenised, one mask-table lookup
+    each.  A run that does not halt may add a column a step, so the tokens
+    listed are counted: StateBudgetExceeded past the state budget."""
     c = initial_configuration(tm, inputs)
-    state, columns, heads, transitions = c.state, list(c.columns), list(c.heads), tm.transitions
+    state, columns, heads, transitions, token_of = c.state, list(c.columns), list(c.heads), tm.transitions, tm._token_of
     word = list(tag_config(c, tm))
-    words = [tuple(word)]
+    words, listed, budget = [tuple(word)], len(word), au.STATE_BUDGET.get()
     for _ in range(MAX_STEPS):
         hit = transitions.get((state, tuple([columns[h][i] for i, h in enumerate(heads)])))
         if hit is None:
             return words, state in tm.accepting
         state, actions = hit
-        touched, n = {*heads}, len(columns)
-        _move(tm, columns, heads, actions)
-        touched.update(heads, range(n, len(columns)))
+        touched = _move(tm, columns, heads, actions)
         word[1] = state
-        if len(columns) > n:
+        if len(word) < len(columns) + 2:
             word.append(None)
-        for j, tok in zip(touched, _column_tokens(tm, columns, heads, touched)):
-            word[j + 2] = tok
+        for j, mask in touched.items():
+            word[j + 2] = token_of[columns[j], mask]
         words.append(tuple(word))
+        if (listed := listed + len(word)) > budget:
+            raise StateBudgetExceeded(listed, budget)
     raise InvalidTm(f"machine {tm.name} did not halt within {MAX_STEPS} steps")
 
 
@@ -275,21 +285,21 @@ def _step_graph(tm: TmSpec) -> tuple:
     numbered by the search that reads the graph.
     """
     K = tm.tapes
-    ALL = frozenset(range(K))
+    ALL = (1 << K) - 1
     index, token_of = tm._column_index, tm._token_of
     blanks = (tm.blank,) * K
     START, DONE = ("start",), ("done",)
     start = []
     for (q, reads), (q2, actions) in tm.transitions.items():
-        l_movers = frozenset(i for i in range(K) if actions[i][1] == "L")
+        l_movers = sum(1 << i for i in range(K) if actions[i][1] == "L")
         t = (reads, actions, l_movers)
         for g0 in _subsets(l_movers):
-            start.append((((q, q2),), (t, frozenset(), frozenset(), g0, True, (False, False))))
-    shared = {}  # (first, head tapes, reads, writes, out flags) -> [(content, letters), ...]
+            start.append((((q, q2),), (t, 0, 0, g0, True, (False, False))))
+    shared = {}  # (first, head mask, reads, writes, out flags) -> [(content, letters), ...]
 
     def column_letters(first, fx, reads, writes, out_flags):
         by_content = {}
-        heads = sorted(fx)
+        heads = _TAPES[fx]
         for tok, cells, in_content in index.get((first, fx, reads), ()):
             out_cells = list(cells)
             for i, w in zip(heads, writes):
@@ -307,12 +317,12 @@ def _step_graph(tm: TmSpec) -> tuple:
             return
         t, seen, carry, guessed, first, content = key
         reads, actions, l_movers = t
-        for r_heads in _subsets(ALL - l_movers - seen):
+        for r_heads in _subsets(ALL & ~(l_movers | seen)):
             fx = guessed | r_heads
             new_seen = seen | fx
-            heads = sorted(fx)
+            heads = _TAPES[fx]
             at_heads = (first, fx, tuple(reads[i] for i in heads), tuple(actions[i][0] for i in heads))
-            for g in _subsets(l_movers - new_seen):
+            for g in _subsets(l_movers & ~new_seen):
                 group = at_heads + (carry | g,)
                 letters = shared.get(group)
                 if letters is None:
@@ -335,21 +345,21 @@ def _step_graph(tm: TmSpec) -> tuple:
 
 
 @cache
-def _subsets(s: frozenset) -> tuple:
-    """The subsets of a set of tape indices, made once per set: a machine
-    has at most three tapes, so at most eight sets are kept."""
-    items = sorted(s)
-    return tuple(frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r))
+def _subsets(mask: int) -> tuple:
+    """The submasks of a tape mask, made once per mask, smallest first and
+    then in `itertools.combinations` order."""
+    items = _TAPES[mask]
+    return tuple(sum(1 << i for i in c) for r in range(len(items) + 1) for c in itertools.combinations(items, r))
 
 
 def _config_graph(tm: TmSpec) -> tuple:
     """Syntactically valid configuration words."""
-    ALL = frozenset(range(tm.tapes))
+    ALL = (1 << tm.tapes) - 1
 
     def moves(key):
         if key == ("start",):
             for q in tm.states:
-                yield ((q,),), (frozenset(), True, False)
+                yield ((q,),), (0, True, False)
             return
         seen, first, _content = key
         for (marker, fx, _heads), cols in tm._column_index.items():
@@ -550,7 +560,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
     """
     K = tm.tapes
     q0 = tm.initial
-    col0 = tm._token_of[(MARKER,) * K, frozenset(range(K))]
+    col0 = tm._token_of[(MARKER,) * K, (1 << K) - 1]
 
     def moves(key):
         if key == ("q",):
@@ -569,7 +579,7 @@ def _input_edge_graph(tm: TmSpec) -> tuple:
         x_cell = tm.blank if buf[0] == PAD else buf[0]
         y_opts = (tm.blank,) if ydone else ("0", "1", tm.blank)
         for y_cell in y_opts:
-            tok = tm._token_of[(x_cell, y_cell, tm.blank)[:K], frozenset()]
+            tok = tm._token_of[(x_cell, y_cell, tm.blank)[:K], 0]
             new_ydone = ydone or y_cell == tm.blank
             new_content = x_cell != tm.blank or y_cell != tm.blank
             for xc in ("0", "1", PAD):
@@ -599,7 +609,7 @@ def _accept_edge_graph(tm: TmSpec) -> tuple:
     half again as long to fill the accept rows that reads reach.
     """
     config_start, config_accepting, config_moves = _config_graph(tm)
-    by_cell: dict = {}  # (first, y cell) -> [(head tapes, column token, content), ...]
+    by_cell: dict = {}  # (first, y cell) -> [(head mask, column token, content), ...]
     for (first, fx, _heads), cols in tm._column_index.items():
         for tok, cells, content in cols:
             by_cell.setdefault((first, cells[1]), []).append((fx, tok, content))

@@ -648,6 +648,12 @@ def run(tm, inputs):
     raise T.InvalidTm(f"machine {tm.name} did not halt within {T.MAX_STEPS} steps")
 
 
+def reference_serialize(tm, c):
+    """`Configuration.serialize` read from no table: each column's token
+    joined by `tm.column_token` from its cells and its head flags."""
+    return (c.state, *(T.column_token(cells, [h == j for h in c.heads]) for j, cells in enumerate(c.columns)))
+
+
 def reference_config_graph(h, budget=1000):
     """`hopda.config_graph` before each configuration was keyed once: a
     `seen` set and an `order` list of (state, Npds) pairs, each lookup

@@ -263,6 +263,34 @@ def test_tm_wf_check(capsys):
     assert out.startswith("wf-check ok")
 
 
+@pytest.mark.parametrize("lengths, digest", [
+    ([], "0b1d1ad31f80734256ea7a9d86e15e3d237e821c66a73e97c0addc50033c515e"),
+    (["--word-len", "5", "--run-len", "3"], "215fd7ae8fb1a16c6244c21af20512083fc413829ff48455be47087021ca8798"),
+], ids=["3-2", "5-3"])
+def test_tm_wf_check_dot_is_pinned(lengths, digest, tmp_path, capsys):
+    # the fragment a user sees, at the default lengths and at the rpi
+    # benchmark's, byte for byte
+    dot = tmp_path / "fragment.dot"
+    code, _ = run_cli(["tm", "wf-check", "builtin:comparator", "--dot", str(dot), *lengths], capsys)
+    assert code == 0
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
+
+
+def test_tm_wf_check_of_a_machine_that_never_halts_exits_at_the_budget(tmp_path, capsys):
+    # both heads walk right forever, so the run on two empty inputs adds a
+    # column a step; its words are counted against the 10^6 state budget,
+    # sum(k + 3 for k in range(1412)) = 1,000,402 tokens, and wf-check
+    # exits 3 long before MAX_STEPS, not out of memory
+    cells = ["0", "1", "_"]
+    trans = ["trans go (>,>) -> go (>,R)(>,R)"]
+    trans += [f"trans go ({a},{b}) -> go ({a},R)({b},R)" for a in cells for b in cells]
+    path = tmp_path / "walk.tm"
+    path.write_text("\n".join(["tm walk", "tapes 2", "blank _", "state go", *trans]) + "\n", encoding="utf-8")
+    code, out = run_cli(["tm", "wf-check", str(path), "--json"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "budget-exceeded", "states": 1000402, "budget": 1000000}
+
+
 @pytest.mark.parametrize("flag", ["--word-len", "--run-len"])
 def test_tm_negative_length_is_usage_error(flag, capsys):
     assert main(["tm", "wf-check", "builtin:comparator", flag, "-1"]) == 2

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import random
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -12,6 +14,7 @@ from conftest import (
     empty_machine,
     parse_configuration,
     reference_initial_configuration,
+    reference_serialize,
     reference_step,
     reference_step_graph,
     run,
@@ -216,6 +219,20 @@ def test_step_automaton_matches_reference(tm):
     got = au.save_automaton(step_relation_automaton(tm), "S")
     want = au.save_automaton(au.build(2, tm.config_alphabet, *reference_step_graph(tm)), "S")
     assert got == want
+
+
+def cross_machine():
+    """Two tapes: the heads part from one column, meet again and cross,
+    head 1 ending right of head 2."""
+    M = T.MARKER
+    trans = {
+        ("p", (M, M)): ("p", ((M, "R"), (M, "R"))),
+        ("p", ("a", "a")): ("q", (("a", "L"), ("b", "R"))),
+        ("q", (M, "a")): ("r", ((M, "R"), ("a", "L"))),
+        ("r", ("a", "b")): ("s", (("b", "R"), ("b", "L"))),
+    }
+    return T.TmSpec(name="cross", tapes=2, blank="_", states=("p", "q", "r", "s"),
+                    accepting=frozenset({"s"}), transitions=trans)
 
 
 @st.composite
@@ -556,7 +573,7 @@ def test_tag_config_matches_serialize():
     # a cell outside the machine's cell alphabets is built as `serialize` builds it
     foreign = Configuration(tm.initial, ((T.MARKER,) * 3, ("7", "0", tm.blank)), (1, 0, 1))
     for c in trace + [foreign]:
-        assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize(tm)
+        assert tag_config(c, tm) == (T.CONF_TAG,) + c.serialize(tm) == (T.CONF_TAG,) + reference_serialize(tm, c)
 
 
 def walk_machine():
@@ -601,6 +618,80 @@ def test_run_words_stops_at_max_steps_as_the_reference_run(monkeypatch):
         for runner in (run, run_words):
             with pytest.raises(InvalidTm, match=f"machine {tm.name} did not halt within 30 steps"):
                 runner(tm, inputs)
+
+
+def test_a_run_that_does_not_halt_stops_at_the_state_budget():
+    # walk adds a column a step, so its words would hold O(steps^2) tokens
+    # by MAX_STEPS: the tokens listed are counted, and the run stops at the
+    # first word past the budget, sum(k + 3 for k in range(n)) > 20,000
+    tracemalloc.start()
+    start = time.perf_counter()
+    with au.state_budget(20000), pytest.raises(StateBudgetExceeded) as exc:
+        run_words(walk_machine(), [()])
+    took = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    n = next(n for n in itertools.count() if sum(k + 3 for k in range(n)) > 20000)
+    assert (exc.value.n_states, exc.value.budget) == (sum(k + 3 for k in range(n)), 20000)
+    assert took < 0.5, took
+    assert peak < 2_000_000, peak
+
+
+@st.composite
+def halting_runs(draw):
+    """A random machine of 1-3 tapes and inputs, the machine drawn along
+    its run: at each configuration with no transition yet, one is added,
+    with random writes and L or R moves, until `limit` are drawn; the run
+    halts at the next.  One input may end in 7, a cell no transition reads
+    or writes: a head that reaches it halts the run.  Past 60 steps the
+    run goes on by the transitions drawn, and may not halt."""
+    tapes = draw(st.integers(1, 3))
+    states = ("p", "q", "r")[: draw(st.integers(1, 3))]
+    inputs = [tuple(draw(st.lists(st.sampled_from("ab_"), max_size=5))) for _ in range(tapes)]
+    if draw(st.booleans()):
+        inputs[draw(st.integers(0, tapes - 1))] += ("7",)
+    limit = draw(st.integers(0, 16))
+    transitions = {}
+    drawing = T.TmSpec(name="random", tapes=tapes, blank="_", states=states, accepting=frozenset(),
+                       transitions=transitions)  # `reference_step` reads the transitions drawn so far
+    c = T.initial_configuration(drawing, inputs)
+    for _ in range(60):
+        key = (c.state, tuple(c.columns[h][i] for i, h in enumerate(c.heads)))
+        if key not in transitions:
+            if "7" in key[1] or len(transitions) == limit:
+                break
+            transitions[key] = (draw(st.sampled_from(states)), tuple(
+                (T.MARKER, "R") if r == T.MARKER else (draw(st.sampled_from("ab_")), draw(st.sampled_from("LR")))
+                for r in key[1]
+            ))
+        c = reference_step(drawing, c)
+    accepting = draw(st.frozensets(st.sampled_from(states)))
+    return T.TmSpec(name="random", tapes=tapes, blank="_", states=states, accepting=accepting,
+                    transitions=transitions), inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(halting_runs())
+@example((swap_machine(), [("a", "b", "7"), ("b", "a")]))  # two heads on one column
+@example((split_machine(), [("a", "a", "_", "7"), ()]))  # heads parting, an L move
+@example((cross_machine(), [("a", "a"), ("a", "a", "7")]))  # heads crossing
+@example((kreisel_comparator(False), [("1", "0", "7"), ("0", "1", "1"), ()]))
+def test_run_words_and_serialize_match_the_tableless_serializer(case):
+    # the mask table read by `run_words` and `serialize` against columns
+    # joined by `column_token` alone, over the reference run over `step`:
+    # heads that share and cross columns, L and R moves, appended columns
+    # and cells outside the machine's cell alphabets
+    tm, inputs = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "MAX_STEPS", 100)
+        try:
+            trace, accepted = run(tm, inputs)
+        except InvalidTm:
+            with pytest.raises(InvalidTm, match="did not halt"):
+                run_words(tm, inputs)
+            return
+        assert run_words(tm, inputs) == ([(T.CONF_TAG, *reference_serialize(tm, c)) for c in trace], accepted)
+    assert [c.serialize(tm) for c in trace] == [reference_serialize(tm, c) for c in trace]
 
 
 def test_emb_path_names_the_first_hop_the_relation_rejects():
