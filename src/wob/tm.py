@@ -48,7 +48,7 @@ MARKER = ">"
 WORD_TAG = "W"
 CONF_TAG = "C"
 MAX_STEPS = 10 ** 5  # the steps `run_words` takes before it gives up on a machine
-_TAPES = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(8))  # tape mask -> its tapes, in order
+_TAPES = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(8))  # tape mask -> its tapes, of at most 3
 
 
 @record
@@ -184,8 +184,8 @@ def _move(tm: TmSpec, columns: list, heads: list, actions) -> dict:
     list and head list.  Only a column whose cell under a head changes is
     rebuilt, one write at a time in tape order, so two heads on one column
     both write it; a head past the last column appends a blank one.
-    Returns each touched column's head mask: the old and new head columns
-    and an appended one."""
+    Returns the head mask, its mask-table key, of each column touched:
+    the old and new head columns and an appended one."""
     touched = dict.fromkeys(heads, 0)
     for i, (w, m) in enumerate(actions):
         h = heads[i]
