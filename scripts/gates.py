@@ -159,22 +159,50 @@ def rpi_memory():
 GATES["rpi_memory"] = (rpi_memory, 60)
 
 
+def _cli(argv) -> tuple:
+    """`wob ARGV`'s exit code and its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def rpi_build():
+    """`build_rpi` is most of the benchmark's rpi workload, on the same
+    machine; a large slowdown or a different relation shows here."""
+    code, out = _cli(["tm", "build-rpi", str(ROOT / "corpus" / "machines" / "kreisel_true.tm")])
+    print(f"tm build-rpi kreisel_true.tm: exit {code}, {out.strip()}")
+    assert (code, out) == (0, "rpi relation: 1746 states, 106037 transitions\n"), (code, out)
+
+
+GATES["rpi_build"] = (rpi_build, 60)
+
+
 def wf_check():
     """The benchmark's rpi workload checks a fragment of the comparator's
     relation at word length 5 and run length 3 (1,142 elements); at 8 and
     6 it lists 120,406 elements and runs 127^2 machine runs, so a cost
     that grows with the fragment, in `run_words` or in the reads, shows
     here."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["tm", "wf-check", "builtin:comparator", "--word-len", "8", "--run-len", "6", "--json"])
-    got = json.loads(out.getvalue())
+    code, out = _cli(["tm", "wf-check", "builtin:comparator", "--word-len", "8", "--run-len", "6", "--json"])
+    got = json.loads(out)
     print(f"wf-check --word-len 8 --run-len 6: exit {code}, {got}")
     assert code == 0, code
     assert got == {"edges": 127896, "elements": 120406, "verdict": "ok"}, got
 
 
 GATES["wf_check"] = (wf_check, 30)
+
+
+def hopda_graph():
+    """Each configuration is keyed once, so 20,000 level-2 configurations
+    of the omega^omega machine take well under the timeout."""
+    code, out = _cli(["hopda", "graph", "builtin:omegaomega", "--budget", "20000"])
+    print(f"hopda graph builtin:omegaomega --budget 20000: exit {code}, {out.strip()}")
+    assert (code, out) == (0, "graph: 20000 vertices, 19999 edges (partial)\n"), (code, out)
+
+
+GATES["hopda_graph"] = (hopda_graph, 10)
 
 
 def bachmann():

@@ -92,11 +92,13 @@ STATE_BUDGET: ContextVar = ContextVar("state_budget", default=DEFAULT_STATE_BUDG
 
 @contextmanager
 def state_budget(n: int):
-    """Every construction inside the block raises at n + 1 states.  No
-    kernel operation takes a budget: the entry points set it once for
-    their work (`recognize`, `compile_formula`, `eval_sentence`, and
-    through them the CLI's `--budget`), so what a structure caches and the
-    fixed relation automata are capped like everything else."""
+    """Every construction inside the block raises at n + 1 states, and a
+    `tm` run or fragment once its configuration tokens or elements pass
+    n.  This block is the one way to set the budget: no function of the
+    package takes one, so a caller sets it around all its work (the CLI
+    around each action's call, from `--budget`), and what a structure
+    caches and the fixed relation automata are capped like everything
+    else.  Outside every block it is DEFAULT_STATE_BUDGET."""
     token = STATE_BUDGET.set(n)
     try:
         yield
@@ -568,7 +570,7 @@ def _numbering(initial_key) -> tuple:
                 back.append([q])
                 single.append((r,))
                 if len(order) > budget:
-                    raise StateBudgetExceeded(len(order), budget)
+                    raise StateBudgetExceeded(len(order), budget, "states")
             else:
                 back[r].append(q)
             if not letters:  # an ε-move
@@ -881,7 +883,7 @@ def _reaches_acceptance(start, accepting, moves) -> bool:
             if key not in seen:
                 seen.add(key)
                 if len(seen) > budget:
-                    raise StateBudgetExceeded(len(seen), budget)
+                    raise StateBudgetExceeded(len(seen), budget, "states")
                 if accepting(key):
                     return True
                 stack.append(key)

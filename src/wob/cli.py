@@ -278,7 +278,8 @@ def cmd_query(args) -> int:
             text = fh.read()
     f = parse_formula(text)
     if args.out:
-        aut = compile_formula(s, f, state_budget=args.budget)
+        with au.state_budget(args.budget):
+            aut = compile_formula(s, f)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(au.save_automaton(aut, "query"))
         _emit(args, f"wrote {args.out}", {"written": args.out, "states": aut.n_states})
@@ -286,14 +287,16 @@ def cmd_query(args) -> int:
     if f.free_vars():
         print("error: formula has free variables; use --out", file=sys.stderr)
         return USAGE
-    verdict = eval_sentence(s, f, state_budget=args.budget)
+    with au.state_budget(args.budget):
+        verdict = eval_sentence(s, f)
     _emit(args, "true" if verdict else "false", {"verdict": verdict})
     return OK if verdict else NEGATIVE
 
 
 def cmd_recognize(args) -> int:
     p = rec.OrderPresentation(load_structure(args.manifest))
-    levels, got = rec.condense(p, max_levels=args.max_levels, budget=args.budget)
+    with au.state_budget(args.budget):
+        levels, got = rec.condense(p, max_levels=args.max_levels)
     level: rec.Level
     for i, level in enumerate(levels if args.trace else []):
         print(f"; condensation level {i}")

@@ -26,8 +26,10 @@ class CannotProject(WobError):
 
 
 class StateBudgetExceeded(WobError):
-    def __init__(self, n_states, budget):
-        super().__init__(f"grew to {n_states} states, budget {budget}")
+    """A count, `n_states` whatever its `unit`, passed the budget."""
+
+    def __init__(self, n_states, budget, unit):
+        super().__init__(f"grew to {n_states} {unit}, budget {budget}")
         self.n_states = n_states
         self.budget = budget
 

@@ -304,7 +304,7 @@ def run_word(h: HopdaSpec, word, budget: int = 10 ** 4) -> bool:
     word = tuple(word)
     for explored, ((state, _, pos), _pds) in enumerate(_runs(h, word), start=1):
         if explored > budget:
-            raise StateBudgetExceeded(explored, budget)
+            raise StateBudgetExceeded(explored, budget, "configurations")
         if pos == len(word) and state in h.accepting:
             return True
     return False

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import automata as au
-from .automata import DEFAULT_STATE_BUDGET, Automaton
+from .automata import Automaton
 from .errors import (
     ArityMismatch,
     LoadError,
@@ -401,23 +401,23 @@ class Compiler:
         return _Result(rest, au.project(r.aut, t, infinite=infinite))
 
 
-def compile_formula(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> Automaton:
+def compile_formula(s: Structure, f: Formula) -> Automaton:
     """Compile to an automaton over the free variables in alphabetical order.
 
     Sentences compile to an arity-1 automaton over a dummy tape whose
-    emptiness decides truth.  Every construction runs under `state_budget`.
+    emptiness decides truth.  Every construction runs under the state
+    budget the caller sets (`with au.state_budget(n):`).
     """
-    with au.state_budget(state_budget):
-        res = Compiler(s).compile(f)
+    res = Compiler(s).compile(f)
     if res.aut is not None:
         return res.aut
     return s.domain if res.truth else au.empty(s.domain.alphabet, 1)
 
 
-def eval_sentence(s: Structure, f: Formula, state_budget: int = DEFAULT_STATE_BUDGET) -> bool:
+def eval_sentence(s: Structure, f: Formula) -> bool:
     if f.free_vars():
         raise NotASentence(f"free variables: {sorted(f.free_vars())}")
-    return not au.is_empty(compile_formula(s, f, state_budget))
+    return not au.is_empty(compile_formula(s, f))
 
 
 # -- manifest format ---------------------------------------------------------

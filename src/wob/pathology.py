@@ -185,13 +185,13 @@ def kreisel_formula():
     return Or(first, second)
 
 
-def kreisel_as_automatic(pi0: PiPredicate, state_budget: int = 10 ** 6) -> Structure:
+def kreisel_as_automatic(pi0: PiPredicate) -> Structure:
     """Compile the reordering into an automatic presentation over {0,1}^*."""
     if pi0.aut is None:
         raise WobError("only regular predicates compile to automata")
     domain = au.universe(BINARY, 1)
     helper = Structure(name="kreisel0", domain=domain, relations={PI0_REL: pi0.aut})
-    rel = compile_formula(helper, kreisel_formula(), state_budget=state_budget)
+    rel = compile_formula(helper, kreisel_formula())
     rel = au.minimize(rel)
     return _unchecked("kreisel", domain, {LESS: rel})
 

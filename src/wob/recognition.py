@@ -18,8 +18,8 @@ condensation reaching a fixpoint while the order is still infinite
 allows).
 
 Recognition compiles no formula; every set is a kernel construction run
-under the state budget `condense` sets once (`au.state_budget`), so no
-other function here but `recognize`, its wrapper, takes one.  Each presentation searches the interval
+under the state budget its caller sets (`with au.state_budget(n):`), and
+no function here takes one.  Each presentation searches the interval
 product between(x, z, y) = x<z<y of its order with itself once, dropping
 z as the search goes, and reads the successor relation, the transitivity
 check and I = { (x, y) : infinitely many z with x<z<y } from its two
@@ -47,7 +47,7 @@ from typing import Optional, Union
 
 from . import automata as au
 from . import ordinals as o
-from .automata import DEFAULT_STATE_BUDGET, Automaton
+from .automata import Automaton
 from .errors import NotComparable, NotLinear
 from .logic import Structure, _unchecked
 from .ordinals import CnfOrdinal
@@ -216,44 +216,37 @@ class Level:
     top: Optional[int]
 
 
-def condense(
-    p: OrderPresentation,
-    max_levels: Optional[int] = None,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> tuple[list[Level], RecognitionResult]:
+def condense(p: OrderPresentation, max_levels: Optional[int] = None) -> tuple[list[Level], RecognitionResult]:
     """The levels the condensation reaches from `p`, level 0 first, and the
-    verdict, decided within `budget` states; BudgetExceeded means only that
-    it ran past `max_levels` levels, and counts those it condensed."""
-    with au.state_budget(budget):
-        failure = check_linear(p)
-        if failure is not None:
-            raise NotLinear(f"{p.structure.name}: {failure} fails")
-        if max_levels is None:
-            max_levels = max(2, p.order.n_states)
-        levels: list[Level] = []
-        current = p
-        while True:
-            levels.append(Level(current.structure, None))
-            bad = classify_classes(current)
-            if bad is not None:
-                return levels, NotWellOrder(bad)
-            if not au.is_infinite(current.domain):
-                last = o.from_int(au.count_words(au.minimize(current.domain)))
-                return levels, WellOrder(_unwind(last, levels[-2::-1]))
-            # every class a singleton: the quotient is the level itself
-            if au.is_empty(current.in_class):
-                return levels, NotWellOrder(DenseFixpoint(len(levels) - 1))
-            levels[-1] = Level(current.structure, _top_class_size(current))
-            if len(levels) > max_levels:
-                return levels, BudgetExceeded(len(levels))
-            current = finite_condensation(current)
+    verdict; BudgetExceeded means only that it ran past `max_levels`
+    levels, and counts those it condensed."""
+    failure = check_linear(p)
+    if failure is not None:
+        raise NotLinear(f"{p.structure.name}: {failure} fails")
+    if max_levels is None:
+        max_levels = max(2, p.order.n_states)
+    levels: list[Level] = []
+    current = p
+    while True:
+        levels.append(Level(current.structure, None))
+        bad = classify_classes(current)
+        if bad is not None:
+            return levels, NotWellOrder(bad)
+        if not au.is_infinite(current.domain):
+            last = o.from_int(au.count_words(au.minimize(current.domain)))
+            return levels, WellOrder(_unwind(last, levels[-2::-1]))
+        # every class a singleton: the quotient is the level itself
+        if au.is_empty(current.in_class):
+            return levels, NotWellOrder(DenseFixpoint(len(levels) - 1))
+        levels[-1] = Level(current.structure, _top_class_size(current))
+        if len(levels) > max_levels:
+            return levels, BudgetExceeded(len(levels))
+        current = finite_condensation(current)
 
 
-def recognize(
-    p: OrderPresentation, max_levels: Optional[int] = None, budget: int = DEFAULT_STATE_BUDGET
-) -> RecognitionResult:
+def recognize(p: OrderPresentation, max_levels: Optional[int] = None) -> RecognitionResult:
     """Decide well-orderedness and the CNF of the order type: `condense`'s verdict."""
-    return condense(p, max_levels, budget)[1]
+    return condense(p, max_levels)[1]
 
 
 def _unwind(beta: CnfOrdinal, condensed: list[Level]) -> CnfOrdinal:

@@ -13,6 +13,9 @@ makes the one-step relation synchronous-automaton recognizable.
 A set of tapes, such as the heads on a column, is an int mask, bit i for
 tape i.  Each column token is read from one mask table, `TmSpec._token_of`,
 keyed by (cells, head mask); a run re-tokenises the columns `_move` touched.
+A run has no step cap: the tokens of the configuration words it lists
+count against the state budget (`automata.state_budget`), so a machine
+that does not halt ends in StateBudgetExceeded.
 
 Every automaton here is a graph, a (start, accepting, moves) triple that
 `automata.build` numbers, trims and validates in one pass.  The relation
@@ -47,7 +50,6 @@ from .records import record
 MARKER = ">"
 WORD_TAG = "W"
 CONF_TAG = "C"
-MAX_STEPS = 10 ** 5  # the steps `run_words` takes before it gives up on a machine
 _TAPES = tuple(tuple(i for i in range(3) if m >> i & 1) for m in range(8))  # tape mask -> its tapes, of at most 3
 
 
@@ -214,18 +216,20 @@ def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
 
 
 def run_words(tm: TmSpec, inputs: Sequence) -> tuple:
-    """Run to halt, at most MAX_STEPS steps; returns (the `tag_config` word
-    of each configuration, accepted).  One column list and one head list
-    are stepped in place (`_move`, as `step` moves).  The first word is
-    serialized whole; each later one is its predecessor's with the state
-    and the columns `_move` touched re-tokenised, one mask-table lookup
-    each.  A run that does not halt may add a column a step, so the tokens
-    listed are counted: StateBudgetExceeded past the state budget."""
+    """Run to halt; returns (the `tag_config` word of each configuration,
+    accepted).  One column list and one head list are stepped in place
+    (`_move`, as `step` moves).  The first word is serialized whole; each
+    later one is its predecessor's with the state and the columns `_move`
+    touched re-tokenised, one mask-table lookup each.  The tokens listed
+    are counted against the state budget, the run's one cap: a word holds
+    at least 3 tokens, so a run that does not halt, in bounded space or
+    adding a column a step, raises StateBudgetExceeded within budget / 3
+    steps."""
     c = initial_configuration(tm, inputs)
     state, columns, heads, transitions, token_of = c.state, list(c.columns), list(c.heads), tm.transitions, tm._token_of
     word = list(tag_config(c, tm))
     words, listed, budget = [tuple(word)], len(word), au.STATE_BUDGET.get()
-    for _ in range(MAX_STEPS):
+    while True:
         hit = transitions.get((state, tuple([columns[h][i] for i, h in enumerate(heads)])))
         if hit is None:
             return words, state in tm.accepting
@@ -238,8 +242,7 @@ def run_words(tm: TmSpec, inputs: Sequence) -> tuple:
             word[j + 2] = token_of[columns[j], mask]
         words.append(tuple(word))
         if (listed := listed + len(word)) > budget:
-            raise StateBudgetExceeded(listed, budget)
-    raise InvalidTm(f"machine {tm.name} did not halt within {MAX_STEPS} steps")
+            raise StateBudgetExceeded(listed, budget, "configuration tokens")
 
 
 # -- reversibility ------------------------------------------------------------
@@ -723,10 +726,10 @@ def check_fragment_budget(word_len: int, run_input_len: int) -> None:
     budget = au.STATE_BUDGET.get()
     top = max(word_len, run_input_len)
     if top >= max(budget.bit_length(), 64):  # 2 ** (top + 1) - 1 words: past the budget and 2^64
-        raise StateBudgetExceeded(budget + 1, budget)
+        raise StateBudgetExceeded(budget + 1, budget, "fragment elements")
     least = 2 ** (top + 1) - 1 + (2 ** (run_input_len + 1) - 1) ** 2
     if least > budget:
-        raise StateBudgetExceeded(least if top < 64 else budget + 1, budget)
+        raise StateBudgetExceeded(least if top < 64 else budget + 1, budget, "fragment elements")
 
 
 def explore_fragment(rpi: RpiStructure, word_len: int, run_input_len: int) -> ExploredFragment:
@@ -759,7 +762,7 @@ def explore_fragment(rpi: RpiStructure, word_len: int, run_input_len: int) -> Ex
             confs, accepted = run_words(tm, [x, y] + [()] * (tm.tapes - 2))
             configs.update(confs)
             if len(elements) + len(configs) > budget:
-                raise StateBudgetExceeded(len(elements) + len(configs), budget)
+                raise StateBudgetExceeded(len(elements) + len(configs), budget, "fragment elements")
             path = [tag_word(x), *confs, *([tag_word(y)] if accepted else [])]
             bad = rel.rejected_hop(path)
             if bad is not None:

@@ -636,16 +636,21 @@ def built_projection_sets(p):
 
 def run(tm, inputs):
     """The reference run over `tm.step`: (the trace of configurations,
-    accepted), at most `tm.MAX_STEPS` steps."""
+    accepted).  As `run_words` counts them, the tokens of the words it
+    lists (the tag, the state and a token per column) count against the
+    state budget, tested after each step: StateBudgetExceeded past it."""
     c = T.initial_configuration(tm, inputs)
     trace = [c]
-    for _ in range(T.MAX_STEPS):
+    listed, budget = len(c.columns) + 2, au.STATE_BUDGET.get()
+    while True:
         nxt = T.step(tm, c)
         if nxt is None:
             return trace, c.state in tm.accepting
         c = nxt
         trace.append(c)
-    raise T.InvalidTm(f"machine {tm.name} did not halt within {T.MAX_STEPS} steps")
+        listed += len(c.columns) + 2
+        if listed > budget:
+            raise StateBudgetExceeded(listed, budget, "configuration tokens")
 
 
 def reference_serialize(tm, c):
@@ -839,7 +844,7 @@ def reference_canonical(arity, alphabet, initial_key, accepting_pred, moves, max
                     order.append(target)
                     back.append([])
                     if max_states is not None and len(order) > max_states:
-                        raise StateBudgetExceeded(len(order), max_states)
+                        raise StateBudgetExceeded(len(order), max_states, "states")
                 back[numbering[target]].append(q)
         row = {}
         for letter in sorted(out):

@@ -1276,7 +1276,7 @@ def test_build_matches_reference_canonical(data):
     reached = au._search({0}, {q: {r for _l, r in out} for q, out in enumerate(graph)})
     foreign = any("z" in l for q in reached for letters, _r in graph[q] for l in letters)
     if budget is not None and len(reached) > budget and not foreign:
-        assert got == (StateBudgetExceeded, str(StateBudgetExceeded(budget + 1, budget)))
+        assert got == (StateBudgetExceeded, str(StateBudgetExceeded(budget + 1, budget, "states")))
     if budget is None or len(reached) <= budget:
         assert got[0] is not StateBudgetExceeded
 
@@ -1949,30 +1949,36 @@ def test_field_reads_are_told_by_owner():
 
 
 def test_no_function_takes_a_state_budget():
-    # the state budget is one scoped value that every construction reads:
-    # no function of the package takes `max_states`, and the entry points
-    # that set the budget for their work keep their signatures
-    from wob import logic, pathology, recognition
+    # the state budget is one scoped value, set only by `au.state_budget`,
+    # that every construction and every machine run reads: no function of
+    # these modules takes a budget, and a run has no step cap of its own.
+    # The hopda and fgh caps count configurations, vertices and steps, and
+    # keep their own parameters
+    from wob import fgh
+    from wob import hopda as ho
 
     root = Path(__file__).resolve().parent.parent / "src" / "wob"
+    trees = {name: ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("automata", "logic", "recognition", "pathology", "tm", "corpus", "cli")}
     takers = [
-        f"{path.stem}.{node.name}"
-        for path in sorted(root.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and "max_states" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)} & {"budget", "state_budget", "max_states"}
     ]
     assert takers == []
-
-    def params(fn):
-        return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
-
-    need, budget = inspect.Parameter.empty, au.DEFAULT_STATE_BUDGET
-    assert budget == 10 ** 6
-    assert params(recognition.recognize) == [("p", need), ("max_levels", None), ("budget", budget)]
-    assert params(recognition.condense) == [("p", need), ("max_levels", None), ("budget", budget)]
-    assert params(logic.compile_formula) == [("s", need), ("f", need), ("state_budget", budget)]
-    assert params(logic.eval_sentence) == [("s", need), ("f", need), ("state_budget", budget)]
-    assert params(pathology.kreisel_as_automatic) == [("pi0", need), ("state_budget", budget)]
+    assert "MAX_STEPS" not in {node.id for node in ast.walk(trees["tm"]) if isinstance(node, ast.Name)}
+    halts = [
+        path.name
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "did not halt" in node.value
+    ]
+    assert halts == []
+    assert [inspect.signature(fn).parameters["budget"].default for fn in (ho.run_word, ho.config_graph, ho.unfold)] == [
+        10 ** 4, 1000, 1000]
+    assert fgh.Budget() == fgh.Budget(max_value=10 ** 6, max_steps=10 ** 6)
 
 
 def test_the_kernel_tests_the_budget_in_two_loops():

@@ -280,15 +280,33 @@ def test_tm_wf_check_of_a_machine_that_never_halts_exits_at_the_budget(tmp_path,
     # both heads walk right forever, so the run on two empty inputs adds a
     # column a step; its words are counted against the 10^6 state budget,
     # sum(k + 3 for k in range(1412)) = 1,000,402 tokens, and wf-check
-    # exits 3 long before MAX_STEPS, not out of memory
+    # exits 3, not out of memory
     cells = ["0", "1", "_"]
     trans = ["trans go (>,>) -> go (>,R)(>,R)"]
     trans += [f"trans go ({a},{b}) -> go ({a},R)({b},R)" for a in cells for b in cells]
     path = tmp_path / "walk.tm"
     path.write_text("\n".join(["tm walk", "tapes 2", "blank _", "state go", *trans]) + "\n", encoding="utf-8")
-    code, out = run_cli(["tm", "wf-check", str(path), "--json"], capsys)
-    assert code == 3
+    assert main(["tm", "wf-check", str(path), "--json"]) == 3
+    out, err = capsys.readouterr()
     assert json.loads(out) == {"verdict": "budget-exceeded", "states": 1000402, "budget": 1000000}
+    assert err == "budget-exceeded: grew to 1000402 configuration tokens, budget 1000000\n"
+
+
+def test_tm_wf_check_of_a_machine_that_loops_in_bounded_space_exits_at_the_budget(tmp_path, capsys):
+    # a valid reversible machine whose heads bounce between columns 0 and
+    # 1 on two empty inputs: its words stay 4 tokens long, and the run ends
+    # at the state budget like any other that does not halt, as a budget
+    # exit and not as malformed input
+    trans = ["go (>,>) -> a (>,R)(>,R)", "a (_,_) -> go (_,L)(_,L)", "a (0,0) -> h (0,R)(0,R)", "a (1,1) -> h (1,R)(1,R)"]
+    path = tmp_path / "bounce.tm"
+    path.write_text("\n".join(["tm bounce", "tapes 2", "blank _", "state go", "state a", "state h accept",
+                               *(f"trans {t}" for t in trans)]) + "\n", encoding="utf-8")
+    start = time.monotonic()
+    assert main(["tm", "wf-check", str(path), "--json"]) == 3
+    assert time.monotonic() - start < 5
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"budget": 1000000, "states": 1000003, "verdict": "budget-exceeded"}
+    assert err == "budget-exceeded: grew to 1000003 configuration tokens, budget 1000000\n"
 
 
 @pytest.mark.parametrize("flag", ["--word-len", "--run-len"])
@@ -348,6 +366,22 @@ def test_state_budget_exit_prints_json(argv, states, budget, capsys):
     code, out = run_cli(argv + ["--json"], capsys)
     assert code == 3
     assert json.loads(out) == {"verdict": "budget-exceeded", "states": states, "budget": budget}
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["recognize", MIXED_MANIFEST, "--budget", "20"], "grew to 21 states, budget 20"),
+        (["tm", "wf-check", "builtin:comparator", "--word-len", "40"],
+         "grew to 2199023255600 fragment elements, budget 1000000"),
+        (["hopda", "run", "builtin:omega", "aaaa", "--budget", "2"], "grew to 3 configurations, budget 2"),
+    ],
+    ids=["states", "fragment-elements", "configurations"],
+)
+def test_a_budget_exit_names_what_it_counted(argv, err, capsys):
+    # stderr names the unit counted; the --json object keeps its `states` key
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"budget-exceeded: {err}\n")
 
 
 def test_recognize_max_levels_stops_one_level_short(capsys):
@@ -732,7 +766,7 @@ def test_omega1_contract_checks_the_system(monkeypatch, capsys):
 def test_hopda_run_honors_the_budget(capsys):
     assert main(["hopda", "run", "builtin:omega", "aaaa"]) == 1
     assert main(["hopda", "run", "builtin:omega", "aaaa", "--budget", "2"]) == 3
-    assert "budget-exceeded: grew to 3 states, budget 2" in capsys.readouterr().err
+    assert "budget-exceeded: grew to 3 configurations, budget 2" in capsys.readouterr().err
 
 
 def test_hopda_run_without_end_is_a_budget_exit(tmp_path, capsys):

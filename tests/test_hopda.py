@@ -462,7 +462,7 @@ def test_config_graph_matches_the_reference(machine, budget):
 def _reference_run_word(h, word, budget):
     for explored, (state, _pds, pos) in enumerate(reference_runs(h, word), start=1):
         if explored > budget:
-            raise StateBudgetExceeded(explored, budget)
+            raise StateBudgetExceeded(explored, budget, "configurations")
         if pos == len(word) and state in h.accepting:
             return True
     return False

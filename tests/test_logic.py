@@ -332,9 +332,10 @@ def test_negation_stops_at_the_state_budget():
     p = au.automaton(1, ("a", "b"), 5, 0, {4}, trans)
     s = Structure("last4", au.universe(("a", "b"), 1), {"P": p})
     budget = 10
-    assert compile_formula(s, parse_formula("(rel P x)"), state_budget=budget).n_states == 5
-    with pytest.raises(au.StateBudgetExceeded) as exc:
-        compile_formula(s, parse_formula("(not (rel P x))"), state_budget=budget)
+    with au.state_budget(budget):
+        assert compile_formula(s, parse_formula("(rel P x)")).n_states == 5
+    with pytest.raises(au.StateBudgetExceeded) as exc, au.state_budget(budget):
+        compile_formula(s, parse_formula("(not (rel P x))"))
     assert exc.value.n_states == budget + 1
     assert compile_formula(s, parse_formula("(not (rel P x))")).n_states == 16
 
@@ -344,12 +345,23 @@ def test_state_budget_holds_inside_each_construction():
     # 10 during its BFS and reports budget + 1, not the finished size
     s = load_structure(Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest")
     assert compile_formula(s, parse_formula("(rel < x y)")).n_states == 45
-    with pytest.raises(au.StateBudgetExceeded) as exc:
-        compile_formula(s, parse_formula("(rel < x y)"), state_budget=10)
+    with pytest.raises(au.StateBudgetExceeded) as exc, au.state_budget(10):
+        compile_formula(s, parse_formula("(rel < x y)"))
     assert exc.value.n_states == 11
 
 
 MIXED = Path(__file__).resolve().parent.parent / "corpus" / "mixed" / "mixed.manifest"
+
+
+@pytest.mark.parametrize("entry", [compile_formula, eval_sentence], ids=["compile_formula", "eval_sentence"])
+def test_compilation_runs_under_the_budget_its_caller_sets(entry):
+    # neither entry point sets a budget of its own: the caller's block is
+    # the one in force, and `<` on mixed (45 states) passes 5 at 6
+    s = load_structure(MIXED)
+    f = parse_formula("(forall x (exists y (rel < x y)))" if entry is eval_sentence else "(rel < x y)")
+    with pytest.raises(au.StateBudgetExceeded) as exc, au.state_budget(5):
+        entry(s, f)
+    assert (exc.value.n_states, exc.value.budget) == (6, 5)
 
 CAPPED = {
     "domain_cube": lambda s: s.domain_cube(2),

@@ -8,7 +8,7 @@ from wob import fgh
 from wob import ordinals as o
 from wob import pathology as pa
 from wob import recognition as rec
-from wob.errors import IllFormedSystem, PredicateDiverged, WobError
+from wob.errors import IllFormedSystem, PredicateDiverged, StateBudgetExceeded, WobError
 from wob.fgh import Budget, eval_F, eval_at_least
 from wob.pathology import (
     KreiselOrder,
@@ -152,6 +152,15 @@ def test_automatic_true_pi0_recognizes_omega():
     s = kreisel_as_automatic(regular_true())
     got = rec.recognize(rec.OrderPresentation(s))
     assert got == rec.WellOrder(o.OMEGA)
+
+
+def test_kreisel_as_automatic_runs_under_the_budget_its_caller_sets():
+    # the compile sets no budget of its own: the caller's block is in force.
+    # With pi_0 false everywhere, the minimal order fits 6 states but its
+    # compile does not
+    with pytest.raises(StateBudgetExceeded) as exc, au.state_budget(6):
+        kreisel_as_automatic(regular_empty())
+    assert (exc.value.n_states, exc.value.budget) == (7, 6)
 
 
 def test_automatic_order_matches_integer_model():

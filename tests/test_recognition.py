@@ -199,10 +199,7 @@ def test_recognize_non_well_orders(p: corpus.Presentation):
     levels, got = condense(pres_to_op(p))
     assert isinstance(got, NotWellOrder), got
     ev = got.evidence
-    if p.expected_failure == "bad-class":
-        assert isinstance(ev, BadCondensationClass)
-    else:
-        assert isinstance(ev, (DenseFixpoint, BadCondensationClass))
+    assert type(ev) is {"bad-class": BadCondensationClass, "dense": DenseFixpoint}[p.expected_failure], ev
     if isinstance(ev, BadCondensationClass):
         # machine-checkable: among enumerated elements of the witness class the
         # order has no least member, so every fragment member sees a smaller one
@@ -351,7 +348,7 @@ def test_a_budget_exit_while_counting_the_top_class_is_raised(monkeypatch):
 
     def refusing(a, tape, infinite=False):
         if (tape, infinite) == (1, True):
-            raise StateBudgetExceeded(7, 6)
+            raise StateBudgetExceeded(7, 6, "states")
         return original(a, tape, infinite)
 
     monkeypatch.setattr(au, "projection_graph", refusing)
@@ -362,9 +359,9 @@ def test_a_budget_exit_while_counting_the_top_class_is_raised(monkeypatch):
 def test_tiny_state_budget_raises():
     from wob.errors import StateBudgetExceeded
 
-    p = corpus.digit_presentation(o.parse("w^2"), "sq")
-    with pytest.raises(StateBudgetExceeded):
-        recognize(pres_to_op(p), budget=8)
+    p = pres_to_op(corpus.digit_presentation(o.parse("w^2"), "sq"))
+    with pytest.raises(StateBudgetExceeded), au.state_budget(8):
+        recognize(p)
 
 
 def test_recognize_requires_linear():
@@ -473,9 +470,10 @@ def test_level_cap_is_tested_before_the_quotient(monkeypatch):
     assert got == rec.BudgetExceeded(3) and len(levels) == 3
     assert len(calls) == 2
     omega = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega" / "omega.manifest"))
-    assert recognize(omega, max_levels=0, budget=4) == rec.BudgetExceeded(1)
-    with pytest.raises(StateBudgetExceeded):
-        recognize(omega, max_levels=1, budget=4)
+    with au.state_budget(4):
+        assert recognize(omega, max_levels=0) == rec.BudgetExceeded(1)
+        with pytest.raises(StateBudgetExceeded):
+            recognize(omega, max_levels=1)
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
@@ -573,7 +571,8 @@ def test_interval_product_built_once_across_budgets(monkeypatch):
 
     monkeypatch.setattr(au, "join_graph", counted)
     p = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
-    recognize(p, budget=10 ** 5)
+    with au.state_budget(10 ** 5):
+        recognize(p)
     assert len(between) == 3
     initial_chain(p, 5)
     assert len(between) == 3
@@ -770,9 +769,11 @@ def test_least_budget_with_a_verdict(name):
     # a construction that grows shows as a budget exit at the pinned value
     make, arg = CHAIN_CASES[name]
     budget = LEAST_BUDGETS[name]
-    assert isinstance(recognize(OrderPresentation(make(arg)), budget=budget), (WellOrder, NotWellOrder))
-    with pytest.raises(StateBudgetExceeded) as info:
-        recognize(OrderPresentation(make(arg)), budget=budget - 1)
+    fits, short = OrderPresentation(make(arg)), OrderPresentation(make(arg))
+    with au.state_budget(budget):
+        assert isinstance(recognize(fits), (WellOrder, NotWellOrder))
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(budget - 1):
+        recognize(short)
     assert info.value.n_states == budget
 
 
@@ -899,11 +900,21 @@ def test_recognize_budget_holds_on_the_interval_product(budget):
     # too small for it raises inside the product's search at budget + 1
     # keys, where the one numbering loop numbers a target
     pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
-    with pytest.raises(StateBudgetExceeded) as info:
-        recognize(pres, budget=budget)
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(budget):
+        recognize(pres)
     assert info.value.n_states == budget + 1
     frames = [frame.name for frame in traceback.extract_tb(info.tb)]
     assert frames[-4:] == ["between", "join_graph", "_explored", "fill"]
+
+
+@pytest.mark.parametrize("entry", [recognize, condense], ids=["recognize", "condense"])
+def test_recognition_runs_under_the_budget_its_caller_sets(entry):
+    # neither entry point sets a budget of its own: the caller's block is
+    # the one in force, and mixed's interval product passes 20 at 21 keys
+    pres = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
+    with pytest.raises(StateBudgetExceeded) as info, au.state_budget(20):
+        entry(pres)
+    assert (info.value.n_states, info.value.budget) == (21, 20)
 
 
 def test_recognize_runs_no_cube_check(monkeypatch):

@@ -4,10 +4,6 @@ import re
 import time
 from pathlib import Path
 
-from conftest import rebuilt
-from wob import corpus
-from wob import ordinals as o
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,39 +25,6 @@ def test_build_corpus_reproduces_committed_corpus(tmp_path):
     assert got == want
     for rel in want:
         assert (tmp_path / rel).read_bytes() == (committed / rel).read_bytes(), rel
-
-
-def test_recognition_sweep_matches_corpus_expectations(capsys):
-    assert load_script("recognition_sweep").main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    presentations = corpus.well_order_corpus() + corpus.non_well_order_corpus()
-    assert len(lines) == len(presentations)
-    failure_shapes = {"bad-class": "bad-class witness=", "dense": "dense-fixpoint level="}
-    for line, p in zip(lines, presentations):
-        # the trailing timing column varies from run to run
-        m = re.fullmatch(r"(\S+) +(.*?) +levels=\d+ +\d+\.\d\ds", line)
-        assert m, line
-        name, verdict = m.groups()
-        assert name == p.name
-        if p.expected_cnf is not None:
-            assert verdict == f"well-order {o.show(p.expected_cnf)}"
-        else:
-            assert verdict.startswith(f"not-well-order {failure_shapes[p.expected_failure]}"), line
-
-
-def test_recognition_sweep_fails_on_a_wrong_expectation(monkeypatch, capsys):
-    script = load_script("recognition_sweep")
-    wrong_cnf = rebuilt(corpus.omega_times_2(), expected_cnf=o.OMEGA)
-    wrong_failure = rebuilt(corpus.integer_line(), expected_failure="dense")
-    monkeypatch.setattr(script.corpus, "well_order_corpus", lambda: [wrong_cnf, corpus.omega_plus_one()])
-    monkeypatch.setattr(script.corpus, "non_well_order_corpus", lambda: [corpus.dense_dyadic(), wrong_failure])
-    assert script.main() == 1
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 4
-    assert captured.err.splitlines() == [
-        "mismatch: omega_times_2: expected w, got well-order w*2",
-        "mismatch: zline: expected dense, got not-well-order bad-class witness='' (no-least)",
-    ]
 
 
 def test_domination_report_lines(capsys):

@@ -423,10 +423,12 @@ def test_explore_fragment_keeps_to_the_state_budget():
     with au.state_budget(15), pytest.raises(StateBudgetExceeded) as exc:
         explore_fragment(rpi, word_len=2, run_input_len=1)
     assert (exc.value.n_states, exc.value.budget) == (16, 15)
+    assert str(exc.value) == "grew to 16 fragment elements, budget 15"
     # past the first count, the runs' configurations exceed the budget
     with au.state_budget(16), pytest.raises(StateBudgetExceeded) as exc:
         explore_fragment(rpi, word_len=2, run_input_len=1)
     assert 16 < exc.value.n_states <= 38 and exc.value.budget == 16
+    assert str(exc.value) == f"grew to {exc.value.n_states} fragment elements, budget 16"
     with au.state_budget(38):
         assert len(explore_fragment(rpi, word_len=2, run_input_len=1).elements) == 38
 
@@ -577,7 +579,7 @@ def test_tag_config_matches_serialize():
 
 
 def walk_machine():
-    """One tape: walk right forever, so a run ends only at MAX_STEPS."""
+    """One tape: walk right forever, so a run ends only at the state budget."""
     M = T.MARKER
     trans = {("go", (M,)): ("go", ((M, "R"),)), ("go", ("_",)): ("go", (("_", "R"),))}
     return T.TmSpec(name="walk", tapes=1, blank="_", states=("go",), accepting=frozenset(), transitions=trans)
@@ -606,24 +608,33 @@ def test_trace_words_is_tag_config_of_each_configuration(tm):
     assert appended and foreign
 
 
-def test_run_words_stops_at_max_steps_as_the_reference_run(monkeypatch):
-    # a run halts when its last step is at most MAX_STEPS - 1; increment on
-    # n a's takes n + 2 steps
-    monkeypatch.setattr(T, "MAX_STEPS", 30)
+def test_run_words_stops_at_the_state_budget_as_the_reference_run():
+    # a run halts when the tokens of its words are at most the budget, and
+    # both runners stop at the same word past it; increment on n a's takes
+    # n + 2 steps, and its 30 words on 27 a's hold 903 tokens
     inc = increment_machine()
     trace, accepted = run(inc, [("a",) * 27])
-    assert run_words(inc, [("a",) * 27]) == ([tag_config(c, inc) for c in trace], accepted)
     assert len(trace) == 30 and accepted
-    for tm, inputs in ((inc, [("a",) * 28]), (walk_machine(), [("_", "_")])):
+    budget = sum(len(c.columns) + 2 for c in trace)
+    assert budget == 903
+    with au.state_budget(budget):
+        assert run_words(inc, [("a",) * 27]) == ([tag_config(c, inc) for c in trace], accepted)
+    cases = [(inc, [("a",) * 27], budget - 1), (inc, [("a",) * 28], budget), (walk_machine(), [("_", "_")], budget)]
+    for tm, inputs, cap in cases:
+        stops = []
         for runner in (run, run_words):
-            with pytest.raises(InvalidTm, match=f"machine {tm.name} did not halt within 30 steps"):
+            with au.state_budget(cap), pytest.raises(StateBudgetExceeded) as exc:
                 runner(tm, inputs)
+            stops.append((exc.value.n_states, exc.value.budget, str(exc.value)))
+        assert stops[0] == stops[1], (tm.name, stops)
+        assert stops[0][1] == cap < stops[0][0]
+    assert stops[0][2] == f"grew to {stops[0][0]} configuration tokens, budget {budget}"
 
 
 def test_a_run_that_does_not_halt_stops_at_the_state_budget():
-    # walk adds a column a step, so its words would hold O(steps^2) tokens
-    # by MAX_STEPS: the tokens listed are counted, and the run stops at the
-    # first word past the budget, sum(k + 3 for k in range(n)) > 20,000
+    # walk adds a column a step, so its words hold O(steps^2) tokens: the
+    # tokens listed are counted, and the run stops at the first word past
+    # the budget, sum(k + 3 for k in range(n)) > 20,000
     tracemalloc.start()
     start = time.perf_counter()
     with au.state_budget(20000), pytest.raises(StateBudgetExceeded) as exc:
@@ -633,6 +644,7 @@ def test_a_run_that_does_not_halt_stops_at_the_state_budget():
     tracemalloc.stop()
     n = next(n for n in itertools.count() if sum(k + 3 for k in range(n)) > 20000)
     assert (exc.value.n_states, exc.value.budget) == (sum(k + 3 for k in range(n)), 20000)
+    assert str(exc.value) == f"grew to {exc.value.n_states} configuration tokens, budget 20000"
     assert took < 0.5, took
     assert peak < 2_000_000, peak
 
@@ -681,14 +693,17 @@ def test_run_words_and_serialize_match_the_tableless_serializer(case):
     # joined by `column_token` alone, over the reference run over `step`:
     # heads that share and cross columns, L and R moves, appended columns
     # and cells outside the machine's cell alphabets
+    # Under a budget of 5,000 tokens, every run that halts within the 60
+    # drawn steps is compared whole (at most 61 words of at most 69 tokens),
+    # and one that goes on stops at the same word in both runners
     tm, inputs = case
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(T, "MAX_STEPS", 100)
+    with au.state_budget(5000):
         try:
             trace, accepted = run(tm, inputs)
-        except InvalidTm:
-            with pytest.raises(InvalidTm, match="did not halt"):
+        except StateBudgetExceeded as exc:
+            with pytest.raises(StateBudgetExceeded) as got:
                 run_words(tm, inputs)
+            assert (got.value.n_states, got.value.budget) == (exc.n_states, exc.budget)
             return
         assert run_words(tm, inputs) == ([(T.CONF_TAG, *reference_serialize(tm, c)) for c in trace], accepted)
     assert [c.serialize(tm) for c in trace] == [reference_serialize(tm, c) for c in trace]
