@@ -38,6 +38,9 @@ infinitely many elements above them.
 Every projection here is only minimized, searched or subtracted, so none
 is built: each is `au.projection_graph`, the search of the moves
 `au.project` numbers, or, for a product, `au.join_graph`, its one search.
+A difference that is only minimized (the successor relation, a level's
+representatives, the top class) is `au.difference_graph`, searched and
+not numbered.
 """
 
 from __future__ import annotations
@@ -96,9 +99,12 @@ class OrderPresentation:
 
     @cached_property
     def successor(self) -> Automaton:
-        """succ(x, y): x < y with nothing between: the order minus
-        `between`'s ∃ graph."""
-        return au.minimize(au.difference(self.order, self.between[0]))
+        """succ(x, y): x < y with nothing between: the minimal DFA of the
+        order minus `between`'s ∃ graph.  The difference is only
+        minimized, so it is a graph (`au.difference_graph`), and a
+        deterministic order gives a deterministic one, which `au.minimize`
+        refines."""
+        return au.minimize(au.difference_graph(self.order, self.between[0]))
 
 
 @record
@@ -166,12 +172,13 @@ def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     ~-equivalent, so the quotient order is the original order restricted to
     representatives.  Every product here is only projected, joined or
     minimized, so each is `au.join_graph`'s search: the outranked
-    elements are the ∃ graph of `llex ∩ same_class`, read only by
-    `difference`, and the restriction to representatives is two joins,
-    one per tape, the second over the first's graph."""
+    elements are the ∃ graph of `llex ∩ same_class`, subtracted from the
+    domain in a graph that is only minimized, and the restriction to
+    representatives is two joins, one per tape, the second over the
+    first's graph."""
     same_class = au.union(p.in_class, au.permute_tapes(p.in_class, [1, 0]))
     outranked, _ = au.join_graph(au.llex_automaton(p.domain.alphabet), [0, 1], same_class, [0, 1], tape=0)
-    new_dom = au.minimize(au.difference(p.domain, outranked))
+    new_dom = au.minimize(au.difference_graph(p.domain, outranked))
     below = au.join_graph(p.order, [0, 1], new_dom, [0])
     new_rel = au.minimize(au.join_graph(below, [0, 1], new_dom, [1]))
     return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: new_rel}))
@@ -202,8 +209,9 @@ def _top_class_size(p: OrderPresentation):
     class, or those between it and a higher class), so the elements with
     finitely many above are exactly a finite top class, and none otherwise.
     Those above infinitely many are a projection graph, read only by
-    `difference`, and the rest is counted on its minimal DFA, never listed."""
-    return au.count_words(au.minimize(au.difference(p.domain, au.projection_graph(p.order, 1, infinite=True))))
+    `difference_graph`, and the rest, a graph too, is counted on its
+    minimal DFA, never listed."""
+    return au.count_words(au.minimize(au.difference_graph(p.domain, au.projection_graph(p.order, 1, infinite=True))))
 
 
 @record
@@ -286,22 +294,23 @@ def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
     return au.difference(subset, dominated)
 
 
-def least_of(p: OrderPresentation, subset: Automaton) -> list:
-    """Minimal elements of a regular subset (at most 2 returned)."""
-    return [w[0] for w in au.count_or_enumerate(minimal_elements(p.order, subset), 2)]
-
-
 def initial_chain(p: OrderPresentation, count: int) -> list:
     """The first `count` elements of the order.  The first is certified least
     of the domain and each later one the one cover of its predecessor, both
-    by automaton emptiness: the image of x under the successor relation is
-    the set of minimal elements of { y : x < y }, its first two words read
-    by `au.section_words`, whose set steps the successor relation keeps
-    from one element to the next.  Two minimal elements or two covers mean
-    the order is not linear, and the error names them; no cover ends the
-    chain."""
+    by automaton emptiness.  The minimal elements are the domain minus the
+    ∃ graph of the order's tape 0, the elements with some element below:
+    a structure's relations lie in its domain cube, so that element needs
+    no test against the domain.  The image of x under the successor
+    relation is the set of minimal elements of { y : x < y }, its first two
+    words read by `au.section_words`, whose set steps the successor
+    relation keeps from one element to the next.  Two minimal elements or
+    two covers mean the order is not linear, and the error names them; no
+    cover ends the chain."""
     out: list = []
-    found = least_of(p, p.domain) if count > 0 else []
+    found = []
+    if count > 0:
+        least = au.difference(p.domain, au.projection_graph(p.order, 0))
+        found = [w[0] for w in au.count_or_enumerate(least, 2)]
     while found:
         if len(found) > 1:
             two = " and ".join(repr(au.show_word(w)) for w in found)

@@ -388,13 +388,19 @@ def reference_project(a, tape, infinite=False):
     return reference_canonical(a.arity - 1, a.alphabet, a.initial, accepting, moves)
 
 
+def least_of(p, subset):
+    """The minimal elements of a regular subset of the order (at most 2
+    returned): the subset minus the elements with one of its members below."""
+    return [w[0] for w in au.count_or_enumerate(rec.minimal_elements(p.order, subset), 2)]
+
+
 def reference_initial_chain(p, count):
     """`initial_chain` as the least-of-remaining loop: each element is the
     one minimal element of everything above its predecessor."""
     out = []
     remaining = p.domain
     for _ in range(count):
-        found = rec.least_of(p, remaining)
+        found = least_of(p, remaining)
         if not found:
             break
         if len(found) > 1:

@@ -246,28 +246,37 @@ def test_minimize_matches_reference_moore(seed, arity):
     assert au.save_automaton(au.minimize(a), "m") == au.save_automaton(reference_minimize(a), "m")
 
 
-def _fifth_letter_is_a(from_end):
+def _fifth_letter_is_a(from_end, deterministic=False):
     """Words over a, b whose fifth letter, counted from the start or from
     the end, is `a`: an NFA of 6 states.  Its language has a minimal DFA of
     6 states counted from the start and of 2^5 = 32 from the end, and its
-    reversal the other way round."""
+    reversal the other way round.  Counted from the start, state 5 also
+    steps back to 4 on `a`, which keeps the language and makes the operand
+    nondeterministic, unless `deterministic`."""
     every = [(i, (s,), i + 1) for i in range(5) for s in AB]
     if from_end:
         moves = [(0, ("a",), 1)] + [(0, (s,), 0) for s in AB] + every[2:]
     else:
-        moves = every[:-2] + [(4, ("a",), 5)] + [(5, (s,), 5) for s in AB]
+        moves = every[:-2] + [(4, ("a",), 5)] + [(5, (s,), 5) for s in AB] + ([] if deterministic else [(5, ("a",), 4)])
     return au.automaton(1, AB, 6, 0, {5}, moves)
+
+
+def _counted_reversals(monkeypatch) -> list:
+    """The operands `_reverse_subsets` is called on from here on."""
+    passes = []
+    reverse_subsets = au._reverse_subsets
+    monkeypatch.setattr(au, "_reverse_subsets", lambda b: passes.append(b) or reverse_subsets(b))
+    return passes
 
 
 @pytest.mark.parametrize("from_end, raising_pass", [(False, 1), (True, 2)])
 def test_minimize_budget_holds_in_either_reversal(monkeypatch, from_end, raising_pass):
-    # minimize is two reverse subset constructions: the first builds a DFA
-    # of the reversed language, the second the minimal DFA.  Each raises at
-    # budget + 1, and 6 states are too few for the 32-state one
+    # a nondeterministic operand is minimized by two reverse subset
+    # constructions: the first builds a DFA of the reversed language, the
+    # second the minimal DFA.  Each raises at budget + 1, and 6 states are
+    # too few for the 32-state one
     a = _fifth_letter_is_a(from_end)
-    passes = []
-    reverse_subsets = au._reverse_subsets
-    monkeypatch.setattr(au, "_reverse_subsets", lambda b: passes.append(b) or reverse_subsets(b))
+    passes = _counted_reversals(monkeypatch)
     with pytest.raises(StateBudgetExceeded) as info, au.state_budget(6):
         au.minimize(a)
     assert (info.value.n_states, info.value.budget) == (7, 6)
@@ -276,6 +285,87 @@ def test_minimize_budget_holds_in_either_reversal(monkeypatch, from_end, raising
         m = au.minimize(a)
     assert m.n_states == (32 if from_end else 6)
     assert au.save_automaton(m, "m") == au.save_automaton(reference_minimize(a), "m")
+
+
+def test_minimize_of_a_dfa_fits_a_budget_of_its_useful_states(monkeypatch):
+    # a deterministic operand is refined, with no reversal: the one
+    # numbering is the quotient's, so a budget of its useful states holds,
+    # where the nondeterministic operand of the same language raises in its
+    # first reversal
+    a = _fifth_letter_is_a(False, deterministic=True)
+    passes = _counted_reversals(monkeypatch)
+    with au.state_budget(len(a.useful_states)):
+        m = au.minimize(a)
+    assert passes == []
+    assert au.save_automaton(m, "m") == au.save_automaton(reference_minimize(a), "m")
+    with pytest.raises(StateBudgetExceeded), au.state_budget(len(a.useful_states)):
+        au.minimize(_fifth_letter_is_a(False))
+
+
+def _random_dfa(rng, arity, n_states):
+    """A partial DFA over AB whose padding invariant holds as `_dense_nfa`
+    holds it, each (state, letter) pair given one target or none.  The
+    states from `dead` on accept nothing and move only among themselves, so
+    a move into one leads to a dead state, and some states are unreachable
+    by chance."""
+    full = (1 << arity) - 1
+    padded = [0] + [rng.choice([0, 0, 0, *range(1, full)]) for _ in range(n_states - 1)]
+    dead = rng.randint(max(1, n_states // 2), n_states)
+    trans = []
+    for q in range(n_states):
+        for letter in itertools.product(AB + (au.PAD,), repeat=arity):
+            mask = sum(1 << i for i, s in enumerate(letter) if s == au.PAD)
+            fits = [r for r in range(n_states) if padded[r] == mask and padded[r] & padded[q] == padded[q]
+                    and (q < dead or r >= dead)]
+            if mask != full and fits and rng.random() < 0.45:
+                trans.append((q, letter, rng.choice(fits)))
+    accepting = {q for q in range(dead) if rng.random() < 0.35}
+    return au.automaton(arity, AB, n_states, 0, accepting, trans)
+
+
+def test_minimize_refines_random_dfas_as_the_reference(monkeypatch):
+    # partial DFAs with unreachable and dead states: refinement drops the
+    # moves into dead states before it splits blocks, so it gives the bytes
+    # of the reference, and no reversal runs
+    passes = _counted_reversals(monkeypatch)
+    unreachable = dead = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = _random_dfa(rng, rng.choice([1, 2]), rng.randint(2, 9))
+        assert au.save_automaton(au.minimize(a), "m") == au.save_automaton(reference_minimize(a), "m"), seed
+        unreachable += len(a._reachable) < a.n_states
+        dead += bool(a._reachable - a._coreachable)
+    assert passes == []
+    assert unreachable > 50 and dead > 50
+
+
+def test_minimize_reverses_a_nondeterministic_operand_twice(monkeypatch):
+    # an operand with two targets on one letter keeps double reversal:
+    # exactly two reverse subset constructions, and the reference's bytes
+    passes = _counted_reversals(monkeypatch)
+    rng = random.Random(20240817)
+    for _ in range(40):
+        a = _random_nfa(rng)
+        if all(len(rs) == 1 for row in a._delta.values() for rs in row.values()):
+            continue
+        del passes[:]
+        m = au.minimize(a)
+        assert len(passes) == 2
+        assert au.save_automaton(m, "m") == au.save_automaton(reference_minimize(a), "m")
+
+
+def test_minimized_difference_graph_saves_the_bytes_of_the_difference():
+    # a difference that is only minimized is searched, not numbered: its
+    # graph minimizes to the bytes of the built difference, by either route,
+    # with the subtrahend a projection graph, a join graph or an automaton
+    for seed in range(80):
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        a = _random_dfa(rng, 2, n) if seed % 2 else _dense_nfa(rng, 2, n)
+        wide, x, y = _dense_nfa(rng, 3, n), _dense_nfa(rng, 2, n), _random_dfa(rng, 2, n)
+        for b in (au.projection_graph(wide, rng.randrange(3)), au.join_graph(x, [0, 1], y, [0, 1]), x):
+            got = au.minimize(au.difference_graph(a, b))
+            assert au.save_automaton(got, "d") == au.save_automaton(au.minimize(au.difference(a, b)), "d"), seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -2000,9 +2090,9 @@ def test_the_kernel_tests_the_budget_in_two_loops():
 
 
 def test_graphs_come_from_two_constructions():
-    # an unnumbered graph is a search's rows, a product's or a projection's:
-    # a second scan that builds a graph of its own, beside the one move
-    # description each of those has, does not come back
+    # an unnumbered graph is a search's rows, a product's, a projection's
+    # or a difference's: a second scan that builds a graph of its own,
+    # beside the one move description each of those has, does not come back
     tree = ast.parse((Path(__file__).resolve().parent.parent / "src" / "wob" / "automata.py").read_text(encoding="utf-8"))
 
     def makers(node, owner):
@@ -2014,4 +2104,4 @@ def test_graphs_come_from_two_constructions():
                     yield owner
                 yield from makers(child, owner)
 
-    assert sorted(set(makers(tree, None))) == ["join_graph", "projection_graph"]
+    assert sorted(set(makers(tree, None))) == ["difference_graph", "join_graph", "projection_graph"]

@@ -15,6 +15,7 @@ from conftest import (
     built_projection_sets,
     define_set,
     ladder,
+    least_of,
     reference_check_linear,
     reference_initial_chain,
     reference_minimize,
@@ -485,6 +486,29 @@ def test_initial_chain_matches_least_of_remaining_loop(name):
     assert got == reference_initial_chain(OrderPresentation(make(arg)), 30)
 
 
+def test_first_element_is_least_of_the_domain():
+    # the chain's first element is read off the order's own tape-0
+    # projection, not off a join with the domain: a structure's relations
+    # lie in its domain cube, so the two give the same minimal elements, and
+    # two of them name the same error.  On every corpus order, both Kreisel
+    # orders and 200 perturbed ones, some with two minimal elements
+    structures = [make(arg) for make, arg in CHAIN_CASES.values()]
+    structures += [_random_order(random.Random(seed)) for seed in range(200)]
+    errors = 0
+    for n, s in enumerate(structures):
+        p = OrderPresentation(s)
+        want = least_of(p, p.domain)
+        if len(want) > 1:
+            two = " and ".join(repr(au.show_word(w)) for w in want)
+            with pytest.raises(NotLinear) as info:
+                initial_chain(p, 1)
+            assert str(info.value) == f"two minimal elements, {two}; order is not linear", n
+            errors += 1
+        else:
+            assert initial_chain(p, 1) == want, n
+    assert errors
+
+
 def test_initial_chain_compiles_successor_once(monkeypatch):
     # the successor relation is built once, from one `between` search of
     # the order joined with itself; the kernel calls must not grow with the
@@ -524,7 +548,7 @@ def test_initial_chain_compiles_successor_once(monkeypatch):
 
 def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
     # each cover is read by the successor relation's memoized set steps:
-    # no section is built, and the one enumeration is least_of's,
+    # no section is built, and the one enumeration is the first element's,
     # however long the chain.  The steps are keyed by (set of states,
     # symbol) and the descent's choices by (set, symbol, live set), never by
     # a position in a word, so their tables stay small after 200 elements
@@ -959,7 +983,8 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     # transpose and the llex automaton included, reads the budget in force:
     # each BFS and each search sees the caller's, and nothing else.  That
     # covers the reverse subset construction over a projection graph, the
-    # inclusion search over one and the searches of products.  The llex
+    # inclusion search over one and the searches of products, projections
+    # and differences that are never numbered.  The llex
     # automaton is built once per alphabet under a budget of five or more,
     # so its cache is cleared for its BFS to run here
     make, arg = CHAIN_CASES[name]
@@ -984,7 +1009,7 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
 
         return record
 
-    for attr in ("_canonical", "_reaches_acceptance", "join_graph"):
+    for attr in ("_canonical", "_explored", "_reaches_acceptance", "join_graph"):
         monkeypatch.setattr(au, attr, recording(getattr(au, attr)))
     with au.state_budget(budget):
         for level in levels:
@@ -999,11 +1024,11 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
     entries = {entry for entry, _ in limits}
     assert {
         "difference",
-        "difference over a graph",
+        "difference_graph over a graph",
         "is_subset over a graph",
         "join_graph",
-        "minimize",
         "minimize over a graph",
+        "projection_graph",
         "union",
         "permute_tapes",
         "llex_automaton",
