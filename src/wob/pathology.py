@@ -24,7 +24,7 @@ from . import fgh
 from .automata import Automaton
 from .errors import IllFormedSystem, PredicateDiverged, WobError
 from .logic import LLEX, And, Exists, Not, Or, Rel, Structure, _unchecked, compile_formula
-from .recognition import LESS, minimal_elements
+from .recognition import LESS
 from .records import record
 
 BINARY = ("0", "1")
@@ -203,8 +203,11 @@ def tail_set(s: Structure, word) -> Automaton:
 
 
 def minimal_members(s: Structure, subset: Automaton) -> Automaton:
-    """Members of a regular subset with no order-smaller member (exact)."""
-    return au.minimize(minimal_elements(s.relations[LESS], subset))
+    """Members of a regular subset with no order-smaller member (exact):
+    the subset minus the ∃ graph of the members with one of its members
+    below, a difference that is only minimized and so only searched."""
+    dominated, _ = au.join_graph(s.relations[LESS], [0, 1], subset, [0], tape=0)
+    return au.minimize(au.difference_graph(subset, dominated))
 
 
 # -- the omega+1 system with an inflated F_omega (Prop 2) ----------------------

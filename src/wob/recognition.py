@@ -26,15 +26,19 @@ check and I = { (x, y) : infinitely many z with x<z<y } from its two
 projection graphs; the product is never built.  Every per-level set
 is read from one relation, in_class = < minus I: the pairs y < x with y in
 x's class.  The order is linear, so distinct x and y are ~-equivalent
-exactly when (x, y) or (y, x) is in it, and ~ itself is never built.  A
-level passes when no element has infinitely many in_class predecessors,
-the class representatives are the domain minus the llex-larger side of
-in_class and its transpose, and an empty in_class (all classes singletons)
-is the fixpoint.  Irreflexivity and totality are each one search for a
-counterexample, `au.is_irreflexive` over the order's own states and
-`au.is_total` over pairs of domain words, building no diagonal, cube or
-transpose, and the top class is the domain minus the elements with
-infinitely many elements above them.
+exactly when (x, y) or (y, x) is in it, and neither ~ nor in_class's
+transpose is built.  A finite level is counted before it is classified,
+since every class of a finite order has a least element, so it builds no
+I and no in_class.  An infinite level passes when no element has
+infinitely many in_class predecessors, the class representatives are the
+domain minus every element with an llex-smaller one in its class, below
+or above it in the order, read from llex joined with in_class both ways,
+and an empty in_class (all classes singletons) is the fixpoint.
+Irreflexivity and totality are each one search for a counterexample,
+`au.is_irreflexive` over the order's own states and `au.is_total` over
+pairs of domain words, building no diagonal, cube or transpose, and the
+top class is the domain minus the elements with infinitely many elements
+above them.
 Every projection here is only minimized, searched or subtracted, so none
 is built: each is `au.projection_graph`, the search of the moves
 `au.project` numbers, or, for a product, `au.join_graph`, its one search.
@@ -172,13 +176,18 @@ def finite_condensation(p: OrderPresentation) -> OrderPresentation:
     ~-equivalent, so the quotient order is the original order restricted to
     representatives.  Every product here is only projected, joined or
     minimized, so each is `au.join_graph`'s search: the outranked
-    elements are the ∃ graph of `llex ∩ same_class`, subtracted from the
-    domain in a graph that is only minimized, and the restriction to
-    representatives is two joins, one per tape, the second over the
-    first's graph."""
-    same_class = au.union(p.in_class, au.permute_tapes(p.in_class, [1, 0]))
-    outranked, _ = au.join_graph(au.llex_automaton(p.domain.alphabet), [0, 1], same_class, [0, 1], tape=0)
-    new_dom = au.minimize(au.difference_graph(p.domain, outranked))
+    elements are the ∃ graphs of llex joined with `in_class` on tapes
+    (0, 1), the y below x, and on (1, 0), its transpose, the y above x.
+    Both are subtracted from the domain, one after the other, in graphs
+    that are only minimized, so neither the transpose nor the union is
+    built.  The restriction to representatives is two joins, one per
+    tape, the second over the first's graph."""
+    llex = au.llex_automaton(p.domain.alphabet)
+    new_dom = p.domain
+    for tapes in ([0, 1], [1, 0]):
+        outranked, _ = au.join_graph(llex, [0, 1], p.in_class, tapes, tape=0)
+        new_dom = au.difference_graph(new_dom, outranked)
+    new_dom = au.minimize(new_dom)
     below = au.join_graph(p.order, [0, 1], new_dom, [0])
     new_rel = au.minimize(au.join_graph(below, [0, 1], new_dom, [1]))
     return OrderPresentation(_unchecked(p.structure.name + "'", new_dom, {LESS: new_rel}))
@@ -194,7 +203,9 @@ def classify_classes(p: OrderPresentation) -> Optional[BadCondensationClass]:
     of its elements has infinitely many predecessors within it; one set of
     such elements decides the level.  The order is linear, so y < x lies in
     x's class exactly when I(y, x) fails, which is `in_class`.  The set is
-    the minimal automaton of a projection graph, never built unminimized."""
+    the minimal automaton of a projection graph, never built unminimized.
+    A class of a finite order always has a least element, so `condense`
+    calls this on infinite levels alone."""
     bad = au.minimize(au.projection_graph(p.in_class, 0, infinite=True))
     if not au.is_empty(bad):
         return BadCondensationClass(au.count_or_enumerate(bad, 1)[0][0])
@@ -227,7 +238,13 @@ class Level:
 def condense(p: OrderPresentation, max_levels: Optional[int] = None) -> tuple[list[Level], RecognitionResult]:
     """The levels the condensation reaches from `p`, level 0 first, and the
     verdict; BudgetExceeded means only that it ran past `max_levels`
-    levels, and counts those it condensed."""
+    levels, and counts those it condensed.
+
+    A level whose domain is finite is the last: its classes have least
+    elements, so it is counted, not classified, and builds no interval
+    product beyond level 0's linearity check, no I and no in_class.  Above
+    level 0 its domain is `finite_condensation`'s minimal DFA, counted as
+    it is; level 0's loaded domain is minimized first."""
     failure = check_linear(p)
     if failure is not None:
         raise NotLinear(f"{p.structure.name}: {failure} fails")
@@ -237,12 +254,12 @@ def condense(p: OrderPresentation, max_levels: Optional[int] = None) -> tuple[li
     current = p
     while True:
         levels.append(Level(current.structure, None))
+        if not au.is_infinite(current.domain):
+            domain = current.domain if len(levels) > 1 else au.minimize(current.domain)
+            return levels, WellOrder(_unwind(o.from_int(au.count_words(domain)), levels[-2::-1]))
         bad = classify_classes(current)
         if bad is not None:
             return levels, NotWellOrder(bad)
-        if not au.is_infinite(current.domain):
-            last = o.from_int(au.count_words(au.minimize(current.domain)))
-            return levels, WellOrder(_unwind(last, levels[-2::-1]))
         # every class a singleton: the quotient is the level itself
         if au.is_empty(current.in_class):
             return levels, NotWellOrder(DenseFixpoint(len(levels) - 1))
@@ -285,13 +302,6 @@ def isomorphic(p: OrderPresentation, q: OrderPresentation) -> bool:
 def predecessors(p: OrderPresentation, word) -> Automaton:
     """{ y : y < word } as an automaton."""
     return au.section(p.order, 1, word)
-
-
-def minimal_elements(order: Automaton, subset: Automaton) -> Automaton:
-    """Members of a regular subset with no order-smaller member (unminimized):
-    the subset minus the ∃ graph of the dominated ones."""
-    dominated, _ = au.join_graph(order, [0, 1], subset, [0], tape=0)
-    return au.difference(subset, dominated)
 
 
 def initial_chain(p: OrderPresentation, count: int) -> list:

@@ -11,7 +11,6 @@ from wob import hopda as H  # noqa: E402
 from wob import logic  # noqa: E402
 from wob import ordinals as o  # noqa: E402
 from wob import pathology as pa  # noqa: E402
-from wob import recognition as rec  # noqa: E402
 from wob import tm as T  # noqa: E402
 from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobError  # noqa: E402
 from wob.logic import EQ, LLEX, And, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
@@ -388,10 +387,17 @@ def reference_project(a, tape, infinite=False):
     return reference_canonical(a.arity - 1, a.alphabet, a.initial, accepting, moves)
 
 
+def minimal_elements(order, subset):
+    """Members of a regular subset with no order-smaller member (unminimized):
+    the subset minus the ∃ graph of the dominated ones."""
+    dominated, _ = au.join_graph(order, [0, 1], subset, [0], tape=0)
+    return au.difference(subset, dominated)
+
+
 def least_of(p, subset):
     """The minimal elements of a regular subset of the order (at most 2
     returned): the subset minus the elements with one of its members below."""
-    return [w[0] for w in au.count_or_enumerate(rec.minimal_elements(p.order, subset), 2)]
+    return [w[0] for w in au.count_or_enumerate(minimal_elements(p.order, subset), 2)]
 
 
 def reference_initial_chain(p, count):

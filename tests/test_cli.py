@@ -392,6 +392,16 @@ def test_recognize_max_levels_stops_one_level_short(capsys):
     assert run_cli(["recognize", manifest, "--max-levels", "3"], capsys) == (0, "well-order w^3\n")
 
 
+@pytest.mark.parametrize("name, level", [("dense", 0), ("binlex", 1)])
+def test_recognize_json_names_the_dense_fixpoint_level(name, level, capsys):
+    # the --json evidence of a dense order is the level where in_class is
+    # first empty: dense at level 0, binlex after one quotient
+    manifest = str(Path(__file__).resolve().parent.parent / "corpus" / name / f"{name}.manifest")
+    code, out = run_cli(["recognize", manifest, "--json"], capsys)
+    assert code == 1
+    assert json.loads(out) == {"evidence": f"dense-fixpoint level={level}", "verdict": "not-well-order"}
+
+
 def test_tm_build_rpi_on_non_binary_tapes_is_malformed_input(capsys):
     assert main(["tm", "build-rpi", "builtin:copy"]) == 4
     assert "binary symbols 0 and 1" in capsys.readouterr().err

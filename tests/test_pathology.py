@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import position
+from conftest import minimal_elements, position
 from wob import automata as au
 from wob import fgh
 from wob import ordinals as o
@@ -222,6 +222,17 @@ def test_definable_tail_with_true_pi0_has_minimum():
     mins = minimal_members(s, tail)
     got = au.count_or_enumerate(mins, 3)
     assert [w[0] for w in got] == [word_of_rank(7)]
+
+
+@pytest.mark.parametrize("pi0", [regular_true(), regular_except_word(("1", "1"))], ids=["true", "witness"])
+def test_minimal_members_searches_the_difference_it_minimizes(pi0):
+    # the dominated members are subtracted in a searched difference graph,
+    # never numbered, and minimized to the bytes of the built difference
+    s = kreisel_as_automatic(pi0)
+    for rank in range(9):
+        tail = tail_set(s, word_of_rank(rank))
+        want = au.minimize(minimal_elements(s.relations["<"], tail))
+        assert au.save_automaton(minimal_members(s, tail), "m") == au.save_automaton(want, "m"), rank
 
 
 # -- Prop 2: omega+1 with inflated F_omega ------------------------------------

@@ -243,11 +243,22 @@ def _spec_head(spec):
     return [(tag,) + ("a",) * i for i in range(5)]
 
 
+def _block_sum(specs):
+    return corpus.block_sum("sum", [_spec_block(("a",) + BLOCK_TAGS, spec) for spec in specs])
+
+
+def _seeded_block_sum(seed):
+    """The block sum of what `block_specs` draws, drawn by a seeded generator."""
+    rng = random.Random(seed)
+    tags = rng.sample(BLOCK_TAGS, rng.randint(1, 3))
+    return _block_sum([(rng.choice(["up", "down", "chain"]), tag, rng.randint(1, 3)) for tag in tags]).structure
+
+
 @settings(max_examples=60, deadline=None)
 @given(block_specs())
 def test_random_block_sums_recognize_as_their_expected_verdict(specs):
     alphabet = ("a",) + BLOCK_TAGS
-    p = corpus.block_sum("sum", [_spec_block(alphabet, spec) for spec in specs])
+    p = _block_sum(specs)
     op = pres_to_op(p)
     # the derived reference predicates are the automata's on short words
     frag = [w for w in words_upto(alphabet, 3) if p.ref_domain(w)]
@@ -389,7 +400,8 @@ def test_initial_chain_names_two_minimal_elements():
 @pytest.mark.parametrize("name, levels", [("mixed", 3), ("omega_cube", 4)])
 def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     # every set of a level is read from its one in-class relation, so each
-    # level, the last one included, builds it exactly once
+    # level builds it exactly once, but the finite last level, which is
+    # counted before it is classified, builds none
     from pathlib import Path
 
     from wob.logic import load_structure
@@ -403,7 +415,7 @@ def test_sim_compiled_once_per_level(monkeypatch, name, levels):
     reached, got = condense(OrderPresentation(load_structure(manifest)))
     assert isinstance(got, WellOrder)
     assert len(reached) == levels
-    assert len(calls) == levels
+    assert len(calls) == levels - 1
     assert all(c.structure is level.structure for c, level in zip(calls, reached))
 
 
@@ -461,20 +473,65 @@ def test_level_records_agree_with_the_verdict(tmp_path, name, cap):
 
 def test_level_cap_is_tested_before_the_quotient(monkeypatch):
     # a level cap stops before the quotient it would throw away: omega_cube
-    # capped at 2 levels keeps 3 records and builds 2 quotients.  omega's
-    # one quotient needs 5 states, so under a budget of 4 and a cap of 0
-    # levels the cap's exit comes first
+    # capped at 2 levels keeps 3 records and builds 2 quotients.  The one
+    # quotient of omega as one-digit vectors needs 5 states, more than any
+    # other set of either level, so under a budget of 4 a cap of 0 levels
+    # exits first, and a cap of 1 raises in the quotient
     calls = []
     monkeypatch.setattr(rec, "finite_condensation", lambda p: calls.append(p) or finite_condensation(p))
     cube = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega_cube" / "omega_cube.manifest"))
     levels, got = condense(cube, max_levels=2)
     assert got == rec.BudgetExceeded(3) and len(levels) == 3
     assert len(calls) == 2
-    omega = OrderPresentation(logic.load_structure(CORPUS_DIR / "omega" / "omega.manifest"))
+    omega = OrderPresentation(corpus.digit_presentation(o.parse("w"), "omega_digits").structure)
     with au.state_budget(4):
         assert recognize(omega, max_levels=0) == rec.BudgetExceeded(1)
-        with pytest.raises(StateBudgetExceeded):
+        with pytest.raises(StateBudgetExceeded) as info:
             recognize(omega, max_levels=1)
+    assert info.value.n_states == 5
+    assert "finite_condensation" in [entry.name for entry in info.traceback]
+    with au.state_budget(5):
+        assert recognize(omega, max_levels=1) == WellOrder(o.parse("w"))
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_a_finite_level_is_counted_unclassified(monkeypatch, name):
+    # every class of a finite order has a least element, so a level whose
+    # domain is finite is counted before it is classified: it reaches no
+    # bad-class set, no in-class relation, no I and no interval product
+    # but level 0's linearity check.  The representatives join llex with
+    # in_class both ways, so no in_class transpose and no union is built
+    make, arg = CHAIN_CASES[name]
+    s = make(arg)
+    reached = []
+
+    def reading(label, fn):
+        def read(p):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not check_linear.__code__:
+                frame = frame.f_back
+            if frame is None:
+                reached.append((label, p.structure))
+            return fn(p)
+
+        return read
+
+    for attr in ("between", "infinitely_between", "in_class"):
+        counted = cached_property(reading(attr, getattr(OrderPresentation, attr).func))
+        counted.__set_name__(OrderPresentation, attr)
+        monkeypatch.setattr(OrderPresentation, attr, counted)
+    monkeypatch.setattr(rec, "classify_classes", reading("classify_classes", classify_classes))
+    built = []
+    for attr in ("union", "permute_tapes"):
+        monkeypatch.setattr(au, attr, lambda *args, fn=getattr(au, attr): built.append(fn) or fn(*args))
+    levels, got = condense(OrderPresentation(s))
+    finite = [level.structure for level in levels if not au.is_infinite(level.structure.domain)]
+    assert len(finite) == isinstance(got, WellOrder)
+    assert [label for label, level in reached if any(level is f for f in finite)] == []
+    assert built == []
+    # each infinite level is classified
+    classified = [level for label, level in reached if label == "classify_classes"]
+    assert len(classified) == len(levels) - len(finite)
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
@@ -584,7 +641,8 @@ def test_initial_chain_reads_covers_by_set_steps(monkeypatch):
 def test_interval_product_built_once_across_budgets(monkeypatch):
     # what a presentation builds is the same under any budget: recognizing
     # under one budget and then reading the chain under the default
-    # searches each level's order joined with itself once, 3 searches in all
+    # searches each infinite level's order joined with itself once, 2
+    # searches in all: the finite last level is counted, not classified
     between = []
     join_graph = au.join_graph
 
@@ -597,9 +655,9 @@ def test_interval_product_built_once_across_budgets(monkeypatch):
     p = OrderPresentation(logic.load_structure(CORPUS_DIR / "mixed" / "mixed.manifest"))
     with au.state_budget(10 ** 5):
         recognize(p)
-    assert len(between) == 3
+    assert len(between) == 2
     initial_chain(p, 5)
-    assert len(between) == 3
+    assert len(between) == 2
 
 
 def _llex_or_equal():
@@ -782,7 +840,7 @@ def test_check_linear_builds_nothing_beside_the_interval_product(monkeypatch, na
 
 # the least state budget under which `recognize` gives a verdict
 LEAST_BUDGETS = {
-    "omega": 5, "omega_bin": 17, "omega_plus_one": 11, "omega_times_2": 11, "omega2p3": 28, "omega_sq": 21,
+    "omega": 3, "omega_bin": 17, "omega_plus_one": 11, "omega_times_2": 11, "omega2p3": 28, "omega_sq": 21,
     "mixed": 155, "omega_cube": 56, "w4p2": 48, "wsq_p1": 30, "twelve": 34, "zline": 10, "omega_plus_rev": 14,
     "dense": 40, "binlex": 40, "kreisel_true": 17, "kreisel_witness": 48,
 }
@@ -979,8 +1037,8 @@ def test_recognize_compiles_no_formula(monkeypatch):
 @pytest.mark.parametrize("name", ["mixed", "omega_cube", "kreisel_true"])
 def test_condensation_steps_take_the_budget(monkeypatch, name):
     # every construction the linearity check, I, the bad-class set, the
-    # quotient and the top-class count run, the in-class relation, its
-    # transpose and the llex automaton included, reads the budget in force:
+    # quotient and the top-class count run, the in-class relation and the
+    # llex automaton included, reads the budget in force:
     # each BFS and each search sees the caller's, and nothing else.  That
     # covers the reverse subset construction over a projection graph, the
     # inclusion search over one and the searches of products, projections
@@ -1029,8 +1087,6 @@ def test_condensation_steps_take_the_budget(monkeypatch, name):
         "join_graph",
         "minimize over a graph",
         "projection_graph",
-        "union",
-        "permute_tapes",
         "llex_automaton",
     } <= entries
     assert "project" not in entries
@@ -1066,14 +1122,20 @@ def test_recognize_builds_no_projection(monkeypatch):
     assert len(runs) == 1
 
 
-GRAPH_CASES = {**CHAIN_CASES, **{f"ladder{k}": (_ladder, k) for k in range(3, 7)}}
+GRAPH_CASES = {
+    **CHAIN_CASES,
+    **{f"ladder{k}": (_ladder, k) for k in range(3, 7)},
+    **{f"block_sum{seed}": (_seeded_block_sum, seed) for seed in range(8)},
+}
 
 
 @pytest.mark.parametrize("name", sorted(GRAPH_CASES))
 def test_projection_graphs_give_the_built_projection_sets(monkeypatch, name):
     # at every level, I, the bad-class set, the top-class set, the quotient
     # and succ, each read from a projection graph, save the bytes of the
-    # same set with the projection built
+    # same set with the projection built; the representatives, read from
+    # llex joined with in_class both ways, save those of the reference's
+    # join with in_class's union with its transpose
     make, arg = GRAPH_CASES[name]
     levels, _ = condense(OrderPresentation(make(arg)))
     original_is_empty, original_count = au.is_empty, au.count_words
