@@ -137,19 +137,8 @@ def check_symbol(sym: str) -> str:
     return sym
 
 
-def convolve(words: Sequence) -> list[Letter]:
-    """Encode k words as a sequence of k-letter tuples, right-padded with PAD."""
-    ws = [tuple(w) for w in words]
-    if not ws:
-        raise ArityMismatch("convolution of zero words")
-    for w in ws:
-        if PAD in w:
-            raise InvalidSymbol(f"word {w!r} contains the pad symbol")
-    return list(itertools.zip_longest(*ws, fillvalue=PAD))
-
-
 def deconvolve(letters: Iterable[Letter]) -> WordTuple:
-    """Inverse of convolve: strip per-tape pad suffixes."""
+    """Inverse of a convolution: strip per-tape pad suffixes."""
     letters = list(letters)
     if not letters:
         return ()
@@ -314,7 +303,7 @@ class Automaton:
         step is one lookup of the set's row, in `_delta` for one state and
         in `_subset_steps` for more, and one of the letter in it; `_row` is
         called only when the row is missing.  Letters must be tuples, as
-        `convolve` gives them; they are not converted."""
+        `accepts` zips them; they are not converted."""
         delta, rows, push, current = self._delta, self._subset_steps, trail.append, trail[-1]
         for letter in letters:
             row = delta.get(current[0]) if len(current) == 1 else rows.get(current)
@@ -384,13 +373,16 @@ class Automaton:
         return None
 
     def accepts(self, *words) -> bool:
-        """Membership of a word tuple (one word per tape)."""
+        """Membership of a word tuple (one word per tape).  The letters are
+        zipped as `_run` reads them, so a run stops at its first empty step
+        without convolving the rest."""
         if len(words) != self.arity:
             raise ArityMismatch(f"expected {self.arity} words, got {len(words)}")
-        try:
-            return self.accepts_letters(convolve(words))
-        except InvalidSymbol:  # a word holding the pad symbol is no member
-            return False
+        words = [tuple(w) for w in words]
+        for w in words:
+            if PAD in w:  # a word holding the pad symbol is no member
+                return False
+        return self.accepts_letters(itertools.zip_longest(*words, fillvalue=PAD))
 
 
 def _check_alphabet(alphabet: tuple) -> None:

@@ -12,7 +12,11 @@ makes the one-step relation synchronous-automaton recognizable.
 
 A set of tapes, such as the heads on a column, is an int mask, bit i for
 tape i.  Each column token is read from one mask table, `TmSpec._token_of`,
-keyed by (cells, head mask); a run re-tokenises the columns `_move` touched.
+keyed by (cells, head mask); a run re-tokenises the columns a step touched.
+While every head is on one column and the transition moves them all one
+way, the step is read from one step table, `TmSpec._joint_steps`, keyed
+by the state and the column's cells (never by its token, which a foreign
+cell can make ambiguous); any other step is made by `_move`.
 A run has no step cap: the tokens of the configuration words it lists
 count against the state budget (`automata.state_budget`), so a machine
 that does not halt ends in StateBudgetExceeded.
@@ -113,6 +117,19 @@ class TmSpec:
             for cells in itertools.product(*self.tape_cells)
             for fx in _subsets((1 << self.tapes) - 1)
         )
+
+    @cached_property
+    def _joint_steps(self) -> dict:
+        """The step table: (state, reads) -> (state, written column, its
+        headless token, +1 or -1) for each transition whose heads all move
+        one way.  With every head on one column, its cells are the reads,
+        and `_move` writes the writes over all of them in tape order."""
+        table = {}
+        for key, (q2, actions) in self.transitions.items():
+            writes, moves = zip(*actions)
+            if len(set(moves)) == 1:
+                table[key] = (q2, writes, self._token_of[writes, 0], 1 if moves[0] == "R" else -1)
+        return table
 
     @cached_property
     def config_alphabet(self) -> tuple:
@@ -217,29 +234,48 @@ def step(tm: TmSpec, c: Configuration) -> Optional[Configuration]:
 
 def run_words(tm: TmSpec, inputs: Sequence) -> tuple:
     """Run to halt; returns (the `tag_config` word of each configuration,
-    accepted).  One column list and one head list are stepped in place
-    (`_move`, as `step` moves).  The first word is serialized whole; each
-    later one is its predecessor's with the state and the columns `_move`
-    touched re-tokenised, one mask-table lookup each.  The tokens listed
-    are counted against the state budget, the run's one cap: a word holds
-    at least 3 tokens, so a run that does not halt, in bounded space or
+    accepted).  One column list is stepped in place.  The first word is
+    serialized whole; each later one is its predecessor's with the state
+    and the columns the step touched re-tokenised.  While every head is on
+    one column, those cells are the transition's key, and a transition in
+    the step table (`TmSpec._joint_steps`) is one lookup: the written
+    column and its token come from the table, and the column the heads
+    move onto takes one mask-table lookup.  Any other step, with the heads
+    apart or moving apart, moves a head list by `_move`, as `step` moves,
+    and re-tokenises the columns it touched.  The tokens listed are
+    counted against the state budget, the run's one cap: a word holds at
+    least 3 tokens, so a run that does not halt, in bounded space or
     adding a column a step, raises StateBudgetExceeded within budget / 3
     steps."""
     c = initial_configuration(tm, inputs)
     state, columns, heads, transitions, token_of = c.state, list(c.columns), list(c.heads), tm.transitions, tm._token_of
+    joint, K, ALL, blanks = tm._joint_steps, tm.tapes, (1 << tm.tapes) - 1, (tm.blank,) * tm.tapes
     word = list(tag_config(c, tm))
     words, listed, budget = [tuple(word)], len(word), au.STATE_BUDGET.get()
+    at = 0  # the column every head is on, or None while they are apart
     while True:
-        hit = transitions.get((state, tuple([columns[h][i] for i, h in enumerate(heads)])))
-        if hit is None:
-            return words, state in tm.accepting
-        state, actions = hit
-        touched = _move(tm, columns, heads, actions)
+        hit = None if at is None else joint.get((state, columns[at]))
+        if hit is not None:
+            state, columns[at], word[at + 2], move = hit
+            at += move  # never off the tape: column 0 holds markers, read only by R moves
+            if at == len(columns):
+                columns.append(blanks)
+                word.append(None)
+            word[at + 2] = token_of[columns[at], ALL]
+        else:
+            if at is not None:
+                heads = [at] * K
+            hit = transitions.get((state, tuple([columns[h][i] for i, h in enumerate(heads)])))
+            if hit is None:
+                return words, state in tm.accepting
+            state, actions = hit
+            touched = _move(tm, columns, heads, actions)
+            if len(word) < len(columns) + 2:
+                word.append(None)
+            for j, mask in touched.items():
+                word[j + 2] = token_of[columns[j], mask]
+            at = heads[0] if heads.count(heads[0]) == K else None
         word[1] = state
-        if len(word) < len(columns) + 2:
-            word.append(None)
-        for j, mask in touched.items():
-            word[j + 2] = token_of[columns[j], mask]
         words.append(tuple(word))
         if (listed := listed + len(word)) > budget:
             raise StateBudgetExceeded(listed, budget, "configuration tokens")

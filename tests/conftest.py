@@ -12,7 +12,14 @@ from wob import logic  # noqa: E402
 from wob import ordinals as o  # noqa: E402
 from wob import pathology as pa  # noqa: E402
 from wob import tm as T  # noqa: E402
-from wob.errors import InvalidAutomaton, NotLinear, StateBudgetExceeded, WobError  # noqa: E402
+from wob.errors import (  # noqa: E402
+    ArityMismatch,
+    InvalidAutomaton,
+    InvalidSymbol,
+    NotLinear,
+    StateBudgetExceeded,
+    WobError,
+)
 from wob.logic import EQ, LLEX, And, Exists, ExistsInf, Forall, Not, Or, Rel, implies  # noqa: E402
 
 
@@ -122,6 +129,18 @@ def run_nfa(aut, letters):
         if not current:
             return False
     return bool(current & aut.accepting)
+
+
+def convolve(words):
+    """Encode k words as a sequence of k-letter tuples, right-padded with
+    PAD; a word holding the pad symbol is refused."""
+    ws = [tuple(w) for w in words]
+    if not ws:
+        raise ArityMismatch("convolution of zero words")
+    for w in ws:
+        if au.PAD in w:
+            raise InvalidSymbol(f"word {w!r} contains the pad symbol")
+    return list(itertools.zip_longest(*ws, fillvalue=au.PAD))
 
 
 def conv(*words):

@@ -16,6 +16,7 @@ from conftest import (
     assert_delta_is_reference,
     complement,
     conv,
+    convolve,
     language,
     rebuilt,
     reference_canonical,
@@ -68,14 +69,14 @@ def sigma_star(alphabet=AB):
 
 
 def test_convolve_examples():
-    assert au.convolve(["ab", "a"]) == [("a", "a"), ("b", "#")]
-    assert au.convolve(["", ""]) == []
-    assert au.convolve(["0", "10"]) == [("0", "1"), ("#", "0")]
+    assert convolve(["ab", "a"]) == [("a", "a"), ("b", "#")]
+    assert convolve(["", ""]) == []
+    assert convolve(["0", "10"]) == [("0", "1"), ("#", "0")]
 
 
 def test_convolve_rejects_pad():
     with pytest.raises(InvalidSymbol):
-        au.convolve(["a#", "a"])
+        convolve(["a#", "a"])
 
 
 def test_show_word_joins_one_character_symbols_plainly():
@@ -560,6 +561,30 @@ def test_accepts_reads_the_step_table_as_the_oracle_runs(data):
             assert not a.accepts(w[:i] + ("z",) + w[i + 1 :])
             assert not a.accepts(w[:i] + (au.PAD,) + w[i + 1 :])
     assert a._subset_steps == table
+
+
+def test_accepts_zips_as_it_reads_and_stops_at_the_first_empty_step(monkeypatch):
+    # equal words of a's: a pair whose run dies at its first letter is
+    # read no further, a word holding the pad is no member wherever the pad
+    # sits (here after the letter the run dies at), and a wrong word count
+    # still raises
+    a = au.automaton(2, AB, 1, 0, {0}, [(0, ("a", "a"), 0)])
+    run, read = au.Automaton._run, []
+
+    def counting(self, letters, trail):
+        assert not hasattr(letters, "__len__")  # zipped as read, not a list of every letter
+        return run(self, (read.append(letter) or letter for letter in letters), trail)
+
+    monkeypatch.setattr(au.Automaton, "_run", counting)
+    long = ("a",) * 10_000
+    assert a.accepts(long, long) and len(read) == 10_000
+    read.clear()
+    assert not a.accepts(("b",) + long, ("b",) + long) and read == [("b", "b")]
+    read.clear()
+    assert not a.accepts("ab" + au.PAD, "ab") and not a.accepts(("b", "a"), ("b", au.PAD)) and read == []
+    assert not a.accepts(("a", "b"), ("a",)) and read == [("a", "a"), ("b", au.PAD)]
+    with pytest.raises(ArityMismatch):
+        a.accepts(long)
 
 
 @st.composite
@@ -1453,7 +1478,7 @@ def test_reader_answers_as_its_move_graph(data):
         path = data.draw(st.lists(word, min_size=1, max_size=5))
         want = None
         for i, (u, v) in enumerate(zip(path, path[1:])):
-            hop = False if "#" in u + v else simulate(au.convolve([u, v]))
+            hop = False if "#" in u + v else simulate(convolve([u, v]))
             if hop is not True:
                 want = InvalidAutomaton if hop is InvalidAutomaton else i
                 break

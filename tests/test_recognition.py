@@ -13,6 +13,7 @@ from conftest import (
     REFERENCE_NO_LEAST,
     binary_llex,
     built_projection_sets,
+    convolve,
     define_set,
     ladder,
     least_of,
@@ -744,7 +745,7 @@ def _finite(tuples, arity=2):
     states, trans, accepting = {(): 0}, set(), set()
     for t in tuples:
         prefix = ()
-        for letter in au.convolve(t):
+        for letter in convolve(t):
             q, prefix = states[prefix], prefix + (letter,)
             trans.add((q, letter, states.setdefault(prefix, len(states))))
         accepting.add(states[prefix])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_delta_is_reference,
+    convolve,
     empty_machine,
     parse_configuration,
     reference_initial_configuration,
@@ -102,7 +103,7 @@ def assert_steps_match_simulator(tm, max_cols) -> int:
         for w2 in serialized:
             c2 = by_word[w2]
             want = expected is not None and c2 == expected
-            got = aut.accepts_letters(au.convolve([words[c], list(w2)]))
+            got = aut.accepts_letters(convolve([words[c], list(w2)]))
             assert got == want, (c, c2)
     return stepping
 
@@ -233,6 +234,22 @@ def cross_machine():
     }
     return T.TmSpec(name="cross", tapes=2, blank="_", states=("p", "q", "r", "s"),
                     accepting=frozenset({"s"}), transitions=trans)
+
+
+def retreat_machine():
+    """Two tapes whose heads stay on one column: they run right over
+    (a, a) columns, write (b, b) at the blanks and walk back together, L,
+    into the marker column."""
+    M = T.MARKER
+    trans = {
+        ("go", (M, M)): ("go", ((M, "R"), (M, "R"))),
+        ("go", ("a", "a")): ("go", (("a", "R"), ("a", "R"))),
+        ("go", ("_", "_")): ("back", (("b", "L"), ("b", "L"))),
+        ("back", ("a", "a")): ("back", (("a", "L"), ("a", "L"))),
+        ("back", (M, M)): ("done", ((M, "R"), (M, "R"))),
+    }
+    return T.TmSpec(name="retreat", tapes=2, blank="_", states=("go", "back", "done"),
+                    accepting=frozenset({"done"}), transitions=trans)
 
 
 @st.composite
@@ -561,7 +578,7 @@ def test_rpi_structure_rejects_an_edge_outside_the_domain():
     # word that is neither a binary word nor a configuration is caught
     rpi = rpi_for(False)
     rel, alphabet = rpi.relation, rpi.relation.alphabet
-    outside = au.convolve([(T.WORD_TAG, T.CONF_TAG), (T.WORD_TAG, "0")])
+    outside = convolve([(T.WORD_TAG, T.CONF_TAG), (T.WORD_TAG, "0")])
     edge = au.automaton(2, alphabet, 3, 0, {2}, [(i, letter, i + 1) for i, letter in enumerate(outside)])
     assert not rpi.domain.accepts((T.WORD_TAG, T.CONF_TAG)) and rpi.domain.accepts((T.WORD_TAG, "0"))
     with pytest.raises(WobError, match="outside the domain"):
@@ -688,6 +705,10 @@ def halting_runs(draw):
 @example((split_machine(), [("a", "a", "_", "7"), ()]))  # heads parting, an L move
 @example((cross_machine(), [("a", "a"), ("a", "a", "7")]))  # heads crossing
 @example((kreisel_comparator(False), [("1", "0", "7"), ("0", "1", "1"), ()]))
+@example((retreat_machine(), [("a", "a"), ("a", "a")]))  # heads on one column moving L together, into column 0
+# the cells ("", "a_") join to the token of ("a", "_"), which copy reads;
+# no transition reads these cells, so the run halts after 2 words
+@example((copy_machine(), [("",), ("a_",)]))
 def test_run_words_and_serialize_match_the_tableless_serializer(case):
     # the mask table read by `run_words` and `serialize` against columns
     # joined by `column_token` alone, over the reference run over `step`:
@@ -707,6 +728,64 @@ def test_run_words_and_serialize_match_the_tableless_serializer(case):
             return
         assert run_words(tm, inputs) == ([(T.CONF_TAG, *reference_serialize(tm, c)) for c in trace], accepted)
     assert [c.serialize(tm) for c in trace] == [reference_serialize(tm, c) for c in trace]
+
+
+def test_the_step_table_is_what_move_does_with_the_heads_on_one_column():
+    # each transition whose heads all move one way has its entry, the step
+    # `_move` makes with every head on column 1, at the end of the tape or
+    # before a blank column; a transition whose heads part has none
+    moves, parting = set(), 0
+    for tm in [increment_machine(), copy_machine(), kreisel_comparator(True), kreisel_comparator(False),
+               bounce_machine(), split_machine(), swap_machine(), cross_machine(), walk_machine(),
+               retreat_machine()]:
+        K, one_way = tm.tapes, 0
+        for (q, reads), (q2, actions) in tm.transitions.items():
+            entry = tm._joint_steps.get((q, reads))
+            if len({m for _w, m in actions}) > 1:
+                assert entry is None, (tm.name, q, reads)
+                parting += 1
+                continue
+            one_way += 1
+            for tail in ([], [(tm.blank,) * K]):
+                columns, heads = [(T.MARKER,) * K, reads, *tail], [1] * K
+                T._move(tm, columns, heads, actions)
+                assert heads == [heads[0]] * K, (tm.name, q, reads)
+                assert entry == (q2, columns[1], tm._token_of[columns[1], 0], heads[0] - 1), (tm.name, q, reads)
+            moves.add(entry[3])
+        assert len(tm._joint_steps) == one_way, tm.name
+    assert moves == {1, -1} and parting
+
+
+def test_runs_step_by_the_table_while_the_heads_share_a_column(monkeypatch):
+    # every comparator transition moves its heads together, so neither the
+    # benchmark's reads (lengths 16 to 40) nor the fragment's 225 runs make
+    # a step by `_move`; a run whose heads part makes exactly the steps
+    # with its heads apart or parting by `_move`, and gives the reference
+    # run's words (`rejoin` parts, meets and then steps by the table)
+    rng = random.Random(3)
+    pairs = [sorted((tuple(rng.choice("01") for _ in range(n)) for n in lengths), key=lambda w: (len(w), w))
+             for lengths in itertools.product((16, 24, 32, 40), repeat=2)]
+    cross = cross_machine()
+    rejoin = T.TmSpec(name="rejoin", tapes=2, blank="_", states=cross.states, accepting=cross.accepting,
+                      transitions={**cross.transitions, ("r", ("a", "b")): ("s", (("b", "R"), ("b", "R")))})
+    parting = [(split_machine(), [("a", "a"), ()]), (cross, [("a", "a"), ("a", "a")]),
+               (rejoin, [("a", "a"), ("a", "a")])]
+    want = [run(tm, inputs) for tm, inputs in parting]
+
+    def moved(tm, c):
+        return len(set(c.heads)) > 1 or len({m for _w, m in tm.transitions[c.state, c.columns[c.heads[0]]][1]}) > 1
+
+    rpi = rpi_for(False)
+    calls = []
+    move = T._move
+    monkeypatch.setattr(T, "_move", lambda tm, *args: calls.append(tm.name) or move(tm, *args))
+    for x, y in pairs:
+        assert emb_path(rpi, x, y) is not None
+    explore_fragment(rpi, word_len=5, run_input_len=3)
+    assert calls == []
+    for (tm, inputs), (trace, accepted) in zip(parting, want):
+        assert run_words(tm, inputs) == ([tag_config(c, tm) for c in trace], accepted)
+        assert calls.count(tm.name) == sum(moved(tm, c) for c in trace[:-1]) > 0, tm.name
 
 
 def test_emb_path_names_the_first_hop_the_relation_rejects():
@@ -800,7 +879,7 @@ def test_explore_fragment_samples_configuration_non_edges():
     frag = explore_fragment(rpi, word_len=5, run_input_len=3)
     configs = [w for w in frag.elements if w[0] == T.CONF_TAG][:25]
     u, v = next((u, v) for u in configs for v in configs if (u, v) not in set(frag.edges))
-    letters = au.convolve([u, v])
+    letters = convolve([u, v])
     pair = au.automaton(2, rpi.relation.alphabet, len(letters) + 1, 0, {len(letters)},
                         [(i, letter, i + 1) for i, letter in enumerate(letters)])
     planted = T.RpiStructure(rpi.tm, "planted", au.union(rpi.relation, pair))
